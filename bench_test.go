@@ -97,7 +97,7 @@ func BenchmarkINUMCost(b *testing.B) {
 
 // BenchmarkCostMatrixCompile measures dense γ-slab compilation for a
 // 30-query workload over its full candidate set — the one-off cost
-// BIPGen pays to replace per-coefficient map probes.
+// BIPGen pays to replace per-coefficient γ probes.
 func BenchmarkCostMatrixCompile(b *testing.B) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
 	eng := engine.New(cat, engine.SystemA())

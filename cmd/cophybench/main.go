@@ -10,16 +10,16 @@
 // It reports per-endpoint p50/p95/p99 latency over successful
 // responses, throughput, the shed rate (429s per recommend attempt)
 // and the coalescing hit rate (followers per completed recommend, read
-// from the daemon's /stats delta), and optionally exports
-// BENCH_daemon.json in the same schema as the substrate
-// micro-benchmarks, so `experiments -bench-diff` tracks daemon-level
-// latency across PRs with the existing noise gate.
+// from the daemon's /stats delta), and judges -slo objectives against
+// the measured run. It probes a live daemon over the network; the
+// repository's PR-gating benchmark is `go run ./bench` (its daemon_mix
+// workload drives cophyd in-process).
 //
 // Examples:
 //
 //	cophybench -addr 127.0.0.1:8080 -duration 10s
 //	cophybench -addr 127.0.0.1:8080 -clients 16 -rate 200 -duration 30s \
-//	    -mix whatif=8,recommend=2,ingest=1 -out bench/BENCH_daemon.json
+//	    -mix whatif=8,recommend=2,ingest=1 -slo "recommend.p99<=250ms"
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -53,7 +51,6 @@ type opts struct {
 	timeout  time.Duration
 	budget   float64
 	seed     int64
-	out      string
 	mix      []mixEntry
 	// slo holds objectives evaluated against the measured run; a
 	// violation fails the run (exit 1) unless sloAdvisory is set.
@@ -97,7 +94,6 @@ func main() {
 	mixFlag := flag.String("mix", "whatif=8,recommend=2,ingest=1", "request mix as kind=weight pairs (kinds: ingest, whatif, recommend)")
 	budget := flag.Float64("budget", 0.5, "budget_fraction sent with /recommend")
 	seed := flag.Int64("seed", 1, "workload-generation seed")
-	out := flag.String("out", "", "write BENCH_daemon.json-schema results to this path (empty disables)")
 	sloSpec := flag.String("slo", "", `objectives to evaluate against the measured run, e.g. "recommend.p99=250ms,shed<5%" (same grammar as cophyd -slo); any violation exits non-zero unless -slo-advisory`)
 	sloAdvisory := flag.Bool("slo-advisory", false, "print SLO verdicts but never fail the run on them (for noisy shared runners)")
 	flag.Parse()
@@ -121,7 +117,6 @@ func main() {
 		timeout:     *timeout,
 		budget:      *budget,
 		seed:        *seed,
-		out:         *out,
 		mix:         mix,
 		slo:         slo,
 		sloAdvisory: *sloAdvisory,
@@ -358,10 +353,10 @@ func whatifBody(rng *rand.Rand) string {
 	return string(b)
 }
 
-// report prints the human table and writes the BENCH_daemon.json
-// export. It fails (non-zero exit) when an endpoint with positive mix
-// weight completed zero successful requests — a smoke assertion CI
-// leans on: a run that measured nothing must not pass silently.
+// report prints the human table and the SLO verdicts. It fails
+// (non-zero exit) when an endpoint with positive mix weight completed
+// zero successful requests — a smoke assertion CI leans on: a run that
+// measured nothing must not pass silently.
 func report(o opts, stats map[string]*endpointStats, wall time.Duration, before, after daemonStats) error {
 	kinds := make([]string, 0, len(stats))
 	for k := range stats {
@@ -369,7 +364,6 @@ func report(o opts, stats map[string]*endpointStats, wall time.Duration, before,
 	}
 	sort.Strings(kinds)
 
-	var results []experiments.BenchResult
 	var completed, shed int64
 	fmt.Printf("%-10s %9s %9s %6s %6s %10s %10s %10s\n",
 		"endpoint", "attempts", "ok", "429", "fail", "p50", "p95", "p99")
@@ -381,16 +375,6 @@ func report(o opts, stats map[string]*endpointStats, wall time.Duration, before,
 		fmt.Printf("%-10s %9d %9d %6d %6d %10s %10s %10s\n",
 			k, st.attempt.Load(), st.ok.Load(), st.shed.Load(), st.failed.Load(),
 			ms(snap.Quantile(0.50)), ms(snap.Quantile(0.95)), ms(snap.Quantile(0.99)))
-		for _, q := range []struct {
-			name string
-			v    float64
-		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-			results = append(results, experiments.BenchResult{
-				Name:       fmt.Sprintf("Daemon/%s/%s", k, q.name),
-				NsPerOp:    float64(snap.Quantile(q.v)),
-				Iterations: int(snap.Count),
-			})
-		}
 	}
 
 	rps := float64(completed) / wall.Seconds()
@@ -411,55 +395,20 @@ func report(o opts, stats map[string]*endpointStats, wall time.Duration, before,
 	fmt.Printf("\n%d requests in %.1fs (%.1f req/s), shed rate %.1f%% (%d server-side sheds / %d recommend attempts), coalescing hit rate %.1f%% (%d followers, %d solves)\n",
 		completed, wall.Seconds(), rps, 100*shedRate, shedDelta, recAttempts, 100*coalesceRate, coalesceDelta, recDelta)
 
-	if completed > 0 {
-		results = append(results, experiments.BenchResult{
-			Name:       "Daemon/throughput",
-			NsPerOp:    float64(wall.Nanoseconds()) / float64(completed),
-			Iterations: int(completed),
-		})
-	}
-	// Rate entries carry counts only (ns_per_op 0 exempts them from the
-	// bench-diff noise gate: shed and coalescing counts are properties
-	// of the burst shape, not regressions).
-	results = append(results,
-		experiments.BenchResult{Name: "Daemon/shed", Iterations: int(shedDelta)},
-		experiments.BenchResult{Name: "Daemon/coalesced", Iterations: int(coalesceDelta)},
-	)
-
 	// SLO verdicts: each declared objective judged against the measured
-	// run. The verdict rides into the export as a pass/fail bit
-	// (iterations 1/0, ns_per_op 0 so the noise gate ignores it) and
-	// onto stdout as one line per objective.
+	// run, one stdout line per objective.
 	var violated []string
 	if len(o.slo) > 0 {
 		fmt.Println("\nSLO verdicts:")
 		for _, obj := range o.slo {
 			pass, measured := judge(obj, stats, shedRate)
-			verdict, bit := "PASS", 1
+			verdict := "PASS"
 			if !pass {
-				verdict, bit = "FAIL", 0
+				verdict = "FAIL"
 				violated = append(violated, obj.String())
 			}
 			fmt.Printf("  %s  %-28s measured %s\n", verdict, obj.String(), measured)
-			results = append(results, experiments.BenchResult{
-				Name:       "Daemon/slo/" + obj.String(),
-				Iterations: bit,
-			})
 		}
-	}
-
-	if o.out != "" {
-		if err := os.MkdirAll(filepath.Dir(o.out), 0o755); err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d entries)\n", o.out, len(results))
 	}
 
 	for _, k := range kinds {

@@ -9,35 +9,8 @@
 // instances with the same structure. Output is one aligned text table
 // per experiment, with the paper's expected values quoted in notes.
 //
-// # Benchmark artifacts (-bench-json, -bench-diff)
-//
-// `experiments -bench-json DIR` runs the substrate micro-benchmarks
-// and writes BENCH_inum.json / BENCH_solver.json / BENCH_lp.json into
-// DIR: one entry per benchmark with ns/op, allocations and the run's
-// GOMAXPROCS.
-//
-// `experiments -bench-diff BASEDIR -bench-json NEWDIR` compares a
-// fresh run against a baseline directory and prints a per-benchmark
-// delta table with the noise gate applied (>15% on any entry, or >5%
-// on three or more, is flagged). Adding `-fail-over=PCT` promotes the
-// gate to a failing one: any benchmark regressing more than PCT makes
-// the command exit non-zero, naming the offenders.
-//
-// `experiments -bench-diff BASEDIR -bench-diff-dir RESULTDIR` diffs a
-// results directory that already exists — the cophybench load harness
-// writes BENCH_daemon.json out of band — without running the substrate
-// sweep. CI uploads each
-// run's BENCH_*.json as a workflow artifact and runs the diff against
-// the previous run's artifact; the job stays non-blocking until the
-// repository variable BENCH_FAIL_OVER is set (a pinned-hardware runner
-// flips it on without code changes):
-//
-//  1. CI downloads the previous main-branch BENCH_*.json as the
-//     baseline (currently: the last run's `bench-json` artifact).
-//  2. It re-runs `-bench-json` on the PR head — same machine class,
-//     pinned -benchtime — and compares per-benchmark ns/op.
-//  3. Regressions beyond the noise gate fail the job with the delta
-//     table; improvements update the stored baseline on merge.
+// Performance is not measured here: the repository's benchmark is
+// `go run ./bench` (see bench/README.md).
 package main
 
 import (
@@ -55,44 +28,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload-size multiplier (1.0 = paper scale)")
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	gap := flag.Float64("gap", 0.05, "solver optimality-gap tolerance")
-	benchJSON := flag.String("bench-json", "", "run the substrate micro-benchmarks and write BENCH_inum.json / BENCH_solver.json / BENCH_lp.json into this directory, then exit")
-	benchDiff := flag.String("bench-diff", "", "baseline directory: print the per-benchmark delta of -bench-json's directory (or a previously written one) against it, then exit")
-	benchDiffDir := flag.String("bench-diff-dir", "", "with -bench-diff: diff this pre-existing results directory (e.g. one cophybench wrote) against the baseline instead of running a fresh -bench-json sweep, then exit")
-	failOver := flag.Float64("fail-over", 0, "with -bench-diff: exit non-zero when any benchmark regresses more than this percentage (0 keeps the diff advisory — the shared-runner default)")
 	flag.Parse()
-
-	if *benchDiffDir != "" {
-		// Externally produced results (cophybench's BENCH_daemon.json)
-		// already exist on disk; just diff them.
-		if *benchDiff == "" {
-			fmt.Fprintln(os.Stderr, "-bench-diff-dir needs -bench-diff BASEDIR naming the baseline directory")
-			os.Exit(1)
-		}
-		if err := experiments.DiffBenchJSON(*benchDiff, *benchDiffDir, *failOver); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-diff failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		// Always a fresh run — with -bench-diff as well, so the diff
-		// can never silently compare stale files left in the directory.
-		if err := experiments.WriteBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json failed: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchDiff != "" {
-			if err := experiments.DiffBenchJSON(*benchDiff, *benchJSON, *failOver); err != nil {
-				fmt.Fprintf(os.Stderr, "bench-diff failed: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *benchDiff != "" {
-		fmt.Fprintln(os.Stderr, "-bench-diff needs -bench-json DIR naming the new results directory")
-		os.Exit(1)
-	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, GapTol: *gap}
 

@@ -96,12 +96,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, budgetByt
 	inumTime := time.Since(t0)
 
 	t1 := time.Now()
-	baseline := engine.NewConfig()
-	for _, t := range ad.Cat.Tables() {
-		if len(t.PK) > 0 {
-			baseline.Add(&catalog.Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
-		}
-	}
+	baseline := engine.NewConfig(ad.Cat.PrimaryKeyIndexes()...)
 
 	m := lagrange.NewModel(len(s))
 	// Atomic configurations contain distinct indexes, one per table.

@@ -73,12 +73,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, budgetBytes float64) (*Result
 	calls0 := ad.Eng.WhatIfCalls()
 	budgetLeft := func() bool { return ad.Eng.WhatIfCalls()-calls0 < ad.Opts.WhatIfBudget }
 
-	baseline := engine.NewConfig()
-	for _, t := range ad.Cat.Tables() {
-		if len(t.PK) > 0 {
-			baseline.Add(&catalog.Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
-		}
-	}
+	baseline := engine.NewConfig(ad.Cat.PrimaryKeyIndexes()...)
 
 	// Phase 1: per-query seeding. For each query, greedily add the
 	// candidate that reduces its what-if cost the most.

@@ -65,12 +65,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, budgetBytes float64) (*Result
 	start := time.Now()
 	calls0 := ad.Eng.WhatIfCalls()
 
-	baseline := engine.NewConfig()
-	for _, t := range ad.Cat.Tables() {
-		if len(t.PK) > 0 {
-			baseline.Add(&catalog.Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
-		}
-	}
+	baseline := engine.NewConfig(ad.Cat.PrimaryKeyIndexes()...)
 
 	// Workload compression by uniform sampling; weights are scaled so
 	// the sample represents the full workload.

@@ -188,6 +188,20 @@ func (c *Catalog) Table(name string) *Table { return c.tables[name] }
 // must not be modified.
 func (c *Catalog) Tables() []*Table { return c.ordered }
 
+// PrimaryKeyIndexes returns the clustered primary-key index of every
+// table that declares a PK, in table registration order — the baseline
+// configuration X0 of the paper's perf metric: always present, free,
+// and outside the storage budget.
+func (c *Catalog) PrimaryKeyIndexes() []*Index {
+	var out []*Index
+	for _, t := range c.ordered {
+		if len(t.PK) > 0 {
+			out = append(out, &Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
+		}
+	}
+	return out
+}
+
 // TotalBytes returns the total heap size of all tables. The storage
 // budget of the index-tuning problem is expressed as a fraction M of
 // this quantity (§5.1 of the paper).

@@ -38,7 +38,10 @@ type Advisor struct {
 	Inum *inum.Cache
 	Opts Options
 
-	solves atomic.Int64
+	// baseline is X0, the clustered primary-key indexes: shared by every
+	// instance and never mutated.
+	baseline *engine.Config
+	solves   atomic.Int64
 }
 
 // Solves counts the solver runs this advisor has started (across every
@@ -51,7 +54,10 @@ func NewAdvisor(cat *catalog.Catalog, eng *engine.Engine, opts Options) *Advisor
 	if opts.GapTol <= 0 {
 		opts.GapTol = 0.05
 	}
-	return &Advisor{Cat: cat, Eng: eng, Inum: inum.New(eng), Opts: opts}
+	return &Advisor{
+		Cat: cat, Eng: eng, Inum: inum.New(eng), Opts: opts,
+		baseline: engine.NewConfig(cat.PrimaryKeyIndexes()...),
+	}
 }
 
 // Result is a tuning recommendation.
@@ -90,73 +96,53 @@ type Result struct {
 }
 
 // Recommend runs one full tuning session: INUM preparation, BIP
-// construction, feasibility check, Lagrangian relaxation and solve.
+// construction, feasibility check, Lagrangian relaxation and solve —
+// the first solve of a session nobody keeps.
 func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, cons Constraints) (*Result, error) {
-	inst := ad.instance(w, s)
-
-	t0 := time.Now()
-	ad.Inum.Prepare(w)
-	inumTime := time.Since(t0)
-
-	t1 := time.Now()
-	model, err := BuildModel(inst)
-	if err != nil {
-		return nil, err
-	}
-	if err := applyConstraints(inst, model, cons); err != nil {
-		return nil, err
-	}
-	buildTime := time.Since(t1)
-
-	res, solveTime := ad.solve(inst, model, nil, nil)
-	res.Times = Timings{INUM: inumTime, Build: buildTime, Solve: solveTime}
-	return res, nil
+	return ad.NewSession(w, s, cons).Solve()
 }
 
 // instance assembles the problem instance with the baseline X0.
 func (ad *Advisor) instance(w *workload.Workload, s []*catalog.Index) *Instance {
-	base := engine.NewConfig()
-	for _, t := range ad.Cat.Tables() {
-		if len(t.PK) > 0 {
-			base.Add(&catalog.Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
-		}
-	}
-	return &Instance{Cat: ad.Cat, Eng: ad.Eng, Inum: ad.Inum, Workload: w, S: s, Baseline: base}
+	return &Instance{Cat: ad.Cat, Eng: ad.Eng, Inum: ad.Inum, Workload: w, S: s, Baseline: ad.baseline}
 }
 
-// solve runs Figure 3: feasibility screen, relax(B) (inside the
-// Lagrangian solver) and the bounded search, stopping at the advisor's
-// gap tolerance.
-func (ad *Advisor) solve(inst *Instance, model *lagrange.Model, warm *lagrange.Multipliers, start []bool) (*Result, time.Duration) {
-	return ad.solveWith(context.Background(), inst, model, warm, start, ad.Opts.GapTol)
+// prepare is the front half of the pipeline (Figure 3, §3–4), stated
+// once: instance → INUM preparation → BIPGen → constraint compilation.
+// Every model the advisor solves is built here.
+func (ad *Advisor) prepare(ctx context.Context, w *workload.Workload, s []*catalog.Index, cons Constraints) (*Instance, *lagrange.Model, Timings, error) {
+	inst := ad.instance(w, s)
+
+	t0 := time.Now()
+	ad.Inum.PrepareCtx(ctx, w)
+	times := Timings{INUM: time.Since(t0)}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, Timings{}, err
+	}
+
+	t1 := time.Now()
+	model, err := BuildModel(inst)
+	if err != nil {
+		return nil, nil, Timings{}, err
+	}
+	if err := applyConstraints(inst, model, cons); err != nil {
+		return nil, nil, Timings{}, err
+	}
+	times.Build = time.Since(t1)
+	return inst, model, times, nil
 }
 
-// solveWith is solve with an explicit context and gap tolerance; warm
-// re-solves relax the tolerance to the gap the DBA already accepted in
-// the previous session, and the context's deadline tightens the
-// solver's TimeLimit so a bounded request never outlives its caller.
-func (ad *Advisor) solveWith(ctx context.Context, inst *Instance, model *lagrange.Model, warm *lagrange.Multipliers, start []bool, gapTol float64) (*Result, time.Duration) {
-	t := time.Now()
-	var trace []lagrange.Event
-	progress := func(e lagrange.Event) {
-		trace = append(trace, e)
-		if ad.Opts.Progress != nil {
-			ad.Opts.Progress(e)
-		}
-	}
-	if ok, _ := model.CheckFeasibleCtx(ctx); !ok {
-		return &Result{
-			Infeasible: true,
-			Violated:   model.IdentifyInfeasible(),
-		}, time.Since(t)
-	}
+// solverOptions is the one place Options become lagrange.Options. The
+// context's deadline tightens the solver's TimeLimit so a bounded
+// request never outlives its caller.
+func (ad *Advisor) solverOptions(ctx context.Context, gapTol float64, warm *lagrange.Multipliers, start []bool) lagrange.Options {
 	timeLimit := ad.Opts.TimeLimit
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl); timeLimit == 0 || remaining < timeLimit {
 			timeLimit = remaining
 		}
 	}
-	lr := lagrange.Solve(model, lagrange.Options{
+	return lagrange.Options{
 		GapTol:    gapTol,
 		RootIters: ad.Opts.RootIters,
 		NodeIters: ad.Opts.NodeIters,
@@ -165,8 +151,32 @@ func (ad *Advisor) solveWith(ctx context.Context, inst *Instance, model *lagrang
 		Ctx:       ctx,
 		Warm:      warm,
 		Start:     start,
-		Progress:  progress,
-	})
+		Progress:  ad.Opts.Progress,
+	}
+}
+
+// solve runs Figure 3's back half: feasibility screen, relax(B) (inside
+// the Lagrangian solver) and the bounded search, stopping at gapTol —
+// the advisor's tolerance, or the gap the DBA already accepted when the
+// session is warm.
+func (ad *Advisor) solve(ctx context.Context, inst *Instance, model *lagrange.Model, warm *lagrange.Multipliers, start []bool, gapTol float64) (*Result, time.Duration) {
+	t := time.Now()
+	if ok, _ := model.CheckFeasibleCtx(ctx); !ok {
+		return &Result{
+			Infeasible: true,
+			Violated:   model.IdentifyInfeasible(),
+		}, time.Since(t)
+	}
+	opts := ad.solverOptions(ctx, gapTol, warm, start)
+	var trace []lagrange.Event
+	progress := opts.Progress
+	opts.Progress = func(e lagrange.Event) {
+		trace = append(trace, e)
+		if progress != nil {
+			progress(e)
+		}
+	}
+	lr := lagrange.Solve(model, opts)
 	solveTime := time.Since(t)
 	if lr.Infeasible {
 		// The z polytope is feasible but no selection satisfies the
@@ -206,12 +216,7 @@ func (ad *Advisor) solveWith(ctx context.Context, inst *Instance, model *lagrang
 // including the baseline clustered indexes, ready for ground-truth
 // evaluation with the what-if optimizer.
 func (ad *Advisor) Config(res *Result) *engine.Config {
-	cfg := engine.NewConfig()
-	for _, t := range ad.Cat.Tables() {
-		if len(t.PK) > 0 {
-			cfg.Add(&catalog.Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
-		}
-	}
+	cfg := engine.NewConfig(ad.baseline.Indexes()...)
 	for _, ix := range res.Indexes {
 		cfg.Add(ix)
 	}
@@ -220,21 +225,27 @@ func (ad *Advisor) Config(res *Result) *engine.Config {
 
 // Session supports interactive tuning (§4.2): the DBA tweaks the
 // candidate set or constraints and re-solves; the session reuses the
-// INUM cache, the γ memos, the previous incumbent as a MIP start and
-// the previous multipliers as a dual warm start, which is what makes
-// the revised recommendation roughly an order of magnitude cheaper
-// than the initial one (Figure 6b).
+// INUM cache, the previous incumbent as a MIP start and the previous
+// multipliers as a dual warm start, which is what makes the revised
+// recommendation roughly an order of magnitude cheaper than the
+// initial one (Figure 6b).
 type Session struct {
 	ad   *Advisor
 	w    *workload.Workload
 	cons Constraints
 	s    []*catalog.Index
-	last *Result
-	// seed is a recovered warm start (dual state, incumbent, accepted
-	// gap) installed by RestoreSession: the first solve of a restarted
-	// daemon adopts it exactly as it would the previous in-process
-	// solve, then the session's own results take over.
-	seed *SessionState
+	// warm is what the next solve starts from: set by a successful solve
+	// or by RestoreSession, nil while the session is cold.
+	warm *warmState
+}
+
+// warmState is everything a session carries between solves, positional
+// over the session's candidates: the dual state, the incumbent (MIP
+// start) and the gap the DBA already accepted.
+type warmState struct {
+	lambda   *lagrange.Multipliers
+	selected []bool
+	gap      float64
 }
 
 // NewSession starts an interactive session.
@@ -258,39 +269,36 @@ type SessionState struct {
 	Gap float64
 }
 
-// ExportState captures the session's warm state, or nil when there is
-// nothing warm to carry (no successful solve and no unconsumed seed).
+// start returns the warm incumbent sized to the current candidate set:
+// candidates appended since start off.
+func (se *Session) start() []bool {
+	sel := make([]bool, len(se.s))
+	copy(sel, se.warm.selected)
+	return sel
+}
+
+// ExportState captures the session's warm state, or nil when the
+// session is cold.
 func (se *Session) ExportState() *SessionState {
-	if se.last != nil && !se.last.Infeasible {
-		sel := make([]bool, len(se.s))
-		copy(sel, se.last.Selected)
-		return &SessionState{
-			Candidates: append([]*catalog.Index(nil), se.s...),
-			Duals:      se.last.Lambda.Export(),
-			Selected:   sel,
-			Gap:        se.last.Gap,
-		}
+	if se.warm == nil {
+		return nil
 	}
-	if se.seed != nil {
-		sel := make([]bool, len(se.s))
-		copy(sel, se.seed.Selected)
-		return &SessionState{
-			Candidates: append([]*catalog.Index(nil), se.s...),
-			Duals:      se.seed.Duals,
-			Selected:   sel,
-			Gap:        se.seed.Gap,
-		}
+	return &SessionState{
+		Candidates: append([]*catalog.Index(nil), se.s...),
+		Duals:      se.warm.lambda.Export(),
+		Selected:   se.start(),
+		Gap:        se.warm.gap,
 	}
-	return nil
 }
 
 // RestoreSession rebuilds a session from persisted warm state: the
 // candidate positions come from the state (so the dual sites' index
 // keys stay meaningful) and the first solve warm-starts from the
-// recovered multipliers and incumbent.
+// recovered multipliers and incumbent exactly as it would from the
+// previous in-process solve.
 func (ad *Advisor) RestoreSession(w *workload.Workload, state *SessionState, cons Constraints) *Session {
 	se := ad.NewSession(w, state.Candidates, cons)
-	se.seed = state
+	se.warm = &warmState{lambda: lagrange.ImportDual(state.Duals), selected: state.Selected, gap: state.Gap}
 	return se
 }
 
@@ -299,9 +307,8 @@ func (ad *Advisor) RestoreSession(w *workload.Workload, state *SessionState, con
 // set — while carrying the warm state across: surviving candidates'
 // multipliers are remapped to their new positions (blocks still matched
 // by statement label), dropped candidates' sites are discarded, and the
-// incumbent keeps its surviving choices. This is the policy slice the
-// ROADMAP asked for: a session whose dead candidates dominate no longer
-// needs a cold re-session to shed them.
+// incumbent keeps its surviving choices, so a session whose dead
+// candidates dominate needs no cold re-session to shed them.
 func (se *Session) Compact(live []*catalog.Index) {
 	seen := make(map[string]int32, len(live))
 	news := make([]*catalog.Index, 0, len(live))
@@ -319,29 +326,17 @@ func (se *Session) Compact(live []*catalog.Index) {
 			perm[i] = -1
 		}
 	}
-	remapSel := func(sel []bool) []bool {
-		out := make([]bool, len(news))
-		for i, on := range sel {
-			if on && i < len(perm) && perm[i] >= 0 {
-				out[perm[i]] = true
-			}
-		}
-		return out
-	}
 	se.s = news
-	if se.last != nil && !se.last.Infeasible {
-		cp := *se.last
-		cp.Lambda = cp.Lambda.Remap(perm)
-		cp.Selected = remapSel(se.last.Selected)
-		se.last = &cp
-	} else if se.seed != nil {
-		se.seed = &SessionState{
-			Candidates: news,
-			Duals:      lagrange.ImportDual(se.seed.Duals).Remap(perm).Export(),
-			Selected:   remapSel(se.seed.Selected),
-			Gap:        se.seed.Gap,
+	if se.warm == nil {
+		return
+	}
+	sel := make([]bool, len(news))
+	for i, on := range se.warm.selected {
+		if on && i < len(perm) && perm[i] >= 0 {
+			sel[perm[i]] = true
 		}
 	}
+	se.warm = &warmState{lambda: se.warm.lambda.Remap(perm), selected: sel, gap: se.warm.gap}
 }
 
 // Candidates returns the session's current candidate set.
@@ -380,10 +375,9 @@ func (se *Session) SetWorkload(w *workload.Workload) { se.w = w }
 func (se *Session) Workload() *workload.Workload { return se.w }
 
 // Warm reports whether the next Solve will reuse previous session
-// state (incumbent MIP start and dual warm start) — either this
-// session's own last result or a recovered seed. Infeasible results
-// are not retained, so a failed solve leaves the session cold.
-func (se *Session) Warm() bool { return se.last != nil || se.seed != nil }
+// state (incumbent MIP start and dual warm start). Infeasible results
+// are not retained, so a failed solve leaves the session as it was.
+func (se *Session) Warm() bool { return se.warm != nil }
 
 // Solve computes (or recomputes) the recommendation. The first call
 // pays INUM preparation and a cold solve; later calls are warm.
@@ -403,32 +397,19 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 	}
 	ad := se.ad
 	ad.solves.Add(1)
-	inst := ad.instance(se.w, se.s)
-
-	t0 := time.Now()
-	ad.Inum.PrepareCtx(ctx, se.w)
-	inumTime := time.Since(t0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	t1 := time.Now()
-	model, err := BuildModel(inst)
+	inst, model, times, err := ad.prepare(ctx, se.w, se.s, se.cons)
 	if err != nil {
 		return nil, err
 	}
-	if err := applyConstraints(inst, model, se.cons); err != nil {
-		return nil, err
-	}
-	buildTime := time.Since(t1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	var warm *lagrange.Multipliers
+	var lambda *lagrange.Multipliers
 	var start []bool
 	gapTol := ad.Opts.GapTol
-	relaxTo := func(g float64) {
+	if se.warm != nil {
+		lambda, start = se.warm.lambda, se.start()
 		// Stop once the revision is as tight as the solution the DBA
 		// already accepted: with the repriced warm duals this is
 		// usually reached almost immediately, the computation-reuse
@@ -437,39 +418,25 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 		// without a cap a long-lived session (the streaming daemon
 		// re-solves after every delta) would compound the ratchet ~2%
 		// per solve and degrade without bound.
-		if g = g * 1.02; g > gapTol {
+		if g := se.warm.gap * 1.02; g > gapTol {
 			gapTol = math.Min(g, 2*ad.Opts.GapTol)
 		}
 	}
-	if se.last != nil && !se.last.Infeasible {
-		warm = se.last.Lambda
-		start = make([]bool, len(se.s))
-		copy(start, se.last.Selected) // appended candidates start off
-		relaxTo(se.last.Gap)
-	} else if se.seed != nil {
-		// Recovered warm state: the persisted duals and incumbent of
-		// the pre-restart session, adopted exactly like an in-process
-		// warm start.
-		warm = lagrange.ImportDual(se.seed.Duals)
-		start = make([]bool, len(se.s))
-		copy(start, se.seed.Selected)
-		relaxTo(se.seed.Gap)
-	}
-	res, solveTime := ad.solveWith(ctx, inst, model, warm, start, gapTol)
+	res, solveTime := ad.solve(ctx, inst, model, lambda, start, gapTol)
 	if err := ctx.Err(); err != nil {
 		// The search was cut short by the caller's deadline or
 		// cancellation; its partial result is not a recommendation.
 		return nil, err
 	}
-	res.Times = Timings{INUM: inumTime, Build: buildTime, Solve: solveTime}
+	times.Solve = solveTime
+	res.Times = times
 	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.Add("inum", inumTime)
-		tr.Add("build", buildTime)
+		tr.Add("inum", times.INUM)
+		tr.Add("build", times.Build)
 		tr.Add("solve", solveTime)
 	}
 	if !res.Infeasible {
-		se.last = res
-		se.seed = nil // the session's own state supersedes the recovered seed
+		se.warm = &warmState{lambda: res.Lambda, selected: res.Selected, gap: res.Gap}
 	}
 	return res, nil
 }

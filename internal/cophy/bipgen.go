@@ -146,97 +146,6 @@ func buildBlock(weight float64, queryID string, qm *inum.QueryMatrix) (lagrange.
 	return blk, nil
 }
 
-// buildModelSerial is the original map-based reference implementation
-// of BuildModel: γ probes through the memoized Gamma map, one query at
-// a time. It is retained (and exercised by TestBuildModelMatchesReference)
-// to pin the dense parallel path to the reference semantics.
-func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
-	m := lagrange.NewModel(len(inst.S))
-	m.DistinctPerChoice = true
-	pos := make(map[string]int32, len(inst.S))
-	for i, ix := range inst.S {
-		pos[ix.ID()] = int32(i)
-		t := inst.Cat.Table(ix.Table)
-		if t == nil {
-			return nil, fmt.Errorf("cophy: candidate %s references unknown table", ix.ID())
-		}
-		m.Size[i] = float64(ix.Bytes(t))
-	}
-	for _, s := range inst.Workload.Updates() {
-		u := s.Update
-		m.Const += s.Weight * inst.Eng.BaseUpdateCost(u)
-		for i, ix := range inst.S {
-			if c := inst.Eng.UpdateCost(u, ix); c > 0 {
-				m.FixedCost[i] += s.Weight * c
-			}
-		}
-	}
-	for _, s := range inst.Workload.Queries() {
-		q := s.Query
-		qi := inst.Inum.PrepareQuery(q)
-		if len(qi.Templates) == 0 {
-			return nil, fmt.Errorf("cophy: no templates for %s", q.ID)
-		}
-		blk := lagrange.Block{ID: q.ID, Weight: s.Weight}
-		for ti, tpl := range qi.Templates {
-			ch := lagrange.Choice{Fixed: tpl.Internal}
-			feasible := true
-			for si := range tpl.Slots {
-				slot := inst.slotOptions(qi, ti, si, pos)
-				if len(slot) == 0 {
-					feasible = false
-					break
-				}
-				ch.Slots = append(ch.Slots, slot)
-			}
-			if feasible {
-				blk.Choices = append(blk.Choices, ch)
-			}
-		}
-		if len(blk.Choices) == 0 {
-			return nil, fmt.Errorf("cophy: no feasible choice for %s", q.ID)
-		}
-		m.Blocks = append(m.Blocks, blk)
-	}
-	return m, nil
-}
-
-// slotOptions prices one template slot: the free option (I∅ or a
-// baseline index) plus one option per compatible candidate on the
-// slot's table.
-func (inst *Instance) slotOptions(qi *inum.QueryInfo, ti, si int, pos map[string]int32) lagrange.Slot {
-	tpl := qi.Templates[ti]
-	table := tpl.Slots[si].Table
-	var slot lagrange.Slot
-
-	// Free option: the cheapest always-available access method.
-	free := math.Inf(1)
-	if g, ok := inst.Inum.Gamma(qi, ti, si, nil); ok {
-		free = g
-	}
-	for _, bx := range inst.Baseline.OnTable(table) {
-		if g, ok := inst.Inum.Gamma(qi, ti, si, bx); ok && g < free {
-			free = g
-		}
-	}
-	if !math.IsInf(free, 1) {
-		slot = append(slot, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
-	}
-
-	for _, ix := range inst.S {
-		if ix.Table != table {
-			continue
-		}
-		if g, ok := inst.Inum.Gamma(qi, ti, si, ix); ok {
-			// An option is useful only if it can beat the free one.
-			if g < free {
-				slot = append(slot, lagrange.Option{Index: pos[ix.ID()], Cost: g})
-			}
-		}
-	}
-	return slot
-}
-
 // BuildExplicitBIP constructs the BIP of Theorem 1 literally — one
 // binary y_{qk} per template, one x_{qkia} per slot option, one z_a
 // per candidate — over the generic lp/bip substrate. It exists to

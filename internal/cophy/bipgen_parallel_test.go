@@ -1,10 +1,14 @@
 package cophy
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/inum"
+	"repro/internal/lagrange"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
@@ -26,7 +30,7 @@ func parallelInstance(t *testing.T, workers int) *Instance {
 }
 
 // TestBuildModelMatchesReference pins the dense parallel BuildModel to
-// the retained map-based serial reference implementation: the emitted
+// the serial reference implementation below: the emitted
 // models must be deeply equal — same blocks, same option order, same
 // coefficients to the last bit.
 func TestBuildModelMatchesReference(t *testing.T) {
@@ -74,4 +78,94 @@ func TestBuildModelDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("BuildModel is not deterministic across runs")
 	}
+}
+
+// buildModelSerial is the reference implementation of BuildModel — the
+// test oracle of TestBuildModelMatchesReference: one γ probe at a time
+// through Cache.Gamma, one query at a time, no matrix, no workers.
+func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
+	m := lagrange.NewModel(len(inst.S))
+	m.DistinctPerChoice = true
+	pos := make(map[string]int32, len(inst.S))
+	for i, ix := range inst.S {
+		pos[ix.ID()] = int32(i)
+		t := inst.Cat.Table(ix.Table)
+		if t == nil {
+			return nil, fmt.Errorf("cophy: candidate %s references unknown table", ix.ID())
+		}
+		m.Size[i] = float64(ix.Bytes(t))
+	}
+	for _, s := range inst.Workload.Updates() {
+		u := s.Update
+		m.Const += s.Weight * inst.Eng.BaseUpdateCost(u)
+		for i, ix := range inst.S {
+			if c := inst.Eng.UpdateCost(u, ix); c > 0 {
+				m.FixedCost[i] += s.Weight * c
+			}
+		}
+	}
+	for _, s := range inst.Workload.Queries() {
+		q := s.Query
+		qi := inst.Inum.PrepareQuery(q)
+		if len(qi.Templates) == 0 {
+			return nil, fmt.Errorf("cophy: no templates for %s", q.ID)
+		}
+		blk := lagrange.Block{ID: q.ID, Weight: s.Weight}
+		for ti, tpl := range qi.Templates {
+			ch := lagrange.Choice{Fixed: tpl.Internal}
+			feasible := true
+			for si := range tpl.Slots {
+				slot := inst.slotOptions(qi, ti, si, pos)
+				if len(slot) == 0 {
+					feasible = false
+					break
+				}
+				ch.Slots = append(ch.Slots, slot)
+			}
+			if feasible {
+				blk.Choices = append(blk.Choices, ch)
+			}
+		}
+		if len(blk.Choices) == 0 {
+			return nil, fmt.Errorf("cophy: no feasible choice for %s", q.ID)
+		}
+		m.Blocks = append(m.Blocks, blk)
+	}
+	return m, nil
+}
+
+// slotOptions prices one template slot: the free option (I∅ or a
+// baseline index) plus one option per compatible candidate on the
+// slot's table.
+func (inst *Instance) slotOptions(qi *inum.QueryInfo, ti, si int, pos map[string]int32) lagrange.Slot {
+	tpl := qi.Templates[ti]
+	table := tpl.Slots[si].Table
+	var slot lagrange.Slot
+
+	// Free option: the cheapest always-available access method.
+	free := math.Inf(1)
+	if g, ok := inst.Inum.Gamma(qi, ti, si, nil); ok {
+		free = g
+	}
+	for _, bx := range inst.Baseline.OnTable(table) {
+		if g, ok := inst.Inum.Gamma(qi, ti, si, bx); ok && g < free {
+			free = g
+		}
+	}
+	if !math.IsInf(free, 1) {
+		slot = append(slot, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
+	}
+
+	for _, ix := range inst.S {
+		if ix.Table != table {
+			continue
+		}
+		if g, ok := inst.Inum.Gamma(qi, ti, si, ix); ok {
+			// An option is useful only if it can beat the free one.
+			if g < free {
+				slot = append(slot, lagrange.Option{Index: pos[ix.ID()], Cost: g})
+			}
+		}
+	}
+	return slot
 }

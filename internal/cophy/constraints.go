@@ -41,7 +41,6 @@ type Item interface {
 type compileCtx struct {
 	inst  *Instance
 	model *lagrange.Model
-	pos   map[string]int32
 }
 
 // IndexFilter selects a subset S_c ⊆ S of the candidates (Appendix
@@ -201,10 +200,7 @@ func (qc QueryCost) compile(ctx *compileCtx) error {
 // applyConstraints compiles the constraint set into the model.
 func applyConstraints(inst *Instance, m *lagrange.Model, cons Constraints) error {
 	m.Budget = cons.BudgetBytes
-	ctx := &compileCtx{inst: inst, model: m, pos: make(map[string]int32, len(inst.S))}
-	for i, ix := range inst.S {
-		ctx.pos[ix.ID()] = int32(i)
-	}
+	ctx := &compileCtx{inst: inst, model: m}
 	for _, item := range cons.Items {
 		if err := item.compile(ctx); err != nil {
 			return err

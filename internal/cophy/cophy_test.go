@@ -2,6 +2,7 @@ package cophy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bip"
@@ -147,6 +148,18 @@ func TestRecommendImprovesWorkload(t *testing.T) {
 	}
 	if len(res.Indexes) == 0 {
 		t.Fatal("no indexes recommended")
+	}
+	// Recommend is the first solve of a session: same recommendation,
+	// same bounds, same effort.
+	ad2, _, _ := testAdvisor(t)
+	via, err := ad2.NewSession(w, s, FractionOfData(cat, 1.0)).Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(via.Selected, res.Selected) || !reflect.DeepEqual(via.Indexes, res.Indexes) ||
+		via.EstCost != res.EstCost || via.Lower != res.Lower || via.Gap != res.Gap ||
+		via.Iters != res.Iters || via.Nodes != res.Nodes || len(via.Trace) != len(res.Trace) {
+		t.Fatalf("Recommend differs from NewSession.Solve:\n got %+v\nwant %+v", res, via)
 	}
 	// Ground-truth comparison via the what-if optimizer.
 	base := engine.NewConfig(tpch.BaselineIndexes(cat)...)
@@ -391,6 +404,26 @@ func TestSoftStorageSweep(t *testing.T) {
 	}
 	if times.INUM <= 0 {
 		t.Fatal("shared INUM time missing")
+	}
+	// Golden (amd64): the sweep is deterministic, so a change to how the
+	// base model is built or how points warm-start each other shows up
+	// here as moved cost bits, bytes or configuration size.
+	golden := []struct {
+		costBits uint64
+		size     float64
+		indexes  int
+	}{
+		{0x4108af1f7958b3ab, 0, 0},
+		{0x4108af1f7958b3ab, 0, 0},
+		{0x40fd826dcff85d41, 2.6981005e+07, 4},
+		{0x40e47c1f53d1ab2e, 8.4569452e+07, 10},
+		{0x40d698e58f29d778, 2.19624884e+08, 30},
+	}
+	for i, p := range points {
+		if g := golden[i]; math.Float64bits(p.Cost) != g.costBits || p.SizeBytes != g.size || len(p.Indexes) != g.indexes {
+			t.Fatalf("λ=%v: point (%v, %v bytes, %d indexes) moved off golden (%v, %v bytes, %d indexes)",
+				p.Lambda, p.Cost, p.SizeBytes, len(p.Indexes), math.Float64frombits(g.costBits), g.size, g.indexes)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cophy
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/catalog"
@@ -67,14 +68,7 @@ type softSession struct {
 func (ss *softSession) solveAt(lambda float64) ParetoPoint {
 	m := scalarize(ss.base, lambda, ss.target, ss.norm)
 	t := time.Now()
-	lr := lagrange.Solve(m, lagrange.Options{
-		GapTol:    ss.ad.Opts.GapTol,
-		RootIters: ss.ad.Opts.RootIters,
-		NodeIters: ss.ad.Opts.NodeIters,
-		MaxNodes:  ss.ad.Opts.MaxNodes,
-		Warm:      ss.warm,
-		Start:     ss.start,
-	})
+	lr := lagrange.Solve(m, ss.ad.solverOptions(context.Background(), ss.ad.Opts.GapTol, ss.warm, ss.start))
 	dt := time.Since(t)
 	ss.warm = lr.Lambda
 	ss.start = lr.Selected
@@ -97,20 +91,11 @@ func (ss *softSession) solveAt(lambda float64) ParetoPoint {
 
 // newSoftSession prepares the shared INUM cache and base model.
 func (ad *Advisor) newSoftSession(w *workload.Workload, s []*catalog.Index, cons Constraints, targetBytes float64) (*softSession, error) {
-	inst := ad.instance(w, s)
-	t0 := time.Now()
-	ad.Inum.Prepare(w)
-	inumTime := time.Since(t0)
-	t1 := time.Now()
-	base, err := BuildModel(inst)
+	inst, base, times, err := ad.prepare(context.Background(), w, s, cons)
 	if err != nil {
 		return nil, err
 	}
-	if err := applyConstraints(inst, base, cons); err != nil {
-		return nil, err
-	}
 	base.Budget = -1 // the storage constraint is soft here
-	buildTime := time.Since(t1)
 	// Normalization between cost and storage: the empty
 	// configuration's workload cost per byte of data. This makes the
 	// λ axis meaningful across schemas and scale factors.
@@ -121,7 +106,7 @@ func (ad *Advisor) newSoftSession(w *workload.Workload, s []*catalog.Index, cons
 	}
 	return &softSession{
 		ad: ad, inst: inst, base: base, target: targetBytes, norm: norm,
-		times: Timings{INUM: inumTime, Build: buildTime},
+		times: times,
 	}, nil
 }
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -135,51 +132,5 @@ func TestReportRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendering lacks %q:\n%s", want, s)
 		}
-	}
-}
-
-// writeBenchFile drops a BENCH_*.json fixture into dir.
-func writeBenchFile(t *testing.T, dir, name string, results []BenchResult) {
-	t.Helper()
-	data, err := json.Marshal(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDiffBenchFailOver: with -fail-over the diff fails on regressions
-// beyond the threshold, names the offender, and stays advisory at the
-// zero default.
-func TestDiffBenchFailOver(t *testing.T) {
-	base, next := t.TempDir(), t.TempDir()
-	writeBenchFile(t, base, "BENCH_x.json", []BenchResult{
-		{Name: "Fast", NsPerOp: 100},
-		{Name: "Slow", NsPerOp: 1000},
-	})
-	writeBenchFile(t, next, "BENCH_x.json", []BenchResult{
-		{Name: "Fast", NsPerOp: 105},  // +5%: under any sane gate
-		{Name: "Slow", NsPerOp: 1400}, // +40%: over a 20% gate
-	})
-
-	if err := DiffBenchJSON(base, next, 0); err != nil {
-		t.Fatalf("advisory mode must never fail: %v", err)
-	}
-	err := DiffBenchJSON(base, next, 20)
-	if err == nil {
-		t.Fatal("40%% regression passed a 20%% gate")
-	}
-	if !strings.Contains(err.Error(), "Slow") || strings.Contains(err.Error(), "Fast") {
-		t.Fatalf("gate error should name Slow and only Slow: %v", err)
-	}
-	if err := DiffBenchJSON(base, next, 50); err != nil {
-		t.Fatalf("40%% regression failed a 50%% gate: %v", err)
-	}
-
-	// A missing baseline is skipped, not failed, even in gating mode.
-	if err := DiffBenchJSON(t.TempDir(), next, 20); err != nil {
-		t.Fatalf("missing baseline must skip, not fail: %v", err)
 	}
 }

@@ -123,18 +123,10 @@ func (t *Template) appendSig(buf []byte) []byte {
 }
 
 // QueryInfo is the INUM cache entry for one query: its template plans
-// TPlans(q) plus memoized γ values.
+// TPlans(q). It is immutable once PrepareQuery has published it.
 type QueryInfo struct {
 	Query     *workload.Query
 	Templates []*Template
-
-	mu    sync.Mutex
-	gamma map[gammaKey]float64
-}
-
-type gammaKey struct {
-	tmpl, slot int
-	index      string // canonical index ID; "" for I∅
 }
 
 // Cache is the INUM layer over one engine. It is safe for concurrent
@@ -143,7 +135,7 @@ type gammaKey struct {
 // do not serialize on one lock.
 //
 // The cache is two-level. The outer level maps statement IDs to
-// QueryInfo entries (per-statement γ memos). The inner level maps shape
+// QueryInfo entries. The inner level maps shape
 // fingerprints (engine.ShapeFingerprint) to derived template sets, so
 // statements that differ only in constants the histograms price
 // identically share one derivation: the second and later statements of
@@ -346,11 +338,7 @@ func (c *Cache) PrepareQuery(q *workload.Query) *QueryInfo {
 	}
 	sh.mu.Unlock()
 
-	qi := &QueryInfo{
-		Query:     q,
-		Templates: c.templatesForShape(q),
-		gamma:     make(map[gammaKey]float64),
-	}
+	qi := &QueryInfo{Query: q, Templates: c.templatesForShape(q)}
 
 	sh.mu.Lock()
 	if prior, ok := sh.queries[q.ID]; ok {
@@ -829,41 +817,26 @@ func dominates(a, b *Template) bool {
 
 // Gamma returns γ_{qkia}: the access cost of implementing slot si of
 // template ti with index ix (nil means I∅, the heap). The boolean is
-// false when the access method cannot implement the slot (γ = ∞).
-// Results are memoized per query.
+// false when the access method cannot implement the slot (γ = ∞). It is
+// the one γ evaluator — a pure function of its arguments, cost-model
+// arithmetic with no optimizer call and nothing retained — behind
+// matrix compilation, Cost and the reference model builder.
 func (c *Cache) Gamma(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bool) {
-	key := gammaKey{tmpl: ti, slot: si}
-	if ix != nil {
-		key.index = ix.ID()
-	}
-	qi.mu.Lock()
-	if v, ok := qi.gamma[key]; ok {
-		qi.mu.Unlock()
-		return v, !math.IsInf(v, 1)
-	}
-	qi.mu.Unlock()
-
 	s := &qi.Templates[ti].Slots[si]
-	var v float64
-	var ok bool
 	switch s.Mode {
 	case SlotScan:
-		v, ok = c.Eng.SlotScanCost(qi.Query, s.Table, ix, s.RequiredOrder, s.NeedCols)
+		return c.Eng.SlotScanCost(qi.Query, s.Table, ix, s.RequiredOrder, s.NeedCols)
 	case SlotLookup:
-		v, ok = c.Eng.SlotLookupCost(qi.Query, s.Table, ix, s.JoinCol, s.Lookups, s.NeedCols)
+		return c.Eng.SlotLookupCost(qi.Query, s.Table, ix, s.JoinCol, s.Lookups, s.NeedCols)
 	}
-	if !ok {
-		v = math.Inf(1)
-	}
-	qi.mu.Lock()
-	qi.gamma[key] = v
-	qi.mu.Unlock()
-	return v, ok
+	return 0, false
 }
 
 // Cost returns the INUM approximation of cost(q, X): the minimum over
 // template plans and atomic configurations of the instantiated plan
-// cost. It never calls the what-if optimizer.
+// cost. It never calls the what-if optimizer. This is the
+// single-statement evaluator (what-if requests, query-cost
+// constraints) and the reference QueryMatrix.Cost is tested against.
 func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 	qi := c.PrepareQuery(q)
 	if len(qi.Templates) == 0 {

@@ -200,7 +200,10 @@ func TestLinearComposability(t *testing.T) {
 	}
 }
 
-func TestGammaMemoization(t *testing.T) {
+// TestGammaRepeatable: γ is a pure function of (template, slot, index)
+// — the same probe twice gives the same answer without ever reaching
+// the optimizer.
+func TestGammaRepeatable(t *testing.T) {
 	eng, cache, _ := testSetup(t)
 	q := &workload.Query{
 		ID:     "i-memo",
@@ -214,10 +217,10 @@ func TestGammaMemoization(t *testing.T) {
 	calls := eng.WhatIfCalls()
 	v2, ok2 := cache.Gamma(qi, 0, 0, ix)
 	if v1 != v2 || ok1 != ok2 {
-		t.Fatalf("memoized gamma differs: %v/%v vs %v/%v", v1, ok1, v2, ok2)
+		t.Fatalf("repeated gamma differs: %v/%v vs %v/%v", v1, ok1, v2, ok2)
 	}
 	if eng.WhatIfCalls() != calls {
-		t.Fatal("memoized Gamma must not invoke the optimizer")
+		t.Fatal("Gamma must not invoke the optimizer")
 	}
 }
 

@@ -10,15 +10,14 @@ import (
 )
 
 // CostMatrix is the compiled, dense form of the INUM cost model for
-// one (workload, candidate set, baseline) triple. Where the map-based
-// path answers one γ_{qkia} probe at a time through a mutex-guarded
-// map keyed by index ID strings, the matrix flattens every γ into
-// contiguous float64 slabs with int32 slot→candidate compatibility
-// lists, so evaluating cost(q, X) is a branch-light walk over dense
-// memory with zero allocation, zero hashing and zero locking. BIPGen
-// and the ILP baseline's configuration enumeration both consume it;
-// the map path in Gamma/Cost remains as the reference implementation
-// the equivalence property test checks against.
+// one (workload, candidate set, baseline) triple: every γ_{qkia} is
+// evaluated once (Cache.Gamma) and flattened into contiguous float64
+// slabs with int32 slot→candidate compatibility lists, so evaluating
+// cost(q, X) for any X ⊆ S is a branch-light walk over dense memory
+// with zero allocation and no cost-model arithmetic. BIPGen and the ILP
+// baseline's configuration enumeration both consume it; Cache.Cost,
+// which evaluates one statement under one configuration directly, is
+// the reference the equivalence property test checks it against.
 type CostMatrix struct {
 	// S is the candidate universe; Compat entries are positions into S.
 	S []*catalog.Index
@@ -103,18 +102,18 @@ func (c *Cache) compileQuery(q *workload.Query, s []*catalog.Index, byTable map[
 			slot := &tpl.Slots[si]
 
 			free := math.Inf(1)
-			if g, ok := c.slotCost(qi, ti, si, nil); ok {
+			if g, ok := c.Gamma(qi, ti, si, nil); ok {
 				free = g
 			}
 			for _, bx := range baseline.OnTable(slot.Table) {
-				if g, ok := c.slotCost(qi, ti, si, bx); ok && g < free {
+				if g, ok := c.Gamma(qi, ti, si, bx); ok && g < free {
 					free = g
 				}
 			}
 			qm.SlotFree = append(qm.SlotFree, free)
 
 			for _, pos := range byTable[slot.Table] {
-				if g, ok := c.slotCost(qi, ti, si, s[pos]); ok {
+				if g, ok := c.Gamma(qi, ti, si, s[pos]); ok {
 					qm.Compat = append(qm.Compat, pos)
 					qm.Gamma = append(qm.Gamma, g)
 				}
@@ -124,20 +123,6 @@ func (c *Cache) compileQuery(q *workload.Query, s []*catalog.Index, byTable map[
 		qm.TmplOff = append(qm.TmplOff, int32(len(qm.SlotFree)))
 	}
 	return qm
-}
-
-// slotCost computes γ for one (template, slot, access method) without
-// touching the memo map — matrix compilation visits each γ exactly
-// once, so memoization would only add locking.
-func (c *Cache) slotCost(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bool) {
-	s := &qi.Templates[ti].Slots[si]
-	switch s.Mode {
-	case SlotScan:
-		return c.Eng.SlotScanCost(qi.Query, s.Table, ix, s.RequiredOrder, s.NeedCols)
-	case SlotLookup:
-		return c.Eng.SlotLookupCost(qi.Query, s.Table, ix, s.JoinCol, s.Lookups, s.NeedCols)
-	}
-	return 0, false
 }
 
 // Query returns the compiled block of a query, or nil when the query

@@ -5,8 +5,7 @@ import "testing"
 // BenchmarkSolveSparseVsDense pits the revised simplex against the
 // dense tableau oracle on identical BIP-shaped instances (the shared
 // BenchBIPShapes families). The acceptance bar is ≥3× on the
-// constraint-rich shape; results are exported to BENCH_lp.json by
-// `experiments -bench-json`.
+// constraint-rich shape.
 func BenchmarkSolveSparseVsDense(b *testing.B) {
 	for _, sh := range BenchBIPShapes {
 		var probs []*Problem

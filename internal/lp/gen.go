@@ -11,10 +11,8 @@ type BIPShape struct {
 // BenchBIPShapes is the single source of the benchmark instance
 // families: small (interactive-scale), medium (typical tuning
 // session) and constraint-rich (Appendix-E-style side-constraint-heavy
-// models, the dense tableau's failure mode). Shared by this package's
-// BenchmarkSolveSparseVsDense and the BENCH_lp.json export in
-// internal/experiments, so the exported numbers always measure the
-// same instances the in-repo benchmark does.
+// models, the dense tableau's failure mode), measured by
+// BenchmarkSolveSparseVsDense.
 var BenchBIPShapes = []BIPShape{
 	{Name: "small", NZ: 8, Blocks: 4, Side: 4},
 	{Name: "medium", NZ: 24, Blocks: 12, Side: 24},
@@ -30,10 +28,9 @@ var BenchBIPShapes = []BIPShape{
 // variables are bound-fixed, mimicking branch-and-bound nodes.
 //
 // It is the single source of the instance family shared by the
-// sparse-vs-dense property tests, BenchmarkSolveSparseVsDense, and
-// the BENCH_lp.json export in internal/experiments — one generator,
-// so the benchmark measures exactly the instances the oracle pin
-// covers.
+// sparse-vs-dense property tests and BenchmarkSolveSparseVsDense — one
+// generator, so the benchmark measures exactly the instances the
+// oracle pin covers.
 func RandomBIPShaped(seed int64, nz, blocks, sideRows int, fix bool) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/tpch"
 	"repro/internal/workload"
 )
 
@@ -236,7 +235,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 		ad:            cophy.NewAdvisor(cfg.Catalog, cfg.Engine, cfg.Advisor),
 		cgen:          cfg.CGen,
 		stream:        workload.NewStream(workload.StreamConfig{HalfLife: halfLife, MinWeight: cfg.MinWeight}),
-		baseline:      engine.NewConfig(tpch.BaselineIndexes(cfg.Catalog)...),
+		baseline:      engine.NewConfig(cfg.Catalog.PrimaryKeyIndexes()...),
 		reqTimeout:    cfg.RequestTimeout,
 		maxCandidates: cfg.MaxCandidates,
 		authToken:     cfg.AuthToken,

@@ -195,14 +195,7 @@ func Build(cfg Config) *catalog.Catalog {
 // BaselineIndexes returns the clustered primary-key indexes that form
 // the baseline configuration X0 of the paper's perf metric.
 func BaselineIndexes(c *catalog.Catalog) []*catalog.Index {
-	var out []*catalog.Index
-	for _, t := range c.Tables() {
-		if len(t.PK) == 0 {
-			continue
-		}
-		out = append(out, &catalog.Index{Table: t.Name, Key: append([]string(nil), t.PK...), Clustered: true})
-	}
-	return out
+	return c.PrimaryKeyIndexes()
 }
 
 // TableNames returns the TPC-H table names in schema order.

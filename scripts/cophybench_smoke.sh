@@ -3,20 +3,13 @@
 # fixed-rate cophybench burst, and asserts the whole observability
 # surface end to end: the bench completes every endpoint in its mix,
 # the daemon's /metrics histograms saw the traffic, the request log
-# carries trace IDs, the daemon exits 0 on SIGTERM, and the run's
-# BENCH_daemon.json diffs cleanly (advisory) against the committed
-# seed. Usage:
+# carries trace IDs, and the daemon exits 0 on SIGTERM. Usage:
 #
-#   scripts/cophybench_smoke.sh [outdir]
-#
-# BENCH_daemon.json lands in outdir (a temp dir by default) so CI can
-# upload it as an artifact.
+#   scripts/cophybench_smoke.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-$(mktemp -d)}"
-mkdir -p "$OUT"
 BINDIR=$(mktemp -d)
 go build -o "$BINDIR" ./cmd/cophyd ./cmd/cophybench
 
@@ -50,16 +43,11 @@ echo "daemon at $BASE"
 # appear, but a slow runner must not fail the smoke.
 BENCH_OUT=$("$BINDIR/cophybench" -addr "$ADDR" -clients 4 -rate 40 -duration 8s -seed 1 \
   -slo 'recommend.p99<=30s,whatif.p99<=30s,ingest.p99<=30s,error_rate<=20%,shed_rate<=50%' \
-  -slo-advisory \
-  -out "$OUT/BENCH_daemon.json" | tee /dev/stderr)
+  -slo-advisory | tee /dev/stderr)
 echo "$BENCH_OUT" | grep -q 'SLO verdicts:' || fail "bench printed no SLO verdicts"
 echo "$BENCH_OUT" | grep -q 'recommend.p99<=30s' || fail "bench verdicts missing the recommend objective"
-python3 - "$OUT/BENCH_daemon.json" <<'EOF'
-import json, sys
-results = {r["name"]: r for r in json.load(open(sys.argv[1]))}
-slo = [n for n in results if n.startswith("Daemon/slo/")]
-assert len(slo) == 5, slo
-EOF
+VERDICTS=$(echo "$BENCH_OUT" | grep -cE '^  (PASS|FAIL)  ' || true)
+[ "$VERDICTS" = "5" ] || fail "bench printed $VERDICTS SLO verdict lines, want 5"
 
 # The daemon side of the story: every endpoint the bench drove must
 # show up in the /metrics histograms, and the solver spans must have
@@ -92,9 +80,4 @@ trap - EXIT
 [ "$RC" = "0" ] || fail "cophyd exited $RC on SIGTERM, want 0"
 grep -q 'cophyd shutting down' "$LOG" || fail "no graceful-shutdown line in the log"
 
-# Advisory diff against the committed seed (repo root holds
-# BENCH_daemon.json); shared runners are noisy, so this prints the
-# delta table without failing. CI's bench-diff job applies the gate.
-go run ./cmd/experiments -bench-diff . -bench-diff-dir "$OUT"
-
-echo "cophybench smoke test PASSED (results in $OUT/BENCH_daemon.json)"
+echo "cophybench smoke test PASSED"
