@@ -200,6 +200,43 @@ func BenchmarkLagrangeSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionResolve measures one revision of an interactive
+// session (§4.2): a pure re-weight of the workload followed by a warm
+// re-solve. build-ms/op is Result.Times.Build — with the session keeping
+// its compiled problem a re-weight compiles nothing, so it should stay
+// far below the cold build BenchmarkCostMatrixCompile dominates.
+func BenchmarkSessionResolve(b *testing.B) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
+	eng := engine.New(cat, engine.SystemA())
+	base := workload.Hom(workload.HomConfig{Queries: 60, Seed: 5})
+	ad := cophy.NewAdvisor(cat, eng, cophy.Options{})
+	se := ad.NewSession(base, cophy.Candidates(cat, base, cophy.CGenOptions{Covering: true}), cophy.FractionOfData(cat, 0.5))
+	if _, err := se.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	// Two weightings of the same statements, alternated.
+	doubled := &workload.Workload{Name: base.Name + "-reweighted"}
+	for i, st := range base.Statements {
+		weight := st.Weight
+		if i%5 == 0 {
+			weight *= 2
+		}
+		doubled.Statements = append(doubled.Statements, &workload.Statement{Query: st.Query, Update: st.Update, Weight: weight})
+	}
+	weightings := [2]*workload.Workload{doubled, base}
+	var build float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		se.SetWorkload(weightings[i%2])
+		res, err := se.Solve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		build += res.Times.Build.Seconds() * 1e3
+	}
+	b.ReportMetric(build/float64(b.N), "build-ms/op")
+}
+
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationRelaxOn/Off quantify the Lagrangian relax(B) step

@@ -42,6 +42,9 @@ type Advisor struct {
 	// instance and never mutated.
 	baseline *engine.Config
 	solves   atomic.Int64
+	// workers becomes every instance's Workers: zero (GOMAXPROCS) except
+	// in tests, which raise it above the core count.
+	workers int
 }
 
 // Solves counts the solver runs this advisor has started (across every
@@ -104,13 +107,15 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, cons Cons
 
 // instance assembles the problem instance with the baseline X0.
 func (ad *Advisor) instance(w *workload.Workload, s []*catalog.Index) *Instance {
-	return &Instance{Cat: ad.Cat, Eng: ad.Eng, Inum: ad.Inum, Workload: w, S: s, Baseline: ad.baseline}
+	return &Instance{Cat: ad.Cat, Eng: ad.Eng, Inum: ad.Inum, Workload: w, S: s, Baseline: ad.baseline, Workers: ad.workers}
 }
 
 // prepare is the front half of the pipeline (Figure 3, §3–4), stated
 // once: instance → INUM preparation → BIPGen → constraint compilation.
-// Every model the advisor solves is built here.
-func (ad *Advisor) prepare(ctx context.Context, w *workload.Workload, s []*catalog.Index, cons Constraints) (*Instance, *lagrange.Model, Timings, error) {
+// Every model the advisor solves is built here, over the compiled state
+// cs the caller keeps (empty for a first build), which the build brings
+// up to date in place.
+func (ad *Advisor) prepare(ctx context.Context, cs *compiled, w *workload.Workload, s []*catalog.Index, cons Constraints) (*Instance, *lagrange.Model, Timings, error) {
 	inst := ad.instance(w, s)
 
 	t0 := time.Now()
@@ -121,7 +126,7 @@ func (ad *Advisor) prepare(ctx context.Context, w *workload.Workload, s []*catal
 	}
 
 	t1 := time.Now()
-	model, err := BuildModel(inst)
+	model, err := cs.model(inst)
 	if err != nil {
 		return nil, nil, Timings{}, err
 	}
@@ -225,18 +230,24 @@ func (ad *Advisor) Config(res *Result) *engine.Config {
 
 // Session supports interactive tuning (§4.2): the DBA tweaks the
 // candidate set or constraints and re-solves; the session reuses the
-// INUM cache, the previous incumbent as a MIP start and the previous
-// multipliers as a dual warm start, which is what makes the revised
-// recommendation roughly an order of magnitude cheaper than the
-// initial one (Figure 6b).
+// INUM cache, the compiled problem, the previous incumbent as a MIP
+// start and the previous multipliers as a dual warm start, which is what
+// makes the revised recommendation roughly an order of magnitude cheaper
+// than the initial one (Figure 6b).
 type Session struct {
 	ad   *Advisor
 	w    *workload.Workload
 	cons Constraints
 	s    []*catalog.Index
+	// pos maps a candidate's ID to its position in s.
+	pos map[string]int32
 	// warm is what the next solve starts from: set by a successful solve
 	// or by RestoreSession, nil while the session is cold.
 	warm *warmState
+	// built is the compiled problem every build so far left behind. It
+	// does not depend on how a solve ended, so unlike warm it survives
+	// infeasible, failed and cancelled solves.
+	built compiled
 }
 
 // warmState is everything a session carries between solves, positional
@@ -250,7 +261,9 @@ type warmState struct {
 
 // NewSession starts an interactive session.
 func (ad *Advisor) NewSession(w *workload.Workload, s []*catalog.Index, cons Constraints) *Session {
-	return &Session{ad: ad, w: w, cons: cons, s: append([]*catalog.Index(nil), s...)}
+	se := &Session{ad: ad, w: w, cons: cons, pos: make(map[string]int32, len(s))}
+	se.AddCandidates(s)
+	return se
 }
 
 // SessionState is the portable warm state of a session — what a
@@ -308,29 +321,26 @@ func (ad *Advisor) RestoreSession(w *workload.Workload, state *SessionState, con
 // multipliers are remapped to their new positions (blocks still matched
 // by statement label), dropped candidates' sites are discarded, and the
 // incumbent keeps its surviving choices, so a session whose dead
-// candidates dominate needs no cold re-session to shed them.
+// candidates dominate needs no cold re-session to shed them. The
+// compiled problem stores positions and the remap is not monotone: the
+// next build finds its candidates are no prefix of the new ones and
+// compiles once from nothing.
 func (se *Session) Compact(live []*catalog.Index) {
-	seen := make(map[string]int32, len(live))
-	news := make([]*catalog.Index, 0, len(live))
-	for _, ix := range live {
-		if _, dup := seen[ix.ID()]; !dup {
-			seen[ix.ID()] = int32(len(news))
-			news = append(news, ix)
-		}
-	}
-	perm := make([]int32, len(se.s))
-	for i, ix := range se.s {
-		if p, ok := seen[ix.ID()]; ok {
+	old := se.s
+	se.s, se.pos = nil, make(map[string]int32, len(live))
+	se.AddCandidates(live)
+	perm := make([]int32, len(old))
+	for i, ix := range old {
+		if p, ok := se.pos[ix.ID()]; ok {
 			perm[i] = p
 		} else {
 			perm[i] = -1
 		}
 	}
-	se.s = news
 	if se.warm == nil {
 		return
 	}
-	sel := make([]bool, len(news))
+	sel := make([]bool, len(se.s))
 	for i, on := range se.warm.selected {
 		if on && i < len(perm) && perm[i] >= 0 {
 			sel[perm[i]] = true
@@ -344,18 +354,29 @@ func (se *Session) Candidates() []*catalog.Index { return se.s }
 
 // AddCandidates appends candidates to S (deduplicating), the
 // incremental exploration of §4.2. Existing candidates keep their
-// positions, so multipliers and incumbents carry over.
+// positions, so multipliers, incumbents and the compiled problem carry
+// over.
 func (se *Session) AddCandidates(delta []*catalog.Index) {
-	have := make(map[string]bool, len(se.s))
-	for _, ix := range se.s {
-		have[ix.ID()] = true
-	}
 	for _, ix := range delta {
-		if !have[ix.ID()] {
-			have[ix.ID()] = true
+		if id := ix.ID(); !se.has(id) {
+			se.pos[id] = int32(len(se.s))
 			se.s = append(se.s, ix)
 		}
 	}
+}
+
+func (se *Session) has(id string) bool { _, ok := se.pos[id]; return ok }
+
+// Holds returns how many of the given candidates (distinct by ID) the
+// session already has.
+func (se *Session) Holds(cands []*catalog.Index) int {
+	n := 0
+	for _, ix := range cands {
+		if se.has(ix.ID()) {
+			n++
+		}
+	}
+	return n
 }
 
 // SetConstraints replaces the session's constraint set for the next
@@ -397,7 +418,7 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 	}
 	ad := se.ad
 	ad.solves.Add(1)
-	inst, model, times, err := ad.prepare(ctx, se.w, se.s, se.cons)
+	inst, model, times, err := ad.prepare(ctx, &se.built, se.w, se.s, se.cons)
 	if err != nil {
 		return nil, err
 	}
@@ -445,4 +466,11 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 // white-box tests.
 func InstanceForTest(ad *Advisor, w *workload.Workload, s []*catalog.Index) *Instance {
 	return ad.instance(w, s)
+}
+
+// CompiledForTest reports how many statements the session holds compiled
+// state for (γ slabs, and choice sets derived from them), so tests can
+// hold it to the daemon's bounded-memory contract.
+func CompiledForTest(se *Session) (slabs, choices int) {
+	return se.built.mat.Len(), len(se.built.choices)
 }

@@ -40,14 +40,37 @@ type Instance struct {
 // index). Candidate update-maintenance costs become the z_a objective
 // coefficients, base-tuple update costs the constant term.
 //
-// The γ values come from the dense CostMatrix compiled once per
-// instance rather than per-coefficient map probes, and the per-query
-// blocks — independent by Theorem 1 — are built by a worker pool into
-// preallocated positions, so the emitted model is bit-identical to a
-// serial build. BuildTime in the advisor's breakdown measures this
-// function; its cheapness relative to ILP's configuration enumeration
-// is the heart of Figure 5.
+// It is the build from empty compiled state; a session's re-solve runs
+// the same function, compiled.model, over the state its last build
+// left.
 func BuildModel(inst *Instance) (*lagrange.Model, error) {
+	return new(compiled).model(inst)
+}
+
+// compiled is the weight-free part of a built problem, which a session
+// keeps between solves: the dense γ matrix over (statements, candidates)
+// and the choices derived from each of its slabs. It is a pure function
+// of (INUM cache entries, candidate list, baseline), so it stays valid
+// whatever becomes of the solve it was built for. The zero value is the
+// empty state.
+type compiled struct {
+	mat inum.CostMatrix
+	// choices holds, per slab of mat, the block choices built from it.
+	// They are immutable and shared by every model assembled since.
+	choices map[*inum.QueryMatrix][]lagrange.Choice
+}
+
+// model brings the compiled state to the instance and assembles its
+// model: the γ values come from the dense CostMatrix, updated for the
+// statements and candidates the state has not seen; choices are derived
+// for the slabs that update compiled — independent by Theorem 1, built
+// by a worker pool into preallocated positions — and every block is the
+// statement's current weight stamped onto its slab's shared choices. The
+// emitted model is bit-identical to a serial build from nothing.
+// BuildTime in the advisor's breakdown measures this function; its
+// cheapness relative to ILP's configuration enumeration is the heart of
+// Figure 5.
+func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
 	// Slots within one template access distinct tables, so an index
 	// never fills two slots of one choice — the solver may aggregate
@@ -83,52 +106,64 @@ func BuildModel(inst *Instance) (*lagrange.Model, error) {
 		})
 	}
 
-	// Query blocks from the dense γ matrix, one worker-pool task per
-	// query, written into its preallocated position.
-	mat := inst.Inum.CompileMatrix(inst.Workload, inst.S, inst.Baseline, inst.Workers)
+	inst.Inum.UpdateMatrix(&cs.mat, inst.Workload, inst.S, inst.Baseline, inst.Workers)
+
+	// Carry over the choices of the slabs that survived the update (the
+	// rest go with the old table) and derive the missing ones.
 	stmts := inst.Workload.Queries()
-	blocks := make([]lagrange.Block, len(stmts))
-	errs := make([]error, len(stmts))
-	par.For(len(stmts), inst.Workers, func(i int) {
-		s := stmts[i]
-		qm := mat.Query(s.Query)
-		if qm == nil || len(qm.Internal) == 0 {
-			errs[i] = fmt.Errorf("cophy: no templates for %s", s.Query.ID)
-			return
+	slabs := make([]*inum.QueryMatrix, len(stmts))
+	choices := make(map[*inum.QueryMatrix][]lagrange.Choice, cs.mat.Len())
+	var fresh []*inum.QueryMatrix
+	for i, s := range stmts {
+		qm := cs.mat.Query(s.Query)
+		slabs[i] = qm
+		if _, seen := choices[qm]; seen {
+			continue
 		}
-		blk, err := buildBlock(s.Weight, s.Query.ID, qm)
-		if err != nil {
-			errs[i] = err
-			return
+		chs, kept := cs.choices[qm]
+		if !kept {
+			fresh = append(fresh, qm)
 		}
-		blocks[i] = blk
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		choices[qm] = chs
 	}
-	m.Blocks = blocks
+	built := make([][]lagrange.Choice, len(fresh))
+	par.For(len(fresh), inst.Workers, func(i int) { built[i] = buildChoices(fresh[i]) })
+	for i, qm := range fresh {
+		choices[qm] = built[i]
+	}
+	cs.choices = choices
+
+	m.Blocks = make([]lagrange.Block, len(stmts))
+	for i, s := range stmts {
+		chs := choices[slabs[i]]
+		if len(chs) == 0 {
+			if len(slabs[i].Internal) == 0 {
+				return nil, fmt.Errorf("cophy: no templates for %s", s.Query.ID)
+			}
+			return nil, fmt.Errorf("cophy: no feasible choice for %s", s.Query.ID)
+		}
+		m.Blocks[i] = lagrange.Block{ID: s.Query.ID, Weight: s.Weight, Choices: chs}
+	}
 	return m, nil
 }
 
-// buildBlock emits one query's choice block from its dense γ slab.
-func buildBlock(weight float64, queryID string, qm *inum.QueryMatrix) (lagrange.Block, error) {
-	blk := lagrange.Block{ID: queryID, Weight: weight}
+// buildChoices emits one query's choices from its dense γ slab.
+func buildChoices(qm *inum.QueryMatrix) []lagrange.Choice {
+	choices := make([]lagrange.Choice, 0, len(qm.Internal))
 	for ti := 0; ti < len(qm.Internal); ti++ {
 		ch := lagrange.Choice{Fixed: qm.Internal[ti]}
+		if n := qm.TmplOff[ti+1] - qm.TmplOff[ti]; n > 0 {
+			ch.Slots = make([]lagrange.Slot, 0, n)
+		}
 		feasible := true
 		for si := qm.TmplOff[ti]; si < qm.TmplOff[ti+1]; si++ {
-			free := qm.SlotFree[si]
-			var slot lagrange.Slot
-			if !math.IsInf(free, 1) {
+			slot := make(lagrange.Slot, 0, qm.SlotOff[si+1]-qm.SlotOff[si]+1)
+			if free := qm.SlotFree[si]; !math.IsInf(free, 1) {
 				slot = append(slot, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
 			}
+			// The slab holds only the candidates that beat the free access.
 			for k := qm.SlotOff[si]; k < qm.SlotOff[si+1]; k++ {
-				// An option is useful only if it can beat the free one.
-				if g := qm.Gamma[k]; g < free {
-					slot = append(slot, lagrange.Option{Index: qm.Compat[k], Cost: g})
-				}
+				slot = append(slot, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
 			}
 			if len(slot) == 0 {
 				feasible = false
@@ -137,13 +172,10 @@ func buildBlock(weight float64, queryID string, qm *inum.QueryMatrix) (lagrange.
 			ch.Slots = append(ch.Slots, slot)
 		}
 		if feasible {
-			blk.Choices = append(blk.Choices, ch)
+			choices = append(choices, ch)
 		}
 	}
-	if len(blk.Choices) == 0 {
-		return blk, fmt.Errorf("cophy: no feasible choice for %s", queryID)
-	}
-	return blk, nil
+	return choices
 }
 
 // BuildExplicitBIP constructs the BIP of Theorem 1 literally — one

@@ -91,7 +91,7 @@ func (ss *softSession) solveAt(lambda float64) ParetoPoint {
 
 // newSoftSession prepares the shared INUM cache and base model.
 func (ad *Advisor) newSoftSession(w *workload.Workload, s []*catalog.Index, cons Constraints, targetBytes float64) (*softSession, error) {
-	inst, base, times, err := ad.prepare(context.Background(), w, s, cons)
+	inst, base, times, err := ad.prepare(context.Background(), new(compiled), w, s, cons)
 	if err != nil {
 		return nil, err
 	}

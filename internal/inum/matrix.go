@@ -2,6 +2,8 @@ package inum
 
 import (
 	"math"
+	"runtime"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -18,9 +20,17 @@ import (
 // baseline's configuration enumeration both consume it; Cache.Cost,
 // which evaluates one statement under one configuration directly, is
 // the reference the equivalence property test checks it against.
+//
+// A matrix is updatable (Cache.UpdateMatrix): a slab is a pure function
+// of (cache entry, candidate list, baseline), so a later triple reuses
+// every slab whose inputs it did not touch. The zero value is the empty
+// matrix.
 type CostMatrix struct {
 	// S is the candidate universe; Compat entries are positions into S.
 	S []*catalog.Index
+	// baseline is the always-available configuration SlotFree is priced
+	// under.
+	baseline *engine.Config
 	// byQuery maps query ID to its compiled block.
 	byQuery map[string]*QueryMatrix
 }
@@ -28,7 +38,7 @@ type CostMatrix struct {
 // QueryMatrix is the dense γ block of one query. Slots are numbered
 // globally across templates; TmplOff[k]..TmplOff[k+1] are the slots of
 // template k, and SlotOff[s]..SlotOff[s+1] the compatible candidates
-// of slot s.
+// of slot s. It is immutable once compiled.
 type QueryMatrix struct {
 	// QI is the underlying cache entry (template structure).
 	QI *QueryInfo
@@ -41,7 +51,9 @@ type QueryMatrix struct {
 	SlotFree []float64
 	// SlotOff offsets slots into Compat/Gamma (len = #slots+1).
 	SlotOff []int32
-	// Compat lists the candidate positions with finite γ per slot.
+	// Compat lists, per slot and in ascending order, the candidate
+	// positions whose γ is below SlotFree — the only ones that can set
+	// the slot's cost.
 	Compat []int32
 	// Gamma holds the access costs aligned with Compat.
 	Gamma []float64
@@ -49,17 +61,43 @@ type QueryMatrix struct {
 
 // CompileMatrix builds the dense cost matrix for the workload's
 // queries (and update shells) over candidate set s with baseline
-// always-available indexes. Queries are independent, so compilation
-// fans out across workers (0 = GOMAXPROCS); each worker writes only
-// its own queries' entries.
+// always-available indexes: UpdateMatrix on an empty matrix.
 func (c *Cache) CompileMatrix(w *workload.Workload, s []*catalog.Index, baseline *engine.Config, workers int) *CostMatrix {
-	cm := &CostMatrix{S: s, byQuery: make(map[string]*QueryMatrix)}
+	cm := &CostMatrix{}
+	c.UpdateMatrix(cm, w, s, baseline, workers)
+	return cm
+}
+
+// UpdateMatrix brings cm to (w, s, baseline), compiling only what the
+// previous triple does not already hold. A query keeps its slab while
+// PrepareQuery still returns the same cache entry — entries are
+// immutable and the slab pins its own, so an equal pointer is the same
+// templates, and an Evict in between shows as a new one. When s only
+// appended candidates, a kept slab evaluates γ for the appended
+// positions alone: they are larger than every compiled position, so the
+// extended per-slot lists equal a from-scratch compile bit for bit. Any
+// other change of s (positions are what Compat stores) or of the
+// baseline drops every slab. Slabs of queries no longer in w are
+// dropped, so the matrix never outgrows the workload it was last
+// brought to. Queries are independent, so compilation fans out across
+// workers (0 = GOMAXPROCS); each worker writes only its own queries'
+// entries.
+func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.Index, baseline *engine.Config, workers int) {
+	if cm.baseline != baseline || len(cm.S) > len(s) || !slices.Equal(cm.S, s[:len(cm.S)]) {
+		*cm = CostMatrix{}
+	}
+	old, from := cm.byQuery, len(cm.S)
 
 	// Candidate positions grouped per table, so slot compilation only
-	// scans same-table candidates.
-	byTable := make(map[string][]int32)
+	// scans same-table candidates: all of them for a new slab, the
+	// appended ones for a kept slab.
+	all := make(map[string][]int32)
+	added := make(map[string][]int32)
 	for i, ix := range s {
-		byTable[ix.Table] = append(byTable[ix.Table], int32(i))
+		all[ix.Table] = append(all[ix.Table], int32(i))
+		if i >= from {
+			added[ix.Table] = append(added[ix.Table], int32(i))
+		}
 	}
 
 	// Queries() yields the SELECT statements plus the update query
@@ -68,62 +106,105 @@ func (c *Cache) CompileMatrix(w *workload.Workload, s []*catalog.Index, baseline
 	// each distinct query once.
 	stmts := w.Queries()
 	queries := make([]*workload.Query, 0, len(stmts))
-	seen := make(map[string]bool, len(stmts))
+	byQuery := make(map[string]*QueryMatrix, len(stmts))
 	for _, st := range stmts {
-		if !seen[st.Query.ID] {
-			seen[st.Query.ID] = true
+		if _, seen := byQuery[st.Query.ID]; !seen {
+			byQuery[st.Query.ID] = nil
 			queries = append(queries, st.Query)
 		}
 	}
 
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	mats := make([]*QueryMatrix, len(queries))
-	par.For(len(queries), workers, func(i int) {
-		mats[i] = c.compileQuery(queries[i], s, byTable, baseline)
+	bufs := make([]slabBuf, workers)
+	par.ForWorker(len(queries), workers, func(worker, i int) {
+		qi := c.PrepareQuery(queries[i])
+		if prev := old[queries[i].ID]; prev != nil && prev.QI == qi {
+			mats[i] = c.compileQuery(qi, prev, s, added, baseline, &bufs[worker])
+		} else {
+			mats[i] = c.compileQuery(qi, nil, s, all, baseline, &bufs[worker])
+		}
 	})
 
 	for i, q := range queries {
-		cm.byQuery[q.ID] = mats[i]
+		byQuery[q.ID] = mats[i]
 	}
-	return cm
+	cm.S, cm.baseline, cm.byQuery = s, baseline, byQuery
 }
 
-// compileQuery flattens one query's γ values into a QueryMatrix.
-func (c *Cache) compileQuery(q *workload.Query, s []*catalog.Index, byTable map[string][]int32, baseline *engine.Config) *QueryMatrix {
-	qi := c.PrepareQuery(q)
+// slabBuf is a worker's scratch for the entry lists of the slab it is
+// compiling: their length is known only once every γ is evaluated, and a
+// slab outlives the compile (sessions keep it), so it is filled here and
+// copied out at its exact size.
+type slabBuf struct {
+	compat []int32
+	gamma  []float64
+}
+
+// compileQuery flattens one query's γ values into a QueryMatrix: prev's
+// entries (none when prev is nil) followed, slot by slot, by γ of the
+// candidate positions in byTable, which must all lie beyond prev's.
+func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, s []*catalog.Index, byTable map[string][]int32, baseline *engine.Config, buf *slabBuf) *QueryMatrix {
+	slots, scan := 0, 0
+	for _, tpl := range qi.Templates {
+		slots += len(tpl.Slots)
+		for si := range tpl.Slots {
+			scan += len(byTable[tpl.Slots[si].Table])
+		}
+	}
+	if prev != nil && scan == 0 {
+		return prev
+	}
 	qm := &QueryMatrix{
 		QI:       qi,
 		Internal: make([]float64, len(qi.Templates)),
 		TmplOff:  make([]int32, 1, len(qi.Templates)+1),
-		SlotOff:  make([]int32, 1, 8),
+		SlotFree: make([]float64, 0, slots),
+		SlotOff:  make([]int32, 1, slots+1),
 	}
+	compat, gamma := buf.compat[:0], buf.gamma[:0]
 	for ti, tpl := range qi.Templates {
 		qm.Internal[ti] = tpl.Internal
 		for si := range tpl.Slots {
 			slot := &tpl.Slots[si]
-
 			free := math.Inf(1)
-			if g, ok := c.Gamma(qi, ti, si, nil); ok {
-				free = g
-			}
-			for _, bx := range baseline.OnTable(slot.Table) {
-				if g, ok := c.Gamma(qi, ti, si, bx); ok && g < free {
+			if n := len(qm.SlotFree); prev != nil {
+				free = prev.SlotFree[n]
+				lo, hi := prev.SlotOff[n], prev.SlotOff[n+1]
+				compat = append(compat, prev.Compat[lo:hi]...)
+				gamma = append(gamma, prev.Gamma[lo:hi]...)
+			} else {
+				if g, ok := c.Gamma(qi, ti, si, nil); ok {
 					free = g
+				}
+				for _, bx := range baseline.OnTable(slot.Table) {
+					if g, ok := c.Gamma(qi, ti, si, bx); ok && g < free {
+						free = g
+					}
 				}
 			}
 			qm.SlotFree = append(qm.SlotFree, free)
-
 			for _, pos := range byTable[slot.Table] {
-				if g, ok := c.Gamma(qi, ti, si, s[pos]); ok {
-					qm.Compat = append(qm.Compat, pos)
-					qm.Gamma = append(qm.Gamma, g)
+				// A candidate no cheaper than the free access never wins
+				// the slot's minimum; it is not stored.
+				if g, ok := c.Gamma(qi, ti, si, s[pos]); ok && g < free {
+					compat = append(compat, pos)
+					gamma = append(gamma, g)
 				}
 			}
-			qm.SlotOff = append(qm.SlotOff, int32(len(qm.Compat)))
+			qm.SlotOff = append(qm.SlotOff, int32(len(compat)))
 		}
 		qm.TmplOff = append(qm.TmplOff, int32(len(qm.SlotFree)))
 	}
+	qm.Compat, qm.Gamma = slices.Clone(compat), slices.Clone(gamma)
+	buf.compat, buf.gamma = compat, gamma
 	return qm
 }
+
+// Len returns the number of compiled queries.
+func (cm *CostMatrix) Len() int { return len(cm.byQuery) }
 
 // Query returns the compiled block of a query, or nil when the query
 // was not part of the compiled workload.

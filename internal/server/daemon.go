@@ -589,37 +589,25 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	// union over the cap that compaction could not fix (the session is
 	// cold, nothing to carry) drops the session for a cold re-session
 	// over the live candidates instead of wedging every future request.
-	own := make(map[string]bool, len(cands))
-	for _, ix := range cands {
-		own[ix.ID()] = true
-	}
-	if d.session != nil && d.session.Warm() {
-		dead := 0
-		for _, ix := range d.session.Candidates() {
-			if !own[ix.ID()] {
-				dead++
-			}
-		}
-		if live := len(d.session.Candidates()) - dead; dead > live {
+	//
+	// Both read one number off the session's candidate index: how many
+	// of this request's candidates (distinct by construction) it holds.
+	held, total := 0, 0
+	if d.session != nil {
+		held, total = d.session.Holds(cands), len(d.session.Candidates())
+		if dead := total - held; d.session.Warm() && dead > held {
 			d.session.Compact(cands)
 			d.compactions.Add(1)
+			held, total = len(cands), len(cands)
 		}
 	}
 	if d.maxCandidates > 0 {
-		if len(own) > d.maxCandidates {
-			return RecommendResult{}, fmt.Errorf("server: %w: %d > %d", ErrTooManyCandidates, len(own), d.maxCandidates)
+		if len(cands) > d.maxCandidates {
+			return RecommendResult{}, fmt.Errorf("server: %w: %d > %d", ErrTooManyCandidates, len(cands), d.maxCandidates)
 		}
-		if d.session != nil {
-			union := len(own)
-			for _, ix := range d.session.Candidates() {
-				if !own[ix.ID()] {
-					union++
-				}
-			}
-			if union > d.maxCandidates {
-				d.session = nil // rebase: next solve is cold over live candidates only
-				d.rebases.Add(1)
-			}
+		if union := total + len(cands) - held; d.session != nil && union > d.maxCandidates {
+			d.session = nil // rebase: next solve is cold over live candidates only
+			d.rebases.Add(1)
 		}
 	}
 

@@ -76,6 +76,17 @@ func TestCacheEvictOnStatementDrop(t *testing.T) {
 	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &rec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/recommend after eviction: status %d", resp.StatusCode)
 	}
+
+	// The session's compiled problem obeys the same bound: the first
+	// recommend compiled a slab per statement, and after the re-solve none
+	// is left for a statement the stream evicted.
+	distinct := map[string]bool{}
+	for _, st := range d.stream.Snapshot().Queries() {
+		distinct[st.Query.ID] = true
+	}
+	if slabs, choices := cophy.CompiledForTest(d.session); slabs != len(distinct) || choices != slabs || slabs >= before {
+		t.Fatalf("session holds %d slabs and %d choice sets for %d live queries (%d before eviction)", slabs, choices, len(distinct), before)
+	}
 }
 
 // TestStreamEvictHookUnit pins the hook contract at the stream level:
