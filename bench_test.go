@@ -239,27 +239,6 @@ func BenchmarkSessionResolve(b *testing.B) {
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationRelaxOn/Off quantify the Lagrangian relax(B) step
-// (Figure 3 line 3): with it the solver closes to the gap tolerance;
-// without it the bound never moves off the index-free floor.
-func BenchmarkAblationRelaxOn(b *testing.B) {
-	m := buildBenchModel(b, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16})
-		b.ReportMetric(r.Gap, "gap")
-	}
-}
-
-func BenchmarkAblationRelaxOff(b *testing.B) {
-	m := buildBenchModel(b, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16, DisableRelaxation: true})
-		b.ReportMetric(r.Gap, "gap")
-	}
-}
-
 // BenchmarkAblationWarmStartCold/Warm quantify dual warm starts — the
 // mechanism behind interactive re-tuning (Figure 6b).
 func BenchmarkAblationWarmStartCold(b *testing.B) {

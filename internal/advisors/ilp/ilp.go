@@ -99,8 +99,6 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, budgetByt
 	baseline := engine.NewConfig(ad.Cat.PrimaryKeyIndexes()...)
 
 	m := lagrange.NewModel(len(s))
-	// Atomic configurations contain distinct indexes, one per table.
-	m.DistinctPerChoice = true
 	for i, ix := range s {
 		t := ad.Cat.Table(ix.Table)
 		m.Size[i] = float64(ix.Bytes(t))

@@ -95,7 +95,7 @@ type Result struct {
 	Infeasible bool
 	Violated   []string
 	// Lambda is the solver's dual state, reusable for warm starts.
-	Lambda *lagrange.Multipliers
+	Lambda lagrange.Dual
 }
 
 // Recommend runs one full tuning session: INUM preparation, BIP
@@ -140,7 +140,7 @@ func (ad *Advisor) prepare(ctx context.Context, cs *compiled, w *workload.Worklo
 // solverOptions is the one place Options become lagrange.Options. The
 // context's deadline tightens the solver's TimeLimit so a bounded
 // request never outlives its caller.
-func (ad *Advisor) solverOptions(ctx context.Context, gapTol float64, warm *lagrange.Multipliers, start []bool) lagrange.Options {
+func (ad *Advisor) solverOptions(ctx context.Context, gapTol float64, warm lagrange.Dual, start []bool) lagrange.Options {
 	timeLimit := ad.Opts.TimeLimit
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl); timeLimit == 0 || remaining < timeLimit {
@@ -164,7 +164,7 @@ func (ad *Advisor) solverOptions(ctx context.Context, gapTol float64, warm *lagr
 // the Lagrangian solver) and the bounded search, stopping at gapTol —
 // the advisor's tolerance, or the gap the DBA already accepted when the
 // session is warm.
-func (ad *Advisor) solve(ctx context.Context, inst *Instance, model *lagrange.Model, warm *lagrange.Multipliers, start []bool, gapTol float64) (*Result, time.Duration) {
+func (ad *Advisor) solve(ctx context.Context, inst *Instance, model *lagrange.Model, warm lagrange.Dual, start []bool, gapTol float64) (*Result, time.Duration) {
 	t := time.Now()
 	if ok, _ := model.CheckFeasibleCtx(ctx); !ok {
 		return &Result{
@@ -254,7 +254,7 @@ type Session struct {
 // over the session's candidates: the dual state, the incumbent (MIP
 // start) and the gap the DBA already accepted.
 type warmState struct {
-	lambda   *lagrange.Multipliers
+	lambda   lagrange.Dual
 	selected []bool
 	gap      float64
 }
@@ -274,8 +274,9 @@ type SessionState struct {
 	// Candidates is the session's candidate set in position order.
 	Candidates []*catalog.Index
 	// Duals is the dual state of the last solve, blocks labeled by
-	// statement ID.
-	Duals []lagrange.DualBlock
+	// statement ID — the very value the session holds (immutable, so
+	// shared rather than copied) and the form the daemon persists.
+	Duals lagrange.Dual
 	// Selected is the last incumbent, aligned with Candidates.
 	Selected []bool
 	// Gap is the relative optimality gap the last solve achieved.
@@ -298,7 +299,7 @@ func (se *Session) ExportState() *SessionState {
 	}
 	return &SessionState{
 		Candidates: append([]*catalog.Index(nil), se.s...),
-		Duals:      se.warm.lambda.Export(),
+		Duals:      se.warm.lambda,
 		Selected:   se.start(),
 		Gap:        se.warm.gap,
 	}
@@ -311,7 +312,7 @@ func (se *Session) ExportState() *SessionState {
 // previous in-process solve.
 func (ad *Advisor) RestoreSession(w *workload.Workload, state *SessionState, cons Constraints) *Session {
 	se := ad.NewSession(w, state.Candidates, cons)
-	se.warm = &warmState{lambda: lagrange.ImportDual(state.Duals), selected: state.Selected, gap: state.Gap}
+	se.warm = &warmState{lambda: state.Duals, selected: state.Selected, gap: state.Gap}
 	return se
 }
 
@@ -426,7 +427,7 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	var lambda *lagrange.Multipliers
+	var lambda lagrange.Dual
 	var start []bool
 	gapTol := ad.Opts.GapTol
 	if se.warm != nil {

@@ -5,12 +5,10 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/bip"
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/inum"
 	"repro/internal/lagrange"
-	"repro/internal/lp"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
@@ -72,10 +70,6 @@ type compiled struct {
 // Figure 5.
 func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
-	// Slots within one template access distinct tables, so an index
-	// never fills two slots of one choice — the solver may aggregate
-	// its multipliers per query for a stronger relax(B) bound.
-	m.DistinctPerChoice = true
 	for i, ix := range inst.S {
 		t := inst.Cat.Table(ix.Table)
 		if t == nil {
@@ -176,98 +170,6 @@ func buildChoices(qm *inum.QueryMatrix) []lagrange.Choice {
 		}
 	}
 	return choices
-}
-
-// BuildExplicitBIP constructs the BIP of Theorem 1 literally — one
-// binary y_{qk} per template, one x_{qkia} per slot option, one z_a
-// per candidate — over the generic lp/bip substrate. It exists to
-// validate the theorem (the structured solver and this program must
-// agree) and to solve small constraint-rich instances exactly. For a
-// model with B blocks it allocates Σ options + Σ templates + |S|
-// variables; each emitted constraint row (a handful of ±1 entries)
-// lands directly in the problem's CSC column store, which is the
-// layout the sparse revised simplex pivots over — no dense m×n
-// intermediate exists at any point.
-func BuildExplicitBIP(m *lagrange.Model) (bip.Model, []int) {
-	// Count variables.
-	nz := m.NumIndexes
-	ny, nx := 0, 0
-	for bi := range m.Blocks {
-		ny += len(m.Blocks[bi].Choices)
-		for ci := range m.Blocks[bi].Choices {
-			for _, s := range m.Blocks[bi].Choices[ci].Slots {
-				nx += len(s)
-			}
-		}
-	}
-	p := lp.NewProblem(nz + ny + nx)
-	bins := make([]int, 0, nz+ny+nx)
-
-	// z variables first.
-	for a := 0; a < nz; a++ {
-		p.SetObj(a, m.FixedCost[a])
-		p.SetBounds(a, 0, 1)
-		bins = append(bins, a)
-	}
-	yBase := nz
-	xBase := nz + ny
-
-	yi, xi := 0, 0
-	for bi := range m.Blocks {
-		blk := &m.Blocks[bi]
-		var yRow []lp.Coef
-		for ci := range blk.Choices {
-			ch := &blk.Choices[ci]
-			yVar := yBase + yi
-			yi++
-			p.SetObj(yVar, blk.Weight*ch.Fixed)
-			p.SetBounds(yVar, 0, 1)
-			bins = append(bins, yVar)
-			yRow = append(yRow, lp.Coef{Col: yVar, Val: 1})
-			for _, s := range ch.Slots {
-				// Σ_a x = y  (assignment row per slot).
-				row := []lp.Coef{{Col: yVar, Val: -1}}
-				for _, o := range s {
-					xVar := xBase + xi
-					xi++
-					p.SetObj(xVar, blk.Weight*o.Cost)
-					p.SetBounds(xVar, 0, 1)
-					bins = append(bins, xVar)
-					row = append(row, lp.Coef{Col: xVar, Val: 1})
-					if o.Index != lagrange.NoIndex {
-						// z_a ≥ x.
-						p.AddRow([]lp.Coef{{Col: int(o.Index), Val: 1}, {Col: xVar, Val: -1}}, lp.GE, 0)
-					}
-				}
-				p.AddRow(row, lp.EQ, 0)
-			}
-		}
-		// Σ_k y = 1.
-		p.AddRow(yRow, lp.EQ, 1)
-	}
-
-	// Storage budget and side constraints.
-	if m.Budget >= 0 {
-		var row []lp.Coef
-		for a := 0; a < nz; a++ {
-			if m.Size[a] != 0 {
-				row = append(row, lp.Coef{Col: a, Val: m.Size[a]})
-			}
-		}
-		p.AddRow(row, lp.LE, m.Budget)
-	}
-	for _, c := range m.Extra {
-		var row []lp.Coef
-		for _, t := range c.Terms {
-			row = append(row, lp.Coef{Col: int(t.Index), Val: t.Coef})
-		}
-		p.AddRow(row, c.Sense, c.RHS)
-	}
-	zVars := make([]int, nz)
-	for a := range zVars {
-		zVars[a] = a
-	}
-	return bip.Model{P: p, Binaries: bins}, zVars
 }
 
 // Timings is the per-phase breakdown the paper's Figures 5 and 10

@@ -85,7 +85,6 @@ func TestBuildModelDeterministic(t *testing.T) {
 // through Cache.Gamma, one query at a time, no matrix, no workers.
 func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
-	m.DistinctPerChoice = true
 	pos := make(map[string]int32, len(inst.S))
 	for i, ix := range inst.S {
 		pos[ix.ID()] = int32(i)

@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bip"
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/lagrange"
+	"repro/internal/lp"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
@@ -36,9 +38,6 @@ func TestBuildModelShape(t *testing.T) {
 	queries := inst.Workload.Queries()
 	if len(m.Blocks) != len(queries) {
 		t.Fatalf("blocks = %d, queries(+shells) = %d", len(m.Blocks), len(queries))
-	}
-	if !m.DistinctPerChoice {
-		t.Fatal("CoPhy models must assert DistinctPerChoice")
 	}
 	// Sizes positive; every block has a choice evaluable with I∅ only.
 	for a := 0; a < m.NumIndexes; a++ {
@@ -100,9 +99,98 @@ func TestModelEvalMatchesINUM(t *testing.T) {
 	}
 }
 
+// buildExplicitBIP constructs the BIP of Theorem 1 literally — one
+// binary y_{qk} per template, one x_{qkia} per slot option, one z_a
+// per candidate — over the generic lp/bip substrate. It exists to
+// validate the theorem (the structured solver and this program must
+// agree): the reference TestTheorem1Equivalence solves against. For a
+// model with B blocks it allocates Σ options + Σ templates + |S|
+// variables.
+func buildExplicitBIP(m *lagrange.Model) (bip.Model, []int) {
+	// Count variables.
+	nz := m.NumIndexes
+	ny, nx := 0, 0
+	for bi := range m.Blocks {
+		ny += len(m.Blocks[bi].Choices)
+		for ci := range m.Blocks[bi].Choices {
+			for _, s := range m.Blocks[bi].Choices[ci].Slots {
+				nx += len(s)
+			}
+		}
+	}
+	p := lp.NewProblem(nz + ny + nx)
+	bins := make([]int, 0, nz+ny+nx)
+
+	// z variables first.
+	for a := 0; a < nz; a++ {
+		p.SetObj(a, m.FixedCost[a])
+		p.SetBounds(a, 0, 1)
+		bins = append(bins, a)
+	}
+	yBase := nz
+	xBase := nz + ny
+
+	yi, xi := 0, 0
+	for bi := range m.Blocks {
+		blk := &m.Blocks[bi]
+		var yRow []lp.Coef
+		for ci := range blk.Choices {
+			ch := &blk.Choices[ci]
+			yVar := yBase + yi
+			yi++
+			p.SetObj(yVar, blk.Weight*ch.Fixed)
+			p.SetBounds(yVar, 0, 1)
+			bins = append(bins, yVar)
+			yRow = append(yRow, lp.Coef{Col: yVar, Val: 1})
+			for _, s := range ch.Slots {
+				// Σ_a x = y  (assignment row per slot).
+				row := []lp.Coef{{Col: yVar, Val: -1}}
+				for _, o := range s {
+					xVar := xBase + xi
+					xi++
+					p.SetObj(xVar, blk.Weight*o.Cost)
+					p.SetBounds(xVar, 0, 1)
+					bins = append(bins, xVar)
+					row = append(row, lp.Coef{Col: xVar, Val: 1})
+					if o.Index != lagrange.NoIndex {
+						// z_a ≥ x.
+						p.AddRow([]lp.Coef{{Col: int(o.Index), Val: 1}, {Col: xVar, Val: -1}}, lp.GE, 0)
+					}
+				}
+				p.AddRow(row, lp.EQ, 0)
+			}
+		}
+		// Σ_k y = 1.
+		p.AddRow(yRow, lp.EQ, 1)
+	}
+
+	// Storage budget and side constraints.
+	if m.Budget >= 0 {
+		var row []lp.Coef
+		for a := 0; a < nz; a++ {
+			if m.Size[a] != 0 {
+				row = append(row, lp.Coef{Col: a, Val: m.Size[a]})
+			}
+		}
+		p.AddRow(row, lp.LE, m.Budget)
+	}
+	for _, c := range m.Extra {
+		var row []lp.Coef
+		for _, t := range c.Terms {
+			row = append(row, lp.Coef{Col: int(t.Index), Val: t.Coef})
+		}
+		p.AddRow(row, c.Sense, c.RHS)
+	}
+	zVars := make([]int, nz)
+	for a := range zVars {
+		zVars[a] = a
+	}
+	return bip.Model{P: p, Binaries: bins}, zVars
+}
+
 func TestExplicitBIPVariableCount(t *testing.T) {
 	_, _, m := buildSmallModel(t, 6, 102)
-	em, zVars := BuildExplicitBIP(m)
+	em, zVars := buildExplicitBIP(m)
 	if len(zVars) != m.NumIndexes {
 		t.Fatalf("z vars = %d", len(zVars))
 	}
@@ -148,7 +236,6 @@ func TestFreeOptionNeverWorseThanBaselineCost(t *testing.T) {
 // the public Evaluate on a single-block copy.
 func mBlockPrimal(m *lagrange.Model, bi int, sel []bool) (float64, bool) {
 	single := lagrange.NewModel(m.NumIndexes)
-	single.DistinctPerChoice = m.DistinctPerChoice
 	copy(single.Size, m.Size)
 	single.Blocks = []lagrange.Block{m.Blocks[bi]}
 	v, ok := single.Evaluate(sel)

@@ -119,7 +119,7 @@ func TestTheorem1Equivalence(t *testing.T) {
 	}
 
 	// Explicit Theorem-1 BIP.
-	em, _ := BuildExplicitBIP(model)
+	em, _ := buildExplicitBIP(model)
 	r := bip.Solve(em, bip.Options{GapTol: 1e-9, MaxNodes: 20000})
 	if r.Status == bip.Infeasible {
 		t.Fatal("explicit BIP infeasible")

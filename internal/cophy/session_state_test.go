@@ -3,10 +3,12 @@ package cophy
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/lagrange"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
@@ -202,4 +204,72 @@ func TestSessionCompactCarriesWarmState(t *testing.T) {
 			t.Fatalf("compacted warm solve (%d iters) worse than compacted cold (%d)", warm.Iters, coldC.Iters)
 		}
 	})
+}
+
+// TestRestoreParentFormatRecord: a session record written while dual
+// sites still carried (choice, slot) keys — always −1 in a written
+// record — restores to the same state, and so to the same solve, as its
+// current wire form. The literal pins the wire keys: renaming id, sites,
+// index or value makes the decoded state differ from want.
+func TestRestoreParentFormatRecord(t *testing.T) {
+	const parentFormat = `[` +
+		`{"id":"hom-0001","sites":[{"choice":-1,"slot":-1,"index":2,"value":0},{"choice":-1,"slot":-1,"index":6,"value":0}]},` +
+		`{"id":"hom-0004","sites":[{"choice":-1,"slot":-1,"index":17,"value":0},{"choice":-1,"slot":-1,"index":18,"value":2942.3039825024134}]},` +
+		`{"id":"hom-0006","sites":[{"choice":-1,"slot":-1,"index":35,"value":2942.3039825024134},{"choice":-1,"slot":-1,"index":37,"value":0},{"choice":-1,"slot":-1,"index":13,"value":1666.3972247911215}]}]`
+	want := lagrange.Dual{
+		{ID: "hom-0001", Sites: []lagrange.DualSite{{Index: 2}, {Index: 6}}},
+		{ID: "hom-0004", Sites: []lagrange.DualSite{{Index: 17}, {Index: 18, Value: 2942.3039825024134}}},
+		{ID: "hom-0006", Sites: []lagrange.DualSite{{Index: 35, Value: 2942.3039825024134}, {Index: 37}, {Index: 13, Value: 1666.3972247911215}}},
+	}
+	currentFormat := strings.ReplaceAll(parentFormat, `"choice":-1,"slot":-1,`, "")
+	if now, err := json.Marshal(want); err != nil || string(now) != currentFormat {
+		t.Fatalf("wire form of the dual state is\n%s (%v)\nwant\n%s", now, err, currentFormat)
+	}
+
+	ad, cat, _ := testAdvisor(t)
+	w := workload.Hom(workload.HomConfig{Queries: 8, Seed: 11})
+	s := Candidates(cat, w, CGenOptions{MaxKeyCols: 2})
+	selected := make([]bool, len(s))
+	selected[13], selected[18], selected[35] = true, true, true
+	restoreAndSolve := func(duals string, want lagrange.Dual) solved {
+		state := SessionState{Candidates: s, Selected: selected, Gap: 0.0159505171701314}
+		if err := json.Unmarshal([]byte(duals), &state.Duals); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(state.Duals, want) {
+			t.Fatalf("record decoded to %+v, want %+v", state.Duals, want)
+		}
+		return solveOf(t, ad.RestoreSession(w, &state, FractionOfData(cat, 0.25)))
+	}
+	fromParent, fromCurrent := restoreAndSolve(parentFormat, want), restoreAndSolve(currentFormat, want)
+	if !reflect.DeepEqual(fromParent, fromCurrent) {
+		t.Fatalf("parent-format record solves to %+v, current format to %+v", fromParent, fromCurrent)
+	}
+	if reflect.DeepEqual(fromParent, restoreAndSolve("null", nil)) {
+		t.Fatal("the recorded duals made no difference to the solve: the comparison above is vacuous")
+	}
+}
+
+// TestSessionDualStateImmutable: a dual state the session handed out is
+// never written to again — not by the next solve that warm-starts from
+// it, not by Compact remapping it, not by the solve after that.
+func TestSessionDualStateImmutable(t *testing.T) {
+	ad, cat, _ := testAdvisor(t)
+	w := workload.Hom(workload.HomConfig{Queries: 20, Seed: 11})
+	s := Candidates(cat, w, CGenOptions{Covering: true})
+	se := ad.NewSession(w, s, FractionOfData(cat, 0.25))
+	solveOf(t, se)
+	exported := se.ExportState().Duals
+	var before lagrange.Dual
+	for _, b := range exported {
+		before = append(before, lagrange.DualBlock{ID: b.ID, Sites: append([]lagrange.DualSite(nil), b.Sites...)})
+	}
+	solveOf(t, se)
+	se.Compact(s[:len(s)/2])
+	if _, err := se.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exported, before) {
+		t.Fatal("an exported dual state changed under later solves and a compaction")
+	}
 }

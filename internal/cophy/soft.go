@@ -35,7 +35,6 @@ type ParetoPoint struct {
 // the two rather than letting raw byte counts drown the cost term.
 func scalarize(base *lagrange.Model, lambda, targetBytes, norm float64) *lagrange.Model {
 	m := lagrange.NewModel(base.NumIndexes)
-	m.DistinctPerChoice = base.DistinctPerChoice
 	copy(m.Size, base.Size)
 	for a := 0; a < base.NumIndexes; a++ {
 		m.FixedCost[a] = lambda*base.FixedCost[a] + (1-lambda)*norm*base.Size[a]
@@ -58,7 +57,7 @@ type softSession struct {
 	base   *lagrange.Model
 	target float64
 	norm   float64
-	warm   *lagrange.Multipliers
+	warm   lagrange.Dual
 	start  []bool
 	times  Timings
 }

@@ -47,6 +47,75 @@ func (e *Engine) colsWidth(table string, cols []string) float64 {
 	return w
 }
 
+// fullPassCost is the cost of reading a table end to end, through the
+// heap or through its clustered index.
+func (p *Profile) fullPassCost(pages, rows float64) float64 {
+	return pages*p.SeqPageCost + rows*p.CPUTupleCost
+}
+
+// fetchPerRow is the heap fetch a non-covering secondary index pays per
+// row it returns.
+func (p *Profile) fetchPerRow() float64 {
+	return p.RandPageCost*(1-p.Correlation) + p.SeqPageCost*p.Correlation
+}
+
+// indexScan is one single-pass way to read a table through an index:
+// its cost and the key columns (unqualified) whose order it delivers.
+type indexScan struct {
+	cost  float64
+	order []string
+}
+
+// indexScans prices the single-pass accesses index ix offers query q on
+// its table t — the formulas' one statement: scanPaths wraps the results
+// in PlanNodes for the optimizer, SlotScanCost takes their minimum as γ.
+// A bound key prefix gives a range scan delivering the key order past
+// the equality-bound columns. A secondary index can also be read end to
+// end for its full key order (or covering projection) — useful to feed
+// merge joins, stream aggregation or ORDER BY without a sort; a
+// clustered index is read end to end only when no prefix is bound, at
+// the heap scan's cost. lsel is the query's local selectivity on the
+// table; covering reports whether the index answers needCols without
+// heap fetches.
+func (e *Engine) indexScans(q *workload.Query, t *catalog.Table, ix *catalog.Index, lsel float64, needCols []string) (scans [2]indexScan, n int, covering bool) {
+	p := &e.Prof
+	rows := float64(t.Rows)
+	pages := float64(t.Pages())
+	sel, eqBound, sargable := e.prefixSel(q, ix)
+	matchRows := rows * sel
+	if matchRows < 1 {
+		matchRows = 1
+	}
+	if ix.Clustered {
+		if sargable {
+			scans[0] = indexScan{float64(ix.Height(t))*p.RandPageCost + pages*sel*p.SeqPageCost + matchRows*p.CPUTupleCost, ix.Key[eqBound:]}
+		} else {
+			scans[0] = indexScan{p.fullPassCost(pages, rows), ix.Key}
+		}
+		return scans, 1, true
+	}
+
+	covering = ix.Covers(needCols)
+	leafPages := float64(ix.LeafPages(t))
+	height := float64(ix.Height(t))
+	fetchPerRow := p.fetchPerRow()
+	if sargable {
+		c := height*p.RandPageCost + leafPages*sel*p.SeqPageCost + matchRows*p.CPUIndexTupleCost
+		if !covering {
+			c += matchRows * fetchPerRow
+		}
+		c += matchRows * p.CPUTupleCost // residual filters
+		scans[n] = indexScan{c, ix.Key[eqBound:]}
+		n++
+	}
+	c := leafPages*p.SeqPageCost + rows*p.CPUIndexTupleCost + rows*p.CPUTupleCost
+	if !covering {
+		c += rows * lsel * fetchPerRow
+	}
+	scans[n] = indexScan{c, ix.Key}
+	return scans, n + 1, covering
+}
+
 // scanPaths enumerates the single-pass access paths for one table of a
 // query under the given configuration: heap scan, clustered-index
 // scans, and secondary index scans (covering or not). Every returned
@@ -57,83 +126,86 @@ func (e *Engine) scanPaths(q *workload.Query, table string, cfg *Config, needCol
 		return nil
 	}
 	rows := float64(t.Rows)
-	pages := float64(t.Pages())
 	lsel := e.localSel(q, table)
 	outRows := rows * lsel
 	if outRows < 1 {
 		outRows = 1
 	}
 	width := e.colsWidth(table, needCols)
-	p := e.Prof
-
-	var paths []*PlanNode
 
 	// Heap sequential scan: always available, unordered.
-	seq := &PlanNode{
-		Op: OpSeqScan, Table: table,
-		Rows: outRows, Width: width,
-	}
-	seq.SelfCost = pages*p.SeqPageCost + rows*p.CPUTupleCost
+	seq := &PlanNode{Op: OpSeqScan, Table: table, Rows: outRows, Width: width}
+	seq.SelfCost = e.Prof.fullPassCost(float64(t.Pages()), rows)
 	seq.Cost = seq.SelfCost
-	paths = append(paths, seq)
+	paths := []*PlanNode{seq}
 
 	for _, ix := range cfg.OnTable(table) {
-		sel, eqBound, sargable := e.prefixSel(q, ix)
-		matchRows := rows * sel
-		if matchRows < 1 {
-			matchRows = 1
+		scans, n, covering := e.indexScans(q, t, ix, lsel, needCols)
+		op := OpIndexScan
+		switch {
+		case ix.Clustered:
+			op = OpClusteredScan
+		case covering:
+			op = OpIndexOnlyScan
 		}
-		order := qualify(table, ix.Key[eqBound:])
-
-		if ix.Clustered {
-			n := &PlanNode{Op: OpClusteredScan, Table: table, Index: ix, Rows: outRows, Width: width, Order: order}
-			if sargable {
-				n.SelfCost = float64(ix.Height(t))*p.RandPageCost + pages*sel*p.SeqPageCost + matchRows*p.CPUTupleCost
-			} else {
-				// Full clustered scan: heap-scan cost, but delivers
-				// the clustering order.
-				n.Order = qualify(table, ix.Key)
-				n.SelfCost = pages*p.SeqPageCost + rows*p.CPUTupleCost
-			}
-			n.Cost = n.SelfCost
-			paths = append(paths, n)
-			continue
+		for _, s := range scans[:n] {
+			paths = append(paths, &PlanNode{
+				Op: op, Table: table, Index: ix, Rows: outRows, Width: width,
+				Order: qualify(table, s.order), SelfCost: s.cost, Cost: s.cost,
+			})
 		}
-
-		covering := ix.Covers(needCols)
-		leafPages := float64(ix.LeafPages(t))
-		height := float64(ix.Height(t))
-		fetchPerRow := p.RandPageCost*(1-p.Correlation) + p.SeqPageCost*p.Correlation
-
-		if sargable {
-			n := &PlanNode{Table: table, Index: ix, Rows: outRows, Width: width, Order: order}
-			n.SelfCost = height*p.RandPageCost + leafPages*sel*p.SeqPageCost + matchRows*p.CPUIndexTupleCost
-			if covering {
-				n.Op = OpIndexOnlyScan
-			} else {
-				n.Op = OpIndexScan
-				n.SelfCost += matchRows * fetchPerRow
-			}
-			n.SelfCost += matchRows * p.CPUTupleCost // residual filters
-			n.Cost = n.SelfCost
-			paths = append(paths, n)
-		}
-
-		// Full index scan for its order (or covering projection):
-		// useful to feed merge joins, stream aggregation or ORDER BY
-		// without a sort.
-		full := &PlanNode{Table: table, Index: ix, Rows: outRows, Width: width, Order: qualify(table, ix.Key)}
-		full.SelfCost = leafPages*p.SeqPageCost + rows*p.CPUIndexTupleCost + rows*p.CPUTupleCost
-		if covering {
-			full.Op = OpIndexOnlyScan
-		} else {
-			full.Op = OpIndexScan
-			full.SelfCost += rows * lsel * fetchPerRow
-		}
-		full.Cost = full.SelfCost
-		paths = append(paths, full)
 	}
 	return paths
+}
+
+// lookupUsable reports whether index ix supports point lookups on
+// joinCol for query q: the join column must follow an equality-bound
+// prefix of the key (possibly empty).
+func lookupUsable(q *workload.Query, ix *catalog.Index, joinCol string) bool {
+	for _, k := range ix.Key {
+		if k == joinCol {
+			return true
+		}
+		eq := false
+		for i := range q.Preds {
+			pr := &q.Preds[i]
+			if pr.Col.Table == ix.Table && pr.Col.Column == k && pr.Op == workload.OpEq {
+				eq = true
+				break
+			}
+		}
+		if !eq {
+			break
+		}
+	}
+	return false
+}
+
+// probeRows sizes one point lookup on joinCol of table t, whatever index
+// serves it: the rows it yields after the query's local filters and the
+// index entries it touches before them.
+func (e *Engine) probeRows(q *workload.Query, t *catalog.Table, joinCol string) (rowsPerLookup, entries float64) {
+	rows := float64(t.Rows)
+	ndv := e.ndvOf(catalog.ColumnRef{Table: t.Name, Column: joinCol})
+	rowsPerLookup = rows * e.localSel(q, t.Name) / ndv
+	if rowsPerLookup < 1e-6 {
+		rowsPerLookup = 1e-6
+	}
+	entries = rows / ndv
+	if entries < 1 {
+		entries = 1
+	}
+	return rowsPerLookup, entries
+}
+
+// probeCost is the cost of one such lookup through index ix.
+func (e *Engine) probeCost(t *catalog.Table, ix *catalog.Index, rowsPerLookup, entries float64, needCols []string) float64 {
+	p := &e.Prof
+	per := float64(ix.Height(t))*p.RandPageCost + entries*p.CPUIndexTupleCost + rowsPerLookup*p.CPUTupleCost
+	if !(ix.Clustered || ix.Covers(needCols)) {
+		per += rowsPerLookup * p.fetchPerRow()
+	}
+	return per
 }
 
 // lookupLeaf builds the repeated-lookup access leaf for the inner side
@@ -146,59 +218,20 @@ func (e *Engine) lookupLeaf(q *workload.Query, table string, cfg *Config, joinCo
 	if t == nil {
 		return nil
 	}
-	rows := float64(t.Rows)
-	lsel := e.localSel(q, table)
-	ndv := e.ndvOf(catalog.ColumnRef{Table: table, Column: joinCol})
-	rowsPerLookup := rows * lsel / ndv
-	if rowsPerLookup < 1e-6 {
-		rowsPerLookup = 1e-6
-	}
+	rowsPerLookup, entries := e.probeRows(q, t, joinCol)
 	width := e.colsWidth(table, needCols)
-	p := e.Prof
-
-	eqCols := make(map[string]bool)
-	for _, pr := range q.PredsOf(table) {
-		if pr.Op == workload.OpEq {
-			eqCols[pr.Col.Column] = true
-		}
-	}
 
 	var best *PlanNode
 	for _, ix := range cfg.OnTable(table) {
-		// The join column must follow an equality-bound prefix of the
-		// key (possibly empty) to support point lookups.
-		usable := false
-		for pos, k := range ix.Key {
-			if k == joinCol {
-				usable = true
-				break
-			}
-			if !eqCols[k] {
-				break
-			}
-			_ = pos
-		}
-		if !usable {
+		if !lookupUsable(q, ix, joinCol) {
 			continue
 		}
-		height := float64(ix.Height(t))
-		entries := rows / ndv // entries touched per probe before residual filters
-		if entries < 1 {
-			entries = 1
-		}
-		per := height*p.RandPageCost + entries*p.CPUIndexTupleCost + rowsPerLookup*p.CPUTupleCost
-		covering := ix.Clustered || ix.Covers(needCols)
-		if !covering {
-			fetchPerRow := p.RandPageCost*(1-p.Correlation) + p.SeqPageCost*p.Correlation
-			per += rowsPerLookup * fetchPerRow
-		}
-		n := &PlanNode{
-			Op: OpIndexLookup, Table: table, Index: ix,
-			Rows: rowsPerLookup, Width: width, SelfCost: per,
-		}
-		n.Cost = n.SelfCost
-		if best == nil || n.SelfCost < best.SelfCost {
-			best = n
+		per := e.probeCost(t, ix, rowsPerLookup, entries, needCols)
+		if best == nil || per < best.SelfCost {
+			best = &PlanNode{
+				Op: OpIndexLookup, Table: table, Index: ix,
+				Rows: rowsPerLookup, Width: width, SelfCost: per, Cost: per,
+			}
 		}
 	}
 	return best

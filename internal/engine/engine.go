@@ -306,78 +306,31 @@ func orderSatisfiedByKey(table string, key, required []string) bool {
 // cannot implement the slot — the γ = ∞ case of Lemma 1.
 //
 // This is the γ kernel the dense CostMatrix compilation runs once per
-// (query, template, slot, candidate): it prices the paths directly,
-// allocating neither a Config nor PlanNodes, and mirrors scanPaths'
-// cost model exactly (the engine tests cross-check the two).
+// (query, template, slot, candidate): it allocates neither a Config nor
+// PlanNodes, and prices the access with the very functions scanPaths
+// builds the optimizer's leaves from (indexScans, fullPassCost), which
+// TestSlotCostMatchesAccessPaths holds it to bit for bit.
 func (e *Engine) SlotScanCost(q *workload.Query, table string, ix *catalog.Index, requiredOrder, needCols []string) (float64, bool) {
 	e.slotCalls.Add(1)
 	t := e.Cat.Table(table)
 	if t == nil {
 		return 0, false
 	}
-	rows := float64(t.Rows)
-	pages := float64(t.Pages())
-	lsel := e.localSel(q, table)
-	p := e.Prof
-
 	if ix == nil {
 		// Heap sequential scan: always available, never ordered.
 		if len(requiredOrder) > 0 {
 			return 0, false
 		}
-		return pages*p.SeqPageCost + rows*p.CPUTupleCost, true
+		return e.Prof.fullPassCost(float64(t.Pages()), float64(t.Rows)), true
 	}
 	if ix.Table != table {
 		return 0, false
 	}
-
-	sel, eqBound, sargable := e.prefixSel(q, ix)
-	matchRows := rows * sel
-	if matchRows < 1 {
-		matchRows = 1
-	}
-
-	if ix.Clustered {
-		if sargable {
-			if !orderSatisfiedByKey(table, ix.Key[eqBound:], requiredOrder) {
-				return 0, false
-			}
-			return float64(ix.Height(t))*p.RandPageCost + pages*sel*p.SeqPageCost + matchRows*p.CPUTupleCost, true
-		}
-		// Full clustered scan: heap-scan cost, delivering the
-		// clustering order.
-		if !orderSatisfiedByKey(table, ix.Key, requiredOrder) {
-			return 0, false
-		}
-		return pages*p.SeqPageCost + rows*p.CPUTupleCost, true
-	}
-
-	covering := ix.Covers(needCols)
-	leafPages := float64(ix.LeafPages(t))
-	height := float64(ix.Height(t))
-	fetchPerRow := p.RandPageCost*(1-p.Correlation) + p.SeqPageCost*p.Correlation
+	scans, n, _ := e.indexScans(q, t, ix, e.localSel(q, table), needCols)
 	best := math.Inf(1)
-
-	// Sargable range scan, delivering the post-equality key order.
-	if sargable && orderSatisfiedByKey(table, ix.Key[eqBound:], requiredOrder) {
-		c := height*p.RandPageCost + leafPages*sel*p.SeqPageCost + matchRows*p.CPUIndexTupleCost
-		if !covering {
-			c += matchRows * fetchPerRow
-		}
-		c += matchRows * p.CPUTupleCost // residual filters
-		if c < best {
-			best = c
-		}
-	}
-
-	// Full index scan for its order (or covering projection).
-	if orderSatisfiedByKey(table, ix.Key, requiredOrder) {
-		c := leafPages*p.SeqPageCost + rows*p.CPUIndexTupleCost + rows*p.CPUTupleCost
-		if !covering {
-			c += rows * lsel * fetchPerRow
-		}
-		if c < best {
-			best = c
+	for _, s := range scans[:n] {
+		if s.cost < best && orderSatisfiedByKey(table, s.order, requiredOrder) {
+			best = s.cost
 		}
 	}
 	if math.IsInf(best, 1) {
@@ -389,59 +342,19 @@ func (e *Engine) SlotScanCost(q *workload.Query, table string, ix *catalog.Index
 // SlotLookupCost prices one access method for a repeated-lookup
 // template slot: lookups probes on joinCol against table via ix. A
 // heap scan cannot implement a lookup slot, so ix must be non-nil.
-// Like SlotScanCost it is a direct, allocation-free γ kernel.
+// Like SlotScanCost it is an allocation-free γ kernel over the
+// functions lookupLeaf prices the optimizer's leaf with.
 func (e *Engine) SlotLookupCost(q *workload.Query, table string, ix *catalog.Index, joinCol string, lookups float64, needCols []string) (float64, bool) {
 	e.slotCalls.Add(1)
 	if ix == nil || ix.Table != table {
 		return 0, false
 	}
 	t := e.Cat.Table(table)
-	if t == nil {
+	if t == nil || !lookupUsable(q, ix, joinCol) {
 		return 0, false
 	}
-	// The join column must follow an equality-bound prefix of the key
-	// (possibly empty) to support point lookups.
-	usable := false
-	for _, k := range ix.Key {
-		if k == joinCol {
-			usable = true
-			break
-		}
-		eq := false
-		for i := range q.Preds {
-			pr := &q.Preds[i]
-			if pr.Col.Table == table && pr.Col.Column == k && pr.Op == workload.OpEq {
-				eq = true
-				break
-			}
-		}
-		if !eq {
-			break
-		}
-	}
-	if !usable {
-		return 0, false
-	}
-
-	rows := float64(t.Rows)
-	lsel := e.localSel(q, table)
-	ndv := e.ndvOf(catalog.ColumnRef{Table: table, Column: joinCol})
-	rowsPerLookup := rows * lsel / ndv
-	if rowsPerLookup < 1e-6 {
-		rowsPerLookup = 1e-6
-	}
-	p := e.Prof
-	height := float64(ix.Height(t))
-	entries := rows / ndv // entries touched per probe before residual filters
-	if entries < 1 {
-		entries = 1
-	}
-	per := height*p.RandPageCost + entries*p.CPUIndexTupleCost + rowsPerLookup*p.CPUTupleCost
-	if !(ix.Clustered || ix.Covers(needCols)) {
-		fetchPerRow := p.RandPageCost*(1-p.Correlation) + p.SeqPageCost*p.Correlation
-		per += rowsPerLookup * fetchPerRow
-	}
-	return lookups * per * p.NLFudge, true
+	rowsPerLookup, entries := e.probeRows(q, t, joinCol)
+	return lookups * e.probeCost(t, ix, rowsPerLookup, entries, needCols) * e.Prof.NLFudge, true
 }
 
 // UpdateCost returns ucost(a, q): the independent maintenance cost

@@ -373,3 +373,122 @@ func TestHetWorkloadOptimizes(t *testing.T) {
 		}
 	}
 }
+
+// slotTestCandidates generates the candidates a statement could meet on
+// one of its tables: the table's clustered primary key plus every
+// single-column and two-column key over the columns the query touches,
+// each plain and covering.
+func slotTestCandidates(cat *catalog.Catalog, q *workload.Query, table string) []*catalog.Index {
+	var out []*catalog.Index
+	for _, ix := range cat.PrimaryKeyIndexes() {
+		if ix.Table == table {
+			out = append(out, ix)
+		}
+	}
+	cols := q.ColumnsOf(table)
+	add := func(key ...string) {
+		var rest []string
+		for _, c := range cols {
+			if c != key[0] && c != key[len(key)-1] {
+				rest = append(rest, c)
+			}
+		}
+		out = append(out, &catalog.Index{Table: table, Key: key})
+		if len(rest) > 0 {
+			out = append(out, &catalog.Index{Table: table, Key: key, Include: rest})
+		}
+	}
+	for _, a := range cols {
+		add(a)
+		for _, b := range cols {
+			if a != b {
+				add(a, b)
+			}
+		}
+	}
+	return out
+}
+
+// slotTestOrders returns the orders a template slot on table could
+// require: none, each single column the query touches there (join
+// columns among them), and the table's group-by and order-by prefixes.
+func slotTestOrders(q *workload.Query, table string) [][]string {
+	orders := [][]string{nil}
+	for _, c := range q.ColumnsOf(table) {
+		orders = append(orders, []string{table + "." + c})
+	}
+	for _, refs := range [][]catalog.ColumnRef{q.GroupBy, q.OrderBy} {
+		var prefix []string
+		for _, r := range refs {
+			if r.Table != table {
+				break
+			}
+			prefix = append(prefix, r.String())
+		}
+		if len(prefix) > 1 {
+			orders = append(orders, prefix)
+		}
+	}
+	return orders
+}
+
+// TestSlotCostMatchesAccessPaths holds the γ kernels to the optimizer's
+// access paths, bit for bit: INUM's Lemma 1 prices templates with one
+// and fills their slots with the other, so it is exact only while they
+// agree. For every statement, table, candidate and required order,
+// SlotScanCost is the cheapest scanPaths node through that candidate
+// delivering the order (infeasible when there is none), and
+// SlotLookupCost is lookupLeaf's per-probe cost scaled by the probes.
+func TestSlotCostMatchesAccessPaths(t *testing.T) {
+	cat, e, _ := testEnv(t)
+	var stmts []*workload.Statement
+	stmts = append(stmts, workload.Hom(workload.HomConfig{Queries: 30, Seed: 17}).Queries()...)
+	stmts = append(stmts, workload.Het(workload.HetConfig{Queries: 30, Seed: 17}).Queries()...)
+	scans, lookups, infeasible := 0, 0, 0
+	for _, st := range stmts {
+		q := st.Query
+		for _, table := range q.Tables {
+			need := q.ColumnsOf(table)
+			for _, ix := range append([]*catalog.Index{nil}, slotTestCandidates(cat, q, table)...) {
+				cfg := NewConfig()
+				if ix != nil {
+					cfg.Add(ix)
+				}
+				paths := e.scanPaths(q, table, cfg, need)
+				for _, order := range slotTestOrders(q, table) {
+					want, feasible := math.Inf(1), false
+					for _, n := range paths {
+						if n.Index == ix && satisfiesOrder(n.Order, order) && n.SelfCost < want {
+							want, feasible = n.SelfCost, true
+						}
+					}
+					got, ok := e.SlotScanCost(q, table, ix, order, need)
+					if ok != feasible || (ok && got != want) {
+						t.Fatalf("%s %s via %v order %v: SlotScanCost = %v, %v; cheapest scan path = %v, %v",
+							q.ID, table, ix, order, got, ok, want, feasible)
+					}
+					scans++
+					if !ok {
+						infeasible++
+					}
+				}
+				for _, joinCol := range q.JoinColsOf(table) {
+					const probes = 137.0
+					leaf := e.lookupLeaf(q, table, cfg, joinCol, need)
+					got, ok := e.SlotLookupCost(q, table, ix, joinCol, probes, need)
+					if ok != (leaf != nil) || (ok && got != probes*leaf.SelfCost*e.Prof.NLFudge) {
+						t.Fatalf("%s %s via %v on %s: SlotLookupCost = %v, %v; lookup leaf = %+v",
+							q.ID, table, ix, joinCol, got, ok, leaf)
+					}
+					lookups++
+					if !ok {
+						infeasible++
+					}
+				}
+			}
+		}
+	}
+	if scans < 1000 || lookups < 100 || infeasible == 0 || infeasible == scans+lookups {
+		t.Fatalf("degenerate coverage: %d scan and %d lookup comparisons, %d infeasible", scans, lookups, infeasible)
+	}
+}

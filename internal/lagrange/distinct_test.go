@@ -1,67 +1,16 @@
 package lagrange
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
-
-// randomDistinctModel builds a random model honoring DistinctPerChoice:
-// within each choice the slots draw from disjoint index pools, like
-// template slots over distinct tables.
-func randomDistinctModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
-	m := NewModel(n)
-	m.DistinctPerChoice = true
-	for a := 0; a < n; a++ {
-		m.FixedCost[a] = math.Floor(r.Float64() * 10)
-		m.Size[a] = 1 + math.Floor(r.Float64()*9)
-	}
-	if budgetFrac > 0 {
-		var total float64
-		for _, sz := range m.Size {
-			total += sz
-		}
-		m.Budget = total * budgetFrac
-	}
-	// Split indexes into two "tables".
-	half := n / 2
-	pools := [][]int32{{}, {}}
-	for a := 0; a < n; a++ {
-		if a < half {
-			pools[0] = append(pools[0], int32(a))
-		} else {
-			pools[1] = append(pools[1], int32(a))
-		}
-	}
-	for bi := 0; bi < b; bi++ {
-		blk := Block{Weight: 1 + math.Floor(r.Float64()*3)}
-		nChoices := 1 + r.Intn(3)
-		for c := 0; c < nChoices; c++ {
-			ch := Choice{Fixed: 10 + math.Floor(r.Float64()*50)}
-			nSlots := 1 + r.Intn(2)
-			for sl := 0; sl < nSlots; sl++ {
-				pool := pools[sl%2]
-				slot := Slot{{Index: NoIndex, Cost: 50 + math.Floor(r.Float64()*100)}}
-				for o := 0; o < 1+r.Intn(3); o++ {
-					slot = append(slot, Option{
-						Index: pool[r.Intn(len(pool))],
-						Cost:  math.Floor(r.Float64() * 60),
-					})
-				}
-				ch.Slots = append(ch.Slots, slot)
-			}
-			blk.Choices = append(blk.Choices, ch)
-		}
-		m.Blocks = append(m.Blocks, blk)
-	}
-	return m
-}
 
 func TestDistinctModeMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 25; trial++ {
-		m := randomDistinctModel(r, 6+r.Intn(4), 3+r.Intn(4), 0.5)
+		m := randomModel(r, 6+r.Intn(4), 3+r.Intn(4), 0.5)
 		res := Solve(m, Options{GapTol: 1e-9, RootIters: 400, MaxNodes: 400})
 		want, _ := bruteForce(m)
 		if res.Objective > want*1.000001+1e-9 {
@@ -73,29 +22,8 @@ func TestDistinctModeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestDistinctModeStrongerBound(t *testing.T) {
-	// The aggregated dual is never weaker at the root: compare root
-	// bounds with branching disabled on the same structure.
-	r := rand.New(rand.NewSource(73))
-	better := 0
-	for trial := 0; trial < 10; trial++ {
-		m := randomDistinctModel(r, 10, 12, 0.5)
-		agg := Solve(m, Options{GapTol: 1e-9, RootIters: 300, MaxNodes: -1})
-		m2 := *m
-		m2.DistinctPerChoice = false
-		site := Solve(&m2, Options{GapTol: 1e-9, RootIters: 300, MaxNodes: -1})
-		if agg.Lower >= site.Lower-1e-6 {
-			better++
-		}
-	}
-	if better < 7 {
-		t.Fatalf("aggregated bound stronger in only %d/10 trials", better)
-	}
-}
-
 func TestDistinctValidation(t *testing.T) {
 	m := NewModel(2)
-	m.DistinctPerChoice = true
 	m.Blocks = []Block{{Weight: 1, Choices: []Choice{{
 		Fixed: 1,
 		Slots: []Slot{
@@ -104,11 +32,10 @@ func TestDistinctValidation(t *testing.T) {
 		},
 	}}}}
 	if err := m.Validate(); err == nil {
-		t.Fatal("repeated index across slots must fail DistinctPerChoice validation")
+		t.Fatal("repeated index across slots must fail validation")
 	}
 	// Same index twice within ONE slot is allowed (alternatives).
 	m2 := NewModel(2)
-	m2.DistinctPerChoice = true
 	m2.Blocks = []Block{{Weight: 1, Choices: []Choice{{
 		Fixed: 1,
 		Slots: []Slot{{{Index: 0, Cost: 1}, {Index: 0, Cost: 2}, {Index: NoIndex, Cost: 5}}},
@@ -121,7 +48,6 @@ func TestDistinctValidation(t *testing.T) {
 func TestDropRedundantCleansTwins(t *testing.T) {
 	// Two identical indexes: only one should survive in the incumbent.
 	m := NewModel(2)
-	m.DistinctPerChoice = true
 	m.FixedCost = []float64{0, 0}
 	m.Size = []float64{5, 5}
 	m.Blocks = []Block{{Weight: 1, Choices: []Choice{{
@@ -144,7 +70,7 @@ func TestWarmStartAcrossAppendedCandidates(t *testing.T) {
 	// Interactive tuning appends candidates; warm multipliers keyed by
 	// index must survive and not corrupt bounds.
 	r := rand.New(rand.NewSource(79))
-	m := randomDistinctModel(r, 8, 10, 0.5)
+	m := randomModel(r, 8, 10, 0.5)
 	first := Solve(m, Options{GapTol: 0.01, RootIters: 300, MaxNodes: 50})
 
 	// Extend with two fresh indexes appended to an existing slot.
@@ -179,10 +105,7 @@ func TestWarmStartAcrossWorkloadDelta(t *testing.T) {
 	// follow surviving statements by ID; the warm re-solve must stay
 	// correct (valid bound, near-optimal incumbent).
 	r := rand.New(rand.NewSource(83))
-	m := randomDistinctModel(r, 8, 10, 0.5)
-	for bi := range m.Blocks {
-		m.Blocks[bi].ID = fmt.Sprintf("q%02d", bi)
-	}
+	m := randomModel(r, 8, 10, 0.5)
 	first := Solve(m, Options{GapTol: 0.01, RootIters: 300, MaxNodes: 50})
 	if first.Infeasible {
 		t.Fatal("first solve infeasible")
@@ -193,7 +116,7 @@ func TestWarmStartAcrossWorkloadDelta(t *testing.T) {
 	m2.Blocks = append([]Block(nil), m.Blocks[:3]...)
 	m2.Blocks = append(m2.Blocks, m.Blocks[4:]...)
 	m2.Blocks[4].Weight *= 3 // was block 5
-	extra := randomDistinctModel(r, 8, 1, 0)
+	extra := randomModel(r, 8, 1, 0)
 	extra.Blocks[0].ID = "q-new"
 	m2.Blocks = append(m2.Blocks, extra.Blocks[0])
 
@@ -208,6 +131,28 @@ func TestWarmStartAcrossWorkloadDelta(t *testing.T) {
 	}
 	if second.Lower > want+math.Abs(want)*1e-6+1e-6 {
 		t.Fatalf("warm re-solve bound invalid: %v > %v", second.Lower, want)
+	}
+	// A block without a label never finds a donor — not even the
+	// unlabelled block the previous solve had at its position — and is
+	// repriced wholesale, like the appended statement.
+	m3 := m2
+	m3.Blocks = append([]Block(nil), m2.Blocks...)
+	m3.Blocks[0].ID = ""
+	donor := append(Dual(nil), first.Lambda...)
+	donor[0] = DualBlock{}
+	for _, site := range first.Lambda[0].Sites {
+		donor[0].Sites = append(donor[0].Sites, DualSite{Index: site.Index, Value: 1e6})
+	}
+	with, without := newTestSolver(&m3), newTestSolver(&m3)
+	with.applyWarm(donor)
+	without.applyWarm(donor[1:])
+	if !reflect.DeepEqual(with.lam, without.lam) {
+		t.Fatalf("unlabelled block adopted multipliers: %v, want the wholesale repricing %v", with.lam[0], without.lam[0])
+	}
+	for _, v := range with.lam[0] {
+		if v == 1e6 {
+			t.Fatalf("unlabelled block matched its positional donor: %v", with.lam[0])
+		}
 	}
 	// Iteration savings are asserted at the session level (the warm
 	// re-solve there also relaxes the gap to the one already accepted);

@@ -1,108 +1,48 @@
 package lagrange
 
-// DualSite is the portable form of one multiplier use site: the
-// (choice, slot, index) key the solver matches warm starts by, plus the
-// multiplier value. Index is the candidate position in the exporting
-// model's numbering; consumers that persist dual state across candidate
-// renumbering remap it with Multipliers.Remap. Under DistinctPerChoice
-// aggregation Choice and Slot are −1, exactly as the solver keys them.
+// DualSite is one multiplier of a block: the candidate index it prices
+// — every use site of that index within the block shares it, the
+// (statement, index) linking constraint of relax(B) — and its value.
+// Index is the candidate's position in the exporting model's numbering.
 type DualSite struct {
-	Choice int32   `json:"choice"`
-	Slot   int32   `json:"slot"`
-	Index  int32   `json:"index"`
-	Value  float64 `json:"value"`
+	Index int32   `json:"index"`
+	Value float64 `json:"value"`
 }
 
-// DualBlock is the portable form of one block's multipliers, carrying
-// the block label (the statement's stable ID) that lets a later solve
-// adopt them across workload deltas.
+// DualBlock is one block's multipliers under the block's label (the
+// statement's stable ID), which is how a later solve finds them again
+// across workload deltas.
 type DualBlock struct {
 	ID    string     `json:"id,omitempty"`
 	Sites []DualSite `json:"sites"`
 }
 
-// Export renders the dual state in its portable form — the
-// serialization boundary of the daemon's durability layer. A nil
-// receiver exports nil.
-func (m *Multipliers) Export() []DualBlock {
-	if m == nil {
-		return nil
-	}
-	out := make([]DualBlock, len(m.keys))
-	for bi := range m.keys {
-		b := DualBlock{Sites: make([]DualSite, len(m.keys[bi]))}
-		if m.ids != nil {
-			b.ID = m.ids[bi]
-		}
-		for k, key := range m.keys[bi] {
-			b.Sites[k] = DualSite{Choice: key.choice, Slot: key.slot, Index: key.index, Value: m.vals[bi][k]}
-		}
-		out[bi] = b
-	}
-	return out
-}
-
-// ImportDual rebuilds a warm-start Multipliers from its portable form.
-// Labeled blocks (any non-empty ID) restore label matching; a fully
-// unlabeled export restores positional matching, mirroring the solver's
-// own export. Empty input imports as nil (a cold start).
-func ImportDual(blocks []DualBlock) *Multipliers {
-	if len(blocks) == 0 {
-		return nil
-	}
-	m := &Multipliers{
-		ids:  make([]string, len(blocks)),
-		keys: make([][]siteKey, len(blocks)),
-		vals: make([][]float64, len(blocks)),
-	}
-	labeled := false
-	for bi, b := range blocks {
-		m.ids[bi] = b.ID
-		if b.ID != "" {
-			labeled = true
-		}
-		keys := make([]siteKey, len(b.Sites))
-		vals := make([]float64, len(b.Sites))
-		for k, site := range b.Sites {
-			keys[k] = siteKey{choice: site.Choice, slot: site.Slot, index: site.Index}
-			vals[k] = site.Value
-		}
-		m.keys[bi], m.vals[bi] = keys, vals
-	}
-	if !labeled {
-		m.ids = nil
-	}
-	return m
-}
+// Dual is the dual state of a solve, one DualBlock per model block in
+// block order. It is the one form the state takes everywhere: what
+// Solve returns (Result.Lambda) and accepts (Options.Warm), what a
+// session keeps between solves, and — through its JSON tags — what the
+// daemon writes to its WAL and snapshots. A Dual is immutable once
+// returned: the solver copies out of it and never writes into it, so
+// holders may share it freely. The empty Dual is a cold start.
+type Dual []DualBlock
 
 // Remap translates the dual state through a candidate renumbering:
 // perm[old] is the new position of candidate old, or a negative value
 // when the candidate was dropped — its sites are discarded. Positions
 // beyond perm are likewise dropped. Block labels are preserved, so a
 // compacted session still matches blocks across workload deltas. The
-// receiver is unchanged; a nil receiver remaps to nil.
-func (m *Multipliers) Remap(perm []int32) *Multipliers {
-	if m == nil {
-		return nil
-	}
-	out := &Multipliers{
-		keys: make([][]siteKey, len(m.keys)),
-		vals: make([][]float64, len(m.keys)),
-	}
-	if m.ids != nil {
-		out.ids = append([]string(nil), m.ids...)
-	}
-	for bi := range m.keys {
-		keys := make([]siteKey, 0, len(m.keys[bi]))
-		vals := make([]float64, 0, len(m.keys[bi]))
-		for k, key := range m.keys[bi] {
-			if key.index < 0 || int(key.index) >= len(perm) || perm[key.index] < 0 {
+// receiver is unchanged.
+func (d Dual) Remap(perm []int32) Dual {
+	out := make(Dual, len(d))
+	for bi, b := range d {
+		sites := make([]DualSite, 0, len(b.Sites))
+		for _, site := range b.Sites {
+			if site.Index < 0 || int(site.Index) >= len(perm) || perm[site.Index] < 0 {
 				continue
 			}
-			keys = append(keys, siteKey{choice: key.choice, slot: key.slot, index: perm[key.index]})
-			vals = append(vals, m.vals[bi][k])
+			sites = append(sites, DualSite{Index: perm[site.Index], Value: site.Value})
 		}
-		out.keys[bi], out.vals[bi] = keys, vals
+		out[bi] = DualBlock{ID: b.ID, Sites: sites}
 	}
 	return out
 }

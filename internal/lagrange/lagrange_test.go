@@ -1,6 +1,7 @@
 package lagrange
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,8 +32,10 @@ func bruteForce(m *Model) (float64, []bool) {
 	return best, bestSel
 }
 
-// randomModel builds a random structured model with n indexes and b
-// blocks. Every block gets a fallback choice.
+// randomModel builds a random model with n ≥ 2 indexes and b labelled
+// blocks. Within each choice the slots draw from disjoint index pools,
+// like template slots over distinct tables, and every block gets a
+// fallback choice.
 func randomModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
 	m := NewModel(n)
 	for a := 0; a < n; a++ {
@@ -46,18 +49,28 @@ func randomModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
 		}
 		m.Budget = total * budgetFrac
 	}
+	// Split indexes into two "tables".
+	half := n / 2
+	pools := [][]int32{{}, {}}
+	for a := 0; a < n; a++ {
+		if a < half {
+			pools[0] = append(pools[0], int32(a))
+		} else {
+			pools[1] = append(pools[1], int32(a))
+		}
+	}
 	for bi := 0; bi < b; bi++ {
-		blk := Block{Weight: 1 + math.Floor(r.Float64()*3)}
+		blk := Block{ID: fmt.Sprintf("q%02d", bi), Weight: 1 + math.Floor(r.Float64()*3)}
 		nChoices := 1 + r.Intn(3)
 		for c := 0; c < nChoices; c++ {
 			ch := Choice{Fixed: 10 + math.Floor(r.Float64()*50)}
 			nSlots := 1 + r.Intn(2)
 			for sl := 0; sl < nSlots; sl++ {
+				pool := pools[sl%2]
 				slot := Slot{{Index: NoIndex, Cost: 50 + math.Floor(r.Float64()*100)}}
-				nOpts := 1 + r.Intn(3)
-				for o := 0; o < nOpts; o++ {
+				for o := 0; o < 1+r.Intn(3); o++ {
 					slot = append(slot, Option{
-						Index: int32(r.Intn(n)),
+						Index: pool[r.Intn(len(pool))],
 						Cost:  math.Floor(r.Float64() * 60),
 					})
 				}
@@ -267,16 +280,6 @@ func TestValidateRejectsBadModels(t *testing.T) {
 	}}}
 	if err := m3.Validate(); err == nil {
 		t.Fatal("out-of-range index must fail validation")
-	}
-}
-
-func TestDisableRelaxationAblation(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	m := randomModel(r, 8, 10, 0.5)
-	full := Solve(m, Options{GapTol: 1e-6, RootIters: 400, MaxNodes: 0})
-	ablated := Solve(m, Options{GapTol: 1e-6, RootIters: 400, MaxNodes: 0, DisableRelaxation: true})
-	if ablated.Lower > full.Lower+1e-6 {
-		t.Fatalf("ablated bound (%v) should not beat the Lagrangian bound (%v)", ablated.Lower, full.Lower)
 	}
 }
 

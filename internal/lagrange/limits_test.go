@@ -8,7 +8,7 @@ import (
 
 func TestTimeLimitRespected(t *testing.T) {
 	r := rand.New(rand.NewSource(140))
-	m := randomDistinctModel(r, 12, 30, 0.4)
+	m := randomModel(r, 12, 30, 0.4)
 	start := time.Now()
 	res := Solve(m, Options{GapTol: 1e-12, RootIters: 1_000_000, MaxNodes: 1_000_000, TimeLimit: 50 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -21,7 +21,7 @@ func TestTimeLimitRespected(t *testing.T) {
 
 func TestNegativeMaxNodesDisablesBranching(t *testing.T) {
 	r := rand.New(rand.NewSource(141))
-	m := randomDistinctModel(r, 10, 12, 0.4)
+	m := randomModel(r, 10, 12, 0.4)
 	res := Solve(m, Options{GapTol: 1e-12, RootIters: 100, MaxNodes: -1})
 	if res.Nodes != 0 {
 		t.Fatalf("branching ran %d nodes with MaxNodes=-1", res.Nodes)
@@ -31,7 +31,7 @@ func TestNegativeMaxNodesDisablesBranching(t *testing.T) {
 func TestIncumbentAlwaysFeasible(t *testing.T) {
 	r := rand.New(rand.NewSource(142))
 	for trial := 0; trial < 10; trial++ {
-		m := randomDistinctModel(r, 8+r.Intn(4), 5+r.Intn(10), 0.3)
+		m := randomModel(r, 8+r.Intn(4), 5+r.Intn(10), 0.3)
 		res := Solve(m, Options{GapTol: 0.02, RootIters: 150, MaxNodes: 30})
 		if res.Infeasible {
 			continue

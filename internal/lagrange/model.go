@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -44,6 +43,8 @@ type Option struct {
 type Slot []Option
 
 // Choice is one template plan: a fixed internal cost β plus its slots.
+// The slots of a template are distinct tables (Theorem 1), so an index
+// may appear in at most one slot of a choice; Validate enforces it.
 // For the ILP baseline a choice is one atomic configuration: Fixed is
 // the full plan cost and each required index contributes a zero-cost
 // single-option slot (using the choice forces paying for the index).
@@ -59,11 +60,11 @@ type Choice struct {
 // choice whose slots all admit the NoIndex option (or have zero
 // slots), so the empty configuration stays feasible.
 type Block struct {
-	// ID optionally labels the block with a stable statement identity.
-	// Labeled blocks let dual warm starts (Multipliers) follow a
-	// statement across workload deltas: a later solve matches donor
-	// blocks by ID instead of position, so appending, dropping or
-	// re-weighting statements no longer forfeits the warm start.
+	// ID labels the block with a stable statement identity. A dual warm
+	// start (Options.Warm) follows a statement across workload deltas by
+	// it: a later solve finds the donor block by ID, so appending,
+	// dropping or re-weighting statements does not forfeit the warm
+	// start. A block without a label starts from neutral prices.
 	ID string
 	// Weight is the statement weight f_q.
 	Weight float64
@@ -122,14 +123,6 @@ type Model struct {
 	// Const is a constant objective offset (e.g. base-tuple update
 	// costs Σ f_q·c_q, or −λM terms from scalarized soft constraints).
 	Const float64
-	// DistinctPerChoice asserts that within every choice an index
-	// appears in at most one slot — true for index tuning, where slots
-	// are distinct tables. When set, the solver aggregates the
-	// multipliers of all use sites of an index within a block into
-	// one, which yields a much stronger Lagrangian bound (an index
-	// useful in many templates no longer has its dual price diluted
-	// across them). Validate enforces the assertion.
-	DistinctPerChoice bool
 }
 
 // NewModel returns an empty model for n candidate indexes.
@@ -148,6 +141,12 @@ func (m *Model) Validate() error {
 	if len(m.FixedCost) != m.NumIndexes || len(m.Size) != m.NumIndexes {
 		return fmt.Errorf("lagrange: cost/size arrays must have %d entries", m.NumIndexes)
 	}
+	// slotOf[a] is the serial number of the last slot that offered
+	// index a; slots are numbered from 1 across the whole model, so one
+	// array tells "used by an earlier slot of this choice" for every
+	// choice.
+	slotOf := make([]int, m.NumIndexes)
+	serial := 0
 	for bi := range m.Blocks {
 		b := &m.Blocks[bi]
 		if len(b.Choices) == 0 {
@@ -155,37 +154,26 @@ func (m *Model) Validate() error {
 		}
 		hasFallback := false
 		for ci := range b.Choices {
-			if m.DistinctPerChoice {
-				seen := map[int32]bool{}
-				for _, s := range b.Choices[ci].Slots {
-					for _, o := range s {
-						if o.Index == NoIndex {
-							continue
-						}
-						if seen[o.Index] {
-							return fmt.Errorf("lagrange: block %d choice %d repeats index %d across slots (DistinctPerChoice)", bi, ci, o.Index)
-						}
-					}
-					for _, o := range s {
-						if o.Index != NoIndex {
-							seen[o.Index] = true
-						}
-					}
-				}
-			}
+			first := serial + 1
 			ok := true
 			for _, s := range b.Choices[ci].Slots {
 				if len(s) == 0 {
 					return fmt.Errorf("lagrange: block %d choice %d has an empty slot", bi, ci)
 				}
+				serial++
 				slotHasEmpty := false
 				for _, o := range s {
 					if o.Index == NoIndex {
 						slotHasEmpty = true
+						continue
 					}
-					if o.Index != NoIndex && (o.Index < 0 || int(o.Index) >= m.NumIndexes) {
+					if o.Index < 0 || int(o.Index) >= m.NumIndexes {
 						return fmt.Errorf("lagrange: block %d choice %d references index %d out of range", bi, ci, o.Index)
 					}
+					if at := slotOf[o.Index]; at >= first && at != serial {
+						return fmt.Errorf("lagrange: block %d choice %d repeats index %d across slots", bi, ci, o.Index)
+					}
+					slotOf[o.Index] = serial
 				}
 				if !slotHasEmpty {
 					ok = false
@@ -439,9 +427,4 @@ func (m *Model) blockPrimal(bi int, selected []bool) (float64, bool) {
 		return 0, false
 	}
 	return best, true
-}
-
-// sortTermsByIndex canonicalizes constraint terms (test convenience).
-func sortTermsByIndex(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Index < ts[j].Index })
 }

@@ -1,6 +1,7 @@
 package lagrange
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,8 +9,9 @@ import (
 	"repro/internal/lp"
 )
 
-// randomModel builds a block-structured model large enough to cross
-// the parallel-evaluation threshold.
+// randomBlockModel builds a block-structured model large enough to
+// cross the parallel-evaluation threshold; no index repeats within a
+// choice.
 func randomBlockModel(seed int64, blocks, indexes int) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewModel(indexes)
@@ -19,15 +21,15 @@ func randomBlockModel(seed int64, blocks, indexes int) *Model {
 	}
 	m.Budget = float64(indexes) * 2.5
 	for b := 0; b < blocks; b++ {
-		blk := Block{Weight: 0.5 + rng.Float64()}
+		blk := Block{ID: fmt.Sprintf("b%03d", b), Weight: 0.5 + rng.Float64()}
 		choices := 1 + rng.Intn(3)
 		for c := 0; c < choices; c++ {
 			ch := Choice{Fixed: rng.Float64() * 10}
 			slots := 1 + rng.Intn(3)
+			used := map[int32]bool{}
 			for sl := 0; sl < slots; sl++ {
 				slot := Slot{{Index: NoIndex, Cost: 5 + rng.Float64()*10}}
 				opts := rng.Intn(4)
-				used := map[int32]bool{}
 				for o := 0; o < opts; o++ {
 					a := int32(rng.Intn(indexes))
 					if used[a] {

@@ -36,30 +36,6 @@ type Event struct {
 	Gap float64
 }
 
-// Multipliers carries the dual state of a solve for warm starts. One
-// multiplier exists per use site — per (block, choice, slot, option)
-// with a real index, mirroring the x_{qkia} variables of Theorem 1
-// whose linking constraints the relax(B) step moves into the
-// objective. Sites are keyed by (choice, slot, index) so warm starts
-// survive appended candidates (interactive tuning adds options without
-// renumbering existing ones). When the model labels its blocks
-// (Block.ID), the per-block multiplier vectors additionally carry
-// those labels, and a later solve matches blocks by label rather than
-// position — warm starts then survive workload deltas (statements
-// appended, removed or re-weighted), the incremental re-optimization
-// the streaming advisor relies on.
-type Multipliers struct {
-	ids  []string // block labels at export time ("" for unlabeled)
-	keys [][]siteKey
-	vals [][]float64
-}
-
-// siteKey stably identifies a use site within a block.
-type siteKey struct {
-	choice, slot int32
-	index        int32
-}
-
 // Options configure a solve.
 type Options struct {
 	// GapTol stops the search at this relative gap. The paper's
@@ -90,16 +66,14 @@ type Options struct {
 	// Start is a MIP start: an initial selection used as incumbent
 	// when feasible.
 	Start []bool
-	// Warm is a dual warm start from a previous, structurally similar
-	// solve (same blocks, possibly more indexes). It is what makes
+	// Warm is a dual warm start: the Lambda of a previous solve over a
+	// similar model. Blocks adopt the multipliers of the donor block
+	// with their label, so the start survives appended candidates and
+	// statements appended, dropped or re-weighted. It is what makes
 	// interactive re-tuning cheap (Figure 6b).
-	Warm *Multipliers
+	Warm Dual
 	// Progress receives bound events as the solve advances.
 	Progress func(Event)
-	// DisableRelaxation turns off the Lagrangian relax(B) step and
-	// bounds only with the z-polytope LP, ignoring query structure.
-	// Exists for the ablation benchmark; always worse.
-	DisableRelaxation bool
 }
 
 // Result is the outcome of a solve.
@@ -125,7 +99,7 @@ type Result struct {
 	// was numerically defeated and installed cold.
 	WarmDowngrades int
 	// Lambda is the final dual state, reusable as Options.Warm.
-	Lambda *Multipliers
+	Lambda Dual
 	// Infeasible is true when the constraints admit no selection.
 	Infeasible bool
 }
@@ -135,16 +109,18 @@ type solver struct {
 	m    *Model
 	opts Options
 
-	// Per block: one multiplier per *group*. Without DistinctPerChoice
-	// a group is one use site, in deterministic (choice, slot, option)
-	// iteration order; with it, all sites of an index within the block
-	// share a group, which strengthens the dual. siteGroup maps each
-	// site to its group (−1 for NoIndex options); groupIdx holds the
-	// index id of each group.
+	// Per block: one multiplier per *group* — all use sites of an index
+	// within the block share one, the (statement, index) multiplier of
+	// relax(B); slots of a choice are distinct tables, so an index meets
+	// a choice at most once and sharing loses nothing while keeping an
+	// index useful in many templates from having its dual price diluted
+	// across them. Groups are numbered in order of first appearance in
+	// the (choice, slot, option) walk. siteGroup maps each site to its
+	// group (−1 for NoIndex options); groupIdx holds the index of each
+	// group.
 	lam       [][]float64
 	siteGroup [][]int32
 	groupIdx  [][]int32
-	keys      [][]siteKey
 
 	// flat is the model compiled into contiguous arrays — the solver's
 	// equivalent of the INUM γ slabs. blockDual and evaluate walk these
@@ -248,7 +224,7 @@ func Solve(m *Model, opts Options) Result {
 		tr:        obs.TraceFrom(opts.Ctx),
 	}
 	s.compile()
-	if opts.Warm != nil {
+	if len(opts.Warm) > 0 {
 		s.applyWarm(opts.Warm)
 	}
 	if opts.Start != nil && len(opts.Start) == m.NumIndexes {
@@ -323,26 +299,33 @@ type flatModel struct {
 }
 
 // compile enumerates the use sites of every block, allocates their
-// multiplier groups and lays the block structure out flat.
+// multiplier groups, lays the block structure out flat and lists the
+// blocks each index occurs in.
 func (s *solver) compile() {
 	m := s.m
 	s.lam = make([][]float64, len(m.Blocks))
 	s.siteGroup = make([][]int32, len(m.Blocks))
 	s.groupIdx = make([][]int32, len(m.Blocks))
-	s.keys = make([][]siteKey, len(m.Blocks))
+	s.incidence = make([][]int32, m.NumIndexes)
 	f := &s.flat
 	f.blockChoice = make([]int32, 1, len(m.Blocks)+1)
 	f.blockOpt = make([]int32, 1, len(m.Blocks)+1)
 	f.choiceSlot = make([]int32, 1, 64)
 	f.slotOpt = make([]int32, 1, 64)
+	// groupAt[a] is base + the group of index a in the block that last
+	// used it, base being the groups allocated before that block: a
+	// value below the current block's base means "not seen here yet".
+	groupAt := make([]int, m.NumIndexes)
+	for a := range groupAt {
+		groupAt[a] = -1
+	}
+	base := 0
 	for bi := range m.Blocks {
 		var siteGroup []int32
 		var groupIdx []int32
-		var keys []siteKey
-		byIndex := map[int32]int32{} // aggregated mode: index → group
-		for ci, c := range m.Blocks[bi].Choices {
+		for _, c := range m.Blocks[bi].Choices {
 			f.choiceFixed = append(f.choiceFixed, c.Fixed)
-			for si, slot := range c.Slots {
+			for _, slot := range c.Slots {
 				for _, o := range slot {
 					f.optCost = append(f.optCost, o.Cost)
 					f.optIdx = append(f.optIdx, o.Index)
@@ -350,21 +333,12 @@ func (s *solver) compile() {
 						siteGroup = append(siteGroup, -1)
 						continue
 					}
-					if m.DistinctPerChoice {
-						g, ok := byIndex[o.Index]
-						if !ok {
-							g = int32(len(groupIdx))
-							byIndex[o.Index] = g
-							groupIdx = append(groupIdx, o.Index)
-							keys = append(keys, siteKey{choice: -1, slot: -1, index: o.Index})
-						}
-						siteGroup = append(siteGroup, g)
-					} else {
-						g := int32(len(groupIdx))
+					if groupAt[o.Index] < base {
+						groupAt[o.Index] = base + len(groupIdx)
 						groupIdx = append(groupIdx, o.Index)
-						keys = append(keys, siteKey{choice: int32(ci), slot: int32(si), index: o.Index})
-						siteGroup = append(siteGroup, g)
+						s.incidence[o.Index] = append(s.incidence[o.Index], int32(bi))
 					}
+					siteGroup = append(siteGroup, int32(groupAt[o.Index]-base))
 				}
 				f.slotOpt = append(f.slotOpt, int32(len(f.optCost)))
 			}
@@ -374,76 +348,52 @@ func (s *solver) compile() {
 		f.blockOpt = append(f.blockOpt, int32(len(f.optCost)))
 		s.siteGroup[bi] = siteGroup
 		s.groupIdx[bi] = groupIdx
-		s.keys[bi] = keys
 		s.lam[bi] = make([]float64, len(groupIdx))
-	}
-
-	// Per-index block-incidence lists, deduplicated with a last-seen
-	// stamp per index.
-	s.incidence = make([][]int32, m.NumIndexes)
-	stamp := make([]int32, m.NumIndexes)
-	for a := range stamp {
-		stamp[a] = -1
-	}
-	for bi := range m.Blocks {
-		for oi := f.blockOpt[bi]; oi < f.blockOpt[bi+1]; oi++ {
-			idx := f.optIdx[oi]
-			if idx == NoIndex || stamp[idx] == int32(bi) {
-				continue
-			}
-			stamp[idx] = int32(bi)
-			s.incidence[idx] = append(s.incidence[idx], int32(bi))
-		}
+		base += len(groupIdx)
 	}
 }
 
-// applyWarm copies multipliers from a previous solve, matching groups
-// by key. Groups unknown to the old solve (options added since — the
-// interactive-tuning delta) are then *repriced*: each new option
-// receives the smallest multiplier that keeps it from undercutting its
-// slot's current dual minimum. Without repricing, fresh zero
-// multipliers would collapse the block duals and squander the warm
-// start — with it, the first iteration's bound matches the previous
-// solve's, which is precisely the computation reuse behind Figure 6(b).
+// applyWarm copies multipliers from a previous solve: each block adopts
+// those of the donor block carrying its label, matched by index. Groups
+// unknown to the donor (options added since — the interactive-tuning
+// delta) are then *repriced*: each new option receives the smallest
+// multiplier that keeps it from undercutting its slot's current dual
+// minimum. Without repricing, fresh zero multipliers would collapse the
+// block duals and squander the warm start — with it, the first
+// iteration's bound matches the previous solve's, which is precisely
+// the computation reuse behind Figure 6(b).
 //
-// Blocks are paired with their donors by label when the exporting
-// model carried Block.IDs (so a workload delta — statements appended,
-// dropped or re-weighted — still warms every surviving block), and
-// positionally otherwise, which requires an unchanged block count.
-// Blocks without a donor are repriced wholesale: their index options
+// Blocks without a donor — a statement the previous solve never saw, or
+// a block without a label — are repriced wholesale: their index options
 // are lifted just enough not to undercut the free access, the neutral
-// dual price for a statement the previous solve never saw.
-func (s *solver) applyWarm(w *Multipliers) {
-	byLabel := w.ids != nil
-	if !byLabel && len(w.keys) != len(s.keys) {
-		return // unlabeled export and block structure changed; cold start
-	}
-	oldByID := make(map[string]int, len(w.ids))
-	for i, id := range w.ids {
-		if id != "" {
-			oldByID[id] = i
+// dual price.
+func (s *solver) applyWarm(w Dual) {
+	donor := make(map[string]int, len(w))
+	for i := range w {
+		if w[i].ID != "" {
+			donor[w[i].ID] = i
 		}
 	}
-	for bi := range s.keys {
-		oi := -1
-		if id := s.m.Blocks[bi].ID; byLabel && id != "" {
-			if j, ok := oldByID[id]; ok {
-				oi = j
+	// donorVal[a] is the donor's multiplier on index a, valid while
+	// donorOf[a] names the block being warmed.
+	donorVal := make([]float64, s.m.NumIndexes)
+	donorOf := make([]int, s.m.NumIndexes)
+	for a := range donorOf {
+		donorOf[a] = -1
+	}
+	for bi, groupIdx := range s.groupIdx {
+		matched := make([]bool, len(groupIdx))
+		if oi, ok := donor[s.m.Blocks[bi].ID]; ok {
+			for _, site := range w[oi].Sites {
+				if site.Index >= 0 && int(site.Index) < s.m.NumIndexes {
+					donorOf[site.Index], donorVal[site.Index] = bi, site.Value
+				}
 			}
-		} else if len(w.keys) == len(s.keys) {
-			oi = bi
-		}
-		matched := make([]bool, len(s.keys[bi]))
-		if oi >= 0 {
 			wt := s.m.Blocks[bi].Weight
-			old := make(map[siteKey]float64, len(w.keys[oi]))
-			for k, key := range w.keys[oi] {
-				old[key] = w.vals[oi][k]
-			}
-			for k, key := range s.keys[bi] {
-				if v, ok := old[key]; ok && key.index != NoIndex && int(key.index) < s.m.NumIndexes {
-					s.lam[bi][k] = v
-					s.attract[key.index] += wt * v
+			for k, a := range groupIdx {
+				if donorOf[a] == bi {
+					s.lam[bi][k] = donorVal[a]
+					s.attract[a] += wt * donorVal[a]
 					matched[k] = true
 				}
 			}
@@ -508,27 +458,17 @@ func (s *solver) repriceNew(bi int, matched []bool) {
 	}
 }
 
-// exportLambda snapshots the dual state, carrying the blocks' labels
-// so a structurally different later model can still adopt it.
-func (s *solver) exportLambda() *Multipliers {
-	w := &Multipliers{
-		ids:  make([]string, len(s.keys)),
-		keys: make([][]siteKey, len(s.keys)),
-		vals: make([][]float64, len(s.keys)),
-	}
-	labeled := false
-	for bi := range s.keys {
-		w.ids[bi] = s.m.Blocks[bi].ID
-		if w.ids[bi] != "" {
-			labeled = true
+// exportLambda snapshots the dual state under the blocks' labels.
+func (s *solver) exportLambda() Dual {
+	d := make(Dual, len(s.groupIdx))
+	for bi, groupIdx := range s.groupIdx {
+		sites := make([]DualSite, len(groupIdx))
+		for k, a := range groupIdx {
+			sites[k] = DualSite{Index: a, Value: s.lam[bi][k]}
 		}
-		w.keys[bi] = append([]siteKey(nil), s.keys[bi]...)
-		w.vals[bi] = append([]float64(nil), s.lam[bi]...)
+		d[bi] = DualBlock{ID: s.m.Blocks[bi].ID, Sites: sites}
 	}
-	if !labeled {
-		w.ids = nil // unlabeled model: positional matching only
-	}
-	return w
+	return d
 }
 
 func (s *solver) timeUp() bool {
@@ -838,28 +778,6 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 	stall := 0
 	var zLast []float64
 	usedLast := make([]bool, m.NumIndexes)
-
-	if s.opts.DisableRelaxation {
-		// Ablation mode: bound with λ = 0 only — each block priced as
-		// if every index were free. Exists to quantify what the
-		// relax(B) step buys; the bound never tightens.
-		s.evalBlocks()
-		lbConst := m.Const
-		for bi := range m.Blocks {
-			for _, g := range s.blockUses[bi] {
-				usedLast[s.groupIdx[bi][g]] = true
-			}
-			lbConst += m.Blocks[bi].Weight * s.blockVal[bi]
-		}
-		zv, zf := s.zSubproblem()
-		s.heuristics(zf)
-		if math.IsNaN(zv) {
-			// Unfinished z-solve: no valid bound at all (the true z
-			// minimum may be strongly negative).
-			return math.Inf(-1), zf, usedLast
-		}
-		return lbConst + math.Min(zv, 0), zf, usedLast
-	}
 
 	usedCount := make([]float64, m.NumIndexes)
 	for it := 0; it < iters; it++ {

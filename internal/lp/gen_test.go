@@ -20,8 +20,8 @@ var BenchBIPShapes = []BIPShape{
 }
 
 // RandomBIPShaped builds a randomized LP with the structure BIPGen
-// emits (BuildExplicitBIP / zPolytopeLP): binary-boxed z variables per
-// candidate, per-block choice (y) and option (x) variables tied by
+// emits (the explicit Theorem-1 BIP / zPolytopeLP): binary-boxed z
+// variables per candidate, per-block choice (y) and option (x) variables tied by
 // Σx = y assignment rows and z ≥ x linking rows, a storage-budget
 // knapsack over z, and ±1-coefficient side constraints — extreme
 // sparsity, a handful of nonzeros per row. With fix set, a few z

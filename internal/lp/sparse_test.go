@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// bipShaped is the shared BIP-shaped instance generator (gen.go); the
+// bipShaped is the shared BIP-shaped instance generator (gen_test.go); the
 // alias keeps the test and benchmark call sites short.
 func bipShaped(seed int64, nz, blocks, sideRows int, fix bool) *Problem {
 	return RandomBIPShaped(seed, nz, blocks, sideRows, fix)

@@ -60,11 +60,11 @@ type planPayload struct {
 // Selected are positional over Candidates, so the three always travel
 // together.
 type sessionState struct {
-	BudgetFraction float64              `json:"budget_fraction"`
-	Candidates     []IndexSpec          `json:"candidates"`
-	Duals          []lagrange.DualBlock `json:"duals,omitempty"`
-	Selected       []bool               `json:"selected,omitempty"`
-	Gap            float64              `json:"gap"`
+	BudgetFraction float64       `json:"budget_fraction"`
+	Candidates     []IndexSpec   `json:"candidates"`
+	Duals          lagrange.Dual `json:"duals,omitempty"`
+	Selected       []bool        `json:"selected,omitempty"`
+	Gap            float64       `json:"gap"`
 }
 
 // walRecord is one WAL entry. Ingest records are additive (replayed in
