@@ -194,6 +194,7 @@ func buildBenchModel(b *testing.B, queries int) *lagrange.Model {
 // CoPhy BIP.
 func BenchmarkLagrangeSolve(b *testing.B) {
 	m := buildBenchModel(b, 40)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16})
@@ -225,6 +226,7 @@ func BenchmarkSessionResolve(b *testing.B) {
 	}
 	weightings := [2]*workload.Workload{doubled, base}
 	var build float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		se.SetWorkload(weightings[i%2])

@@ -278,9 +278,6 @@ func (ix *Index) String() string {
 	return s
 }
 
-// LeadingKey returns the first key column name.
-func (ix *Index) LeadingKey() string { return ix.Key[0] }
-
 // Covers reports whether the index stores every column in cols (as key
 // or include), i.e. whether an index-only plan can answer a query that
 // touches exactly cols.

@@ -134,9 +134,6 @@ func overlap(a1, a2, b1, b2 float64) float64 {
 	return hi - lo
 }
 
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.frac) }
-
 // RangeFrac returns the fraction of rows with normalized value in
 // [lo, hi). Arguments outside [0,1] are clamped.
 func (h *Histogram) RangeFrac(lo, hi float64) float64 {

@@ -160,18 +160,12 @@ func (ad *Advisor) solverOptions(ctx context.Context, gapTol float64, warm lagra
 	}
 }
 
-// solve runs Figure 3's back half: feasibility screen, relax(B) (inside
-// the Lagrangian solver) and the bounded search, stopping at gapTol —
-// the advisor's tolerance, or the gap the DBA already accepted when the
-// session is warm.
+// solve runs Figure 3's back half: the feasibility screen and relax(B)
+// (both inside the Lagrangian solver) and the bounded search, stopping
+// at gapTol — the advisor's tolerance, or the gap the DBA already
+// accepted when the session is warm.
 func (ad *Advisor) solve(ctx context.Context, inst *Instance, model *lagrange.Model, warm lagrange.Dual, start []bool, gapTol float64) (*Result, time.Duration) {
 	t := time.Now()
-	if ok, _ := model.CheckFeasibleCtx(ctx); !ok {
-		return &Result{
-			Infeasible: true,
-			Violated:   model.IdentifyInfeasible(),
-		}, time.Since(t)
-	}
 	opts := ad.solverOptions(ctx, gapTol, warm, start)
 	var trace []lagrange.Event
 	progress := opts.Progress
@@ -184,17 +178,22 @@ func (ad *Advisor) solve(ctx context.Context, inst *Instance, model *lagrange.Mo
 	lr := lagrange.Solve(model, opts)
 	solveTime := time.Since(t)
 	if lr.Infeasible {
-		// The z polytope is feasible but no selection satisfies the
-		// per-statement cost caps (Appendix E.2 constraints). The
-		// numeric-trouble counters still travel: a failed solve is
+		// Either the solver's screen found the z polytope empty and the
+		// report names the constraints to drop (Figure 3 line 2), or no
+		// selection satisfies the per-statement cost caps (Appendix E.2).
+		// The numeric-trouble counters still travel: a failed solve is
 		// exactly when silent fallbacks must not stay silent.
+		violated := model.IdentifyInfeasible()
+		if len(violated) == 0 {
+			violated = []string{"query-cost-constraints"}
+		}
 		return &Result{
 			Infeasible:       true,
-			Violated:         []string{"query-cost-constraints"},
+			Violated:         violated,
 			Trace:            trace,
 			NumericFallbacks: lr.NumericFallbacks,
 			WarmDowngrades:   lr.WarmDowngrades,
-		}, solveTime
+		}, time.Since(t)
 	}
 	res := &Result{
 		Selected:         lr.Selected,

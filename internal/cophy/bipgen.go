@@ -53,8 +53,9 @@ func BuildModel(inst *Instance) (*lagrange.Model, error) {
 // empty state.
 type compiled struct {
 	mat inum.CostMatrix
-	// choices holds, per slab of mat, the block choices built from it.
-	// They are immutable and shared by every model assembled since.
+	// choices holds, per slab of mat, the block choices built from it in
+	// buildChoices' contiguous layout. They are immutable and shared by
+	// every model assembled since; the solver reads them in place.
 	choices map[*inum.QueryMatrix][]lagrange.Choice
 }
 
@@ -141,33 +142,37 @@ func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
 	return m, nil
 }
 
-// buildChoices emits one query's choices from its dense γ slab.
+// buildChoices emits one query's choices from its dense γ slab, laid out
+// contiguously: one options array, one slots array and one choices array
+// per statement, sized up front so no append moves them. Every Slot and
+// every Choice.Slots is a window with cap == len — the choices are shared
+// by every model assembled since, so an append through one must copy, not
+// write into its neighbour. This is the layout the solver walks in place.
 func buildChoices(qm *inum.QueryMatrix) []lagrange.Choice {
+	opts := make([]lagrange.Option, 0, len(qm.Gamma)+len(qm.SlotFree))
+	slots := make([]lagrange.Slot, 0, len(qm.SlotFree))
 	choices := make([]lagrange.Choice, 0, len(qm.Internal))
-	for ti := 0; ti < len(qm.Internal); ti++ {
-		ch := lagrange.Choice{Fixed: qm.Internal[ti]}
-		if n := qm.TmplOff[ti+1] - qm.TmplOff[ti]; n > 0 {
-			ch.Slots = make([]lagrange.Slot, 0, n)
-		}
-		feasible := true
+templates:
+	for ti, fixed := range qm.Internal {
+		opt0, slot0 := len(opts), len(slots)
 		for si := qm.TmplOff[ti]; si < qm.TmplOff[ti+1]; si++ {
-			slot := make(lagrange.Slot, 0, qm.SlotOff[si+1]-qm.SlotOff[si]+1)
+			first := len(opts)
 			if free := qm.SlotFree[si]; !math.IsInf(free, 1) {
-				slot = append(slot, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
+				opts = append(opts, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
 			}
 			// The slab holds only the candidates that beat the free access.
 			for k := qm.SlotOff[si]; k < qm.SlotOff[si+1]; k++ {
-				slot = append(slot, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
+				opts = append(opts, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
 			}
-			if len(slot) == 0 {
-				feasible = false
-				break
+			if len(opts) == first {
+				// An unfillable slot: the template is infeasible and
+				// rolls its partial windows back.
+				opts, slots = opts[:opt0], slots[:slot0]
+				continue templates
 			}
-			ch.Slots = append(ch.Slots, slot)
+			slots = append(slots, opts[first:len(opts):len(opts)])
 		}
-		if feasible {
-			choices = append(choices, ch)
-		}
+		choices = append(choices, lagrange.Choice{Fixed: fixed, Slots: slots[slot0:len(slots):len(slots)]})
 	}
 	return choices
 }

@@ -3,6 +3,7 @@ package cophy
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bip"
 	"repro/internal/catalog"
@@ -64,6 +65,58 @@ func TestBuildModelShape(t *testing.T) {
 	}
 	if !anyFixed {
 		t.Fatal("no candidate carries update-maintenance cost despite updates in W")
+	}
+}
+
+// follows reports whether next starts where prev ends in memory.
+func follows[T any](prev, next []T) bool {
+	var zero T
+	end := uintptr(unsafe.Pointer(unsafe.SliceData(prev))) + uintptr(len(prev))*unsafe.Sizeof(zero)
+	return uintptr(unsafe.Pointer(unsafe.SliceData(next))) == end
+}
+
+// TestBuildChoicesLayout pins BIPGen's block layout: a statement's
+// options sit in one array and its slots in another, in walk order, and
+// every window into them has cap == len, so an append through one slot
+// or choice of the shared, cached choices can never write into its
+// neighbour.
+func TestBuildChoicesLayout(t *testing.T) {
+	_, _, hom := buildSmallModel(t, 12, 100)
+	het, err := BuildModel(parallelInstance(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*lagrange.Model{"hom": hom, "het": het} {
+		slots := 0
+		for bi := range m.Blocks {
+			var prevSlots []lagrange.Slot
+			var prevOpts lagrange.Slot
+			for ci, ch := range m.Blocks[bi].Choices {
+				if cap(ch.Slots) != len(ch.Slots) {
+					t.Fatalf("%s block %d choice %d: Slots has cap %d > len %d", name, bi, ci, cap(ch.Slots), len(ch.Slots))
+				}
+				if len(ch.Slots) == 0 {
+					continue
+				}
+				if prevSlots != nil && !follows(prevSlots, ch.Slots) {
+					t.Fatalf("%s block %d choice %d: slot windows are not adjacent", name, bi, ci)
+				}
+				prevSlots = ch.Slots
+				for si, slot := range ch.Slots {
+					if cap(slot) != len(slot) {
+						t.Fatalf("%s block %d choice %d slot %d: cap %d > len %d", name, bi, ci, si, cap(slot), len(slot))
+					}
+					if prevOpts != nil && !follows(prevOpts, slot) {
+						t.Fatalf("%s block %d choice %d slot %d: options are not adjacent to the previous slot's", name, bi, ci, si)
+					}
+					prevOpts = slot
+					slots++
+				}
+			}
+		}
+		if slots < 2*len(m.Blocks) {
+			t.Fatalf("%s: only %d slots over %d blocks, the layout is barely exercised", name, slots, len(m.Blocks))
+		}
 	}
 }
 

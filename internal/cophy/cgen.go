@@ -220,12 +220,3 @@ func RandomIndexes(cat *catalog.Catalog, n int, seed int64) []*catalog.Index {
 	}
 	return out
 }
-
-// SubsetCandidates returns the first n candidates of s in its
-// deterministic order — the S_500/S_1000 subsets of Figure 5.
-func SubsetCandidates(s []*catalog.Index, n int) []*catalog.Index {
-	if n >= len(s) {
-		return s
-	}
-	return s[:n]
-}

@@ -1,8 +1,10 @@
 package cophy
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bip"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lagrange"
 	"repro/internal/lp"
+	"repro/internal/obs"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
@@ -243,6 +246,47 @@ func TestInfeasibleConstraintsReported(t *testing.T) {
 	}
 }
 
+// TestImpossibleQueryCostReported covers the other infeasibility report:
+// the z polytope is feasible, but no selection meets the per-statement
+// cost caps.
+func TestImpossibleQueryCostReported(t *testing.T) {
+	ad, cat, _ := testAdvisor(t)
+	w := workload.Hom(workload.HomConfig{Queries: 10, Seed: 75})
+	s := Candidates(cat, w, CGenOptions{})
+	cons := FractionOfData(cat, 1)
+	cons.Items = append(cons.Items, QueryCost{Factor: 1e-6})
+	res, err := ad.Recommend(w, s, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Infeasible || !reflect.DeepEqual(res.Violated, []string{"query-cost-constraints"}) {
+		t.Fatalf("infeasible=%v violated=%v, want the query-cost-constraints report", res.Infeasible, res.Violated)
+	}
+}
+
+// TestOneFeasibilityScreenPerSolve pins that a solve screens its z
+// polytope once: the screen's LP records lp.phase1 on the request trace,
+// and a budget-only model solves no other LP.
+func TestOneFeasibilityScreenPerSolve(t *testing.T) {
+	ad, cat, _ := testAdvisor(t)
+	w := workload.Hom(workload.HomConfig{Queries: 10, Seed: 75})
+	s := Candidates(cat, w, CGenOptions{})
+	tr := obs.NewTrace()
+	res, err := ad.NewSession(w, s, FractionOfData(cat, 0.5)).SolveCtx(obs.WithTrace(context.Background(), tr))
+	if err != nil || res.Infeasible {
+		t.Fatalf("solve failed: err=%v res=%+v", err, res)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Name == "lp.phase1" {
+			if sp.Count != 1 {
+				t.Fatalf("lp.phase1 recorded %d times for one budget-only solve, want 1", sp.Count)
+			}
+			return
+		}
+	}
+	t.Fatal("no lp.phase1 span: the feasibility screen did not run under the trace")
+}
+
 func TestCountConstraintHonored(t *testing.T) {
 	ad, cat, _ := testAdvisor(t)
 	w := workload.Hom(workload.HomConfig{Queries: 30, Seed: 76})
@@ -291,6 +335,27 @@ func TestWideIndexConstraint(t *testing.T) {
 	}
 	if n > 2 {
 		t.Fatalf("wide-index constraint violated: %d", n)
+	}
+
+	// The column filter of the same language: a Count over HasColumn
+	// compiles to one unit term per candidate storing the column.
+	const col = "l_shipdate"
+	var want []lagrange.Term
+	for i, ix := range s {
+		if slices.Contains(ix.Key, col) || slices.Contains(ix.Include, col) {
+			want = append(want, lagrange.Term{Index: int32(i), Coef: 1})
+		}
+	}
+	if len(want) == 0 || len(want) == len(s) {
+		t.Fatalf("%d of %d candidates store %s: the case selects nothing", len(want), len(s), col)
+	}
+	m := lagrange.NewModel(len(s))
+	byColumn := Constraints{BudgetBytes: -1, Items: []Item{Count{Name: "with-shipdate", Filter: HasColumn(col), Sense: lp.LE, V: 3}}}
+	if err := applyConstraints(ad.instance(w, s), m, byColumn); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Extra) != 1 || !reflect.DeepEqual(m.Extra[0].Terms, want) || m.Extra[0].RHS != 3 || m.Extra[0].Sense != lp.LE {
+		t.Fatalf("HasColumn count compiled to %+v, want terms %v ≤ 3", m.Extra, want)
 	}
 }
 

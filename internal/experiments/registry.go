@@ -41,18 +41,3 @@ func Run(name string, cfg Config) (*Report, error) {
 	}
 	return r(cfg)
 }
-
-// RunAll executes every experiment, returning reports in name order.
-// Errors are embedded as notes so one failure does not discard the
-// rest of a long evaluation run.
-func RunAll(cfg Config) []*Report {
-	var out []*Report
-	for _, name := range Names() {
-		rep, err := Run(name, cfg)
-		if err != nil {
-			rep = &Report{ID: name, Title: "failed", Notes: []string{err.Error()}}
-		}
-		out = append(out, rep)
-	}
-	return out
-}

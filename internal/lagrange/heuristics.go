@@ -108,7 +108,7 @@ func (s *solver) tryCandidate(sel []bool) {
 	if ok, _ := m.SelectionFeasible(sel); !ok {
 		return
 	}
-	obj, ok := s.evaluate(sel)
+	obj, ok := m.Evaluate(sel)
 	if !ok {
 		return
 	}

@@ -16,7 +16,8 @@ type incState struct {
 	sel      []bool
 	blockVal []float64
 	// total is the full objective of sel, always recomputed in
-	// evaluate's summation order so it stays bit-equal to evaluate(sel).
+	// Model.Evaluate's summation order so it stays bit-equal to
+	// m.Evaluate(sel).
 	total float64
 }
 
@@ -29,7 +30,7 @@ func (s *solver) newIncState(sel []bool) (*incState, bool) {
 		blockVal: make([]float64, len(s.m.Blocks)),
 	}
 	for bi := range s.m.Blocks {
-		v, ok := s.blockPrimalFlat(bi, st.sel)
+		v, ok := s.m.blockPrimal(bi, st.sel)
 		if !ok {
 			return nil, false
 		}
@@ -43,9 +44,10 @@ func (s *solver) newIncState(sel []bool) (*incState, bool) {
 }
 
 // totalOf sums the objective from the cached block values in exactly
-// evaluate's order: Const, then fixed costs in index order, then
-// weighted block values in block order. Identical order and identical
-// per-block values keep the result bit-equal to evaluate(st.sel).
+// Model.Evaluate's order: Const, then fixed costs in index order, then
+// weighted block values in block order. Identical order and per-block
+// values from the same blockPrimal keep the result bit-equal to
+// m.Evaluate(st.sel).
 func (s *solver) totalOf(st *incState) float64 {
 	total := s.m.Const
 	for a, on := range st.sel {
@@ -76,7 +78,7 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 		total += s.m.FixedCost[a]
 	}
 	for _, bi := range s.incidence[a] {
-		v, ok := s.blockPrimalFlat(int(bi), st.sel)
+		v, ok := s.m.blockPrimal(int(bi), st.sel)
 		if !ok {
 			return 0, false
 		}
@@ -95,7 +97,7 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 func (s *solver) commitFlip(st *incState, a int) {
 	st.sel[a] = !st.sel[a]
 	for _, bi := range s.incidence[a] {
-		v, _ := s.blockPrimalFlat(int(bi), st.sel)
+		v, _ := s.m.blockPrimal(int(bi), st.sel)
 		st.blockVal[bi] = v
 	}
 	st.total = s.totalOf(st)

@@ -373,7 +373,9 @@ func (m *Model) SelectionFeasible(selected []bool) (bool, string) {
 // Evaluate returns the true objective of a selection: Σ_b w_b·(best
 // choice cost under the selection) + Σ_a FixedCost[a] + Const. The
 // second return is false if some block has no evaluable choice (cannot
-// happen for validated models).
+// happen for validated models) or exceeds its cost cap. The solver
+// prices every candidate incumbent with it, and its one-flip trials
+// with the same blockPrimal.
 func (m *Model) Evaluate(selected []bool) (float64, bool) {
 	total := m.Const
 	for a, sel := range selected {

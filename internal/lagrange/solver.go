@@ -117,17 +117,11 @@ type solver struct {
 	// across them. Groups are numbered in order of first appearance in
 	// the (choice, slot, option) walk. siteGroup maps each site to its
 	// group (−1 for NoIndex options); groupIdx holds the index of each
-	// group.
+	// group. The block structure itself is not copied: blockDual walks
+	// m.Blocks in the same order with a running site counter.
 	lam       [][]float64
 	siteGroup [][]int32
 	groupIdx  [][]int32
-
-	// flat is the model compiled into contiguous arrays — the solver's
-	// equivalent of the INUM γ slabs. blockDual and evaluate walk these
-	// instead of the pointer-chasing Blocks/Choices/Slots nesting; the
-	// iteration order is identical, so results are bit-equal to the
-	// structured walk.
-	flat flatModel
 
 	// attract[a] = Σ_sites w_b·λ_site over sites using index a,
 	// maintained incrementally.
@@ -281,37 +275,16 @@ func Solve(m *Model, opts Options) Result {
 	}
 }
 
-// flatModel is the model's block structure compiled into contiguous
-// offset/payload arrays: choices of block bi are blockChoice[bi] ..
-// blockChoice[bi+1], slots of choice ci are choiceSlot[ci] ..
-// choiceSlot[ci+1], and options of slot si are slotOpt[si] ..
-// slotOpt[si+1] into optCost/optIdx. blockOpt[bi] is the first option
-// of block bi, aligning flat option positions with the per-block site
-// numbering of siteGroup.
-type flatModel struct {
-	blockChoice []int32
-	blockOpt    []int32
-	choiceFixed []float64
-	choiceSlot  []int32
-	slotOpt     []int32
-	optCost     []float64
-	optIdx      []int32
-}
-
-// compile enumerates the use sites of every block, allocates their
-// multiplier groups, lays the block structure out flat and lists the
-// blocks each index occurs in.
+// compile derives the solver's own state from the model: it enumerates
+// the use sites of every block in (choice, slot, option) order,
+// allocates their multiplier groups and lists the blocks each index
+// occurs in.
 func (s *solver) compile() {
 	m := s.m
 	s.lam = make([][]float64, len(m.Blocks))
 	s.siteGroup = make([][]int32, len(m.Blocks))
 	s.groupIdx = make([][]int32, len(m.Blocks))
 	s.incidence = make([][]int32, m.NumIndexes)
-	f := &s.flat
-	f.blockChoice = make([]int32, 1, len(m.Blocks)+1)
-	f.blockOpt = make([]int32, 1, len(m.Blocks)+1)
-	f.choiceSlot = make([]int32, 1, 64)
-	f.slotOpt = make([]int32, 1, 64)
 	// groupAt[a] is base + the group of index a in the block that last
 	// used it, base being the groups allocated before that block: a
 	// value below the current block's base means "not seen here yet".
@@ -324,11 +297,8 @@ func (s *solver) compile() {
 		var siteGroup []int32
 		var groupIdx []int32
 		for _, c := range m.Blocks[bi].Choices {
-			f.choiceFixed = append(f.choiceFixed, c.Fixed)
 			for _, slot := range c.Slots {
 				for _, o := range slot {
-					f.optCost = append(f.optCost, o.Cost)
-					f.optIdx = append(f.optIdx, o.Index)
 					if o.Index == NoIndex {
 						siteGroup = append(siteGroup, -1)
 						continue
@@ -340,12 +310,8 @@ func (s *solver) compile() {
 					}
 					siteGroup = append(siteGroup, int32(groupAt[o.Index]-base))
 				}
-				f.slotOpt = append(f.slotOpt, int32(len(f.optCost)))
 			}
-			f.choiceSlot = append(f.choiceSlot, int32(len(f.slotOpt)-1))
 		}
-		f.blockChoice = append(f.blockChoice, int32(len(f.choiceFixed)))
-		f.blockOpt = append(f.blockOpt, int32(len(f.optCost)))
 		s.siteGroup[bi] = siteGroup
 		s.groupIdx[bi] = groupIdx
 		s.lam[bi] = make([]float64, len(groupIdx))
@@ -521,35 +487,40 @@ type blockScratch struct {
 // fixings, the model), so distinct blocks may be evaluated
 // concurrently.
 func (s *solver) blockDual(bi int, sc *blockScratch) float64 {
-	f := &s.flat
+	b := &s.m.Blocks[bi]
 	lam := s.lam[bi]
 	groups := s.siteGroup[bi]
 	fixedOut := s.fixedOut
-	base := f.blockOpt[bi]
 	best := math.Inf(1)
 	sc.uses = sc.uses[:0]
 	scratch := sc.tmp[:0]
-	for ci := f.blockChoice[bi]; ci < f.blockChoice[bi+1]; ci++ {
-		v := f.choiceFixed[ci]
+	site := 0
+	for ci := range b.Choices {
+		c := &b.Choices[ci]
+		v := c.Fixed
 		scratch = scratch[:0]
 		ok := true
-		for si := f.choiceSlot[ci]; si < f.choiceSlot[ci+1]; si++ {
+		for _, slot := range c.Slots {
 			slotBest := math.Inf(1)
 			slotGroup := int32(-1)
-			for oi := f.slotOpt[si]; oi < f.slotOpt[si+1]; oi++ {
-				cost := f.optCost[oi]
-				if idx := f.optIdx[oi]; idx != NoIndex {
-					if fixedOut[idx] {
+			for _, o := range slot {
+				g := groups[site]
+				site++
+				cost := o.Cost
+				if o.Index != NoIndex {
+					if fixedOut[o.Index] {
 						continue
 					}
-					cost += lam[groups[oi-base]]
+					cost += lam[g]
 				}
 				if cost < slotBest {
 					slotBest = cost
-					slotGroup = groups[oi-base]
+					slotGroup = g
 				}
 			}
 			if math.IsInf(slotBest, 1) {
+				// Unfillable; the remaining slots are still walked so
+				// the site counter stays aligned for the next choice.
 				ok = false
 				v = math.Inf(1)
 				continue
@@ -566,66 +537,6 @@ func (s *solver) blockDual(bi int, sc *blockScratch) float64 {
 	}
 	sc.tmp = scratch
 	return best
-}
-
-// evaluate is the solver-side twin of Model.Evaluate over the flat
-// layout: the true objective of a selection, false when a block has no
-// evaluable choice or a per-statement cost cap is violated. Identical
-// iteration order keeps it bit-equal to the reference method.
-func (s *solver) evaluate(selected []bool) (float64, bool) {
-	m := s.m
-	total := m.Const
-	for a, sel := range selected {
-		if sel {
-			total += m.FixedCost[a]
-		}
-	}
-	for bi := range m.Blocks {
-		best, ok := s.blockPrimalFlat(bi, selected)
-		if !ok {
-			return 0, false
-		}
-		if cap := m.Blocks[bi].CostCap; cap > 0 && best > cap*(1+1e-9) {
-			return 0, false // per-statement cost constraint violated
-		}
-		total += m.Blocks[bi].Weight * best
-	}
-	return total, true
-}
-
-// blockPrimalFlat is blockPrimal over the flat layout: the minimum
-// choice cost of block bi when only the selected indexes are
-// available. false when no choice is evaluable.
-func (s *solver) blockPrimalFlat(bi int, selected []bool) (float64, bool) {
-	f := &s.flat
-	best := math.Inf(1)
-	for ci := f.blockChoice[bi]; ci < f.blockChoice[bi+1]; ci++ {
-		v := f.choiceFixed[ci]
-		ok := true
-		for si := f.choiceSlot[ci]; si < f.choiceSlot[ci+1]; si++ {
-			slotBest := math.Inf(1)
-			for oi := f.slotOpt[si]; oi < f.slotOpt[si+1]; oi++ {
-				if idx := f.optIdx[oi]; idx != NoIndex && !selected[idx] {
-					continue
-				}
-				if c := f.optCost[oi]; c < slotBest {
-					slotBest = c
-				}
-			}
-			if math.IsInf(slotBest, 1) {
-				ok = false
-				break
-			}
-			v += slotBest
-		}
-		if ok && v < best {
-			best = v
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
 }
 
 // evalBlocks computes every block dual of the current iteration into

@@ -123,9 +123,6 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	p.hi[j] = hi
 }
 
-// Bounds returns the bounds of variable j.
-func (p *Problem) Bounds(j int) (lo, hi float64) { return p.lo[j], p.hi[j] }
-
 // AddRow appends the constraint Σ coefs ⋈ rhs and returns its index.
 // Coefficients with duplicate columns are summed. Each coefficient is
 // appended to its column's CSC slice as well, keeping the column store
@@ -159,9 +156,6 @@ func (p *Problem) AddRow(coefs []Coef, sense Sense, rhs float64) int {
 	p.mid = &matrixStamp{}
 	return len(p.rows) - 1
 }
-
-// NNZ returns the number of structural nonzeros.
-func (p *Problem) NNZ() int { return p.nnz }
 
 // Status reports the outcome of a solve.
 type Status int

@@ -132,15 +132,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return bucketMax(len(s.buckets) - 1)
 }
 
-// Mean returns the exact sample mean (the sum is tracked exactly, not
-// bucketed). Zero samples answer 0.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // CountAbove returns how many samples may exceed bound: the total
 // count minus the samples provably ≤ bound. A bucket straddling the
 // bound counts as above it, so the answer never under-reports — the

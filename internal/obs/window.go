@@ -106,12 +106,6 @@ func (w *WindowedHistogram) advance(s *windowSlot, e int64) {
 // Snapshot returns the lifetime histogram's snapshot.
 func (w *WindowedHistogram) Snapshot() HistSnapshot { return w.life.Snapshot() }
 
-// Life returns the lifetime histogram (the registered series).
-func (w *WindowedHistogram) Life() *Histogram { return w.life }
-
-// Epoch returns the sub-window length.
-func (w *WindowedHistogram) Epoch() time.Duration { return w.epoch }
-
 // WindowSnapshot merges the sub-windows covering roughly the trailing
 // `window` (clamped to the ring's span): the current partial epoch
 // plus the ceil(window/epoch)−1 before it. The result is an ordinary

@@ -101,7 +101,6 @@ type Store struct {
 	segSize   int64
 	nextSeq   uint64
 	recovered bool
-	appended  int64
 
 	// A failed append leaves a torn frame at the end of its segment.
 	// Before anything else may be written, that frame must be cut back
@@ -175,13 +174,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Appended returns the number of records appended since Open.
-func (s *Store) Appended() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appended
-}
-
 // DiskErrors returns the number of filesystem operations that have
 // failed since Open — real faults and injected ones alike. The serving
 // layer surfaces it in /stats as disk_errors.
@@ -243,7 +235,6 @@ func (s *Store) Append(payload []byte) error {
 		}
 	}
 	s.segSize += int64(recHeaderLen + len(payload))
-	s.appended++
 	return nil
 }
 
