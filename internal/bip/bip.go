@@ -108,26 +108,10 @@ type Result struct {
 	Gap float64
 	// Nodes is the number of explored nodes.
 	Nodes int
-	// NumericFallbacks counts node LP solves that hit a numerical
-	// failure in the sparse simplex and were finished by the dense
-	// oracle (lp.Solution.NumericFallback) — observability for flaky
-	// bases, threaded up to the daemon's /stats.
-	NumericFallbacks int
-	// WarmDowngrades counts node LP solves whose parent warm basis was
-	// numerically defeated and installed cold instead.
-	WarmDowngrades int
 }
 
 // intTol is the integrality tolerance.
 const intTol = 1e-6
-
-// CheckFeasible reports whether the model admits any fractional
-// solution — the fast infeasibility screen of Figure 3 line 1. A
-// false result proves the binary program infeasible too.
-func CheckFeasible(m Model) bool {
-	s := lp.Solve(m.P)
-	return s.Status != lp.Infeasible
-}
 
 type node struct {
 	fixed map[int]float64
@@ -136,11 +120,7 @@ type node struct {
 	// basis is the parent node's optimal LP basis. The child LP
 	// differs from the parent's by a single variable bound, so its
 	// re-solve warm-starts there and pivots from a near-optimal point
-	// instead of running Phase 1 from scratch. Because a bound flip
-	// never changes the basis *matrix*, the basis also carries the
-	// parent's factorization (lp.Basis's LU snapshot, keyed by the
-	// Clone-shared matrix stamp): the child adopts it outright and
-	// installs the warm start in O(nnz) with no re-pivoting.
+	// instead of running Phase 1 from scratch.
 	basis *lp.Basis
 }
 
@@ -148,12 +128,10 @@ type node struct {
 func Solve(m Model, opts Options) Result {
 	start := time.Now()
 	var (
-		incumbent      []float64
-		incObj         = math.Inf(1)
-		nodes          int
-		numFallbacks   int
-		warmDowngrades int
-		budgetOut      bool
+		incumbent []float64
+		incObj    = math.Inf(1)
+		nodes     int
+		budgetOut bool
 	)
 	report := func(lower float64) {
 		if opts.Progress == nil {
@@ -212,22 +190,13 @@ func Solve(m Model, opts Options) Result {
 		sol := lp.SolveFrom(p, nd.basis)
 		tr.Add("lp.phase1", sol.Phase1Dur)
 		tr.Add("lp.phase2", sol.Phase2Dur)
-		if sol.Refactors > 0 {
-			tr.AddN("lp.factor", sol.FactorDur, int64(sol.Refactors))
-		}
-		if sol.NumericFallback {
-			numFallbacks++
-		}
-		if sol.WarmDowngraded {
-			warmDowngrades++
-		}
 		if sol.Status == lp.Infeasible {
 			continue
 		}
 		if sol.Status == lp.Unbounded {
 			// A bounded BIP over binaries cannot be unbounded unless
 			// continuous variables are; treat conservatively.
-			return Result{Status: Feasible, X: incumbent, Obj: incObj, Lower: math.Inf(-1), Gap: math.Inf(1), Nodes: nodes, NumericFallbacks: numFallbacks, WarmDowngrades: warmDowngrades}
+			return Result{Status: Feasible, X: incumbent, Obj: incObj, Lower: math.Inf(-1), Gap: math.Inf(1), Nodes: nodes}
 		}
 		if sol.Status == lp.IterLimit || sol.X == nil {
 			// The node LP exhausted its pivot budget: its bound and
@@ -302,11 +271,11 @@ func Solve(m Model, opts Options) Result {
 	}
 	if incumbent == nil {
 		if len(queue) == 0 && !budgetOut {
-			return Result{Status: Infeasible, Nodes: nodes, Gap: math.Inf(1), Lower: lower, NumericFallbacks: numFallbacks, WarmDowngrades: warmDowngrades}
+			return Result{Status: Infeasible, Nodes: nodes, Gap: math.Inf(1), Lower: lower}
 		}
 		// No incumbent but the search stopped early (budget, limits):
 		// infeasibility was NOT proven.
-		return Result{Status: Feasible, Nodes: nodes, Gap: math.Inf(1), Lower: lower, NumericFallbacks: numFallbacks, WarmDowngrades: warmDowngrades}
+		return Result{Status: Feasible, Nodes: nodes, Gap: math.Inf(1), Lower: lower}
 	}
 	gap := relGap(incObj, lower)
 	st := Feasible
@@ -317,7 +286,7 @@ func Solve(m Model, opts Options) Result {
 		}
 	}
 	report(lower)
-	return Result{Status: st, X: incumbent, Obj: incObj, Lower: lower, Gap: gap, Nodes: nodes, NumericFallbacks: numFallbacks, WarmDowngrades: warmDowngrades}
+	return Result{Status: st, X: incumbent, Obj: incObj, Lower: lower, Gap: gap, Nodes: nodes}
 }
 
 // integral reports whether every binary is within tolerance of 0 or 1.

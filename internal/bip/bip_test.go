@@ -85,8 +85,8 @@ func TestInfeasibleBIP(t *testing.T) {
 	if r.Status != Infeasible {
 		t.Fatalf("status = %v", r.Status)
 	}
-	if CheckFeasible(Model{P: p, Binaries: []int{0, 1}}) {
-		t.Fatal("CheckFeasible must fail: x+y ≥ 3 with x,y ≤ 1")
+	if s := lp.Solve(p); s.Status != lp.Infeasible {
+		t.Fatalf("LP relaxation of x+y ≥ 3 with x,y ≤ 1: %v, want infeasible", s.Status)
 	}
 }
 

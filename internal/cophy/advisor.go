@@ -81,9 +81,8 @@ type Result struct {
 	Iters int
 	// Nodes counts branch-and-bound nodes beyond the root.
 	Nodes int
-	// NumericFallbacks and WarmDowngrades surface the LP substrate's
-	// numerical-trouble counters (dense-oracle rescues and defeated
-	// warm bases) for the daemon's /stats.
+	// NumericFallbacks and WarmDowngrades are always zero. The
+	// benchmark still reads them; ROADMAP item 1(b) deletes them.
 	NumericFallbacks int
 	WarmDowngrades   int
 	// Times is the INUM/build/solve breakdown of Figures 5 and 10.
@@ -181,31 +180,21 @@ func (ad *Advisor) solve(ctx context.Context, inst *Instance, model *lagrange.Mo
 		// Either the solver's screen found the z polytope empty and the
 		// report names the constraints to drop (Figure 3 line 2), or no
 		// selection satisfies the per-statement cost caps (Appendix E.2).
-		// The numeric-trouble counters still travel: a failed solve is
-		// exactly when silent fallbacks must not stay silent.
 		violated := model.IdentifyInfeasible()
 		if len(violated) == 0 {
 			violated = []string{"query-cost-constraints"}
 		}
-		return &Result{
-			Infeasible:       true,
-			Violated:         violated,
-			Trace:            trace,
-			NumericFallbacks: lr.NumericFallbacks,
-			WarmDowngrades:   lr.WarmDowngrades,
-		}, time.Since(t)
+		return &Result{Infeasible: true, Violated: violated, Trace: trace}, time.Since(t)
 	}
 	res := &Result{
-		Selected:         lr.Selected,
-		EstCost:          lr.Objective,
-		Lower:            lr.Lower,
-		Gap:              lr.Gap,
-		Iters:            lr.Iters,
-		Nodes:            lr.Nodes,
-		NumericFallbacks: lr.NumericFallbacks,
-		WarmDowngrades:   lr.WarmDowngrades,
-		Trace:            trace,
-		Lambda:           lr.Lambda,
+		Selected: lr.Selected,
+		EstCost:  lr.Objective,
+		Lower:    lr.Lower,
+		Gap:      lr.Gap,
+		Iters:    lr.Iters,
+		Nodes:    lr.Nodes,
+		Trace:    trace,
+		Lambda:   lr.Lambda,
 	}
 	for i, on := range lr.Selected {
 		if on {

@@ -241,26 +241,26 @@ func (s *solver) dropRedundant() {
 	s.bestSel = append([]bool(nil), st.sel...)
 }
 
-// branch runs depth-first branch and bound, re-bounding each node
-// with a short warm-started subgradient run. If the whole tree is
-// explored — every leaf either bound-pruned or relaxation-consistent —
-// the incumbent is proved optimal and the lower bound snaps to it.
-func (s *solver) branch(zf []float64, used []bool, maxNodes int) {
+// branch runs depth-first branch and bound from the root relaxation
+// (bound rootLB), re-bounding each node with a short warm-started
+// subgradient run. If the whole tree is resolved — every leaf pruned
+// by infeasibility or by a bound that reaches the incumbent — the
+// incumbent is proved optimal and the lower bound snaps to it.
+func (s *solver) branch(rootLB float64, zf []float64, used []bool, maxNodes int) {
 	nodesLeft := maxNodes
-	complete := s.branchRec(zf, used, &nodesLeft, 0)
+	complete := s.branchRec(rootLB, zf, used, &nodesLeft, 0)
 	if complete && s.bestObj < math.Inf(1) && s.bestObj > s.lower {
 		s.lower = s.bestObj
 		s.emit()
 	}
 }
 
-// branchRec explores the subtree under the current fixings. It
-// returns true only when the subtree was exhaustively resolved: cut
-// nowhere by node, depth or time limits, with every leaf either
-// pruned by bound/infeasibility or closed by a consistent relaxation
-// (the block duals use exactly the indexes the z subproblem selects,
-// so the bound is attained by a feasible solution).
-func (s *solver) branchRec(zf []float64, used []bool, nodesLeft *int, depth int) bool {
+// branchRec explores the subtree under the current fixings, whose
+// relaxation bound is nodeLB (−Inf when the subgradient run proved
+// none). It returns true only when the subtree was exhaustively
+// resolved: cut nowhere by node, depth or time limits, with every leaf
+// pruned by infeasibility or by a bound that reaches the incumbent.
+func (s *solver) branchRec(nodeLB float64, zf []float64, used []bool, nodesLeft *int, depth int) bool {
 	if s.gap() <= s.opts.GapTol {
 		return false // stopped early by request, not exhaustion
 	}
@@ -269,9 +269,11 @@ func (s *solver) branchRec(zf []float64, used []bool, nodesLeft *int, depth int)
 	}
 	a := s.pickBranchVar(zf, used)
 	if a < 0 {
-		// Relaxation consistent: realize it as an incumbent; the node
-		// is solved exactly — unless per-block cost caps exist, which
-		// the dual ignores, so the bound may be unattainable.
+		// Relaxation consistent: realize it as an incumbent. The leaf
+		// is resolved only if its bound now reaches the incumbent; a
+		// consistent point does not prove that by itself (the bound may
+		// come from another iteration, or from none, and per-block cost
+		// caps are ignored by the dual).
 		sel := make([]bool, s.m.NumIndexes)
 		for i := range sel {
 			sel[i] = (zf != nil && zf[i] > 0.5) || (used != nil && used[i]) || s.fixedIn[i]
@@ -280,7 +282,7 @@ func (s *solver) branchRec(zf []float64, used []bool, nodesLeft *int, depth int)
 			}
 		}
 		s.tryCandidate(sel)
-		return !s.m.HasCostCaps()
+		return nodeLB >= s.bestObj*(1-1e-12)
 	}
 	// Explore the more promising side first: the side the fraction
 	// leans toward, or "in" for a used-but-unselected index.
@@ -307,7 +309,7 @@ func (s *solver) branchRec(zf []float64, used []bool, nodesLeft *int, depth int)
 		case lb >= s.bestObj*(1-1e-12):
 			// Bound-dominated: pruned.
 		default:
-			if !s.branchRec(zChild, usedChild, nodesLeft, depth+1) {
+			if !s.branchRec(lb, zChild, usedChild, nodesLeft, depth+1) {
 				complete = false
 			}
 		}

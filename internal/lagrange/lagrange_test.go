@@ -284,13 +284,51 @@ func TestValidateRejectsBadModels(t *testing.T) {
 }
 
 func TestLowerBoundNeverExceedsOptimum(t *testing.T) {
-	r := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 20; trial++ {
-		m := randomModel(r, 5+r.Intn(3), 2+r.Intn(4), 0.5)
+	check := func(name string, m *Model) {
+		t.Helper()
 		res := Solve(m, Options{GapTol: 1e-9, RootIters: 300, MaxNodes: 200})
 		want, _ := bruteForce(m)
 		if res.Lower > want+math.Abs(want)*1e-6+1e-6 {
-			t.Fatalf("trial %d: lower bound %v > optimum %v", trial, res.Lower, want)
+			t.Fatalf("%s: lower bound %v > optimum %v", name, res.Lower, want)
 		}
+		if res.Objective < want-math.Abs(want)*1e-6-1e-6 {
+			t.Fatalf("%s: objective %v < optimum %v", name, res.Objective, want)
+		}
+	}
+	r := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 20; trial++ {
+		check(fmt.Sprintf("trial %d", trial), randomModel(r, 5+r.Intn(3), 2+r.Intn(4), 0.5))
+	}
+
+	// Constrained models in bytes: sizes and budget scaled by 10^k, an
+	// index-count row beside a size row, so the z polytope mixes unit
+	// and byte-scale rows and every solve runs the LP z subproblem.
+	r = rand.New(rand.NewSource(101))
+	half := func(n int) []int32 {
+		var idx []int32
+		for _, a := range r.Perm(n)[:n/2] {
+			idx = append(idx, int32(a))
+		}
+		return idx
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 8 + r.Intn(5)
+		m := randomModel(r, n, 2+r.Intn(4), 0.5)
+		scale := math.Pow(10, float64(3+r.Intn(7)))
+		for a := range m.Size {
+			m.Size[a] *= scale
+		}
+		m.Budget *= scale
+		count := Constraint{Sense: lp.LE, RHS: float64(1 + r.Intn(3)), Name: "count"}
+		for _, a := range half(n) {
+			count.Terms = append(count.Terms, Term{a, 1})
+		}
+		size := Constraint{Sense: lp.LE, Name: "size"}
+		for _, a := range half(n) {
+			size.Terms = append(size.Terms, Term{a, m.Size[a]})
+			size.RHS += 0.4 * m.Size[a]
+		}
+		m.Extra = []Constraint{count, size}
+		check(fmt.Sprintf("constrained trial %d", trial), m)
 	}
 }

@@ -76,17 +76,6 @@ type Block struct {
 	CostCap float64
 }
 
-// HasCostCaps reports whether any block carries a cost cap; cost caps
-// weaken optimality certificates from relaxation-consistent leaves.
-func (m *Model) HasCostCaps() bool {
-	for bi := range m.Blocks {
-		if m.Blocks[bi].CostCap > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Term is one coefficient of a side constraint over the z variables.
 type Term struct {
 	Index int32
@@ -199,12 +188,11 @@ func (m *Model) Validate() error {
 
 // zPolytopeLP builds the small LP over the z variables only: bounds
 // [0,1], the budget row and the side constraints, with the given
-// objective coefficients. fixedIn/fixedOut pin variables. Each sparse
-// constraint row lands directly in the problem's CSC column store —
-// there is no dense intermediate at any point. The polytope itself
-// never changes between subgradient iterations (only the objective
-// and, under branching, bounds move), so callers build it once and
-// retune it with retuneZPolytope.
+// objective coefficients. fixedIn/fixedOut pin variables. Rows stay in
+// the model's units (bytes beside counts); the LP solver equilibrates
+// its own copy. The polytope itself never changes between subgradient
+// iterations (only the objective and, under branching, bounds move),
+// so callers build it once and retune it with retuneZPolytope.
 func (m *Model) zPolytopeLP(obj []float64, fixedIn, fixedOut []bool) *lp.Problem {
 	p := lp.NewProblem(m.NumIndexes)
 	m.retuneZPolytope(p, obj, fixedIn, fixedOut)
@@ -229,9 +217,7 @@ func (m *Model) zPolytopeLP(obj []float64, fixedIn, fixedOut []bool) *lp.Problem
 
 // retuneZPolytope repoints an already-built z-polytope LP at a new
 // objective and new fixings without touching its constraint matrix —
-// the per-iteration delta of the subgradient loop. Keeping the Problem
-// (and so its matrix stamp) alive across iterations is what lets every
-// re-solve adopt the previous basis factorization in O(nnz).
+// the per-iteration delta of the subgradient loop.
 func (m *Model) retuneZPolytope(p *lp.Problem, obj []float64, fixedIn, fixedOut []bool) {
 	for a := 0; a < m.NumIndexes; a++ {
 		p.SetObj(a, obj[a])
@@ -271,9 +257,6 @@ func (m *Model) CheckFeasibleCtx(ctx context.Context) (bool, error) {
 	s := lp.Solve(p)
 	tr.Add("lp.phase1", s.Phase1Dur)
 	tr.Add("lp.phase2", s.Phase2Dur)
-	if s.Refactors > 0 {
-		tr.AddN("lp.factor", s.FactorDur, int64(s.Refactors))
-	}
 	if s.Status == lp.Infeasible {
 		return false, nil
 	}

@@ -90,14 +90,11 @@ type Result struct {
 	Iters int
 	// Nodes counts branch-and-bound nodes beyond the root.
 	Nodes int
-	// NumericFallbacks counts z-subproblem LP solves that fell back to
-	// the dense oracle after a numerical failure in the sparse simplex
-	// (budget-charged, see lp.Solution.NumericFallback); surfaced so
-	// the daemon's /stats makes flaky bases visible instead of silent.
+	// NumericFallbacks and WarmDowngrades are always zero: the LP has
+	// no fallback path and no warm downgrade. The benchmark still reads
+	// them; ROADMAP item 1(b) deletes them.
 	NumericFallbacks int
-	// WarmDowngrades counts z-subproblem re-solves whose warm basis
-	// was numerically defeated and installed cold.
-	WarmDowngrades int
+	WarmDowngrades   int
 	// Lambda is the final dual state, reusable as Options.Warm.
 	Lambda Dual
 	// Infeasible is true when the constraints admit no selection.
@@ -142,9 +139,8 @@ type solver struct {
 	scratches []blockScratch
 	// zProb is the z-polytope LP, built once and retuned in place each
 	// iteration (only the objective and branching fixings move), and
-	// zBasis the basis carried across its re-solves. Because the
-	// Problem persists, every warm install adopts the previous solve's
-	// factorization snapshot outright — the O(nnz) path of lp.Basis.
+	// zBasis the basis carried across its re-solves, so each re-solve
+	// starts from the previous optimal basis.
 	zProb  *lp.Problem
 	zBasis *lp.Basis
 
@@ -159,9 +155,6 @@ type solver struct {
 	fixedIn   []bool
 	fixedOut  []bool
 	nodeCount int
-
-	numFallbacks   int
-	warmDowngrades int
 
 	bestSel []bool
 	bestObj float64
@@ -239,7 +232,7 @@ func Solve(m *Model, opts Options) Result {
 
 	// Branch and bound to close the gap.
 	if s.gap() > opts.GapTol && opts.MaxNodes > 0 && !s.timeUp() {
-		s.branch(zFrac, used, opts.MaxNodes)
+		s.branch(rootLB, zFrac, used, opts.MaxNodes)
 	}
 
 	if s.bestSel == nil {
@@ -255,23 +248,18 @@ func Solve(m *Model, opts Options) Result {
 	if s.bestSel == nil {
 		// No incumbent at all: the z polytope is feasible but the
 		// cost caps reject every selection the search visited.
-		return Result{
-			Infeasible: true, Gap: math.Inf(1), Lower: s.lower, Iters: s.iters, Nodes: s.nodeCount,
-			NumericFallbacks: s.numFallbacks, WarmDowngrades: s.warmDowngrades,
-		}
+		return Result{Infeasible: true, Gap: math.Inf(1), Lower: s.lower, Iters: s.iters, Nodes: s.nodeCount}
 	}
 	s.dropRedundant()
 	gap := s.gap()
 	return Result{
-		Selected:         s.bestSel,
-		Objective:        s.bestObj,
-		Lower:            s.lower,
-		Gap:              gap,
-		Iters:            s.iters,
-		Nodes:            s.nodeCount,
-		NumericFallbacks: s.numFallbacks,
-		WarmDowngrades:   s.warmDowngrades,
-		Lambda:           s.exportLambda(),
+		Selected:  s.bestSel,
+		Objective: s.bestObj,
+		Lower:     s.lower,
+		Gap:       gap,
+		Iters:     s.iters,
+		Nodes:     s.nodeCount,
+		Lambda:    s.exportLambda(),
 	}
 }
 
@@ -577,7 +565,7 @@ func (s *solver) zSubproblem() (float64, []float64) {
 	// The polytope is identical between iterations (only the objective
 	// and, under branching, bounds move), so the LP is built once,
 	// retuned in place, and each re-solve warm-starts from the previous
-	// optimal basis with its factorization adopted as-is.
+	// optimal basis.
 	if s.zProb == nil {
 		s.zProb = m.zPolytopeLP(rc, s.fixedIn, s.fixedOut)
 	} else {
@@ -586,15 +574,6 @@ func (s *solver) zSubproblem() (float64, []float64) {
 	sol := lp.SolveFrom(s.zProb, s.zBasis)
 	s.tr.Add("lp.phase1", sol.Phase1Dur)
 	s.tr.Add("lp.phase2", sol.Phase2Dur)
-	if sol.Refactors > 0 {
-		s.tr.AddN("lp.factor", sol.FactorDur, int64(sol.Refactors))
-	}
-	if sol.NumericFallback {
-		s.numFallbacks++
-	}
-	if sol.WarmDowngraded {
-		s.warmDowngrades++
-	}
 	if sol.Status == lp.Infeasible {
 		return math.Inf(1), nil
 	}

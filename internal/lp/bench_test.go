@@ -2,29 +2,6 @@ package lp
 
 import "testing"
 
-// BenchmarkSolveSparseVsDense pits the revised simplex against the
-// dense tableau oracle on identical BIP-shaped instances (the shared
-// BenchBIPShapes families). The acceptance bar is ≥3× on the
-// constraint-rich shape.
-func BenchmarkSolveSparseVsDense(b *testing.B) {
-	for _, sh := range BenchBIPShapes {
-		var probs []*Problem
-		for seed := int64(0); seed < 8; seed++ {
-			probs = append(probs, bipShaped(seed, sh.NZ, sh.Blocks, sh.Side, false))
-		}
-		b.Run(sh.Name+"/Sparse", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Solve(probs[i%len(probs)])
-			}
-		})
-		b.Run(sh.Name+"/Dense", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				SolveDense(probs[i%len(probs)])
-			}
-		})
-	}
-}
-
 // BenchmarkWarmSolve measures the warm-start path the upper layers
 // lean on: re-solving after a single bound flip (branch-and-bound
 // child) with and without the parent basis.
@@ -41,7 +18,7 @@ func BenchmarkWarmSolve(b *testing.B) {
 			Solve(child)
 		}
 	})
-	b.Run("WarmFactorShared", func(b *testing.B) {
+	b.Run("Warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			SolveFrom(child, root.Basis)
 		}

@@ -1,39 +1,23 @@
 package lp
 
 // Clone returns a copy of the problem sharing the (immutable)
-// constraint matrix but with independent objective and bounds, so
+// constraint rows but with independent objective and bounds, so
 // callers can tighten bounds per branch-and-bound node without
-// affecting the original. The clone keeps the parent's matrix stamp:
-// a Basis factorization captured on either remains adoptable by the
-// other, which is how branch-and-bound children share the parent's
-// factorization across a bound flip.
+// affecting the original. The shared row list is capacity-clipped so a
+// later AddRow on either side reallocates instead of writing into a
+// backing array the other still reads.
 func (p *Problem) Clone() *Problem {
-	cp := &Problem{
+	return &Problem{
 		cols: p.cols,
 		obj:  append([]float64(nil), p.obj...),
 		lo:   append([]float64(nil), p.lo...),
 		hi:   append([]float64(nil), p.hi...),
-		// The row list and the inner CSC slices are shared (immutable
-		// once written); every shared slice is capacity-clipped so a
-		// later AddRow on either side is forced to reallocate instead
-		// of writing into backing arrays the other still reads.
-		rows:   p.rows[:len(p.rows):len(p.rows)],
-		colRow: make([][]int32, len(p.colRow)),
-		colVal: make([][]float64, len(p.colVal)),
-		nnz:    p.nnz,
-		mid:    p.mid,
+		rows: p.rows[:len(p.rows):len(p.rows)],
 	}
-	for j, v := range p.colRow {
-		cp.colRow[j] = v[:len(v):len(v)]
-	}
-	for j, v := range p.colVal {
-		cp.colVal[j] = v[:len(v):len(v)]
-	}
-	return cp
 }
 
-// RowActivity returns Σ aᵢxᵢ for row i at point x.
-func (p *Problem) RowActivity(i int, x []float64) float64 {
+// rowActivity returns Σ aᵢxᵢ for row i at point x.
+func (p *Problem) rowActivity(i int, x []float64) float64 {
 	var sum float64
 	for _, c := range p.rows[i].coefs {
 		sum += c.Val * x[c.Col]
@@ -41,7 +25,8 @@ func (p *Problem) RowActivity(i int, x []float64) float64 {
 	return sum
 }
 
-// Feasible reports whether x satisfies every row and bound within tol.
+// Feasible reports whether x satisfies every row and bound within tol,
+// in the units the rows were given in.
 func (p *Problem) Feasible(x []float64, tol float64) bool {
 	for j := 0; j < p.cols; j++ {
 		if x[j] < p.lo[j]-tol || x[j] > p.hi[j]+tol {
@@ -49,7 +34,7 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 		}
 	}
 	for i, r := range p.rows {
-		act := p.RowActivity(i, x)
+		act := p.rowActivity(i, x)
 		switch r.sense {
 		case LE:
 			if act > r.rhs+tol {
@@ -76,11 +61,3 @@ func (p *Problem) Objective(x []float64) float64 {
 	}
 	return sum
 }
-
-// RowSense returns the sense and right-hand side of row i.
-func (p *Problem) RowSense(i int) (Sense, float64) {
-	return p.rows[i].sense, p.rows[i].rhs
-}
-
-// RowCoefs returns the (shared, read-only) coefficients of row i.
-func (p *Problem) RowCoefs(i int) []Coef { return p.rows[i].coefs }

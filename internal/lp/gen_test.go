@@ -2,36 +2,14 @@ package lp
 
 import "math/rand"
 
-// BIPShape names one BIP-shaped benchmark instance family.
-type BIPShape struct {
-	Name             string
-	NZ, Blocks, Side int
-}
-
-// BenchBIPShapes is the single source of the benchmark instance
-// families: small (interactive-scale), medium (typical tuning
-// session) and constraint-rich (Appendix-E-style side-constraint-heavy
-// models, the dense tableau's failure mode), measured by
-// BenchmarkSolveSparseVsDense.
-var BenchBIPShapes = []BIPShape{
-	{Name: "small", NZ: 8, Blocks: 4, Side: 4},
-	{Name: "medium", NZ: 24, Blocks: 12, Side: 24},
-	{Name: "rich", NZ: 48, Blocks: 24, Side: 160},
-}
-
-// RandomBIPShaped builds a randomized LP with the structure BIPGen
+// bipShaped builds a randomized LP with the structure BIPGen
 // emits (the explicit Theorem-1 BIP / zPolytopeLP): binary-boxed z
 // variables per candidate, per-block choice (y) and option (x) variables tied by
 // Σx = y assignment rows and z ≥ x linking rows, a storage-budget
 // knapsack over z, and ±1-coefficient side constraints — extreme
 // sparsity, a handful of nonzeros per row. With fix set, a few z
 // variables are bound-fixed, mimicking branch-and-bound nodes.
-//
-// It is the single source of the instance family shared by the
-// sparse-vs-dense property tests and BenchmarkSolveSparseVsDense — one
-// generator, so the benchmark measures exactly the instances the
-// oracle pin covers.
-func RandomBIPShaped(seed int64, nz, blocks, sideRows int, fix bool) *Problem {
+func bipShaped(seed int64, nz, blocks, sideRows int, fix bool) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Count variables: per block 1-2 choices, each with 1-2 slots, each

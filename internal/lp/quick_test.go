@@ -104,43 +104,30 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 // TestCloneAddRowNoAliasing: appending rows to both a problem and its
-// clone must not let either write into backing arrays the other reads
-// (the CSC inner slices are shared but capacity-clipped on Clone).
+// clone must not let either write into the backing array of the row
+// list the other reads (it is shared but capacity-clipped on Clone).
 func TestCloneAddRowNoAliasing(t *testing.T) {
 	p := NewProblem(1)
-	for i := 0; i < 3; i++ { // leave spare capacity in column 0's slices
+	for i := 0; i < 3; i++ { // leave spare capacity in the row list
 		p.AddRow([]Coef{{Col: 0, Val: float64(i + 1)}}, LE, 10)
 	}
 	q := p.Clone()
 	p.AddRow([]Coef{{Col: 0, Val: 7}}, LE, 7)
 	q.AddRow([]Coef{{Col: 0, Val: -9}}, GE, -9)
-	if got := p.colVal[0][3]; got != 7 {
-		t.Fatalf("clone append corrupted parent CSC: colVal[0][3] = %v, want 7", got)
+	if r := p.rows[3]; r.sense != LE || r.rhs != 7 || r.coefs[0].Val != 7 {
+		t.Fatalf("clone append corrupted parent row 3: %+v", r)
 	}
-	if got := q.colVal[0][3]; got != -9 {
-		t.Fatalf("parent append corrupted clone CSC: colVal[0][3] = %v, want -9", got)
-	}
-	if s, r := p.RowSense(3); s != LE || r != 7 {
-		t.Fatalf("parent row 3 corrupted: %v %v", s, r)
-	}
-	if s, r := q.RowSense(3); s != GE || r != -9 {
-		t.Fatalf("clone row 3 corrupted: %v %v", s, r)
+	if r := q.rows[3]; r.sense != GE || r.rhs != -9 || r.coefs[0].Val != -9 {
+		t.Fatalf("parent append corrupted clone row 3: %+v", r)
 	}
 }
 
-// TestRowAccessors cover RowActivity/RowSense/RowCoefs.
+// TestRowAccessors covers rowActivity, including summed duplicates.
 func TestRowAccessors(t *testing.T) {
 	p := NewProblem(2)
-	i := p.AddRow([]Coef{{Col: 0, Val: 2}, {Col: 1, Val: 3}}, GE, 5)
-	if act := p.RowActivity(i, []float64{1, 1}); math.Abs(act-5) > 1e-12 {
+	i := p.AddRow([]Coef{{Col: 0, Val: 2}, {Col: 1, Val: 3}, {Col: 0, Val: 1}}, GE, 5)
+	if act := p.rowActivity(i, []float64{1, 1}); math.Abs(act-6) > 1e-12 {
 		t.Fatalf("activity = %v", act)
-	}
-	sense, rhs := p.RowSense(i)
-	if sense != GE || rhs != 5 {
-		t.Fatalf("sense/rhs = %v/%v", sense, rhs)
-	}
-	if len(p.RowCoefs(i)) != 2 {
-		t.Fatal("coefs lost")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // a few hundred LPs per /recommend, and what the request breakdown
 // needs is "how much of this request was LP phase 2", not four hundred
 // individual intervals. Count travels with the sum so repeated spans
-// (refactorizations, WAL appends) stay countable.
+// (LP solves, WAL appends) stay countable.
 type Trace struct {
 	// ID is the request's trace identifier (16 hex chars), minted by
 	// NewTrace and echoed in the X-Trace-Id response header and the
@@ -83,12 +83,7 @@ func TraceFrom(ctx context.Context) *Trace {
 }
 
 // Add accumulates d into the named span (count +1). Nil-safe.
-func (t *Trace) Add(name string, d time.Duration) { t.AddN(name, d, 1) }
-
-// AddN accumulates d into the named span with an explicit count —
-// e.g. one z-subproblem LP contributing its refactorization count.
-// n ≤ 0 contributes duration without inflating the count. Nil-safe.
-func (t *Trace) AddN(name string, d time.Duration, n int64) {
+func (t *Trace) Add(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
@@ -100,9 +95,7 @@ func (t *Trace) AddN(name string, d time.Duration, n int64) {
 		t.order = append(t.order, name)
 	}
 	c.dur += d
-	if n > 0 {
-		c.n += n
-	}
+	c.n++
 	t.mu.Unlock()
 }
 

@@ -184,19 +184,17 @@ type Daemon struct {
 	slo    *sloEngine
 	flight *obs.FlightRecorder
 
-	ingested       *obs.Counter
-	coalesced      *obs.Counter
-	numFallbacks   *obs.Counter
-	warmDowngrades *obs.Counter
-	whatifs        *obs.Counter
-	recommends     *obs.Counter
-	evicted        *obs.Counter
-	rebases        *obs.Counter
-	compactions    *obs.Counter
-	walRecords     *obs.Counter
-	snapshots      *obs.Counter
-	persistErrors  *obs.Counter
-	planStale      *obs.Counter
+	ingested      *obs.Counter
+	coalesced     *obs.Counter
+	whatifs       *obs.Counter
+	recommends    *obs.Counter
+	evicted       *obs.Counter
+	rebases       *obs.Counter
+	compactions   *obs.Counter
+	walRecords    *obs.Counter
+	snapshots     *obs.Counter
+	persistErrors *obs.Counter
+	planStale     *obs.Counter
 }
 
 // maxWhatIfEntries caps the distinct what-if statements whose template
@@ -643,8 +641,6 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	// generation plus solve, the cost the next queued caller will pay.
 	d.adm.observe(time.Since(t0))
 	d.recommends.Inc()
-	d.numFallbacks.Add(int64(res.NumericFallbacks))
-	d.warmDowngrades.Add(int64(res.WarmDowngrades))
 	d.lastBudget = opts.BudgetFraction
 	// Log the post-solve session state — candidates, constraint knob,
 	// duals, incumbent — as an absolute WAL record, so a hard kill any
@@ -711,12 +707,8 @@ type Stats struct {
 	PreparedQueries int   `json:"prepared_queries"`
 	PrepCalls       int64 `json:"prep_calls"`
 	EvictedEntries  int64 `json:"evicted_entries"`
-	// NumericFallbacks counts LP solves (across all recommendations)
-	// that hit a numerical failure in the sparse simplex and were
-	// rescued by the dense oracle on the remaining iteration budget;
-	// WarmDowngrades counts warm bases numerically defeated into cold
-	// installs. Nonzero values mean the solver is paying for flaky
-	// bases — visible here instead of silently doubling solve work.
+	// NumericFallbacks and WarmDowngrades are always zero. The
+	// benchmark still reads them; ROADMAP item 1(b) deletes them.
 	NumericFallbacks int64 `json:"numeric_fallbacks"`
 	WarmDowngrades   int64 `json:"warm_downgrades"`
 	// SessionRebases counts cold re-sessions forced by the candidate
@@ -780,8 +772,6 @@ func (d *Daemon) Snapshot() Stats {
 		PreparedQueries:    d.ad.Inum.Prepared(),
 		PrepCalls:          calls,
 		EvictedEntries:     d.evicted.Load(),
-		NumericFallbacks:   d.numFallbacks.Load(),
-		WarmDowngrades:     d.warmDowngrades.Load(),
 		SessionRebases:     d.rebases.Load(),
 		SessionCompactions: d.compactions.Load(),
 		WALRecords:         d.walRecords.Load(),

@@ -28,10 +28,6 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		"Recommendation requests that shared another request's solve.")
 	d.evicted = reg.Counter("cophyd_evicted_entries_total",
 		"INUM cache entries dropped by stream eviction.")
-	d.numFallbacks = reg.Counter("cophyd_numeric_fallbacks_total",
-		"LP solves rescued by the dense oracle after a numerical failure.")
-	d.warmDowngrades = reg.Counter("cophyd_warm_downgrades_total",
-		"Warm LP bases numerically defeated into cold installs.")
 	d.rebases = reg.Counter("cophyd_session_rebases_total",
 		"Cold re-sessions forced by the candidate cap.")
 	d.compactions = reg.Counter("cophyd_session_compactions_total",
