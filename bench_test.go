@@ -172,12 +172,12 @@ func BenchmarkSimplex(b *testing.B) {
 	}
 }
 
-// buildBenchModel compiles a CoPhy BIP for solver benchmarks.
-func buildBenchModel(b *testing.B, queries int) *lagrange.Model {
+// buildBenchModel compiles a CoPhy BIP for solver benchmarks, at a
+// storage budget of half the data.
+func buildBenchModel(b *testing.B, w *workload.Workload) *lagrange.Model {
 	b.Helper()
 	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
 	eng := engine.New(cat, engine.SystemA())
-	w := workload.Hom(workload.HomConfig{Queries: queries, Seed: 5})
 	ad := cophy.NewAdvisor(cat, eng, cophy.Options{})
 	s := cophy.Candidates(cat, w, cophy.CGenOptions{Covering: true})
 	inst := cophy.InstanceForTest(ad, w, s)
@@ -190,14 +190,30 @@ func buildBenchModel(b *testing.B, queries int) *lagrange.Model {
 	return m
 }
 
+func hom40() *workload.Workload { return workload.Hom(workload.HomConfig{Queries: 40, Seed: 5}) }
+
 // BenchmarkLagrangeSolve measures the structured solver on a real
 // CoPhy BIP.
 func BenchmarkLagrangeSolve(b *testing.B) {
-	m := buildBenchModel(b, 40)
+	m := buildBenchModel(b, hom40())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16})
+	}
+}
+
+// BenchmarkLagrangeSolveHet measures the solver on a heterogeneous
+// workload's BIP (every statement its own template, ~850 candidates),
+// where the gap stays open and each subgradient iteration's serial
+// bookkeeping — the λ step, the knapsack, the heuristics — shows
+// beside the block duals. The options are the benchmark driver's.
+func BenchmarkLagrangeSolveHet(b *testing.B) {
+	m := buildBenchModel(b, workload.Het(workload.HetConfig{Queries: 100, Seed: 5}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 32})
 	}
 }
 
@@ -244,7 +260,7 @@ func BenchmarkSessionResolve(b *testing.B) {
 // BenchmarkAblationWarmStartCold/Warm quantify dual warm starts — the
 // mechanism behind interactive re-tuning (Figure 6b).
 func BenchmarkAblationWarmStartCold(b *testing.B) {
-	m := buildBenchModel(b, 40)
+	m := buildBenchModel(b, hom40())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 400, MaxNodes: 16})
@@ -253,7 +269,7 @@ func BenchmarkAblationWarmStartCold(b *testing.B) {
 }
 
 func BenchmarkAblationWarmStartWarm(b *testing.B) {
-	m := buildBenchModel(b, 40)
+	m := buildBenchModel(b, hom40())
 	seed := lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 400, MaxNodes: 16})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package lagrange
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -42,7 +43,16 @@ func (s *solver) heuristics(zf []float64) {
 func (s *solver) score(a int) float64 { return s.attract[a] - s.m.FixedCost[a] }
 
 // greedyByScore builds a selection by adding indexes in descending
-// score order while the budget and side constraints hold.
+// score order while the budget and side constraints hold. A mandatory
+// (fixed-in) index is added even when it breaks them.
+//
+// Whether the selection stays feasible with one more index is decided
+// from running totals — the bytes selected and each side constraint's
+// activity — rather than a SelectionFeasible pass per candidate. The
+// totals are summed in selection order, not index order, which gives
+// the same bits, and so the same decisions, while sizes and
+// coefficients are integers below 2⁵³. BIPGen's always are:
+// Index.Bytes is an int64 and count rows have coefficient 1.
 func (s *solver) greedyByScore() []bool {
 	m := s.m
 	order := make([]int, 0, m.NumIndexes)
@@ -60,13 +70,36 @@ func (s *solver) greedyByScore() []bool {
 		return s.score(ai)/math.Max(s.m.Size[ai], 1) > s.score(aj)/math.Max(s.m.Size[aj], 1)
 	})
 	sel := make([]bool, m.NumIndexes)
+	var used float64
+	act := make([]float64, len(m.Extra))  // activity of each side constraint under sel
+	next := make([]float64, len(m.Extra)) // the same with a added
 	for _, a := range order {
-		sel[a] = true
-		if ok, _ := m.SelectionFeasible(sel); !ok && !s.fixedIn[a] {
-			sel[a] = false
+		copy(next, act)
+		for _, t := range s.rowTerms[a] {
+			next[t.row] += t.coef
+		}
+		fits := !m.overBudget(used + m.Size[a])
+		for r := range m.Extra {
+			fits = fits && !m.Extra[r].violatedAt(next[r])
+		}
+		if fits || s.fixedIn[a] {
+			sel[a] = true
+			used += m.Size[a]
+			act, next = next, act
 		}
 	}
 	return sel
+}
+
+// setIncumbent promotes st's selection to incumbent and keeps st as the
+// incumbent's cached state, so the next local search starts from it
+// instead of re-evaluating the incumbent. Every change of incumbent
+// goes through here; the cached state and its memoised flip outcomes
+// are therefore always those of bestSel.
+func (s *solver) setIncumbent(st *incState) {
+	s.inc = st
+	s.bestObj = st.total
+	s.bestSel = slices.Clone(st.sel)
 }
 
 // tryCandidate repairs a selection to the budget, verifies all
@@ -105,16 +138,18 @@ func (s *solver) tryCandidate(sel []bool) {
 			}
 		}
 	}
+	if s.bestSel != nil && slices.Equal(sel, s.bestSel) {
+		return // the incumbent itself: its objective is bestObj, no improvement
+	}
 	if ok, _ := m.SelectionFeasible(sel); !ok {
 		return
 	}
-	obj, ok := m.Evaluate(sel)
+	st, ok := s.newIncState(sel)
 	if !ok {
 		return
 	}
-	if obj < s.bestObj {
-		s.bestObj = obj
-		s.bestSel = append([]bool(nil), sel...)
+	if st.total < s.bestObj {
+		s.setIncumbent(st)
 		s.emit()
 	}
 }
@@ -125,12 +160,17 @@ const localSearchBudget = 24
 // localSearch runs bounded add/drop passes around the incumbent. Every
 // trial differs from the incumbent in one index, so it is priced with
 // the incremental one-flip evaluator over the per-index
-// block-incidence lists rather than a full objective pass.
+// block-incidence lists rather than a full objective pass. A trial's
+// outcome depends only on the incumbent, so it is memoised in the
+// incumbent's cached state and replayed — counted against the budget
+// exactly as when it was priced — until the incumbent changes; the
+// fixings only decide which indexes are tried. Call it only once there
+// is an incumbent.
 func (s *solver) localSearch() {
 	m := s.m
-	st, stOK := s.newIncState(s.bestSel)
-	if !stOK {
-		return // incumbent not evaluable; nothing to search around
+	st := s.inc
+	if st.flip == nil {
+		st.flip = make([]flipOutcome, m.NumIndexes)
 	}
 	// tryFlip probes flipping index a: feasibility over the z polytope
 	// first (cheap, needs the flipped selection in place), then the
@@ -138,19 +178,26 @@ func (s *solver) localSearch() {
 	// evaluated reports whether the objective was actually priced —
 	// infeasible flips do not count against the evaluation budget.
 	tryFlip := func(a int) (accepted, evaluated bool) {
+		switch st.flip[a] {
+		case flipInfeasible:
+			return false, false
+		case flipRejected:
+			return false, true
+		}
 		st.sel[a] = !st.sel[a]
 		feasible, _ := m.SelectionFeasible(st.sel)
 		st.sel[a] = !st.sel[a]
 		if !feasible {
+			st.flip[a] = flipInfeasible
 			return false, false
 		}
 		obj, ok := s.flipObjective(st, a)
 		if !ok || obj >= s.bestObj-1e-9 {
+			st.flip[a] = flipRejected
 			return false, true
 		}
 		s.commitFlip(st, a)
-		s.bestObj = st.total
-		s.bestSel = append([]bool(nil), st.sel...)
+		s.setIncumbent(st)
 		s.emit()
 		return true, true
 	}
@@ -213,15 +260,10 @@ func (s *solver) localSearch() {
 // twins, subsumed covers). Local search only accepts strict
 // improvements, so zero-benefit redundancy survives it; this pass
 // trades it away for free storage. Each candidate drop is a one-flip
-// trial priced through the block-incidence lists.
+// trial priced through the block-incidence lists, from the incumbent's
+// cached state; call it only once there is an incumbent.
 func (s *solver) dropRedundant() {
-	if s.bestSel == nil {
-		return
-	}
-	st, ok := s.newIncState(s.bestSel)
-	if !ok {
-		return
-	}
+	st := s.inc
 	for a := range st.sel {
 		if !st.sel[a] {
 			continue
@@ -238,7 +280,7 @@ func (s *solver) dropRedundant() {
 			s.bestObj = st.total
 		}
 	}
-	s.bestSel = append([]bool(nil), st.sel...)
+	s.setIncumbent(st)
 }
 
 // branch runs depth-first branch and bound from the root relaxation

@@ -1,5 +1,7 @@
 package lagrange
 
+import "slices"
+
 // Incremental one-flip evaluation. The local search and the redundancy
 // sweep both explore neighbors of the incumbent that differ in exactly
 // one index. A full objective evaluation walks every block; a one-flip
@@ -15,31 +17,37 @@ package lagrange
 type incState struct {
 	sel      []bool
 	blockVal []float64
-	// total is the full objective of sel, always recomputed in
-	// Model.Evaluate's summation order so it stays bit-equal to
-	// m.Evaluate(sel).
+	// total is the full objective of sel, always summed in
+	// Model.Evaluate's order so it stays bit-equal to m.Evaluate(sel).
 	total float64
+	// flip memoises the local search's one-flip outcomes against sel
+	// (indexed by index, allocated on first use). An outcome depends on
+	// the selection alone, so it holds until commitFlip changes sel.
+	flip []flipOutcome
 }
 
-// newIncState evaluates sel from scratch (copying it) and caches the
-// per-block primal values. ok is false when sel is not evaluable or
-// violates a per-statement cost cap.
+// flipOutcome is what a one-flip trial of the local search concluded.
+type flipOutcome uint8
+
+const (
+	flipUntried    flipOutcome = iota
+	flipInfeasible             // the flipped selection breaks the budget or a side constraint
+	flipRejected               // priced, and not an improvement (or breaks a cost cap)
+)
+
+// newIncState evaluates sel from scratch (copying it) with the solver's
+// workers and caches the per-block primal values. ok is false when sel
+// is not evaluable or violates a per-statement cost cap.
 func (s *solver) newIncState(sel []bool) (*incState, bool) {
 	st := &incState{
-		sel:      append([]bool(nil), sel...),
+		sel:      slices.Clone(sel),
 		blockVal: make([]float64, len(s.m.Blocks)),
 	}
-	for bi := range s.m.Blocks {
-		v, ok := s.m.blockPrimal(bi, st.sel)
-		if !ok {
-			return nil, false
-		}
-		if cap := s.m.Blocks[bi].CostCap; cap > 0 && v > cap*(1+1e-9) {
-			return nil, false
-		}
-		st.blockVal[bi] = v
+	total, ok := s.m.evaluate(st.sel, s.workers, st.blockVal)
+	if !ok {
+		return nil, false
 	}
-	st.total = s.totalOf(st)
+	st.total = total
 	return st, true
 }
 
@@ -91,9 +99,11 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 }
 
 // commitFlip applies the flip of index a to the state: the affected
-// block values are refreshed and the total is re-summed in full order,
+// block values are refreshed, the total is re-summed in full order,
 // discarding any floating-point drift the delta arithmetic of
-// flipObjective may carry. Call only after flipObjective reported ok.
+// flipObjective may carry, and the memoised flip outcomes, which were
+// against the old selection, are forgotten. Call only after
+// flipObjective reported ok.
 func (s *solver) commitFlip(st *incState, a int) {
 	st.sel[a] = !st.sel[a]
 	for _, bi := range s.incidence[a] {
@@ -101,4 +111,5 @@ func (s *solver) commitFlip(st *incState, a int) {
 		st.blockVal[bi] = v
 	}
 	st.total = s.totalOf(st)
+	clear(st.flip)
 }

@@ -3,18 +3,20 @@ package lagrange
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+
+	"repro/internal/lp"
 )
 
-// newTestSolver compiles a model into a bare solver, enough for the
-// one-flip evaluation path (incidence lists).
+// newTestSolver compiles a model into a solver with no incumbent and
+// zero multipliers, as Solve does before its first iteration.
 func newTestSolver(m *Model) *solver {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
-	s := &solver{m: m, attract: make([]float64, m.NumIndexes)}
-	s.compile()
-	return s
+	return newSolver(m, Options{GapTol: 1e-9, RootIters: 60, NodeIters: 6, Workers: 2})
 }
 
 // TestIncidenceListsComplete checks that incidence[a] names exactly the
@@ -119,6 +121,265 @@ func TestFlipObjectiveMatchesFullEvaluation(t *testing.T) {
 				t.Fatalf("trial %d: committed flip of %d drifted: %v vs %v", trial, a, st.total, want)
 			}
 			break
+		}
+	}
+}
+
+// withSideRows adds integer side constraints of every sense to m: an
+// at-most count row, an at-least count row, an exactly-one row and a
+// byte row.
+func withSideRows(m *Model, r *rand.Rand) *Model {
+	pick := func(k int) []int {
+		return r.Perm(m.NumIndexes)[:k]
+	}
+	atMost := Constraint{Sense: lp.LE, RHS: float64(1 + r.Intn(4)), Name: "at-most"}
+	for _, a := range pick(m.NumIndexes / 2) {
+		atMost.Terms = append(atMost.Terms, Term{int32(a), 1})
+	}
+	atLeast := Constraint{Sense: lp.GE, RHS: 1, Name: "at-least"}
+	for _, a := range pick(m.NumIndexes / 3) {
+		atLeast.Terms = append(atLeast.Terms, Term{int32(a), 1})
+	}
+	exactlyOne := Constraint{Sense: lp.EQ, RHS: 1, Name: "exactly-one"}
+	for _, a := range pick(3) {
+		exactlyOne.Terms = append(exactlyOne.Terms, Term{int32(a), 1})
+	}
+	bytes := Constraint{Sense: lp.LE, Name: "bytes"}
+	for _, a := range pick(m.NumIndexes / 2) {
+		bytes.Terms = append(bytes.Terms, Term{int32(a), m.Size[a]})
+		bytes.RHS += m.Size[a]
+	}
+	bytes.RHS = math.Floor(bytes.RHS / 3)
+	m.Extra = []Constraint{atMost, atLeast, exactlyOne, bytes}
+	return m
+}
+
+// perturb moves the solver the way a solve does between heuristics
+// calls: new multipliers (so new scores), and fixings set and released.
+func perturb(s *solver, r *rand.Rand) {
+	for a := range s.attract {
+		s.attract[a] = r.Float64() * 12
+	}
+	for a := range s.fixedIn {
+		s.fixedIn[a], s.fixedOut[a] = false, false
+		switch r.Intn(10) {
+		case 0:
+			s.fixedIn[a] = true
+		case 1:
+			s.fixedOut[a] = true
+		}
+	}
+}
+
+// TestIncumbentStateAfterHeuristics pins the incumbent's cached state:
+// after every heuristics call it equals a from-scratch evaluation of
+// bestSel bit for bit, and each memoised one-flip outcome is the one a
+// fresh trial against the incumbent reaches.
+func TestIncumbentStateAfterHeuristics(t *testing.T) {
+	for seed := int64(1); seed <= 9; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := integerBlockModel(seed, 24, 20)
+		switch seed % 3 {
+		case 1:
+			withCostCaps(m, seed)
+		case 2:
+			withSideRows(m, r)
+		}
+		s := newTestSolver(m)
+		for round := 0; round < 40; round++ {
+			if round%4 == 3 {
+				s.subgradient(7, false) // real multipliers, heuristics at its first and last iteration
+			} else {
+				perturb(s, r)
+			}
+			zf := make([]float64, m.NumIndexes)
+			for a := range zf {
+				zf[a] = r.Float64()
+			}
+			s.heuristics(zf)
+			checkIncumbentState(t, s, seed, round)
+		}
+	}
+}
+
+func checkIncumbentState(t *testing.T, s *solver, seed int64, round int) {
+	t.Helper()
+	if s.bestSel == nil {
+		if s.inc != nil {
+			t.Fatalf("seed %d round %d: cached state without an incumbent", seed, round)
+		}
+		return
+	}
+	fresh, ok := s.newIncState(s.bestSel)
+	if !ok {
+		t.Fatalf("seed %d round %d: incumbent not evaluable", seed, round)
+	}
+	st := s.inc
+	if !slices.Equal(st.sel, fresh.sel) {
+		t.Fatalf("seed %d round %d: cached selection is not the incumbent", seed, round)
+	}
+	for bi := range fresh.blockVal {
+		if math.Float64bits(st.blockVal[bi]) != math.Float64bits(fresh.blockVal[bi]) {
+			t.Fatalf("seed %d round %d: block %d cached %v, fresh %v", seed, round, bi, st.blockVal[bi], fresh.blockVal[bi])
+		}
+	}
+	if math.Float64bits(st.total) != math.Float64bits(fresh.total) || s.bestObj != fresh.total {
+		t.Fatalf("seed %d round %d: cached total %v, incumbent %v, fresh %v", seed, round, st.total, s.bestObj, fresh.total)
+	}
+	for a, memo := range st.flip {
+		if memo == flipUntried {
+			continue
+		}
+		want := flipUntried // an improving flip: never memoised
+		fresh.sel[a] = !fresh.sel[a]
+		feasible, _ := s.m.SelectionFeasible(fresh.sel)
+		fresh.sel[a] = !fresh.sel[a]
+		if !feasible {
+			want = flipInfeasible
+		} else if obj, ok := s.flipObjective(fresh, a); !ok || obj >= s.bestObj-1e-9 {
+			want = flipRejected
+		}
+		if memo != want {
+			t.Fatalf("seed %d round %d: index %d memoised %d, a fresh trial gives %d", seed, round, a, memo, want)
+		}
+	}
+}
+
+// localSearchReference is localSearch without the memo: the incumbent
+// is evaluated afresh and every trial is priced.
+func localSearchReference(s *solver) {
+	st, _ := s.newIncState(s.bestSel)
+	evals := 0
+	try := func(a int) bool {
+		st.sel[a] = !st.sel[a]
+		feasible, _ := s.m.SelectionFeasible(st.sel)
+		st.sel[a] = !st.sel[a]
+		if !feasible {
+			return false
+		}
+		evals++
+		if obj, ok := s.flipObjective(st, a); !ok || obj >= s.bestObj-1e-9 {
+			return false
+		}
+		s.commitFlip(st, a)
+		s.setIncumbent(st)
+		return true
+	}
+	for improved := true; improved && evals < localSearchBudget; {
+		improved = false
+		var drop, add []int
+		for a, on := range st.sel {
+			if on && !s.fixedIn[a] {
+				drop = append(drop, a)
+			}
+		}
+		sort.Slice(drop, func(i, j int) bool { return s.score(drop[i]) < s.score(drop[j]) })
+		for _, a := range drop {
+			if evals >= localSearchBudget {
+				return
+			}
+			if improved = try(a); improved {
+				break
+			}
+		}
+		for a, on := range st.sel {
+			if !on && !s.fixedOut[a] && s.score(a) > 0 {
+				add = append(add, a)
+			}
+		}
+		sort.Slice(add, func(i, j int) bool { return s.score(add[i]) > s.score(add[j]) })
+		for _, a := range add[:min(len(add), 8)] {
+			if evals >= localSearchBudget {
+				return
+			}
+			if try(a) {
+				improved = true
+				break
+			}
+		}
+	}
+}
+
+// TestLocalSearchMatchesReference drives two solvers through the same
+// multipliers and fixings, one local-searching with the memo and one
+// without, and requires the same incumbent after every call: replaying
+// a memoised outcome, counted as it was when priced, must not move the
+// search.
+func TestLocalSearchMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		m := integerBlockModel(seed, 24, 40)
+		if seed%3 == 1 {
+			withCostCaps(m, seed)
+		}
+		memo, ref := newTestSolver(m), newTestSolver(m)
+		r := rand.New(rand.NewSource(seed))
+		for round := 0; round < 40; round++ {
+			perturb(memo, r)
+			copy(ref.attract, memo.attract)
+			copy(ref.fixedIn, memo.fixedIn)
+			copy(ref.fixedOut, memo.fixedOut)
+			sel := make([]bool, m.NumIndexes)
+			for a := range sel {
+				sel[a] = r.Intn(3) == 0
+			}
+			memo.tryCandidate(slices.Clone(sel))
+			ref.tryCandidate(sel)
+			if memo.bestSel == nil {
+				continue
+			}
+			memo.localSearch()
+			localSearchReference(ref)
+			if !slices.Equal(memo.bestSel, ref.bestSel) || memo.bestObj != ref.bestObj {
+				t.Fatalf("seed %d round %d: memoised search reached %v, reference %v", seed, round, memo.bestObj, ref.bestObj)
+			}
+		}
+	}
+}
+
+// greedyReference is greedyByScore with one SelectionFeasible pass per
+// candidate, the oracle its running totals must reproduce.
+func greedyReference(s *solver) []bool {
+	m := s.m
+	var order []int
+	for a := 0; a < m.NumIndexes; a++ {
+		if !s.fixedOut[a] && (s.score(a) > 0 || s.fixedIn[a]) {
+			order = append(order, a)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		ai, aj := order[i], order[j]
+		if s.fixedIn[ai] != s.fixedIn[aj] {
+			return s.fixedIn[ai]
+		}
+		return s.score(ai)/math.Max(m.Size[ai], 1) > s.score(aj)/math.Max(m.Size[aj], 1)
+	})
+	sel := make([]bool, m.NumIndexes)
+	for _, a := range order {
+		sel[a] = true
+		if ok, _ := m.SelectionFeasible(sel); !ok && !s.fixedIn[a] {
+			sel[a] = false
+		}
+	}
+	return sel
+}
+
+// TestGreedyMatchesReference pins greedyByScore's running feasibility
+// totals to per-candidate SelectionFeasible calls on whole-number
+// models with at-most, at-least, exactly-one and byte rows, under
+// fixings that include mandatory indexes breaking the rows.
+func TestGreedyMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := integerBlockModel(seed, 20, 16+int(seed%8))
+		if seed%5 != 0 {
+			withSideRows(m, r)
+		}
+		s := newTestSolver(m)
+		for round := 0; round < 20; round++ {
+			perturb(s, r)
+			if got, want := s.greedyByScore(), greedyReference(s); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: greedy %v, reference %v", seed, round, got, want)
+			}
 		}
 	}
 }

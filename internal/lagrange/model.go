@@ -21,9 +21,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // NoIndex marks an option that uses no index (the I∅ access method).
@@ -322,7 +324,7 @@ func (m *Model) SelectionFeasible(selected []bool) (bool, string) {
 				used += m.Size[a]
 			}
 		}
-		if used > m.Budget*(1+1e-12) {
+		if m.overBudget(used) {
 			return false, "storage-budget"
 		}
 	}
@@ -333,16 +335,7 @@ func (m *Model) SelectionFeasible(selected []bool) (bool, string) {
 				act += t.Coef
 			}
 		}
-		viol := false
-		switch c.Sense {
-		case lp.LE:
-			viol = act > c.RHS+1e-9
-		case lp.GE:
-			viol = act < c.RHS-1e-9
-		case lp.EQ:
-			viol = math.Abs(act-c.RHS) > 1e-9
-		}
-		if viol {
+		if c.violatedAt(act) {
 			name := c.Name
 			if name == "" {
 				name = "side-constraint"
@@ -353,13 +346,59 @@ func (m *Model) SelectionFeasible(selected []bool) (bool, string) {
 	return true, ""
 }
 
+// overBudget reports whether a selection of used bytes breaks the
+// storage budget.
+func (m *Model) overBudget(used float64) bool {
+	return m.Budget >= 0 && used > m.Budget*(1+1e-12)
+}
+
+// violatedAt reports whether the constraint is broken at activity act.
+func (c *Constraint) violatedAt(act float64) bool {
+	switch c.Sense {
+	case lp.LE:
+		return act > c.RHS+1e-9
+	case lp.GE:
+		return act < c.RHS-1e-9
+	case lp.EQ:
+		return math.Abs(act-c.RHS) > 1e-9
+	}
+	return false
+}
+
 // Evaluate returns the true objective of a selection: Σ_b w_b·(best
 // choice cost under the selection) + Σ_a FixedCost[a] + Const. The
 // second return is false if some block has no evaluable choice (cannot
 // happen for validated models) or exceeds its cost cap. The solver
-// prices every candidate incumbent with it, and its one-flip trials
-// with the same blockPrimal.
+// prices every candidate incumbent with the same pass, and its one-flip
+// trials with the same blockPrimal.
 func (m *Model) Evaluate(selected []bool) (float64, bool) {
+	return m.evaluate(selected, 1, make([]float64, len(m.Blocks)))
+}
+
+// evaluate is Evaluate with the block values computed over up to
+// workers goroutines (serially below minParallelBlocks blocks, as in
+// evalBlocks) and left in blockVal. The reduction is serial and in a
+// fixed order — Const, fixed costs in index order, weighted block
+// values in block order — so every worker count gives the same bits.
+func (m *Model) evaluate(selected []bool, workers int, blockVal []float64) (float64, bool) {
+	if len(m.Blocks) < minParallelBlocks {
+		workers = 1
+	}
+	var bad atomic.Bool
+	par.For(len(m.Blocks), workers, func(bi int) {
+		if bad.Load() {
+			return
+		}
+		v, ok := m.blockPrimal(bi, selected)
+		if cap := m.Blocks[bi].CostCap; !ok || cap > 0 && v > cap*(1+1e-9) {
+			bad.Store(true) // unevaluable, or a per-statement cost cap violated
+			return
+		}
+		blockVal[bi] = v
+	})
+	if bad.Load() {
+		return 0, false
+	}
 	total := m.Const
 	for a, sel := range selected {
 		if sel {
@@ -367,14 +406,7 @@ func (m *Model) Evaluate(selected []bool) (float64, bool) {
 		}
 	}
 	for bi := range m.Blocks {
-		v, ok := m.blockPrimal(bi, selected)
-		if !ok {
-			return 0, false
-		}
-		if cap := m.Blocks[bi].CostCap; cap > 0 && v > cap*(1+1e-9) {
-			return 0, false // per-statement cost constraint violated
-		}
-		total += m.Blocks[bi].Weight * v
+		total += m.Blocks[bi].Weight * blockVal[bi]
 	}
 	return total, true
 }

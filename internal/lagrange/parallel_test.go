@@ -2,6 +2,7 @@ package lagrange
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -50,31 +51,73 @@ func randomBlockModel(seed int64, blocks, indexes int) *Model {
 	return m
 }
 
-// TestSolveDeterministicAcrossWorkerCounts asserts the headline
-// fixed-seed determinism property: the parallel block-dual fan-out
-// with its in-order reduction must produce results identical to the
-// serial solver, and identical across repeated runs.
-func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
-	for _, seed := range []int64{1, 7, 23} {
-		m := randomBlockModel(seed, 40, 30)
-		opts := func(workers int) Options {
-			return Options{GapTol: 1e-6, RootIters: 120, MaxNodes: 8, Workers: workers}
+// integerBlockModel is randomBlockModel with whole-byte sizes and
+// budget, as BIPGen emits them.
+func integerBlockModel(seed int64, blocks, indexes int) *Model {
+	m := randomBlockModel(seed, blocks, indexes)
+	for a := range m.Size {
+		m.Size[a] = math.Floor(m.Size[a])
+	}
+	m.Budget = math.Floor(m.Budget)
+	return m
+}
+
+// withCostCaps caps every third block at a random point between its
+// value with every index and its value with none, so some selections
+// violate a cap and some satisfy all of them.
+func withCostCaps(m *Model, seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	none := make([]bool, m.NumIndexes)
+	all := make([]bool, m.NumIndexes)
+	for a := range all {
+		all[a] = true
+	}
+	for bi := range m.Blocks {
+		if bi%3 != 0 {
+			continue
 		}
+		lo, _ := m.blockPrimal(bi, all)
+		hi, _ := m.blockPrimal(bi, none)
+		m.Blocks[bi].CostCap = lo + (0.6+0.4*rng.Float64())*(hi-lo)
+	}
+	return m
+}
+
+// TestSolveDeterministicAcrossWorkerCounts asserts the headline
+// fixed-seed determinism property: the parallel block fan-outs (block
+// duals, and full primal evaluations) with their in-order reductions
+// must produce results identical to the serial solver, and identical
+// across repeated runs. The cost-capped models send the parallel
+// evaluator down its rejection path too.
+func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
+	names := []string{}
+	models := map[string]*Model{}
+	for _, seed := range []int64{1, 7, 23} {
+		plain, capped := fmt.Sprintf("seed %d", seed), fmt.Sprintf("capped seed %d", seed)
+		names = append(names, plain, capped)
+		models[plain] = randomBlockModel(seed, 40, 30)
+		models[capped] = withCostCaps(randomBlockModel(seed, 16+int(seed), 30), seed)
+	}
+	opts := func(workers int) Options {
+		return Options{GapTol: 1e-6, RootIters: 120, MaxNodes: 8, Workers: workers}
+	}
+	for _, name := range names {
+		m := models[name]
 		serial := Solve(m, opts(1))
 		for _, workers := range []int{2, 4} {
 			par := Solve(m, opts(workers))
 			if !reflect.DeepEqual(serial.Selected, par.Selected) {
-				t.Fatalf("seed %d: selections differ between 1 and %d workers", seed, workers)
+				t.Fatalf("%s: selections differ between 1 and %d workers", name, workers)
 			}
 			if serial.Objective != par.Objective || serial.Lower != par.Lower ||
 				serial.Iters != par.Iters || serial.Nodes != par.Nodes {
-				t.Fatalf("seed %d: result differs between 1 and %d workers: %+v vs %+v",
-					seed, workers, serial, par)
+				t.Fatalf("%s: result differs between 1 and %d workers: %+v vs %+v",
+					name, workers, serial, par)
 			}
 		}
 		again := Solve(m, opts(4))
 		if !reflect.DeepEqual(serial.Selected, again.Selected) || serial.Objective != again.Objective {
-			t.Fatalf("seed %d: repeated solve differs", seed)
+			t.Fatalf("%s: repeated solve differs", name)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package lagrange
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bip"
@@ -57,11 +58,12 @@ type Options struct {
 	// is the request-deadline path of the daemon — a cancelled HTTP
 	// request stops burning solver time mid-solve.
 	Ctx context.Context
-	// Workers bounds the goroutines evaluating block duals per
-	// subgradient iteration (0 = GOMAXPROCS, 1 = serial). Blocks share
-	// only λ within an iteration, read-only, and the reduction is
-	// performed serially in block order, so any worker count produces
-	// bit-identical results.
+	// Workers bounds the goroutines evaluating blocks (0 = GOMAXPROCS,
+	// 1 = serial): the block duals of every subgradient iteration and
+	// the block values of every full primal evaluation (a heuristic's
+	// candidate selection, a MIP start). Blocks share only read-only
+	// state within one pass, and each pass is reduced serially in block
+	// order, so any worker count produces bit-identical results.
 	Workers int
 	// Start is a MIP start: an initial selection used as incumbent
 	// when feasible.
@@ -130,13 +132,21 @@ type solver struct {
 	// change the primal value of any block that never references a.
 	incidence [][]int32
 
-	// workers is the block-dual pool size; blockVal and blockUses are
-	// the per-iteration result arrays (indexed by block, written by
-	// exactly one worker each), and scratches the per-worker buffers.
+	// rowTerms[a] lists index a's coefficients in the side constraints
+	// (m.Extra), for the greedy heuristic's running row activities.
+	rowTerms [][]rowTerm
+
+	// workers is the block pool size; blockVal and blockUses are the
+	// per-iteration result arrays (indexed by block, written by exactly
+	// one worker each), and scratches the per-worker buffers.
 	workers   int
 	blockVal  []float64
 	blockUses [][]int32
 	scratches []blockScratch
+	// mark flags, during the λ step, the groups of one block that its
+	// winning choice uses; it is sized to the largest block and all
+	// false between blocks.
+	mark []bool
 	// zProb is the z-polytope LP, built once and retuned in place each
 	// iteration (only the objective and branching fixings move), and
 	// zBasis the basis carried across its re-solves, so each re-solve
@@ -158,8 +168,19 @@ type solver struct {
 
 	bestSel []bool
 	bestObj float64
-	lower   float64
-	events  func(Event)
+	// inc is the incumbent's cached state (see setIncumbent): bestSel's
+	// block values and memoised one-flip outcomes. Nil until there is an
+	// incumbent.
+	inc    *incState
+	lower  float64
+	events func(Event)
+}
+
+// rowTerm is one side-constraint coefficient of an index: row row of
+// m.Extra carries coef on it.
+type rowTerm struct {
+	row  int32
+	coef float64
 }
 
 // Solve optimizes the model.
@@ -184,6 +205,61 @@ func Solve(m *Model, opts Options) Result {
 		return Result{Infeasible: true, Gap: math.Inf(1)}
 	}
 
+	s := newSolver(m, opts)
+	if len(opts.Warm) > 0 {
+		s.applyWarm(opts.Warm)
+	}
+	if opts.Start != nil && len(opts.Start) == m.NumIndexes {
+		if ok, _ := m.SelectionFeasible(opts.Start); ok {
+			if st, ok := s.newIncState(opts.Start); ok {
+				s.setIncumbent(st)
+			}
+		}
+	}
+
+	// Root relaxation.
+	rootLB, zFrac, used := s.subgradient(opts.RootIters, true)
+	if rootLB > s.lower {
+		s.lower = rootLB
+	}
+	s.emit()
+
+	// Branch and bound to close the gap.
+	if s.gap() > opts.GapTol && opts.MaxNodes > 0 && !s.timeUp() {
+		s.branch(rootLB, zFrac, used, opts.MaxNodes)
+	}
+
+	if s.bestSel == nil {
+		// Fall back to the empty selection when it is genuinely
+		// feasible (it may not be under per-statement cost caps).
+		empty := make([]bool, m.NumIndexes)
+		if ok, _ := m.SelectionFeasible(empty); ok {
+			if st, ok := s.newIncState(empty); ok {
+				s.setIncumbent(st)
+			}
+		}
+	}
+	if s.bestSel == nil {
+		// No incumbent at all: the z polytope is feasible but the
+		// cost caps reject every selection the search visited.
+		return Result{Infeasible: true, Gap: math.Inf(1), Lower: s.lower, Iters: s.iters, Nodes: s.nodeCount}
+	}
+	s.dropRedundant()
+	gap := s.gap()
+	return Result{
+		Selected:  s.bestSel,
+		Objective: s.bestObj,
+		Lower:     s.lower,
+		Gap:       gap,
+		Iters:     s.iters,
+		Nodes:     s.nodeCount,
+		Lambda:    s.exportLambda(),
+	}
+}
+
+// newSolver allocates the working state of a solve with opts already
+// defaulted, and compiles the model into it.
+func newSolver(m *Model, opts Options) *solver {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -211,56 +287,7 @@ func Solve(m *Model, opts Options) Result {
 		tr:        obs.TraceFrom(opts.Ctx),
 	}
 	s.compile()
-	if len(opts.Warm) > 0 {
-		s.applyWarm(opts.Warm)
-	}
-	if opts.Start != nil && len(opts.Start) == m.NumIndexes {
-		if ok, _ := m.SelectionFeasible(opts.Start); ok {
-			if obj, ok2 := m.Evaluate(opts.Start); ok2 {
-				s.bestSel = append([]bool(nil), opts.Start...)
-				s.bestObj = obj
-			}
-		}
-	}
-
-	// Root relaxation.
-	rootLB, zFrac, used := s.subgradient(opts.RootIters, true)
-	if rootLB > s.lower {
-		s.lower = rootLB
-	}
-	s.emit()
-
-	// Branch and bound to close the gap.
-	if s.gap() > opts.GapTol && opts.MaxNodes > 0 && !s.timeUp() {
-		s.branch(rootLB, zFrac, used, opts.MaxNodes)
-	}
-
-	if s.bestSel == nil {
-		// Fall back to the empty selection when it is genuinely
-		// feasible (it may not be under per-statement cost caps).
-		empty := make([]bool, m.NumIndexes)
-		if ok, _ := m.SelectionFeasible(empty); ok {
-			if obj, evalOK := m.Evaluate(empty); evalOK {
-				s.bestSel, s.bestObj = empty, obj
-			}
-		}
-	}
-	if s.bestSel == nil {
-		// No incumbent at all: the z polytope is feasible but the
-		// cost caps reject every selection the search visited.
-		return Result{Infeasible: true, Gap: math.Inf(1), Lower: s.lower, Iters: s.iters, Nodes: s.nodeCount}
-	}
-	s.dropRedundant()
-	gap := s.gap()
-	return Result{
-		Selected:  s.bestSel,
-		Objective: s.bestObj,
-		Lower:     s.lower,
-		Gap:       gap,
-		Iters:     s.iters,
-		Nodes:     s.nodeCount,
-		Lambda:    s.exportLambda(),
-	}
+	return s
 }
 
 // compile derives the solver's own state from the model: it enumerates
@@ -304,6 +331,15 @@ func (s *solver) compile() {
 		s.groupIdx[bi] = groupIdx
 		s.lam[bi] = make([]float64, len(groupIdx))
 		base += len(groupIdx)
+		if len(groupIdx) > len(s.mark) {
+			s.mark = make([]bool, len(groupIdx))
+		}
+	}
+	s.rowTerms = make([][]rowTerm, m.NumIndexes)
+	for r, c := range m.Extra {
+		for _, t := range c.Terms {
+			s.rowTerms[t.Index] = append(s.rowTerms[t.Index], rowTerm{int32(r), t.Coef})
+		}
 	}
 }
 
@@ -634,7 +670,9 @@ func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 		}
 		return val, z
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].density < items[j].density })
+	// The same pdqsort as sort.Slice, so equal densities end in the same
+	// order, without sort.Slice's reflective swaps.
+	slices.SortFunc(items, func(x, y item) int { return cmp.Compare(x.density, y.density) })
 	for _, it := range items {
 		if budget <= 0 {
 			break
@@ -737,20 +775,30 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 		// 4. Subgradient step on λ: g_ba = x_ba − z_a.
 		// Each site's multiplier is applied inside the weighted block
 		// term, so its effective coefficient is w_b·λ_site and the
-		// subgradient component is w_b·(x_site − z_a).
+		// subgradient component is w_b·(x_site − z_a). x_ba is read
+		// from s.mark, set from the block's winning groups before
+		// its loop and cleared after it, in both passes.
+		mark := s.mark
 		norm := 0.0
 		for bi := range m.Blocks {
 			wt := m.Blocks[bi].Weight
+			lam := s.lam[bi]
+			for _, k := range blockUses[bi] {
+				mark[k] = true
+			}
 			for k, id := range s.groupIdx[bi] {
 				var g float64
-				if contains(blockUses[bi], int32(k)) {
+				if mark[k] {
 					g = wt * (1 - zf[id])
-				} else if zf[id] > 0 || s.lam[bi][k] > 0 {
+				} else if zf[id] > 0 || lam[k] > 0 {
 					g = -wt * zf[id]
 				} else {
 					continue
 				}
 				norm += g * g
+			}
+			for _, k := range blockUses[bi] {
+				mark[k] = false
 			}
 		}
 		if norm < 1e-12 {
@@ -770,9 +818,12 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 		for bi := range m.Blocks {
 			wt := m.Blocks[bi].Weight
 			lam := s.lam[bi]
+			for _, k := range blockUses[bi] {
+				mark[k] = true
+			}
 			for k, id := range s.groupIdx[bi] {
 				var g float64
-				if contains(blockUses[bi], int32(k)) {
+				if mark[k] {
 					g = wt * (1 - zf[id])
 				} else if zf[id] > 0 || lam[k] > 0 {
 					g = -wt * zf[id]
@@ -786,16 +837,10 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 				s.attract[id] += wt * (nv - lam[k])
 				lam[k] = nv
 			}
+			for _, k := range blockUses[bi] {
+				mark[k] = false
+			}
 		}
 	}
 	return bestLB, zLast, usedLast
-}
-
-func contains(xs []int32, v int32) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
