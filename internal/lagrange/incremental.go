@@ -85,8 +85,9 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 	} else {
 		total += s.m.FixedCost[a]
 	}
-	for _, bi := range s.incidence[a] {
-		v, ok := s.m.blockPrimal(int(bi), st.sel)
+	for _, e := range s.incidence[a] {
+		bi := int(e.block)
+		v, ok := s.m.blockPrimal(bi, st.sel)
 		if !ok {
 			return 0, false
 		}
@@ -106,9 +107,9 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 // flipObjective reported ok.
 func (s *solver) commitFlip(st *incState, a int) {
 	st.sel[a] = !st.sel[a]
-	for _, bi := range s.incidence[a] {
-		v, _ := s.m.blockPrimal(int(bi), st.sel)
-		st.blockVal[bi] = v
+	for _, e := range s.incidence[a] {
+		v, _ := s.m.blockPrimal(int(e.block), st.sel)
+		st.blockVal[e.block] = v
 	}
 	st.total = s.totalOf(st)
 	clear(st.flip)

@@ -20,7 +20,7 @@ func newTestSolver(m *Model) *solver {
 }
 
 // TestIncidenceListsComplete checks that incidence[a] names exactly the
-// blocks with an option on index a.
+// blocks with an option on index a, ascending, each with a's group.
 func TestIncidenceListsComplete(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 20; trial++ {
@@ -45,9 +45,16 @@ func TestIncidenceListsComplete(t *testing.T) {
 			if len(s.incidence[a]) != len(want[a]) {
 				t.Fatalf("trial %d: index %d incidence %v, want %d blocks", trial, a, s.incidence[a], len(want[a]))
 			}
-			for _, bi := range s.incidence[a] {
-				if !want[a][bi] {
-					t.Fatalf("trial %d: index %d incidence lists block %d without an option", trial, a, bi)
+			for i, e := range s.incidence[a] {
+				if !want[a][e.block] {
+					t.Fatalf("trial %d: index %d incidence lists block %d without an option", trial, a, e.block)
+				}
+				if i > 0 && s.incidence[a][i-1].block >= e.block {
+					t.Fatalf("trial %d: index %d incidence %v not ascending", trial, a, s.incidence[a])
+				}
+				if s.groupIdx[e.block][e.group] != int32(a) {
+					t.Fatalf("trial %d: index %d incidence names group %d of block %d, which is index %d",
+						trial, a, e.group, e.block, s.groupIdx[e.block][e.group])
 				}
 			}
 		}

@@ -127,10 +127,12 @@ type solver struct {
 	attract []float64
 
 	// incidence[a] lists the blocks (ascending, deduplicated) with at
-	// least one option using index a. One-flip incumbent trials in the
-	// local search re-evaluate only these blocks: a flip of a cannot
-	// change the primal value of any block that never references a.
-	incidence [][]int32
+	// least one option using index a, each with a's group position in
+	// that block. One-flip incumbent trials in the local search
+	// re-evaluate only these blocks: a flip of a cannot change the
+	// primal value of any block that never references a. The λ step
+	// reaches the groups of the indexes with z_a ≠ 0 through it.
+	incidence [][]blockGroup
 
 	// rowTerms[a] lists index a's coefficients in the side constraints
 	// (m.Extra), for the greedy heuristic's running row activities.
@@ -143,10 +145,13 @@ type solver struct {
 	blockVal  []float64
 	blockUses [][]int32
 	scratches []blockScratch
-	// mark flags, during the λ step, the groups of one block that its
-	// winning choice uses; it is sized to the largest block and all
-	// false between blocks.
-	mark []bool
+	// moves[bi] lists, during the λ step, the groups of block bi whose
+	// multiplier the step can change (see collectMoves). rc and items
+	// are the z subproblem's objective and knapsack candidates. All
+	// three are rebuilt every iteration into the same storage.
+	moves [][]uint32
+	rc    []float64
+	items []knapItem
 	// zProb is the z-polytope LP, built once and retuned in place each
 	// iteration (only the objective and branching fixings move), and
 	// zBasis the basis carried across its re-solves, so each re-solve
@@ -174,6 +179,12 @@ type solver struct {
 	inc    *incState
 	lower  float64
 	events func(Event)
+}
+
+// blockGroup names one multiplier group: position group of
+// lam[block]/groupIdx[block].
+type blockGroup struct {
+	block, group int32
 }
 
 // rowTerm is one side-constraint coefficient of an index: row row of
@@ -277,7 +288,9 @@ func newSolver(m *Model, opts Options) *solver {
 		workers:   workers,
 		blockVal:  make([]float64, len(m.Blocks)),
 		blockUses: make([][]int32, len(m.Blocks)),
+		moves:     make([][]uint32, len(m.Blocks)),
 		scratches: make([]blockScratch, workers),
+		rc:        make([]float64, m.NumIndexes),
 		start:     time.Now(),
 		fixedIn:   make([]bool, m.NumIndexes),
 		fixedOut:  make([]bool, m.NumIndexes),
@@ -299,14 +312,15 @@ func (s *solver) compile() {
 	s.lam = make([][]float64, len(m.Blocks))
 	s.siteGroup = make([][]int32, len(m.Blocks))
 	s.groupIdx = make([][]int32, len(m.Blocks))
-	s.incidence = make([][]int32, m.NumIndexes)
 	// groupAt[a] is base + the group of index a in the block that last
 	// used it, base being the groups allocated before that block: a
 	// value below the current block's base means "not seen here yet".
+	// blocksOf[a] counts the blocks with a group on a.
 	groupAt := make([]int, m.NumIndexes)
 	for a := range groupAt {
 		groupAt[a] = -1
 	}
+	blocksOf := make([]int, m.NumIndexes)
 	base := 0
 	for bi := range m.Blocks {
 		var siteGroup []int32
@@ -320,8 +334,8 @@ func (s *solver) compile() {
 					}
 					if groupAt[o.Index] < base {
 						groupAt[o.Index] = base + len(groupIdx)
+						blocksOf[o.Index]++
 						groupIdx = append(groupIdx, o.Index)
-						s.incidence[o.Index] = append(s.incidence[o.Index], int32(bi))
 					}
 					siteGroup = append(siteGroup, int32(groupAt[o.Index]-base))
 				}
@@ -331,8 +345,17 @@ func (s *solver) compile() {
 		s.groupIdx[bi] = groupIdx
 		s.lam[bi] = make([]float64, len(groupIdx))
 		base += len(groupIdx)
-		if len(groupIdx) > len(s.mark) {
-			s.mark = make([]bool, len(groupIdx))
+	}
+	// The incidence lists are windows into one array of all groups,
+	// filled block by block so each list comes out ascending.
+	s.incidence = make([][]blockGroup, m.NumIndexes)
+	all := make([]blockGroup, base)
+	for a, n := range blocksOf {
+		s.incidence[a], all = all[:0:n], all[n:]
+	}
+	for bi, groupIdx := range s.groupIdx {
+		for k, a := range groupIdx {
+			s.incidence[a] = append(s.incidence[a], blockGroup{int32(bi), int32(k)})
 		}
 	}
 	s.rowTerms = make([][]rowTerm, m.NumIndexes)
@@ -588,10 +611,13 @@ const minParallelBlocks = 16
 
 // zSubproblem minimizes Σ (FixedCost[a] − attract[a])·z_a over the
 // relaxed z polytope. It returns the optimal value (a valid lower-
-// bound component) and the fractional minimizer.
+// bound component) and the fractional minimizer, freshly allocated
+// because callers keep it.
 func (s *solver) zSubproblem() (float64, []float64) {
 	m := s.m
-	rc := make([]float64, m.NumIndexes)
+	// rc may be reused across iterations: the LP copies its objective
+	// (Problem.SetObj) and the knapsack reads it only within the call.
+	rc := s.rc
 	for a := range rc {
 		rc[a] = m.FixedCost[a] - s.attract[a]
 	}
@@ -624,6 +650,13 @@ func (s *solver) zSubproblem() (float64, []float64) {
 	return sol.Obj, sol.X
 }
 
+// knapItem is an index the fractional knapsack may take: one with
+// negative reduced cost, and its cost per byte.
+type knapItem struct {
+	a       int
+	density float64
+}
+
 // fractionalKnapsack solves min Σ rc·z, Σ size·z ≤ Budget, z ∈ [0,1]
 // greedily (plus fixed variables). Negative-cost items are taken in
 // order of density until the budget binds.
@@ -646,11 +679,7 @@ func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 	if !unlimited && budget < 0 {
 		return math.Inf(1), nil // fixings exceed the budget
 	}
-	type item struct {
-		a       int
-		density float64
-	}
-	items := make([]item, 0, m.NumIndexes)
+	items := s.items[:0]
 	for a := 0; a < m.NumIndexes; a++ {
 		if s.fixedIn[a] || s.fixedOut[a] || rc[a] >= 0 {
 			continue
@@ -661,8 +690,9 @@ func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 			val += rc[a]
 			continue
 		}
-		items = append(items, item{a, rc[a] / sz})
+		items = append(items, knapItem{a, rc[a] / sz})
 	}
+	s.items = items
 	if unlimited {
 		for _, it := range items {
 			z[it.a] = 1
@@ -672,7 +702,7 @@ func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 	}
 	// The same pdqsort as sort.Slice, so equal densities end in the same
 	// order, without sort.Slice's reflective swaps.
-	slices.SortFunc(items, func(x, y item) int { return cmp.Compare(x.density, y.density) })
+	slices.SortFunc(items, func(x, y knapItem) int { return cmp.Compare(x.density, y.density) })
 	for _, it := range items {
 		if budget <= 0 {
 			break
@@ -773,34 +803,7 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 		}
 
 		// 4. Subgradient step on λ: g_ba = x_ba − z_a.
-		// Each site's multiplier is applied inside the weighted block
-		// term, so its effective coefficient is w_b·λ_site and the
-		// subgradient component is w_b·(x_site − z_a). x_ba is read
-		// from s.mark, set from the block's winning groups before
-		// its loop and cleared after it, in both passes.
-		mark := s.mark
-		norm := 0.0
-		for bi := range m.Blocks {
-			wt := m.Blocks[bi].Weight
-			lam := s.lam[bi]
-			for _, k := range blockUses[bi] {
-				mark[k] = true
-			}
-			for k, id := range s.groupIdx[bi] {
-				var g float64
-				if mark[k] {
-					g = wt * (1 - zf[id])
-				} else if zf[id] > 0 || lam[k] > 0 {
-					g = -wt * zf[id]
-				} else {
-					continue
-				}
-				norm += g * g
-			}
-			for _, k := range blockUses[bi] {
-				mark[k] = false
-			}
-		}
+		norm := s.stepNorm(zf)
 		if norm < 1e-12 {
 			break
 		}
@@ -815,32 +818,91 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 		if step <= 0 {
 			step = math.Abs(lb)*1e-6 + 1e-6
 		}
-		for bi := range m.Blocks {
-			wt := m.Blocks[bi].Weight
-			lam := s.lam[bi]
-			for _, k := range blockUses[bi] {
-				mark[k] = true
-			}
-			for k, id := range s.groupIdx[bi] {
-				var g float64
-				if mark[k] {
-					g = wt * (1 - zf[id])
-				} else if zf[id] > 0 || lam[k] > 0 {
-					g = -wt * zf[id]
-				} else {
-					continue
-				}
-				nv := lam[k] + step*g
-				if nv < 0 {
-					nv = 0
-				}
-				s.attract[id] += wt * (nv - lam[k])
-				lam[k] = nv
-			}
-			for _, k := range blockUses[bi] {
-				mark[k] = false
+		s.stepLambda(zf, step)
+	}
+	return bestLB, zLast, usedLast
+}
+
+// collectMoves lists in s.moves[bi] the groups of block bi whose
+// multiplier the λ step can change, in group position order, one entry
+// per group: the groups of the block's winning choice (x = 1), the
+// groups of every index with z_a > 0, and those of an index with
+// z_a < 0 (LP round-off) whose λ is positive. Any other group has x = 0
+// and either z_a = 0, so g = −w_b·z_a is ±0, which adds +0 to the norm
+// and leaves λ and attract bit for bit as they are, or z_a < 0 with
+// λ = 0, which the step has always skipped (it would only raise λ by
+// round-off). Visiting the listed groups block by block therefore
+// reproduces a walk over all groups exactly.
+//
+// An entry is group<<1 | unmarked, so plain ascending order is group
+// order with a group's x = 1 entry ahead of its z entry, and
+// compacting by group keeps the x = 1 one. A block's list holds a
+// handful of entries, so sorting it is an insertion sort.
+func (s *solver) collectMoves(zf []float64) {
+	for bi, uses := range s.blockUses {
+		mv := s.moves[bi][:0]
+		for _, k := range uses {
+			mv = append(mv, uint32(k)<<1)
+		}
+		s.moves[bi] = mv
+	}
+	for a, z := range zf {
+		if z == 0 {
+			continue
+		}
+		for _, e := range s.incidence[a] {
+			if z > 0 || s.lam[e.block][e.group] > 0 {
+				s.moves[e.block] = append(s.moves[e.block], uint32(e.group)<<1|1)
 			}
 		}
 	}
-	return bestLB, zLast, usedLast
+	for bi, mv := range s.moves {
+		slices.Sort(mv)
+		s.moves[bi] = slices.CompactFunc(mv, func(x, y uint32) bool { return x>>1 == y>>1 })
+	}
+}
+
+// grad is the subgradient component of λ-step entry e in a block of
+// weight wt, its index at z. Each group's multiplier is applied inside
+// the weighted block term, so its effective coefficient is w_b·λ and
+// its component is w_b·(x − z_a).
+func grad(e uint32, wt, z float64) float64 {
+	if e&1 == 0 {
+		return wt * (1 - z)
+	}
+	return -wt * z
+}
+
+// stepNorm collects the groups the λ step can move under the block
+// duals in blockUses and the z subproblem's point zf, and returns the
+// squared norm of the subgradient.
+func (s *solver) stepNorm(zf []float64) float64 {
+	s.collectMoves(zf)
+	norm := 0.0
+	for bi, mv := range s.moves {
+		wt, groupIdx := s.m.Blocks[bi].Weight, s.groupIdx[bi]
+		for _, e := range mv {
+			g := grad(e, wt, zf[groupIdx[e>>1]])
+			norm += g * g
+		}
+	}
+	return norm
+}
+
+// stepLambda moves the multipliers stepNorm collected by step along the
+// subgradient, projected onto λ ≥ 0, and keeps attract in step.
+func (s *solver) stepLambda(zf []float64, step float64) {
+	for bi, mv := range s.moves {
+		wt, lam, groupIdx := s.m.Blocks[bi].Weight, s.lam[bi], s.groupIdx[bi]
+		for _, e := range mv {
+			k := e >> 1
+			g := grad(e, wt, zf[groupIdx[k]])
+			nv := lam[k] + step*g
+			if nv < 0 {
+				nv = 0
+			}
+			s.attract[groupIdx[k]] += wt * (nv - lam[k])
+			lam[k] = nv
+		}
+	}
 }
