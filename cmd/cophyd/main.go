@@ -2,7 +2,7 @@
 // long-running HTTP API over one advisor: statements stream in through
 // POST /ingest and aggregate into a live, exponentially decayed
 // workload; POST /whatif prices hypothetical configurations from the
-// sharded INUM cache with no global lock; POST /recommend solves the
+// INUM shape cache with no daemon-wide lock; POST /recommend solves the
 // index-selection problem over the live workload, warm-starting each
 // re-solve from the previous session state so small ingestion deltas
 // re-optimize incrementally.

@@ -113,12 +113,15 @@ func (ad *Advisor) instance(w *workload.Workload, s []*catalog.Index) *Instance 
 // once: instance → INUM preparation → BIPGen → constraint compilation.
 // Every model the advisor solves is built here, over the compiled state
 // cs the caller keeps (empty for a first build), which the build brings
-// up to date in place.
+// up to date in place. INUM preparation is the template lookups of the
+// statements cs holds no slab for; a kept slab costs none.
 func (ad *Advisor) prepare(ctx context.Context, cs *compiled, w *workload.Workload, s []*catalog.Index, cons Constraints) (*Instance, *lagrange.Model, Timings, error) {
 	inst := ad.instance(w, s)
 
 	t0 := time.Now()
-	ad.Inum.PrepareCtx(ctx, w)
+	stop := obs.TraceFrom(ctx).StartSpan("inum.prepare")
+	ad.Inum.PrepareMatrix(&cs.mat, w, ad.workers)
+	stop()
 	times := Timings{INUM: time.Since(t0)}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, Timings{}, err

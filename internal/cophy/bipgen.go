@@ -48,9 +48,9 @@ func BuildModel(inst *Instance) (*lagrange.Model, error) {
 // compiled is the weight-free part of a built problem, which a session
 // keeps between solves: the dense γ matrix over (statements, candidates)
 // and the choices derived from each of its slabs. It is a pure function
-// of (INUM cache entries, candidate list, baseline), so it stays valid
-// whatever becomes of the solve it was built for. The zero value is the
-// empty state.
+// of (statements, candidate list, baseline), so it stays valid whatever
+// becomes of the solve it was built for. The zero value is the empty
+// state.
 type compiled struct {
 	mat inum.CostMatrix
 	// choices holds, per slab of mat, the block choices built from it in

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/inum"
 	"repro/internal/lagrange"
 	"repro/internal/lp"
 	"repro/internal/tpch"
@@ -192,14 +193,6 @@ func TestSessionIncrementalDifferential(t *testing.T) {
 			}
 			both(func(r *diffRig) { r.se.Compact(live) })
 		}},
-		{"evict-live", func() {
-			id := active[rng.Intn(len(active))].ID()
-			both(func(r *diffRig) {
-				if r.ad.Inum.Evict(id) == 0 {
-					t.Fatalf("evict-live: %s had no cache entry", id)
-				}
-			})
-		}},
 		{"cancelled-solve", func() {
 			both(func(r *diffRig) {
 				ctx, cancel := context.WithCancel(context.Background())
@@ -238,6 +231,8 @@ func TestSessionIncrementalDifferential(t *testing.T) {
 // TestResolveSlotCostCalls pins what a re-solve may spend in the γ
 // kernel: nothing when no γ value changed, and exactly the appended
 // candidates' or statements' share of a from-nothing compile otherwise.
+// A re-solve looks up no template set for a statement it kept a slab
+// for.
 func TestResolveSlotCostCalls(t *testing.T) {
 	ad, cat, eng := testAdvisor(t)
 	all := workload.Hom(workload.HomConfig{Queries: 36, Seed: 80})
@@ -265,8 +260,12 @@ func TestResolveSlotCostCalls(t *testing.T) {
 	if got, want := resolveCalls(se), compileCalls(w, s); got != want || want == 0 {
 		t.Fatalf("cold solve made %d γ evaluations, a compile makes %d", got, want)
 	}
+	hits, misses := ad.Inum.ShapeStats()
 	if got := resolveCalls(se); got != 0 {
 		t.Fatalf("no-op re-solve made %d γ evaluations", got)
+	}
+	if h, m := ad.Inum.ShapeStats(); h+m != hits+misses {
+		t.Fatalf("no-op re-solve made %d INUM lookups", h+m-hits-misses)
 	}
 	se.SetConstraints(FractionOfData(cat, 0.8))
 	if got := resolveCalls(se); got != 0 {
@@ -293,16 +292,58 @@ func TestResolveSlotCostCalls(t *testing.T) {
 	if got := resolveCalls(se); got != want || want <= 0 {
 		t.Fatalf("re-solve after appending %d statements made %d γ evaluations, want theirs alone = %d", len(appended), got, want)
 	}
+}
 
-	// An evicted statement comes back as a new cache entry, which no slab
-	// was compiled from.
-	evicted := all.Statements[7]
-	if ad.Inum.Evict(evicted.ID()) == 0 {
-		t.Fatalf("%s had no cache entry", evicted.ID())
+// TestSessionCollidingIDs: a session solved on one generated workload and
+// then handed another that reuses its statement IDs for different
+// statements must build what a fresh advisor builds for the second
+// workload, and solve as a control session with the same warm state
+// whose INUM cache and compiled problem were thrown away. Kept state is
+// matched by statement identity, never by ID.
+func TestSessionCollidingIDs(t *testing.T) {
+	ad, cat, _ := testAdvisor(t)
+	first := workload.Hom(workload.HomConfig{Queries: 30, Seed: 1})
+	second := workload.Hom(workload.HomConfig{Queries: 30, Seed: 2})
+	cands := Candidates(cat, &workload.Workload{Statements: append(append([]*workload.Statement(nil), first.Statements...), second.Statements...)}, CGenOptions{Covering: true})
+	cons := FractionOfData(cat, 0.5)
+
+	ctlAd := NewAdvisor(cat, engine.New(cat, engine.SystemA()), ad.Opts)
+	se, ctl := ad.NewSession(first, cands, cons), ctlAd.NewSession(first, cands, cons)
+	for _, s := range []*Session{se, ctl} {
+		if res, err := s.Solve(); err != nil || res.Infeasible {
+			t.Fatalf("first solve: %+v, %v", res, err)
+		}
+		s.SetWorkload(second)
 	}
-	want = compileCalls(&workload.Workload{Statements: []*workload.Statement{evicted}}, cands)
-	ad.Inum.Evict(evicted.ID())
-	if got := resolveCalls(se); got != want || want <= 0 {
-		t.Fatalf("re-solve after evicting %s made %d γ evaluations, want its slab's %d", evicted.ID(), got, want)
+	_, got, _, err := ad.prepare(context.Background(), &se.built, se.w, se.s, se.cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewAdvisor(cat, engine.New(cat, engine.SystemA()), ad.Opts)
+	inst := fresh.instance(second, cands)
+	want, err := BuildModel(inst)
+	if err == nil {
+		err = applyConstraints(inst, want, cons)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("model built over a colliding-ID workload differs from a fresh advisor's")
+	}
+
+	ctlAd.Inum = inum.New(ctlAd.Eng)
+	ctl.built = compiled{}
+	a, err := se.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ctl.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Selected, b.Selected) || a.EstCost != b.EstCost || a.Lower != b.Lower {
+		t.Fatalf("colliding-ID session solved to (%v, %v), the control to (%v, %v)", a.EstCost, a.Lower, b.EstCost, b.Lower)
 	}
 }

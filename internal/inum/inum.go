@@ -12,19 +12,16 @@
 package inum
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
@@ -122,41 +119,36 @@ func (t *Template) appendSig(buf []byte) []byte {
 	return buf
 }
 
-// QueryInfo is the INUM cache entry for one query: its template plans
-// TPlans(q). It is immutable once PrepareQuery has published it.
+// QueryInfo is one query with its template plans TPlans(q). The
+// templates are the shape cache's immutable set, shared by every query
+// of the same shape.
 type QueryInfo struct {
 	Query     *workload.Query
 	Templates []*Template
 }
 
-// Cache is the INUM layer over one engine. It is safe for concurrent
-// use: the query map is striped into shards keyed by a hash of the
-// query ID, so concurrent PrepareQuery/Info calls on different queries
-// do not serialize on one lock.
-//
-// The cache is two-level. The outer level maps statement IDs to
-// QueryInfo entries. The inner level maps shape
-// fingerprints (engine.ShapeFingerprint) to derived template sets, so
-// statements that differ only in constants the histograms price
-// identically share one derivation: the second and later statements of
-// a shape skip every what-if optimizer call.
+// Cache is the INUM layer over one engine. It remembers shapes, not
+// statements: one map from shape fingerprint (engine.ShapeFingerprint)
+// to the derived template set, so statements that differ only in
+// constants the histograms price identically share one derivation, and
+// the second and later statements of a shape skip every what-if
+// optimizer call. Nothing is keyed by statement ID, so no ID can name
+// the wrong statement. It is safe for concurrent use.
 type Cache struct {
 	Eng *engine.Engine
 
-	shards      []cacheShard
-	shapeShards []shapeShard
+	// mu guards the shape map, its FIFO order and the counters below.
+	mu     sync.Mutex
+	shapes map[string]*shapeEntry
+	// order is the insertion order maxShapes evicts in.
+	order []string
 
-	shapeHits   atomic.Int64
-	shapeMisses atomic.Int64
-
-	// statMu guards the prep counters below.
-	statMu sync.Mutex
-	// PrepCalls counts the what-if optimizations spent preparing
-	// template plans (the "INUM time" component of the paper's
-	// breakdowns). Read it only after concurrent preparation settles.
+	hits, misses, evictions int64
+	// PrepCalls counts the what-if optimizations spent deriving template
+	// plans (the "INUM time" component of the paper's breakdowns). Read
+	// it only after concurrent preparation settles, or through
+	// PrepStats.
 	PrepCalls int64
-	// PrepDuration is the wall time spent in Prepare.
-	PrepDuration time.Duration
 
 	// MaxTemplates caps K_q per query.
 	MaxTemplates int
@@ -165,189 +157,95 @@ type Cache struct {
 	MaxCombos int
 }
 
-// cacheShard is one stripe of the query map: mutex (8) + map header
-// (8) + pad = 64 bytes, so neighboring stripes never share a cache
-// line.
-type cacheShard struct {
-	mu      sync.Mutex
-	queries map[string]*QueryInfo
-	_       [48]byte
-}
-
-// shapeShard is one stripe of the shape → templates map. Entries are
-// inserted before derivation starts (singleflight): the first goroutine
-// to claim a fingerprint derives the templates while later arrivals
-// block on ready, so a burst of same-shape statements costs exactly one
-// set of optimizer calls.
-type shapeShard struct {
-	mu     sync.Mutex
-	shapes map[string]*shapeEntry
-	// order tracks insertion order for FIFO eviction.
-	order []string
-	_     [24]byte
-}
-
-// shapeEntry is one shape-cache slot. templates is written once, before
-// ready closes, and never mutated after.
+// shapeEntry is one shape-cache slot. Entries are inserted before
+// derivation starts (singleflight): the first goroutine to claim a
+// fingerprint derives the templates while later arrivals block on ready,
+// so a burst of same-shape statements costs exactly one set of optimizer
+// calls. templates is written once, before ready closes, and never
+// mutated after.
 type shapeEntry struct {
 	ready     chan struct{}
 	templates []*Template
 }
 
-// shapeCapPerShard bounds each stripe (so the whole cache holds at most
-// shards×cap shapes, ~4096 at the default stripe count). Eviction is
-// FIFO and skips entries still being derived, so a long-running
-// derivation can never be yanked out from under its waiters.
-const shapeCapPerShard = 64
+// derived reports whether the entry's templates are published.
+func (en *shapeEntry) derived() bool {
+	select {
+	case <-en.ready:
+		return true
+	default:
+		return false
+	}
+}
 
-// defaultShards is the stripe count: comfortably above typical core
-// counts so cache-hit lookups under a parallel what-if load rarely
-// collide. Must be a power of two.
-const defaultShards = 64
+// maxShapes bounds the cache. Eviction is FIFO and skips entries still
+// being derived, so a long-running derivation can never be yanked out
+// from under its waiters.
+const maxShapes = 4096
 
 // New returns an empty INUM cache over the engine.
 func New(eng *engine.Engine) *Cache {
-	return newWithShards(eng, defaultShards)
-}
-
-// newWithShards builds a cache with an explicit stripe count (a power
-// of two). The single-stripe form is the pre-sharding cache, retained
-// so BenchmarkCachePrepareParallel can measure what the striping buys.
-func newWithShards(eng *engine.Engine, n int) *Cache {
-	if n <= 0 || n&(n-1) != 0 {
-		panic("inum: shard count must be a positive power of two")
-	}
-	c := &Cache{
+	return &Cache{
 		Eng:          eng,
-		shards:       make([]cacheShard, n),
-		shapeShards:  make([]shapeShard, n),
+		shapes:       make(map[string]*shapeEntry),
 		MaxTemplates: 10,
 		MaxCombos:    48,
 	}
-	for i := range c.shards {
-		c.shards[i].queries = make(map[string]*QueryInfo)
-		c.shapeShards[i].shapes = make(map[string]*shapeEntry)
-	}
-	return c
 }
 
-// PrepStats returns the prep counters under their lock — the safe way
-// to read them while preparation may still be running elsewhere.
-func (c *Cache) PrepStats() (calls int64, dur time.Duration) {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return c.PrepCalls, c.PrepDuration
+// PrepStats returns the optimizer calls spent on derivations, read under
+// the lock — the safe way while preparation may still be running
+// elsewhere.
+func (c *Cache) PrepStats() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.PrepCalls
 }
 
-// Prepared returns the number of cached queries across all shards.
-func (c *Cache) Prepared() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.queries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// shard returns the stripe owning the query ID (FNV-1a hash).
-func (c *Cache) shard(id string) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return &c.shards[h&uint64(len(c.shards)-1)]
-}
-
-// shapeShardOf returns the stripe owning the fingerprint (FNV-1a).
-func (c *Cache) shapeShardOf(fp string) *shapeShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(fp); i++ {
-		h ^= uint64(fp[i])
-		h *= prime64
-	}
-	return &c.shapeShards[h&uint64(len(c.shapeShards)-1)]
-}
-
-// ShapeStats returns the shape-cache hit/miss counters. A hit means a
-// statement's entire template derivation was skipped.
+// ShapeStats returns the shape-cache hit/miss counters: one per lookup.
+// A hit means a statement's entire template derivation was skipped.
 func (c *Cache) ShapeStats() (hits, misses int64) {
-	return c.shapeHits.Load(), c.shapeMisses.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
 }
 
-// ShapeCount returns the number of fully derived shapes cached across
-// all stripes.
+// ShapeEvictions returns how many derived shapes the maxShapes bound
+// has dropped.
+func (c *Cache) ShapeEvictions() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictions
+}
+
+// ShapeCount returns the number of fully derived shapes cached.
 func (c *Cache) ShapeCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for i := range c.shapeShards {
-		ss := &c.shapeShards[i]
-		ss.mu.Lock()
-		for _, en := range ss.shapes {
-			select {
-			case <-en.ready:
-				n++
-			default:
-			}
+	for _, en := range c.shapes {
+		if en.derived() {
+			n++
 		}
-		ss.mu.Unlock()
 	}
 	return n
 }
 
-// PrepareCtx is Prepare under the context's trace: the whole
-// preparation fan-out lands in one "inum.prepare" span so request
-// breakdowns show what template derivation costs (and how little it
-// costs once the shape cache is warm).
-func (c *Cache) PrepareCtx(ctx context.Context, w *workload.Workload) {
-	defer obs.TraceFrom(ctx).StartSpan("inum.prepare")()
-	c.Prepare(w)
-}
-
-// Prepare populates the cache for every query of the workload
-// (SELECT statements and update query shells), in parallel.
+// Prepare derives the template sets of every query of the workload
+// (SELECT statements and update query shells) in parallel, so later
+// lookups of their shapes are hits.
 func (c *Cache) Prepare(w *workload.Workload) {
-	start := time.Now()
 	queries := w.Queries()
 	par.For(len(queries), 0, func(i int) {
-		c.PrepareQuery(queries[i].Query)
+		c.templatesForShape(queries[i].Query)
 	})
-	c.statMu.Lock()
-	c.PrepDuration += time.Since(start)
-	c.statMu.Unlock()
 }
 
-// PrepareQuery builds (or returns) the template plans for one query.
-// Template derivation is shared through the shape cache: only the first
-// statement of each shape pays the optimizer calls.
+// PrepareQuery returns the query with the template plans of its shape,
+// deriving them on first sight of the shape. The QueryInfo is fresh;
+// only the template set is cached.
 func (c *Cache) PrepareQuery(q *workload.Query) *QueryInfo {
-	sh := c.shard(q.ID)
-	sh.mu.Lock()
-	if qi, ok := sh.queries[q.ID]; ok {
-		sh.mu.Unlock()
-		return qi
-	}
-	sh.mu.Unlock()
-
-	qi := &QueryInfo{Query: q, Templates: c.templatesForShape(q)}
-
-	sh.mu.Lock()
-	if prior, ok := sh.queries[q.ID]; ok {
-		sh.mu.Unlock()
-		return prior
-	}
-	sh.queries[q.ID] = qi
-	sh.mu.Unlock()
-	return qi
+	return &QueryInfo{Query: q, Templates: c.templatesForShape(q)}
 }
 
 // templatesForShape returns the template set for the query's shape,
@@ -355,18 +253,17 @@ func (c *Cache) PrepareQuery(q *workload.Query) *QueryInfo {
 // single-flight: one derives, the rest wait on the entry.
 func (c *Cache) templatesForShape(q *workload.Query) []*Template {
 	fp := c.Eng.ShapeFingerprint(q)
-	ss := c.shapeShardOf(fp)
-	ss.mu.Lock()
-	if en, ok := ss.shapes[fp]; ok {
-		ss.mu.Unlock()
+	c.mu.Lock()
+	if en, ok := c.shapes[fp]; ok {
+		c.hits++
+		c.mu.Unlock()
 		<-en.ready
-		c.shapeHits.Add(1)
 		return en.templates
 	}
 	en := &shapeEntry{ready: make(chan struct{})}
-	ss.insert(fp, en)
-	ss.mu.Unlock()
-	c.shapeMisses.Add(1)
+	c.insert(fp, en)
+	c.misses++
+	c.mu.Unlock()
 
 	// Close ready even if derivation panics, so same-shape waiters are
 	// never stranded on a dead entry.
@@ -375,36 +272,22 @@ func (c *Cache) templatesForShape(q *workload.Query) []*Template {
 	return en.templates
 }
 
-// insert adds an entry under the shard lock, evicting the oldest
-// completed entries FIFO when the stripe is over cap.
-func (ss *shapeShard) insert(fp string, en *shapeEntry) {
-	for len(ss.shapes) >= shapeCapPerShard && len(ss.order) > 0 {
-		evicted := false
-		for i, old := range ss.order {
-			prior, ok := ss.shapes[old]
-			if !ok {
-				ss.order = append(ss.order[:i], ss.order[i+1:]...)
-				evicted = true
-				break
-			}
-			select {
-			case <-prior.ready:
-				delete(ss.shapes, old)
-				ss.order = append(ss.order[:i], ss.order[i+1:]...)
-				evicted = true
-			default:
-				continue
-			}
+// insert adds an entry under the lock, evicting the oldest derived
+// entries FIFO while the cache is at its bound. When every resident
+// entry is mid-derivation the cache grows past the bound rather than
+// evict one with live waiters.
+func (c *Cache) insert(fp string, en *shapeEntry) {
+	for len(c.shapes) >= maxShapes {
+		i := slices.IndexFunc(c.order, func(old string) bool { return c.shapes[old].derived() })
+		if i < 0 {
 			break
 		}
-		if !evicted {
-			// Every resident entry is mid-derivation; grow past cap
-			// rather than evict one with live waiters.
-			break
-		}
+		delete(c.shapes, c.order[i])
+		c.order = slices.Delete(c.order, i, i+1)
+		c.evictions++
 	}
-	ss.shapes[fp] = en
-	ss.order = append(ss.order, fp)
+	c.shapes[fp] = en
+	c.order = append(c.order, fp)
 }
 
 // ShapeRecord is the serialized form of one shape-cache entry, the unit
@@ -418,27 +301,20 @@ type ShapeRecord struct {
 // so snapshots are byte-stable across runs.
 func (c *Cache) ExportShapes() []ShapeRecord {
 	var out []ShapeRecord
-	for i := range c.shapeShards {
-		ss := &c.shapeShards[i]
-		ss.mu.Lock()
-		for fp, en := range ss.shapes {
-			select {
-			case <-en.ready:
-				if en.templates != nil {
-					out = append(out, ShapeRecord{Fingerprint: fp, Templates: en.templates})
-				}
-			default:
-			}
+	c.mu.Lock()
+	for fp, en := range c.shapes {
+		if en.derived() && en.templates != nil {
+			out = append(out, ShapeRecord{Fingerprint: fp, Templates: en.templates})
 		}
-		ss.mu.Unlock()
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out
 }
 
 // ImportShapes seeds the shape cache from persisted records (the warm
 // half of restart recovery: statements whose shapes were imported skip
-// every optimizer call on their first Prepare). Existing entries win
+// every optimizer call on their first lookup). Existing entries win
 // over imports; the count of newly seeded shapes is returned.
 func (c *Cache) ImportShapes(recs []ShapeRecord) int {
 	n := 0
@@ -451,45 +327,16 @@ func (c *Cache) ImportShapes(recs []ShapeRecord) int {
 		for _, t := range r.Templates {
 			t.signature()
 		}
-		ss := c.shapeShardOf(r.Fingerprint)
-		ss.mu.Lock()
-		if _, ok := ss.shapes[r.Fingerprint]; !ok {
+		c.mu.Lock()
+		if _, ok := c.shapes[r.Fingerprint]; !ok {
 			en := &shapeEntry{ready: make(chan struct{}), templates: r.Templates}
 			close(en.ready)
-			ss.insert(r.Fingerprint, en)
+			c.insert(r.Fingerprint, en)
 			n++
 		}
-		ss.mu.Unlock()
+		c.mu.Unlock()
 	}
 	return n
-}
-
-// Info returns the cache entry for a prepared query, or nil.
-func (c *Cache) Info(q *workload.Query) *QueryInfo {
-	sh := c.shard(q.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.queries[q.ID]
-}
-
-// Evict drops the cache entries of the statement with the given ID:
-// the query entry itself and, for updates, the "<id>#shell" entry its
-// query shell was prepared under. It returns the number of entries
-// removed. Wired to workload.Stream's eviction hook, this keeps a
-// long-lived daemon's INUM footprint proportional to the live workload
-// instead of to everything it has ever seen.
-func (c *Cache) Evict(id string) int {
-	removed := 0
-	for _, key := range [...]string{id, id + "#shell"} {
-		sh := c.shard(key)
-		sh.mu.Lock()
-		if _, ok := sh.queries[key]; ok {
-			delete(sh.queries, key)
-			removed++
-		}
-		sh.mu.Unlock()
-	}
-	return removed
 }
 
 // interestingOrders returns the per-table candidate orders of a query:
@@ -641,9 +488,9 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 
 	qi.prune(c.MaxTemplates)
 
-	c.statMu.Lock()
+	c.mu.Lock()
 	c.PrepCalls += calls
-	c.statMu.Unlock()
+	c.mu.Unlock()
 	return qi.Templates
 }
 

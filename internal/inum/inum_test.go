@@ -24,10 +24,7 @@ func TestPrepareBuildsTemplates(t *testing.T) {
 	w := workload.Hom(workload.HomConfig{Queries: 15, Seed: 20})
 	cache.Prepare(w)
 	for _, s := range w.Queries() {
-		qi := cache.Info(s.Query)
-		if qi == nil {
-			t.Fatalf("%s not prepared", s.Query.ID)
-		}
+		qi := cache.PrepareQuery(s.Query)
 		if len(qi.Templates) == 0 {
 			t.Fatalf("%s has no templates", s.Query.ID)
 		}
@@ -167,7 +164,7 @@ func TestLinearComposability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qi := cache.Info(q)
+	qi := cache.PrepareQuery(q)
 	// Brute force: per template, independent slot minima equal the
 	// minimum over atomic configurations because slots touch distinct
 	// tables.

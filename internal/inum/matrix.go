@@ -22,17 +22,21 @@ import (
 // the reference the equivalence property test checks it against.
 //
 // A matrix is updatable (Cache.UpdateMatrix): a slab is a pure function
-// of (cache entry, candidate list, baseline), so a later triple reuses
-// every slab whose inputs it did not touch. The zero value is the empty
-// matrix.
+// of (query, candidate list, baseline), so a later triple reuses every
+// slab whose inputs it did not touch. Slabs are keyed by the query
+// itself (its pointer), never by statement ID. The zero value is the
+// empty matrix.
 type CostMatrix struct {
 	// S is the candidate universe; Compat entries are positions into S.
 	S []*catalog.Index
 	// baseline is the always-available configuration SlotFree is priced
 	// under.
 	baseline *engine.Config
-	// byQuery maps query ID to its compiled block.
-	byQuery map[string]*QueryMatrix
+	// byQuery maps each compiled query to its block.
+	byQuery map[*workload.Query]*QueryMatrix
+	// prepared holds the template sets PrepareMatrix looked up for the
+	// next UpdateMatrix.
+	prepared map[*workload.Query]*QueryInfo
 }
 
 // QueryMatrix is the dense γ block of one query. Slots are numbered
@@ -40,7 +44,7 @@ type CostMatrix struct {
 // template k, and SlotOff[s]..SlotOff[s+1] the compatible candidates
 // of slot s. It is immutable once compiled.
 type QueryMatrix struct {
-	// QI is the underlying cache entry (template structure).
+	// QI is the query with the templates the slab was compiled from.
 	QI *QueryInfo
 	// Internal is β per template.
 	Internal []float64
@@ -68,25 +72,59 @@ func (c *Cache) CompileMatrix(w *workload.Workload, s []*catalog.Index, baseline
 	return cm
 }
 
-// UpdateMatrix brings cm to (w, s, baseline), compiling only what the
-// previous triple does not already hold. A query keeps its slab while
-// PrepareQuery still returns the same cache entry — entries are
-// immutable and the slab pins its own, so an equal pointer is the same
-// templates, and an Evict in between shows as a new one. When s only
-// appended candidates, a kept slab evaluates γ for the appended
-// positions alone: they are larger than every compiled position, so the
-// extended per-slot lists equal a from-scratch compile bit for bit. Any
-// other change of s (positions are what Compat stores) or of the
-// baseline drops every slab. Slabs of queries no longer in w are
-// dropped, so the matrix never outgrows the workload it was last
-// brought to. Queries are independent, so compilation fans out across
-// workers (0 = GOMAXPROCS); each worker writes only its own queries'
-// entries.
-func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.Index, baseline *engine.Config, workers int) {
-	if cm.baseline != baseline || len(cm.S) > len(s) || !slices.Equal(cm.S, s[:len(cm.S)]) {
-		*cm = CostMatrix{}
+// distinctQueries returns the SELECT statements plus the update query
+// shells of w — exactly the statements BIPGen emits blocks for — each
+// once: statements can repeat a query (weighted duplicates).
+func distinctQueries(w *workload.Workload) []*workload.Query {
+	stmts := w.Queries()
+	seen := make(map[*workload.Query]bool, len(stmts))
+	queries := make([]*workload.Query, 0, len(stmts))
+	for _, st := range stmts {
+		if !seen[st.Query] {
+			seen[st.Query] = true
+			queries = append(queries, st.Query)
+		}
 	}
-	old, from := cm.byQuery, len(cm.S)
+	return queries
+}
+
+// PrepareMatrix looks up the template sets of the queries of w that cm
+// holds no slab for, fanned out across workers (0 = GOMAXPROCS), and
+// keeps them for the next UpdateMatrix. These are the only INUM lookups
+// bringing cm to w costs: a query with a slab keeps the templates its
+// slab was compiled from, which the immutable query's shape determines.
+func (c *Cache) PrepareMatrix(cm *CostMatrix, w *workload.Workload, workers int) {
+	var missing []*workload.Query
+	for _, q := range distinctQueries(w) {
+		if cm.byQuery[q] == nil {
+			missing = append(missing, q)
+		}
+	}
+	infos := make([]*QueryInfo, len(missing))
+	par.For(len(missing), workers, func(i int) { infos[i] = c.PrepareQuery(missing[i]) })
+	cm.prepared = make(map[*workload.Query]*QueryInfo, len(missing))
+	for i, q := range missing {
+		cm.prepared[q] = infos[i]
+	}
+}
+
+// UpdateMatrix brings cm to (w, s, baseline), compiling only what the
+// previous triple does not already hold. A query keeps its slab's
+// templates; other queries take theirs from PrepareMatrix, or look them
+// up here. When s only appended candidates, a kept slab evaluates γ for
+// the appended positions alone: they are larger than every compiled
+// position, so the extended per-slot lists equal a from-scratch compile
+// bit for bit. Any other change of s (positions are what Compat stores)
+// or of the baseline recompiles every slab. Slabs of queries no longer
+// in w are dropped, so the matrix never outgrows the workload it was
+// last brought to. Queries are independent, so compilation fans out
+// across workers (0 = GOMAXPROCS); each worker writes only its own
+// queries' entries.
+func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.Index, baseline *engine.Config, workers int) {
+	old, prepared, from := cm.byQuery, cm.prepared, len(cm.S)
+	if cm.baseline != baseline || len(cm.S) > len(s) || !slices.Equal(cm.S, s[:len(cm.S)]) {
+		from = -1 // no slab extends: recompile from the kept templates
+	}
 
 	// Candidate positions grouped per table, so slot compilation only
 	// scans same-table candidates: all of them for a new slab, the
@@ -95,43 +133,38 @@ func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.
 	added := make(map[string][]int32)
 	for i, ix := range s {
 		all[ix.Table] = append(all[ix.Table], int32(i))
-		if i >= from {
+		if from >= 0 && i >= from {
 			added[ix.Table] = append(added[ix.Table], int32(i))
 		}
 	}
 
-	// Queries() yields the SELECT statements plus the update query
-	// shells — exactly the statements BIPGen emits blocks for.
-	// Statements can repeat a query ID (weighted duplicates); compile
-	// each distinct query once.
-	stmts := w.Queries()
-	queries := make([]*workload.Query, 0, len(stmts))
-	byQuery := make(map[string]*QueryMatrix, len(stmts))
-	for _, st := range stmts {
-		if _, seen := byQuery[st.Query.ID]; !seen {
-			byQuery[st.Query.ID] = nil
-			queries = append(queries, st.Query)
-		}
-	}
-
+	queries := distinctQueries(w)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	mats := make([]*QueryMatrix, len(queries))
 	bufs := make([]slabBuf, workers)
 	par.ForWorker(len(queries), workers, func(worker, i int) {
-		qi := c.PrepareQuery(queries[i])
-		if prev := old[queries[i].ID]; prev != nil && prev.QI == qi {
-			mats[i] = c.compileQuery(qi, prev, s, added, baseline, &bufs[worker])
-		} else {
+		q := queries[i]
+		switch prev := old[q]; {
+		case prev != nil && from >= 0:
+			mats[i] = c.compileQuery(prev.QI, prev, s, added, baseline, &bufs[worker])
+		case prev != nil:
+			mats[i] = c.compileQuery(prev.QI, nil, s, all, baseline, &bufs[worker])
+		default:
+			qi := prepared[q]
+			if qi == nil {
+				qi = c.PrepareQuery(q)
+			}
 			mats[i] = c.compileQuery(qi, nil, s, all, baseline, &bufs[worker])
 		}
 	})
 
+	byQuery := make(map[*workload.Query]*QueryMatrix, len(queries))
 	for i, q := range queries {
-		byQuery[q.ID] = mats[i]
+		byQuery[q] = mats[i]
 	}
-	cm.S, cm.baseline, cm.byQuery = s, baseline, byQuery
+	*cm = CostMatrix{S: s, baseline: baseline, byQuery: byQuery}
 }
 
 // slabBuf is a worker's scratch for the entry lists of the slab it is
@@ -207,9 +240,10 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, s []*catalog.Inde
 func (cm *CostMatrix) Len() int { return len(cm.byQuery) }
 
 // Query returns the compiled block of a query, or nil when the query
-// was not part of the compiled workload.
+// (this very statement, not merely its ID) was not part of the compiled
+// workload.
 func (cm *CostMatrix) Query(q *workload.Query) *QueryMatrix {
-	return cm.byQuery[q.ID]
+	return cm.byQuery[q]
 }
 
 // Cost is the dense evaluation of cost(q, X) for X = baseline ∪

@@ -1,9 +1,11 @@
 package inum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -46,10 +48,7 @@ func TestShapeCacheEquivalence(t *testing.T) {
 
 			ctl := New(engCtl) // fresh cache: this derivation cannot be shape-cached
 			qiB := ctl.PrepareQuery(q)
-			qiA := shared.Info(q)
-			if qiA == nil {
-				t.Fatalf("seed %d %s: not prepared in shared cache", seed, q.ID)
-			}
+			qiA := shared.PrepareQuery(q)
 			if len(qiA.Templates) != len(qiB.Templates) {
 				t.Fatalf("seed %d %s: template counts %d vs %d", seed, q.ID, len(qiA.Templates), len(qiB.Templates))
 			}
@@ -99,12 +98,11 @@ func TestShapeCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentShapeCacheStress hammers the striped shape cache from
-// many goroutines with distinct statements sharing few shapes — the
+// TestConcurrentShapeCacheStress hammers the shape cache from many
+// goroutines with distinct statements sharing few shapes — the
 // singleflight path — interleaved with exports, imports and stat
-// reads. Run under -race it checks the stripe discipline; in any mode
-// it checks that same-shape statements observe the same immutable
-// template set.
+// reads. Run under -race it checks the locking; in any mode it checks
+// that same-shape statements observe the same immutable template set.
 func TestConcurrentShapeCacheStress(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.02})
 	eng := engine.New(cat, engine.SystemA())
@@ -122,7 +120,7 @@ func TestConcurrentShapeCacheStress(t *testing.T) {
 		}
 	}
 
-	cache := newWithShards(eng, 2) // few stripes: maximum contention
+	cache := New(eng)
 	sink := New(eng)
 	const G = 8
 	var wg sync.WaitGroup
@@ -146,7 +144,7 @@ func TestConcurrentShapeCacheStress(t *testing.T) {
 				case 2:
 					sink.ImportShapes(cache.ExportShapes())
 				case 3:
-					cache.Info(st.Query)
+					cache.ShapeEvictions()
 				}
 			}
 		}(g)
@@ -154,31 +152,117 @@ func TestConcurrentShapeCacheStress(t *testing.T) {
 	wg.Wait()
 
 	// Same shape ⇒ same immutable template slice, shared by pointer.
+	before, _ := cache.ShapeStats()
 	for _, st := range base.Queries() {
-		var ref []*Template
+		ref := cache.PrepareQuery(st.Query).Templates
 		for k := 0; k < 4; k++ {
 			q := *st.Query
 			q.ID = st.Query.ID + "#" + string(rune('a'+k))
-			qi := cache.Info(&q)
-			if qi == nil {
-				continue
-			}
-			if ref == nil {
-				ref = qi.Templates
-				continue
-			}
-			if len(ref) != len(qi.Templates) {
-				t.Fatalf("%s: same shape, different template counts", q.ID)
-			}
-			for i := range ref {
-				if ref[i] != qi.Templates[i] {
-					t.Fatalf("%s: same shape not sharing the immutable template set", q.ID)
-				}
+			if !sameTemplates(ref, cache.PrepareQuery(&q).Templates) {
+				t.Fatalf("%s: same shape not sharing the immutable template set", q.ID)
 			}
 		}
 	}
 	hits, misses := cache.ShapeStats()
+	if want := before + int64(5*len(base.Queries())); hits != want {
+		t.Fatalf("every lookup after the stress should hit: %d hits, want %d", hits, want)
+	}
 	if hits == 0 || misses == 0 {
 		t.Fatalf("stress vacuous: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// sameTemplates reports whether two template sets are the same shared
+// set: equal length and the same *Template at every position.
+func sameTemplates(a, b []*Template) bool {
+	if len(a) != len(b) || len(a) == 0 {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConcurrentPrepareQueryStress hammers PrepareQuery, Cost and
+// ShapeStats from many goroutines over an overlapping query set; run
+// under -race it checks the cache's locking. Every caller must observe
+// the same immutable template set for a given query (one derivation
+// per shape, shared by pointer).
+func TestConcurrentPrepareQueryStress(t *testing.T) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 0.02})
+	eng := engine.New(cat, engine.SystemA())
+	w := workload.Hom(workload.HomConfig{Queries: 24, Seed: 32})
+	cfg := engine.NewConfig(tpch.BaselineIndexes(cat)...)
+	cache := New(eng)
+	stmts := w.Queries()
+
+	workers := 4 * runtime.GOMAXPROCS(0)
+	rounds := 8
+	got := make([][][]*Template, workers)
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			got[wi] = make([][]*Template, len(stmts))
+			for r := 0; r < rounds; r++ {
+				for si := range stmts {
+					// Stagger the start so goroutines collide on
+					// different shapes each round.
+					at := (si + wi) % len(stmts)
+					q := stmts[at].Query
+					qi := cache.PrepareQuery(q)
+					if qi.Query != q || len(qi.Templates) == 0 {
+						t.Errorf("%s: bad QueryInfo", q.ID)
+						return
+					}
+					got[wi][at] = qi.Templates
+					if _, err := cache.Cost(q, cfg); err != nil {
+						t.Errorf("%s: cost: %v", q.ID, err)
+						return
+					}
+					cache.ShapeStats()
+				}
+			}
+		}(wi)
+	}
+	wg.Wait()
+	for wi := 1; wi < workers; wi++ {
+		for si := range stmts {
+			if !sameTemplates(got[wi][si], got[0][si]) {
+				t.Fatalf("query %d: workers observed distinct template sets", si)
+			}
+		}
+	}
+}
+
+// TestShapeBound: the shape map is the cache's one bound. Importing
+// maxShapes+k records leaves maxShapes shapes and counts k evictions,
+// oldest first.
+func TestShapeBound(t *testing.T) {
+	_, cache, _ := testSetup(t)
+	const k = 7
+	recs := make([]ShapeRecord, maxShapes+k)
+	for i := range recs {
+		recs[i] = ShapeRecord{
+			Fingerprint: fmt.Sprintf("synthetic-%05d", i),
+			Templates:   []*Template{{Internal: float64(i), Slots: []Slot{{Table: "orders"}}}},
+		}
+	}
+	if n := cache.ImportShapes(recs); n != len(recs) {
+		t.Fatalf("imported %d of %d records", n, len(recs))
+	}
+	if got := cache.ShapeCount(); got != maxShapes {
+		t.Fatalf("ShapeCount = %d, want the bound %d", got, maxShapes)
+	}
+	if got := cache.ShapeEvictions(); got != k {
+		t.Fatalf("ShapeEvictions = %d, want %d", got, k)
+	}
+	kept := cache.ExportShapes()
+	if kept[0].Fingerprint != recs[k].Fingerprint {
+		t.Fatalf("oldest surviving shape is %s, want %s", kept[0].Fingerprint, recs[k].Fingerprint)
 	}
 }

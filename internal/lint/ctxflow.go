@@ -16,7 +16,7 @@ import (
 //
 // Flagged: context.Background()/context.TODO() as an argument to a
 // callee whose name marks it part of the chain — a *Ctx suffix (the
-// repo's convention for ctx-threaded variants: SolveCtx, PrepareCtx,
+// repo's convention for ctx-threaded variants: SolveCtx,
 // CheckFeasibleCtx) or an *Ingest suffix (Ingest, applyIngest).
 // Exempt: package main (the process root owns the base context),
 // test files (not loaded at all), and the no-ctx convenience wrapper

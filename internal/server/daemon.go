@@ -2,7 +2,7 @@
 // long-running, concurrent service over one CoPhy advisor. Statements
 // arrive as a stream and are folded into a live workload with
 // exponential decay (workload.Stream); what-if costings are answered
-// straight from the sharded INUM cache with no global lock; and
+// straight from the INUM shape cache with no daemon-wide lock; and
 // recommendations run through one persistent cophy.Session whose
 // block-labeled dual warm starts make each re-solve after a small
 // ingestion delta incremental rather than from-scratch — the
@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -102,7 +101,7 @@ type Config struct {
 }
 
 // Daemon is the service core. All exported methods are safe for
-// concurrent use: WhatIf runs lock-free over the sharded INUM cache,
+// concurrent use: WhatIf takes no daemon lock (only the INUM cache's),
 // Ingest serializes only on the stream's own mutex, and Recommend
 // serializes recommendations on the session semaphore behind a bounded
 // admission queue — concurrent identical requests coalesce onto one
@@ -163,14 +162,6 @@ type Daemon struct {
 	// /stats (the daemon serves — possibly colder — throughout).
 	warming atomic.Bool
 
-	// wiMu guards the what-if entry FIFO: the "whatif-<hash>" INUM
-	// entries are keyed by statement content, not stream ID, so the
-	// stream's eviction hook never sees them — they are bounded here
-	// instead, oldest-first.
-	wiMu    sync.Mutex
-	wiSeen  map[string]bool
-	wiOrder []string
-
 	// reg is the metric registry behind /metrics; the counters below are
 	// its registered series (see metrics.go), shared verbatim with the
 	// /stats snapshot. degradedEntries lives above with the health state.
@@ -188,7 +179,6 @@ type Daemon struct {
 	coalesced     *obs.Counter
 	whatifs       *obs.Counter
 	recommends    *obs.Counter
-	evicted       *obs.Counter
 	rebases       *obs.Counter
 	compactions   *obs.Counter
 	walRecords    *obs.Counter
@@ -196,10 +186,6 @@ type Daemon struct {
 	persistErrors *obs.Counter
 	planStale     *obs.Counter
 }
-
-// maxWhatIfEntries caps the distinct what-if statements whose template
-// plans stay cached; beyond it the oldest entry is evicted.
-const maxWhatIfEntries = 4096
 
 // New builds a daemon over the given system. It is the no-ctx
 // convenience form of NewCtx; a caller with a boot context (cophyd
@@ -256,13 +242,6 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 			d.probeMax = d.probeBase
 		}
 	}
-	// Memory bound, first slice: when decay evicts a statement from the
-	// live workload, its INUM cache entries (query and update shell) go
-	// with it, so the cache tracks the live workload instead of growing
-	// without bound.
-	d.stream.OnEvict(func(id string) {
-		d.evicted.Add(int64(d.ad.Inum.Evict(id)))
-	})
 	// Warm restart: rebuild the stream, counters, INUM cache and
 	// session warm state from the data directory before serving.
 	if cfg.Store != nil {
@@ -355,7 +334,9 @@ type WhatIfResult struct {
 // WhatIf prices one statement under a hypothetical index
 // configuration without any optimizer call beyond the (cached) INUM
 // preparation. It takes no daemon-wide lock: concurrent calls contend
-// only on the INUM cache's shard stripes.
+// only on the INUM cache's mutex, for a shape lookup. The statement
+// leaves nothing behind but its shape, which the cache shares with
+// every statement of that shape and bounds.
 func (d *Daemon) WhatIf(sql string, indexes []*catalog.Index) (WhatIfResult, error) {
 	w, err := workload.Parse(d.cat, sql)
 	if err != nil {
@@ -365,15 +346,6 @@ func (d *Daemon) WhatIf(sql string, indexes []*catalog.Index) (WhatIfResult, err
 		return WhatIfResult{}, fmt.Errorf("server: what-if takes exactly one statement, got %d", w.Size())
 	}
 	s := w.Statements[0]
-	// Key the INUM cache by the statement's canonical form so repeated
-	// what-ifs of one statement (under any configuration) share the
-	// template plans, while distinct statements never collide.
-	id := "whatif-" + fnvHex(s.String())
-	if s.Query != nil {
-		s.Query.ID = id
-	} else {
-		s.Update.ID = id
-	}
 	for _, ix := range indexes {
 		t := d.cat.Table(ix.Table)
 		if t == nil {
@@ -397,36 +369,12 @@ func (d *Daemon) WhatIf(sql string, indexes []*catalog.Index) (WhatIfResult, err
 	if err != nil {
 		return WhatIfResult{}, err
 	}
-	d.trackWhatIf(id)
 	d.whatifs.Add(1)
 	res := WhatIfResult{Cost: cost, BaseCost: base}
 	if base > 0 {
 		res.Improvement = 1 - cost/base
 	}
 	return res, nil
-}
-
-// trackWhatIf records a what-if cache entry in the bounded FIFO,
-// evicting the oldest entry's template plans once the cap is reached.
-func (d *Daemon) trackWhatIf(id string) {
-	d.wiMu.Lock()
-	var drop string
-	if d.wiSeen == nil {
-		d.wiSeen = make(map[string]bool)
-	}
-	if !d.wiSeen[id] {
-		d.wiSeen[id] = true
-		d.wiOrder = append(d.wiOrder, id)
-		if len(d.wiOrder) > maxWhatIfEntries {
-			drop = d.wiOrder[0]
-			d.wiOrder = d.wiOrder[1:]
-			delete(d.wiSeen, drop)
-		}
-	}
-	d.wiMu.Unlock()
-	if drop != "" {
-		d.evicted.Add(int64(d.ad.Inum.Evict(drop)))
-	}
 }
 
 // RecommendOptions parameterize one recommendation.
@@ -621,18 +569,6 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	// count calls.
 	warm := d.session.Warm()
 	res, err := d.session.SolveCtx(ctx)
-	// The solve re-prepared INUM entries for every snapshot statement —
-	// including any that a concurrent Tick evicted while the solve ran,
-	// whose IDs will never fire the eviction hook again. Sweep the
-	// snapshot against the live stream so those re-inserted entries
-	// cannot leak (run even on error: a cancelled solve may already
-	// have prepared them).
-	live := d.stream.LiveIDs()
-	for _, st := range w.Statements {
-		if id := st.ID(); !live[id] {
-			d.evicted.Add(int64(d.ad.Inum.Evict(id)))
-		}
-	}
 	if err != nil {
 		return RecommendResult{}, err
 	}
@@ -702,11 +638,11 @@ type Stats struct {
 	// observed by the store.
 	DegradedEntries int64 `json:"degraded_entries"`
 	DiskErrors      int64 `json:"disk_errors"`
-	// PreparedQueries and PrepCalls expose the INUM cache state;
-	// EvictedEntries counts cache entries dropped by stream eviction.
-	PreparedQueries int   `json:"prepared_queries"`
-	PrepCalls       int64 `json:"prep_calls"`
-	EvictedEntries  int64 `json:"evicted_entries"`
+	// PrepCalls counts the optimizer calls spent deriving template
+	// plans; EvictedEntries counts derived shapes the INUM cache's bound
+	// dropped.
+	PrepCalls      int64 `json:"prep_calls"`
+	EvictedEntries int64 `json:"evicted_entries"`
 	// NumericFallbacks and WarmDowngrades are always zero. The
 	// benchmark still reads them; ROADMAP item 1(b) deletes them.
 	NumericFallbacks int64 `json:"numeric_fallbacks"`
@@ -717,9 +653,10 @@ type Stats struct {
 	// multipliers were carried across).
 	SessionRebases     int64 `json:"session_rebases"`
 	SessionCompactions int64 `json:"session_compactions"`
-	// PlanCacheHits / PlanCacheMisses expose the INUM shape cache:
-	// hits are statement preparations that skipped every optimizer call
-	// by reusing another statement's derivation (or a persisted one).
+	// PlanCacheHits / PlanCacheMisses expose the INUM shape cache, one
+	// per lookup: hits skipped every optimizer call by reusing an earlier
+	// derivation of the shape (or a persisted one) — a repeated what-if
+	// included.
 	// PlanCacheStale counts recoveries that found a plan payload stamped
 	// by a different derivation environment and re-derived instead.
 	// PlanShapes is the number of derived shapes currently cached.
@@ -746,7 +683,6 @@ type Stats struct {
 
 // Snapshot returns current counters.
 func (d *Daemon) Snapshot() Stats {
-	calls, _ := d.ad.Inum.PrepStats()
 	hits, misses := d.ad.Inum.ShapeStats()
 	health, cause := d.Health()
 	st := Stats{
@@ -769,9 +705,8 @@ func (d *Daemon) Snapshot() Stats {
 		Ingested:           d.ingested.Load(),
 		WhatIfs:            d.whatifs.Load(),
 		Recommends:         d.recommends.Load(),
-		PreparedQueries:    d.ad.Inum.Prepared(),
-		PrepCalls:          calls,
-		EvictedEntries:     d.evicted.Load(),
+		PrepCalls:          d.ad.Inum.PrepStats(),
+		EvictedEntries:     d.ad.Inum.ShapeEvictions(),
 		SessionRebases:     d.rebases.Load(),
 		SessionCompactions: d.compactions.Load(),
 		WALRecords:         d.walRecords.Load(),
@@ -789,11 +724,4 @@ func (d *Daemon) Snapshot() Stats {
 		st.SLO = d.slo.evaluate()
 	}
 	return st
-}
-
-// fnvHex is a 64-bit FNV-1a hash rendered as hex.
-func fnvHex(s string) string {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -26,8 +26,6 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		"Recommendations solved (coalesced followers excluded).")
 	d.coalesced = reg.Counter("cophyd_coalesced_requests_total",
 		"Recommendation requests that shared another request's solve.")
-	d.evicted = reg.Counter("cophyd_evicted_entries_total",
-		"INUM cache entries dropped by stream eviction.")
 	d.rebases = reg.Counter("cophyd_session_rebases_total",
 		"Cold re-sessions forced by the candidate cap.")
 	d.compactions = reg.Counter("cophyd_session_compactions_total",
@@ -75,17 +73,17 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("cophyd_queue_peak",
 		"High-water mark of the admission queue depth.",
 		func() float64 { return float64(d.adm.peak.Load()) })
-	reg.GaugeFunc("cophyd_prepared_queries",
-		"Statements with template plans in the INUM cache.",
-		func() float64 { return float64(d.ad.Inum.Prepared()) })
 	reg.CounterFunc("cophyd_inum_prep_calls_total",
 		"INUM preparation calls (optimizer invocations saved show up as a plateau).",
-		func() float64 { calls, _ := d.ad.Inum.PrepStats(); return float64(calls) })
+		func() float64 { return float64(d.ad.Inum.PrepStats()) })
+	reg.CounterFunc("cophyd_evicted_entries_total",
+		"Derived template-plan shapes dropped by the INUM cache's bound.",
+		func() float64 { return float64(d.ad.Inum.ShapeEvictions()) })
 	reg.CounterFunc("cophyd_plan_cache_hits_total",
-		"Statement preparations served from the shape-keyed plan cache without re-derivation.",
+		"Shape lookups served from the plan cache without re-derivation.",
 		func() float64 { h, _ := d.ad.Inum.ShapeStats(); return float64(h) })
 	reg.CounterFunc("cophyd_plan_cache_misses_total",
-		"Statement preparations that derived template plans for a new shape.",
+		"Shape lookups that derived template plans for a new shape.",
 		func() float64 { _, m := d.ad.Inum.ShapeStats(); return float64(m) })
 	reg.GaugeFunc("cophyd_plan_shapes",
 		"Distinct query shapes with compiled template plans resident in the cache.",

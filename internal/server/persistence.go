@@ -220,25 +220,16 @@ func (d *Daemon) recover(ctx context.Context) error {
 	return nil
 }
 
-// warmPrepare is the background warming phase of recovery: re-prepare
-// every recovered statement through the INUM worker pool (cache
-// lookups when the plan payload was imported, derivations otherwise),
-// then sweep entries of statements that decay evicted while warming —
-// their IDs will never fire the eviction hook again. Stats.Warming is
-// true until it finishes.
+// warmPrepare is the background warming phase of recovery: look up the
+// shape of every recovered statement through the INUM worker pool
+// (hits when the plan payload was imported, derivations otherwise).
+// The warm-up is detached by design: recovery returns before it runs,
+// no request is waiting on it, and the daemon serves (on-demand-
+// preparing) while it proceeds. Stats.Warming is true until it
+// finishes.
 func (d *Daemon) warmPrepare(w *workload.Workload) {
 	t0 := time.Now()
-	// The warm-up is detached by design: recovery returns before it
-	// runs, no request is waiting on it, and the daemon serves
-	// (on-demand-preparing) while it proceeds.
-	//lint:ignore ctxflow background warm-up outlives the boot context and answers no request; nothing to trace or time out
-	d.ad.Inum.PrepareCtx(context.Background(), w)
-	live := d.stream.LiveIDs()
-	for _, st := range w.Statements {
-		if id := st.ID(); !live[id] {
-			d.evicted.Add(int64(d.ad.Inum.Evict(id)))
-		}
-	}
+	d.ad.Inum.Prepare(w)
 	d.recMu.Lock()
 	d.recovery.WarmMillis = time.Since(t0).Seconds() * 1000
 	d.recMu.Unlock()

@@ -194,7 +194,7 @@ func TestRecommendWarmAfterDelta(t *testing.T) {
 
 // TestConcurrentWhatIf hammers the lock-free what-if path; run under
 // -race it checks the daemon's sharing discipline end to end (HTTP →
-// daemon → sharded INUM cache).
+// daemon → INUM shape cache).
 func TestConcurrentWhatIf(t *testing.T) {
 	d := testDaemon(t)
 	srv := httptest.NewServer(d.Handler())

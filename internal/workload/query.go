@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 )
@@ -226,21 +227,30 @@ type Update struct {
 	SetCols []string
 	// Where lists the predicates of the query shell.
 	Where []Predicate
+
+	shellOnce sync.Once
+	shell     *Query
 }
 
 // Shell returns the query shell q_r: a SELECT over the updated table
-// with the UPDATE's WHERE clause.
+// with the UPDATE's WHERE clause. It is built once, on the first call,
+// and the same *Query is returned for the update's life, so state kept
+// per query (a session's compiled slabs) finds the shell again. The
+// update must be complete, ID included, before the first call.
 func (u *Update) Shell() *Query {
-	q := &Query{
-		ID:       u.ID + "#shell",
-		Template: "update-shell",
-		Tables:   []string{u.Table},
-		Preds:    append([]Predicate(nil), u.Where...),
-	}
-	for _, c := range u.SetCols {
-		q.Select = append(q.Select, catalog.ColumnRef{Table: u.Table, Column: c})
-	}
-	return q
+	u.shellOnce.Do(func() {
+		q := &Query{
+			ID:       u.ID + "#shell",
+			Template: "update-shell",
+			Tables:   []string{u.Table},
+			Preds:    append([]Predicate(nil), u.Where...),
+		}
+		for _, c := range u.SetCols {
+			q.Select = append(q.Select, catalog.ColumnRef{Table: u.Table, Column: c})
+		}
+		u.shell = q
+	})
+	return u.shell
 }
 
 // Affects reports whether the update maintains index ix, i.e. whether

@@ -25,10 +25,11 @@ type StreamConfig struct {
 // with the same rendered form are one workload entry whose weight
 // accumulates), weights decay exponentially per Tick, and entries
 // whose weight decays away are evicted. Each distinct statement
-// receives a stable ID at first observation and keeps it for life, so
-// downstream consumers — the INUM cache keyed by query ID, the
-// solver's block-labeled warm starts — treat successive snapshots as
-// deltas of one living workload rather than unrelated problems.
+// receives a stable ID at first observation and keeps it for life, and
+// successive snapshots share its statement structures, so downstream
+// consumers — a session's compiled slabs, the solver's block-labeled
+// warm starts — treat successive snapshots as deltas of one living
+// workload rather than unrelated problems.
 //
 // Stream is safe for concurrent use.
 type Stream struct {
@@ -40,7 +41,6 @@ type Stream struct {
 	nextID    int
 	observed  int64
 	ticks     int64
-	onEvict   func(id string)
 }
 
 // streamEntry is one live statement with its decayed weight.
@@ -92,37 +92,21 @@ func (st *Stream) Observe(s *Statement) string {
 	return id
 }
 
-// OnEvict registers a hook invoked with the stable ID of every
-// statement the decay eviction drops. The hook runs after Tick
-// releases the stream's lock (it may safely call back into the
-// stream), in eviction order. Downstream caches keyed by statement ID
-// — the INUM cache above all — use it to forget entries whose
-// statement is gone, the first slice of the daemon's memory bound.
-func (st *Stream) OnEvict(fn func(id string)) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.onEvict = fn
-}
-
 // Tick advances the decay clock once: every weight is multiplied by
 // the per-tick decay factor and entries falling below the eviction
 // threshold are dropped. Without decay configured, Tick only counts.
 func (st *Stream) Tick() {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.ticks++
 	if st.decay >= 1 {
-		st.mu.Unlock()
 		return
 	}
-	var evicted []string
 	kept := st.order[:0]
 	for _, e := range st.order {
 		e.weight *= st.decay
 		if e.weight < st.minWeight {
 			delete(st.entries, e.st.String())
-			if st.onEvict != nil {
-				evicted = append(evicted, e.st.ID())
-			}
 			continue
 		}
 		kept = append(kept, e)
@@ -131,11 +115,6 @@ func (st *Stream) Tick() {
 		st.order[i] = nil
 	}
 	st.order = kept
-	fn := st.onEvict
-	st.mu.Unlock()
-	for _, id := range evicted {
-		fn(id)
-	}
 }
 
 // Snapshot materializes the live workload: the surviving statements in
@@ -154,22 +133,6 @@ func (st *Stream) Snapshot() *Workload {
 		})
 	}
 	return w
-}
-
-// LiveIDs returns the stable IDs of the live statements as a set, in
-// one pass under the lock. Consumers that solved over a Snapshot use
-// it to re-check the snapshot's statements afterwards: an eviction
-// that fired while the solve held the snapshot may have been undone
-// cache-side by the solve's own re-preparation, and the dead ID will
-// never be evicted again (a re-observed statement mints a fresh ID).
-func (st *Stream) LiveIDs() map[string]bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ids := make(map[string]bool, len(st.order))
-	for _, e := range st.order {
-		ids[e.st.ID()] = true
-	}
-	return ids
 }
 
 // StreamEntry is the portable form of one live statement: its

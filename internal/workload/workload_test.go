@@ -2,6 +2,7 @@ package workload
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -117,6 +118,34 @@ func TestUpdateGeneration(t *testing.T) {
 		}
 		if len(shell.Preds) != len(u.Where) {
 			t.Fatal("shell must carry the update's predicates")
+		}
+	}
+}
+
+// TestUpdateShellIsOneQuery: an update's query shell is one *Query for
+// the update's life, whichever goroutine asks first, so state kept per
+// query finds it again in every snapshot of the workload.
+func TestUpdateShellIsOneQuery(t *testing.T) {
+	w := Hom(HomConfig{Queries: 10, UpdateFraction: 0.5, Seed: 7})
+	u := w.Updates()[0].Update
+	shells := make([]*Query, 8)
+	var wg sync.WaitGroup
+	for g := range shells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shells[g] = u.Shell()
+		}()
+	}
+	wg.Wait()
+	for _, sh := range shells {
+		if sh != shells[0] {
+			t.Fatal("concurrent Shell calls returned different queries")
+		}
+	}
+	for _, st := range w.Queries() {
+		if st.Query.ID == u.ID+"#shell" && st.Query != shells[0] {
+			t.Fatal("Queries wraps a different shell than Shell returns")
 		}
 	}
 }
