@@ -74,7 +74,7 @@ func main() {
 	halfLife := flag.Float64("half-life", 64, "ingestion decay half-life in batches (negative disables decay)")
 	minWeight := flag.Float64("min-weight", 1e-3, "eviction threshold for decayed statements")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline for /recommend; the solver inherits the remaining time (0 disables)")
-	maxCandidates := flag.Int("max-candidates", 4096, "cap on the candidate set a /recommend may solve over; exceeding it answers 413 (0 disables)")
+	maxCandidates := flag.Int("max-candidates", 4096, "cap on the live candidate set a /recommend may solve over (the session holds no other); exceeding it answers 413 (0 disables)")
 	maxQueue := flag.Int("max-queue", 16, "bound on /recommend requests waiting for the session; arrivals beyond it are shed with 429 + Retry-After")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "longest a /recommend may wait in the admission queue before it is shed with 429")
 	dataDir := flag.String("data-dir", "", "durable state directory: WAL + snapshots, recovered on startup (empty disables persistence)")

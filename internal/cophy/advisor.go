@@ -230,8 +230,6 @@ type Session struct {
 	w    *workload.Workload
 	cons Constraints
 	s    []*catalog.Index
-	// pos maps a candidate's ID to its position in s.
-	pos map[string]int32
 	// warm is what the next solve starts from: set by a successful solve
 	// or by RestoreSession, nil while the session is cold.
 	warm *warmState
@@ -252,8 +250,8 @@ type warmState struct {
 
 // NewSession starts an interactive session.
 func (ad *Advisor) NewSession(w *workload.Workload, s []*catalog.Index, cons Constraints) *Session {
-	se := &Session{ad: ad, w: w, cons: cons, pos: make(map[string]int32, len(s))}
-	se.AddCandidates(s)
+	se := &Session{ad: ad, w: w, cons: cons}
+	se.SetCandidates(s)
 	return se
 }
 
@@ -307,30 +305,41 @@ func (ad *Advisor) RestoreSession(w *workload.Workload, state *SessionState, con
 	return se
 }
 
-// Compact rebases the session onto a new candidate set — the live
-// candidates, typically much smaller than the accumulated append-only
-// set — while carrying the warm state across: surviving candidates'
-// multipliers are remapped to their new positions (blocks still matched
-// by statement label), dropped candidates' sites are discarded, and the
-// incumbent keeps its surviving choices, so a session whose dead
-// candidates dominate needs no cold re-session to shed them. The
-// compiled problem stores positions and the remap is not monotone: the
-// next build finds its candidates are no prefix of the new ones and
-// compiles once from nothing.
-func (se *Session) Compact(live []*catalog.Index) {
+// SetCandidates makes live (deduplicated by ID) the session's candidate
+// set — the DBA's revision of §4.2 — and reports how many of the old
+// candidates it dropped. Surviving candidates keep their old order and
+// come first; the new ones follow in live's order. The warm state is
+// carried across: surviving candidates' multipliers move to their new
+// positions (blocks still matched by statement label), dropped
+// candidates' sites are discarded and the incumbent keeps its surviving
+// choices, so the next solve stays warm. The compiled problem follows
+// by the same renumbering, evaluating γ for the new candidates alone.
+func (se *Session) SetCandidates(live []*catalog.Index) (dropped int) {
+	// pending holds the IDs of live not yet placed.
+	pending := make(map[string]bool, len(live))
+	for _, ix := range live {
+		pending[ix.ID()] = true
+	}
 	old := se.s
-	se.s, se.pos = nil, make(map[string]int32, len(live))
-	se.AddCandidates(live)
 	perm := make([]int32, len(old))
+	se.s = make([]*catalog.Index, 0, len(pending))
 	for i, ix := range old {
-		if p, ok := se.pos[ix.ID()]; ok {
-			perm[i] = p
-		} else {
-			perm[i] = -1
+		perm[i] = -1
+		if id := ix.ID(); pending[id] {
+			delete(pending, id)
+			perm[i] = int32(len(se.s))
+			se.s = append(se.s, ix)
 		}
 	}
-	if se.warm == nil {
-		return
+	dropped = len(old) - len(se.s)
+	for _, ix := range live {
+		if id := ix.ID(); pending[id] {
+			delete(pending, id)
+			se.s = append(se.s, ix)
+		}
+	}
+	if dropped == 0 || se.warm == nil {
+		return dropped // positions unchanged: start() pads the incumbent
 	}
 	sel := make([]bool, len(se.s))
 	for i, on := range se.warm.selected {
@@ -339,36 +348,16 @@ func (se *Session) Compact(live []*catalog.Index) {
 		}
 	}
 	se.warm = &warmState{lambda: se.warm.lambda.Remap(perm), selected: sel, gap: se.warm.gap}
+	return dropped
 }
 
 // Candidates returns the session's current candidate set.
 func (se *Session) Candidates() []*catalog.Index { return se.s }
 
 // AddCandidates appends candidates to S (deduplicating), the
-// incremental exploration of §4.2. Existing candidates keep their
-// positions, so multipliers, incumbents and the compiled problem carry
-// over.
+// incremental exploration of §4.2.
 func (se *Session) AddCandidates(delta []*catalog.Index) {
-	for _, ix := range delta {
-		if id := ix.ID(); !se.has(id) {
-			se.pos[id] = int32(len(se.s))
-			se.s = append(se.s, ix)
-		}
-	}
-}
-
-func (se *Session) has(id string) bool { _, ok := se.pos[id]; return ok }
-
-// Holds returns how many of the given candidates (distinct by ID) the
-// session already has.
-func (se *Session) Holds(cands []*catalog.Index) int {
-	n := 0
-	for _, ix := range cands {
-		if se.has(ix.ID()) {
-			n++
-		}
-	}
-	return n
+	se.SetCandidates(append(se.Candidates(), delta...))
 }
 
 // SetConstraints replaces the session's constraint set for the next
@@ -380,8 +369,8 @@ func (se *Session) SetConstraints(cons Constraints) { se.cons = cons }
 // snapshots, so the blocks of the next model carry the same labels and
 // the previous multipliers warm every surviving statement; statements
 // that appeared or changed weight are repriced, not cold-started.
-// Candidate positions are managed by AddCandidates (append-only), so
-// the previous incumbent remains a valid MIP start.
+// Candidate positions are managed by SetCandidates alone, so the
+// previous incumbent remains a valid MIP start.
 func (se *Session) SetWorkload(w *workload.Workload) { se.w = w }
 
 // Workload returns the session's current workload.

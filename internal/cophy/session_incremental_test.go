@@ -73,7 +73,7 @@ func TestSessionIncrementalDifferential(t *testing.T) {
 	}
 
 	var cancelOnProgress context.CancelFunc
-	compactions := 0
+	revisions := 0
 	newRig := func() *diffRig {
 		eng := engine.New(cat, engine.SystemA())
 		ad := NewAdvisor(cat, eng, Options{GapTol: 0.02, RootIters: 150, MaxNodes: 60})
@@ -185,13 +185,18 @@ func TestSessionIncrementalDifferential(t *testing.T) {
 			}
 			both(func(r *diffRig) { r.se.SetConstraints(cons) })
 		}},
-		{"compact", func() {
+		{"set-candidates", func() {
 			live := append([]*catalog.Index(nil), inc.se.Candidates()...)
 			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-			if compactions++; compactions%2 == 0 {
-				live = live[:len(live)*2/3] // every other one is a pure permutation
+			if revisions++; revisions%2 == 0 {
+				// Every other revision drops a third; the dropped wait in
+				// the pool and may come back.
+				cut := len(live) * 2 / 3
+				held, live = append(held, live[cut:]...), live[:cut:cut]
 			}
-			both(func(r *diffRig) { r.se.Compact(live) })
+			n := min(len(held), rng.Intn(6))
+			live, held = append(live, held[:n]...), held[n:]
+			both(func(r *diffRig) { r.se.SetCandidates(live) })
 		}},
 		{"cancelled-solve", func() {
 			both(func(r *diffRig) {
@@ -291,6 +296,26 @@ func TestResolveSlotCostCalls(t *testing.T) {
 	se.SetWorkload(&workload.Workload{Name: "grown", Statements: append(append([]*workload.Statement(nil), reweighted.Statements...), appended...)})
 	if got := resolveCalls(se); got != want || want <= 0 {
 		t.Fatalf("re-solve after appending %d statements made %d γ evaluations, want theirs alone = %d", len(appended), got, want)
+	}
+
+	// Dropping candidates renumbers the kept slabs and evaluates nothing;
+	// dropping more while bringing the first ones back evaluates only
+	// those.
+	grown, q := se.Workload(), len(cands)/4
+	back := cands[q : 2*q]
+	kept := append(append([]*catalog.Index(nil), cands[:q]...), cands[2*q:]...)
+	if dropped := se.SetCandidates(kept); dropped != len(back) {
+		t.Fatalf("SetCandidates dropped %d candidates, want %d", dropped, len(back))
+	}
+	if got := resolveCalls(se); got != 0 {
+		t.Fatalf("re-solve after dropping %d candidates made %d γ evaluations", len(back), got)
+	}
+	kept = kept[:len(kept)/2]
+	next := append(append([]*catalog.Index(nil), kept...), back...)
+	want = compileCalls(grown, next) - compileCalls(grown, kept)
+	se.SetCandidates(next)
+	if got := resolveCalls(se); got != want || want <= 0 {
+		t.Fatalf("re-solve after a drop plus Δ made %d γ evaluations, want Δ's alone = %d", got, want)
 	}
 }
 

@@ -152,8 +152,8 @@ func TestSessionExportRestoreWarm(t *testing.T) {
 	})
 }
 
-// TestSessionCompactCarriesWarmState: compacting a session onto the
-// live candidate subset keeps it warm — the remapped duals and
+// TestSessionCompactCarriesWarmState: setting a session's candidates to
+// a live subset keeps it warm — the remapped duals and
 // incumbent make the next solve cheaper than a cold one — and shrinks
 // the candidate set, identically from either origin.
 func TestSessionCompactCarriesWarmState(t *testing.T) {
@@ -163,7 +163,7 @@ func TestSessionCompactCarriesWarmState(t *testing.T) {
 	cons := FractionOfData(cat, 0.25)
 	cold, origins := warmOrigins(t, ad.Opts, cat, w, s, cons)
 
-	// Compact onto the first two thirds of the candidates plus every
+	// Keep the first two thirds of the candidates plus every
 	// selected one (so the incumbent survives).
 	keep := append([]*catalog.Index(nil), s[:2*len(s)/3]...)
 	have := map[string]bool{}
@@ -179,16 +179,18 @@ func TestSessionCompactCarriesWarmState(t *testing.T) {
 
 	t.Run("compact+export", func(t *testing.T) {
 		sameFromEveryOrigin(t, origins, func(t *testing.T, se *Session) string {
-			se.Compact(keep)
+			if dropped := se.SetCandidates(keep); dropped != len(s)-len(keep) {
+				t.Fatalf("SetCandidates dropped %d candidates, want %d", dropped, len(s)-len(keep))
+			}
 			if !se.Warm() {
-				t.Fatal("compaction lost the warm state")
+				t.Fatal("dropping candidates lost the warm state")
 			}
 			return exportOf(t, se)
 		})
 	})
 	t.Run("compact+solve", func(t *testing.T) {
 		warm := sameFromEveryOrigin(t, origins, func(t *testing.T, se *Session) solved {
-			se.Compact(keep)
+			se.SetCandidates(keep)
 			return solveOf(t, se)
 		})
 		if warm.NumCandidates != len(keep) {
@@ -252,7 +254,7 @@ func TestRestoreParentFormatRecord(t *testing.T) {
 
 // TestSessionDualStateImmutable: a dual state the session handed out is
 // never written to again — not by the next solve that warm-starts from
-// it, not by Compact remapping it, not by the solve after that.
+// it, not by SetCandidates remapping it, not by the solve after that.
 func TestSessionDualStateImmutable(t *testing.T) {
 	ad, cat, _ := testAdvisor(t)
 	w := workload.Hom(workload.HomConfig{Queries: 20, Seed: 11})
@@ -265,11 +267,11 @@ func TestSessionDualStateImmutable(t *testing.T) {
 		before = append(before, lagrange.DualBlock{ID: b.ID, Sites: append([]lagrange.DualSite(nil), b.Sites...)})
 	}
 	solveOf(t, se)
-	se.Compact(s[:len(s)/2])
+	se.SetCandidates(s[:len(s)/2])
 	if _, err := se.Solve(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(exported, before) {
-		t.Fatal("an exported dual state changed under later solves and a compaction")
+		t.Fatal("an exported dual state changed under later solves and a candidate drop")
 	}
 }

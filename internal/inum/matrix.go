@@ -111,19 +111,34 @@ func (c *Cache) PrepareMatrix(cm *CostMatrix, w *workload.Workload, workers int)
 // UpdateMatrix brings cm to (w, s, baseline), compiling only what the
 // previous triple does not already hold. A query keeps its slab's
 // templates; other queries take theirs from PrepareMatrix, or look them
-// up here. When s only appended candidates, a kept slab evaluates γ for
-// the appended positions alone: they are larger than every compiled
-// position, so the extended per-slot lists equal a from-scratch compile
-// bit for bit. Any other change of s (positions are what Compat stores)
-// or of the baseline recompiles every slab. Slabs of queries no longer
-// in w are dropped, so the matrix never outgrows the workload it was
-// last brought to. Queries are independent, so compilation fans out
-// across workers (0 = GOMAXPROCS); each worker writes only its own
-// queries' entries.
+// up here. One rule relates the old candidate list to s: walking both by
+// pointer, the old candidates found in s, in their old order, are
+// s[:from], and everything after from counts as appended — a survivor
+// that moved out of order included. A kept slab renumbers its entries
+// to their new positions, drops those of dropped candidates and
+// evaluates γ for the appended positions alone. Positions stay
+// ascending and neither γ nor SlotFree depends on them, so the result
+// equals a from-scratch compile bit for bit, and a drop costs no γ
+// evaluation. Only a baseline change compiles every slab from nothing.
+// Slabs of queries no longer in w are dropped, so the matrix never
+// outgrows the workload it was last brought to. Queries are
+// independent, so compilation fans out across workers (0 = GOMAXPROCS);
+// each worker writes only its own queries' entries.
 func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.Index, baseline *engine.Config, workers int) {
-	old, prepared, from := cm.byQuery, cm.prepared, len(cm.S)
-	if cm.baseline != baseline || len(cm.S) > len(s) || !slices.Equal(cm.S, s[:len(cm.S)]) {
-		from = -1 // no slab extends: recompile from the kept templates
+	old, prepared, baselineChanged := cm.byQuery, cm.prepared, cm.baseline != baseline
+	// perm[i] is the new position of old candidate i, or -1 when it is
+	// not in s[:from]; nil when every old candidate kept its position.
+	perm := make([]int32, len(cm.S))
+	from := 0
+	for i, ix := range cm.S {
+		perm[i] = -1
+		if from < len(s) && s[from] == ix {
+			perm[i] = int32(from)
+			from++
+		}
+	}
+	if from == len(cm.S) {
+		perm = nil
 	}
 
 	// Candidate positions grouped per table, so slot compilation only
@@ -133,7 +148,7 @@ func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.
 	added := make(map[string][]int32)
 	for i, ix := range s {
 		all[ix.Table] = append(all[ix.Table], int32(i))
-		if from >= 0 && i >= from {
+		if i >= from {
 			added[ix.Table] = append(added[ix.Table], int32(i))
 		}
 	}
@@ -147,16 +162,16 @@ func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.
 	par.ForWorker(len(queries), workers, func(worker, i int) {
 		q := queries[i]
 		switch prev := old[q]; {
-		case prev != nil && from >= 0:
-			mats[i] = c.compileQuery(prev.QI, prev, s, added, baseline, &bufs[worker])
+		case prev != nil && !baselineChanged:
+			mats[i] = c.compileQuery(prev.QI, prev, perm, s, added, baseline, &bufs[worker])
 		case prev != nil:
-			mats[i] = c.compileQuery(prev.QI, nil, s, all, baseline, &bufs[worker])
+			mats[i] = c.compileQuery(prev.QI, nil, nil, s, all, baseline, &bufs[worker])
 		default:
 			qi := prepared[q]
 			if qi == nil {
 				qi = c.PrepareQuery(q)
 			}
-			mats[i] = c.compileQuery(qi, nil, s, all, baseline, &bufs[worker])
+			mats[i] = c.compileQuery(qi, nil, nil, s, all, baseline, &bufs[worker])
 		}
 	})
 
@@ -177,9 +192,10 @@ type slabBuf struct {
 }
 
 // compileQuery flattens one query's γ values into a QueryMatrix: prev's
-// entries (none when prev is nil) followed, slot by slot, by γ of the
-// candidate positions in byTable, which must all lie beyond prev's.
-func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, s []*catalog.Index, byTable map[string][]int32, baseline *engine.Config, buf *slabBuf) *QueryMatrix {
+// entries (none when prev is nil) renumbered through perm (nil = kept
+// in place), followed, slot by slot, by γ of the candidate positions in
+// byTable, which must all lie beyond the renumbered ones.
+func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, perm []int32, s []*catalog.Index, byTable map[string][]int32, baseline *engine.Config, buf *slabBuf) *QueryMatrix {
 	slots, scan := 0, 0
 	for _, tpl := range qi.Templates {
 		slots += len(tpl.Slots)
@@ -187,7 +203,7 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, s []*catalog.Inde
 			scan += len(byTable[tpl.Slots[si].Table])
 		}
 	}
-	if prev != nil && scan == 0 {
+	if prev != nil && perm == nil && scan == 0 {
 		return prev
 	}
 	qm := &QueryMatrix{
@@ -205,9 +221,16 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, s []*catalog.Inde
 			free := math.Inf(1)
 			if n := len(qm.SlotFree); prev != nil {
 				free = prev.SlotFree[n]
-				lo, hi := prev.SlotOff[n], prev.SlotOff[n+1]
-				compat = append(compat, prev.Compat[lo:hi]...)
-				gamma = append(gamma, prev.Gamma[lo:hi]...)
+				for k := prev.SlotOff[n]; k < prev.SlotOff[n+1]; k++ {
+					pos := prev.Compat[k]
+					if perm != nil {
+						if pos = perm[pos]; pos < 0 {
+							continue
+						}
+					}
+					compat = append(compat, pos)
+					gamma = append(gamma, prev.Gamma[k])
+				}
 			} else {
 				if g, ok := c.Gamma(qi, ti, si, nil); ok {
 					free = g

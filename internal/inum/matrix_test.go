@@ -3,6 +3,7 @@ package inum
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -150,4 +151,126 @@ func TestCompileMatrixDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUpdateMatrixMatchesCompile drives one matrix through seeded random
+// revisions of its candidate list — drops, appends, reorders and their
+// mixes — and holds every slab to a from-nothing CompileMatrix over the
+// new list, bit for bit. An update evaluates γ only for the positions it
+// treats as appended: those after the longest prefix of the new list
+// that is a subsequence of the old one. A pure drop evaluates nothing.
+func TestUpdateMatrixMatchesCompile(t *testing.T) {
+	eng, cache, base := testSetup(t)
+	w := workload.Hom(workload.HomConfig{Queries: 12, Seed: 31})
+	cache.Prepare(w)
+	pool := matrixCandidates(t, w)
+	rng := rand.New(rand.NewSource(20261016))
+
+	gammaCalls := func(s []*catalog.Index) int64 {
+		eng.ResetSlotCostCalls()
+		cache.CompileMatrix(w, s, base, 1)
+		return eng.SlotCostCalls()
+	}
+	free := gammaCalls(nil)
+
+	s := append([]*catalog.Index(nil), pool[:len(pool)/2]...)
+	cm := cache.CompileMatrix(w, s, base, 5)
+	for step := 0; step < 48; step++ {
+		next := reviseCandidates(rng, step%6, s, pool)
+		from := subsequencePrefix(next, s)
+		want := gammaCalls(next[from:]) - free
+		eng.ResetSlotCostCalls()
+		cache.UpdateMatrix(cm, w, next, base, 5)
+		if got := eng.SlotCostCalls(); got != want {
+			t.Fatalf("step %d: update made %d γ evaluations, the %d appended positions cost %d", step, got, len(next)-from, want)
+		}
+		ref := cache.CompileMatrix(w, next, base, 1)
+		for _, st := range w.Queries() {
+			if err := sameSlab(cm.Query(st.Query), ref.Query(st.Query)); err != "" {
+				t.Fatalf("step %d, %s: updated slab differs from a fresh compile in %s", step, st.Query.ID, err)
+			}
+		}
+		s = next
+	}
+}
+
+// reviseCandidates returns a revision of s: drop (kind 0), append from
+// pool (1), move a few to the end (2), shuffle (3), leave as is (4), or
+// drop, move and append at once (5).
+func reviseCandidates(rng *rand.Rand, kind int, s, pool []*catalog.Index) []*catalog.Index {
+	next := append([]*catalog.Index(nil), s...)
+	if kind == 0 || kind == 5 {
+		kept := next[:0]
+		for _, ix := range next {
+			if rng.Intn(4) != 0 {
+				kept = append(kept, ix)
+			}
+		}
+		next = kept
+	}
+	if (kind == 2 || kind == 5) && len(next) > 1 {
+		for k := 0; k < 3; k++ {
+			i := rng.Intn(len(next) - 1)
+			moved := next[i]
+			next = append(append(next[:i], next[i+1:]...), moved)
+		}
+	}
+	if kind == 3 {
+		rng.Shuffle(len(next), func(i, j int) { next[i], next[j] = next[j], next[i] })
+	}
+	if kind == 1 || kind == 5 {
+		in := map[*catalog.Index]bool{}
+		for _, ix := range next {
+			in[ix] = true
+		}
+		for _, i := range rng.Perm(len(pool))[:len(pool)/5] {
+			if !in[pool[i]] {
+				next = append(next, pool[i])
+			}
+		}
+	}
+	return next
+}
+
+// subsequencePrefix returns the length of the longest prefix of next
+// whose candidates occur in old in the same order.
+func subsequencePrefix(next, old []*catalog.Index) int {
+	for k := len(next); k > 0; k-- {
+		j := 0
+		for _, ix := range old {
+			if j < k && next[j] == ix {
+				j++
+			}
+		}
+		if j == k {
+			return k
+		}
+	}
+	return 0
+}
+
+// sameSlab names the first field in which two slabs differ, or returns
+// "" when they are equal to the last bit.
+func sameSlab(a, b *QueryMatrix) string {
+	if a == nil || b == nil {
+		return "presence"
+	}
+	sameBits := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	switch {
+	case !sameBits(a.Internal, b.Internal):
+		return "Internal"
+	case !slices.Equal(a.TmplOff, b.TmplOff):
+		return "TmplOff"
+	case !sameBits(a.SlotFree, b.SlotFree):
+		return "SlotFree"
+	case !slices.Equal(a.SlotOff, b.SlotOff):
+		return "SlotOff"
+	case !slices.Equal(a.Compat, b.Compat):
+		return "Compat"
+	case !sameBits(a.Gamma, b.Gamma):
+		return "Gamma"
+	}
+	return ""
 }

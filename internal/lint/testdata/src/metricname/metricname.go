@@ -11,10 +11,10 @@ func register(reg *obs.Registry) {
 	reg.Histogram("cophyd_solve_seconds", "a well-named histogram", obs.L("endpoint", "recommend"))
 	reg.CounterFunc("cophyd_derived_total", "a well-named derived counter", func() float64 { return 0 })
 
-	reg.Counter("cophyd_bad_things", "counter missing its suffix")             // want "must end in _total"
+	reg.Counter("cophyd_bad_things", "counter missing its suffix")                                      // want "must end in _total"
 	reg.GaugeFunc("cophyd_bad_total", "gauge claiming the counter suffix", func() float64 { return 0 }) // want "must not end in _total"
-	reg.Counter("queue_depth_total", "name outside the namespace")             // want "naming contract"
-	reg.Histogram("cophyd_Bad_seconds", "upper case breaks the contract")      // want "naming contract"
+	reg.Counter("queue_depth_total", "name outside the namespace")                                      // want "naming contract"
+	reg.Histogram("cophyd_Bad_seconds", "upper case breaks the contract")                               // want "naming contract"
 }
 
 func duplicate(reg *obs.Registry) {

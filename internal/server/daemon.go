@@ -53,8 +53,8 @@ type Config struct {
 	// the remaining time as its TimeLimit. Zero means unbounded.
 	RequestTimeout time.Duration
 	// MaxCandidates caps the candidate set a /recommend request may
-	// solve over (the session's existing candidates plus the request's
-	// new ones). Zero means uncapped. Exceeding it answers 413.
+	// solve over: the live workload's candidates, which are all the
+	// session holds. Zero means uncapped. Exceeding it answers 413.
 	MaxCandidates int
 	// MaxQueue bounds how many /recommend requests may wait for the
 	// session at once; arrivals beyond it are shed immediately with 429
@@ -179,7 +179,6 @@ type Daemon struct {
 	coalesced     *obs.Counter
 	whatifs       *obs.Counter
 	recommends    *obs.Counter
-	rebases       *obs.Counter
 	compactions   *obs.Counter
 	walRecords    *obs.Counter
 	snapshots     *obs.Counter
@@ -351,6 +350,9 @@ func (d *Daemon) WhatIf(sql string, indexes []*catalog.Index) (WhatIfResult, err
 		if t == nil {
 			return WhatIfResult{}, fmt.Errorf("server: index on unknown table %q", ix.Table)
 		}
+		if len(ix.Key) == 0 {
+			return WhatIfResult{}, fmt.Errorf("server: index %s has no key column", ix.ID())
+		}
 		for _, col := range append(append([]string(nil), ix.Key...), ix.Include...) {
 			if t.Column(col) == nil {
 				return WhatIfResult{}, fmt.Errorf("server: unknown column %s.%s", ix.Table, col)
@@ -518,50 +520,19 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	cands := cophy.Candidates(d.cat, w, d.cgen)
 	stopCand()
 
-	// The session's candidate positions are append-only (they anchor
-	// the solver's z variables), so dead candidates — ones no live
-	// statement generates anymore — keep their z variables until the
-	// session is rebuilt. Two policies bound that growth, in order of
-	// preference:
-	//
-	// Compaction (warm): when the dead candidates outnumber the live
-	// ones — cheap to detect, one set intersection — the session is
-	// rebased onto the live candidate set with the surviving
-	// multipliers carried across by block label and position remap, so
-	// the next solve stays warm.
-	//
-	// Rebase (cold): with a candidate cap configured, a request whose
-	// own candidate set exceeds it is the caller's problem (413); a
-	// union over the cap that compaction could not fix (the session is
-	// cold, nothing to carry) drops the session for a cold re-session
-	// over the live candidates instead of wedging every future request.
-	//
-	// Both read one number off the session's candidate index: how many
-	// of this request's candidates (distinct by construction) it holds.
-	held, total := 0, 0
-	if d.session != nil {
-		held, total = d.session.Holds(cands), len(d.session.Candidates())
-		if dead := total - held; d.session.Warm() && dead > held {
-			d.session.Compact(cands)
-			d.compactions.Add(1)
-			held, total = len(cands), len(cands)
-		}
+	if d.maxCandidates > 0 && len(cands) > d.maxCandidates {
+		return RecommendResult{}, fmt.Errorf("server: %w: %d > %d", ErrTooManyCandidates, len(cands), d.maxCandidates)
 	}
-	if d.maxCandidates > 0 {
-		if len(cands) > d.maxCandidates {
-			return RecommendResult{}, fmt.Errorf("server: %w: %d > %d", ErrTooManyCandidates, len(cands), d.maxCandidates)
-		}
-		if union := total + len(cands) - held; d.session != nil && union > d.maxCandidates {
-			d.session = nil // rebase: next solve is cold over live candidates only
-			d.rebases.Add(1)
-		}
-	}
-
+	// The session holds exactly the live candidates: ones no live
+	// statement generates anymore are dropped here, with the warm state
+	// carried across, so the session never outgrows the request.
 	if d.session == nil {
 		d.session = d.ad.NewSession(w, cands, cons)
 	} else {
 		d.session.SetWorkload(w)
-		d.session.AddCandidates(cands)
+		if d.session.SetCandidates(cands) > 0 {
+			d.compactions.Inc()
+		}
 		d.session.SetConstraints(cons)
 	}
 	// Infeasible solves are not retained by the session, so a failed
@@ -647,10 +618,10 @@ type Stats struct {
 	// benchmark still reads them; ROADMAP item 1(b) deletes them.
 	NumericFallbacks int64 `json:"numeric_fallbacks"`
 	WarmDowngrades   int64 `json:"warm_downgrades"`
-	// SessionRebases counts cold re-sessions forced by the candidate
-	// cap; SessionCompactions counts warm rebases onto the live
-	// candidate set (dead candidates outnumbered live ones and the
-	// multipliers were carried across).
+	// SessionCompactions counts recommendations that dropped at least
+	// one candidate no live statement generates anymore (the warm state
+	// is carried across). SessionRebases is always zero: the benchmark
+	// still reads it; ROADMAP item 4(b) deletes it.
 	SessionRebases     int64 `json:"session_rebases"`
 	SessionCompactions int64 `json:"session_compactions"`
 	// PlanCacheHits / PlanCacheMisses expose the INUM shape cache, one
@@ -707,7 +678,6 @@ func (d *Daemon) Snapshot() Stats {
 		Recommends:         d.recommends.Load(),
 		PrepCalls:          d.ad.Inum.PrepStats(),
 		EvictedEntries:     d.ad.Inum.ShapeEvictions(),
-		SessionRebases:     d.rebases.Load(),
 		SessionCompactions: d.compactions.Load(),
 		WALRecords:         d.walRecords.Load(),
 		SnapshotsWritten:   d.snapshots.Load(),

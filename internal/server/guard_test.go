@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/cophy"
 	"repro/internal/engine"
 	"repro/internal/tpch"
@@ -130,11 +132,10 @@ func TestRecommendTooManyCandidates(t *testing.T) {
 }
 
 // TestRecommendCompactsInsteadOfWedging: when the live workload shifts
-// so far that the session's accumulated candidates are mostly dead,
-// the daemon compacts the session onto the live candidate set — warm,
-// multipliers carried by block label — instead of wedging on the cap
-// (and instead of the old cold rebase, which forfeited the warm
-// state).
+// so far that the session's earlier candidates are mostly dead, the next
+// recommendation drops them — warm, multipliers carried by block label —
+// so the session holds exactly the live candidate set and never wedges
+// on the cap.
 func TestRecommendCompactsInsteadOfWedging(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
 	wA := workload.Het(workload.HetConfig{Queries: 8, Seed: 5})
@@ -155,7 +156,7 @@ func TestRecommendCompactsInsteadOfWedging(t *testing.T) {
 		cap = sizeB
 	}
 	if union <= cap {
-		t.Skip("workload mixes share all candidates; cannot exercise the rebase")
+		t.Skip("workload mixes share all candidates; cannot exercise the drop")
 	}
 
 	d := testDaemonWith(t, func(c *Config) {
@@ -178,51 +179,66 @@ func TestRecommendCompactsInsteadOfWedging(t *testing.T) {
 	var second RecommendResult
 	resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &second)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("recommend after mix shift: status %d, want 200 via compaction", resp.StatusCode)
+		t.Fatalf("recommend after mix shift: status %d, want 200", resp.StatusCode)
 	}
 	if !second.Warm {
-		t.Fatal("compacted solve should stay warm (multipliers carried by block label)")
+		t.Fatal("solve after dropping candidates should stay warm (multipliers carried by block label)")
 	}
-	if second.Candidates > cap {
-		t.Fatalf("compacted session still over cap: %d > %d", second.Candidates, cap)
-	}
-	st := d.Snapshot()
-	if st.SessionCompactions == 0 {
+	assertHoldsLive(t, d)
+	if st := d.Snapshot(); st.SessionCompactions == 0 {
 		t.Fatal("compaction counter never moved")
-	}
-	if st.SessionRebases != 0 {
-		t.Fatal("compaction should have made the cold rebase unnecessary")
 	}
 }
 
-// TestRecommendRebasesColdSession: the cold-rebase fallback still
-// exists for a session with no warm state to carry — over the cap it
-// is dropped for a cold re-session instead of wedging 413.
-func TestRecommendRebasesColdSession(t *testing.T) {
+// TestRecommendTrimsPaddedSession: a session padded with candidates no
+// live statement generates is trimmed to the live set by the next
+// recommendation, which stays warm; there is no cold rebase.
+func TestRecommendTrimsPaddedSession(t *testing.T) {
 	d := testDaemonWith(t, func(c *Config) { c.MaxCandidates = 4096 })
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
 	gen := workload.Hom(workload.HomConfig{Queries: 6, Seed: 8})
 	post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
+	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first recommend: status %d", resp.StatusCode)
+	}
 
-	// A cold session (never solved) bloated past the cap with
-	// candidates no live statement generates.
+	// Pad the warm session past the cap with junk candidates.
 	pad := cophy.RandomIndexes(d.cat, d.maxCandidates+8, 3)
-	d.session = d.ad.NewSession(d.stream.Snapshot(), pad, cophy.NoConstraints())
-	if d.session.Warm() {
-		t.Fatal("fixture session unexpectedly warm")
+	d.session.AddCandidates(pad)
+	if len(d.session.Candidates()) <= d.maxCandidates {
+		t.Fatalf("fixture session holds only %d candidates", len(d.session.Candidates()))
 	}
 
 	var rec RecommendResult
-	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &rec); resp.StatusCode != http.StatusOK {
-		t.Fatalf("recommend over bloated cold session: status %d, want 200 via rebase", resp.StatusCode)
+	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.3}, &rec); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recommend over padded session: status %d, want 200", resp.StatusCode)
 	}
-	if rec.Warm {
-		t.Fatal("rebased solve should be cold")
+	if !rec.Warm {
+		t.Fatal("trimmed solve should stay warm")
 	}
-	if d.Snapshot().SessionRebases == 0 {
-		t.Fatal("rebase counter never moved")
+	assertHoldsLive(t, d)
+	if st := d.Snapshot(); st.SessionRebases != 0 || st.SessionCompactions != 1 {
+		t.Fatalf("session_rebases = %d, session_compactions = %d; want 0 and 1", st.SessionRebases, st.SessionCompactions)
+	}
+}
+
+// assertHoldsLive fails unless the daemon's session holds exactly the
+// candidates the live workload generates.
+func assertHoldsLive(t *testing.T, d *Daemon) {
+	t.Helper()
+	ids := func(ixs []*catalog.Index) []string {
+		out := make([]string, len(ixs))
+		for i, ix := range ixs {
+			out[i] = ix.ID()
+		}
+		slices.Sort(out)
+		return out
+	}
+	got, want := ids(d.session.Candidates()), ids(cophy.Candidates(d.cat, d.stream.Snapshot(), d.cgen))
+	if !slices.Equal(got, want) {
+		t.Fatalf("session holds %d candidates, the live set is %d", len(got), len(want))
 	}
 }
 

@@ -26,10 +26,8 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		"Recommendations solved (coalesced followers excluded).")
 	d.coalesced = reg.Counter("cophyd_coalesced_requests_total",
 		"Recommendation requests that shared another request's solve.")
-	d.rebases = reg.Counter("cophyd_session_rebases_total",
-		"Cold re-sessions forced by the candidate cap.")
 	d.compactions = reg.Counter("cophyd_session_compactions_total",
-		"Warm session rebases onto the live candidate set.")
+		"Recommendations that dropped candidates no live statement generates anymore.")
 	d.walRecords = reg.Counter("cophyd_wal_records_total",
 		"Records appended to the write-ahead log.")
 	d.snapshots = reg.Counter("cophyd_snapshots_total",

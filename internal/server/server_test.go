@@ -248,6 +248,29 @@ func TestConcurrentWhatIf(t *testing.T) {
 	}
 }
 
+// TestWhatIfRejectsEmptyKey: an index without key columns is no index;
+// /whatif refuses it with 422 naming the spec instead of pricing it as
+// the baseline.
+func TestWhatIfRejectsEmptyKey(t *testing.T) {
+	d := testDaemon(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	status, body := postErr(t, srv, "/whatif", whatIfRequest{
+		SQL:     "SELECT l_quantity FROM lineitem WHERE l_shipdate < 100;",
+		Indexes: []IndexSpec{{Table: "lineitem", Key: []string{}}},
+	})
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("empty key: status %d, want 422", status)
+	}
+	if !strings.Contains(body["error"], "lineitem()") {
+		t.Fatalf("error %q does not name the spec", body["error"])
+	}
+	if got := d.Snapshot().WhatIfs; got != 0 {
+		t.Fatalf("rejected what-if counted: whatifs = %d", got)
+	}
+}
+
 func TestHTTPErrorPaths(t *testing.T) {
 	d := testDaemon(t)
 	srv := httptest.NewServer(d.Handler())
