@@ -2,8 +2,9 @@
 // figure of the paper's evaluation (run via the experiments package at
 // a reduced scale so `go test -bench=.` completes in minutes), plus
 // micro-benchmarks of the substrates and ablation benchmarks for the
-// design choices DESIGN.md calls out. `cmd/experiments -scale 1`
-// regenerates the full-scale numbers recorded in EXPERIMENTS.md.
+// design choices DESIGN.md calls out. `go run ./cmd/experiments -scale 1`
+// regenerates the full-scale numbers; committing them as checked claims
+// is ROADMAP item 6(b).
 package repro
 
 import (

@@ -82,7 +82,7 @@ type Result struct {
 	// Nodes counts branch-and-bound nodes beyond the root.
 	Nodes int
 	// NumericFallbacks and WarmDowngrades are always zero. The
-	// benchmark still reads them; ROADMAP item 1(b) deletes them.
+	// benchmark still reads them; ROADMAP item 4(b) deletes them.
 	NumericFallbacks int
 	WarmDowngrades   int
 	// Times is the INUM/build/solve breakdown of Figures 5 and 10.

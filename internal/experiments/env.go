@@ -2,8 +2,9 @@
 // paper's evaluation (§5 and Appendix C): the workload generators, the
 // four advisors, the parameter sweeps and the report formatting. Each
 // ExpXxx function is self-contained and returns a Report whose rows
-// mirror the rows/series the paper prints; cmd/experiments drives them
-// and EXPERIMENTS.md records paper-versus-measured values.
+// mirror the rows/series the paper prints; `go run ./cmd/experiments`
+// drives them. Recording paper-versus-measured values as checked claims
+// is ROADMAP item 6(b).
 //
 // Absolute times differ from the paper (different hardware, simulated
 // substrate); the reproduction targets the *shape*: who wins, by

@@ -94,7 +94,7 @@ type Result struct {
 	Nodes int
 	// NumericFallbacks and WarmDowngrades are always zero: the LP has
 	// no fallback path and no warm downgrade. The benchmark still reads
-	// them; ROADMAP item 1(b) deletes them.
+	// them; ROADMAP item 4(b) deletes them.
 	NumericFallbacks int
 	WarmDowngrades   int
 	// Lambda is the final dual state, reusable as Options.Warm.

@@ -20,12 +20,10 @@ func TestAnalyzers(t *testing.T) {
 	}{
 		{lint.Floatdet, "floatdet"},
 		{lint.Errbody, "errbody"},
-		{lint.Metricname, "metricname"},
 		{lint.Ctxflow, "ctxflow"},
 		{lint.Ctxflow, "ctxflow_main"},
 		{lint.Nakedclock, "nakedclock"},
 		{lint.Nakedclock, "nakedclock_noseam"},
-		{lint.Atomiccopy, "atomiccopy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -1,10 +1,10 @@
-// Package lint is cophyvet's analyzer framework: a stdlib-only
-// (go/parser + go/types, no golang.org/x/tools) loader, a diagnostic
-// reporter with //lint:ignore suppression, and the domain analyzers
-// guarding the conventions this repo's PRs established in prose —
-// the in-order-reduction discipline for deterministic float results,
-// the unified JSON error body, the cophyd_* metric naming contract,
-// ctx-threaded tracing, the injected-clock seam, and no-copy atomics.
+// Package lint is the repo's analyzer suite: a stdlib-only (go/parser
+// + go/types, no golang.org/x/tools) loader, a diagnostic reporter with
+// //lint:ignore suppression, and the domain analyzers guarding the
+// conventions this repo's PRs established in prose that go vet cannot
+// see — the in-order-reduction discipline for deterministic float
+// results, the unified JSON error body, ctx-threaded tracing and the
+// injected-clock seam. TestSelfCheckRepoClean runs it over the module.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis in
 // miniature (Analyzer, Pass, Reportf, a // want test harness) so the
@@ -22,8 +22,8 @@ import (
 // Analyzer is one named check. Run inspects a single type-checked
 // package and reports findings through the pass.
 type Analyzer struct {
-	// Name is the analyzer's identifier: the -enable/-disable flag
-	// value and the first field of a //lint:ignore directive.
+	// Name is the analyzer's identifier: the first field of a
+	// //lint:ignore directive.
 	Name string
 	// Doc is a one-paragraph description, led by a one-line summary.
 	Doc string

@@ -1,4 +1,4 @@
-// Package linttest is the expected-diagnostic harness for cophyvet
+// Package linttest is the expected-diagnostic harness for the repo's
 // analyzers, in the analysistest mold: a testdata package annotates
 // offending lines with
 //
@@ -58,7 +58,7 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	// Honor ignore directives, but only assert the analyzer under test:
 	// directive bookkeeping (unused/malformed) has its own unit tests.
 	var kept []lint.Diagnostic
-	for _, d := range lint.ApplyIgnores(pkgs, diags, lint.Names(), nil) {
+	for _, d := range lint.ApplyIgnores(pkgs, diags, false) {
 		if d.Analyzer == a.Name {
 			kept = append(kept, d)
 		}

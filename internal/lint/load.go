@@ -114,24 +114,14 @@ func modulePath(gomod string) (string, error) {
 // violate the invariants; the // want harness loads them explicitly).
 // Packages are returned in deterministic (path-sorted) order.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	return l.LoadTree(l.root)
-}
-
-// LoadTree loads every package under dir (which must sit inside the
-// module), applying the same skip rules as LoadAll.
-func (l *Loader) LoadTree(dir string) ([]*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
 	var dirs []string
-	err = filepath.WalkDir(abs, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != abs && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if path != l.root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil

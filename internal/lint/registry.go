@@ -8,29 +8,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Floatdet,
 		Errbody,
-		Metricname,
 		Ctxflow,
 		Nakedclock,
-		Atomiccopy,
 	}
-}
-
-// Names returns the analyzer names in All order.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, a := range all {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// ByName resolves an analyzer by name (nil when unknown).
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

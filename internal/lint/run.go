@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -65,35 +66,30 @@ func parseDirectives(pkgs []*Package, known map[string]bool) []*directive {
 // directives: a directive suppresses a matching analyzer's diagnostics
 // on its own line and on the line below (the two supported
 // placements). It returns the surviving diagnostics plus one
-// DirectiveAnalyzer diagnostic per malformed, unknown or unused
-// directive — a stale ignore outlives the violation it excused, and
-// leaving it would mask the next one. known lists every analyzer name
-// a directive may legally reference (normally Names(), independent of
-// which analyzers this run enabled); directives for known-but-disabled
-// analyzers are left alone rather than reported unused.
-func ApplyIgnores(pkgs []*Package, diags []Diagnostic, known []string, enabled []string) []Diagnostic {
-	knownSet := make(map[string]bool, len(known))
-	for _, n := range known {
-		knownSet[n] = true
+// DirectiveAnalyzer diagnostic per malformed or unknown directive and,
+// when reportUnused is set, per unused one — a stale ignore outlives
+// the violation it excused, and leaving it would mask the next one.
+// Only a run of every analyzer can tell a stale directive apart, so
+// reportUnused belongs to whole-suite runs.
+func ApplyIgnores(pkgs []*Package, diags []Diagnostic, reportUnused bool) []Diagnostic {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
 	}
-	enabledSet := make(map[string]bool, len(enabled))
-	for _, n := range enabled {
-		enabledSet[n] = true
-	}
-	dirs := parseDirectives(pkgs, knownSet)
+	dirs := parseDirectives(pkgs, known)
 	byLine := make(map[string][]*directive)
 	for _, d := range dirs {
 		if d.bad != "" {
 			continue
 		}
 		for _, line := range []int{d.pos.Line, d.pos.Line + 1} {
-			key := d.pos.Filename + "\x00" + itoa(line) + "\x00" + d.analyzer
+			key := d.pos.Filename + "\x00" + strconv.Itoa(line) + "\x00" + d.analyzer
 			byLine[key] = append(byLine[key], d)
 		}
 	}
 	var kept []Diagnostic
 	for _, dg := range diags {
-		key := dg.Pos.Filename + "\x00" + itoa(dg.Pos.Line) + "\x00" + dg.Analyzer
+		key := dg.Pos.Filename + "\x00" + strconv.Itoa(dg.Pos.Line) + "\x00" + dg.Analyzer
 		if ds := byLine[key]; len(ds) > 0 {
 			for _, d := range ds {
 				d.used = true
@@ -106,26 +102,12 @@ func ApplyIgnores(pkgs []*Package, diags []Diagnostic, known []string, enabled [
 		switch {
 		case d.bad != "":
 			kept = append(kept, Diagnostic{Analyzer: DirectiveAnalyzer, Pos: d.pos, Message: d.bad})
-		case !d.used && enabledSet[d.analyzer]:
+		case !d.used && reportUnused:
 			kept = append(kept, Diagnostic{Analyzer: DirectiveAnalyzer, Pos: d.pos,
 				Message: "unused //lint:ignore " + d.analyzer + " directive: nothing to suppress here — delete it"})
 		}
 	}
 	return kept
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, analyzer.

@@ -79,7 +79,7 @@ func TestApplyIgnores(t *testing.T) {
 		diag("errbody", "return x + y + z"), // no directive: must survive
 	}
 
-	kept := lint.ApplyIgnores([]*lint.Package{pkg}, diags, lint.Names(), lint.Names())
+	kept := lint.ApplyIgnores([]*lint.Package{pkg}, diags, true)
 	lint.SortDiagnostics(kept)
 
 	var messages []string
@@ -101,7 +101,7 @@ func TestApplyIgnores(t *testing.T) {
 		"missing its reason",              // //lint:ignore errbody
 		"malformed //lint:ignore",         // //lint:ignore
 		`unknown analyzer "bogus"`,        // //lint:ignore bogus ...
-		"unused //lint:ignore nakedclock", // stale directive, nakedclock enabled
+		"unused //lint:ignore nakedclock", // stale directive
 	} {
 		if !strings.Contains(joined, wantSub) {
 			t.Errorf("missing directive diagnostic %q in:\n%s", wantSub, joined)
@@ -113,37 +113,17 @@ func TestApplyIgnores(t *testing.T) {
 		}
 		t.Errorf("unexpected diagnostic survived: %s", d)
 	}
-}
 
-// TestApplyIgnoresDisabledAnalyzer checks that a directive for a
-// known-but-disabled analyzer is left alone rather than reported
-// unused: a partial -enable run must not demand deleting directives
-// the full run still needs.
-func TestApplyIgnoresDisabledAnalyzer(t *testing.T) {
-	pkg := loadTempModule(t, directiveSrc)
-	kept := lint.ApplyIgnores([]*lint.Package{pkg}, nil, lint.Names(), []string{"floatdet"})
-	var unused []string
-	for _, d := range kept {
-		if strings.Contains(d.Message, "unused //lint:ignore") {
-			unused = append(unused, d.Message)
-		}
-	}
-	// With nothing suppressed, the enabled analyzer's directive is
-	// stale and must be reported; the ctxflow and nakedclock directives
-	// belong to disabled analyzers, so a partial -enable run must not
-	// demand deleting them.
-	if len(unused) != 1 || !strings.Contains(unused[0], "floatdet") {
-		t.Errorf("want exactly the floatdet directive reported unused, got %q", unused)
-	}
-	// The malformed trio is still reported: directive hygiene does not
-	// depend on which analyzers ran.
+	// Without reportUnused (a single-analyzer run, as in linttest) the
+	// stale directive passes silently; the malformed trio still does not.
 	var bad int
-	for _, d := range kept {
-		if d.Analyzer == lint.DirectiveAnalyzer {
-			bad++
+	for _, d := range lint.ApplyIgnores([]*lint.Package{pkg}, nil, false) {
+		if strings.Contains(d.Message, "unused //lint:ignore") {
+			t.Errorf("unused directive reported without reportUnused: %s", d)
 		}
+		bad++
 	}
-	if bad != 4 {
-		t.Errorf("got %d directive diagnostics, want 4 (missing reason, malformed, unknown, unused floatdet)", bad)
+	if bad != 3 {
+		t.Errorf("got %d directive diagnostics without reportUnused, want 3 (missing reason, malformed, unknown)", bad)
 	}
 }

@@ -8,7 +8,7 @@ import "time"
 // that swaps it (or a window's own now field) drives rotation, expiry
 // and span durations virtually instead of sleeping. Production never
 // touches it; referencing time.Now as a value here is the one
-// sanctioned naked use (cophyvet's nakedclock flags calls, not the
+// sanctioned naked use (internal/lint's nakedclock flags calls, not the
 // seam's default).
 var clock = time.Now
 

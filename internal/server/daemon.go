@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +140,7 @@ type Daemon struct {
 	// degradedCause names the durability failure that forced read-only
 	// mode; probeBase/probeMax bound the recovery probe backoff.
 	health          atomic.Int32
-	degradedCause   atomic.Value // string
+	degradedCause   atomic.Pointer[string]
 	degradedEntries *obs.Counter
 	probeBase       time.Duration
 	probeMax        time.Duration
@@ -353,9 +354,15 @@ func (d *Daemon) WhatIf(sql string, indexes []*catalog.Index) (WhatIfResult, err
 		if len(ix.Key) == 0 {
 			return WhatIfResult{}, fmt.Errorf("server: index %s has no key column", ix.ID())
 		}
-		for _, col := range append(append([]string(nil), ix.Key...), ix.Include...) {
+		cols := append(append([]string(nil), ix.Key...), ix.Include...)
+		for i, col := range cols {
 			if t.Column(col) == nil {
 				return WhatIfResult{}, fmt.Errorf("server: unknown column %s.%s", ix.Table, col)
+			}
+			// A repeated column would be priced as a wider index than
+			// any the spec can mean.
+			if slices.Contains(cols[:i], col) {
+				return WhatIfResult{}, fmt.Errorf("server: index %s repeats column %s", ix.ID(), col)
 			}
 		}
 	}
@@ -615,7 +622,7 @@ type Stats struct {
 	PrepCalls      int64 `json:"prep_calls"`
 	EvictedEntries int64 `json:"evicted_entries"`
 	// NumericFallbacks and WarmDowngrades are always zero. The
-	// benchmark still reads them; ROADMAP item 1(b) deletes them.
+	// benchmark still reads them; ROADMAP item 4(b) deletes them.
 	NumericFallbacks int64 `json:"numeric_fallbacks"`
 	WarmDowngrades   int64 `json:"warm_downgrades"`
 	// SessionCompactions counts recommendations that dropped at least

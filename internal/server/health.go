@@ -38,8 +38,8 @@ func healthName(s int32) string {
 func (d *Daemon) Health() (state, cause string) {
 	s := d.health.Load()
 	if s == stateDegraded {
-		if c, _ := d.degradedCause.Load().(string); c != "" {
-			cause = c
+		if c := d.degradedCause.Load(); c != nil {
+			cause = *c
 		}
 	}
 	return healthName(s), cause
@@ -50,21 +50,27 @@ func (d *Daemon) checkWritable() error {
 	if d.health.Load() != stateDegraded {
 		return nil
 	}
-	cause, _ := d.degradedCause.Load().(string)
+	var cause string
+	if c := d.degradedCause.Load(); c != nil {
+		cause = *c
+	}
 	return fmt.Errorf("%w: %s", ErrDegraded, cause)
 }
 
 // enterDegraded transitions healthy → degraded and starts the re-probe
-// loop. Idempotent and cheap under concurrent failures: only the CAS
-// winner records the cause and spawns the prober; a daemon already
-// degraded (or draining) is left alone.
+// loop. Idempotent and cheap under concurrent failures: every caller
+// records its cause before the CAS (the latest failure is the one
+// reported), but only the CAS winner counts the entry and spawns the
+// prober, so a daemon already degraded (or draining) gets no second
+// prober.
 func (d *Daemon) enterDegraded(cause error) {
 	if d.store == nil {
 		return
 	}
 	// Cause first, transition second: a reader that observes degraded
 	// always finds a cause.
-	d.degradedCause.Store(cause.Error())
+	msg := cause.Error()
+	d.degradedCause.Store(&msg)
 	if !d.health.CompareAndSwap(stateHealthy, stateDegraded) {
 		return
 	}
@@ -84,7 +90,7 @@ func (d *Daemon) probeLoop() {
 			return
 		}
 		if err := d.store.Probe(); err == nil {
-			d.degradedCause.Store("")
+			d.degradedCause.Store(nil)
 			d.health.CompareAndSwap(stateDegraded, stateHealthy)
 			return
 		}

@@ -271,6 +271,35 @@ func TestWhatIfRejectsEmptyKey(t *testing.T) {
 	}
 }
 
+// TestWhatIfRejectsRepeatedColumn: a column repeated within the key,
+// within the include list or across the two would be priced as a
+// wider index; /whatif refuses each with 422 naming the spec.
+func TestWhatIfRejectsRepeatedColumn(t *testing.T) {
+	d := testDaemon(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	for _, sp := range []IndexSpec{
+		{Table: "lineitem", Key: []string{"l_shipdate", "l_shipdate"}, Include: []string{"l_quantity"}},
+		{Table: "lineitem", Key: []string{"l_shipdate"}, Include: []string{"l_quantity", "l_quantity"}},
+		{Table: "lineitem", Key: []string{"l_shipdate"}, Include: []string{"l_quantity", "l_shipdate"}},
+	} {
+		status, body := postErr(t, srv, "/whatif", whatIfRequest{
+			SQL:     "SELECT l_quantity FROM lineitem WHERE l_shipdate < 100;",
+			Indexes: []IndexSpec{sp},
+		})
+		if status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", sp.Index().ID(), status)
+		}
+		if !strings.Contains(body["error"], sp.Index().ID()) {
+			t.Fatalf("error %q does not name the spec %s", body["error"], sp.Index().ID())
+		}
+	}
+	if got := d.Snapshot().WhatIfs; got != 0 {
+		t.Fatalf("rejected what-ifs counted: whatifs = %d", got)
+	}
+}
+
 func TestHTTPErrorPaths(t *testing.T) {
 	d := testDaemon(t)
 	srv := httptest.NewServer(d.Handler())

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -39,19 +40,29 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+var metricNameRE = regexp.MustCompile(`^cophyd_[a-z0-9_]+$`)
+
 // TestHTTPTraceIDAndMetrics pins the request-tracing surface end to
 // end: the response carries X-Trace-Id, /recommend echoes the same ID
 // in its body, the request-log line carries it too with the span
 // breakdown, and /metrics exposes the per-endpoint and per-span
-// histograms the request fed.
+// histograms the request fed, every family named by the cophyd_*
+// contract.
 func TestHTTPTraceIDAndMetrics(t *testing.T) {
 	var logBuf syncBuffer
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
+	// One objective, so the cophyd_slo_* families are registered too
+	// and the scrape below sees every family the daemon has.
+	slo, err := obs.ParseObjectives("recommend.p99<=250ms")
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := New(Config{
 		Catalog:    cat,
 		Engine:     engine.New(cat, engine.SystemA()),
 		Advisor:    cophy.Options{GapTol: 0.02, RootIters: 160, MaxNodes: 16},
 		RequestLog: slog.New(slog.NewTextHandler(&logBuf, nil)),
+		SLO:        slo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +124,28 @@ func TestHTTPTraceIDAndMetrics(t *testing.T) {
 		if !strings.Contains(exposition, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, exposition)
 		}
+	}
+
+	// The naming contract, over every exposed family: cophyd_[a-z0-9_]+,
+	// and a name ends in _total exactly when it is a counter. (One name,
+	// one kind is enforced at registration: TestRegistryKindConflict.)
+	families := 0
+	for _, line := range strings.Split(exposition, "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		families++
+		name, kind, _ := strings.Cut(rest, " ")
+		if !metricNameRE.MatchString(name) {
+			t.Errorf("metric %q is off the cophyd_[a-z0-9_]+ contract", name)
+		}
+		if strings.HasSuffix(name, "_total") != (kind == "counter") {
+			t.Errorf("%s %s: a name ends in _total exactly when it is a counter", kind, name)
+		}
+	}
+	if families < 30 {
+		t.Errorf("/metrics exposed %d families, want all 30 the daemon registers", families)
 	}
 
 	// Single source of truth: the /stats counters are the same values.
