@@ -113,15 +113,33 @@ func TestApplyIgnores(t *testing.T) {
 		}
 		t.Errorf("unexpected diagnostic survived: %s", d)
 	}
+}
 
-	// Without reportUnused (a single-analyzer run, as in linttest) the
-	// stale directive passes silently; the malformed trio still does not.
+// TestApplyIgnoresDisabledAnalyzer checks a run of one analyzer, as
+// linttest makes: with reportUnused off, the directives that belong to
+// the analyzers left out of the run are not reported unused, since
+// only the whole suite can tell they are stale. The run's own
+// directive still suppresses, and directive hygiene does not depend on
+// which analyzers ran.
+func TestApplyIgnoresDisabledAnalyzer(t *testing.T) {
+	pkg := loadTempModule(t, directiveSrc)
+	file := filepath.Join(pkg.Dir, "a.go")
+	diags := []lint.Diagnostic{{
+		Analyzer: "floatdet",
+		Pos:      token.Position{Filename: file, Line: lineOf(t, directiveSrc, "x := 1"), Column: 2},
+		Message:  "synthetic floatdet finding",
+	}}
+	kept := lint.ApplyIgnores([]*lint.Package{pkg}, diags, false)
 	var bad int
-	for _, d := range lint.ApplyIgnores([]*lint.Package{pkg}, nil, false) {
-		if strings.Contains(d.Message, "unused //lint:ignore") {
+	for _, d := range kept {
+		switch {
+		case d.Analyzer != lint.DirectiveAnalyzer:
+			t.Errorf("directive above the line did not suppress: %s", d)
+		case strings.Contains(d.Message, "unused //lint:ignore"):
 			t.Errorf("unused directive reported without reportUnused: %s", d)
+		default:
+			bad++
 		}
-		bad++
 	}
 	if bad != 3 {
 		t.Errorf("got %d directive diagnostics without reportUnused, want 3 (missing reason, malformed, unknown)", bad)
