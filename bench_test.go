@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/advisors/ilp"
@@ -97,19 +98,28 @@ func BenchmarkINUMCost(b *testing.B) {
 }
 
 // BenchmarkCostMatrixCompile measures dense γ-slab compilation for a
-// 30-query workload over its full candidate set — the one-off cost
-// BIPGen pays to replace per-coefficient γ probes.
+// workload over its full candidate set — the one-off cost BIPGen pays
+// to replace per-coefficient γ probes. hom30 has almost no repeated
+// shapes; in hom1000 about a third of the statements share a shape
+// class's slab, so its per-statement cost shows the per-class saving.
+// Each iteration compiles into an empty matrix over a warm shape cache.
 func BenchmarkCostMatrixCompile(b *testing.B) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
 	eng := engine.New(cat, engine.SystemA())
 	base := engine.NewConfig(tpch.BaselineIndexes(cat)...)
-	w := workload.Hom(workload.HomConfig{Queries: 30, Seed: 6})
-	cache := inum.New(eng)
-	cache.Prepare(w)
-	s := cophy.Candidates(cat, w, cophy.CGenOptions{Covering: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.CompileMatrix(w, s, base, 0)
+	for _, n := range []int{30, 1000} {
+		w := workload.Hom(workload.HomConfig{Queries: n, Seed: 6})
+		cache := inum.New(eng)
+		cache.Prepare(w)
+		s := cophy.Candidates(cat, w, cophy.CGenOptions{Covering: true})
+		b.Run(fmt.Sprintf("hom%d", n), func(b *testing.B) {
+			eng.ResetSlotCostCalls()
+			for i := 0; i < b.N; i++ {
+				cache.CompileMatrix(w, s, base, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/stmt")
+			b.ReportMetric(float64(eng.SlotCostCalls())/float64(b.N), "γ-calls/op")
+		})
 	}
 }
 

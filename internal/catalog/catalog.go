@@ -332,57 +332,76 @@ func (ix *Index) KeyWidth(t *Table) int {
 }
 
 // EntryWidth returns the average width in bytes of one leaf entry.
-func (ix *Index) EntryWidth(t *Table) int {
-	w := ix.KeyWidth(t) + 8 // row locator
+func (ix *Index) EntryWidth(t *Table) int { return ix.entryWidth(t, ix.KeyWidth(t)) }
+
+// entryWidth is EntryWidth given the key width already computed.
+func (ix *Index) entryWidth(t *Table, keyWidth int) int {
+	if ix.Clustered {
+		// A clustered index stores full rows in its leaves.
+		return t.RowWidth()
+	}
+	w := keyWidth + 8 // row locator
 	for _, inc := range ix.Include {
 		if col := t.Column(inc); col != nil {
 			w += col.Width
 		}
 	}
-	if ix.Clustered {
-		// A clustered index stores full rows in its leaves.
-		w = t.RowWidth()
-	}
 	return w
 }
 
-// LeafPages returns the number of leaf pages of the index.
-func (ix *Index) LeafPages(t *Table) int64 {
-	perPage := int64(float64(PageSize) * pageFill / float64(ix.EntryWidth(t)))
+// Geometry is an index's page layout over its table: the leaf pages
+// its entries fill and the levels a probe descends to reach a leaf. It
+// is a pure function of the index definition and the table's
+// statistics, so a caller that prices one index many times computes it
+// once (Index.Geometry) and passes it along.
+type Geometry struct {
+	// LeafPages is the number of leaf pages.
+	LeafPages int64
+	// Height is the number of levels traversed to reach a leaf (at
+	// least 1).
+	Height int
+}
+
+// Geometry computes the index's page layout over t: the one
+// computation behind Height and Bytes.
+func (ix *Index) Geometry(t *Table) Geometry {
+	keyWidth := ix.KeyWidth(t)
+	perPage := int64(float64(PageSize) * pageFill / float64(ix.entryWidth(t, keyWidth)))
 	if perPage < 1 {
 		perPage = 1
 	}
-	p := (t.Rows + perPage - 1) / perPage
-	if p < 1 {
-		p = 1
+	leaf := (t.Rows + perPage - 1) / perPage
+	if leaf < 1 {
+		leaf = 1
 	}
-	return p
-}
-
-// Height returns the number of non-leaf levels that must be traversed
-// to reach a leaf (at least 1).
-func (ix *Index) Height(t *Table) int {
-	fanout := int64(float64(PageSize) * pageFill / float64(ix.KeyWidth(t)+12))
+	fanout := int64(float64(PageSize) * pageFill / float64(keyWidth+12))
 	if fanout < 2 {
 		fanout = 2
 	}
 	h := 1
-	for n := ix.LeafPages(t); n > 1; n = (n + fanout - 1) / fanout {
+	for n := leaf; n > 1; n = (n + fanout - 1) / fanout {
 		h++
 		if h > 10 {
 			break
 		}
 	}
-	return h
+	return Geometry{LeafPages: leaf, Height: h}
 }
 
 // Bytes returns the estimated total size of the index in bytes,
 // counting leaf pages plus a small overhead for internal levels. This
 // is the size(a) of the paper's storage constraints.
-func (ix *Index) Bytes(t *Table) int64 {
-	leaf := ix.LeafPages(t) * PageSize
+func (g Geometry) Bytes() int64 {
+	leaf := g.LeafPages * PageSize
 	return leaf + leaf/50 // ~2% internal-node overhead
 }
+
+// Height returns the number of non-leaf levels that must be traversed
+// to reach a leaf (at least 1).
+func (ix *Index) Height(t *Table) int { return ix.Geometry(t).Height }
+
+// Bytes returns Geometry(t).Bytes(): the index's size(a).
+func (ix *Index) Bytes(t *Table) int64 { return ix.Geometry(t).Bytes() }
 
 // SortIndexes orders a slice of indexes by ID, yielding a deterministic
 // presentation order for recommendations and tests.

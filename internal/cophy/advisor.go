@@ -449,9 +449,14 @@ func InstanceForTest(ad *Advisor, w *workload.Workload, s []*catalog.Index) *Ins
 	return ad.instance(w, s)
 }
 
-// CompiledForTest reports how many statements the session holds compiled
-// state for (γ slabs, and choice sets derived from them), so tests can
-// hold it to the daemon's bounded-memory contract.
-func CompiledForTest(se *Session) (slabs, choices int) {
-	return se.built.mat.Len(), len(se.built.choices)
+// CompiledForTest reports the session's compiled state — the statements
+// it holds a γ slab for, the distinct slabs its workload's statements
+// map to (one per shape class) and the choice sets derived from slabs —
+// so tests can hold it to the daemon's bounded-memory contract.
+func CompiledForTest(se *Session) (queries, slabs, choices int) {
+	distinct := map[*inum.QueryMatrix]bool{}
+	for _, st := range se.w.Queries() {
+		distinct[se.built.mat.Query(st.Query)] = true
+	}
+	return se.built.mat.Len(), len(distinct), len(se.built.choices)
 }

@@ -66,38 +66,37 @@ type indexScan struct {
 	order []string
 }
 
-// indexScans prices the single-pass accesses index ix offers query q on
-// its table t — the formulas' one statement: scanPaths wraps the results
-// in PlanNodes for the optimizer, SlotScanCost takes their minimum as γ.
-// A bound key prefix gives a range scan delivering the key order past
-// the equality-bound columns. A secondary index can also be read end to
-// end for its full key order (or covering projection) — useful to feed
-// merge joins, stream aggregation or ORDER BY without a sort; a
-// clustered index is read end to end only when no prefix is bound, at
-// the heap scan's cost. lsel is the query's local selectivity on the
-// table; covering reports whether the index answers needCols without
-// heap fetches.
-func (e *Engine) indexScans(q *workload.Query, t *catalog.Table, ix *catalog.Index, lsel float64, needCols []string) (scans [2]indexScan, n int, covering bool) {
+// indexScans prices the single-pass accesses index ix, whose page
+// geometry over the access's table is g, offers the access — the
+// formulas' one statement: scanPaths wraps the results in PlanNodes for
+// the optimizer, SlotCost takes their minimum as γ. A bound key prefix
+// gives a range scan delivering the key order past the equality-bound
+// columns. A secondary index can also be read end to end for its full
+// key order (or covering projection) — useful to feed merge joins,
+// stream aggregation or ORDER BY without a sort; a clustered index is
+// read end to end only when no prefix is bound, at the heap scan's
+// cost. covering reports whether the index answers the access's
+// columns without heap fetches.
+func (e *Engine) indexScans(a *Access, ix *catalog.Index, g catalog.Geometry) (scans [2]indexScan, n int, covering bool) {
 	p := &e.Prof
-	rows := float64(t.Rows)
-	pages := float64(t.Pages())
-	sel, eqBound, sargable := e.prefixSel(q, ix)
+	rows, pages := a.rows, a.pages
+	sel, eqBound, sargable := e.prefixSel(a.q, ix)
 	matchRows := rows * sel
 	if matchRows < 1 {
 		matchRows = 1
 	}
 	if ix.Clustered {
 		if sargable {
-			scans[0] = indexScan{float64(ix.Height(t))*p.RandPageCost + pages*sel*p.SeqPageCost + matchRows*p.CPUTupleCost, ix.Key[eqBound:]}
+			scans[0] = indexScan{float64(g.Height)*p.RandPageCost + pages*sel*p.SeqPageCost + matchRows*p.CPUTupleCost, ix.Key[eqBound:]}
 		} else {
 			scans[0] = indexScan{p.fullPassCost(pages, rows), ix.Key}
 		}
 		return scans, 1, true
 	}
 
-	covering = ix.Covers(needCols)
-	leafPages := float64(ix.LeafPages(t))
-	height := float64(ix.Height(t))
+	covering = ix.Covers(a.needCols)
+	leafPages := float64(g.LeafPages)
+	height := float64(g.Height)
 	fetchPerRow := p.fetchPerRow()
 	if sargable {
 		c := height*p.RandPageCost + leafPages*sel*p.SeqPageCost + matchRows*p.CPUIndexTupleCost
@@ -110,7 +109,7 @@ func (e *Engine) indexScans(q *workload.Query, t *catalog.Table, ix *catalog.Ind
 	}
 	c := leafPages*p.SeqPageCost + rows*p.CPUIndexTupleCost + rows*p.CPUTupleCost
 	if !covering {
-		c += rows * lsel * fetchPerRow
+		c += rows * a.lsel * fetchPerRow
 	}
 	scans[n] = indexScan{c, ix.Key}
 	return scans, n + 1, covering
@@ -121,13 +120,11 @@ func (e *Engine) indexScans(q *workload.Query, t *catalog.Table, ix *catalog.Ind
 // scans, and secondary index scans (covering or not). Every returned
 // node is a complete, costed leaf.
 func (e *Engine) scanPaths(q *workload.Query, table string, cfg *Config, needCols []string) []*PlanNode {
-	t := e.Cat.Table(table)
-	if t == nil {
+	a := e.ScanAccess(q, table, nil, needCols)
+	if a.t == nil {
 		return nil
 	}
-	rows := float64(t.Rows)
-	lsel := e.localSel(q, table)
-	outRows := rows * lsel
+	outRows := a.rows * a.lsel
 	if outRows < 1 {
 		outRows = 1
 	}
@@ -135,12 +132,12 @@ func (e *Engine) scanPaths(q *workload.Query, table string, cfg *Config, needCol
 
 	// Heap sequential scan: always available, unordered.
 	seq := &PlanNode{Op: OpSeqScan, Table: table, Rows: outRows, Width: width}
-	seq.SelfCost = e.Prof.fullPassCost(float64(t.Pages()), rows)
+	seq.SelfCost = e.Prof.fullPassCost(a.pages, a.rows)
 	seq.Cost = seq.SelfCost
 	paths := []*PlanNode{seq}
 
 	for _, ix := range cfg.OnTable(table) {
-		scans, n, covering := e.indexScans(q, t, ix, lsel, needCols)
+		scans, n, covering := e.indexScans(&a, ix, ix.Geometry(a.t))
 		op := OpIndexScan
 		switch {
 		case ix.Clustered:
@@ -198,10 +195,11 @@ func (e *Engine) probeRows(q *workload.Query, t *catalog.Table, joinCol string) 
 	return rowsPerLookup, entries
 }
 
-// probeCost is the cost of one such lookup through index ix.
-func (e *Engine) probeCost(t *catalog.Table, ix *catalog.Index, rowsPerLookup, entries float64, needCols []string) float64 {
+// probeCost is the cost of one such lookup through index ix, whose page
+// geometry is g.
+func (e *Engine) probeCost(ix *catalog.Index, g catalog.Geometry, rowsPerLookup, entries float64, needCols []string) float64 {
 	p := &e.Prof
-	per := float64(ix.Height(t))*p.RandPageCost + entries*p.CPUIndexTupleCost + rowsPerLookup*p.CPUTupleCost
+	per := float64(g.Height)*p.RandPageCost + entries*p.CPUIndexTupleCost + rowsPerLookup*p.CPUTupleCost
 	if !(ix.Clustered || ix.Covers(needCols)) {
 		per += rowsPerLookup * p.fetchPerRow()
 	}
@@ -226,7 +224,7 @@ func (e *Engine) lookupLeaf(q *workload.Query, table string, cfg *Config, joinCo
 		if !lookupUsable(q, ix, joinCol) {
 			continue
 		}
-		per := e.probeCost(t, ix, rowsPerLookup, entries, needCols)
+		per := e.probeCost(ix, ix.Geometry(t), rowsPerLookup, entries, needCols)
 		if best == nil || per < best.SelfCost {
 			best = &PlanNode{
 				Op: OpIndexLookup, Table: table, Index: ix,

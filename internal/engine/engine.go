@@ -43,10 +43,10 @@ func (e *Engine) WhatIfCalls() int64 { return e.whatIfCalls.Load() }
 // ResetWhatIfCalls zeroes the counter.
 func (e *Engine) ResetWhatIfCalls() { e.whatIfCalls.Store(0) }
 
-// SlotCostCalls returns the number of γ kernel evaluations
-// (SlotScanCost + SlotLookupCost) performed so far — the unit of work
-// the dense CostMatrix compilation spends, reported alongside
-// WhatIfCalls in advisor traffic breakdowns.
+// SlotCostCalls returns the number of γ kernel evaluations (SlotCost
+// calls) performed so far — the unit of work the dense CostMatrix
+// compilation spends, reported alongside WhatIfCalls in advisor traffic
+// breakdowns.
 func (e *Engine) SlotCostCalls() int64 { return e.slotCalls.Load() }
 
 // ResetSlotCostCalls zeroes the γ kernel counter.
@@ -286,7 +286,7 @@ func (e *Engine) finalize(m *joinMemo, root *PlanNode) *PlanNode {
 // orderSatisfiedByKey reports whether required (qualified "table.col"
 // elements) is a prefix of the order delivered by key columns of
 // table, without materializing the qualified order — the allocation-
-// free core of the γ kernels below.
+// free core of the γ kernel below.
 func orderSatisfiedByKey(table string, key, required []string) bool {
 	if len(required) > len(key) {
 		return false
@@ -300,36 +300,106 @@ func orderSatisfiedByKey(table string, key, required []string) bool {
 	return true
 }
 
-// SlotScanCost prices one access method for a single-pass template
-// slot: accessing table with index ix (nil for a heap scan) while
-// delivering requiredOrder. It returns ok=false when the access method
-// cannot implement the slot — the γ = ∞ case of Lemma 1.
+// Access is what γ reads from one template slot: the query, the
+// table, the slot's requirement (a delivered order for a scan, a probed
+// column and probe count for a lookup) and the quantities every index's
+// price on that slot shares — the table's rows and heap pages, the
+// query's local selectivity there, a lookup's rows per probe. Build it
+// once per slot with ScanAccess or LookupAccess, then price each access
+// method with SlotCost. It reads the query only through its predicates'
+// columns, operators and predSel values (localSel, prefixSel,
+// probeRows, lookupUsable), all of which ShapeFingerprint records.
+type Access struct {
+	q        *workload.Query
+	t        *catalog.Table // nil when the table is unknown
+	needCols []string
+	rows     float64
+	pages    float64
+	lsel     float64
+
+	// order is a scan slot's required (qualified) order.
+	order []string
+
+	// lookup marks a repeated-lookup slot: lookups probes on joinCol,
+	// each yielding rowsPerLookup rows from entries index entries.
+	lookup                 bool
+	joinCol                string
+	lookups                float64
+	rowsPerLookup, entries float64
+}
+
+// ScanAccess prepares a single-pass slot: reading table while
+// delivering requiredOrder, touching needCols.
+func (e *Engine) ScanAccess(q *workload.Query, table string, requiredOrder, needCols []string) Access {
+	a := Access{q: q, t: e.Cat.Table(table), needCols: needCols, order: requiredOrder}
+	if a.t != nil {
+		a.rows, a.pages = float64(a.t.Rows), float64(a.t.Pages())
+		a.lsel = e.localSel(q, table)
+	}
+	return a
+}
+
+// LookupAccess prepares a repeated-lookup slot: lookups probes on
+// joinCol against table, touching needCols.
+func (e *Engine) LookupAccess(q *workload.Query, table, joinCol string, lookups float64, needCols []string) Access {
+	a := Access{q: q, t: e.Cat.Table(table), needCols: needCols, lookup: true, joinCol: joinCol, lookups: lookups}
+	if a.t != nil {
+		a.rowsPerLookup, a.entries = e.probeRows(q, a.t, joinCol)
+	}
+	return a
+}
+
+// IndexGeometry returns ix's page geometry over its table, or the zero
+// geometry for the heap (nil) or an index on a table the catalog does
+// not know — SlotCost never reads either.
+func (e *Engine) IndexGeometry(ix *catalog.Index) catalog.Geometry {
+	if ix != nil {
+		if t := e.Cat.Table(ix.Table); t != nil {
+			return ix.Geometry(t)
+		}
+	}
+	return catalog.Geometry{}
+}
+
+// SlotCost is the γ kernel: the cost of implementing slot a with index
+// ix (nil for the heap), whose page geometry is g (ix.Geometry over the
+// slot's table; ignored for the heap). It returns ok=false when the
+// access method cannot implement the slot — the γ = ∞ case of Lemma 1:
+// an index on another table, a heap or an unusable index for a lookup,
+// a scan that cannot deliver the required order.
 //
-// This is the γ kernel the dense CostMatrix compilation runs once per
-// (query, template, slot, candidate): it allocates neither a Config nor
-// PlanNodes, and prices the access with the very functions scanPaths
-// builds the optimizer's leaves from (indexScans, fullPassCost), which
-// TestSlotCostMatchesAccessPaths holds it to bit for bit.
-func (e *Engine) SlotScanCost(q *workload.Query, table string, ix *catalog.Index, requiredOrder, needCols []string) (float64, bool) {
+// The dense CostMatrix compilation runs it once per (shape, template,
+// slot, candidate) with a and g built once each; the single-statement
+// path (inum's Cache.Cost) runs it per configuration index. It allocates
+// nothing, and prices the access with the very functions scanPaths and
+// lookupLeaf build the optimizer's leaves from (indexScans,
+// fullPassCost, probeCost), which TestSlotCostMatchesAccessPaths holds
+// it to bit for bit.
+func (e *Engine) SlotCost(a *Access, ix *catalog.Index, g catalog.Geometry) (float64, bool) {
 	e.slotCalls.Add(1)
-	t := e.Cat.Table(table)
-	if t == nil {
+	if a.t == nil {
 		return 0, false
+	}
+	if a.lookup {
+		if ix == nil || ix.Table != a.t.Name || !lookupUsable(a.q, ix, a.joinCol) {
+			return 0, false
+		}
+		return a.lookups * e.probeCost(ix, g, a.rowsPerLookup, a.entries, a.needCols) * e.Prof.NLFudge, true
 	}
 	if ix == nil {
 		// Heap sequential scan: always available, never ordered.
-		if len(requiredOrder) > 0 {
+		if len(a.order) > 0 {
 			return 0, false
 		}
-		return e.Prof.fullPassCost(float64(t.Pages()), float64(t.Rows)), true
+		return e.Prof.fullPassCost(a.pages, a.rows), true
 	}
-	if ix.Table != table {
+	if ix.Table != a.t.Name {
 		return 0, false
 	}
-	scans, n, _ := e.indexScans(q, t, ix, e.localSel(q, table), needCols)
+	scans, n, _ := e.indexScans(a, ix, g)
 	best := math.Inf(1)
 	for _, s := range scans[:n] {
-		if s.cost < best && orderSatisfiedByKey(table, s.order, requiredOrder) {
+		if s.cost < best && orderSatisfiedByKey(a.t.Name, s.order, a.order) {
 			best = s.cost
 		}
 	}
@@ -337,24 +407,6 @@ func (e *Engine) SlotScanCost(q *workload.Query, table string, ix *catalog.Index
 		return 0, false
 	}
 	return best, true
-}
-
-// SlotLookupCost prices one access method for a repeated-lookup
-// template slot: lookups probes on joinCol against table via ix. A
-// heap scan cannot implement a lookup slot, so ix must be non-nil.
-// Like SlotScanCost it is an allocation-free γ kernel over the
-// functions lookupLeaf prices the optimizer's leaf with.
-func (e *Engine) SlotLookupCost(q *workload.Query, table string, ix *catalog.Index, joinCol string, lookups float64, needCols []string) (float64, bool) {
-	e.slotCalls.Add(1)
-	if ix == nil || ix.Table != table {
-		return 0, false
-	}
-	t := e.Cat.Table(table)
-	if t == nil || !lookupUsable(q, ix, joinCol) {
-		return 0, false
-	}
-	rowsPerLookup, entries := e.probeRows(q, t, joinCol)
-	return lookups * e.probeCost(t, ix, rowsPerLookup, entries, needCols) * e.Prof.NLFudge, true
 }
 
 // UpdateCost returns ucost(a, q): the independent maintenance cost

@@ -263,16 +263,24 @@ func TestForcedPlanHonorsOrder(t *testing.T) {
 	}
 }
 
+// slotCost prices one access method on a slot through the γ kernel,
+// the way a single what-if evaluation does: the slot prepared and the
+// index's geometry computed for this one call.
+func slotCost(e *Engine, a Access, ix *catalog.Index) (float64, bool) {
+	return e.SlotCost(&a, ix, e.IndexGeometry(ix))
+}
+
 func TestSlotScanCost(t *testing.T) {
 	_, e, _ := testEnv(t)
 	q := selectiveQuery(0.01)
 	need := q.ColumnsOf("lineitem")
-	heap, ok := e.SlotScanCost(q, "lineitem", nil, nil, need)
+	unordered := e.ScanAccess(q, "lineitem", nil, need)
+	heap, ok := slotCost(e, unordered, nil)
 	if !ok || heap <= 0 {
 		t.Fatalf("heap slot = %v, %v", heap, ok)
 	}
 	ix := &catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}
-	ic, ok := e.SlotScanCost(q, "lineitem", ix, nil, need)
+	ic, ok := slotCost(e, unordered, ix)
 	if !ok {
 		t.Fatal("index slot should be feasible")
 	}
@@ -280,13 +288,18 @@ func TestSlotScanCost(t *testing.T) {
 		t.Fatalf("selective index slot %v should beat heap %v", ic, heap)
 	}
 	// An index that cannot deliver the required order is infeasible.
+	ordered := e.ScanAccess(q, "lineitem", []string{"lineitem.l_shipdate"}, need)
 	other := &catalog.Index{Table: "lineitem", Key: []string{"l_discount"}}
-	if _, ok := e.SlotScanCost(q, "lineitem", other, []string{"lineitem.l_shipdate"}, need); ok {
+	if _, ok := slotCost(e, ordered, other); ok {
 		t.Fatal("order-incompatible index must be rejected (γ = ∞)")
 	}
 	// Heap scans cannot deliver any order.
-	if _, ok := e.SlotScanCost(q, "lineitem", nil, []string{"lineitem.l_shipdate"}, need); ok {
+	if _, ok := slotCost(e, ordered, nil); ok {
 		t.Fatal("heap scan cannot satisfy an order requirement")
+	}
+	// Neither can a slot on an unknown table be implemented.
+	if _, ok := slotCost(e, e.ScanAccess(q, "nosuch", nil, need), nil); ok {
+		t.Fatal("a slot on an unknown table must be rejected")
 	}
 }
 
@@ -297,20 +310,24 @@ func TestSlotLookupCost(t *testing.T) {
 		Select: []catalog.ColumnRef{ref("lineitem", "l_extendedprice")},
 	}
 	ix := &catalog.Index{Table: "lineitem", Key: []string{"l_orderkey"}}
-	c1, ok := e.SlotLookupCost(q, "lineitem", ix, "l_orderkey", 100, q.ColumnsOf("lineitem"))
+	c1, ok := slotCost(e, e.LookupAccess(q, "lineitem", "l_orderkey", 100, q.ColumnsOf("lineitem")), ix)
 	if !ok || c1 <= 0 {
 		t.Fatalf("lookup slot = %v, %v", c1, ok)
 	}
-	c2, _ := e.SlotLookupCost(q, "lineitem", ix, "l_orderkey", 200, q.ColumnsOf("lineitem"))
+	c2, _ := slotCost(e, e.LookupAccess(q, "lineitem", "l_orderkey", 200, q.ColumnsOf("lineitem")), ix)
 	if math.Abs(c2-2*c1) > 1e-6*c1 {
 		t.Fatalf("lookup cost must scale linearly with probes: %v vs %v", c1, c2)
 	}
+	bare := e.LookupAccess(q, "lineitem", "l_orderkey", 100, nil)
 	bad := &catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}
-	if _, ok := e.SlotLookupCost(q, "lineitem", bad, "l_orderkey", 100, nil); ok {
+	if _, ok := slotCost(e, bare, bad); ok {
 		t.Fatal("non-matching index cannot implement lookup slot")
 	}
-	if _, ok := e.SlotLookupCost(q, "lineitem", nil, "l_orderkey", 100, nil); ok {
+	if _, ok := slotCost(e, bare, nil); ok {
 		t.Fatal("heap cannot implement lookup slot")
+	}
+	if _, ok := slotCost(e, bare, &catalog.Index{Table: "orders", Key: []string{"o_orderkey"}}); ok {
+		t.Fatal("an index on another table cannot implement lookup slot")
 	}
 }
 
@@ -432,63 +449,85 @@ func slotTestOrders(q *workload.Query, table string) [][]string {
 	return orders
 }
 
-// TestSlotCostMatchesAccessPaths holds the γ kernels to the optimizer's
+// TestSlotCostMatchesAccessPaths holds the γ kernel to the optimizer's
 // access paths, bit for bit: INUM's Lemma 1 prices templates with one
 // and fills their slots with the other, so it is exact only while they
-// agree. For every statement, table, candidate and required order,
-// SlotScanCost is the cheapest scanPaths node through that candidate
-// delivering the order (infeasible when there is none), and
-// SlotLookupCost is lookupLeaf's per-probe cost scaled by the probes.
+// agree. For every statement, table, candidate and required order, a
+// scan slot's SlotCost is the cheapest scanPaths node through that
+// candidate delivering the order (infeasible when there is none), and a
+// lookup slot's is lookupLeaf's per-probe cost scaled by the probes.
+// The kernel is called as the matrix compile calls it: each slot
+// prepared once, each candidate's geometry computed once and supplied
+// for every slot. Secondary and clustered indexes go through both slot
+// kinds.
 func TestSlotCostMatchesAccessPaths(t *testing.T) {
 	cat, e, _ := testEnv(t)
 	var stmts []*workload.Statement
 	stmts = append(stmts, workload.Hom(workload.HomConfig{Queries: 30, Seed: 17}).Queries()...)
 	stmts = append(stmts, workload.Het(workload.HetConfig{Queries: 30, Seed: 17}).Queries()...)
 	scans, lookups, infeasible := 0, 0, 0
+	clusteredScans, clusteredLookups := 0, 0
 	for _, st := range stmts {
 		q := st.Query
 		for _, table := range q.Tables {
 			need := q.ColumnsOf(table)
+			var scanSlots, lookupSlots []Access
+			for _, order := range slotTestOrders(q, table) {
+				scanSlots = append(scanSlots, e.ScanAccess(q, table, order, need))
+			}
+			const probes = 137.0
+			for _, joinCol := range q.JoinColsOf(table) {
+				lookupSlots = append(lookupSlots, e.LookupAccess(q, table, joinCol, probes, need))
+			}
 			for _, ix := range append([]*catalog.Index{nil}, slotTestCandidates(cat, q, table)...) {
 				cfg := NewConfig()
+				var g catalog.Geometry
 				if ix != nil {
 					cfg.Add(ix)
+					g = ix.Geometry(cat.Table(table))
 				}
+				clustered := ix != nil && ix.Clustered
 				paths := e.scanPaths(q, table, cfg, need)
-				for _, order := range slotTestOrders(q, table) {
+				for i := range scanSlots {
+					a := &scanSlots[i]
 					want, feasible := math.Inf(1), false
 					for _, n := range paths {
-						if n.Index == ix && satisfiesOrder(n.Order, order) && n.SelfCost < want {
+						if n.Index == ix && satisfiesOrder(n.Order, a.order) && n.SelfCost < want {
 							want, feasible = n.SelfCost, true
 						}
 					}
-					got, ok := e.SlotScanCost(q, table, ix, order, need)
+					got, ok := e.SlotCost(a, ix, g)
 					if ok != feasible || (ok && got != want) {
-						t.Fatalf("%s %s via %v order %v: SlotScanCost = %v, %v; cheapest scan path = %v, %v",
-							q.ID, table, ix, order, got, ok, want, feasible)
+						t.Fatalf("%s %s via %v order %v: SlotCost = %v, %v; cheapest scan path = %v, %v",
+							q.ID, table, ix, a.order, got, ok, want, feasible)
 					}
 					scans++
 					if !ok {
 						infeasible++
+					} else if clustered {
+						clusteredScans++
 					}
 				}
-				for _, joinCol := range q.JoinColsOf(table) {
-					const probes = 137.0
-					leaf := e.lookupLeaf(q, table, cfg, joinCol, need)
-					got, ok := e.SlotLookupCost(q, table, ix, joinCol, probes, need)
+				for i := range lookupSlots {
+					a := &lookupSlots[i]
+					leaf := e.lookupLeaf(q, table, cfg, a.joinCol, need)
+					got, ok := e.SlotCost(a, ix, g)
 					if ok != (leaf != nil) || (ok && got != probes*leaf.SelfCost*e.Prof.NLFudge) {
-						t.Fatalf("%s %s via %v on %s: SlotLookupCost = %v, %v; lookup leaf = %+v",
-							q.ID, table, ix, joinCol, got, ok, leaf)
+						t.Fatalf("%s %s via %v on %s: SlotCost = %v, %v; lookup leaf = %+v",
+							q.ID, table, ix, a.joinCol, got, ok, leaf)
 					}
 					lookups++
 					if !ok {
 						infeasible++
+					} else if clustered {
+						clusteredLookups++
 					}
 				}
 			}
 		}
 	}
-	if scans < 1000 || lookups < 100 || infeasible == 0 || infeasible == scans+lookups {
-		t.Fatalf("degenerate coverage: %d scan and %d lookup comparisons, %d infeasible", scans, lookups, infeasible)
+	if scans < 1000 || lookups < 100 || infeasible == 0 || infeasible == scans+lookups || clusteredScans == 0 || clusteredLookups == 0 {
+		t.Fatalf("degenerate coverage: %d scan and %d lookup comparisons (%d and %d feasible through clustered indexes), %d infeasible",
+			scans, lookups, clusteredScans, clusteredLookups, infeasible)
 	}
 }

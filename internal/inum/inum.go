@@ -125,6 +125,11 @@ func (t *Template) appendSig(buf []byte) []byte {
 type QueryInfo struct {
 	Query     *workload.Query
 	Templates []*Template
+
+	// shape is the shape-cache entry Templates came from. Queries holding
+	// the same entry have equal fingerprints, which is what lets them
+	// share a γ slab.
+	shape *shapeEntry
 }
 
 // Cache is the INUM layer over one engine. It remembers shapes, not
@@ -237,7 +242,7 @@ func (c *Cache) ShapeCount() int {
 func (c *Cache) Prepare(w *workload.Workload) {
 	queries := w.Queries()
 	par.For(len(queries), 0, func(i int) {
-		c.templatesForShape(queries[i].Query)
+		c.shapeFor(queries[i].Query)
 	})
 }
 
@@ -245,20 +250,21 @@ func (c *Cache) Prepare(w *workload.Workload) {
 // deriving them on first sight of the shape. The QueryInfo is fresh;
 // only the template set is cached.
 func (c *Cache) PrepareQuery(q *workload.Query) *QueryInfo {
-	return &QueryInfo{Query: q, Templates: c.templatesForShape(q)}
+	en := c.shapeFor(q)
+	return &QueryInfo{Query: q, Templates: en.templates, shape: en}
 }
 
-// templatesForShape returns the template set for the query's shape,
-// deriving it on first sight. Concurrent same-shape callers
-// single-flight: one derives, the rest wait on the entry.
-func (c *Cache) templatesForShape(q *workload.Query) []*Template {
+// shapeFor returns the published shape-cache entry for the query's
+// shape, deriving its templates on first sight. Concurrent same-shape
+// callers single-flight: one derives, the rest wait on the entry.
+func (c *Cache) shapeFor(q *workload.Query) *shapeEntry {
 	fp := c.Eng.ShapeFingerprint(q)
 	c.mu.Lock()
 	if en, ok := c.shapes[fp]; ok {
 		c.hits++
 		c.mu.Unlock()
 		<-en.ready
-		return en.templates
+		return en
 	}
 	en := &shapeEntry{ready: make(chan struct{})}
 	c.insert(fp, en)
@@ -269,7 +275,7 @@ func (c *Cache) templatesForShape(q *workload.Query) []*Template {
 	// never stranded on a dead entry.
 	defer close(en.ready)
 	en.templates = c.buildTemplates(q)
-	return en.templates
+	return en
 }
 
 // insert adds an entry under the lock, evicting the oldest derived
@@ -662,21 +668,23 @@ func dominates(a, b *Template) bool {
 	return true
 }
 
+// access prepares slot s of one of qi's templates for the γ kernel.
+func (c *Cache) access(qi *QueryInfo, s *Slot) engine.Access {
+	if s.Mode == SlotLookup {
+		return c.Eng.LookupAccess(qi.Query, s.Table, s.JoinCol, s.Lookups, s.NeedCols)
+	}
+	return c.Eng.ScanAccess(qi.Query, s.Table, s.RequiredOrder, s.NeedCols)
+}
+
 // Gamma returns γ_{qkia}: the access cost of implementing slot si of
 // template ti with index ix (nil means I∅, the heap). The boolean is
 // false when the access method cannot implement the slot (γ = ∞). It is
-// the one γ evaluator — a pure function of its arguments, cost-model
-// arithmetic with no optimizer call and nothing retained — behind
-// matrix compilation, Cost and the reference model builder.
+// a pure function of its arguments — cost-model arithmetic with no
+// optimizer call and nothing retained — and runs the one γ kernel
+// (engine.SlotCost) that matrix compilation and Cost run too.
 func (c *Cache) Gamma(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bool) {
-	s := &qi.Templates[ti].Slots[si]
-	switch s.Mode {
-	case SlotScan:
-		return c.Eng.SlotScanCost(qi.Query, s.Table, ix, s.RequiredOrder, s.NeedCols)
-	case SlotLookup:
-		return c.Eng.SlotLookupCost(qi.Query, s.Table, ix, s.JoinCol, s.Lookups, s.NeedCols)
-	}
-	return 0, false
+	a := c.access(qi, &qi.Templates[ti].Slots[si])
+	return c.Eng.SlotCost(&a, ix, c.Eng.IndexGeometry(ix))
 }
 
 // Cost returns the INUM approximation of cost(q, X): the minimum over
@@ -690,17 +698,18 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 		return 0, fmt.Errorf("inum: no templates for query %s", q.ID)
 	}
 	best := math.Inf(1)
-	for ti, t := range qi.Templates {
+	for _, t := range qi.Templates {
 		total := t.Internal
 		feasible := true
 		for si := range t.Slots {
 			s := &t.Slots[si]
+			a := c.access(qi, s)
 			slotBest := math.Inf(1)
-			if g, ok := c.Gamma(qi, ti, si, nil); ok {
+			if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
 				slotBest = g
 			}
 			for _, ix := range cfg.OnTable(s.Table) {
-				if g, ok := c.Gamma(qi, ti, si, ix); ok && g < slotBest {
+				if g, ok := c.Eng.SlotCost(&a, ix, c.Eng.IndexGeometry(ix)); ok && g < slotBest {
 					slotBest = g
 				}
 			}

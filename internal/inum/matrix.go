@@ -21,11 +21,14 @@ import (
 // which evaluates one statement under one configuration directly, is
 // the reference the equivalence property test checks it against.
 //
-// A matrix is updatable (Cache.UpdateMatrix): a slab is a pure function
-// of (query, candidate list, baseline), so a later triple reuses every
-// slab whose inputs it did not touch. Slabs are keyed by the query
-// itself (its pointer), never by statement ID. The zero value is the
-// empty matrix.
+// A slab is a pure function of (shape, candidate list, baseline): γ
+// reads a query only through its predicates' selectivities, which the
+// shape fingerprint records. So queries of one shape class — those
+// whose templates came from one shape-cache entry — share one slab, and
+// a matrix is updatable (Cache.UpdateMatrix): a later triple reuses
+// every slab whose inputs it did not touch. The map is keyed by the
+// query itself (its pointer), never by statement ID; its values are
+// shared per class. The zero value is the empty matrix.
 type CostMatrix struct {
 	// S is the candidate universe; Compat entries are positions into S.
 	S []*catalog.Index
@@ -39,12 +42,14 @@ type CostMatrix struct {
 	prepared map[*workload.Query]*QueryInfo
 }
 
-// QueryMatrix is the dense γ block of one query. Slots are numbered
-// globally across templates; TmplOff[k]..TmplOff[k+1] are the slots of
-// template k, and SlotOff[s]..SlotOff[s+1] the compatible candidates
-// of slot s. It is immutable once compiled.
+// QueryMatrix is the dense γ block of one shape class, shared by every
+// query of the class. Slots are numbered globally across templates;
+// TmplOff[k]..TmplOff[k+1] are the slots of template k, and
+// SlotOff[s]..SlotOff[s+1] the compatible candidates of slot s. It is
+// immutable once compiled.
 type QueryMatrix struct {
-	// QI is the query with the templates the slab was compiled from.
+	// QI is the class member the slab was first compiled from, with its
+	// templates: any member prices the same.
 	QI *QueryInfo
 	// Internal is β per template.
 	Internal []float64
@@ -109,21 +114,23 @@ func (c *Cache) PrepareMatrix(cm *CostMatrix, w *workload.Workload, workers int)
 }
 
 // UpdateMatrix brings cm to (w, s, baseline), compiling only what the
-// previous triple does not already hold. A query keeps its slab's
-// templates; other queries take theirs from PrepareMatrix, or look them
-// up here. One rule relates the old candidate list to s: walking both by
-// pointer, the old candidates found in s, in their old order, are
-// s[:from], and everything after from counts as appended — a survivor
-// that moved out of order included. A kept slab renumbers its entries
-// to their new positions, drops those of dropped candidates and
-// evaluates γ for the appended positions alone. Positions stay
-// ascending and neither γ nor SlotFree depends on them, so the result
-// equals a from-scratch compile bit for bit, and a drop costs no γ
-// evaluation. Only a baseline change compiles every slab from nothing.
-// Slabs of queries no longer in w are dropped, so the matrix never
-// outgrows the workload it was last brought to. Queries are
+// previous triple does not already hold. Queries are grouped into shape
+// classes by the shape-cache entry their templates came from, and each
+// class gets one slab, compiled once and shared by its members. A query
+// keeps its slab's class; other queries take their templates from
+// PrepareMatrix, or look them up here. One rule relates the old
+// candidate list to s: walking both by pointer, the old candidates found
+// in s, in their old order, are s[:from], and everything after from
+// counts as appended — a survivor that moved out of order included. A
+// kept slab renumbers its entries to their new positions, drops those of
+// dropped candidates and evaluates γ for the appended positions alone.
+// Positions stay ascending and neither γ nor SlotFree depends on them,
+// so the result equals a from-scratch compile bit for bit, and a drop
+// costs no γ evaluation. Only a baseline change compiles every slab from
+// nothing. Slabs of classes no longer in w are dropped, so the matrix
+// never outgrows the workload it was last brought to. Classes are
 // independent, so compilation fans out across workers (0 = GOMAXPROCS);
-// each worker writes only its own queries' entries.
+// each worker writes only its own classes' slabs.
 func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.Index, baseline *engine.Config, workers int) {
 	old, prepared, baselineChanged := cm.byQuery, cm.prepared, cm.baseline != baseline
 	// perm[i] is the new position of old candidate i, or -1 when it is
@@ -143,43 +150,89 @@ func (c *Cache) UpdateMatrix(cm *CostMatrix, w *workload.Workload, s []*catalog.
 
 	// Candidate positions grouped per table, so slot compilation only
 	// scans same-table candidates: all of them for a new slab, the
-	// appended ones for a kept slab.
+	// appended ones for a kept slab. Every index's page geometry is
+	// computed here, once, rather than per slot it is priced on.
 	all := make(map[string][]int32)
 	added := make(map[string][]int32)
+	in := compileInputs{s: s, perm: perm, geo: make([]catalog.Geometry, len(s)), baseline: baseline, baseGeo: map[*catalog.Index]catalog.Geometry{}}
 	for i, ix := range s {
 		all[ix.Table] = append(all[ix.Table], int32(i))
 		if i >= from {
 			added[ix.Table] = append(added[ix.Table], int32(i))
 		}
+		in.geo[i] = c.Eng.IndexGeometry(ix)
+	}
+	for _, bx := range baseline.Indexes() {
+		in.baseGeo[bx] = c.Eng.IndexGeometry(bx)
 	}
 
 	queries := distinctQueries(w)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	mats := make([]*QueryMatrix, len(queries))
-	bufs := make([]slabBuf, workers)
-	par.ForWorker(len(queries), workers, func(worker, i int) {
-		q := queries[i]
+	infos := make([]*QueryInfo, len(queries))
+	var lookup []int
+	for i, q := range queries {
 		switch prev := old[q]; {
-		case prev != nil && !baselineChanged:
-			mats[i] = c.compileQuery(prev.QI, prev, perm, s, added, baseline, &bufs[worker])
 		case prev != nil:
-			mats[i] = c.compileQuery(prev.QI, nil, nil, s, all, baseline, &bufs[worker])
+			infos[i] = prev.QI
+		case prepared[q] != nil:
+			infos[i] = prepared[q]
 		default:
-			qi := prepared[q]
-			if qi == nil {
-				qi = c.PrepareQuery(q)
-			}
-			mats[i] = c.compileQuery(qi, nil, nil, s, all, baseline, &bufs[worker])
+			lookup = append(lookup, i)
+		}
+	}
+	par.For(len(lookup), workers, func(k int) { infos[lookup[k]] = c.PrepareQuery(queries[lookup[k]]) })
+
+	// classes[k] is one shape class: the member it compiles from and the
+	// slab it had, if any member had one.
+	type class struct {
+		qi   *QueryInfo
+		prev *QueryMatrix
+	}
+	var classes []class
+	index := make(map[*shapeEntry]int)
+	member := make([]int, len(queries))
+	for i, q := range queries {
+		k, ok := index[infos[i].shape]
+		if !ok {
+			k = len(classes)
+			index[infos[i].shape] = k
+			classes = append(classes, class{qi: infos[i]})
+		}
+		if prev := old[q]; prev != nil && classes[k].prev == nil {
+			classes[k] = class{qi: prev.QI, prev: prev}
+		}
+		member[i] = k
+	}
+
+	mats := make([]*QueryMatrix, len(classes))
+	bufs := make([]slabBuf, workers)
+	par.ForWorker(len(classes), workers, func(worker, k int) {
+		if cl := classes[k]; cl.prev != nil && !baselineChanged {
+			mats[k] = c.compileQuery(&in, cl.qi, cl.prev, added, &bufs[worker])
+		} else {
+			mats[k] = c.compileQuery(&in, cl.qi, nil, all, &bufs[worker])
 		}
 	})
 
 	byQuery := make(map[*workload.Query]*QueryMatrix, len(queries))
 	for i, q := range queries {
-		byQuery[q] = mats[i]
+		byQuery[q] = mats[member[i]]
 	}
 	*cm = CostMatrix{S: s, baseline: baseline, byQuery: byQuery}
+}
+
+// compileInputs is what one UpdateMatrix fixes for every slab it
+// compiles: the candidate list with each candidate's page geometry, the
+// renumbering of kept entries, and the baseline with its indexes'
+// geometry.
+type compileInputs struct {
+	s        []*catalog.Index
+	geo      []catalog.Geometry
+	perm     []int32
+	baseline *engine.Config
+	baseGeo  map[*catalog.Index]catalog.Geometry
 }
 
 // slabBuf is a worker's scratch for the entry lists of the slab it is
@@ -191,11 +244,12 @@ type slabBuf struct {
 	gamma  []float64
 }
 
-// compileQuery flattens one query's γ values into a QueryMatrix: prev's
-// entries (none when prev is nil) renumbered through perm (nil = kept
-// in place), followed, slot by slot, by γ of the candidate positions in
-// byTable, which must all lie beyond the renumbered ones.
-func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, perm []int32, s []*catalog.Index, byTable map[string][]int32, baseline *engine.Config, buf *slabBuf) *QueryMatrix {
+// compileQuery flattens one shape class's γ values into a QueryMatrix:
+// prev's entries (none when prev is nil) renumbered through in.perm (nil
+// = kept in place), followed, slot by slot, by γ of the candidate
+// positions in byTable, which must all lie beyond the renumbered ones.
+// Each slot is prepared for the γ kernel once, before its candidates.
+func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix, byTable map[string][]int32, buf *slabBuf) *QueryMatrix {
 	slots, scan := 0, 0
 	for _, tpl := range qi.Templates {
 		slots += len(tpl.Slots)
@@ -203,7 +257,7 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, perm []int32, s [
 			scan += len(byTable[tpl.Slots[si].Table])
 		}
 	}
-	if prev != nil && perm == nil && scan == 0 {
+	if prev != nil && in.perm == nil && scan == 0 {
 		return prev
 	}
 	qm := &QueryMatrix{
@@ -218,13 +272,18 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, perm []int32, s [
 		qm.Internal[ti] = tpl.Internal
 		for si := range tpl.Slots {
 			slot := &tpl.Slots[si]
+			positions := byTable[slot.Table]
+			var a engine.Access
+			if prev == nil || len(positions) > 0 {
+				a = c.access(qi, slot)
+			}
 			free := math.Inf(1)
 			if n := len(qm.SlotFree); prev != nil {
 				free = prev.SlotFree[n]
 				for k := prev.SlotOff[n]; k < prev.SlotOff[n+1]; k++ {
 					pos := prev.Compat[k]
-					if perm != nil {
-						if pos = perm[pos]; pos < 0 {
+					if in.perm != nil {
+						if pos = in.perm[pos]; pos < 0 {
 							continue
 						}
 					}
@@ -232,20 +291,20 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, perm []int32, s [
 					gamma = append(gamma, prev.Gamma[k])
 				}
 			} else {
-				if g, ok := c.Gamma(qi, ti, si, nil); ok {
+				if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
 					free = g
 				}
-				for _, bx := range baseline.OnTable(slot.Table) {
-					if g, ok := c.Gamma(qi, ti, si, bx); ok && g < free {
+				for _, bx := range in.baseline.OnTable(slot.Table) {
+					if g, ok := c.Eng.SlotCost(&a, bx, in.baseGeo[bx]); ok && g < free {
 						free = g
 					}
 				}
 			}
 			qm.SlotFree = append(qm.SlotFree, free)
-			for _, pos := range byTable[slot.Table] {
+			for _, pos := range positions {
 				// A candidate no cheaper than the free access never wins
 				// the slot's minimum; it is not stored.
-				if g, ok := c.Gamma(qi, ti, si, s[pos]); ok && g < free {
+				if g, ok := c.Eng.SlotCost(&a, in.s[pos], in.geo[pos]); ok && g < free {
 					compat = append(compat, pos)
 					gamma = append(gamma, g)
 				}
@@ -259,12 +318,13 @@ func (c *Cache) compileQuery(qi *QueryInfo, prev *QueryMatrix, perm []int32, s [
 	return qm
 }
 
-// Len returns the number of compiled queries.
+// Len returns the number of compiled queries (not slabs: queries of
+// one shape class share theirs).
 func (cm *CostMatrix) Len() int { return len(cm.byQuery) }
 
-// Query returns the compiled block of a query, or nil when the query
-// (this very statement, not merely its ID) was not part of the compiled
-// workload.
+// Query returns the compiled block of a query — its shape class's
+// slab — or nil when the query (this very statement, not merely its ID)
+// was not part of the compiled workload.
 func (cm *CostMatrix) Query(q *workload.Query) *QueryMatrix {
 	return cm.byQuery[q]
 }

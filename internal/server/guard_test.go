@@ -55,7 +55,7 @@ func TestCacheEvictOnStatementDrop(t *testing.T) {
 	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &rec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/recommend status %d", resp.StatusCode)
 	}
-	before, _ := cophy.CompiledForTest(d.session)
+	before, _, _ := cophy.CompiledForTest(d.session)
 	if before == 0 {
 		t.Fatal("recommend left no compiled slabs")
 	}
@@ -76,14 +76,15 @@ func TestCacheEvictOnStatementDrop(t *testing.T) {
 	}
 
 	// The session's compiled problem obeys the same bound: the first
-	// recommend compiled a slab per statement, and after the re-solve none
-	// is left for a statement the stream evicted.
+	// recommend compiled every statement, and after the re-solve nothing
+	// is left for a statement the stream evicted — no slab entry, and no
+	// choice set beyond one per live shape class's slab.
 	distinct := map[string]bool{}
 	for _, st := range d.stream.Snapshot().Queries() {
 		distinct[st.Query.ID] = true
 	}
-	if slabs, choices := cophy.CompiledForTest(d.session); slabs != len(distinct) || choices != slabs || slabs >= before {
-		t.Fatalf("session holds %d slabs and %d choice sets for %d live queries (%d before eviction)", slabs, choices, len(distinct), before)
+	if queries, slabs, choices := cophy.CompiledForTest(d.session); queries != len(distinct) || slabs > queries || choices != slabs || queries >= before {
+		t.Fatalf("session holds slabs for %d statements (%d distinct) and %d choice sets for %d live queries (%d before eviction)", queries, slabs, choices, len(distinct), before)
 	}
 }
 
