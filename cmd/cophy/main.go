@@ -36,9 +36,10 @@ func main() {
 	explain := flag.Bool("explain", false, "print a query plan before/after for the costliest statement")
 	flag.Parse()
 
-	prof := engine.SystemA()
-	if *system == "B" || *system == "b" {
-		prof = engine.SystemB()
+	prof, err := engine.SystemByName(*system)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
 	}
 	cat := tpch.Build(tpch.Config{ScaleFactor: 1, Skew: *skew})
 	eng := engine.New(cat, prof)

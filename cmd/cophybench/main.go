@@ -94,7 +94,7 @@ func main() {
 	mixFlag := flag.String("mix", "whatif=8,recommend=2,ingest=1", "request mix as kind=weight pairs (kinds: ingest, whatif, recommend)")
 	budget := flag.Float64("budget", 0.5, "budget_fraction sent with /recommend")
 	seed := flag.Int64("seed", 1, "workload-generation seed")
-	sloSpec := flag.String("slo", "", `objectives to evaluate against the measured run, e.g. "recommend.p99=250ms,shed<5%" (same grammar as cophyd -slo); any violation exits non-zero unless -slo-advisory`)
+	sloSpec := flag.String("slo", "", `objectives to evaluate against the measured run, e.g. "recommend.p99=250ms,shed<5%" (grammar: obs.ParseObjectives); any violation exits non-zero unless -slo-advisory`)
 	sloAdvisory := flag.Bool("slo-advisory", false, "print SLO verdicts but never fail the run on them (for noisy shared runners)")
 	flag.Parse()
 

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/cophy"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/server"
 	"repro/internal/tpch"
@@ -83,32 +82,14 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync the WAL after every record (survives machine crashes, not just process crashes)")
 	logRequests := flag.Bool("log-requests", false, "log one structured line per HTTP request (trace ID, endpoint, status, span breakdown) to stderr")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); refused for non-loopback hosts, never on the public mux (empty disables)")
-	sloSpec := flag.String("slo", "", `comma-separated SLO objectives, e.g. "recommend.p99<=250ms,error_rate<1%,shed_rate<5%"; evaluated on GET /slo and the cophyd_slo_* gauges (informational — never refuses traffic)`)
-	sloFile := flag.String("slo-file", "", "file of SLO objectives, one per line, # comments allowed; combined with -slo")
-	sloFast := flag.Duration("slo-fast-window", 5*time.Minute, "fast burn-rate evaluation window")
-	sloSlow := flag.Duration("slo-slow-window", time.Hour, "slow burn-rate evaluation window")
 	traceKeep := flag.Int("trace-keep", 8, "slowest requests the flight recorder retains per endpoint (GET /debug/traces)")
 	traceEvents := flag.Int("trace-events", 64, "shed/error requests the flight recorder retains")
 	flag.Parse()
 
-	sloText := *sloSpec
-	if *sloFile != "" {
-		raw, err := os.ReadFile(*sloFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		sloText += "\n" + string(raw)
-	}
-	objectives, err := obs.ParseObjectives(sloText)
+	prof, err := engine.SystemByName(*system)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-
-	prof := engine.SystemA()
-	if *system == "B" || *system == "b" {
-		prof = engine.SystemB()
+		os.Exit(2)
 	}
 	cat := tpch.Build(tpch.Config{ScaleFactor: *scale, Skew: *skew})
 	eng := engine.New(cat, prof)
@@ -145,9 +126,6 @@ func main() {
 		Store:          store,
 		AuthToken:      *authToken,
 		RequestLog:     reqLog,
-		SLO:            objectives,
-		SLOFastWindow:  *sloFast,
-		SLOSlowWindow:  *sloSlow,
 		FlightKeep:     *traceKeep,
 		FlightEvents:   *traceEvents,
 	})

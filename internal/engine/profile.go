@@ -17,6 +17,11 @@
 // constants (§3 of the paper).
 package engine
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Profile holds the cost-model constants of one simulated DBMS.
 // Different profiles change which plans win and by how much, emulating
 // the porting of CoPhy across systems with minimal code differences.
@@ -88,4 +93,16 @@ func SystemB() Profile {
 		SortFudge:         1.25,
 		Correlation:       0.25,
 	}
+}
+
+// SystemByName returns the profile a command-line -system flag names:
+// "A" or "B", in either case.
+func SystemByName(name string) (Profile, error) {
+	switch strings.ToUpper(name) {
+	case "A":
+		return SystemA(), nil
+	case "B":
+		return SystemB(), nil
+	}
+	return Profile{}, fmt.Errorf("unknown system %q (want A or B)", name)
 }

@@ -7,28 +7,18 @@ import (
 	"time"
 )
 
-// Objective is one declared service-level objective. Two kinds exist:
+// Objective is one declared service-level objective, judged by
+// cophybench against a measured run. Two kinds exist:
 //
 //   - latency: "<endpoint>.p<q><op><duration>", e.g. recommend.p99<=250ms —
 //     at most (1−q) of the endpoint's requests may exceed the limit.
 //   - rate: "error_rate<1%" / "shed_rate<5%" — at most that fraction
-//     of requests may be errors (5xx) or sheds (429).
+//     of requests may be errors or sheds (429).
 //
 // The comparison operators <=, < and = are accepted and equivalent:
 // the histogram's one-bucket conservatism already blurs the boundary,
 // so a strict/inclusive distinction would be noise. ParseObjective
 // canonicalizes everything to <=.
-//
-// An objective's error budget is the allowed bad fraction: 1−q for
-// latency (a p99 objective tolerates 1% slow requests), the rate
-// limit itself for rates. The burn rate is observed-bad-fraction /
-// budget — burn 1 spends the budget exactly on schedule, burn 14.4
-// exhausts a 30-day budget in ~2 days. Alerting follows the
-// multi-window multi-burn-rate recipe: a state is computed from the
-// burn over a fast (~5m) and a slow (~1h) window together, so a page
-// needs both a high instantaneous burn and sustained history, and
-// recovery is symmetric — when the fast window goes quiet the page
-// clears without a restart.
 type Objective struct {
 	// Kind discriminates the variants below.
 	Kind ObjectiveKind `json:"kind"`
@@ -53,32 +43,6 @@ const (
 	KindRate    ObjectiveKind = "rate"
 )
 
-// Multi-window burn-rate thresholds (Google SRE workbook values for a
-// 5m/1h pair): page when both windows burn ≥ BurnPage, warn when both
-// burn ≥ BurnWarn.
-const (
-	BurnPage = 14.4
-	BurnWarn = 3.0
-)
-
-// SLOState is an objective's evaluated health.
-type SLOState string
-
-const (
-	StateOK   SLOState = "ok"
-	StateWarn SLOState = "warn"
-	StatePage SLOState = "page"
-)
-
-// Budget is the objective's error budget: the fraction of requests
-// allowed to be bad.
-func (o Objective) Budget() float64 {
-	if o.Kind == KindLatency {
-		return 1 - o.Quantile
-	}
-	return o.MaxRate
-}
-
 // String renders the canonical form ParseObjective accepts back.
 func (o Objective) String() string {
 	if o.Kind == KindLatency {
@@ -101,34 +65,8 @@ func formatPercent(f float64) string {
 	return strconv.FormatFloat(f*100, 'f', -1, 64) + "%"
 }
 
-// BurnRate returns bad/total scaled by the budget: 0 when the window
-// saw no traffic (no evidence is not bad evidence), +budget⁻¹ × the
-// bad fraction otherwise.
-func BurnRate(bad, total int64, budget float64) float64 {
-	if total <= 0 || budget <= 0 {
-		return 0
-	}
-	return (float64(bad) / float64(total)) / budget
-}
-
-// StateFor combines the fast- and slow-window burns into a state:
-// page iff both reach BurnPage, warn iff both reach BurnWarn,
-// ok otherwise. Requiring both windows makes a one-scrape latency
-// spike a warn at most, while letting a recovered system return to ok
-// as soon as the fast window drains.
-func StateFor(fastBurn, slowBurn float64) SLOState {
-	switch {
-	case fastBurn >= BurnPage && slowBurn >= BurnPage:
-		return StatePage
-	case fastBurn >= BurnWarn && slowBurn >= BurnWarn:
-		return StateWarn
-	default:
-		return StateOK
-	}
-}
-
 // ParseObjectives parses a comma- or newline-separated objective list
-// (the -slo flag or an -slo-file's contents). Blank entries and
+// (cophybench's -slo flag). Blank entries and
 // #-comment lines are skipped. Duplicate objectives (same canonical
 // form) are an error — two copies of one objective can only disagree.
 func ParseObjectives(s string) ([]Objective, error) {

@@ -23,9 +23,6 @@ func TestParseObjectives(t *testing.T) {
 	if got := lat.String(); got != "recommend.p99<=250ms" {
 		t.Fatalf("canonical form %q", got)
 	}
-	if b := lat.Budget(); b < 0.0099 || b > 0.0101 {
-		t.Fatalf("p99 budget %v, want ~0.01", b)
-	}
 	if objs[1].Rate != "error_rate" || objs[1].MaxRate != 0.01 {
 		t.Fatalf("error_rate objective wrong: %+v", objs[1])
 	}
@@ -37,7 +34,7 @@ func TestParseObjectives(t *testing.T) {
 		t.Fatalf("shed canonical form %q", got)
 	}
 
-	// Newlines and comments (the -slo-file format).
+	// Newlines and comments.
 	objs, err = ParseObjectives("# latency budget\nwhatif.p95 < 10ms\n\nerrors=0.02 # inline\n")
 	if err != nil {
 		t.Fatal(err)
@@ -70,41 +67,6 @@ func TestParseObjectives(t *testing.T) {
 	} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Fatalf("accepted malformed %q", bad)
-		}
-	}
-}
-
-// TestBurnRateAndState pins the burn-rate math and the multi-window
-// state table.
-func TestBurnRateAndState(t *testing.T) {
-	// 3 bad of 100 against a 1% budget burns at 3×.
-	if got := BurnRate(3, 100, 0.01); got != 3 {
-		t.Fatalf("burn %v, want 3", got)
-	}
-	// No traffic is no evidence.
-	if got := BurnRate(0, 0, 0.01); got != 0 {
-		t.Fatalf("zero-traffic burn %v, want 0", got)
-	}
-	if got := BurnRate(5, 100, 0); got != 0 {
-		t.Fatalf("zero-budget burn %v, want 0", got)
-	}
-
-	cases := []struct {
-		fast, slow float64
-		want       SLOState
-	}{
-		{0, 0, StateOK},
-		{2.9, 2.9, StateOK},
-		{3, 3, StateWarn},
-		{100, 2, StateOK}, // spike without history
-		{2, 100, StateOK}, // history without current burn: recovered
-		{14.4, 14.4, StatePage},
-		{14.4, 3, StateWarn}, // fast page burn, slow only warn-level
-		{50, 20, StatePage},
-	}
-	for _, c := range cases {
-		if got := StateFor(c.fast, c.slow); got != c.want {
-			t.Fatalf("StateFor(%v, %v) = %v, want %v", c.fast, c.slow, got, c.want)
 		}
 	}
 }
@@ -174,7 +136,7 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestObjectiveJSONNames keeps the /slo wire shape honest: the
+// TestObjectiveCanonicalRoundTrip keeps the verdict lines honest: the
 // canonical string round-trips through ParseObjective.
 func TestObjectiveCanonicalRoundTrip(t *testing.T) {
 	for _, s := range []string{

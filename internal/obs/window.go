@@ -143,95 +143,3 @@ func (w *WindowedHistogram) WindowSnapshot(window time.Duration) HistSnapshot {
 	}
 	return merged
 }
-
-// WindowedCounter is the counter analogue: a ring of epoch-stamped
-// atomic counters whose recent slots sum to the trailing-window total.
-// Same rotation discipline and boundary semantics as
-// WindowedHistogram; unlike it there is no lifetime side — pair it
-// with an ordinary Counter when a lifetime total is also needed. All
-// methods are nil-receiver-safe so optional wiring needs no guards.
-type WindowedCounter struct {
-	epoch time.Duration
-	slots []counterSlot
-	now   func() time.Time
-}
-
-type counterSlot struct {
-	stamp atomic.Int64
-	n     atomic.Int64
-}
-
-// NewWindowedCounter builds a windowed counter spanning `span` in
-// epochs of `epoch` (minimum 1ms).
-func NewWindowedCounter(epoch, span time.Duration) *WindowedCounter {
-	if epoch < time.Millisecond {
-		epoch = time.Millisecond
-	}
-	if span < epoch {
-		span = epoch
-	}
-	n := int(span/epoch) + 1
-	if span%epoch != 0 {
-		n++
-	}
-	c := &WindowedCounter{epoch: epoch, slots: make([]counterSlot, n), now: clock}
-	for i := range c.slots {
-		c.slots[i].stamp.Store(-1)
-	}
-	return c
-}
-
-// Add adds n to the current epoch's slot. Nil-safe.
-func (c *WindowedCounter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	e := c.now().UnixNano() / int64(c.epoch)
-	s := &c.slots[int(e%int64(len(c.slots)))]
-	for {
-		old := s.stamp.Load()
-		if old == e {
-			break
-		}
-		if old > e {
-			return // clock skew: drop rather than pollute a newer epoch
-		}
-		if s.stamp.CompareAndSwap(old, e) {
-			s.n.Store(0)
-			break
-		}
-	}
-	s.n.Add(n)
-}
-
-// Inc adds one. Nil-safe.
-func (c *WindowedCounter) Inc() { c.Add(1) }
-
-// WindowTotal sums the slots covering roughly the trailing `window`
-// (the current partial epoch plus the full epochs before it, clamped
-// to the ring's span). Nil receivers answer 0.
-func (c *WindowedCounter) WindowTotal(window time.Duration) int64 {
-	if c == nil {
-		return 0
-	}
-	k := int64(window / c.epoch)
-	if window%c.epoch != 0 {
-		k++
-	}
-	if k < 1 {
-		k = 1
-	}
-	if max := int64(len(c.slots)) - 1; k > max {
-		k = max
-	}
-	e := c.now().UnixNano() / int64(c.epoch)
-	var total int64
-	for i := range c.slots {
-		st := c.slots[i].stamp.Load()
-		if st <= e-k || st > e {
-			continue
-		}
-		total += c.slots[i].n.Load()
-	}
-	return total
-}

@@ -154,44 +154,6 @@ func TestWindowedExpiry(t *testing.T) {
 	}
 }
 
-// TestWindowedCounter covers the counter ring: totals inside the
-// window, expiry past it, slot reuse after wrapping, and nil safety.
-func TestWindowedCounter(t *testing.T) {
-	clk := &fakeClock{}
-	clk.ns.Store(int64(time.Hour))
-	c := NewWindowedCounter(10*time.Millisecond, 50*time.Millisecond)
-	c.now = clk.now
-
-	c.Add(5)
-	c.Inc()
-	clk.advance(10 * time.Millisecond)
-	c.Add(4)
-	if got := c.WindowTotal(50 * time.Millisecond); got != 10 {
-		t.Fatalf("window total %d, want 10", got)
-	}
-	if got := c.WindowTotal(10 * time.Millisecond); got != 4 {
-		t.Fatalf("narrow total %d, want 4", got)
-	}
-	clk.advance(60 * time.Millisecond)
-	if got := c.WindowTotal(50 * time.Millisecond); got != 0 {
-		t.Fatalf("expired total %d, want 0", got)
-	}
-	for i := 0; i < 40; i++ {
-		clk.advance(10 * time.Millisecond)
-		c.Add(1)
-	}
-	if got := c.WindowTotal(50 * time.Millisecond); got != 5 {
-		t.Fatalf("post-wrap total %d, want 5", got)
-	}
-
-	var nilC *WindowedCounter
-	nilC.Add(3)
-	nilC.Inc()
-	if nilC.WindowTotal(time.Minute) != 0 {
-		t.Fatal("nil counter must answer 0")
-	}
-}
-
 // TestWindowedConcurrent is the -race stress: writers record while the
 // clock advances (forcing rotations) and readers take window and
 // lifetime snapshots. The lifetime count must be exact; the window
@@ -202,8 +164,6 @@ func TestWindowedConcurrent(t *testing.T) {
 	clk.ns.Store(int64(time.Hour))
 	w := NewWindowedHistogram(NewHistogram(), time.Millisecond, 10*time.Millisecond)
 	w.now = clk.now
-	c := NewWindowedCounter(time.Millisecond, 10*time.Millisecond)
-	c.now = clk.now
 
 	const writers, perWriter = 8, 4000
 	var wg sync.WaitGroup
@@ -214,7 +174,6 @@ func TestWindowedConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWriter; i++ {
 				w.Record(rng.Int63n(1_000_000))
-				c.Inc()
 			}
 		}(int64(wi))
 	}
@@ -249,10 +208,6 @@ func TestWindowedConcurrent(t *testing.T) {
 				}
 				if q := ws.Quantile(0.99); q < 0 {
 					t.Error("negative windowed quantile")
-					return
-				}
-				if tot := c.WindowTotal(10 * time.Millisecond); tot < 0 {
-					t.Error("negative window total")
 					return
 				}
 			}

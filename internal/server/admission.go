@@ -32,13 +32,13 @@ type admission struct {
 	// solve records in-slot solve wall time — the basis for
 	// Retry-After: a shed caller is told to come back after roughly the
 	// p95 solve time for each request ahead of it. It is a sliding
-	// window layered over the registered cophyd_solve_seconds series
-	// (metrics.go wires both), so Retry-After reads the *recent* p95 —
-	// after a latency regime shift (cache warmed, workload compacted)
-	// the estimate tracks the new regime within retryWindow instead of
-	// being dragged by the lifetime distribution — while the exposition
-	// still sees every sample. With nothing in the window (an idle
-	// server's first burst) the lifetime p95 is the fallback.
+	// window layered over the registered cophyd_solve_seconds series,
+	// so Retry-After reads the *recent* p95 — after a latency regime
+	// shift (cache warmed, workload compacted) the estimate tracks the
+	// new regime within retryWindow instead of being dragged by the
+	// lifetime distribution — while the exposition still sees every
+	// sample. With nothing in the window (an idle server's first burst)
+	// the lifetime p95 is the fallback.
 	solve       *obs.WindowedHistogram
 	retryWindow time.Duration
 
@@ -47,7 +47,16 @@ type admission struct {
 	shed  *obs.Counter // requests refused with ErrOverloaded
 }
 
-func newAdmission(maxQueue int, timeout time.Duration) *admission {
+// The Retry-After window: the last five minutes of solves, kept in
+// four 75 s sub-windows.
+const (
+	retryWindow = 5 * time.Minute
+	retryEpoch  = retryWindow / 4
+)
+
+// newAdmission builds the queue and registers its shed counter and
+// solve-latency histogram on reg, so they share the daemon's exposition.
+func newAdmission(maxQueue int, timeout time.Duration, reg *obs.Registry) *admission {
 	if maxQueue <= 0 {
 		maxQueue = 16
 	}
@@ -55,11 +64,14 @@ func newAdmission(maxQueue int, timeout time.Duration) *admission {
 		timeout = 2 * time.Second
 	}
 	return &admission{
-		tickets:     make(chan struct{}, maxQueue),
-		timeout:     timeout,
-		solve:       obs.NewWindowedHistogram(obs.NewHistogram(), time.Minute, 5*time.Minute),
-		retryWindow: 5 * time.Minute,
-		shed:        &obs.Counter{},
+		tickets: make(chan struct{}, maxQueue),
+		timeout: timeout,
+		solve: obs.NewWindowedHistogram(reg.Histogram("cophyd_solve_seconds",
+			"In-slot recommendation wall time: candidate generation plus solve."),
+			retryEpoch, retryWindow),
+		retryWindow: retryWindow,
+		shed: reg.Counter("cophyd_shed_requests_total",
+			"Recommendation requests refused with 429 by the admission queue."),
 	}
 }
 

@@ -87,14 +87,6 @@ type Config struct {
 	// breakdown (queue wait, solver phases, WAL append). Nil disables
 	// request logging; metrics are recorded either way.
 	RequestLog *slog.Logger
-	// SLO declares the objectives GET /slo and the cophyd_slo_* gauges
-	// evaluate (parse with obs.ParseObjectives). Empty means none —
-	// the windowed telemetry still runs (it also feeds Retry-After).
-	SLO []obs.Objective
-	// SLOFastWindow / SLOSlowWindow are the burn-rate evaluation
-	// windows. Zero means 5m / 1h. Exposed mainly so tests can run the
-	// window machinery at full speed.
-	SLOFastWindow, SLOSlowWindow time.Duration
 	// FlightKeep is how many slowest requests the flight recorder
 	// retains per endpoint (zero = 8); FlightEvents bounds its
 	// shed/error ring (zero = 64).
@@ -169,11 +161,8 @@ type Daemon struct {
 	reg    *obs.Registry
 	reqLog *slog.Logger
 
-	// slo owns the windowed request telemetry and evaluates the
-	// declared objectives (slo.go); flight retains the traces worth
-	// keeping — slowest per endpoint plus every shed/error — for
-	// GET /debug/traces. Both are always non-nil.
-	slo    *sloEngine
+	// flight retains the traces worth keeping — slowest per endpoint
+	// plus every shed/error — for GET /debug/traces. Always non-nil.
 	flight *obs.FlightRecorder
 
 	ingested      *obs.Counter
@@ -213,6 +202,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 	if cfg.CGen.MaxKeyCols == 0 && !cfg.CGen.Covering && cfg.CGen.DBA == nil {
 		cfg.CGen = cophy.CGenOptions{Covering: true} // untuned: defaults
 	}
+	reg := obs.NewRegistry()
 	d := &Daemon{
 		cat:           cfg.Catalog,
 		eng:           cfg.Engine,
@@ -224,15 +214,14 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 		maxCandidates: cfg.MaxCandidates,
 		authToken:     cfg.AuthToken,
 		sem:           make(chan struct{}, 1),
-		adm:           newAdmission(cfg.MaxQueue, cfg.QueueTimeout),
+		adm:           newAdmission(cfg.MaxQueue, cfg.QueueTimeout, reg),
 		flights:       make(map[string]*flight),
 		probeBase:     cfg.ProbeBase,
 		probeMax:      cfg.ProbeMax,
 		reqLog:        cfg.RequestLog,
-		slo:           newSLOEngine(cfg.SLO, cfg.SLOFastWindow, cfg.SLOSlowWindow),
 		flight:        obs.NewFlightRecorder(cfg.FlightKeep, cfg.FlightEvents),
 	}
-	d.registerMetrics(obs.NewRegistry())
+	d.registerMetrics(reg)
 	if d.probeBase <= 0 {
 		d.probeBase = 500 * time.Millisecond
 	}
@@ -645,10 +634,6 @@ type Stats struct {
 	// Warming is true while the post-recovery background re-prepare is
 	// still running; the daemon serves throughout.
 	Warming bool `json:"warming"`
-	// SLO carries the evaluated objective states when objectives are
-	// configured — the same evaluation GET /slo serves, informational
-	// only (an SLO page never changes Health).
-	SLO []ObjectiveStatus `json:"slo,omitempty"`
 	// WALRecords / SnapshotsWritten / PersistErrors expose the
 	// durability layer — always present, so "zero errors" never reads
 	// as a missing key; Recovery describes what the last restart
@@ -696,9 +681,6 @@ func (d *Daemon) Snapshot() Stats {
 		d.recMu.Unlock()
 		st.Recovery = &rec
 		st.DiskErrors = d.store.DiskErrors()
-	}
-	if len(d.slo.objectives) > 0 {
-		st.SLO = d.slo.evaluate()
 	}
 	return st
 }

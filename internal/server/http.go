@@ -66,7 +66,6 @@ type whatIfRequest struct {
 //	POST /recommend {"budget_fraction": 0.5}                → RecommendResult
 //	POST /snapshot  (empty body)                            → SnapshotResult
 //	GET  /stats                                             → Stats
-//	GET  /slo                                               → evaluated SLO objectives
 //	GET  /metrics                                           → Prometheus text format
 //	GET  /debug/traces                                      → flight-recorder dump
 //	GET  /healthz                                           → 200 ok
@@ -129,18 +128,10 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", d.instrument("stats", func(w http.ResponseWriter, r *http.Request) {
 		d.reply(w, d.Snapshot(), nil)
 	}))
-	// /slo is the objective view: each declared objective evaluated
-	// right now against the windowed telemetry (fast/slow burn rates,
-	// ok/warn/page state). Open like /stats — it reveals aggregate
-	// health, not data. An empty objective list answers an empty array,
-	// so scrapers need no special case.
-	mux.HandleFunc("GET /slo", d.instrument("slo", func(w http.ResponseWriter, r *http.Request) {
-		d.reply(w, d.slo.response(), nil)
-	}))
 	// /debug/traces dumps the flight recorder: the slowest retained
 	// requests per endpoint and every retained shed/error request, each
 	// with its full span breakdown. Guarded by the bearer token (when
-	// one is set): unlike /slo it exposes per-request internals.
+	// one is set): unlike /stats it exposes per-request internals.
 	mux.HandleFunc("GET /debug/traces", d.instrument("traces", d.guard(func(w http.ResponseWriter, r *http.Request) {
 		d.reply(w, d.flight.Dump(), nil)
 	})))
@@ -196,11 +187,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 // It wraps OUTSIDE the auth guard, so rejected requests are measured
 // too.
 func (d *Daemon) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	// The per-endpoint latency series is windowed: the registered
-	// lifetime histogram keeps feeding /metrics unchanged, while the
-	// window on top gives the SLO engine recent-window quantiles.
-	hist := d.slo.latFor(endpoint,
-		d.reg.Histogram("cophyd_http_request_seconds", helpHTTPSeconds, obs.L("endpoint", endpoint)))
+	hist := d.reg.Histogram("cophyd_http_request_seconds", helpHTTPSeconds, obs.L("endpoint", endpoint))
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace()
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
@@ -211,7 +198,6 @@ func (d *Daemon) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		hist.Observe(dur)
 		d.reg.Counter("cophyd_http_requests_total", helpHTTPRequests,
 			obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(sw.code))).Inc()
-		d.slo.note(endpoint, sw.code)
 		d.flight.Note(endpoint, sw.code, tr.Start, dur, tr)
 		spans := tr.Spans()
 		for _, sp := range spans {

@@ -4,7 +4,7 @@ import (
 	"repro/internal/obs"
 )
 
-// registerMetrics builds the daemon's metric set on a fresh registry
+// registerMetrics builds the daemon's metric set on its registry
 // and assigns the counter handles the rest of the package mutates.
 // Every /stats field reads the same registered value /metrics exposes —
 // one source of truth, so the two views can never disagree. Derived
@@ -12,6 +12,9 @@ import (
 // INUM cache size, the admission queue depth, the store's disk errors)
 // are registered as closures read at exposition time instead of being
 // double-counted.
+//
+// The admission queue registers its own shed counter and solve-latency
+// histogram on the same registry (admission.go).
 //
 // Called from New after the stream and admission queue exist but
 // before recovery (recovery re-seeds the ingested counter via Store).
@@ -38,19 +41,6 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		"Healthy-to-degraded transitions over the daemon's lifetime.")
 	d.planStale = reg.Counter("cophyd_plan_cache_stale_total",
 		"Recoveries that found a plan payload stamped by a different derivation environment and re-derived instead of importing.")
-
-	// The admission queue's shed counter and the solve-latency histogram
-	// (the basis of 429 Retry-After) live on the queue itself; register
-	// them here so they share the exposition. The registered series is
-	// the lifetime side of a sliding window sized to the SLO fast
-	// window, so Retry-After reads the recent p95 while /metrics sees
-	// every sample.
-	d.adm.shed = reg.Counter("cophyd_shed_requests_total",
-		"Recommendation requests refused with 429 by the admission queue.")
-	d.adm.solve = obs.NewWindowedHistogram(reg.Histogram("cophyd_solve_seconds",
-		"In-slot recommendation wall time: candidate generation plus solve."),
-		d.slo.epoch, d.slo.slow)
-	d.adm.retryWindow = d.slo.fast
 
 	// Derived views: read at exposition time from their owners.
 	reg.GaugeFunc("cophyd_live_statements",
@@ -104,28 +94,6 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 				}
 				return 0
 			}, obs.L("state", state))
-	}
-
-	// SLO gauges: one burn-rate series per objective (the fast-window
-	// burn, the one alerts key on) and a one-hot state vector, both
-	// evaluated at scrape time from the same windows /slo reads.
-	for _, o := range d.slo.objectives {
-		o := o
-		reg.GaugeFunc("cophyd_slo_burn_rate",
-			"Fast-window error-budget burn rate per objective (1 = spending the budget exactly on schedule).",
-			func() float64 { return d.slo.status(o).FastBurn },
-			obs.L("objective", o.String()))
-		for _, state := range []obs.SLOState{obs.StateOK, obs.StateWarn, obs.StatePage} {
-			state := state
-			reg.GaugeFunc("cophyd_slo_state",
-				"Objective state (1 on the active state's series, 0 elsewhere); informational — never gates serving.",
-				func() float64 {
-					if d.slo.status(o).State == string(state) {
-						return 1
-					}
-					return 0
-				}, obs.L("objective", o.String()), obs.L("state", string(state)))
-		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cophy"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -155,8 +156,8 @@ func TestQueueShedsWhenFull(t *testing.T) {
 	gen := workload.Hom(workload.HomConfig{Queries: 8, Seed: 3})
 	post(t, post1, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
 
-	d.adm = newAdmission(1, time.Minute) // queue of one, patient waiters
-	d.sem <- struct{}{}                  // the session is busy elsewhere
+	d.adm = newAdmission(1, time.Minute, d.reg) // queue of one, patient waiters
+	d.sem <- struct{}{}                         // the session is busy elsewhere
 	defer func() { <-d.sem }()
 
 	// Occupy the single queue slot (distinct budget → no coalescing).
@@ -197,7 +198,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	gen := workload.Hom(workload.HomConfig{Queries: 8, Seed: 3})
 	post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
 
-	d.adm = newAdmission(4, 25*time.Millisecond)
+	d.adm = newAdmission(4, 25*time.Millisecond, d.reg)
 	d.sem <- struct{}{} // wedge the session
 	defer func() { <-d.sem }()
 
@@ -224,7 +225,7 @@ func TestBurstAcceptance(t *testing.T) {
 	defer srv.Close()
 	gen := workload.Hom(workload.HomConfig{Queries: 12, Seed: 7})
 	post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
-	d.adm = newAdmission(1, 10*time.Second) // tiny queue: sheds must happen on the distinct burst
+	d.adm = newAdmission(1, 10*time.Second, d.reg) // tiny queue: sheds must happen on the distinct burst
 
 	// Phase 1 — identical burst: everyone coalesces onto one flight.
 	// The session is wedged until every follower has registered: on a
@@ -298,6 +299,44 @@ func TestBurstAcceptance(t *testing.T) {
 	}
 	if st := d.Snapshot(); st.ShedRequests == 0 || st.CoalescedRequests == 0 {
 		t.Fatalf("burst left vacuous counters: %+v", st)
+	}
+}
+
+// TestRetryAfterTracksRecentWindow pins the stale-p95 fix: Retry-After
+// must follow the *recent* solve-latency window, not the lifetime
+// histogram. A slow regime is recorded, then expires, then a fast
+// regime replaces it — the old lifetime-snapshot code would keep
+// answering the slow regime's p95 forever.
+func TestRetryAfterTracksRecentWindow(t *testing.T) {
+	d := testDaemon(t)
+	// A 100ms read window in 25ms sub-windows instead of 5m in 75s.
+	d.adm.solve = obs.NewWindowedHistogram(obs.NewHistogram(), 25*time.Millisecond, 100*time.Millisecond)
+	d.adm.retryWindow = 100 * time.Millisecond
+
+	// Slow regime: five 30s solves.
+	for i := 0; i < 5; i++ {
+		d.adm.observe(30 * time.Second)
+	}
+	if got := d.adm.retryAfter(); got < 30 {
+		t.Fatalf("slow-regime Retry-After %d, want ≥ 30", got)
+	}
+
+	// Let the slow regime fall out of the window. With the window
+	// empty the lifetime histogram is the (documented) fallback, so
+	// the answer is still the slow p95 — better than guessing 1.
+	time.Sleep(150 * time.Millisecond)
+	if got := d.adm.retryAfter(); got < 30 {
+		t.Fatalf("empty-window fallback Retry-After %d, want lifetime ≥ 30", got)
+	}
+
+	// Fast regime: the windowed p95 is now ~10ms, so Retry-After must
+	// drop to the floor even though the lifetime p95 is still 30s.
+	for i := 0; i < 20; i++ {
+		d.adm.observe(10 * time.Millisecond)
+	}
+	if got := d.adm.retryAfter(); got != 1 {
+		t.Fatalf("fast-regime Retry-After %d, want 1 (lifetime p95 %v must not leak)",
+			got, time.Duration(d.adm.solve.Snapshot().Quantile(0.95)))
 	}
 }
 

@@ -51,18 +51,11 @@ var metricNameRE = regexp.MustCompile(`^cophyd_[a-z0-9_]+$`)
 func TestHTTPTraceIDAndMetrics(t *testing.T) {
 	var logBuf syncBuffer
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
-	// One objective, so the cophyd_slo_* families are registered too
-	// and the scrape below sees every family the daemon has.
-	slo, err := obs.ParseObjectives("recommend.p99<=250ms")
-	if err != nil {
-		t.Fatal(err)
-	}
 	d, err := New(Config{
 		Catalog:    cat,
 		Engine:     engine.New(cat, engine.SystemA()),
 		Advisor:    cophy.Options{GapTol: 0.02, RootIters: 160, MaxNodes: 16},
 		RequestLog: slog.New(slog.NewTextHandler(&logBuf, nil)),
-		SLO:        slo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +137,8 @@ func TestHTTPTraceIDAndMetrics(t *testing.T) {
 			t.Errorf("%s %s: a name ends in _total exactly when it is a counter", kind, name)
 		}
 	}
-	if families < 30 {
-		t.Errorf("/metrics exposed %d families, want all 30 the daemon registers", families)
+	if families < 28 {
+		t.Errorf("/metrics exposed %d families, want all 28 the daemon registers", families)
 	}
 
 	// Single source of truth: the /stats counters are the same values.

@@ -16,8 +16,7 @@ if [ -z "$BIN" ]; then
 fi
 
 LOG=$(mktemp)
-SLO_SPEC='recommend.p99<=30s,whatif.p95<=10s,error_rate<=20%,shed_rate<=20%'
-"$BIN" -addr 127.0.0.1:0 -scale 0.05 -gap 0.05 -slo "$SLO_SPEC" >"$LOG" 2>&1 &
+"$BIN" -addr 127.0.0.1:0 -scale 0.05 -gap 0.05 >"$LOG" 2>&1 &
 PID=$!
 trap 'kill $PID 2>/dev/null || true' EXIT
 
@@ -100,22 +99,9 @@ echo "$METRICS" | grep -q '^cophyd_recommends_total 2$' || fail "/metrics should
 echo "$METRICS" | grep -q 'cophyd_http_request_seconds_count{endpoint="recommend"} 2' || fail "/metrics is missing the recommend latency histogram" "$METRICS"
 echo "$METRICS" | grep -q 'cophyd_span_seconds_count{span="solve"}' || fail "/metrics is missing the solve span histogram" "$METRICS"
 echo "$METRICS" | grep -q 'cophyd_health{state="healthy"} 1' || fail "/metrics should report the healthy state gauge" "$METRICS"
-echo "$METRICS" | grep -q 'cophyd_slo_state{objective=' || fail "/metrics is missing the SLO state gauges" "$METRICS"
-echo "$METRICS" | grep -q 'cophyd_slo_burn_rate{objective=' || fail "/metrics is missing the SLO burn-rate gauges" "$METRICS"
-
-# /slo: every configured objective comes back evaluated, and these
-# generous limits all hold.
-SLO=$(curl -fsS "$BASE/slo")
-python3 - "$SLO" <<'EOF'
-import json, sys
-r = json.loads(sys.argv[1])
-objs = {o["objective"]: o for o in r["objectives"]}
-want = {"recommend.p99<=30s", "whatif.p95<=10s", "error_rate<=20%", "shed_rate<=20%"}
-assert set(objs) == want, (set(objs), want)
-for name, o in objs.items():
-    assert o["state"] in ("ok", "warn", "page"), o
-    assert o["state"] == "ok", (name, o)  # nothing here should burn a 30s budget
-EOF
+# The per-status-code request counter is the error and shed-rate
+# input a burn-rate alerting rule reads.
+echo "$METRICS" | grep -q 'cophyd_http_requests_total{code="200",endpoint="recommend"} 2' || fail "/metrics is missing the per-code recommend request counter" "$METRICS"
 
 # /debug/traces (unguarded on this tokenless daemon): the flight
 # recorder must have kept the slowest recommend with a span breakdown.
@@ -373,4 +359,4 @@ else
     -d '{"sql": "SELECT l_quantity FROM lineitem WHERE l_quantity > :0.5;"}' >/dev/null
 fi
 
-echo "cophyd smoke test PASSED (kill -9 + warm restart, overload shedding/coalescing, degraded-mode recovery, SLO + flight recorder)"
+echo "cophyd smoke test PASSED (kill -9 + warm restart, overload shedding/coalescing, degraded-mode recovery, /metrics + flight recorder)"
