@@ -82,8 +82,6 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync the WAL after every record (survives machine crashes, not just process crashes)")
 	logRequests := flag.Bool("log-requests", false, "log one structured line per HTTP request (trace ID, endpoint, status, span breakdown) to stderr")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); refused for non-loopback hosts, never on the public mux (empty disables)")
-	traceKeep := flag.Int("trace-keep", 8, "slowest requests the flight recorder retains per endpoint (GET /debug/traces)")
-	traceEvents := flag.Int("trace-events", 64, "shed/error requests the flight recorder retains")
 	flag.Parse()
 
 	prof, err := engine.SystemByName(*system)
@@ -126,8 +124,6 @@ func main() {
 		Store:          store,
 		AuthToken:      *authToken,
 		RequestLog:     reqLog,
-		FlightKeep:     *traceKeep,
-		FlightEvents:   *traceEvents,
 	})
 	stopBoot()
 	if err != nil {

@@ -220,12 +220,12 @@ func TestILPSharedINUMCache(t *testing.T) {
 	if _, err := adv.Recommend(w, s, cophy.FractionOfData(cat, 1)); err != nil {
 		t.Fatal(err)
 	}
-	prepCalls := adv.Inum.PrepCalls
+	prepCalls := adv.Inum.PrepStats()
 	ad := ilp.New(cat, eng, adv.Inum, ilp.Options{})
 	if _, err := ad.Recommend(w, s, float64(cat.TotalBytes())); err != nil {
 		t.Fatal(err)
 	}
-	if adv.Inum.PrepCalls != prepCalls {
+	if adv.Inum.PrepStats() != prepCalls {
 		t.Fatal("shared INUM cache re-prepared templates")
 	}
 }

@@ -27,7 +27,7 @@ type Engine struct {
 	// workload's derivations stop paying allocation and GC for the DP
 	// tables. Safe because the catalog and profile are immutable after
 	// construction.
-	memoPools [13]sync.Pool
+	memoPools [workload.MaxTables + 1]sync.Pool
 }
 
 // New returns an engine over the catalog with the given cost profile.
@@ -57,7 +57,12 @@ func (e *Engine) ResetSlotCostCalls() { e.slotCalls.Store(0) }
 // of §2: a normal optimization with "faked" index statistics.
 func (e *Engine) WhatIfPlan(q *workload.Query, cfg *Config) (*Plan, error) {
 	e.whatIfCalls.Add(1)
-	return e.optimize(q, cfg, nil, false)
+	if err := checkOptimizable(q); err != nil {
+		return nil, err
+	}
+	m := e.getMemo(q, cfg, false)
+	defer e.putMemo(m)
+	return e.optimizeMemo(m, nil)
 }
 
 // WhatIfCost returns cost(q, X): the cost of the optimal plan for q
@@ -70,52 +75,38 @@ func (e *Engine) WhatIfCost(q *workload.Query, cfg *Config) (float64, error) {
 	return p.Cost, nil
 }
 
-// ForcedPlan optimizes the query with per-table delivered-order
-// requirements — the "plan forcing through hints" service INUM relies
-// on (§4). A table present in forced with a non-empty order must be
-// accessed in that order; a table present with an empty order must be
-// accessed without repeated lookups; absent tables are unconstrained.
-// It returns an error when no plan satisfies the requirements.
-func (e *Engine) ForcedPlan(q *workload.Query, cfg *Config, forced map[string][]string) (*Plan, error) {
-	e.whatIfCalls.Add(1)
-	return e.optimize(q, cfg, forced, false)
-}
-
-// TemplatePlan optimizes like ForcedPlan but in template mode: the
-// plan may exploit only the forced leaf orders, never incidental ones,
-// so INUM can lift it into a template whose slot requirements are
-// exactly the orders its internal operators consume.
-func (e *Engine) TemplatePlan(q *workload.Query, cfg *Config, forced map[string][]string) (*Plan, error) {
-	e.whatIfCalls.Add(1)
-	return e.optimize(q, cfg, forced, true)
-}
-
-// TemplateCtx carries the derivation state shared across the many
-// TemplatePlan calls one template extraction makes for a single query
-// under a single configuration: access paths, join conditions, lookup
-// leaves and sort wrappers are all independent of the forced-order map
-// and are computed once instead of once per call. A TemplateCtx is not
-// safe for concurrent use; derive each query on one goroutine.
+// TemplateCtx is the optimizer's template mode: the "plan forcing
+// through hints" service INUM relies on (§4), for one query under one
+// configuration. Each TemplatePlan call forces per-table delivered
+// orders, and the plan may exploit only those forced leaf orders, never
+// incidental ones, so INUM can lift it into a template whose slot
+// requirements are exactly the orders its internal operators consume.
+// Access paths, join conditions, lookup leaves and sort wrappers do not
+// depend on the forced map, so the calls share them. A TemplateCtx is
+// not safe for concurrent use; derive each query on one goroutine.
 type TemplateCtx struct {
 	e    *Engine
 	memo *joinMemo
 	err  error
 }
 
-// NewTemplateCtx prepares a derivation context for q under cfg.
+// NewTemplateCtx prepares a template-mode context for q under cfg.
 func (e *Engine) NewTemplateCtx(q *workload.Query, cfg *Config) *TemplateCtx {
 	tc := &TemplateCtx{e: e}
 	if err := checkOptimizable(q); err != nil {
 		tc.err = err
 		return tc
 	}
-	tc.memo = e.getMemo(q, cfg)
+	tc.memo = e.getMemo(q, cfg, true)
 	return tc
 }
 
-// TemplatePlan runs one template-mode optimization against the shared
-// context. It counts as a what-if optimizer call, exactly like
-// Engine.TemplatePlan.
+// TemplatePlan runs one template-mode optimization and counts as one
+// what-if optimizer call. A table present in forced with a non-empty
+// order must be accessed in that order; a table present with an empty
+// order must be accessed without repeated lookups; absent tables are
+// unconstrained. It returns an error when no plan satisfies the
+// requirements.
 func (tc *TemplateCtx) TemplatePlan(forced map[string][]string) (*Plan, error) {
 	tc.e.whatIfCalls.Add(1)
 	if tc.err != nil {
@@ -124,7 +115,7 @@ func (tc *TemplateCtx) TemplatePlan(forced map[string][]string) (*Plan, error) {
 	if tc.memo == nil {
 		return nil, fmt.Errorf("engine: TemplateCtx used after Close")
 	}
-	return tc.e.optimizeMemo(tc.memo, forced, true)
+	return tc.e.optimizeMemo(tc.memo, forced)
 }
 
 // Close recycles the context's derivation scratch. Call it once no
@@ -141,143 +132,110 @@ func checkOptimizable(q *workload.Query) error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("engine: query %s references no tables", q.ID)
 	}
-	if len(q.Tables) > 12 {
-		return fmt.Errorf("engine: query %s joins %d tables; limit is 12", q.ID, len(q.Tables))
+	if len(q.Tables) > workload.MaxTables {
+		return fmt.Errorf("engine: query %s joins %d tables; limit is %d", q.ID, len(q.Tables), workload.MaxTables)
 	}
 	return nil
 }
 
-// optimize runs access-path selection, join ordering and finalization.
-func (e *Engine) optimize(q *workload.Query, cfg *Config, forced map[string][]string, templateMode bool) (*Plan, error) {
-	if err := checkOptimizable(q); err != nil {
-		return nil, err
-	}
-	m := e.getMemo(q, cfg)
-	p, err := e.optimizeMemo(m, forced, templateMode)
-	e.putMemo(m)
-	return p, err
-}
-
-// optimizeMemo is the memo-sharing core of optimize: join ordering
-// over the context's cached inputs, then finalization of the cheapest
-// entry. Finalized costs are computed arithmetically for every entry
-// (finalizeCost) and only the winner's operator nodes are built.
-func (e *Engine) optimizeMemo(m *joinMemo, forced map[string][]string, templateMode bool) (*Plan, error) {
-	full := e.optimizeJoin(m, forced, templateMode)
+// optimizeMemo is one optimization over the memo's cached inputs: join
+// ordering, then finalization. Every full-mask entry is ranked by its
+// finish decision, and only the winner's operator nodes are built.
+func (e *Engine) optimizeMemo(m *joinMemo, forced map[string][]string) (*Plan, error) {
+	full := e.optimizeJoin(m, forced)
 	if full == nil {
 		return nil, fmt.Errorf("engine: no plan for query %s under forced orders", m.q.ID)
 	}
 	bi := -1
-	var bestCost float64
+	var best finish
 	for i := range full.ents {
 		en := &full.ents[i]
-		fc := e.finalizeCost(m, en.cost, en.rows, en.width, en.order)
-		if bi < 0 || fc < bestCost {
-			bi, bestCost = i, fc
+		if f := e.planFinish(m, en.cost, en.rows, en.width, en.order); bi < 0 || f.cost < best.cost {
+			bi, best = i, f
 		}
 	}
-	root := m.materialize((1<<len(m.tables))-1, bi)
-	fin := e.finalize(m, root)
-	return &Plan{Root: fin, Cost: fin.Cost}, nil
+	root := e.finalize(m, m.materialize((1<<len(m.tables))-1, bi), best)
+	return &Plan{Root: root, Cost: root.Cost}, nil
 }
 
-// finalizeCost prices finalize over a join result given only its
-// scalars (cost, cardinality, width, delivered order), without building
-// any operator node — the allocation gate for the per-entry argmin in
-// optimizeMemo. Every arithmetic step mirrors finalize exactly (same
-// operations in the same association order), which
-// TestFinalizeCostMatchesFinalize pins bit-for-bit.
-func (e *Engine) finalizeCost(m *joinMemo, cost, rows, width float64, order []string) float64 {
+// finish is finalization's decision over one join result: the
+// grouping or aggregation operator, the sorts around it, and the cost
+// of the completed plan.
+type finish struct {
+	// agg is OpHashAgg or OpStreamAgg when the query groups or
+	// aggregates, else zero; aggRows and aggSelf are its cardinality and
+	// self cost, aggOrder its delivered order.
+	agg              Op
+	aggRows, aggSelf float64
+	aggOrder         []string
+	// groupSort: a Sort on the GROUP BY columns feeds the stream
+	// aggregate. orderSort: a final ORDER BY sort follows.
+	groupSort, orderSort bool
+	cost                 float64
+}
+
+// planFinish decides finalization from the join result's scalars alone
+// (cost, cardinality, width, delivered order), building no node, so
+// optimizeMemo can rank every full-mask entry by it. Grouping takes the
+// cheaper of hash aggregation and sort+stream unless the input already
+// arrives grouped. finalize builds exactly what it decided, and
+// TestPlanFinishMatchesFinalize holds the two costs bit-equal.
+func (e *Engine) planFinish(m *joinMemo, cost, rows, width float64, order []string) finish {
 	p := e.Prof
 	q := m.q
 	groupOrder, orderBy := m.finalOrders()
+	var f finish
 
 	if len(q.GroupBy) > 0 {
-		groups := m.groupRowsFor(rows)
-		if satisfiesOrder(order, groupOrder) {
-			cost += rows * p.CPUOperatorCost
-		} else {
-			hashSelf := rows*p.CPUOperatorCost*2*p.HashFudge + groups*p.CPUOperatorCost
-			if pages := groups * width / PageSizeF; pages > float64(p.MemoryPages) {
+		f.agg, f.aggRows, f.aggSelf = OpStreamAgg, m.groupRowsFor(rows), rows*p.CPUOperatorCost
+		if !satisfiesOrder(order, groupOrder) {
+			hashSelf := rows*p.CPUOperatorCost*2*p.HashFudge + f.aggRows*p.CPUOperatorCost
+			if pages := f.aggRows * width / PageSizeF; pages > float64(p.MemoryPages) {
 				hashSelf += pages * 2 * p.SeqPageCost
 			}
-			sortedCost := cost + m.sortCostFor(rows, width)
-			streamSelf := rows * p.CPUOperatorCost
-			if cost+hashSelf <= sortedCost+streamSelf {
-				cost += hashSelf
+			if sorted := cost + m.sortCostFor(rows, width); cost+hashSelf <= sorted+f.aggSelf {
+				f.agg, f.aggSelf = OpHashAgg, hashSelf
 				order = nil
 			} else {
-				cost = sortedCost + streamSelf
+				f.groupSort = true
+				cost = sorted
 				order = groupOrder
 			}
 		}
-		rows = groups
+		cost += f.aggSelf
+		rows = f.aggRows
 	} else if q.Aggregate {
-		cost += rows * p.CPUOperatorCost
+		f.agg, f.aggRows, f.aggSelf = OpStreamAgg, 1, rows*p.CPUOperatorCost
+		cost += f.aggSelf
 		rows = 1
 		order = nil
 	}
+	f.aggOrder = order
 
 	if len(q.OrderBy) > 0 && !satisfiesOrder(order, orderBy) {
+		f.orderSort = true
 		cost += m.sortCostFor(rows, width)
 	}
-	return cost
+	f.cost = cost
+	return f
 }
 
-// finalize applies grouping, aggregation and ordering on top of a join
-// result.
-func (e *Engine) finalize(m *joinMemo, root *PlanNode) *PlanNode {
-	p := e.Prof
-	q := m.q
+// finalize builds the operators f decided on top of a join result.
+func (e *Engine) finalize(m *joinMemo, root *PlanNode, f finish) *PlanNode {
 	groupOrder, orderBy := m.finalOrders()
-
-	if len(q.GroupBy) > 0 {
-		groups := m.groupRowsFor(root.Rows)
-		if satisfiesOrder(root.Order, groupOrder) {
-			agg := &PlanNode{
-				Op: OpStreamAgg, Children: []*PlanNode{root},
-				Rows: groups, Width: root.Width, Order: root.Order,
-				SelfCost: root.Rows * p.CPUOperatorCost,
-			}
-			agg.Cost = root.Cost + agg.SelfCost
-			root = agg
-		} else {
-			// Choose the cheaper of hash aggregation and sort+stream.
-			hashSelf := root.Rows*p.CPUOperatorCost*2*p.HashFudge + groups*p.CPUOperatorCost
-			if pages := groups * root.Width / PageSizeF; pages > float64(p.MemoryPages) {
-				hashSelf += pages * 2 * p.SeqPageCost
-			}
-			sorted := e.sortNode(root, groupOrder)
-			streamSelf := root.Rows * p.CPUOperatorCost
-			if root.Cost+hashSelf <= sorted.Cost+streamSelf {
-				agg := &PlanNode{
-					Op: OpHashAgg, Children: []*PlanNode{root},
-					Rows: groups, Width: root.Width,
-					SelfCost: hashSelf,
-				}
-				agg.Cost = root.Cost + agg.SelfCost
-				root = agg
-			} else {
-				agg := &PlanNode{
-					Op: OpStreamAgg, Children: []*PlanNode{sorted},
-					Rows: groups, Width: root.Width, Order: sorted.Order,
-					SelfCost: streamSelf,
-				}
-				agg.Cost = sorted.Cost + agg.SelfCost
-				root = agg
-			}
-		}
-	} else if q.Aggregate {
+	if f.groupSort {
+		root = e.sortNode(root, groupOrder)
+	}
+	if f.agg != 0 {
 		agg := &PlanNode{
-			Op: OpStreamAgg, Children: []*PlanNode{root},
-			Rows: 1, Width: root.Width,
-			SelfCost: root.Rows * p.CPUOperatorCost,
+			Op: f.agg, Children: []*PlanNode{root},
+			Rows: f.aggRows, Width: root.Width, Order: f.aggOrder,
+			SelfCost: f.aggSelf,
 		}
 		agg.Cost = root.Cost + agg.SelfCost
 		root = agg
 	}
-
-	if len(q.OrderBy) > 0 && !satisfiesOrder(root.Order, orderBy) {
+	if f.orderSort {
 		root = e.sortNode(root, orderBy)
 	}
 	return root

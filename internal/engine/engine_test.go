@@ -236,7 +236,10 @@ func TestWhatIfCallCounting(t *testing.T) {
 	}
 }
 
-func TestForcedPlanHonorsOrder(t *testing.T) {
+// TestTemplatePlanHonorsForcedOrder: a forced order makes the plan
+// read the table through the one index that delivers it, and an order
+// no access path delivers yields an error, not a plan.
+func TestTemplatePlanHonorsForcedOrder(t *testing.T) {
 	_, e, base := testEnv(t)
 	q := &workload.Query{
 		ID:     "t-forced",
@@ -247,18 +250,18 @@ func TestForcedPlanHonorsOrder(t *testing.T) {
 		},
 	}
 	ix := &catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}
-	cfg := base.Union(NewConfig(ix))
+	tc := e.NewTemplateCtx(q, base.Union(NewConfig(ix)))
+	defer tc.Close()
 	forced := map[string][]string{"lineitem": {"lineitem.l_shipdate"}}
-	p, err := e.ForcedPlan(q, cfg, forced)
+	p, err := tc.TemplatePlan(forced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf := p.Root.Leaves(nil)[0]
-	if !satisfiesOrder(leaf.Order, forced["lineitem"]) {
-		t.Fatalf("forced order violated: %v", leaf.Order)
+	if leaf := p.Root.Leaves(nil)[0]; leaf.Index != ix || !satisfiesOrder(leaf.Order, forced["lineitem"]) {
+		t.Fatalf("forced order violated: leaf %s order %v", leaf.Op, leaf.Order)
 	}
 	// Forcing an unobtainable order must fail.
-	if _, err := e.ForcedPlan(q, base, map[string][]string{"lineitem": {"lineitem.l_discount"}}); err == nil {
+	if _, err := tc.TemplatePlan(map[string][]string{"lineitem": {"lineitem.l_discount"}}); err == nil {
 		t.Fatal("expected error for unobtainable forced order")
 	}
 }

@@ -37,15 +37,16 @@ func coveringConfig(base *Config, q *workload.Query) *Config {
 	return cfg
 }
 
-// TestFinalizeCostMatchesFinalize pins finalizeCost, the scalar-only
-// pricing optimizeMemo ranks full-mask DP entries by, to finalize, the
-// operator-building pass whose cost the chosen plan reports: for every
-// entry of the full-mask DP set, over Hom and Het queries with GROUP BY,
-// aggregates and ORDER BY, under the baseline and a covering
-// configuration, in plain and template mode, on both cost profiles
-// (System B's hash and sort fudges are not powers of two, so a
-// re-associated product shows), both price to the same float64 bits.
-func TestFinalizeCostMatchesFinalize(t *testing.T) {
+// TestPlanFinishMatchesFinalize pins planFinish, the scalar-only
+// decision optimizeMemo ranks full-mask DP entries by, to finalize, the
+// pass that builds what was decided and whose cost the chosen plan
+// reports: for every entry of the full-mask DP set, over Hom and Het
+// queries with GROUP BY, aggregates and ORDER BY, under the baseline
+// and a covering configuration, in plain and template mode, on both
+// cost profiles (System B's hash and sort fudges are not powers of two,
+// so a re-associated product shows), both price to the same float64
+// bits.
+func TestPlanFinishMatchesFinalize(t *testing.T) {
 	cat, _, base := testEnv(t)
 	var queries []*workload.Query
 	for _, w := range []*workload.Workload{
@@ -76,17 +77,17 @@ func TestFinalizeCostMatchesFinalize(t *testing.T) {
 		for _, q := range queries {
 			for _, cfg := range []*Config{base, coveringConfig(base, q)} {
 				for _, templateMode := range []bool{false, true} {
-					m := e.getMemo(q, cfg)
-					full := e.optimizeJoin(m, nil, templateMode)
+					m := e.getMemo(q, cfg, templateMode)
+					full := e.optimizeJoin(m, nil)
 					if full == nil {
 						t.Fatalf("%s: no plan", q.ID)
 					}
 					for i := range full.ents {
 						en := &full.ents[i]
-						got := e.finalizeCost(m, en.cost, en.rows, en.width, en.order)
-						want := e.finalize(m, m.materialize(1<<len(m.tables)-1, i)).Cost
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s %s (template mode %v) entry %d: finalizeCost %v, finalize %v", e.Prof.Name, q.ID, templateMode, i, got, want)
+						f := e.planFinish(m, en.cost, en.rows, en.width, en.order)
+						got := e.finalize(m, m.materialize(1<<len(m.tables)-1, i), f).Cost
+						if math.Float64bits(f.cost) != math.Float64bits(got) {
+							t.Fatalf("%s %s (template mode %v) entry %d: planFinish %v, finalize %v", e.Prof.Name, q.ID, templateMode, i, f.cost, got)
 						}
 						entries++
 						if len(en.order) > 0 {

@@ -193,7 +193,10 @@ type joinMemo struct {
 	q      *workload.Query
 	cfg    *Config
 	tables []string
-	idx    map[string]int
+	// template marks a TemplateCtx memo (see pathsFor). A memo keeps
+	// one mode from getMemo to putMemo; only template mode forces orders.
+	template bool
+	idx      map[string]int
 	// needCols[i] = q.ColumnsOf(tables[i]).
 	needCols [][]string
 	// base[i] holds the unconstrained scanPaths of tables[i].
@@ -210,11 +213,9 @@ type joinMemo struct {
 	connDone []bool
 	// lookups memoizes Engine.lookupLeaf per (table, join column).
 	lookups map[lookupKey]*PlanNode
-	// filtered/trimmed memoize the per-table path sets under a forced
-	// order requirement (plain filtering, and the template-mode
-	// order-erasing trim, respectively).
-	filtered map[pathKey][]*PlanNode
-	trimmed  map[pathKey][]*PlanNode
+	// trimmed memoizes the template-mode path set per (table, forced
+	// order).
+	trimmed map[pathKey][]*PlanNode
 
 	// kidOf interns order-key strings as dense small IDs; "" is always
 	// ID 0. The distinct delivered orders of one derivation number at
@@ -239,11 +240,9 @@ type joinMemo struct {
 	// absent and forced-empty tables admit the same paths and NL
 	// gating). A table whose key is unchanged contributes exactly the
 	// same leaves, so every DP subset avoiding changed tables can be
-	// reused verbatim; passInit/lastMode guard the first pass and
-	// template-mode flips.
+	// reused verbatim; passInit guards the first pass.
 	lastKey  []string
 	passInit bool
-	lastMode bool
 
 	// sc is a direct-mapped cache of sortSelfCost keyed by the exact
 	// (rows, width) bit patterns. Successive DP passes of one
@@ -256,7 +255,7 @@ type joinMemo struct {
 	gr [64]grSlot
 
 	// groupOrder/orderBy memoize the qualified column-name slices
-	// finalize needs.
+	// planFinish and finalize need.
 	groupOrder []string
 	orderBy    []string
 	finalPrep  bool
@@ -312,14 +311,15 @@ type lookupKey struct {
 	col string
 }
 
-func newJoinMemo(e *Engine, q *workload.Query, cfg *Config) *joinMemo {
+func newJoinMemo(e *Engine, q *workload.Query, cfg *Config, template bool) *joinMemo {
 	n := len(q.Tables)
 	m := &joinMemo{
-		e:      e,
-		q:      q,
-		cfg:    cfg,
-		tables: q.Tables,
-		idx:    make(map[string]int, n),
+		e:        e,
+		q:        q,
+		cfg:      cfg,
+		tables:   q.Tables,
+		template: template,
+		idx:      make(map[string]int, n),
 	}
 	m.needCols = make([][]string, n)
 	m.base = make([][]*PlanNode, n)
@@ -348,14 +348,14 @@ func newJoinMemo(e *Engine, q *workload.Query, cfg *Config) *joinMemo {
 // zeroed (it depends on the query's GROUP BY). Only the sort-cost cache
 // survives, which is sound and bit-stable because sortSelfCost depends
 // on nothing but the engine profile and its exact float inputs.
-func (e *Engine) getMemo(q *workload.Query, cfg *Config) *joinMemo {
+func (e *Engine) getMemo(q *workload.Query, cfg *Config, template bool) *joinMemo {
 	n := len(q.Tables)
 	v := e.memoPools[n].Get()
 	if v == nil {
-		return newJoinMemo(e, q, cfg)
+		return newJoinMemo(e, q, cfg, template)
 	}
 	m := v.(*joinMemo)
-	m.q, m.cfg, m.tables = q, cfg, q.Tables
+	m.q, m.cfg, m.tables, m.template = q, cfg, q.Tables, template
 	clear(m.idx)
 	for i, t := range q.Tables {
 		m.idx[t] = i
@@ -367,7 +367,6 @@ func (e *Engine) getMemo(q *workload.Query, cfg *Config) *joinMemo {
 		m.connDone[i] = false
 	}
 	clear(m.lookups)
-	clear(m.filtered)
 	clear(m.trimmed)
 	clear(m.kidOf)
 	m.ordPfx, m.ordPfxW = m.ordPfx[:0], 0
@@ -443,28 +442,15 @@ func (m *joinMemo) lookupLeaf(t int, col string) *PlanNode {
 }
 
 // pathsFor returns the access-path set of table t under the forced
-// map, memoized by the table's effective order requirement (absent and
-// present-but-empty requirements are equivalent for both filtering and
-// the template trim, so they share the "" key).
-func (m *joinMemo) pathsFor(t int, forced map[string][]string, templateMode bool) []*PlanNode {
-	name := m.tables[t]
-	req, constrained := lookupForced(forced, name)
-	if !templateMode {
-		if !constrained || len(req) == 0 {
-			return m.base[t]
-		}
-		k := pathKey{t, orderKey(req)}
-		if ps, ok := m.filtered[k]; ok {
-			return ps
-		}
-		if m.filtered == nil {
-			m.filtered = make(map[pathKey][]*PlanNode)
-		}
-		ps := m.e.filterForced(m.base[t], name, forced)
-		m.filtered[k] = ps
-		return ps
+// map. Plain mode is never forced and uses every path; template mode
+// memoizes its trim by the table's effective order requirement (absent
+// and present-but-empty requirements admit the same paths, so they
+// share the "" key).
+func (m *joinMemo) pathsFor(t int, forced map[string][]string) []*PlanNode {
+	if !m.template {
+		return m.base[t]
 	}
-
+	req := forced[m.tables[t]]
 	k := pathKey{t, ""}
 	if len(req) > 0 {
 		k.order = orderKey(req)
@@ -475,15 +461,17 @@ func (m *joinMemo) pathsFor(t int, forced map[string][]string, templateMode bool
 	if m.trimmed == nil {
 		m.trimmed = make(map[pathKey][]*PlanNode)
 	}
-	all := m.e.filterForced(m.base[t], name, forced)
-	// In templateMode the internal plan may rely only on leaf orders
-	// that were explicitly forced: every access path advertises exactly
-	// its forced order (nothing for unforced tables). This guarantees
-	// that a template's slot requirements capture every ordering
-	// assumption baked into its internal cost β.
-	trimmed := make([]*PlanNode, 0, len(all))
+	// In template mode the internal plan may rely only on leaf orders
+	// that were explicitly forced: every access path that delivers the
+	// forced order advertises exactly that order (nothing for unforced
+	// tables). This guarantees that a template's slot requirements
+	// capture every ordering assumption baked into its internal cost β.
+	trimmed := make([]*PlanNode, 0, len(m.base[t]))
 	seen := map[string]bool{}
-	for _, p := range all {
+	for _, p := range m.base[t] {
+		if !satisfiesOrder(p.Order, req) {
+			continue
+		}
 		cp := *p
 		cp.okey = ""
 		if len(req) > 0 {
@@ -510,7 +498,7 @@ func (m *joinMemo) pathsFor(t int, forced map[string][]string, templateMode bool
 }
 
 // finalOrders lazily prepares the qualified group-by and order-by
-// column slices used by finalize and finalizeCost.
+// column slices used by planFinish and finalize.
 func (m *joinMemo) finalOrders() ([]string, []string) {
 	if !m.finalPrep {
 		m.finalPrep = true
@@ -580,14 +568,12 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 // optimizeJoin runs the System-R DP over the query's tables and
 // returns the entry set for the full table mask, sorted by cost
 // (nil when no plan exists). forced constrains per-table delivered
-// orders for INUM template extraction; a nil map (or missing entry)
-// leaves the table unconstrained, while a present entry requires every
-// access to that table to deliver the given order (an empty non-nil
-// slice means "unordered access only").
+// orders in template mode (see TemplateCtx.TemplatePlan); plain mode
+// passes nil.
 //
 // The returned entries alias the memo's DP scratch and are invalidated
 // by the next optimizeJoin call on the same memo.
-func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string, templateMode bool) *dpEntries {
+func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntries {
 	n := len(m.tables)
 
 	// Incremental invalidation: dp[mask] is a pure function of the
@@ -600,13 +586,12 @@ func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string, templateM
 	// subsets of itself, which are therefore also clean, so reused
 	// provenance stays valid.
 	dirty := 0
-	if !m.passInit || m.lastMode != templateMode {
+	if !m.passInit {
 		m.passInit = true
-		m.lastMode = templateMode
 		dirty = 1<<n - 1
 	}
 	for t := 0; t < n; t++ {
-		req, constrained := lookupForced(forced, m.tables[t])
+		req, constrained := forced[m.tables[t]]
 		key := ""
 		if constrained && len(req) > 0 {
 			key = orderKey(req)
@@ -615,7 +600,7 @@ func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string, templateM
 			m.lastKey[t] = key
 			dirty |= 1 << t
 		}
-		m.passPaths[t] = m.pathsFor(t, forced, templateMode)
+		m.passPaths[t] = m.pathsFor(t, forced)
 		m.passNL[t] = !constrained || len(req) == 0
 	}
 
@@ -943,30 +928,6 @@ func (m *joinMemo) prune(d *dpEntries) {
 	}
 	d.kids = kids
 	d.ents = ents
-}
-
-// filterForced keeps only the access paths compatible with a forced
-// per-table order requirement.
-func (e *Engine) filterForced(all []*PlanNode, table string, forced map[string][]string) []*PlanNode {
-	req, constrained := lookupForced(forced, table)
-	if !constrained || len(req) == 0 {
-		return all
-	}
-	var out []*PlanNode
-	for _, p := range all {
-		if satisfiesOrder(p.Order, req) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func lookupForced(forced map[string][]string, table string) ([]string, bool) {
-	if forced == nil {
-		return nil, false
-	}
-	req, ok := forced[table]
-	return req, ok
 }
 
 // connTable gathers the join conditions connecting table t to the

@@ -55,10 +55,10 @@ func TestConcurrentPrepare(t *testing.T) {
 }
 
 // TestTemplateCapRespected: a pathological many-order query must not
-// exceed MaxTemplates.
+// exceed maxTemplates.
 func TestTemplateCapRespected(t *testing.T) {
 	_, cache, _ := testSetup(t)
-	cache.MaxTemplates = 4
+	cache.maxTemplates = 4
 	q := &workload.Query{
 		ID:     "e-cap",
 		Tables: []string{"lineitem", "orders", "customer"},

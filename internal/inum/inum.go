@@ -138,7 +138,9 @@ type QueryInfo struct {
 // constants the histograms price identically share one derivation, and
 // the second and later statements of a shape skip every what-if
 // optimizer call. Nothing is keyed by statement ID, so no ID can name
-// the wrong statement. It is safe for concurrent use.
+// the wrong statement. A derivation's optimizer calls all go through
+// engine.TemplateCtx; PrepStats counts every one of them. It is safe
+// for concurrent use.
 type Cache struct {
 	Eng *engine.Engine
 
@@ -149,17 +151,12 @@ type Cache struct {
 	order []string
 
 	hits, misses, evictions int64
-	// PrepCalls counts the what-if optimizations spent deriving template
-	// plans (the "INUM time" component of the paper's breakdowns). Read
-	// it only after concurrent preparation settles, or through
-	// PrepStats.
-	PrepCalls int64
+	// prepCalls counts the what-if optimizations spent deriving template
+	// plans (the "INUM time" component of the paper's breakdowns).
+	prepCalls int64
 
-	// MaxTemplates caps K_q per query.
-	MaxTemplates int
-	// MaxCombos caps the number of interesting-order combinations
-	// enumerated per query.
-	MaxCombos int
+	// maxTemplates caps K_q per query.
+	maxTemplates int
 }
 
 // shapeEntry is one shape-cache slot. Entries are inserted before
@@ -183,6 +180,10 @@ func (en *shapeEntry) derived() bool {
 	}
 }
 
+// maxCombos caps the interesting-order combinations one derivation
+// enumerates.
+const maxCombos = 48
+
 // maxShapes bounds the cache. Eviction is FIFO and skips entries still
 // being derived, so a long-running derivation can never be yanked out
 // from under its waiters.
@@ -193,18 +194,16 @@ func New(eng *engine.Engine) *Cache {
 	return &Cache{
 		Eng:          eng,
 		shapes:       make(map[string]*shapeEntry),
-		MaxTemplates: 10,
-		MaxCombos:    48,
+		maxTemplates: 10,
 	}
 }
 
-// PrepStats returns the optimizer calls spent on derivations, read under
-// the lock — the safe way while preparation may still be running
-// elsewhere.
+// PrepStats returns the what-if optimizer calls spent on derivations,
+// failed ones included. It is safe while preparation is still running.
 func (c *Cache) PrepStats() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.PrepCalls
+	return c.prepCalls
 }
 
 // ShapeStats returns the shape-cache hit/miss counters: one per lookup.
@@ -422,15 +421,18 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 
 	// Extraction scratch: most combos yield a template whose signature
 	// was already seen, so plans are extracted into one reusable holder
-	// and only novel templates are cloned into the cache.
+	// and only novel templates are cloned into the cache. plan makes one
+	// optimizer call and counts it whether or not it yields a plan.
 	var (
 		calls     int64
 		scratch   Template
 		leavesBuf []*engine.PlanNode
 		sigBuf    []byte
 	)
-	addPlan := func(p *engine.Plan, forced map[string][]string) {
-		if p == nil {
+	plan := func(tc *engine.TemplateCtx, forced map[string][]string) {
+		calls++
+		p, err := tc.TemplatePlan(forced)
+		if err != nil {
 			return
 		}
 		leavesBuf = extractInto(&scratch, leavesBuf[:0], p, forced, needCols)
@@ -444,23 +446,17 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 	for _, t := range q.Tables {
 		fallback[t] = []string{}
 	}
-	if p, err := c.Eng.TemplatePlan(q, engine.NewConfig(), fallback); err == nil {
-		calls++
-		addPlan(p, fallback)
-	}
+	fb := c.Eng.NewTemplateCtx(q, engine.NewConfig())
+	plan(fb, fallback)
+	fb.Close()
 
 	// All remaining calls optimize the same query under the same
 	// synthetic configuration with only the forced map varying, so they
-	// share one derivation context (access paths, join conditions,
-	// lookup leaves and sort wrappers are computed once).
+	// share one context: an unconstrained call, then the order
+	// combinations.
 	tctx := c.Eng.NewTemplateCtx(q, synth)
 	defer tctx.Close()
-
-	// Unconstrained call under the synthetic configuration.
-	if p, err := tctx.TemplatePlan(nil); err == nil {
-		calls++
-		addPlan(p, nil)
-	}
+	plan(tctx, nil)
 
 	// Mixed-radix walk over order combinations. The forced map is
 	// reused across iterations; extract retains only the forced order
@@ -469,9 +465,8 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 	for _, opts := range perTable {
 		combos *= len(opts)
 	}
-	limit := c.MaxCombos
 	forced := make(map[string][]string, len(q.Tables))
-	for ci := 1; ci < combos && ci <= limit; ci++ {
+	for ci := 1; ci < combos && ci <= maxCombos; ci++ {
 		clear(forced)
 		rest := ci
 		for i, opts := range perTable {
@@ -484,18 +479,13 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 		if len(forced) == 0 {
 			continue
 		}
-		p, err := tctx.TemplatePlan(forced)
-		calls++
-		if err != nil {
-			continue
-		}
-		addPlan(p, forced)
+		plan(tctx, forced)
 	}
 
-	qi.prune(c.MaxTemplates)
+	qi.prune(c.maxTemplates)
 
 	c.mu.Lock()
-	c.PrepCalls += calls
+	c.prepCalls += calls
 	c.mu.Unlock()
 	return qi.Templates
 }

@@ -28,8 +28,8 @@ func TestPrepareBuildsTemplates(t *testing.T) {
 		if len(qi.Templates) == 0 {
 			t.Fatalf("%s has no templates", s.Query.ID)
 		}
-		if len(qi.Templates) > cache.MaxTemplates {
-			t.Fatalf("%s has %d templates, cap %d", s.Query.ID, len(qi.Templates), cache.MaxTemplates)
+		if len(qi.Templates) > cache.maxTemplates {
+			t.Fatalf("%s has %d templates, cap %d", s.Query.ID, len(qi.Templates), cache.maxTemplates)
 		}
 		// One template must be instantiable by the empty configuration.
 		hasFallback := false
@@ -45,8 +45,39 @@ func TestPrepareBuildsTemplates(t *testing.T) {
 			t.Fatalf("%s lacks a fallback template", s.Query.ID)
 		}
 	}
-	if cache.PrepCalls == 0 {
+	if cache.PrepStats() == 0 {
 		t.Fatal("Prepare should record optimizer calls")
+	}
+}
+
+// TestPrepStatsCountsEveryOptimizerCall: PrepStats counts each what-if
+// call a derivation makes, the failed ones included, so it moves in
+// step with the engine's own counter. The hand-built 13-table query
+// fails every call (the parser rejects it, but a query built in code
+// still reaches the cache).
+func TestPrepStatsCountsEveryOptimizerCall(t *testing.T) {
+	eng, cache, _ := testSetup(t)
+	wide := &workload.Query{ID: "wide", Tables: []string{"region"}, Select: []catalog.ColumnRef{ref("region", "r_name")}}
+	for len(wide.Tables) <= workload.MaxTables {
+		wide.Tables = append(wide.Tables, "nation")
+	}
+	for _, tc := range []struct {
+		name string
+		w    *workload.Workload
+	}{
+		{"hom", workload.Hom(workload.HomConfig{Queries: 40, Seed: 21})},
+		{"het", workload.Het(workload.HetConfig{Queries: 40, Seed: 22})},
+		{"13 tables", &workload.Workload{Statements: []*workload.Statement{{Query: wide, Weight: 1}}}},
+	} {
+		prep, calls := cache.PrepStats(), eng.WhatIfCalls()
+		cache.Prepare(tc.w)
+		dPrep, dCalls := cache.PrepStats()-prep, eng.WhatIfCalls()-calls
+		if dPrep == 0 || dPrep != dCalls {
+			t.Errorf("%s: PrepStats moved %d, WhatIfCalls %d", tc.name, dPrep, dCalls)
+		}
+	}
+	if n := len(cache.PrepareQuery(wide).Templates); n != 0 {
+		t.Errorf("13-table query got %d templates", n)
 	}
 }
 

@@ -1,6 +1,12 @@
 package lint_test
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -44,4 +50,90 @@ func TestSelfCheckRepoClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repo is not lint-clean: %s", d)
 	}
+}
+
+// TestCIRunPatternsMatchTests guards CI's by-name steps. `go test -run
+// 'A|B' ./pkg` still passes, with "no tests to run", once A is renamed
+// away, so the step would silently check nothing. Every |-alternative
+// of every -run pattern in the workflow must therefore match, as a
+// regular expression the way go test reads it, some test in the
+// step's packages. Commands that also pass -bench or -fuzz are
+// skipped: there `-run xxx` deliberately selects no test.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`-run (?:'([^']*)'|(\S+))`)
+	patterns := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		m := runFlag.FindStringSubmatch(line)
+		if m == nil || !strings.Contains(line, "go test") || strings.Contains(line, "-bench") || strings.Contains(line, "-fuzz") {
+			continue
+		}
+		patterns++
+		var pkgs, names []string
+		for _, f := range strings.Fields(line) {
+			if strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+				names = append(names, testNames(t, root, f)...)
+			}
+		}
+		if len(names) == 0 {
+			t.Errorf("ci.yml: no tests found in the packages of %q", strings.TrimSpace(line))
+			continue
+		}
+		for _, alt := range strings.Split(m[1]+m[2], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml: -run alternative %q: %v", alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("ci.yml: -run alternative %q matches no test in %v", alt, pkgs)
+			}
+		}
+	}
+	if patterns < 5 {
+		t.Fatalf("found %d by-name go test commands in ci.yml; the scan looks broken", patterns)
+	}
+}
+
+// testNames lists the Test, Fuzz and Example functions of the package
+// a go test argument names ("./dir" or "./dir/...").
+func testNames(t *testing.T, root, pkg string) []string {
+	t.Helper()
+	dir, recursive := strings.CutSuffix(pkg, "/...")
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	var names []string
+	err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != filepath.Join(root, dir) && (!recursive || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

@@ -58,15 +58,9 @@ type FlightDump struct {
 }
 
 // NewFlightRecorder retains the slowest keepPerEndpoint requests per
-// endpoint and the last eventCap shed/error requests. Non-positive
-// values fall back to 8 and 64.
+// endpoint and the last eventCap shed/error requests; both must be
+// positive.
 func NewFlightRecorder(keepPerEndpoint, eventCap int) *FlightRecorder {
-	if keepPerEndpoint <= 0 {
-		keepPerEndpoint = 8
-	}
-	if eventCap <= 0 {
-		eventCap = 64
-	}
 	return &FlightRecorder{
 		keep:    keepPerEndpoint,
 		slowest: make(map[string][]*FlightEntry),

@@ -132,15 +132,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return bucketMax(len(s.buckets) - 1)
 }
 
-// CountAbove returns how many samples may exceed bound: the total
-// count minus the samples provably ≤ bound. A bucket straddling the
-// bound counts as above it, so the answer never under-reports — the
-// conservative direction for burn-rate alerting, where "maybe bad"
-// must count as bad.
-func (s HistSnapshot) CountAbove(bound int64) int64 {
-	return s.Count - s.cumLE(bound)
-}
-
 // cumLE returns how many samples are provably ≤ bound: the cumulative
 // count of buckets whose entire range fits under it. A bucket
 // straddling the bound is excluded (pushed to the next exposition

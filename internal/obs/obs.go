@@ -71,27 +71,12 @@ func (c *Counter) Store(n int64) { c.v.Store(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (possibly negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // metric is one registered series: a label-qualified member of a
 // family. Exactly one of the value fields is set, matching the
 // family's kind.
 type metric struct {
 	labels string // pre-rendered `key="value",...` (no braces), "" when unlabeled
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64 // counterFunc / gaugeFunc
 }
@@ -158,17 +143,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		m.c = &Counter{}
 	}
 	return m.c
-}
-
-// Gauge registers (or finds) a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, existed := r.familyFor(name, help, kindGauge).seriesFor(labels)
-	if !existed {
-		m.g = &Gauge{}
-	}
-	return m.g
 }
 
 // Histogram registers (or finds) a latency histogram series.

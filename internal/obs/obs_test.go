@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -101,7 +102,8 @@ func TestHistogramConcurrentRecordSnapshot(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("stress_seconds", "stress histogram")
 	c := r.Counter("stress_total", "stress counter")
-	g := r.Gauge("stress_depth", "stress gauge")
+	var depth atomic.Int64
+	r.GaugeFunc("stress_depth", "stress gauge", func() float64 { return float64(depth.Load()) })
 	const writers, readers, perWriter = 8, 4, 5000
 	var wg sync.WaitGroup
 	for wi := 0; wi < writers; wi++ {
@@ -112,7 +114,7 @@ func TestHistogramConcurrentRecordSnapshot(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				h.Record(rng.Int63n(1_000_000))
 				c.Inc()
-				g.Set(int64(i))
+				depth.Store(int64(i))
 			}
 		}(int64(wi))
 	}
@@ -168,7 +170,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs_total", "requests", L("endpoint", "/ingest")).Add(7)
 	r.Counter("reqs_total", "requests", L("endpoint", "/whatif")).Add(3)
-	r.Gauge("depth", "queue depth").Set(2)
+	r.GaugeFunc("depth", "queue depth", func() float64 { return 2 })
 	r.GaugeFunc("live", "live statements", func() float64 { return 41 })
 	h := r.Histogram("req_seconds", "request latency", L("endpoint", "/ingest"))
 	h.Observe(2 * time.Millisecond)
@@ -248,7 +250,7 @@ func TestRegistryKindConflict(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("x", "x")
-	r.Gauge("x", "x")
+	r.GaugeFunc("x", "x", func() float64 { return 0 })
 }
 
 // TestTraceSpans covers accumulation, ordering, counts and the

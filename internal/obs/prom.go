@@ -51,8 +51,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(b, f.name, m.labels, m.h.Snapshot())
 			case m.c != nil:
 				writeSample(b, f.name, "", m.labels, float64(m.c.Load()))
-			case m.g != nil:
-				writeSample(b, f.name, "", m.labels, float64(m.g.Load()))
 			case m.fn != nil:
 				writeSample(b, f.name, "", m.labels, m.fn())
 			}

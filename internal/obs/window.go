@@ -109,8 +109,8 @@ func (w *WindowedHistogram) Snapshot() HistSnapshot { return w.life.Snapshot() }
 // WindowSnapshot merges the sub-windows covering roughly the trailing
 // `window` (clamped to the ring's span): the current partial epoch
 // plus the ceil(window/epoch)−1 before it. The result is an ordinary
-// HistSnapshot — quantiles, mean and CountAbove all apply, with the
-// same error bound as the lifetime histogram. A window no sample has
+// HistSnapshot — quantiles and mean apply, with the same error bound
+// as the lifetime histogram. A window no sample has
 // touched answers an empty snapshot (Count 0, quantiles 0).
 func (w *WindowedHistogram) WindowSnapshot(window time.Duration) HistSnapshot {
 	k := int64(window / w.epoch)

@@ -221,28 +221,29 @@ func TestWindowedConcurrent(t *testing.T) {
 	}
 }
 
-// TestCountAbove pins the conservative direction: a bucket straddling
-// the bound counts as above, never below.
-func TestCountAbove(t *testing.T) {
+// TestCumLEConservative pins the conservative direction of the
+// /metrics bucket counts: a bucket straddling the bound counts as
+// above it, never as ≤ bound.
+func TestCumLEConservative(t *testing.T) {
 	h := NewHistogram()
 	for _, v := range []int64{10, 100, 1000, 10_000} {
 		h.Record(v)
 	}
 	s := h.Snapshot()
 	// 10_000 sits in a straddling bucket (its bucketMax > 10_000), so
-	// the conservative rule counts it above its own value.
-	want := int64(0)
+	// the conservative rule leaves it out of its own value's count.
+	want := int64(4)
 	if bucketMax(bucketIndex(10_000)) > 10_000 {
-		want = 1
+		want = 3
 	}
-	if got := s.CountAbove(10_000); got != want {
-		t.Fatalf("CountAbove(10000)=%d, want %d", got, want)
+	if got := s.cumLE(10_000); got != want {
+		t.Fatalf("cumLE(10000)=%d, want %d", got, want)
 	}
-	if got := s.CountAbove(0); got != 4 {
-		t.Fatalf("CountAbove(0)=%d, want 4", got)
+	if got := s.cumLE(0); got != 0 {
+		t.Fatalf("cumLE(0)=%d, want 0", got)
 	}
-	if got := s.CountAbove(1 << 40); got != 0 {
-		t.Fatalf("CountAbove(huge)=%d, want 0", got)
+	if got := s.cumLE(1 << 40); got != 4 {
+		t.Fatalf("cumLE(huge)=%d, want 4", got)
 	}
 	// Values in the exact linear region: the bound is sharp.
 	h2 := NewHistogram()
@@ -250,7 +251,7 @@ func TestCountAbove(t *testing.T) {
 		h2.Record(v)
 	}
 	s2 := h2.Snapshot()
-	if got := s2.CountAbove(7); got != 8 {
-		t.Fatalf("linear CountAbove(7)=%d, want 8", got)
+	if got := s2.cumLE(7); got != 8 {
+		t.Fatalf("linear cumLE(7)=%d, want 8", got)
 	}
 }

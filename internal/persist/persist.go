@@ -73,9 +73,6 @@ type Options struct {
 	// current segment at or beyond it starts a new segment first.
 	// Default 1 MiB.
 	SegmentBytes int64
-	// KeepSnapshots is how many snapshot files are retained (the newest
-	// is authoritative; older ones exist for forensics). Default 2.
-	KeepSnapshots int
 	// Sync fsyncs the segment after every append. Off by default: the
 	// daemon's durability target is process crashes (kill -9, deploys),
 	// which the page cache survives; snapshots are always fsynced.
@@ -128,9 +125,6 @@ type segWriter struct {
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 1 << 20
-	}
-	if opts.KeepSnapshots <= 0 {
-		opts.KeepSnapshots = 2
 	}
 	fs := opts.FS
 	if fs == nil {

@@ -9,6 +9,10 @@ import (
 
 const snapHeaderLen = 24 // magic + version + walSeq + payloadLen + crc
 
+// keepSnapshots is how many snapshot files are retained: the newest is
+// authoritative, the one before it exists for forensics.
+const keepSnapshots = 2
+
 // SnapshotInfo describes one written snapshot.
 type SnapshotInfo struct {
 	// WALSeq is the first WAL segment replay resumes from.
@@ -100,7 +104,7 @@ func (s *Store) pruneLocked(walSeq uint64) (int, error) {
 	if err != nil {
 		return pruned, err
 	}
-	for i := 0; i < len(snaps)-s.opts.KeepSnapshots; i++ {
+	for i := 0; i < len(snaps)-keepSnapshots; i++ {
 		_ = s.fs.Remove(filepath.Join(s.dir, snapName(snaps[i])))
 	}
 	s.syncDir()

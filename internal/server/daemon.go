@@ -87,11 +87,11 @@ type Config struct {
 	// breakdown (queue wait, solver phases, WAL append). Nil disables
 	// request logging; metrics are recorded either way.
 	RequestLog *slog.Logger
-	// FlightKeep is how many slowest requests the flight recorder
-	// retains per endpoint (zero = 8); FlightEvents bounds its
-	// shed/error ring (zero = 64).
-	FlightKeep, FlightEvents int
 }
+
+// The flight recorder retains the flightKeep slowest requests per
+// endpoint and the last flightEvents shed/error requests.
+const flightKeep, flightEvents = 8, 64
 
 // Daemon is the service core. All exported methods are safe for
 // concurrent use: WhatIf takes no daemon lock (only the INUM cache's),
@@ -219,7 +219,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 		probeBase:     cfg.ProbeBase,
 		probeMax:      cfg.ProbeMax,
 		reqLog:        cfg.RequestLog,
-		flight:        obs.NewFlightRecorder(cfg.FlightKeep, cfg.FlightEvents),
+		flight:        obs.NewFlightRecorder(flightKeep, flightEvents),
 	}
 	d.registerMetrics(reg)
 	if d.probeBase <= 0 {

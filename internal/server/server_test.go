@@ -344,6 +344,41 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestUnplannableFromListNeverLogged: a statement the optimizer cannot
+// plan — a FROM list past workload.MaxTables, or one naming a table
+// twice — is refused at /ingest and /whatif with 422 before the WAL
+// sees it. Accepting one would fail every later /recommend of the
+// stream it joined (and every recovery that replays it) with "no
+// templates".
+func TestUnplannableFromListNeverLogged(t *testing.T) {
+	d := durableDaemon(t, t.TempDir(), nil)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	good := renderSQL(workload.Hom(workload.HomConfig{Queries: 10, Seed: 5}))
+	if resp := post(t, srv, "/ingest", ingestRequest{SQL: good}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("good ingest: status %d", resp.StatusCode)
+	}
+	records := d.Snapshot().WALRecords
+	for _, bad := range []string{
+		"SELECT r_name FROM region" + strings.Repeat(", nation", workload.MaxTables) + ";",
+		"SELECT n_name FROM nation, nation;",
+	} {
+		if resp := post(t, srv, "/ingest", ingestRequest{SQL: bad}, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("ingest %q: status %d, want 422", bad, resp.StatusCode)
+		}
+		if resp := post(t, srv, "/whatif", whatIfRequest{SQL: bad}, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("whatif %q: status %d, want 422", bad, resp.StatusCode)
+		}
+	}
+	if got := d.Snapshot().WALRecords; got != records {
+		t.Fatalf("refused statements wrote %d WAL records", got-records)
+	}
+	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recommend after refused ingests: status %d", resp.StatusCode)
+	}
+}
+
 // TestWhatIfMatchesInumDirect pins the HTTP what-if to the INUM cost
 // the advisor itself would compute.
 func TestWhatIfMatchesInumDirect(t *testing.T) {

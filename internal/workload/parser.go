@@ -17,7 +17,8 @@ import (
 // MAX(...) or AGG(...). Unqualified columns are resolved against the
 // catalog and must be unambiguous. A line starting with `--` is a
 // comment. An optional `WEIGHT <n>` suffix before the semicolon sets
-// the statement weight.
+// the statement weight. A FROM list names each table once and at most
+// MaxTables tables, so every parsed query is one the optimizer can plan.
 //
 // Grammar (case-insensitive keywords):
 //
@@ -237,6 +238,12 @@ func (p *parser) selectStmt() (*Query, float64, error) {
 		t := p.next()
 		if p.cat.Table(t) == nil {
 			return nil, 0, p.errf("unknown table %q", t)
+		}
+		if inScope(q.Tables, t) {
+			return nil, 0, p.errf("table %q repeated in FROM clause", t)
+		}
+		if len(q.Tables) == MaxTables {
+			return nil, 0, p.errf("FROM clause lists more than %d tables", MaxTables)
 		}
 		q.Tables = append(q.Tables, t)
 		if !p.accept(",") {

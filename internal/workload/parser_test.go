@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/tpch"
 )
 
@@ -126,6 +127,47 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(cat, bad); err == nil {
 			t.Fatalf("expected error for %q", bad)
+		}
+	}
+}
+
+// TestParseFromList holds the FROM list to what the optimizer can
+// plan: each table once, at most MaxTables of them. A statement the
+// parser accepts past either limit would be acknowledged and then fail
+// every later plan of the workload it joined.
+func TestParseFromList(t *testing.T) {
+	tpchCat := tpch.Build(tpch.Config{ScaleFactor: 0.01})
+	wide := catalog.New()
+	var names []string
+	for i := 0; i <= MaxTables; i++ {
+		name := fmt.Sprintf("t%d", i)
+		names = append(names, name)
+		wide.AddTable(&catalog.Table{Name: name, Rows: 100, Cols: []*catalog.Column{
+			{Name: name + "_c", Type: catalog.TypeInt, Width: 4, NDV: 10, Hist: catalog.NewUniformHistogram(10)},
+		}})
+	}
+	from := func(tables []string) string { return "SELECT t0_c FROM " + strings.Join(tables, ", ") + ";" }
+	for _, tc := range []struct {
+		name    string
+		cat     *catalog.Catalog
+		sql     string
+		wantErr string // "" means the statement parses
+	}{
+		{"two tables", tpchCat, "SELECT n_name FROM nation, region WHERE n_regionkey = r_regionkey;", ""},
+		{"self join", tpchCat, "SELECT n_name FROM nation, nation;", `table "nation" repeated`},
+		{"repeat after others", tpchCat, "SELECT r_name FROM region, nation, orders, nation;", `table "nation" repeated`},
+		{"13 tables by repetition", tpchCat, "SELECT r_name FROM region" + strings.Repeat(", nation", 12) + ";", `table "nation" repeated`},
+		{"MaxTables distinct", wide, from(names[:MaxTables]), ""},
+		{"one past MaxTables", wide, from(names), fmt.Sprintf("more than %d tables", MaxTables)},
+	} {
+		w, err := Parse(tc.cat, tc.sql)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr == "" && len(w.Statements[0].Query.Tables) > MaxTables:
+			t.Errorf("%s: parsed %d tables", tc.name, len(w.Statements[0].Query.Tables))
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }

@@ -71,6 +71,11 @@ type Join struct {
 // String renders the join condition.
 func (j Join) String() string { return j.Left.String() + " = " + j.Right.String() }
 
+// MaxTables is the most tables one query may reference: the parser
+// rejects a longer FROM list, and the optimizer's join DP (2^n subsets)
+// refuses to plan one.
+const MaxTables = 12
+
 // Query is a SELECT statement (or the query shell of an UPDATE). Each
 // table is referenced at most once, matching the simplifying
 // assumption of §2 of the paper.
