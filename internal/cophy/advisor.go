@@ -81,6 +81,9 @@ type Result struct {
 	Iters int
 	// Nodes counts branch-and-bound nodes beyond the root.
 	Nodes int
+	// Dominated counts the candidates BIPGen emitted no option for,
+	// because another candidate strictly dominates them.
+	Dominated int
 	// NumericFallbacks and WarmDowngrades are always zero. The
 	// benchmark still reads them; ROADMAP item 4(b) deletes them.
 	NumericFallbacks int
@@ -110,7 +113,8 @@ func (ad *Advisor) instance(w *workload.Workload, s []*catalog.Index) *Instance 
 }
 
 // prepare is the front half of the pipeline (Figure 3, §3–4), stated
-// once: instance → INUM preparation → BIPGen → constraint compilation.
+// once: instance → INUM preparation → BIPGen with constraint
+// compilation.
 // Every model the advisor solves is built here, over the compiled state
 // cs the caller keeps (empty for a first build), which the build brings
 // up to date in place. INUM preparation is the template lookups of the
@@ -128,11 +132,8 @@ func (ad *Advisor) prepare(ctx context.Context, cs *compiled, w *workload.Worklo
 	}
 
 	t1 := time.Now()
-	model, err := cs.model(inst)
+	model, err := cs.model(ctx, inst, cons)
 	if err != nil {
-		return nil, nil, Timings{}, err
-	}
-	if err := applyConstraints(inst, model, cons); err != nil {
 		return nil, nil, Timings{}, err
 	}
 	times.Build = time.Since(t1)
@@ -432,6 +433,11 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 	}
 	times.Solve = solveTime
 	res.Times = times
+	for _, on := range se.built.mask {
+		if on {
+			res.Dominated++
+		}
+	}
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		tr.Add("inum", times.INUM)
 		tr.Add("build", times.Build)

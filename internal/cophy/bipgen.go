@@ -1,6 +1,7 @@
 package cophy
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/inum"
 	"repro/internal/lagrange"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
@@ -33,43 +35,52 @@ type Instance struct {
 // BuildModel implements BIPGen: it compiles the instance into the
 // structured BIP of Theorem 1. Per query q and template plan k it
 // emits one choice with fixed cost β_qk whose slots carry one option
-// per compatible candidate (cost γ_qkia), plus the I∅ option priced as
-// the best always-available access (heap scan or baseline clustered
-// index). Candidate update-maintenance costs become the z_a objective
-// coefficients, base-tuple update costs the constant term.
+// per compatible, undominated candidate (cost γ_qkia), plus the I∅
+// option priced as the best always-available access (heap scan or
+// baseline clustered index). Candidate update-maintenance costs become
+// the z_a objective coefficients, base-tuple update costs the constant
+// term. The model carries no budget or side row.
 //
 // It is the build from empty compiled state; a session's re-solve runs
 // the same function, compiled.model, over the state its last build
 // left.
 func BuildModel(inst *Instance) (*lagrange.Model, error) {
-	return new(compiled).model(inst)
+	return new(compiled).model(context.Background(), inst, NoConstraints())
 }
 
 // compiled is the weight-free part of a built problem, which a session
 // keeps between solves: the dense γ matrix over (statements, candidates)
 // and the choices derived from each of its slabs. It is a pure function
-// of (statements, candidate list, baseline), so it stays valid whatever
-// becomes of the solve it was built for. The zero value is the empty
-// state.
+// of (statements, candidate list, baseline, dominance mask), so it stays
+// valid whatever becomes of the solve it was built for. The zero value
+// is the empty state.
 type compiled struct {
 	mat inum.CostMatrix
 	// choices holds, per slab of mat, the block choices built from it in
 	// buildChoices' contiguous layout. They are immutable and shared by
 	// every model assembled since; the solver reads them in place.
 	choices map[*inum.QueryMatrix][]lagrange.Choice
+	// mask is the dominance mask the choices were built under,
+	// positional over mat.S, and maskKey what it was computed from.
+	mask    []bool
+	maskKey maskKey
 }
 
 // model brings the compiled state to the instance and assembles its
-// model: the γ values come from the dense CostMatrix, updated for the
-// statements and candidates the state has not seen; choices are derived
-// for the slabs that update compiled — independent by Theorem 1, built
-// by a worker pool into preallocated positions — and every block is the
-// statement's current weight stamped onto its slab's shared choices. The
+// model under the constraint set cons: the γ values come from the dense
+// CostMatrix, updated for the statements and candidates the state has
+// not seen; the blocks and cons's rows and caps are laid down next, so
+// that the dominance mask (dominatedMask, reused while its inputs stay
+// the same) sees every row; choices are
+// derived, under the mask, for the slabs that update compiled and for
+// the kept slabs listing a candidate whose mask bit flipped —
+// independent by Theorem 1, built by a worker pool into preallocated
+// positions — and every block gets its slab's shared choices. The
 // emitted model is bit-identical to a serial build from nothing.
 // BuildTime in the advisor's breakdown measures this function; its
 // cheapness relative to ILP's configuration enumeration is the heart of
 // Figure 5.
-func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
+func (cs *compiled) model(ctx context.Context, inst *Instance, cons Constraints) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
 	for i, ix := range inst.S {
 		t := inst.Cat.Table(ix.Table)
@@ -103,32 +114,50 @@ func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
 
 	inst.Inum.UpdateMatrix(&cs.mat, inst.Workload, inst.S, inst.Baseline, inst.Workers)
 
-	// Carry over the choices of the slabs that survived the update (the
-	// rest go with the old table) and derive the missing ones.
 	stmts := inst.Workload.Queries()
+	m.Blocks = make([]lagrange.Block, len(stmts))
 	slabs := make([]*inum.QueryMatrix, len(stmts))
-	choices := make(map[*inum.QueryMatrix][]lagrange.Choice, cs.mat.Len())
-	var fresh []*inum.QueryMatrix
+	var distinct []*inum.QueryMatrix
+	seen := make(map[*inum.QueryMatrix]bool, cs.mat.Len())
 	for i, s := range stmts {
-		qm := cs.mat.Query(s.Query)
-		slabs[i] = qm
-		if _, seen := choices[qm]; seen {
-			continue
+		m.Blocks[i] = lagrange.Block{ID: s.Query.ID, Weight: s.Weight}
+		slabs[i] = cs.mat.Query(s.Query)
+		if !seen[slabs[i]] {
+			seen[slabs[i]] = true
+			distinct = append(distinct, slabs[i])
 		}
+	}
+	if err := applyConstraints(inst, m, cons); err != nil {
+		return nil, err
+	}
+	mask, key := cs.mask, newMaskKey(m, distinct)
+	if mask == nil || !key.equal(&cs.maskKey) {
+		stop := obs.TraceFrom(ctx).StartSpan("cophy.prune")
+		mask = dominatedMask(&key)
+		stop()
+	}
+
+	// Carry over the choices of the slabs that survived the update and
+	// list no candidate whose mask bit flipped (the rest go with the old
+	// table), and derive the missing ones.
+	flipped := flips(cs.mask, mask)
+	choices := make(map[*inum.QueryMatrix][]lagrange.Choice, len(distinct))
+	var fresh []*inum.QueryMatrix
+	for _, qm := range distinct {
 		chs, kept := cs.choices[qm]
-		if !kept {
+		if kept && !listsAny(qm, flipped) {
+			choices[qm] = chs
+		} else {
 			fresh = append(fresh, qm)
 		}
-		choices[qm] = chs
 	}
 	built := make([][]lagrange.Choice, len(fresh))
-	par.For(len(fresh), inst.Workers, func(i int) { built[i] = buildChoices(fresh[i]) })
+	par.For(len(fresh), inst.Workers, func(i int) { built[i] = buildChoices(fresh[i], mask) })
 	for i, qm := range fresh {
 		choices[qm] = built[i]
 	}
-	cs.choices = choices
+	cs.choices, cs.mask, cs.maskKey = choices, mask, key
 
-	m.Blocks = make([]lagrange.Block, len(stmts))
 	for i, s := range stmts {
 		chs := choices[slabs[i]]
 		if len(chs) == 0 {
@@ -137,9 +166,39 @@ func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
 			}
 			return nil, fmt.Errorf("cophy: no feasible choice for %s", s.Query.ID)
 		}
-		m.Blocks[i] = lagrange.Block{ID: s.Query.ID, Weight: s.Weight, Choices: chs}
+		m.Blocks[i].Choices = chs
 	}
 	return m, nil
+}
+
+// flips returns the positions whose mask bit differs between the mask
+// the kept choices were built under and the new one, or nil when none
+// does. A slab is kept only while the old candidates keep their
+// positions, and it lists old positions only.
+func flips(old, mask []bool) []bool {
+	var flipped []bool
+	for i := range min(len(old), len(mask)) {
+		if old[i] != mask[i] {
+			if flipped == nil {
+				flipped = make([]bool, len(old))
+			}
+			flipped[i] = true
+		}
+	}
+	return flipped
+}
+
+// listsAny reports whether the slab lists a flipped candidate.
+func listsAny(qm *inum.QueryMatrix, flipped []bool) bool {
+	if flipped == nil {
+		return false
+	}
+	for _, c := range qm.Compat {
+		if flipped[c] {
+			return true
+		}
+	}
+	return false
 }
 
 // buildChoices emits one query's choices from its dense γ slab, laid out
@@ -148,7 +207,8 @@ func (cs *compiled) model(inst *Instance) (*lagrange.Model, error) {
 // every Choice.Slots is a window with cap == len — the choices are shared
 // by every model assembled since, so an append through one must copy, not
 // write into its neighbour. This is the layout the solver walks in place.
-func buildChoices(qm *inum.QueryMatrix) []lagrange.Choice {
+// A candidate marked in mask gets no option.
+func buildChoices(qm *inum.QueryMatrix, mask []bool) []lagrange.Choice {
 	opts := make([]lagrange.Option, 0, len(qm.Gamma)+len(qm.SlotFree))
 	slots := make([]lagrange.Slot, 0, len(qm.SlotFree))
 	choices := make([]lagrange.Choice, 0, len(qm.Internal))
@@ -162,7 +222,9 @@ templates:
 			}
 			// The slab holds only the candidates that beat the free access.
 			for k := qm.SlotOff[si]; k < qm.SlotOff[si+1]; k++ {
-				opts = append(opts, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
+				if !mask[qm.Compat[k]] {
+					opts = append(opts, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
+				}
 			}
 			if len(opts) == first {
 				// An unfillable slot: the template is infeasible and

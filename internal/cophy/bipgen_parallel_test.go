@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -32,12 +33,15 @@ func parallelInstance(t *testing.T, workers int) *Instance {
 // TestBuildModelMatchesReference pins the dense parallel BuildModel to
 // the serial reference implementation below: the emitted
 // models must be deeply equal — same blocks, same option order, same
-// coefficients to the last bit.
+// coefficients to the last bit, the same dominated candidates left out.
 func TestBuildModelMatchesReference(t *testing.T) {
 	inst := parallelInstance(t, 4)
 	got, err := BuildModel(inst)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, mask := maskedAndFull(t, inst, NoConstraints()); !slices.Contains(mask, true) {
+		t.Fatal("no candidate is dominated: the reference's mask goes untested")
 	}
 	want, err := buildModelSerial(inst)
 	if err != nil {
@@ -82,7 +86,8 @@ func TestBuildModelDeterministic(t *testing.T) {
 
 // buildModelSerial is the reference implementation of BuildModel — the
 // test oracle of TestBuildModelMatchesReference: one γ probe at a time
-// through Cache.Gamma, one query at a time, no matrix, no workers.
+// through Cache.Gamma, one query at a time, no matrix, no workers, and
+// the dominance mask by pairwise comparison over the options emitted.
 func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
 	pos := make(map[string]int32, len(inst.S))
@@ -129,6 +134,16 @@ func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 			return nil, fmt.Errorf("cophy: no feasible choice for %s", q.ID)
 		}
 		m.Blocks = append(m.Blocks, blk)
+	}
+	mask := newNaiveDominance(m).mask()
+	for bi := range m.Blocks {
+		for _, ch := range m.Blocks[bi].Choices {
+			for si, slot := range ch.Slots {
+				ch.Slots[si] = slices.DeleteFunc(slot, func(o lagrange.Option) bool {
+					return o.Index != lagrange.NoIndex && mask[o.Index]
+				})
+			}
+		}
 	}
 	return m, nil
 }

@@ -128,27 +128,65 @@ func TestModelEvalMatchesINUM(t *testing.T) {
 	for i := 0; i < len(sel); i += 3 {
 		sel[i] = true
 	}
+	inumCost := func(sel []bool) float64 {
+		t.Helper()
+		cfg := inst.Baseline.Union(nil)
+		for i, on := range sel {
+			if on {
+				cfg.Add(inst.S[i])
+			}
+		}
+		c, err := ad.Inum.WorkloadCost(inst.Workload, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	got, ok := m.Evaluate(sel)
 	if !ok {
 		t.Fatal("Evaluate failed")
 	}
-	cfg := inst.Baseline.Union(nil)
-	for i, on := range sel {
-		if on {
-			cfg.Add(inst.S[i])
-		}
-	}
-	want, err := ad.Inum.WorkloadCost(inst.Workload, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The model omits options that cannot beat the free access, so it
-	// may sit slightly above the unrestricted INUM cost; never below.
+	// The model omits options that cannot beat the free access and those
+	// of dominated candidates, so it may sit above the unrestricted INUM
+	// cost; never below.
+	want := inumCost(sel)
 	if got < want*(1-1e-9) {
 		t.Fatalf("model eval %v below INUM cost %v", got, want)
 	}
-	if got > want*1.02+1e-6 {
-		t.Fatalf("model eval %v too far above INUM cost %v", got, want)
+
+	// With each dropped member replaced by an undominated dominator, the
+	// model prices the selection as INUM does, and the swap never makes
+	// INUM's cost rise.
+	_, full, mask := maskedAndFull(t, inst, NoConstraints())
+	dom := newNaiveDominance(full)
+	swapped := make([]bool, len(sel))
+	swaps := 0
+	for i, on := range sel {
+		switch {
+		case !on:
+		case mask[i]:
+			j := dom.dominator(mask, i)
+			if j < 0 {
+				t.Fatalf("masked candidate %d has no unmasked dominator", i)
+			}
+			swapped[j] = true
+			swaps++
+		default:
+			swapped[i] = true
+		}
+	}
+	if swaps == 0 {
+		t.Fatal("the selection holds no dominated candidate: the swap goes untested")
+	}
+	if after := inumCost(swapped); after > want*(1+1e-9) {
+		t.Fatalf("swapping dominated members for their dominators raised the INUM cost %v → %v", want, after)
+	}
+	got, ok = m.Evaluate(swapped)
+	if !ok {
+		t.Fatal("Evaluate failed")
+	}
+	if want := inumCost(swapped); got < want*(1-1e-9) || got > want*1.02+1e-6 {
+		t.Fatalf("model eval %v too far from INUM cost %v", got, want)
 	}
 }
 

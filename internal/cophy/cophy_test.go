@@ -480,9 +480,9 @@ func TestSoftStorageSweep(t *testing.T) {
 	}{
 		{0x4108af1f7958b3ab, 0, 0},
 		{0x4108af1f7958b3ab, 0, 0},
-		{0x40fd826dcff85d41, 2.6981005e+07, 4},
-		{0x40e47c1f53d1ab2e, 8.4569452e+07, 10},
-		{0x40d698e58f29d778, 2.19624884e+08, 30},
+		{0x40fd8b5955171593, 2.7006073e+07, 4},
+		{0x40e3b2188a91a272, 8.6040079e+07, 12},
+		{0x40d698e58f29d778, 2.27613067e+08, 30},
 	}
 	for i, p := range points {
 		if g := golden[i]; math.Float64bits(p.Cost) != g.costBits || p.SizeBytes != g.size || len(p.Indexes) != g.indexes {

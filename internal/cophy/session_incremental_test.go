@@ -101,11 +101,7 @@ func TestSessionIncrementalDifferential(t *testing.T) {
 		if inc.eng.SlotCostCalls() == before {
 			reused++
 		}
-		fresh := ctl.ad.instance(se.w, se.s)
-		want, err := BuildModel(fresh)
-		if err == nil {
-			err = applyConstraints(fresh, want, se.cons)
-		}
+		want, err := new(compiled).model(context.Background(), ctl.ad.instance(se.w, se.s), se.cons)
 		if err != nil {
 			t.Fatalf("%s: reference build: %v", step, err)
 		}
@@ -346,11 +342,7 @@ func TestSessionCollidingIDs(t *testing.T) {
 	}
 
 	fresh := NewAdvisor(cat, engine.New(cat, engine.SystemA()), ad.Opts)
-	inst := fresh.instance(second, cands)
-	want, err := BuildModel(inst)
-	if err == nil {
-		err = applyConstraints(inst, want, cons)
-	}
+	want, err := new(compiled).model(context.Background(), fresh.instance(second, cands), cons)
 	if err != nil {
 		t.Fatal(err)
 	}

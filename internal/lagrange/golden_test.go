@@ -97,10 +97,10 @@ func TestSolveGolden(t *testing.T) {
 		}, golden{396.12799349735576, 396.08855020617091, 360, 8, 0xa3c3642f6fb05f97}},
 		{"bipgen-hom40", func(t *testing.T) lagrange.Result {
 			return lagrange.Solve(bipgenModel(t, workload.Hom(workload.HomConfig{Queries: 40, Seed: 5})), bipgen)
-		}, golden{4256412.1133995689, 4221519.0485855825, 1440, 32, 0xb9b3a1ea7feb648e}},
+		}, golden{4270728.3473995691, 4219604.4684631098, 1440, 32, 0x275bfccaf0a7c8f8}},
 		{"bipgen-het30", func(t *testing.T) lagrange.Result {
 			return lagrange.Solve(bipgenModel(t, workload.Het(workload.HetConfig{Queries: 30, Seed: 5})), bipgen)
-		}, golden{981189.60796894773, 936578.31717115082, 1167, 32, 0x8599026c6c462f18}},
+		}, golden{1012778.9775221462, 940483.14755839435, 1401, 32, 0xe2094a44549044d0}},
 	}
 	for _, c := range cases {
 		r := c.solve(t)

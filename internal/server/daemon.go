@@ -402,6 +402,10 @@ type RecommendResult struct {
 	// WorkloadSize and Candidates describe the solved instance.
 	WorkloadSize int `json:"workload_size"`
 	Candidates   int `json:"candidates"`
+	// Dominated counts the candidates the model left out because another
+	// candidate is no larger, no costlier to maintain and no worse in
+	// any slot (cophy.Result.Dominated).
+	Dominated int `json:"dominated"`
 	// InumMillis/BuildMillis/SolveMillis break down the wall time.
 	InumMillis  float64 `json:"inum_ms"`
 	BuildMillis float64 `json:"build_ms"`
@@ -566,6 +570,7 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 		Warm:         warm,
 		WorkloadSize: w.Size(),
 		Candidates:   len(d.session.Candidates()),
+		Dominated:    res.Dominated,
 		InumMillis:   res.Times.INUM.Seconds() * 1000,
 		BuildMillis:  res.Times.Build.Seconds() * 1000,
 		SolveMillis:  res.Times.Solve.Seconds() * 1000,

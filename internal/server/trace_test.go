@@ -91,8 +91,11 @@ func TestHTTPTraceIDAndMetrics(t *testing.T) {
 	if !strings.Contains(log, "trace_id="+headerID) {
 		t.Fatalf("request log has no line for trace %s:\n%s", headerID, log)
 	}
-	if !strings.Contains(log, "spans.solve=") {
-		t.Fatalf("recommend log line has no solve span:\n%s", log)
+	if !strings.Contains(log, "spans.solve=") || !strings.Contains(log, "spans.cophy.prune=") {
+		t.Fatalf("recommend log line has no solve or prune span:\n%s", log)
+	}
+	if rec.Dominated <= 0 || rec.Dominated >= rec.Candidates {
+		t.Fatalf("/recommend reports %d of %d candidates dominated", rec.Dominated, rec.Candidates)
 	}
 
 	mr, err := srv.Client().Get(srv.URL + "/metrics")
@@ -110,6 +113,7 @@ func TestHTTPTraceIDAndMetrics(t *testing.T) {
 		`cophyd_http_requests_total{code="200",endpoint="recommend"} 1`,
 		`cophyd_span_seconds_count{span="solve"} 1`,
 		`cophyd_span_seconds_count{span="lp.phase2"}`,
+		`cophyd_span_seconds_count{span="cophy.prune"} 1`,
 		"cophyd_recommends_total 1",
 		fmt.Sprintf("cophyd_ingested_statements_total %d", gen.Size()),
 		`cophyd_health{state="healthy"} 1`,
@@ -151,7 +155,8 @@ func TestHTTPTraceIDAndMetrics(t *testing.T) {
 // TestTraceSpansSumToWall: a traced Recommend's top-level spans are
 // disjoint sections of the same call path, so their sum must not
 // exceed the call's wall time and must account for most of it; the LP
-// phase spans nest inside the solve span and must not exceed it.
+// phase spans nest inside the solve span and must not exceed it, nor
+// may the dominance pass's span exceed the build span around it.
 func TestTraceSpansSumToWall(t *testing.T) {
 	d := testDaemon(t)
 	gen := workload.Hom(workload.HomConfig{Queries: 15, Seed: 9})
@@ -190,6 +195,9 @@ func TestTraceSpansSumToWall(t *testing.T) {
 	}
 	if lp := tr.Dur("lp.phase1") + tr.Dur("lp.phase2"); lp > tr.Dur("solve")+tr.Dur("inum")+time.Millisecond {
 		t.Fatalf("LP phase spans (%v) exceed their enclosing spans", lp)
+	}
+	if prune := tr.Dur("cophy.prune"); prune == 0 || prune > tr.Dur("build") {
+		t.Fatalf("cophy.prune span %v is missing or exceeds its enclosing build span %v", prune, tr.Dur("build"))
 	}
 }
 
