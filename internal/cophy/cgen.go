@@ -31,6 +31,11 @@ type CGenOptions struct {
 // referenced columns, without aggressive pruning — CoPhy delegates
 // pruning to the solver (§4). The union is deduplicated and returned
 // in deterministic order.
+//
+// A statement's candidates depend only on its structure
+// (workload.Query.StructureKey), never on its constants, so each
+// distinct structure is expanded once: the result is a function of the
+// set of structures in the workload, not of statement count or order.
 func Candidates(cat *catalog.Catalog, w *workload.Workload, opts CGenOptions) []*catalog.Index {
 	if opts.MaxKeyCols <= 0 {
 		opts.MaxKeyCols = 3
@@ -52,7 +57,13 @@ func Candidates(cat *catalog.Catalog, w *workload.Workload, opts CGenOptions) []
 		set[ix.ID()] = ix
 	}
 
+	structures := make(map[string]bool)
 	for _, s := range w.Queries() {
+		k := s.Query.StructureKey()
+		if structures[k] {
+			continue
+		}
+		structures[k] = true
 		perQueryCandidates(s.Query, opts, add)
 	}
 	for _, ix := range opts.DBA {

@@ -9,103 +9,38 @@ import (
 )
 
 // CostModelVersion stamps the derivation semantics of this engine:
-// bump it whenever a change to the cost model, the join DP, or the
-// template-extraction rules can alter the templates derived for a
-// query. Persisted plan payloads carry the stamp and are silently
-// re-derived when it no longer matches.
-const CostModelVersion = 1
+// bump it whenever a change to the cost model, the join DP, the
+// template-extraction rules or the shape fingerprint's bytes can alter
+// the templates derived for a query or the key they are stored under.
+// Persisted plan payloads carry the stamp and are silently re-derived
+// when it no longer matches.
+const CostModelVersion = 2
 
 // ShapeFingerprint canonically identifies everything the template
-// derivation consumes from a query: the join graph, the projected and
-// referenced columns, grouping/ordering/aggregation structure, and —
-// with constants abstracted away — each predicate's (column, operator,
-// selectivity) triple. Two queries with equal fingerprints are
-// indistinguishable to buildTemplates: the derivation reads predicates
-// only through predSel, operator kinds, and list position, so equal
-// fingerprints guarantee bit-identical template plans.
+// derivation consumes from a query: its structure key
+// (workload.Query.StructureKey: the query with its constants removed)
+// followed by each predicate's selectivity, in predicate list order.
+// Two queries with equal fingerprints are indistinguishable to
+// buildTemplates: the derivation reads predicates only through predSel,
+// operator kinds, and list position, so equal fingerprints guarantee
+// bit-identical template plans.
 //
 // Constants are abstracted by recording the float64 bits of the
 // estimated selectivity rather than the literal bounds: two statements
 // instantiated from the same template share a fingerprint exactly when
 // the histograms price their constants identically.
 func (e *Engine) ShapeFingerprint(q *workload.Query) string {
+	key := q.StructureKey()
 	var b strings.Builder
-	b.Grow(256)
-
-	b.WriteString("t:")
-	for i, t := range q.Tables {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(t)
-	}
-
-	b.WriteString("|s:")
-	for i, c := range q.Select {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c.Table)
-		b.WriteByte('.')
-		b.WriteString(c.Column)
-	}
-
-	b.WriteString("|j:")
-	for i, j := range q.Joins {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(j.Left.Table)
-		b.WriteByte('.')
-		b.WriteString(j.Left.Column)
-		b.WriteByte('=')
-		b.WriteString(j.Right.Table)
-		b.WriteByte('.')
-		b.WriteString(j.Right.Column)
-	}
-
-	b.WriteString("|g:")
-	for i, g := range q.GroupBy {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(g.Table)
-		b.WriteByte('.')
-		b.WriteString(g.Column)
-	}
-
-	b.WriteString("|o:")
-	for i, o := range q.OrderBy {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(o.Table)
-		b.WriteByte('.')
-		b.WriteString(o.Column)
-	}
-
-	if q.Aggregate {
-		b.WriteString("|a:1")
-	} else {
-		b.WriteString("|a:0")
-	}
-
-	// Predicates in list order: localSel and prefixSel consume them in
-	// this order, so position is part of the derivation input.
-	b.WriteString("|p:")
+	b.Grow(len(key) + 5 + 17*len(q.Preds))
+	b.WriteString(key)
+	b.WriteString("|sel:")
 	for i, p := range q.Preds {
 		if i > 0 {
 			b.WriteByte(';')
 		}
-		b.WriteString(p.Col.Table)
-		b.WriteByte('.')
-		b.WriteString(p.Col.Column)
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(int(p.Op)))
-		b.WriteByte(':')
 		b.WriteString(strconv.FormatUint(math.Float64bits(e.predSel(p)), 16))
 	}
-
 	return b.String()
 }
 

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -170,6 +171,65 @@ func (q *Query) JoinColsOf(table string) []string {
 		}
 	}
 	return out
+}
+
+// StructureKey canonically identifies the query with its constants
+// removed: the tables, select list, joins, grouping, ordering and
+// aggregation, and each predicate's (column, operator) in list order.
+// ID, Template and the predicates' Lo/Hi never enter it, so statements
+// instantiated from one template share a key. Candidate generation
+// reads nothing else of a query; the INUM shape fingerprint
+// (engine.ShapeFingerprint) is this key plus each predicate's
+// selectivity.
+func (q *Query) StructureKey() string {
+	var b strings.Builder
+	b.Grow(256)
+	col := func(r catalog.ColumnRef) {
+		b.WriteString(r.Table)
+		b.WriteByte('.')
+		b.WriteString(r.Column)
+	}
+	refs := func(tag string, rs []catalog.ColumnRef) {
+		b.WriteString(tag)
+		for i, r := range rs {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			col(r)
+		}
+	}
+
+	b.WriteString("t:")
+	b.WriteString(strings.Join(q.Tables, ","))
+	refs("|s:", q.Select)
+	b.WriteString("|j:")
+	for i, j := range q.Joins {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		col(j.Left)
+		b.WriteByte('=')
+		col(j.Right)
+	}
+	refs("|g:", q.GroupBy)
+	refs("|o:", q.OrderBy)
+	if q.Aggregate {
+		b.WriteString("|a:1")
+	} else {
+		b.WriteString("|a:0")
+	}
+	// Predicates in list order: CGen's equality prefix and the
+	// optimizer's selectivity products both consume them in this order.
+	b.WriteString("|p:")
+	for i, p := range q.Preds {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		col(p.Col)
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(int(p.Op)))
+	}
+	return b.String()
 }
 
 // String renders the query as SQL-ish text.
