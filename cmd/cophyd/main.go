@@ -132,12 +132,8 @@ func main() {
 	}
 	if store != nil {
 		rec := d.Snapshot().Recovery
-		plans := fmt.Sprintf("%d plan shapes imported", rec.PlanShapes)
-		if rec.PlanStale {
-			plans = "stale plan payload discarded"
-		}
-		fmt.Printf("cophyd recovered %d statements, %d WAL records replayed, %s, warm session: %v (%.0f ms)\n",
-			rec.Statements, rec.ReplayedRecords, plans, rec.WarmSession, rec.Millis)
+		fmt.Printf("cophyd recovered %d statements, %d WAL records replayed, warm session: %v (%.0f ms)\n",
+			rec.Statements, rec.ReplayedRecords, rec.WarmSession, rec.Millis)
 	}
 
 	// The pprof listener is deliberately separate from the public mux:

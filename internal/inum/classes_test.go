@@ -182,11 +182,9 @@ func TestReDerivedShapeGetsOwnSlab(t *testing.T) {
 
 	// Fill the cache with other shapes until q1's entry is evicted.
 	fp := eng.ShapeFingerprint(q1)
-	recs := make([]ShapeRecord, maxShapes)
-	for i := range recs {
-		recs[i] = ShapeRecord{Fingerprint: fmt.Sprintf("filler-%d", i), Templates: []*Template{{Internal: 1}}}
+	for i := 0; i < maxShapes; i++ {
+		cache.seedShape(fmt.Sprintf("filler-%d", i), []*Template{{Internal: 1}})
 	}
-	cache.ImportShapes(recs)
 	cache.mu.Lock()
 	_, resident := cache.shapes[fp]
 	cache.mu.Unlock()

@@ -41,46 +41,38 @@ const (
 // Slot is one access-method hole of a template plan.
 type Slot struct {
 	// Table is the accessed table.
-	Table string `json:"table"`
+	Table string
 	// Mode is the access style.
-	Mode SlotMode `json:"mode"`
+	Mode SlotMode
 	// RequiredOrder is the qualified sort order the slot must deliver
 	// (scan slots only; empty means any access works).
-	RequiredOrder []string `json:"required_order,omitempty"`
+	RequiredOrder []string
 	// JoinCol is the probed column (lookup slots only).
-	JoinCol string `json:"join_col,omitempty"`
+	JoinCol string
 	// Lookups is the probe multiplicity (lookup slots only).
-	Lookups float64 `json:"lookups,omitempty"`
+	Lookups float64
 	// NeedCols are the columns of Table the query touches; they decide
 	// whether an index is covering in this slot.
-	NeedCols []string `json:"need_cols,omitempty"`
+	NeedCols []string
 }
 
 // Template is one cached template plan: the internal (non-leaf) cost β
 // plus the slots that access methods plug into. Templates are immutable
 // once published and may be shared by every prepared statement of the
-// same shape; the exported fields round-trip through JSON for the
-// snapshot's plan payload.
+// same shape.
 type Template struct {
 	// Internal is β: the execution cost of the internal operators.
-	Internal float64 `json:"internal"`
+	Internal float64
 	// Slots lists the access-method holes, one per referenced table.
-	Slots []Slot `json:"slots"`
+	Slots []Slot
 
-	// sig memoizes signature(); templates are immutable once built.
+	// sig is the signature appendSig computes; addTemplate sets it on
+	// every published template.
 	sig string
 }
 
-// signature canonically identifies the template's slot structure.
-func (t *Template) signature() string {
-	if t.sig == "" {
-		t.sig = string(t.appendSig(make([]byte, 0, 128)))
-	}
-	return t.sig
-}
-
-// appendSig appends the signature bytes to buf, letting callers that
-// only compare signatures avoid the string conversion.
+// appendSig appends the bytes that canonically identify the template's
+// slot structure to buf.
 func (t *Template) appendSig(buf []byte) []byte {
 	// Slots hold one table each, so ordering by table canonicalizes the
 	// signature; the slot count is tiny, so selection-order directly.
@@ -295,55 +287,6 @@ func (c *Cache) insert(fp string, en *shapeEntry) {
 	c.order = append(c.order, fp)
 }
 
-// ShapeRecord is the serialized form of one shape-cache entry, the unit
-// of the snapshot's plan payload.
-type ShapeRecord struct {
-	Fingerprint string      `json:"fingerprint"`
-	Templates   []*Template `json:"templates"`
-}
-
-// ExportShapes returns every fully derived shape, sorted by fingerprint
-// so snapshots are byte-stable across runs.
-func (c *Cache) ExportShapes() []ShapeRecord {
-	var out []ShapeRecord
-	c.mu.Lock()
-	for fp, en := range c.shapes {
-		if en.derived() && en.templates != nil {
-			out = append(out, ShapeRecord{Fingerprint: fp, Templates: en.templates})
-		}
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
-	return out
-}
-
-// ImportShapes seeds the shape cache from persisted records (the warm
-// half of restart recovery: statements whose shapes were imported skip
-// every optimizer call on their first lookup). Existing entries win
-// over imports; the count of newly seeded shapes is returned.
-func (c *Cache) ImportShapes(recs []ShapeRecord) int {
-	n := 0
-	for _, r := range recs {
-		if r.Fingerprint == "" || len(r.Templates) == 0 {
-			continue
-		}
-		// Precompute signatures before publication: sig is memoized
-		// lazily and concurrent first calls would race.
-		for _, t := range r.Templates {
-			t.signature()
-		}
-		c.mu.Lock()
-		if _, ok := c.shapes[r.Fingerprint]; !ok {
-			en := &shapeEntry{ready: make(chan struct{}), templates: r.Templates}
-			close(en.ready)
-			c.insert(r.Fingerprint, en)
-			n++
-		}
-		c.mu.Unlock()
-	}
-	return n
-}
-
 // interestingOrders returns the per-table candidate orders of a query:
 // single join columns, the group-by prefix and the order-by prefix
 // restricted to the table.
@@ -522,7 +465,6 @@ func extractInto(t *Template, leaves []*engine.PlanNode, p *engine.Plan, forced 
 	}
 	t.Internal = p.Root.Cost - leafCost
 	t.Slots = t.Slots[:0]
-	t.sig = ""
 	for _, leaf := range leaves {
 		s := Slot{Table: leaf.Table, NeedCols: needCols[leaf.Table]}
 		if leaf.Op == engine.OpIndexLookup {
@@ -547,7 +489,7 @@ func extractInto(t *Template, leaves []*engine.PlanNode, p *engine.Plan, forced 
 func (qi *QueryInfo) addTemplate(t *Template, buf []byte) []byte {
 	buf = t.appendSig(buf)
 	for _, prior := range qi.Templates {
-		if prior.signature() == string(buf) {
+		if prior.sig == string(buf) {
 			return buf
 		}
 	}

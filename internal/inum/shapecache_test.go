@@ -60,7 +60,7 @@ func TestShapeCacheEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(a.Slots, b.Slots) {
 					t.Fatalf("seed %d %s template %d: slots differ:\n  %+v\n  %+v", seed, q.ID, i, a.Slots, b.Slots)
 				}
-				if a.signature() != b.signature() {
+				if a.sig != b.sig {
 					t.Fatalf("seed %d %s template %d: signatures differ", seed, q.ID, i)
 				}
 			}
@@ -100,8 +100,7 @@ func TestShapeCacheEquivalence(t *testing.T) {
 
 // TestConcurrentShapeCacheStress hammers the shape cache from many
 // goroutines with distinct statements sharing few shapes — the
-// singleflight path — interleaved with exports, imports and stat
-// reads. Run under -race it checks the locking; in any mode it checks
+// singleflight path — interleaved with stat reads. Run under -race it checks the locking; in any mode it checks
 // that same-shape statements observe the same immutable template set.
 func TestConcurrentShapeCacheStress(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.02})
@@ -121,7 +120,6 @@ func TestConcurrentShapeCacheStress(t *testing.T) {
 	}
 
 	cache := New(eng)
-	sink := New(eng)
 	const G = 8
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -136,14 +134,12 @@ func TestConcurrentShapeCacheStress(t *testing.T) {
 					t.Errorf("goroutine %d: empty preparation for %s", g, st.Query.ID)
 					return
 				}
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
 					cache.ShapeStats()
 				case 1:
 					cache.ShapeCount()
 				case 2:
-					sink.ImportShapes(cache.ExportShapes())
-				case 3:
 					cache.ShapeEvictions()
 				}
 			}
@@ -239,21 +235,16 @@ func TestConcurrentPrepareQueryStress(t *testing.T) {
 	}
 }
 
-// TestShapeBound: the shape map is the cache's one bound. Importing
-// maxShapes+k records leaves maxShapes shapes and counts k evictions,
+// TestShapeBound: the shape map is the cache's one bound. Seeding
+// maxShapes+k shapes leaves maxShapes shapes and counts k evictions,
 // oldest first.
 func TestShapeBound(t *testing.T) {
 	_, cache, _ := testSetup(t)
 	const k = 7
-	recs := make([]ShapeRecord, maxShapes+k)
-	for i := range recs {
-		recs[i] = ShapeRecord{
-			Fingerprint: fmt.Sprintf("synthetic-%05d", i),
-			Templates:   []*Template{{Internal: float64(i), Slots: []Slot{{Table: "orders"}}}},
-		}
-	}
-	if n := cache.ImportShapes(recs); n != len(recs) {
-		t.Fatalf("imported %d of %d records", n, len(recs))
+	fps := make([]string, maxShapes+k)
+	for i := range fps {
+		fps[i] = fmt.Sprintf("synthetic-%05d", i)
+		cache.seedShape(fps[i], []*Template{{Internal: float64(i), Slots: []Slot{{Table: "orders"}}}})
 	}
 	if got := cache.ShapeCount(); got != maxShapes {
 		t.Fatalf("ShapeCount = %d, want the bound %d", got, maxShapes)
@@ -261,8 +252,10 @@ func TestShapeBound(t *testing.T) {
 	if got := cache.ShapeEvictions(); got != k {
 		t.Fatalf("ShapeEvictions = %d, want %d", got, k)
 	}
-	kept := cache.ExportShapes()
-	if kept[0].Fingerprint != recs[k].Fingerprint {
-		t.Fatalf("oldest surviving shape is %s, want %s", kept[0].Fingerprint, recs[k].Fingerprint)
+	cache.mu.Lock()
+	oldest := cache.order[0]
+	cache.mu.Unlock()
+	if oldest != fps[k] {
+		t.Fatalf("oldest surviving shape is %s, want %s", oldest, fps[k])
 	}
 }

@@ -103,6 +103,65 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 	}
 }
 
+// TestDocsNameExistingTests guards the prose that cites tests. DESIGN.md
+// and every README.md name tests, fuzz targets and benchmarks as the
+// pins of the rules they describe; a name that no longer declares a
+// function in the module points the reader at nothing. The roadmap
+// and the change log are not checked: they record history, deleted
+// names included.
+func TestDocsNameExistingTests(t *testing.T) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func (\w+)\(`)
+	declared := map[string]bool{}
+	var docs []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case strings.HasSuffix(path, ".go"):
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+				declared[m[1]] = true
+			}
+		case d.Name() == "README.md" || path == filepath.Join(root, "DESIGN.md"):
+			docs = append(docs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) < 2 || len(declared) < 100 {
+		t.Fatalf("found %d docs and %d functions; the module walk looks broken", len(docs), len(declared))
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, doc)
+		for _, name := range cited.FindAllString(string(raw), -1) {
+			if !declared[name] {
+				t.Errorf("%s names %s, which no function in the module declares", rel, name)
+			}
+		}
+	}
+}
+
 // testNames lists the Test, Fuzz and Example functions of the package
 // a go test argument names ("./dir" or "./dir/...").
 func testNames(t *testing.T, root, pkg string) []string {

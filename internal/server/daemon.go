@@ -173,7 +173,6 @@ type Daemon struct {
 	walRecords    *obs.Counter
 	snapshots     *obs.Counter
 	persistErrors *obs.Counter
-	planStale     *obs.Counter
 }
 
 // New builds a daemon over the given system. It is the no-ctx
@@ -627,14 +626,10 @@ type Stats struct {
 	SessionCompactions int64 `json:"session_compactions"`
 	// PlanCacheHits / PlanCacheMisses expose the INUM shape cache, one
 	// per lookup: hits skipped every optimizer call by reusing an earlier
-	// derivation of the shape (or a persisted one) — a repeated what-if
-	// included.
-	// PlanCacheStale counts recoveries that found a plan payload stamped
-	// by a different derivation environment and re-derived instead.
+	// derivation of the shape — a repeated what-if included.
 	// PlanShapes is the number of derived shapes currently cached.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	PlanCacheStale  int64 `json:"plan_cache_stale"`
 	PlanShapes      int   `json:"plan_shapes"`
 	// Warming is true while the post-recovery background re-prepare is
 	// still running; the daemon serves throughout.
@@ -656,7 +651,6 @@ func (d *Daemon) Snapshot() Stats {
 	st := Stats{
 		PlanCacheHits:      hits,
 		PlanCacheMisses:    misses,
-		PlanCacheStale:     d.planStale.Load(),
 		PlanShapes:         d.ad.Inum.ShapeCount(),
 		Warming:            d.warming.Load(),
 		Health:             health,

@@ -39,8 +39,6 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		"Failed durability-layer writes.")
 	d.degradedEntries = reg.Counter("cophyd_degraded_entries_total",
 		"Healthy-to-degraded transitions over the daemon's lifetime.")
-	d.planStale = reg.Counter("cophyd_plan_cache_stale_total",
-		"Recoveries that found a plan payload stamped by a different derivation environment and re-derived instead of importing.")
 
 	// Derived views: read at exposition time from their owners.
 	reg.GaugeFunc("cophyd_live_statements",

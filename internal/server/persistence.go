@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cophy"
-	"repro/internal/inum"
 	"repro/internal/lagrange"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -27,32 +26,16 @@ const stateSchema = 1
 
 // persistedState is the snapshot payload: everything a restarted
 // daemon needs to serve warm — the live stream with its clocks and ID
-// allocator, the lifetime ingest counter, the session's warm state,
-// and the compiled template plans of the INUM shape cache. Plans is
-// additive within schema 1: snapshots written before it simply lack
-// the field, and recovery treats a missing, stale or unusable payload
-// identically — re-derive, never refuse.
+// allocator, the lifetime ingest counter and the session's warm state.
+// The INUM template plans are not persisted: they are a function of
+// the catalog, the cost model and the recovered statements, so the
+// background warm-up derives them again. Snapshots that still carry a
+// "plans" field load as before; encoding/json ignores it.
 type persistedState struct {
 	Schema   int                  `json:"schema"`
 	Stream   workload.StreamState `json:"stream"`
 	Ingested int64                `json:"ingested"`
 	Session  *sessionState        `json:"session,omitempty"`
-	Plans    *planPayload         `json:"plans,omitempty"`
-}
-
-// planPayload is the serialized INUM shape cache: one record per shape
-// fingerprint with its derived template set, stamped by the exact
-// derivation environment (catalog hash, cost-model version, cost
-// profile — engine.PlanStamp). The stamp has its own lifecycle,
-// deliberately separate from stateSchema: a schema mismatch means the
-// state is unintelligible and recovery refuses, while a stamp mismatch
-// only means the plans were derived by a different cost model — they
-// are discarded, counted in plan_cache_stale, and re-derived in the
-// background. Wrong plans would silently corrupt every costing; slow
-// recovery just costs one warm-up.
-type planPayload struct {
-	Stamp  string             `json:"stamp"`
-	Shapes []inum.ShapeRecord `json:"shapes"`
 }
 
 // sessionState is the wire form of cophy.SessionState plus the
@@ -96,14 +79,6 @@ type RecoveryStats struct {
 	// WarmSession is true when a session warm state was recovered — the
 	// first /recommend will solve warm, not cold.
 	WarmSession bool `json:"warm_session"`
-	// PlanShapes counts compiled template-plan shapes imported from the
-	// snapshot's plan payload; with a valid payload the background
-	// re-prepare performs zero TemplatePlan derivations.
-	PlanShapes int `json:"plan_shapes,omitempty"`
-	// PlanStale is true when a plan payload was present but stamped by
-	// a different derivation environment (catalog, cost model or
-	// profile changed) and was discarded for background re-derivation.
-	PlanStale bool `json:"plan_stale,omitempty"`
 	// Millis is the blocking recovery wall time. The INUM re-prepare no
 	// longer blocks here: it runs in the background (see Stats.Warming)
 	// and reports its own wall time in WarmMillis once finished.
@@ -123,7 +98,6 @@ type RecoveryStats struct {
 func (d *Daemon) recover(ctx context.Context) error {
 	t0 := time.Now()
 	var pending *sessionState
-	var plans *planPayload
 	info, err := d.store.Recover(
 		func(payload []byte) error {
 			var st persistedState
@@ -138,7 +112,6 @@ func (d *Daemon) recover(ctx context.Context) error {
 			}
 			d.ingested.Store(st.Ingested)
 			pending = st.Session
-			plans = st.Plans
 			return nil
 		},
 		func(rec []byte) error {
@@ -163,28 +136,11 @@ func (d *Daemon) recover(ctx context.Context) error {
 		return err
 	}
 
-	// Seed the INUM shape cache from the persisted plan payload. The
-	// stamp gate is strict equality: template plans are bit-exact
-	// functions of (catalog, cost model, profile), so anything else —
-	// missing payload, old payload, changed catalog — degrades to
-	// background re-derivation, never to refusal.
-	planShapes, planStale := 0, false
-	if plans != nil {
-		if plans.Stamp == d.eng.PlanStamp() {
-			planShapes = d.ad.Inum.ImportShapes(plans.Shapes)
-		} else {
-			planStale = true
-			d.planStale.Inc()
-		}
-	}
-
-	// Rebuild the derived state. The re-prepare over the recovered
+	// Rebuild the derived state. The INUM re-prepare over the recovered
 	// statements runs in the background (readiness must not wait on
-	// derivation): with a valid plan payload it is pure cache lookups
-	// and performs zero TemplatePlan calls; otherwise it re-derives
-	// through the worker pool while requests that arrive early prepare
-	// their own statements on demand, deduplicated by the shape cache's
-	// singleflight.
+	// derivation): it derives through the worker pool while requests
+	// that arrive early prepare their own statements on demand,
+	// deduplicated by the shape cache's singleflight.
 	w := d.stream.Snapshot()
 	warm := false
 	if pending != nil && w.Size() > 0 {
@@ -209,8 +165,6 @@ func (d *Daemon) recover(ctx context.Context) error {
 		TruncatedBytes:  info.TruncatedBytes,
 		Statements:      w.Size(),
 		WarmSession:     warm,
-		PlanShapes:      planShapes,
-		PlanStale:       planStale,
 		Millis:          time.Since(t0).Seconds() * 1000,
 	}
 	if w.Size() > 0 {
@@ -220,13 +174,12 @@ func (d *Daemon) recover(ctx context.Context) error {
 	return nil
 }
 
-// warmPrepare is the background warming phase of recovery: look up the
-// shape of every recovered statement through the INUM worker pool
-// (hits when the plan payload was imported, derivations otherwise).
-// The warm-up is detached by design: recovery returns before it runs,
-// no request is waiting on it, and the daemon serves (on-demand-
-// preparing) while it proceeds. Stats.Warming is true until it
-// finishes.
+// warmPrepare is the background warming phase of recovery: derive the
+// template plans of every recovered statement's shape through the INUM
+// worker pool. The warm-up is detached by design: recovery returns
+// before it runs, no request is waiting on it, and the daemon serves
+// (on-demand-preparing) while it proceeds. Stats.Warming is true until
+// it finishes.
 func (d *Daemon) warmPrepare(w *workload.Workload) {
 	t0 := time.Now()
 	d.ad.Inum.Prepare(w)
@@ -347,22 +300,11 @@ func (d *Daemon) WriteSnapshot(ctx context.Context) (SnapshotResult, error) {
 		return SnapshotResult{}, ctx.Err()
 	}
 
-	// The compiled template plans ride along, stamped by the derivation
-	// environment. Exported after the stream cut: shapes are keyed by
-	// fingerprint, not statement ID, so a shape derived for a statement
-	// the cut missed is still valid for recovery to import — at worst
-	// the cache warms slightly ahead of the stream.
-	var plans *planPayload
-	if shapes := d.ad.Inum.ExportShapes(); len(shapes) > 0 {
-		plans = &planPayload{Stamp: d.eng.PlanStamp(), Shapes: shapes}
-	}
-
 	payload, err := json.Marshal(persistedState{
 		Schema:   stateSchema,
 		Stream:   streamState,
 		Ingested: ingested,
 		Session:  sess,
-		Plans:    plans,
 	})
 	if err != nil {
 		return SnapshotResult{}, err

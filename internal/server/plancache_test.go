@@ -1,19 +1,21 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/persist"
 	"repro/internal/workload"
 )
 
 // planSeededDir runs generation 1 of the restart fixtures: ingest a
-// workload, recommend (deriving template plans for every shape), and
-// write a snapshot so the plan payload is on disk. Returns the data
-// directory.
-func planSeededDir(t *testing.T) string {
+// workload, recommend (deriving template plans for every shape and
+// warming the session), and write a snapshot. Returns the data
+// directory and the generation-1 daemon, abandoned without shutdown.
+func planSeededDir(t *testing.T) (string, *Daemon) {
 	t.Helper()
 	dir := t.TempDir()
 	d1 := durableDaemon(t, dir, nil)
@@ -33,129 +35,160 @@ func planSeededDir(t *testing.T) string {
 	if resp := post(t, srv1, "/snapshot", struct{}{}, &snap); resp.StatusCode != http.StatusOK {
 		t.Fatalf("gen1 snapshot: status %d", resp.StatusCode)
 	}
-	return dir
+	return dir, d1
 	// srv1.Close without store.Close or a shutdown snapshot: SIGKILL.
 }
 
-// TestRestartImportsPlansZeroDerivations is the ISSUE's restart
-// acceptance pin: a kill -9 restart over a snapshot carrying a valid
-// plan payload imports the compiled template plans directly and the
-// background re-prepare performs ZERO TemplatePlan derivations —
-// counter-asserted on the engine's what-if counter, which every
-// TemplatePlan path increments.
-func TestRestartImportsPlansZeroDerivations(t *testing.T) {
-	dir := planSeededDir(t)
+// TestRestartWarmUpDerivesEachShapeOnce: snapshots carry no template
+// plans, so a restarted daemon's background warm-up derives them. Once
+// warming ends, the shape cache has missed exactly once per distinct
+// shape among the recovered statements, and the next /recommend adds
+// no miss and solves warm.
+func TestRestartWarmUpDerivesEachShapeOnce(t *testing.T) {
+	dir, _ := planSeededDir(t)
 
 	d2 := durableDaemon(t, dir, nil)
+	waitFor(t, "background warm-up to finish", func() bool { return !d2.warming.Load() })
+	assertWarmedUp(t, d2)
 	st := d2.Snapshot()
-	if st.Recovery == nil || st.Recovery.PlanShapes == 0 {
-		t.Fatalf("recovery imported no plan shapes: %+v", st.Recovery)
-	}
-	if st.Recovery.PlanStale {
-		t.Fatalf("identical environment reported stale plans: %+v", st.Recovery)
-	}
-	waitFor(t, "background re-prepare to finish", func() bool { return !d2.warming.Load() })
-
-	if calls := d2.eng.WhatIfCalls(); calls != 0 {
-		t.Fatalf("re-prepare over a valid plan payload performed %d TemplatePlan derivations, want 0", calls)
-	}
-	if hits, misses := d2.ad.Inum.ShapeStats(); misses != 0 || hits == 0 {
-		t.Fatalf("shape cache hits=%d misses=%d after import, want all hits", hits, misses)
-	}
-	st = d2.Snapshot()
-	if st.PlanCacheStale != 0 {
-		t.Fatalf("plan_cache_stale = %d, want 0", st.PlanCacheStale)
-	}
 	if st.Warming {
 		t.Fatal("stats still report warming after the flag cleared")
 	}
 	if st.Recovery.WarmMillis <= 0 {
 		t.Fatalf("warming finished without reporting WarmMillis: %+v", st.Recovery)
 	}
-
-	// The imported plans must actually serve: a recommendation over the
-	// recovered stream answers without error or derivation.
-	recommendWithoutDerivations(t, d2)
+	if st.PlanShapes != int(st.PlanCacheMisses) {
+		t.Fatalf("plan_shapes = %d resident after %d misses", st.PlanShapes, st.PlanCacheMisses)
+	}
 }
 
-// recommendWithoutDerivations recommends over a recovered daemon whose
-// warm-up has finished and fails unless the recommendation is sound and
-// performed zero TemplatePlan calls — the warm-up covered every live
-// statement's shape.
-func recommendWithoutDerivations(t *testing.T, d *Daemon) {
+// assertWarmedUp checks a recovered daemon whose warm-up has finished:
+// one shape-cache miss per distinct shape among the live statements,
+// then a /recommend that misses nowhere and solves warm.
+func assertWarmedUp(t *testing.T, d *Daemon) {
 	t.Helper()
+	shapes := map[string]bool{}
+	for _, st := range d.stream.Snapshot().Queries() {
+		shapes[d.eng.ShapeFingerprint(st.Query)] = true
+	}
+	_, misses := d.ad.Inum.ShapeStats()
+	if len(shapes) == 0 || misses != int64(len(shapes)) {
+		t.Fatalf("warm-up missed %d times over %d distinct shapes", misses, len(shapes))
+	}
+
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	calls := d.eng.WhatIfCalls()
 	var rec RecommendResult
 	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &rec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart recommend: status %d", resp.StatusCode)
 	}
-	if rec.Infeasible || len(rec.Indexes) == 0 {
-		t.Fatalf("post-restart recommendation degenerate: %+v", rec)
+	if !rec.Warm || rec.Infeasible || len(rec.Indexes) == 0 {
+		t.Fatalf("post-restart recommendation not warm or degenerate: %+v", rec)
 	}
-	if got := d.eng.WhatIfCalls() - calls; got != 0 {
-		t.Fatalf("recommend after the warm-up performed %d TemplatePlan calls, want 0", got)
+	if _, after := d.ad.Inum.ShapeStats(); after != misses {
+		t.Fatalf("recommend after the warm-up missed the shape cache %d times, want 0", after-misses)
 	}
 }
 
-// TestRestartStalePlansRederive: the same snapshot recovered under a
-// different cost profile carries a stamp from another derivation
-// environment. Recovery must degrade — discard the payload, count it
-// in plan_cache_stale, re-derive in the background — and never refuse.
+// Stamps that binaries persisting template plans wrote for this
+// catalog under System A (matching) and System B (foreign).
+const (
+	matchingStamp = "cat:965af0a8afda06d8|model:2|prof:System-A,3ff0000000000000,4010000000000000,3f847ae147ae147b,3f747ae147ae147b,3f647ae147ae147b,40b0000000000000,3ff0000000000000,3ff0000000000000,3ff0000000000000,3fc3333333333333"
+	foreignStamp  = "cat:965af0a8afda06d8|model:2|prof:System-B,3ff0000000000000,4004000000000000,3f889374bc6a7efa,3f70624dd2f1a9fc,3f689374bc6a7efa,40a0000000000000,3ff599999999999a,3fe3333333333333,3ff4000000000000,3fd0000000000000"
+)
+
+// TestRecoverLegacySnapshot: snapshots written before template plans
+// stopped being persisted carry a "plans" field stamped by the
+// derivation environment they came from. They still recover under
+// state schema 1, to the same live statements and a warm session, and
+// the plans are derived afresh: the field is ignored.
+func TestRecoverLegacySnapshot(t *testing.T) {
+	assertRecoversLegacy(t, matchingStamp)
+}
+
+// TestRestartStalePlansRederive: a legacy snapshot whose plans carry a
+// stamp from another derivation environment recovers just the same —
+// never refused, the payload ignored, every shape re-derived once by
+// the background warm-up.
 func TestRestartStalePlansRederive(t *testing.T) {
-	dir := planSeededDir(t)
-
-	d2 := durableDaemon(t, dir, func(c *Config) {
-		c.Engine = engine.New(c.Catalog, engine.SystemB())
-	})
-	st := d2.Snapshot()
-	if st.Recovery == nil || !st.Recovery.PlanStale {
-		t.Fatalf("changed profile not reported stale: %+v", st.Recovery)
-	}
-	if st.Recovery.PlanShapes != 0 {
-		t.Fatalf("stale payload still imported %d shapes", st.Recovery.PlanShapes)
-	}
-	if st.PlanCacheStale != 1 {
-		t.Fatalf("plan_cache_stale = %d, want 1", st.PlanCacheStale)
-	}
-	waitFor(t, "background re-derivation to finish", func() bool { return !d2.warming.Load() })
-
-	if calls := d2.eng.WhatIfCalls(); calls == 0 {
-		t.Fatal("stale payload recovery performed no derivations — plans were not rebuilt")
-	}
-	recommendWithoutDerivations(t, d2)
+	assertRecoversLegacy(t, foreignStamp)
 }
 
-// TestRecoverSnapshotWithoutPlans: a snapshot written before any plans
-// existed (byte-identical to the pre-plan-payload snapshot format —
-// the plans field is simply absent) recovers cleanly: nothing
-// imported, nothing stale, plans re-derived in the background.
+// TestRecoverSnapshotWithoutPlans: a snapshot with no plans field at
+// all recovers cleanly, and the warm-up derives every shape once.
 func TestRecoverSnapshotWithoutPlans(t *testing.T) {
-	dir := t.TempDir()
-	d1 := durableDaemon(t, dir, nil)
-	srv1 := httptest.NewServer(d1.Handler())
-	gen := workload.Hom(workload.HomConfig{Queries: 8, Seed: 3})
-	post(t, srv1, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
-	// No recommend: the shape cache is empty, so the snapshot carries
-	// no plans field — exactly an old-format snapshot.
-	var snap SnapshotResult
-	if resp := post(t, srv1, "/snapshot", struct{}{}, &snap); resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	assertRecoversLegacy(t, "")
+}
+
+// assertRecoversLegacy writes a schema-1 snapshot of a generation-1
+// daemon, with a "plans" field under stamp (none when stamp is empty),
+// and checks that a daemon recovered from it holds the same statements
+// and a warm session, and that its warm-up derives each shape once.
+func assertRecoversLegacy(t *testing.T, stamp string) {
+	t.Helper()
+	if stateSchema != 1 {
+		t.Fatalf("stateSchema = %d; snapshots with a plans field were written under 1", stateSchema)
 	}
-	srv1.Close()
+	_, d1 := planSeededDir(t)
+	want := d1.stream.Export()
+	state := persistedState{
+		Schema:   stateSchema,
+		Stream:   want,
+		Ingested: d1.ingested.Load(),
+		Session:  d1.sessionStateLocked(d1.lastBudget),
+	}
+	if state.Session == nil {
+		t.Fatal("fixture broken: generation 1 exported no session state")
+	}
+	raw, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stamp != "" {
+		// A record that would have served the first statement's shape
+		// with a template no derivation produces, had it been imported.
+		fp := d1.eng.ShapeFingerprint(d1.stream.Snapshot().Queries()[0].Query)
+		plans := fmt.Sprintf(`{"stamp":%q,"shapes":[{"fingerprint":%q,"templates":[{"internal":1,"slots":[{"table":"orders","mode":0}]}]}]}`, stamp, fp)
+		raw = append(raw[:len(raw)-1], `,"plans":`+plans+`}`...)
+	}
+	dir := t.TempDir()
+	writeSnapshotPayload(t, dir, raw)
 
 	d2 := durableDaemon(t, dir, nil)
 	st := d2.Snapshot()
-	if st.Recovery == nil || !st.Recovery.HadSnapshot {
-		t.Fatalf("recovery missed the snapshot: %+v", st.Recovery)
+	if st.Recovery == nil || !st.Recovery.HadSnapshot || !st.Recovery.WarmSession {
+		t.Fatalf("recovery: %+v", st.Recovery)
 	}
-	if st.Recovery.PlanShapes != 0 || st.Recovery.PlanStale || st.PlanCacheStale != 0 {
-		t.Fatalf("plan-less snapshot misread: %+v stale=%d", st.Recovery, st.PlanCacheStale)
+	got := d2.stream.Export()
+	if len(got.Entries) != len(want.Entries) {
+		t.Fatalf("recovered %d statements, want %d", len(got.Entries), len(want.Entries))
 	}
-	waitFor(t, "background derivation to finish", func() bool { return !d2.warming.Load() })
-	if calls := d2.eng.WhatIfCalls(); calls == 0 {
-		t.Fatal("no derivations after plan-less recovery — cache cannot be warm")
+	for i := range want.Entries {
+		if got.Entries[i] != want.Entries[i] {
+			t.Fatalf("entry %d diverged:\n  got  %+v\n  want %+v", i, got.Entries[i], want.Entries[i])
+		}
 	}
-	recommendWithoutDerivations(t, d2)
+	waitFor(t, "background warm-up to finish", func() bool { return !d2.warming.Load() })
+	assertWarmedUp(t, d2)
+}
+
+// writeSnapshotPayload makes dir a data directory whose only content is
+// one snapshot holding payload.
+func writeSnapshotPayload(t *testing.T, dir string, payload []byte) {
+	t.Helper()
+	store, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.Recover(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := store.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.WriteSnapshot(seq, payload); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -141,8 +141,8 @@ func TestHTTPTraceIDAndMetrics(t *testing.T) {
 			t.Errorf("%s %s: a name ends in _total exactly when it is a counter", kind, name)
 		}
 	}
-	if families < 28 {
-		t.Errorf("/metrics exposed %d families, want all 28 the daemon registers", families)
+	if families < 27 {
+		t.Errorf("/metrics exposed %d families, want all 27 the daemon registers", families)
 	}
 
 	// Single source of truth: the /stats counters are the same values.

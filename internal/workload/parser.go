@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -427,9 +428,14 @@ func looksLikeColumn(tok string) bool {
 }
 
 // parseConst reads a normalized position constant (`:0.35` or `0.35`).
+// NaN and infinities (`:NaN`, `:Inf`) are refused: no histogram can
+// place them.
 func parseConst(tok string) (float64, error) {
-	tok = strings.TrimPrefix(tok, ":")
-	return strconv.ParseFloat(tok, 64)
+	v, err := strconv.ParseFloat(strings.TrimPrefix(tok, ":"), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("constant %q is not finite", tok)
+	}
+	return v, err
 }
 
 // resolve turns a (possibly unqualified) column token into a reference

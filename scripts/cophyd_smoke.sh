@@ -157,8 +157,8 @@ PRE=$(curl -fsS "$BASE2/stats")
 PRE_LIVE=$(echo "$PRE" | python3 -c 'import json,sys; print(json.load(sys.stdin)["live_statements"])')
 PRE_WEIGHT=$(echo "$PRE" | python3 -c 'import json,sys; print(json.load(sys.stdin)["live_weight"])')
 
-# Snapshot so the compiled template plans are on disk: the restart
-# below must import them instead of re-deriving.
+# Snapshot so the restart below loads state from a snapshot, not only
+# from the WAL. Template plans are not in it: the restart derives them.
 curl -fsS -H "$AUTH" -X POST "$BASE2/snapshot" -d '' >/dev/null
 
 kill -9 $PID2
@@ -192,10 +192,9 @@ assert stats["live_weight"] == weight, (stats["live_weight"], weight)
 assert stats["recovery"]["warm_session"] is True, stats["recovery"]
 EOF
 
-# The snapshot's plan payload must have seeded the shape cache: wait
-# out the background warm-up, then require shapes imported, nothing
-# stale, and a re-prepare that was pure cache hits (zero misses would
-# be vacuously true with no plans — plan_shapes > 0 guards that).
+# The background warm-up derives the recovered statements' template
+# plans: wait until it ends, then require resident shapes and the
+# misses that derived them. The /recommend below must solve warm.
 WARMING=True
 for _ in $(seq 1 50); do
   WARMING=$(curl -fsS "$BASE3/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["warming"])')
@@ -206,12 +205,8 @@ done
 python3 - "$(curl -fsS "$BASE3/stats")" <<'EOF'
 import json, sys
 s = json.loads(sys.argv[1])
-rec = s["recovery"]
-assert rec["plan_shapes"] > 0, rec
-assert not rec.get("plan_stale"), rec
-assert s["plan_cache_stale"] == 0, s
-assert s["plan_cache_hits"] > 0, s
-assert s["plan_cache_misses"] == 0, s
+assert s["plan_shapes"] > 0, s
+assert s["plan_cache_misses"] > 0, s
 EOF
 
 REC3=$(curl -fsS -H "$AUTH" -X POST "$BASE3/recommend" -d '{"budget_fraction": 0.5}')
