@@ -208,24 +208,26 @@ func TestSessionCompactCarriesWarmState(t *testing.T) {
 	})
 }
 
-// TestRestoreParentFormatRecord: a session record written while dual
-// sites still carried (choice, slot) keys — always −1 in a written
-// record — restores to the same state, and so to the same solve, as its
-// current wire form. The literal pins the wire keys: renaming id, sites,
-// index or value makes the decoded state differ from want.
+// TestRestoreParentFormatRecord: session records written in either of
+// the parent array forms — dual sites with (choice, slot) keys, always
+// −1 in a written record, and without them — restore to the same state,
+// and so to the same solve, as the packed form written today. The
+// packed literal is a golden of the current layout: any change to it
+// (field order, varint tags, value bytes, base64 alphabet) fails here.
 func TestRestoreParentFormatRecord(t *testing.T) {
 	const parentFormat = `[` +
 		`{"id":"hom-0001","sites":[{"choice":-1,"slot":-1,"index":2,"value":0},{"choice":-1,"slot":-1,"index":6,"value":0}]},` +
 		`{"id":"hom-0004","sites":[{"choice":-1,"slot":-1,"index":17,"value":0},{"choice":-1,"slot":-1,"index":18,"value":2942.3039825024134}]},` +
 		`{"id":"hom-0006","sites":[{"choice":-1,"slot":-1,"index":35,"value":2942.3039825024134},{"choice":-1,"slot":-1,"index":37,"value":0},{"choice":-1,"slot":-1,"index":13,"value":1666.3972247911215}]}]`
+	const packedFormat = `"Awhob20tMDAwMQIEDAhob20tMDAwNAIiJdg0mKOb/KZACGhvbS0wMDA2A0fYNJijm/ymQEobHHwYwpYJmkA="`
 	want := lagrange.Dual{
 		{ID: "hom-0001", Sites: []lagrange.DualSite{{Index: 2}, {Index: 6}}},
 		{ID: "hom-0004", Sites: []lagrange.DualSite{{Index: 17}, {Index: 18, Value: 2942.3039825024134}}},
 		{ID: "hom-0006", Sites: []lagrange.DualSite{{Index: 35, Value: 2942.3039825024134}, {Index: 37}, {Index: 13, Value: 1666.3972247911215}}},
 	}
-	currentFormat := strings.ReplaceAll(parentFormat, `"choice":-1,"slot":-1,`, "")
-	if now, err := json.Marshal(want); err != nil || string(now) != currentFormat {
-		t.Fatalf("wire form of the dual state is\n%s (%v)\nwant\n%s", now, err, currentFormat)
+	arrayFormat := strings.ReplaceAll(parentFormat, `"choice":-1,"slot":-1,`, "")
+	if now, err := json.Marshal(want); err != nil || string(now) != packedFormat {
+		t.Fatalf("wire form of the dual state is\n%s (%v)\nwant\n%s", now, err, packedFormat)
 	}
 
 	ad, cat, _ := testAdvisor(t)
@@ -243,11 +245,13 @@ func TestRestoreParentFormatRecord(t *testing.T) {
 		}
 		return solveOf(t, ad.RestoreSession(w, &state, FractionOfData(cat, 0.25)))
 	}
-	fromParent, fromCurrent := restoreAndSolve(parentFormat, want), restoreAndSolve(currentFormat, want)
-	if !reflect.DeepEqual(fromParent, fromCurrent) {
-		t.Fatalf("parent-format record solves to %+v, current format to %+v", fromParent, fromCurrent)
+	fromPacked := restoreAndSolve(packedFormat, want)
+	for name, record := range map[string]string{"choice/slot array": parentFormat, "array": arrayFormat} {
+		if got := restoreAndSolve(record, want); !reflect.DeepEqual(got, fromPacked) {
+			t.Fatalf("%s record solves to %+v, packed record to %+v", name, got, fromPacked)
+		}
 	}
-	if reflect.DeepEqual(fromParent, restoreAndSolve("null", nil)) {
+	if reflect.DeepEqual(fromPacked, restoreAndSolve("null", nil)) {
 		t.Fatal("the recorded duals made no difference to the solve: the comparison above is vacuous")
 	}
 }

@@ -1,9 +1,14 @@
 package lagrange
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -143,4 +148,100 @@ func TestDualRemapCarriesSurvivors(t *testing.T) {
 	if warmC.Infeasible {
 		t.Fatal("remapped warm start broke the compacted solve")
 	}
+}
+
+// dualBits mirrors a dual state with each value as its IEEE-754 bits,
+// so reflect.DeepEqual compares bit for bit (NaN included). The nil
+// Dual stays nil; a block's nil and empty site lists both mean no sites.
+func dualBits(d Dual) [][]string {
+	if d == nil {
+		return nil
+	}
+	out := make([][]string, len(d))
+	for bi, b := range d {
+		out[bi] = []string{"id:" + b.ID}
+		for _, s := range b.Sites {
+			out[bi] = append(out[bi], fmt.Sprintf("%d=%016x", s.Index, math.Float64bits(s.Value)))
+		}
+	}
+	return out
+}
+
+// packedJSON renders raw packed bytes as the JSON string of their
+// base64 text.
+func packedJSON(raw []byte) []byte {
+	return []byte(`"` + base64.StdEncoding.EncodeToString(raw) + `"`)
+}
+
+// TestDualTextRejectsMalformed: the packed decoder refuses every kind
+// of damage by name rather than returning a partial state.
+func TestDualTextRejectsMalformed(t *testing.T) {
+	// One block "a" with one site of index 3 and value 1.
+	one := []byte{1, 1, 'a', 1, 3<<1 | 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+	var d Dual
+	if err := json.Unmarshal(packedJSON(one), &d); err != nil || !reflect.DeepEqual(d, Dual{{ID: "a", Sites: []DualSite{{Index: 3, Value: 1}}}}) {
+		t.Fatalf("well-formed blob decoded to %+v (%v)", d, err)
+	}
+	wide := binary.AppendUvarint([]byte{1, 0, 1}, 1<<33)
+	for name, in := range map[string][]byte{
+		"trailing byte":      packedJSON(append(one[:len(one):len(one)], 0)),
+		"truncated value":    packedJSON(one[:len(one)-1]),
+		"truncated ID":       packedJSON(one[:2]),
+		"truncated tag":      packedJSON([]byte{1, 0, 1}),
+		"index past 32 bits": packedJSON(wide),
+		"2^60 blocks":        packedJSON(binary.AppendUvarint(nil, 1<<60)),
+		"2^60 sites":         packedJSON(binary.AppendUvarint([]byte{1, 0}, 1<<60)),
+		"not base64":         []byte(`"AQFhAQc*"`),
+		"escaped character":  []byte(`"AQFh\/Qc="`),
+		"number":             []byte(`17`),
+		"unterminated":       []byte(`"AQFh`),
+	} {
+		var d Dual
+		if err := d.UnmarshalJSON(in); err == nil {
+			t.Errorf("%s: %s accepted as %+v", name, in, d)
+		}
+	}
+}
+
+// FuzzDualText: whatever the dual decoder is fed, it returns without
+// panicking, and any state it accepts survives its own wire form
+// bit for bit: decode(encode(decode(x))) == decode(x).
+func FuzzDualText(f *testing.F) {
+	d := Solve(randomModel(rand.New(rand.NewSource(46)), 10, 8, 0.5), Options{GapTol: 0.02, RootIters: 200, MaxNodes: 8}).Lambda
+	exported, err := json.Marshal(d)
+	if err != nil {
+		f.Fatal(err)
+	}
+	array, err := json.Marshal([]DualBlock(d))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := base64.StdEncoding.DecodeString(strings.Trim(string(exported), `"`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(exported)
+	f.Add(array)
+	f.Add([]byte(strings.ReplaceAll(string(array), `{"index"`, `{"choice":-1,"slot":-1,"index"`)))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`""`))
+	f.Add(packedJSON(raw[:len(raw)/2]))
+	f.Add(packedJSON(binary.AppendUvarint(nil, 1<<60)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var first Dual
+		if err := first.UnmarshalJSON(in); err != nil {
+			return
+		}
+		blob, err := json.Marshal(first)
+		if err != nil {
+			t.Fatalf("accepted state does not encode: %v", err)
+		}
+		var second Dual
+		if err := json.Unmarshal(blob, &second); err != nil {
+			t.Fatalf("own encoding %s rejected: %v", blob, err)
+		}
+		if !reflect.DeepEqual(dualBits(first), dualBits(second)) {
+			t.Fatalf("state changed across its wire form:\n got %+v\nwant %+v", second, first)
+		}
+	})
 }

@@ -172,9 +172,9 @@ func assertRecoversLegacy(t *testing.T, stamp string) {
 	assertWarmedUp(t, d2)
 }
 
-// writeSnapshotPayload makes dir a data directory whose only content is
-// one snapshot holding payload.
-func writeSnapshotPayload(t *testing.T, dir string, payload []byte) {
+// writeSnapshotPayload makes dir a data directory holding one snapshot
+// with payload, followed by a WAL tail of the given records.
+func writeSnapshotPayload(t *testing.T, dir string, payload []byte, records ...string) {
 	t.Helper()
 	store, err := persist.Open(dir, persist.Options{})
 	if err != nil {
@@ -190,5 +190,10 @@ func writeSnapshotPayload(t *testing.T, dir string, payload []byte) {
 	}
 	if _, err := store.WriteSnapshot(seq, payload); err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := store.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
