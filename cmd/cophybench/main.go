@@ -9,8 +9,9 @@
 //
 // It reports per-endpoint p50/p95/p99 latency over successful
 // responses, throughput, the shed rate (429s per recommend attempt)
-// and the coalescing hit rate (followers per completed recommend, read
-// from the daemon's /stats delta), and judges -slo objectives against
+// and the coalescing hit rate (the share of completed recommends
+// answered from the daemon's remembered answer, read from its /stats
+// delta), and judges -slo objectives against
 // the measured run. It probes a live daemon over the network; the
 // repository's PR-gating benchmark is `go run ./bench` (its daemon_mix
 // workload drives cophyd in-process).

@@ -48,8 +48,7 @@ type Advisor struct {
 }
 
 // Solves counts the solver runs this advisor has started (across every
-// session), the denominator request-coalescing tests divide by: K
-// coalesced requests must show far fewer than K solves.
+// session), so a test can tell a solve from a remembered answer.
 func (a *Advisor) Solves() int64 { return a.solves.Load() }
 
 // NewAdvisor builds an advisor with a fresh INUM cache.

@@ -5,15 +5,12 @@ import (
 	"go/types"
 )
 
-// Nakedclock guards the injected-clock seam (PR 9): packages that
-// declare one — a field or package-level variable of type
-// func() time.Time, like the windowed histograms' rotation clock —
-// made real time injectable precisely so tests can drive epoch
-// rotation, expiry and burn-rate windows virtually. A naked time.Now()
-// or time.Since() elsewhere in such a package reads the wall clock
-// behind the seam's back: the code works, but the next windowed test
-// flakes or sleeps, and mixed time sources skew windows against each
-// other.
+// Nakedclock guards the injected-clock seam: packages that declare one
+// — a field or package-level variable of type func() time.Time, like
+// obs's clock — made real time injectable so tests can drive it
+// virtually. A naked time.Now() or time.Since() elsewhere in such a
+// package reads the wall clock behind the seam's back: the code works,
+// but the next clock-driven test flakes or sleeps.
 //
 // Only calls are flagged. Referencing time.Now as a value — the seam's
 // production default (`now: time.Now`) — is the sanctioned idiom.
@@ -46,7 +43,7 @@ func runNakedclock(pass *Pass) {
 			}
 			if fn.Name() == "Now" || fn.Name() == "Since" {
 				pass.Reportf(call.Pos(),
-					"package %s injects its clock (seam %q); call the seam instead of time.%s so windowed tests stay virtual",
+					"package %s injects its clock (seam %q); call the seam instead of time.%s so clock-driven tests stay virtual",
 					pass.Pkg.Name(), seam, fn.Name())
 			}
 			return true

@@ -1,11 +1,13 @@
 package lint_test
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,13 +105,13 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingTests guards the prose that cites tests. DESIGN.md
-// and every README.md name tests, fuzz targets and benchmarks as the
-// pins of the rules they describe; a name that no longer declares a
-// function in the module points the reader at nothing. The roadmap
+// checkedDocs walks the module once and returns its root, the docs
+// whose references are checked (DESIGN.md and every README.md) and the
+// names of the functions the module's Go files declare. The roadmap
 // and the change log are not checked: they record history, deleted
-// names included.
-func TestDocsNameExistingTests(t *testing.T) {
+// names and moved lines included.
+func checkedDocs(t *testing.T) (string, []string, map[string]bool) {
+	t.Helper()
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +149,15 @@ func TestDocsNameExistingTests(t *testing.T) {
 	if len(docs) < 2 || len(declared) < 100 {
 		t.Fatalf("found %d docs and %d functions; the module walk looks broken", len(docs), len(declared))
 	}
+	return root, docs, declared
+}
+
+// TestDocsNameExistingTests guards the prose that cites tests. DESIGN.md
+// and every README.md name tests, fuzz targets and benchmarks as the
+// pins of the rules they describe; a name that no longer declares a
+// function in the module points the reader at nothing.
+func TestDocsNameExistingTests(t *testing.T) {
+	root, docs, declared := checkedDocs(t)
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	for _, doc := range docs {
 		raw, err := os.ReadFile(doc)
@@ -157,6 +168,63 @@ func TestDocsNameExistingTests(t *testing.T) {
 		for _, name := range cited.FindAllString(string(raw), -1) {
 			if !declared[name] {
 				t.Errorf("%s names %s, which no function in the module declares", rel, name)
+			}
+		}
+	}
+}
+
+// lineRef matches a `file.go:N` or `file.go:N–M` reference.
+var lineRef = regexp.MustCompile(`([\w./-]+\.go):(\d+)(?:[–-](\d+))?`)
+
+// lineRefProblem says what is wrong with one lineRef match in a doc in
+// docDir, or "" if nothing is. The path is read relative to the doc,
+// the module root or internal/, in that order; the file must have at
+// least as many lines as the reference's last line.
+func lineRefProblem(root, docDir string, m []string) string {
+	last := m[2]
+	if m[3] != "" {
+		last = m[3]
+	}
+	n, _ := strconv.Atoi(last)
+	for _, dir := range []string{docDir, root, filepath.Join(root, "internal")} {
+		src, err := os.ReadFile(filepath.Join(dir, m[1]))
+		if err != nil {
+			continue
+		}
+		lines := strings.Count(string(src), "\n")
+		if !strings.HasSuffix(string(src), "\n") {
+			lines++
+		}
+		if n < 1 || n > lines {
+			return fmt.Sprintf("%s points at line %d of a %d-line file", m[0], n, lines)
+		}
+		return ""
+	}
+	return fmt.Sprintf("%s names no file", m[0])
+}
+
+// TestDocsLineRefsInRange guards the prose that cites code by line: a
+// `file.go:N` reference in DESIGN.md or a README must name an existing
+// file with at least N lines, so a reference cannot outlive the code
+// it points at by pointing past its end.
+func TestDocsLineRefsInRange(t *testing.T) {
+	root, docs, _ := checkedDocs(t)
+	// The check itself must tell a good reference from bad ones.
+	self := "internal/lint/selfcheck_test.go"
+	for ref, ok := range map[string]bool{self + ":1": true, self + ":100000": false, "internal/lint/nosuch.go:1": false} {
+		if got := lineRefProblem(root, root, lineRef.FindStringSubmatch(ref)) == ""; got != ok {
+			t.Fatalf("lineRefProblem(%s) accepts=%v, want %v", ref, got, ok)
+		}
+	}
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, doc)
+		for _, m := range lineRef.FindAllStringSubmatch(string(raw), -1) {
+			if p := lineRefProblem(root, filepath.Dir(doc), m); p != "" {
+				t.Errorf("%s: %s", rel, p)
 			}
 		}
 	}

@@ -227,6 +227,41 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestCumLEConservative pins the conservative direction of the
+// /metrics bucket counts: a bucket straddling the bound counts as
+// above it, never as ≤ bound.
+func TestCumLEConservative(t *testing.T) {
+	h := NewHistogram()
+	for _, v := range []int64{10, 100, 1000, 10_000} {
+		h.Record(v)
+	}
+	s := h.Snapshot()
+	// 10_000 sits in a straddling bucket (its bucketMax > 10_000), so
+	// the conservative rule leaves it out of its own value's count.
+	want := int64(4)
+	if bucketMax(bucketIndex(10_000)) > 10_000 {
+		want = 3
+	}
+	if got := s.cumLE(10_000); got != want {
+		t.Fatalf("cumLE(10000)=%d, want %d", got, want)
+	}
+	if got := s.cumLE(0); got != 0 {
+		t.Fatalf("cumLE(0)=%d, want 0", got)
+	}
+	if got := s.cumLE(1 << 40); got != 4 {
+		t.Fatalf("cumLE(huge)=%d, want 4", got)
+	}
+	// Values in the exact linear region: the bound is sharp.
+	h2 := NewHistogram()
+	for v := int64(0); v < 16; v++ {
+		h2.Record(v)
+	}
+	s2 := h2.Snapshot()
+	if got := s2.cumLE(7); got != 8 {
+		t.Fatalf("linear cumLE(7)=%d, want 8", got)
+	}
+}
+
 // TestLabelEscaping pins exposition-format escaping of label values.
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,41 +20,28 @@ import (
 // latency.
 var ErrOverloaded = errors.New("server overloaded")
 
-// admission is the bounded queue in front of the session slot. The
-// previous design was a bare capacity-1 semaphore: under a burst every
-// caller parked on it until its own deadline fired, so overload
-// surfaced as N slow 503s instead of N−1 fast 429s. Now at most
-// maxQueue callers may wait; the rest are shed immediately, and a
+// admission is the bounded queue in front of the session slot: at
+// most maxQueue callers may wait, the rest are shed immediately, and a
 // waiter that outlives the queue timeout is shed too — the server
 // promises a bounded wait or a fast no, never a slow maybe.
 type admission struct {
 	tickets chan struct{} // queue slots: holders are waiting for the session
 	timeout time.Duration
 
-	// solve records in-slot solve wall time — the basis for
-	// Retry-After: a shed caller is told to come back after roughly the
-	// p95 solve time for each request ahead of it. It is a sliding
-	// window layered over the registered cophyd_solve_seconds series,
-	// so Retry-After reads the *recent* p95 — after a latency regime
-	// shift (cache warmed, workload compacted) the estimate tracks the
-	// new regime within retryWindow instead of being dragged by the
-	// lifetime distribution — while the exposition still sees every
-	// sample. With nothing in the window (an idle server's first burst)
-	// the lifetime p95 is the fallback.
-	solve       *obs.WindowedHistogram
-	retryWindow time.Duration
+	// solve is the registered cophyd_solve_seconds series: every
+	// in-slot solve's wall time over the daemon's lifetime. recent
+	// holds the last len(recent) of them (n in all), the basis of
+	// Retry-After, so the estimate follows the current latency regime
+	// (cache warmed, workload compacted) rather than the lifetime one.
+	solve  *obs.Histogram
+	mu     sync.Mutex
+	recent [16]time.Duration
+	n      int
 
 	depth atomic.Int64 // callers currently queued
 	peak  atomic.Int64 // high-water mark of depth
 	shed  *obs.Counter // requests refused with ErrOverloaded
 }
-
-// The Retry-After window: the last five minutes of solves, kept in
-// four 75 s sub-windows.
-const (
-	retryWindow = 5 * time.Minute
-	retryEpoch  = retryWindow / 4
-)
 
 // newAdmission builds the queue and registers its shed counter and
 // solve-latency histogram on reg, so they share the daemon's exposition.
@@ -66,10 +55,8 @@ func newAdmission(maxQueue int, timeout time.Duration, reg *obs.Registry) *admis
 	return &admission{
 		tickets: make(chan struct{}, maxQueue),
 		timeout: timeout,
-		solve: obs.NewWindowedHistogram(reg.Histogram("cophyd_solve_seconds",
+		solve: reg.Histogram("cophyd_solve_seconds",
 			"In-slot recommendation wall time: candidate generation plus solve."),
-			retryEpoch, retryWindow),
-		retryWindow: retryWindow,
 		shed: reg.Counter("cophyd_shed_requests_total",
 			"Recommendation requests refused with 429 by the admission queue."),
 	}
@@ -113,35 +100,30 @@ func (a *admission) admit(ctx context.Context, sem chan struct{}) (func(), error
 	}
 }
 
-// observe folds one completed solve's wall time into the windowed
-// latency histogram (whose lifetime side is the cophyd_solve_seconds
-// exposition).
+// observe records one completed solve's wall time.
 func (a *admission) observe(d time.Duration) {
 	a.solve.Observe(d)
+	a.mu.Lock()
+	a.recent[a.n%len(a.recent)] = d
+	a.n++
+	a.mu.Unlock()
 }
 
 // retryAfter estimates, in whole seconds (≥1, capped at 60), how long
-// a shed caller should wait: the queue ahead of it times the p95 solve
-// latency over the recent window — pessimistic on purpose, since a
-// caller that returns too early is shed again, but never stale: the
-// lifetime distribution only answers when the window is empty. With no
-// solve observed at all it answers 1, the only honest number before
-// data exists.
+// a shed caller should wait: the queue ahead of it times the p95 of the
+// recent solves — pessimistic on purpose, since a caller that returns
+// too early is shed again. With no solve observed yet it answers 1,
+// the only honest number before data exists.
 func (a *admission) retryAfter() int {
-	snap := a.solve.WindowSnapshot(a.retryWindow)
-	if snap.Count == 0 {
-		snap = a.solve.Snapshot()
-	}
-	if snap.Count == 0 {
+	a.mu.Lock()
+	recent := slices.Clone(a.recent[:min(a.n, len(a.recent))])
+	a.mu.Unlock()
+	if len(recent) == 0 {
 		return 1
 	}
-	backlog := float64(a.depth.Load() + 1) // queued callers plus the one in service
-	sec := math.Ceil(float64(snap.Quantile(0.95)) * backlog / float64(time.Second))
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 60 {
-		sec = 60
-	}
-	return int(sec)
+	slices.Sort(recent)
+	p95 := recent[int(math.Ceil(0.95*float64(len(recent))))-1] // nearest rank
+	// Ahead of the caller: everyone queued plus the one in service.
+	sec := math.Ceil(p95.Seconds() * float64(a.depth.Load()+1))
+	return int(min(max(sec, 1), 60))
 }

@@ -97,11 +97,12 @@ const flightKeep, flightEvents = 8, 64
 // concurrent use: WhatIf takes no daemon lock (only the INUM cache's),
 // Ingest serializes only on the stream's own mutex, and Recommend
 // serializes recommendations on the session semaphore behind a bounded
-// admission queue — concurrent identical requests coalesce onto one
-// solve, excess load is shed with ErrOverloaded instead of queueing
-// without bound, and a caller whose context dies gives up immediately
-// wherever it is waiting. Durability failures flip the daemon into a
-// degraded read-only state (see health.go) instead of killing it.
+// admission queue — a repeat of the last answered question gets the
+// remembered answer, excess load is shed with ErrOverloaded instead of
+// queueing without bound, and a caller whose context dies gives up
+// immediately wherever it is waiting. Durability failures flip the
+// daemon into a degraded read-only state (see health.go) instead of
+// killing it.
 type Daemon struct {
 	cat           *catalog.Catalog
 	eng           *engine.Engine
@@ -113,20 +114,17 @@ type Daemon struct {
 	maxCandidates int
 	authToken     string
 
-	// sem (capacity 1) guards the session; lastBudget (the budget knob
-	// of the most recent recommendation, persisted with the session
-	// state) is only touched under it. adm is the bounded admission
-	// queue in front of it.
+	// sem (capacity 1) guards the session and the fields after it.
+	// lastBudget is the budget knob of the most recent recommendation,
+	// persisted with the session state; last is that recommendation's
+	// answer and lastGen the stream generation it answered. adm is the
+	// bounded admission queue in front of sem.
 	sem        chan struct{}
 	adm        *admission
 	session    *cophy.Session
 	lastBudget float64
-
-	// flights coalesces concurrent identical recommendations: one entry
-	// per (stream generation, budget) currently being solved; followers
-	// wait on the leader's result instead of queueing their own solve.
-	flMu    sync.Mutex
-	flights map[string]*flight
+	last       *RecommendResult
+	lastGen    int64
 
 	// health is the serving state machine (healthy/degraded/draining);
 	// degradedCause names the durability failure that forced read-only
@@ -214,7 +212,6 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 		authToken:     cfg.AuthToken,
 		sem:           make(chan struct{}, 1),
 		adm:           newAdmission(cfg.MaxQueue, cfg.QueueTimeout, reg),
-		flights:       make(map[string]*flight),
 		probeBase:     cfg.ProbeBase,
 		probeMax:      cfg.ProbeMax,
 		reqLog:        cfg.RequestLog,
@@ -393,8 +390,8 @@ type RecommendResult struct {
 	Iters int `json:"iters"`
 	// TraceID echoes the request's trace ID (also in the X-Trace-Id
 	// response header), so a slow recommendation can be matched to its
-	// request-log line and span breakdown. Coalesced followers carry
-	// their own ID, not the leader's.
+	// request-log line and span breakdown. A remembered answer carries
+	// the caller's own ID.
 	TraceID string `json:"trace_id,omitempty"`
 	// Warm is true when the solve reused the previous session state.
 	Warm bool `json:"warm"`
@@ -421,80 +418,35 @@ type RecommendResult struct {
 // multipliers matched to surviving statements by block label — so a
 // re-solve after a small ingestion delta is incremental.
 //
-// Overload discipline: concurrent calls against an unchanged stream
-// and identical budget coalesce — one of them solves, the rest wait on
-// that result (a burst of K identical requests performs one solve, not
-// K). Requests that do need their own solve pass through the bounded
-// admission queue; a full queue or an expired queue wait sheds the
-// request with ErrOverloaded (429 + Retry-After at the HTTP layer). A
-// caller whose own deadline expires gives up wherever it is waiting
-// (503). A candidate set beyond the configured cap is rejected before
-// any solver work (413). While the daemon is degraded the request is
-// refused outright (503 naming the cause): a recommendation mutates
-// session state whose durability cannot currently be maintained.
+// Overload discipline: a repeat of the last answered question — no
+// ingest since, same budget — gets the remembered answer without a
+// solve, once it reaches the session slot. Every request passes through
+// the bounded admission queue; a full queue or an expired queue wait
+// sheds the request with ErrOverloaded (429 + Retry-After at the HTTP
+// layer). A caller whose own deadline expires gives up wherever it is
+// waiting (503). A candidate set beyond the configured cap is rejected
+// before any solver work (413). While the daemon is degraded the
+// request is refused outright (503 naming the cause): a recommendation
+// mutates session state whose durability cannot currently be
+// maintained.
 func (d *Daemon) Recommend(ctx context.Context, opts RecommendOptions) (RecommendResult, error) {
-	for {
-		if err := d.checkWritable(); err != nil {
-			return RecommendResult{}, err
-		}
-		res, err, retry := d.coalesce(ctx, opts)
-		if retry {
-			continue
-		}
-		if tr := obs.TraceFrom(ctx); tr != nil {
-			res.TraceID = tr.ID
-		}
-		return res, err
+	if err := d.checkWritable(); err != nil {
+		return RecommendResult{}, err
 	}
-}
-
-// flight is one in-progress recommendation shared by coalesced callers.
-type flight struct {
-	done chan struct{}
-	res  RecommendResult
-	err  error
-}
-
-// coalesce shares one solve among concurrent identical requests. The
-// key is (stream generation, budget): any ingest between two requests
-// changes the generation, so only requests that would provably compute
-// the same answer share. The third return asks the caller to retry:
-// the leader died of its *own* context while this follower is still
-// alive, so the follower deserves a fresh flight rather than
-// inheriting a timeout it never had.
-func (d *Daemon) coalesce(ctx context.Context, opts RecommendOptions) (RecommendResult, error, bool) {
-	key := fmt.Sprintf("%d|%v", d.stream.Generation(), opts.BudgetFraction)
-	d.flMu.Lock()
-	if f, ok := d.flights[key]; ok {
-		d.flMu.Unlock()
-		d.coalesced.Inc()
-		stop := obs.TraceFrom(ctx).StartSpan("coalesce.wait")
-		select {
-		case <-f.done:
-			stop()
-			if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) && ctx.Err() == nil {
-				return RecommendResult{}, f.err, true
-			}
-			return f.res, f.err, false
-		case <-ctx.Done():
-			stop()
-			return RecommendResult{}, ctx.Err(), false
-		}
+	res, err := d.solveRecommend(ctx, opts)
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		res.TraceID = tr.ID
 	}
-	f := &flight{done: make(chan struct{})}
-	d.flights[key] = f
-	d.flMu.Unlock()
-	f.res, f.err = d.solveRecommend(ctx, opts)
-	d.flMu.Lock()
-	delete(d.flights, key)
-	d.flMu.Unlock()
-	close(f.done)
-	return f.res, f.err, false
+	return res, err
 }
 
-// solveRecommend is the flight leader's path: admission queue, session
-// slot, solve.
+// solveRecommend is Recommend's path: admission queue, session slot,
+// remembered answer or solve.
 func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (RecommendResult, error) {
+	// The generation is read before the snapshot: an ingest between
+	// the two labels the answer older than its workload, so the next
+	// request solves again rather than reusing it.
+	gen := d.stream.Generation()
 	w := d.stream.Snapshot()
 	if w.Size() == 0 {
 		return RecommendResult{}, fmt.Errorf("server: no workload ingested yet")
@@ -509,6 +461,10 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 		return RecommendResult{}, err
 	}
 	defer release()
+	if d.last != nil && d.lastGen == gen && d.lastBudget == opts.BudgetFraction {
+		d.coalesced.Inc()
+		return *d.last, nil
+	}
 	t0 := time.Now()
 
 	// Candidate generation runs inside the session slot, after
@@ -579,6 +535,7 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	for _, ix := range res.Indexes {
 		out.Indexes = append(out.Indexes, specOf(d.cat, ix))
 	}
+	d.last, d.lastGen = &out, gen
 	return out, nil
 }
 
@@ -599,7 +556,7 @@ type Stats struct {
 	// QueueDepth / QueuedPeak / ShedRequests / CoalescedRequests expose
 	// the admission layer: how many recommendations are waiting right
 	// now, the worst it has been, how many were refused with 429, and
-	// how many shared another request's solve instead of their own.
+	// how many got the remembered answer instead of a solve.
 	QueueDepth        int64 `json:"queue_depth"`
 	QueuedPeak        int64 `json:"queued_peak"`
 	ShedRequests      int64 `json:"shed_requests"`

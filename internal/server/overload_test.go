@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/cophy"
 	"repro/internal/engine"
-	"repro/internal/obs"
+	"repro/internal/lagrange"
 	"repro/internal/persist"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -61,20 +61,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCoalescedFollowersShareOneResult is the deterministic coalescing
-// pin: followers that arrive while an identical request is in flight
-// wait on its result instead of solving — zero extra solver runs, one
-// shared answer, the coalesced counter telling the story.
+// TestCoalescedFollowersShareOneResult: a burst of K identical
+// requests queued behind a busy session runs one solve; the K−1 that
+// reach the slot after it get its remembered answer — zero extra solver
+// runs, one shared answer, the coalesced counter telling the story.
 func TestCoalescedFollowersShareOneResult(t *testing.T) {
 	d := testDaemon(t)
+	gen := workload.Hom(workload.HomConfig{Queries: 8, Seed: 3})
+	if _, err := d.Ingest(context.Background(), renderSQL(gen), 0); err != nil {
+		t.Fatal(err)
+	}
 	const K = 5
-	key := fmt.Sprintf("%d|%v", d.stream.Generation(), 0.25)
-	f := &flight{done: make(chan struct{})}
-	d.flMu.Lock()
-	d.flights[key] = f
-	d.flMu.Unlock()
-
 	solves0 := d.ad.Solves()
+	d.sem <- struct{}{} // the session is busy until the whole burst is queued
 	var wg sync.WaitGroup
 	results := make([]RecommendResult, K)
 	errs := make([]error, K)
@@ -85,64 +84,100 @@ func TestCoalescedFollowersShareOneResult(t *testing.T) {
 			results[i], errs[i] = d.Recommend(context.Background(), RecommendOptions{BudgetFraction: 0.25})
 		}(i)
 	}
-	waitFor(t, "all followers to coalesce", func() bool { return d.coalesced.Load() == K })
-
-	f.res = RecommendResult{EstCost: 42, Warm: true}
-	d.flMu.Lock()
-	delete(d.flights, key)
-	d.flMu.Unlock()
-	close(f.done)
+	waitFor(t, "the burst to queue", func() bool { return d.adm.depth.Load() == K })
+	<-d.sem
 	wg.Wait()
 
 	for i := 0; i < K; i++ {
 		if errs[i] != nil {
-			t.Fatalf("follower %d: %v", i, errs[i])
+			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if results[i].EstCost != 42 {
-			t.Fatalf("follower %d got %+v, want the shared flight result", i, results[i])
+		if results[i].EstCost != results[0].EstCost {
+			t.Fatalf("caller %d got EstCost %v, caller 0 got %v: not one shared answer", i, results[i].EstCost, results[0].EstCost)
 		}
 	}
-	if got := d.ad.Solves() - solves0; got != 0 {
-		t.Fatalf("followers ran %d solves of their own", got)
+	if got := d.ad.Solves() - solves0; got != 1 {
+		t.Fatalf("identical burst of %d ran %d solves, want 1", K, got)
 	}
-	if st := d.Snapshot(); st.CoalescedRequests != K {
-		t.Fatalf("coalesced_requests = %d, want %d", st.CoalescedRequests, K)
+	if st := d.Snapshot(); st.CoalescedRequests != K-1 {
+		t.Fatalf("coalesced_requests = %d, want %d", st.CoalescedRequests, K-1)
 	}
 }
 
-// TestCoalesceLeaderTimeoutRetries: a follower must not inherit the
-// leader's *own* deadline death — it retries with a fresh flight.
-func TestCoalesceLeaderTimeoutRetries(t *testing.T) {
-	d := testDaemon(t)
-	key := fmt.Sprintf("%d|%v", d.stream.Generation(), 0.0)
-	f := &flight{done: make(chan struct{})}
-	d.flMu.Lock()
-	d.flights[key] = f
-	d.flMu.Unlock()
-
-	var ferr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, ferr = d.Recommend(context.Background(), RecommendOptions{})
-	}()
-	waitFor(t, "follower to coalesce", func() bool { return d.coalesced.Load() == 1 })
-
-	f.err = context.DeadlineExceeded // the leader ran out of ITS time
-	d.flMu.Lock()
-	delete(d.flights, key)
-	d.flMu.Unlock()
-	close(f.done)
-	<-done
-
-	// The retry became its own leader over the empty daemon, so the
-	// error it reports is its own ("no workload"), not the leader's
-	// timeout.
-	if ferr == nil || errors.Is(ferr, context.DeadlineExceeded) {
-		t.Fatalf("follower inherited the leader's deadline death: %v", ferr)
+// TestCancelledSolveNotRemembered: a solve cut short by its caller's
+// cancellation answers with the context's error and leaves nothing
+// behind for the next identical request, which runs its own solve.
+func TestCancelledSolveNotRemembered(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	// Cancel at the solver's first bound event: mid-solve, after
+	// admission.
+	d := testDaemonWith(t, func(c *Config) { c.Advisor.Progress = func(lagrange.Event) { cancel() } })
+	gen := workload.Hom(workload.HomConfig{Queries: 8, Seed: 3})
+	if _, err := d.Ingest(context.Background(), renderSQL(gen), 0); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(ferr.Error(), "no workload") {
-		t.Fatalf("retry did not run its own flight: %v", ferr)
+	solves0 := d.ad.Solves()
+	if _, err := d.Recommend(ctx, RecommendOptions{BudgetFraction: 0.5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
+	}
+	if got := d.ad.Solves() - solves0; got != 1 {
+		t.Fatalf("cancelled request ran %d solves, want 1 (cancelled mid-solve)", got)
+	}
+
+	res, err := d.Recommend(context.Background(), RecommendOptions{BudgetFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.ad.Solves() - solves0; got != 2 {
+		t.Fatalf("retry after a cancelled solve ran %d solves in all, want 2", got)
+	}
+	if d.coalesced.Load() != 0 || res.EstCost <= 0 {
+		t.Fatalf("retry got a remembered answer (coalesced %d, %+v)", d.coalesced.Load(), res)
+	}
+}
+
+// TestRepeatRecommendRemembered: with no ingest between two
+// /recommend calls, the second is the remembered answer — no solve,
+// no WAL record, one coalesced request, the same indexes. An ingest in
+// between makes the next call solve again.
+func TestRepeatRecommendRemembered(t *testing.T) {
+	d, _ := faultDaemon(t, nil)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	gen := workload.Hom(workload.HomConfig{Queries: 10, Seed: 4})
+	post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
+	recommend := func() RecommendResult {
+		t.Helper()
+		var rec RecommendResult
+		if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &rec); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/recommend status %d", resp.StatusCode)
+		}
+		return rec
+	}
+	first := recommend()
+	solves0, st0 := d.ad.Solves(), d.Snapshot()
+	second := recommend()
+	st1 := d.Snapshot()
+	if got := d.ad.Solves() - solves0; got != 0 {
+		t.Fatalf("repeat ran %d solves, want 0", got)
+	}
+	if got := st1.WALRecords - st0.WALRecords; got != 0 {
+		t.Fatalf("repeat appended %d WAL records, want 0", got)
+	}
+	if got := st1.CoalescedRequests - st0.CoalescedRequests; got != 1 {
+		t.Fatalf("repeat added %d to coalesced_requests, want 1", got)
+	}
+	if !reflect.DeepEqual(second.Indexes, first.Indexes) || second.EstCost != first.EstCost {
+		t.Fatalf("repeat answered %+v at %v, first %+v at %v", second.Indexes, second.EstCost, first.Indexes, first.EstCost)
+	}
+
+	post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(workload.Hom(workload.HomConfig{Queries: 3, Seed: 5}))}, nil)
+	recommend()
+	if got := d.ad.Solves() - solves0; got != 1 {
+		t.Fatalf("recommend after an ingest ran %d solves, want 1", got)
+	}
+	if got := d.Snapshot().CoalescedRequests - st1.CoalescedRequests; got != 0 {
+		t.Fatalf("recommend after an ingest was coalesced (%d)", got)
 	}
 }
 
@@ -214,25 +249,24 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	}
 }
 
-// TestBurstAcceptance is the ISSUE's overload acceptance pin, over
-// real HTTP: a burst of K concurrent identical /recommend requests
-// performs at most a handful of solves (coalescing), and every caller
-// gets either a valid result or a 429 whose Retry-After header and
-// unified JSON body are present.
+// TestBurstAcceptance is the overload acceptance pin, over real HTTP:
+// a queued burst of K identical /recommend requests performs one solve
+// (the rest get the remembered answer), and a distinct burst over a
+// queue of one gets either valid results or 429s whose Retry-After
+// header and unified JSON body are present.
 func TestBurstAcceptance(t *testing.T) {
 	d := testDaemon(t)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 	gen := workload.Hom(workload.HomConfig{Queries: 12, Seed: 7})
 	post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
-	d.adm = newAdmission(1, 10*time.Second, d.reg) // tiny queue: sheds must happen on the distinct burst
 
-	// Phase 1 — identical burst: everyone coalesces onto one flight.
-	// The session is wedged until every follower has registered: on a
-	// one-CPU box the scheduler can otherwise serialize the clients so
-	// completely that each solve finishes before the next request
-	// arrives and no coalescing window ever exists.
+	// Phase 1 — identical burst over a queue that holds it: the first
+	// to reach the session solves, the rest get its answer. The session
+	// is wedged until the whole burst is queued, so all K are waiting
+	// on the same generation.
 	const K = 8
+	d.adm = newAdmission(K, 10*time.Second, d.reg)
 	solves0, coalesced0 := d.ad.Solves(), d.coalesced.Load()
 	d.sem <- struct{}{}
 	var wg sync.WaitGroup
@@ -245,20 +279,24 @@ func TestBurstAcceptance(t *testing.T) {
 			codes[i] = resp.StatusCode
 		}(i)
 	}
-	waitFor(t, "burst followers to coalesce", func() bool { return d.coalesced.Load()-coalesced0 >= K-1 })
+	waitFor(t, "the burst to queue", func() bool { return d.adm.depth.Load() == K })
 	<-d.sem
 	wg.Wait()
 	for i, c := range codes {
-		if c != http.StatusOK && c != http.StatusTooManyRequests {
-			t.Fatalf("identical burst caller %d: status %d, want 200 or 429", i, c)
+		if c != http.StatusOK {
+			t.Fatalf("identical burst caller %d: status %d, want 200", i, c)
 		}
 	}
-	if got := d.ad.Solves() - solves0; got > K/2 {
-		t.Fatalf("identical burst of %d ran %d solves — coalescing is not working", K, got)
+	if got := d.ad.Solves() - solves0; got != 1 {
+		t.Fatalf("identical burst of %d ran %d solves, want 1", K, got)
+	}
+	if got := d.coalesced.Load() - coalesced0; got != K-1 {
+		t.Fatalf("identical burst of %d coalesced %d, want %d", K, got, K-1)
 	}
 
-	// Phase 2 — distinct burst: K different budgets cannot coalesce;
+	// Phase 2 — distinct burst: K different budgets share no answer;
 	// with a queue of one, the overflow must shed as 429 + Retry-After.
+	d.adm = newAdmission(1, 10*time.Second, d.reg)
 	var mu sync.Mutex
 	sheds := 0
 	for i := 0; i < K; i++ {
@@ -303,15 +341,11 @@ func TestBurstAcceptance(t *testing.T) {
 }
 
 // TestRetryAfterTracksRecentWindow pins the stale-p95 fix: Retry-After
-// must follow the *recent* solve-latency window, not the lifetime
-// histogram. A slow regime is recorded, then expires, then a fast
-// regime replaces it — the old lifetime-snapshot code would keep
-// answering the slow regime's p95 forever.
+// must follow the *recent* solves, not the lifetime histogram. A slow
+// regime is recorded, then a fast regime replaces it — a lifetime
+// snapshot would keep answering the slow regime's p95 forever.
 func TestRetryAfterTracksRecentWindow(t *testing.T) {
 	d := testDaemon(t)
-	// A 100ms read window in 25ms sub-windows instead of 5m in 75s.
-	d.adm.solve = obs.NewWindowedHistogram(obs.NewHistogram(), 25*time.Millisecond, 100*time.Millisecond)
-	d.adm.retryWindow = 100 * time.Millisecond
 
 	// Slow regime: five 30s solves.
 	for i := 0; i < 5; i++ {
@@ -321,16 +355,15 @@ func TestRetryAfterTracksRecentWindow(t *testing.T) {
 		t.Fatalf("slow-regime Retry-After %d, want ≥ 30", got)
 	}
 
-	// Let the slow regime fall out of the window. With the window
-	// empty the lifetime histogram is the (documented) fallback, so
-	// the answer is still the slow p95 — better than guessing 1.
+	// Time alone ages nothing out: with no newer solve the slow
+	// regime is still the recent one — better than guessing 1.
 	time.Sleep(150 * time.Millisecond)
 	if got := d.adm.retryAfter(); got < 30 {
 		t.Fatalf("empty-window fallback Retry-After %d, want lifetime ≥ 30", got)
 	}
 
-	// Fast regime: the windowed p95 is now ~10ms, so Retry-After must
-	// drop to the floor even though the lifetime p95 is still 30s.
+	// Fast regime: the last 16 solves all took 10ms, so Retry-After
+	// must drop to the floor even though the lifetime p95 is still 30s.
 	for i := 0; i < 20; i++ {
 		d.adm.observe(10 * time.Millisecond)
 	}

@@ -173,7 +173,7 @@ func TestTraceSpansSumToWall(t *testing.T) {
 	wall := time.Since(t0)
 
 	topLevel := map[string]bool{
-		"queue.wait": true, "coalesce.wait": true, "candgen": true,
+		"queue.wait": true, "candgen": true,
 		"inum": true, "build": true, "solve": true, "wal.append": true,
 	}
 	var top time.Duration
@@ -201,44 +201,38 @@ func TestTraceSpansSumToWall(t *testing.T) {
 	}
 }
 
-// TestCoalesceFollowerTrace: a coalesced follower spends its time in
-// the coalesce.wait span and answers with its OWN trace ID, not the
-// leader's — otherwise a slow shared solve is unattributable from the
-// follower's side.
-func TestCoalesceFollowerTrace(t *testing.T) {
+// TestRememberedAnswerCarriesOwnTrace: a repeat answered from the
+// remembered result carries its OWN trace ID, not the solving
+// request's, and its trace shows no solver span — otherwise a fast
+// remembered answer is indistinguishable from, or attributed to, the
+// request that paid for the solve.
+func TestRememberedAnswerCarriesOwnTrace(t *testing.T) {
 	d := testDaemon(t)
-	key := fmt.Sprintf("%d|%v", d.stream.Generation(), 0.25)
-	f := &flight{done: make(chan struct{})}
-	d.flMu.Lock()
-	d.flights[key] = f
-	d.flMu.Unlock()
-
-	tr := obs.NewTrace()
-	ctx := obs.WithTrace(context.Background(), tr)
-	var res RecommendResult
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res, rerr = d.Recommend(ctx, RecommendOptions{BudgetFraction: 0.25})
-	}()
-	waitFor(t, "follower to coalesce", func() bool { return d.coalesced.Load() == 1 })
-	time.Sleep(20 * time.Millisecond) // measurable leader wait
-
-	f.res = RecommendResult{EstCost: 7, TraceID: "leader-trace"}
-	d.flMu.Lock()
-	delete(d.flights, key)
-	d.flMu.Unlock()
-	close(f.done)
-	<-done
-
-	if rerr != nil {
-		t.Fatal(rerr)
+	gen := workload.Hom(workload.HomConfig{Queries: 8, Seed: 3})
+	if _, err := d.Ingest(context.Background(), renderSQL(gen), 0); err != nil {
+		t.Fatal(err)
 	}
-	if res.TraceID != tr.ID {
-		t.Fatalf("follower answered with trace %q, want its own %q", res.TraceID, tr.ID)
+	recommend := func() (RecommendResult, *obs.Trace) {
+		t.Helper()
+		tr := obs.NewTrace()
+		res, err := d.Recommend(obs.WithTrace(context.Background(), tr), RecommendOptions{BudgetFraction: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr
 	}
-	if w := tr.Dur("coalesce.wait"); w < 15*time.Millisecond {
-		t.Fatalf("coalesce.wait span %v does not cover the leader wait", w)
+	first, tr1 := recommend()
+	second, tr2 := recommend()
+	if d.coalesced.Load() != 1 {
+		t.Fatalf("coalesced_requests = %d, want 1", d.coalesced.Load())
+	}
+	if first.TraceID != tr1.ID || second.TraceID != tr2.ID || tr1.ID == tr2.ID {
+		t.Fatalf("answers carry traces %q and %q, want their own %q and %q", first.TraceID, second.TraceID, tr1.ID, tr2.ID)
+	}
+	if second.EstCost != first.EstCost {
+		t.Fatalf("remembered answer EstCost %v, solved %v", second.EstCost, first.EstCost)
+	}
+	if tr1.Dur("solve") == 0 || tr2.Dur("solve") != 0 {
+		t.Fatalf("solve spans %v then %v: want the first only", tr1.Dur("solve"), tr2.Dur("solve"))
 	}
 }

@@ -249,10 +249,8 @@ func (st *Stream) Ticks() int64 {
 
 // Generation identifies the stream's mutation state: it changes
 // whenever the live workload may have changed (every Observe, Tick or
-// Restore) and is stable between mutations. Two calls returning the
-// same value bracket an unchanged workload, which is exactly the
-// coalescing key a caller needs to share one computation over the
-// stream between concurrent requests.
+// Restore) and is stable between mutations, so it keys an answer
+// computed over the stream.
 func (st *Stream) Generation() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()

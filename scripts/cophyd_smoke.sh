@@ -228,9 +228,11 @@ assert r["slowest"]["recommend"][0]["spans"], r["slowest"]["recommend"][0]
 '
 
 # --- Overload phase: bursts of simultaneous /recommend against the
-# queue-of-one daemon. Identical requests must coalesce onto a shared
-# solve; distinct requests beyond the queue must shed as 429 with a
-# Retry-After header and the unified JSON error body.
+# queue-of-one daemon. An identical request that reaches the session
+# after the first one solved gets the remembered answer (counted in
+# coalesced_requests), the rest shed; distinct requests beyond the
+# queue must shed as 429 with a Retry-After header and the unified
+# JSON error body.
 #
 # Two things make overlap reliable on a single-CPU box: the burst is
 # fired over pre-connected raw sockets (all requests land within ~1 ms,
