@@ -110,77 +110,6 @@ func TestIntegralityGapBranching(t *testing.T) {
 	}
 }
 
-func TestMIPStartAccepted(t *testing.T) {
-	vals := []float64{10, 20, 30}
-	wts := []float64{1, 2, 3}
-	m := knapsackModel(vals, wts, 3)
-	// Valid start: take item 2 (weight 3, value 30).
-	start := []float64{0, 0, 1}
-	var events int
-	r := Solve(m, Options{Start: start, Progress: func(Event) { events++ }})
-	if r.Status != Optimal {
-		t.Fatalf("status = %v", r.Status)
-	}
-	if math.Abs(-r.Obj-30) > 1e-6 {
-		t.Fatalf("obj = %v", -r.Obj)
-	}
-}
-
-func TestMIPStartInfeasibleIgnored(t *testing.T) {
-	m := knapsackModel([]float64{10}, []float64{5}, 3)
-	r := Solve(m, Options{Start: []float64{1}}) // violates knapsack
-	if r.Status != Optimal || r.Obj != 0 {
-		t.Fatalf("status=%v obj=%v", r.Status, r.Obj)
-	}
-}
-
-func TestGapToleranceEarlyStop(t *testing.T) {
-	// A larger knapsack with 5% gap tolerance must stop with a bound
-	// certificate no worse than 5%.
-	rng := rand.New(rand.NewSource(11))
-	n := 20
-	vals := make([]float64, n)
-	wts := make([]float64, n)
-	var total float64
-	for i := range vals {
-		vals[i] = 1 + rng.Float64()*50
-		wts[i] = 1 + rng.Float64()*30
-		total += wts[i]
-	}
-	m := knapsackModel(vals, wts, total*0.4)
-	r := Solve(m, Options{GapTol: 0.05})
-	if r.Status == Infeasible {
-		t.Fatal("knapsack cannot be infeasible")
-	}
-	if r.Gap > 0.05+1e-9 && r.Status != Optimal {
-		t.Fatalf("gap = %v after early stop", r.Gap)
-	}
-}
-
-func TestProgressEventsMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 14
-	vals := make([]float64, n)
-	wts := make([]float64, n)
-	var total float64
-	for i := range vals {
-		vals[i] = 1 + rng.Float64()*50
-		wts[i] = 1 + rng.Float64()*30
-		total += wts[i]
-	}
-	m := knapsackModel(vals, wts, total*0.5)
-	var uppers []float64
-	Solve(m, Options{Progress: func(e Event) { uppers = append(uppers, e.Upper) }})
-	for i := 1; i < len(uppers); i++ {
-		if uppers[i] > uppers[i-1]+1e-9 {
-			t.Fatalf("incumbent worsened: %v -> %v", uppers[i-1], uppers[i])
-		}
-	}
-	if len(uppers) == 0 {
-		t.Fatal("no progress events emitted")
-	}
-}
-
 func TestNodeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 18

@@ -121,11 +121,11 @@ func TestTheorem1Equivalence(t *testing.T) {
 		t.Fatal("structured model infeasible")
 	}
 
-	// Explicit Theorem-1 BIP.
+	// Explicit Theorem-1 BIP, searched to exhaustion.
 	em, _ := buildExplicitBIP(model)
-	r := bip.Solve(em, bip.Options{GapTol: 1e-9, MaxNodes: 20000})
-	if r.Status == bip.Infeasible {
-		t.Fatal("explicit BIP infeasible")
+	r := bip.Solve(em, bip.Options{})
+	if r.Status != bip.Optimal {
+		t.Fatalf("explicit BIP: status %v after %d nodes, want optimal", r.Status, r.Nodes)
 	}
 	explicit := r.Obj + model.Const
 

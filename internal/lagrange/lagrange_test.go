@@ -183,6 +183,32 @@ func TestCheckFeasible(t *testing.T) {
 	}
 }
 
+// TestCheckFeasibleBinaryFallback reaches the screen's exact fallback:
+// in both models the all-zero selection breaks the side constraint and
+// the LP relaxation is feasible, so only the binary search decides.
+func TestCheckFeasibleBinaryFallback(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		terms []Term
+		sense lp.Sense
+		want  bool
+	}{
+		{"z0+z1>=1", []Term{{0, 1}, {1, 1}}, lp.GE, true},
+		{"2z0=1", []Term{{0, 2}}, lp.EQ, false}, // LP point z0 = 0.5, no binary one
+	} {
+		m := NewModel(2)
+		m.Blocks = []Block{{Weight: 1, Choices: []Choice{{Fixed: 1}}}}
+		m.Extra = []Constraint{{Terms: tc.terms, Sense: tc.sense, RHS: 1, Name: tc.name}}
+		p := m.zPolytopeLP(make([]float64, 2), nil, nil)
+		if p.Feasible(make([]float64, 2), 1e-9) || lp.Solve(p).Status != lp.Optimal {
+			t.Fatalf("%s: want the all-zero point infeasible and the LP relaxation feasible", tc.name)
+		}
+		if ok, err := m.CheckFeasible(); err != nil || ok != tc.want {
+			t.Errorf("%s: CheckFeasible = %v, %v; want %v", tc.name, ok, err, tc.want)
+		}
+	}
+}
+
 func TestMIPStartHonored(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m := randomModel(r, 6, 4, 0.5)

@@ -240,10 +240,10 @@ func (m *Model) retuneZPolytope(p *lp.Problem, obj []float64, fixedIn, fixedOut 
 
 // CheckFeasible reports whether any selection satisfies the budget and
 // the side constraints — the fast infeasibility screen of Figure 3
-// line 1. It solves the LP relaxation and, if fractional feasible,
-// verifies that an integral point exists by rounding-and-repair over
-// the small z polytope (for the common constraint shapes the LP is
-// integral already; the fallback uses the generic BIP solver).
+// line 1. It solves the LP relaxation and, if that is feasible, tests
+// the all-zero selection; only when that breaks a side constraint does
+// an exact branch and bound (package bip) search the small z polytope
+// for a binary point.
 func (m *Model) CheckFeasible() (bool, error) {
 	return m.CheckFeasibleCtx(context.Background())
 }

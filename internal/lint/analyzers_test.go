@@ -11,8 +11,8 @@ import (
 // TestAnalyzers proves each analyzer non-vacuous against its
 // // want-annotated testdata package: every flagged line must produce
 // its diagnostic, every clean construction must stay silent. The
-// _main/_noseam packages pin the exemption paths (package main for
-// ctxflow, seamless packages for nakedclock) with zero wants.
+// ctxflow_main package pins ctxflow's package main exemption with zero
+// wants.
 func TestAnalyzers(t *testing.T) {
 	cases := []struct {
 		analyzer *lint.Analyzer
@@ -22,8 +22,6 @@ func TestAnalyzers(t *testing.T) {
 		{lint.Errbody, "errbody"},
 		{lint.Ctxflow, "ctxflow"},
 		{lint.Ctxflow, "ctxflow_main"},
-		{lint.Nakedclock, "nakedclock"},
-		{lint.Nakedclock, "nakedclock_noseam"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

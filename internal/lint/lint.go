@@ -3,8 +3,8 @@
 // //lint:ignore suppression, and the domain analyzers guarding the
 // conventions this repo's PRs established in prose that go vet cannot
 // see — the in-order-reduction discipline for deterministic float
-// results, the unified JSON error body, ctx-threaded tracing and the
-// injected-clock seam. TestSelfCheckRepoClean runs it over the module.
+// results, the unified JSON error body and ctx-threaded tracing.
+// TestSelfCheckRepoClean runs it over the module.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis in
 // miniature (Analyzer, Pass, Reportf, a // want test harness) so the

@@ -16,8 +16,7 @@ import (
 
 // Package is one parsed, type-checked package of the module under
 // analysis. Test files (_test.go) are excluded: the analyzers guard
-// production invariants, and several of them (ctxflow, nakedclock)
-// explicitly exempt test code.
+// production invariants, and ctxflow explicitly exempts test code.
 type Package struct {
 	// Path is the package's import path.
 	Path string

@@ -9,6 +9,5 @@ func All() []*Analyzer {
 		Floatdet,
 		Errbody,
 		Ctxflow,
-		Nakedclock,
 	}
 }

@@ -19,7 +19,7 @@ func f() int {
 	//lint:ignore floatdet suppression from the line above
 	x := 1
 	y := 2 //lint:ignore ctxflow suppression on the same line
-	//lint:ignore nakedclock stale: nothing on the next line trips it
+	//lint:ignore ctxflow stale: nothing on the next line trips it
 	z := 3
 	//lint:ignore errbody
 	//lint:ignore
@@ -98,10 +98,10 @@ func TestApplyIgnores(t *testing.T) {
 		t.Errorf("undirected diagnostic was dropped:\n%s", joined)
 	}
 	for _, wantSub := range []string{
-		"missing its reason",              // //lint:ignore errbody
-		"malformed //lint:ignore",         // //lint:ignore
-		`unknown analyzer "bogus"`,        // //lint:ignore bogus ...
-		"unused //lint:ignore nakedclock", // stale directive
+		"missing its reason",           // //lint:ignore errbody
+		"malformed //lint:ignore",      // //lint:ignore
+		`unknown analyzer "bogus"`,     // //lint:ignore bogus ...
+		"unused //lint:ignore ctxflow", // stale directive
 	} {
 		if !strings.Contains(joined, wantSub) {
 			t.Errorf("missing directive diagnostic %q in:\n%s", wantSub, joined)

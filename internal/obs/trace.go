@@ -60,7 +60,7 @@ func NewTrace() *Trace {
 	}
 	return &Trace{
 		ID:    hex.EncodeToString(b[:]),
-		Start: clock(),
+		Start: time.Now(),
 		spans: make(map[string]*spanCell),
 	}
 }
@@ -108,8 +108,8 @@ func (t *Trace) StartSpan(name string) func() {
 	if t == nil {
 		return func() {}
 	}
-	t0 := clock()
-	return func() { t.Add(name, sinceClock(t0)) }
+	t0 := time.Now()
+	return func() { t.Add(name, time.Since(t0)) }
 }
 
 // Spans returns the accumulated spans in first-recorded order.

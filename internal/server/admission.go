@@ -25,7 +25,9 @@ var ErrOverloaded = errors.New("server overloaded")
 // waiter that outlives the queue timeout is shed too — the server
 // promises a bounded wait or a fast no, never a slow maybe.
 type admission struct {
-	tickets chan struct{} // queue slots: holders are waiting for the session
+	// tickets are the queue slots: a caller holds one exactly while it
+	// waits for the session, so len(tickets) is the queue depth.
+	tickets chan struct{}
 	timeout time.Duration
 
 	// solve is the registered cophyd_solve_seconds series: every
@@ -38,9 +40,8 @@ type admission struct {
 	recent [16]time.Duration
 	n      int
 
-	depth atomic.Int64 // callers currently queued
-	peak  atomic.Int64 // high-water mark of depth
-	shed  *obs.Counter // requests refused with ErrOverloaded
+	peak atomic.Int64 // high-water mark of the queue depth
+	shed *obs.Counter // requests refused with ErrOverloaded
 }
 
 // newAdmission builds the queue and registers its shed counter and
@@ -73,29 +74,25 @@ func (a *admission) admit(ctx context.Context, sem chan struct{}) (func(), error
 		a.shed.Inc()
 		return nil, fmt.Errorf("%w: admission queue full (%d waiting)", ErrOverloaded, cap(a.tickets))
 	}
-	d := a.depth.Add(1)
+	d := int64(len(a.tickets))
 	for {
 		p := a.peak.Load()
 		if d <= p || a.peak.CompareAndSwap(p, d) {
 			break
 		}
 	}
-	leave := func() {
-		a.depth.Add(-1)
-		<-a.tickets
-	}
 	timer := time.NewTimer(a.timeout)
 	defer timer.Stop()
 	select {
 	case sem <- struct{}{}:
-		leave() // queued → in service: the queue slot frees for the next caller
+		<-a.tickets // queued → in service: the queue slot frees for the next caller
 		return func() { <-sem }, nil
 	case <-timer.C:
-		leave()
+		<-a.tickets
 		a.shed.Inc()
 		return nil, fmt.Errorf("%w: queued longer than %s", ErrOverloaded, a.timeout)
 	case <-ctx.Done():
-		leave()
+		<-a.tickets
 		return nil, ctx.Err()
 	}
 }
@@ -124,6 +121,6 @@ func (a *admission) retryAfter() int {
 	slices.Sort(recent)
 	p95 := recent[int(math.Ceil(0.95*float64(len(recent))))-1] // nearest rank
 	// Ahead of the caller: everyone queued plus the one in service.
-	sec := math.Ceil(p95.Seconds() * float64(a.depth.Load()+1))
+	sec := math.Ceil(p95.Seconds() * float64(len(a.tickets)+1))
 	return int(min(max(sec, 1), 60))
 }

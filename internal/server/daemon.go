@@ -612,7 +612,7 @@ func (d *Daemon) Snapshot() Stats {
 		Warming:            d.warming.Load(),
 		Health:             health,
 		DegradedCause:      cause,
-		QueueDepth:         d.adm.depth.Load(),
+		QueueDepth:         int64(len(d.adm.tickets)),
 		QueuedPeak:         d.adm.peak.Load(),
 		ShedRequests:       d.adm.shed.Load(),
 		CoalescedRequests:  d.coalesced.Load(),

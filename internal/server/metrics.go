@@ -55,7 +55,7 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(d.stream.Ticks()) })
 	reg.GaugeFunc("cophyd_queue_depth",
 		"Recommendation requests waiting for the session right now.",
-		func() float64 { return float64(d.adm.depth.Load()) })
+		func() float64 { return float64(len(d.adm.tickets)) })
 	reg.GaugeFunc("cophyd_queue_peak",
 		"High-water mark of the admission queue depth.",
 		func() float64 { return float64(d.adm.peak.Load()) })
@@ -94,10 +94,6 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 			}, obs.L("state", state))
 	}
 }
-
-// Registry exposes the daemon's metric registry (the /metrics source);
-// cophybench and tests read it through WritePrometheus.
-func (d *Daemon) Registry() *obs.Registry { return d.reg }
 
 // Help strings for the per-request families created lazily by the
 // middleware (per endpoint/status) and the span fold (per span name).

@@ -84,7 +84,7 @@ func TestCoalescedFollowersShareOneResult(t *testing.T) {
 			results[i], errs[i] = d.Recommend(context.Background(), RecommendOptions{BudgetFraction: 0.25})
 		}(i)
 	}
-	waitFor(t, "the burst to queue", func() bool { return d.adm.depth.Load() == K })
+	waitFor(t, "the burst to queue", func() bool { return len(d.adm.tickets) == K })
 	<-d.sem
 	wg.Wait()
 
@@ -203,7 +203,7 @@ func TestQueueShedsWhenFull(t *testing.T) {
 		_, err := d.Recommend(waiterCtx, RecommendOptions{BudgetFraction: 0.3})
 		waiting <- err
 	}()
-	waitFor(t, "first caller to queue", func() bool { return d.adm.depth.Load() == 1 })
+	waitFor(t, "first caller to queue", func() bool { return len(d.adm.tickets) == 1 })
 
 	t0 := time.Now()
 	_, err := d.Recommend(context.Background(), RecommendOptions{BudgetFraction: 0.6})
@@ -279,7 +279,7 @@ func TestBurstAcceptance(t *testing.T) {
 			codes[i] = resp.StatusCode
 		}(i)
 	}
-	waitFor(t, "the burst to queue", func() bool { return d.adm.depth.Load() == K })
+	waitFor(t, "the burst to queue", func() bool { return len(d.adm.tickets) == K })
 	<-d.sem
 	wg.Wait()
 	for i, c := range codes {
