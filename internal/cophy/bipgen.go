@@ -207,7 +207,9 @@ func listsAny(qm *inum.QueryMatrix, flipped []bool) bool {
 // every Choice.Slots is a window with cap == len — the choices are shared
 // by every model assembled since, so an append through one must copy, not
 // write into its neighbour. This is the layout the solver walks in place.
-// A candidate marked in mask gets no option.
+// A candidate marked in mask gets no option. Each slot is sorted by
+// (γ, index), the order the solver requires; the slab lists only
+// candidates that beat the free access, so I∅ ends last.
 func buildChoices(qm *inum.QueryMatrix, mask []bool) []lagrange.Choice {
 	opts := make([]lagrange.Option, 0, len(qm.Gamma)+len(qm.SlotFree))
 	slots := make([]lagrange.Slot, 0, len(qm.SlotFree))
@@ -232,7 +234,9 @@ templates:
 				opts, slots = opts[:opt0], slots[:slot0]
 				continue templates
 			}
-			slots = append(slots, opts[first:len(opts):len(opts)])
+			slot := lagrange.Slot(opts[first:len(opts):len(opts)])
+			slot.Sort()
+			slots = append(slots, slot)
 		}
 		choices = append(choices, lagrange.Choice{Fixed: fixed, Slots: slots[slot0:len(slots):len(slots)]})
 	}

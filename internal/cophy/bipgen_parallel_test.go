@@ -88,6 +88,7 @@ func TestBuildModelDeterministic(t *testing.T) {
 // test oracle of TestBuildModelMatchesReference: one γ probe at a time
 // through Cache.Gamma, one query at a time, no matrix, no workers, and
 // the dominance mask by pairwise comparison over the options emitted.
+// Its slots are sorted by (γ, index) last, as the solver requires.
 func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
 	pos := make(map[string]int32, len(inst.S))
@@ -142,6 +143,7 @@ func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 				ch.Slots[si] = slices.DeleteFunc(slot, func(o lagrange.Option) bool {
 					return o.Index != lagrange.NoIndex && mask[o.Index]
 				})
+				ch.Slots[si].Sort()
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func TestDropRedundantCleansTwins(t *testing.T) {
 	m.Size = []float64{5, 5}
 	m.Blocks = []Block{{Weight: 1, Choices: []Choice{{
 		Fixed: 1,
-		Slots: []Slot{{{Index: NoIndex, Cost: 100}, {Index: 0, Cost: 10}, {Index: 1, Cost: 10}}},
+		Slots: []Slot{{{Index: 0, Cost: 10}, {Index: 1, Cost: 10}, {Index: NoIndex, Cost: 100}}},
 	}}}}
 	res := Solve(m, Options{GapTol: 1e-9, RootIters: 200, MaxNodes: 100})
 	count := 0
@@ -83,6 +83,7 @@ func TestWarmStartAcrossAppendedCandidates(t *testing.T) {
 	ch := b0.Choices[0]
 	newSlots := append([]Slot(nil), ch.Slots...)
 	newSlots[0] = append(append(Slot(nil), newSlots[0]...), Option{Index: int32(m.NumIndexes), Cost: 1})
+	newSlots[0].Sort()
 	ch.Slots = newSlots
 	b0.Choices = append([]Choice(nil), b0.Choices...)
 	b0.Choices[0] = ch
@@ -96,6 +97,29 @@ func TestWarmStartAcrossAppendedCandidates(t *testing.T) {
 	}
 	if second.Lower > want+math.Abs(want)*1e-6+1e-6 {
 		t.Fatalf("warm re-solve bound invalid: %v > %v", second.Lower, want)
+	}
+}
+
+// TestWarmDualProjected: a warm start's multipliers are projected onto
+// λ ≥ 0 before use. Unprojected, the donor's −3 on b2 cancels part of
+// b1's 11 in attract[a], the z subproblem sees no gain from index a,
+// and the "bound" of 10 exceeds the optimum 8 (select a: 8 + 0 + 0).
+func TestWarmDualProjected(t *testing.T) {
+	m := NewModel(1)
+	m.FixedCost[0], m.Size[0] = 8, 1
+	m.Blocks = []Block{
+		{ID: "b1", Weight: 1, Choices: []Choice{{Slots: []Slot{{{Index: 0, Cost: 0}, {Index: NoIndex, Cost: 10}}}}}},
+		{ID: "b2", Weight: 1, Choices: []Choice{{Slots: []Slot{{{Index: NoIndex, Cost: 0}, {Index: 0, Cost: 5}}}}}},
+	}
+	for _, bad := range []float64{-3, math.NaN(), math.Inf(-1)} {
+		warm := Dual{
+			{ID: "b1", Sites: []DualSite{{Index: 0, Value: 11}}},
+			{ID: "b2", Sites: []DualSite{{Index: 0, Value: bad}}},
+		}
+		res := Solve(m, Options{RootIters: 1, MaxNodes: -1, Warm: warm})
+		if res.Lower > 8 || res.Objective != 8 {
+			t.Fatalf("donor λ %v on b2: objective %v, lower %v; the optimum is 8", bad, res.Objective, res.Lower)
+		}
 	}
 }
 

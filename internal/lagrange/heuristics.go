@@ -103,7 +103,10 @@ func (s *solver) setIncumbent(st *incState) {
 }
 
 // tryCandidate repairs a selection to the budget, verifies all
-// constraints and promotes it to incumbent if it improves.
+// constraints and promotes it to incumbent if it improves. A repaired
+// selection this solve has already priced (s.priced) is skipped when
+// its total does not beat the incumbent: pricing it again would reach
+// the same total and change nothing.
 func (s *solver) tryCandidate(sel []bool) {
 	m := s.m
 	if sel == nil {
@@ -141,6 +144,11 @@ func (s *solver) tryCandidate(sel []bool) {
 	if s.bestSel != nil && slices.Equal(sel, s.bestSel) {
 		return // the incumbent itself: its objective is bestObj, no improvement
 	}
+	key := selectionKey(sel)
+	if total, ok := s.priced[key]; ok && total >= s.bestObj {
+		return
+	}
+	s.priced[key] = math.Inf(1)
 	if ok, _ := m.SelectionFeasible(sel); !ok {
 		return
 	}
@@ -148,10 +156,22 @@ func (s *solver) tryCandidate(sel []bool) {
 	if !ok {
 		return
 	}
+	s.priced[key] = st.total
 	if st.total < s.bestObj {
 		s.setIncumbent(st)
 		s.emit()
 	}
+}
+
+// selectionKey packs a selection into a string, one bit per index.
+func selectionKey(sel []bool) string {
+	b := make([]byte, (len(sel)+7)/8)
+	for a, on := range sel {
+		if on {
+			b[a>>3] |= 1 << (a & 7)
+		}
+	}
+	return string(b)
 }
 
 // localSearchBudget caps exact evaluations per local-search call.

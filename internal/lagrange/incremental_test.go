@@ -209,6 +209,60 @@ func TestIncumbentStateAfterHeuristics(t *testing.T) {
 	}
 }
 
+// TestPricedTotalsMatchEvaluate pins tryCandidate's per-solve memo:
+// after heuristics under shifting multipliers and fixings, every stored
+// total is Model.Evaluate's for that selection, bit for bit, and +Inf
+// exactly when the selection breaks the budget, a side row or a cost
+// cap.
+func TestPricedTotalsMatchEvaluate(t *testing.T) {
+	finite := 0
+	for seed := int64(1); seed <= 9; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := integerBlockModel(seed, 24, 20)
+		switch seed % 3 {
+		case 1:
+			withCostCaps(m, seed)
+		case 2:
+			withSideRows(m, r)
+		}
+		s := newTestSolver(m)
+		for round := 0; round < 20; round++ {
+			if round%4 == 3 {
+				s.subgradient(7, false)
+			} else {
+				perturb(s, r)
+			}
+			zf := make([]float64, m.NumIndexes)
+			for a := range zf {
+				zf[a] = r.Float64()
+			}
+			s.heuristics(zf)
+		}
+		for key, total := range s.priced {
+			sel := make([]bool, m.NumIndexes)
+			for a := range sel {
+				sel[a] = key[a>>3]&(1<<(a&7)) != 0
+			}
+			if selectionKey(sel) != key {
+				t.Fatalf("seed %d: key %x does not round-trip", seed, key)
+			}
+			want, ok := m.Evaluate(sel)
+			if feasible, _ := m.SelectionFeasible(sel); !feasible || !ok {
+				want = math.Inf(1)
+			}
+			if math.Float64bits(total) != math.Float64bits(want) {
+				t.Fatalf("seed %d: selection %v stored %v, Evaluate gives %v", seed, sel, total, want)
+			}
+			if !math.IsInf(total, 1) {
+				finite++
+			}
+		}
+	}
+	if finite == 0 {
+		t.Fatal("no priced selection was feasible: the memo's totals go untested")
+	}
+}
+
 func checkIncumbentState(t *testing.T, s *solver, seed int64, round int) {
 	t.Helper()
 	if s.bestSel == nil {

@@ -74,6 +74,7 @@ func randomModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
 						Cost:  math.Floor(r.Float64() * 60),
 					})
 				}
+				slot.Sort()
 				ch.Slots = append(ch.Slots, slot)
 			}
 			blk.Choices = append(blk.Choices, ch)
@@ -271,8 +272,8 @@ func TestEvaluateMatchesManual(t *testing.T) {
 	m.Const = 10
 	m.Blocks = []Block{
 		{Weight: 2, Choices: []Choice{
-			{Fixed: 5, Slots: []Slot{{{NoIndex, 20}, {0, 1}}}},
-			{Fixed: 8, Slots: []Slot{{{NoIndex, 10}, {1, 2}}}},
+			{Fixed: 5, Slots: []Slot{{{0, 1}, {NoIndex, 20}}}},
+			{Fixed: 8, Slots: []Slot{{{1, 2}, {NoIndex, 10}}}},
 		}},
 	}
 	// Selection {}: choice1 = 5+20=25, choice2 = 8+10=18 → 18. Total 10+2*18=46.
@@ -306,6 +307,27 @@ func TestValidateRejectsBadModels(t *testing.T) {
 	}}}
 	if err := m3.Validate(); err == nil {
 		t.Fatal("out-of-range index must fail validation")
+	}
+	// The kernels stop a slot's walk early, so its options must be in
+	// ascending (cost, index) order; the sorted form of each slot passes.
+	for _, slot := range []Slot{
+		{{Index: NoIndex, Cost: 2}, {Index: 0, Cost: 1}},
+		{{Index: 1, Cost: 1}, {Index: 0, Cost: 1}, {Index: NoIndex, Cost: 2}},
+	} {
+		m4 := NewModel(2)
+		m4.Blocks = []Block{{Weight: 1, Choices: []Choice{{Fixed: 1, Slots: []Slot{slot}}}}}
+		if err := m4.Validate(); err == nil {
+			t.Fatalf("slot %v out of (cost, index) order must fail validation", slot)
+		}
+		slot.Sort()
+		if err := m4.Validate(); err != nil {
+			t.Fatalf("sorted slot %v: %v", slot, err)
+		}
+	}
+	m5 := NewModel(1)
+	m5.Blocks = []Block{{Weight: 1, Choices: []Choice{{Fixed: 1, Slots: []Slot{{{Index: NoIndex, Cost: math.NaN()}}}}}}}
+	if err := m5.Validate(); err == nil {
+		t.Fatal("a NaN cost must fail validation")
 	}
 }
 

@@ -18,9 +18,11 @@
 package lagrange
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/lp"
@@ -41,8 +43,29 @@ type Option struct {
 }
 
 // Slot is the set of feasible options for one access-method hole.
-// Options with infinite γ are simply omitted.
+// Options with infinite γ are simply omitted. The options are in
+// ascending (Cost, Index) order — Sort puts them there and Validate
+// rejects a slot that is not — so both block kernels can stop a slot's
+// walk early: blockPrimal at the first available option, blockDual at
+// the first option whose γ alone exceeds the slot's best value (every
+// multiplier is ≥ 0). NoIndex sorts below every index, so the
+// (value, index) tie-break of both kernels prefers I∅.
 type Slot []Option
+
+// Sort puts the slot's options in ascending (Cost, Index) order.
+func (s Slot) Sort() { slices.SortFunc(s, cmpOption) }
+
+// cmpOption orders options by (Cost, Index). Costs are never NaN
+// (Validate rejects them), so plain comparisons order them.
+func cmpOption(x, y Option) int {
+	switch {
+	case x.Cost < y.Cost:
+		return -1
+	case x.Cost > y.Cost:
+		return 1
+	}
+	return cmp.Compare(x.Index, y.Index)
+}
 
 // Choice is one template plan: a fixed internal cost β plus its slots.
 // The slots of a template are distinct tables (Theorem 1), so an index
@@ -153,7 +176,14 @@ func (m *Model) Validate() error {
 				}
 				serial++
 				slotHasEmpty := false
+				prev := s[0]
 				for _, o := range s {
+					// Not after prev in (cost, index) order, or a NaN cost,
+					// which compares false either way.
+					if !(prev.Cost < o.Cost || prev.Cost == o.Cost && prev.Index <= o.Index) {
+						return fmt.Errorf("lagrange: block %d choice %d has a slot out of (cost, index) order or a NaN cost", bi, ci)
+					}
+					prev = o
 					if o.Index == NoIndex {
 						slotHasEmpty = true
 						continue
@@ -412,7 +442,8 @@ func (m *Model) evaluate(selected []bool, workers int, blockVal []float64) (floa
 }
 
 // blockPrimal returns the minimum choice cost of block bi when only
-// the selected indexes are available.
+// the selected indexes are available. A slot is sorted, so its first
+// available option is its cheapest.
 func (m *Model) blockPrimal(bi int, selected []bool) (float64, bool) {
 	b := &m.Blocks[bi]
 	best := math.Inf(1)
@@ -423,11 +454,9 @@ func (m *Model) blockPrimal(bi int, selected []bool) (float64, bool) {
 		for _, s := range c.Slots {
 			slotBest := math.Inf(1)
 			for _, o := range s {
-				if o.Index != NoIndex && !selected[o.Index] {
-					continue
-				}
-				if o.Cost < slotBest {
+				if o.Index == NoIndex || selected[o.Index] {
 					slotBest = o.Cost
+					break
 				}
 			}
 			if math.IsInf(slotBest, 1) {

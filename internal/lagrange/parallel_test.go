@@ -39,6 +39,7 @@ func randomBlockModel(seed int64, blocks, indexes int) *Model {
 					used[a] = true
 					slot = append(slot, Option{Index: a, Cost: rng.Float64() * 5})
 				}
+				slot.Sort()
 				ch.Slots = append(ch.Slots, slot)
 			}
 			blk.Choices = append(blk.Choices, ch)

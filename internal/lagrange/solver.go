@@ -147,11 +147,15 @@ type solver struct {
 	scratches []blockScratch
 	// moves[bi] lists, during the λ step, the groups of block bi whose
 	// multiplier the step can change (see collectMoves). rc and items
-	// are the z subproblem's objective and knapsack candidates. All
-	// three are rebuilt every iteration into the same storage.
+	// are the z subproblem's objective and knapsack candidates, and z
+	// the knapsack's point. All four are rebuilt every iteration into
+	// the same storage. A z point is read within its iteration, and the
+	// last one of a subgradient run by the branching that follows, which
+	// reads a node's point before it solves the node's children.
 	moves [][]uint32
 	rc    []float64
 	items []knapItem
+	z     []float64
 	// zProb is the z-polytope LP, built once and retuned in place each
 	// iteration (only the objective and branching fixings move), and
 	// zBasis the basis carried across its re-solves, so each re-solve
@@ -179,6 +183,13 @@ type solver struct {
 	inc    *incState
 	lower  float64
 	events func(Event)
+
+	// priced memoises, for the whole solve, the objective of every
+	// selection tryCandidate has priced, keyed by selectionKey: +Inf for
+	// one that breaks a constraint or a cost cap. A selection's objective
+	// depends on nothing the solve changes, so a repeat is settled
+	// without a second evaluation.
+	priced map[string]float64
 }
 
 // blockGroup names one multiplier group: position group of
@@ -291,6 +302,7 @@ func newSolver(m *Model, opts Options) *solver {
 		moves:     make([][]uint32, len(m.Blocks)),
 		scratches: make([]blockScratch, workers),
 		rc:        make([]float64, m.NumIndexes),
+		z:         make([]float64, m.NumIndexes),
 		start:     time.Now(),
 		fixedIn:   make([]bool, m.NumIndexes),
 		fixedOut:  make([]bool, m.NumIndexes),
@@ -298,58 +310,54 @@ func newSolver(m *Model, opts Options) *solver {
 		lower:     math.Inf(-1),
 		events:    opts.Progress,
 		tr:        obs.TraceFrom(opts.Ctx),
+		priced:    make(map[string]float64),
 	}
 	s.compile()
 	return s
 }
 
-// compile derives the solver's own state from the model: it enumerates
-// the use sites of every block in (choice, slot, option) order,
-// allocates their multiplier groups and lists the blocks each index
-// occurs in.
+// compile derives the solver's own state from the model: it numbers
+// the multiplier groups of every block, maps each use site to its
+// group, and lists the blocks each index occurs in.
+//
+// A block's groups are numbered by the first slot, in (choice, slot)
+// order, that offers the index, and within one slot by ascending index.
+// That is the order of first appearance in a walk over slots whose
+// options are laid out I∅ first, then by ascending index, which keeps
+// the group order — and so the λ step's summation order and the
+// exported dual — independent of the slots' (γ, index) sort. Blocks are
+// numbered over the worker pool, each worker with its own marker
+// array; the incidence lists and counts are derived after.
 func (s *solver) compile() {
 	m := s.m
 	s.lam = make([][]float64, len(m.Blocks))
 	s.siteGroup = make([][]int32, len(m.Blocks))
 	s.groupIdx = make([][]int32, len(m.Blocks))
-	// groupAt[a] is base + the group of index a in the block that last
-	// used it, base being the groups allocated before that block: a
-	// value below the current block's base means "not seen here yet".
-	// blocksOf[a] counts the blocks with a group on a.
-	groupAt := make([]int, m.NumIndexes)
-	for a := range groupAt {
-		groupAt[a] = -1
+	workers := s.workers
+	if len(m.Blocks) < minParallelBlocks {
+		workers = 1
 	}
-	blocksOf := make([]int, m.NumIndexes)
-	base := 0
-	for bi := range m.Blocks {
-		var siteGroup []int32
-		var groupIdx []int32
-		for _, c := range m.Blocks[bi].Choices {
-			for _, slot := range c.Slots {
-				for _, o := range slot {
-					if o.Index == NoIndex {
-						siteGroup = append(siteGroup, -1)
-						continue
-					}
-					if groupAt[o.Index] < base {
-						groupAt[o.Index] = base + len(groupIdx)
-						blocksOf[o.Index]++
-						groupIdx = append(groupIdx, o.Index)
-					}
-					siteGroup = append(siteGroup, int32(groupAt[o.Index]-base))
-				}
-			}
+	marks := make([]groupMarks, workers)
+	par.ForWorker(len(m.Blocks), workers, func(worker, bi int) {
+		mk := &marks[worker]
+		if mk.block == nil {
+			mk.block = make([]int32, m.NumIndexes)
+			mk.group = make([]int32, m.NumIndexes)
 		}
-		s.siteGroup[bi] = siteGroup
-		s.groupIdx[bi] = groupIdx
-		s.lam[bi] = make([]float64, len(groupIdx))
-		base += len(groupIdx)
-	}
+		s.compileBlock(bi, mk)
+	})
 	// The incidence lists are windows into one array of all groups,
 	// filled block by block so each list comes out ascending.
+	blocksOf := make([]int, m.NumIndexes)
+	total := 0
+	for _, groupIdx := range s.groupIdx {
+		for _, a := range groupIdx {
+			blocksOf[a]++
+		}
+		total += len(groupIdx)
+	}
 	s.incidence = make([][]blockGroup, m.NumIndexes)
-	all := make([]blockGroup, base)
+	all := make([]blockGroup, total)
 	for a, n := range blocksOf {
 		s.incidence[a], all = all[:0:n], all[n:]
 	}
@@ -366,6 +374,55 @@ func (s *solver) compile() {
 	}
 }
 
+// groupMarks is one compile worker's marker arrays: block[a] is 1 + the
+// last block that numbered index a, and group[a] a's group there.
+type groupMarks struct {
+	block, group []int32
+	fresh        []int32 // the indexes a slot offers first, being numbered
+}
+
+// compileBlock numbers block bi's groups (see compile) and fills its
+// siteGroup, groupIdx and zero multipliers.
+func (s *solver) compileBlock(bi int, mk *groupMarks) {
+	b := &s.m.Blocks[bi]
+	stamp := int32(bi) + 1
+	sites := 0
+	for _, c := range b.Choices {
+		for _, slot := range c.Slots {
+			sites += len(slot)
+		}
+	}
+	siteGroup := make([]int32, 0, sites)
+	var groupIdx []int32
+	for _, c := range b.Choices {
+		for _, slot := range c.Slots {
+			fresh := mk.fresh[:0]
+			for _, o := range slot {
+				if o.Index != NoIndex && mk.block[o.Index] != stamp {
+					mk.block[o.Index] = stamp
+					fresh = append(fresh, o.Index)
+				}
+			}
+			slices.Sort(fresh)
+			for _, a := range fresh {
+				mk.group[a] = int32(len(groupIdx))
+				groupIdx = append(groupIdx, a)
+			}
+			mk.fresh = fresh
+			for _, o := range slot {
+				if o.Index == NoIndex {
+					siteGroup = append(siteGroup, -1)
+				} else {
+					siteGroup = append(siteGroup, mk.group[o.Index])
+				}
+			}
+		}
+	}
+	s.siteGroup[bi] = siteGroup
+	s.groupIdx[bi] = groupIdx
+	s.lam[bi] = make([]float64, len(groupIdx))
+}
+
 // applyWarm copies multipliers from a previous solve: each block adopts
 // those of the donor block carrying its label, matched by index. Groups
 // unknown to the donor (options added since — the interactive-tuning
@@ -380,6 +437,11 @@ func (s *solver) compile() {
 // a block without a label — are repriced wholesale: their index options
 // are lifted just enough not to undercut the free access, the neutral
 // dual price.
+//
+// Donor values are projected onto λ ≥ 0 — a negative or non-finite one
+// becomes 0 — as a warm start may come from anywhere a Dual can be
+// decoded from. The relaxation's bound is valid only for λ ≥ 0, and
+// blockDual's early exit relies on it.
 func (s *solver) applyWarm(w Dual) {
 	donor := make(map[string]int, len(w))
 	for i := range w {
@@ -399,7 +461,11 @@ func (s *solver) applyWarm(w Dual) {
 		if oi, ok := donor[s.m.Blocks[bi].ID]; ok {
 			for _, site := range w[oi].Sites {
 				if site.Index >= 0 && int(site.Index) < s.m.NumIndexes {
-					donorOf[site.Index], donorVal[site.Index] = bi, site.Value
+					v := site.Value
+					if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+						v = 0
+					}
+					donorOf[site.Index], donorVal[site.Index] = bi, v
 				}
 			}
 			wt := s.m.Blocks[bi].Weight
@@ -533,6 +599,12 @@ type blockScratch struct {
 // only state that is constant within a subgradient iteration (λ,
 // fixings, the model), so distinct blocks may be evaluated
 // concurrently.
+//
+// A slot's options are sorted by (γ, index) and every λ is ≥ 0, so an
+// option's value γ + λ is at least its γ: the walk stops at the first
+// option whose γ exceeds the slot's best value, as neither it nor any
+// later option can win. Equal values go to the lower index (I∅ first),
+// which keeps the answer independent of where the walk stops.
 func (s *solver) blockDual(bi int, sc *blockScratch) float64 {
 	b := &s.m.Blocks[bi]
 	lam := s.lam[bi]
@@ -548,28 +620,32 @@ func (s *solver) blockDual(bi int, sc *blockScratch) float64 {
 		scratch = scratch[:0]
 		ok := true
 		for _, slot := range c.Slots {
+			slotGroups := groups[site : site+len(slot)]
+			site += len(slot)
+			if !ok {
+				continue // the choice is already unfillable
+			}
 			slotBest := math.Inf(1)
+			slotIndex := int32(math.MinInt32)
 			slotGroup := int32(-1)
-			for _, o := range slot {
-				g := groups[site]
-				site++
+			for i, o := range slot {
+				if o.Cost > slotBest {
+					break
+				}
 				cost := o.Cost
+				g := slotGroups[i]
 				if o.Index != NoIndex {
 					if fixedOut[o.Index] {
 						continue
 					}
 					cost += lam[g]
 				}
-				if cost < slotBest {
-					slotBest = cost
-					slotGroup = g
+				if cost < slotBest || cost == slotBest && o.Index < slotIndex {
+					slotBest, slotIndex, slotGroup = cost, o.Index, g
 				}
 			}
 			if math.IsInf(slotBest, 1) {
-				// Unfillable; the remaining slots are still walked so
-				// the site counter stays aligned for the next choice.
 				ok = false
-				v = math.Inf(1)
 				continue
 			}
 			v += slotBest
@@ -611,8 +687,8 @@ const minParallelBlocks = 16
 
 // zSubproblem minimizes Σ (FixedCost[a] − attract[a])·z_a over the
 // relaxed z polytope. It returns the optimal value (a valid lower-
-// bound component) and the fractional minimizer, freshly allocated
-// because callers keep it.
+// bound component) and the fractional minimizer, which the next call
+// may overwrite (see solver.z).
 func (s *solver) zSubproblem() (float64, []float64) {
 	m := s.m
 	// rc may be reused across iterations: the LP copies its objective
@@ -662,7 +738,8 @@ type knapItem struct {
 // order of density until the budget binds.
 func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 	m := s.m
-	z := make([]float64, m.NumIndexes)
+	z := s.z
+	clear(z)
 	budget := m.Budget
 	unlimited := budget < 0
 	val := 0.0
