@@ -10,6 +10,8 @@
 package ilp
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -34,8 +36,6 @@ type Options struct {
 	PerQuery int
 	// GapTol is the solver stopping gap (default 0.05).
 	GapTol float64
-	// RootIters / MaxNodes bound the solver.
-	RootIters, MaxNodes int
 }
 
 // Advisor is the ILP baseline.
@@ -123,6 +123,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, budgetByt
 	stmts := w.Queries()
 	blocks := make([]lagrange.Block, len(stmts))
 	configCounts := make([]int, len(stmts))
+	errs := make([]error, len(stmts))
 	workers := runtime.GOMAXPROCS(0)
 	sels := make([][]bool, workers)
 	for i := range sels {
@@ -154,16 +155,24 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, budgetByt
 				}
 			}
 		}
-		blk := lagrange.Block{Weight: st.Weight}
-		for _, c := range configs {
-			ch := lagrange.Choice{Fixed: c.cost}
+		choices := make([]lagrange.Choice, len(configs))
+		for ci, c := range configs {
+			choices[ci].Fixed = c.cost
 			for _, a := range c.indexes {
-				ch.Slots = append(ch.Slots, lagrange.Slot{{Index: a, Cost: 0}})
+				choices[ci].Slots = append(choices[ci].Slots, lagrange.Slot{{Index: a, Cost: 0}})
 			}
-			blk.Choices = append(blk.Choices, ch)
 		}
-		blocks[bi] = blk
+		l, err := lagrange.NewLayout(choices)
+		if err != nil {
+			errs[bi] = fmt.Errorf("ilp: %s: %w", q.ID, err)
+			return
+		}
+		blocks[bi] = lagrange.Block{Weight: st.Weight}
+		blocks[bi].SetLayout(l)
 	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	totalConfigs := 0
 	for _, n := range configCounts {
 		totalConfigs += n
@@ -172,11 +181,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, budgetByt
 	buildTime := time.Since(t1)
 
 	t2 := time.Now()
-	lr := lagrange.Solve(m, lagrange.Options{
-		GapTol:    ad.Opts.GapTol,
-		RootIters: ad.Opts.RootIters,
-		MaxNodes:  ad.Opts.MaxNodes,
-	})
+	lr := lagrange.Solve(m, lagrange.Options{GapTol: ad.Opts.GapTol})
 	solveTime := time.Since(t2)
 
 	res := &Result{

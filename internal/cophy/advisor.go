@@ -140,21 +140,15 @@ func (ad *Advisor) prepare(ctx context.Context, cs *compiled, w *workload.Worklo
 }
 
 // solverOptions is the one place Options become lagrange.Options. The
-// context's deadline tightens the solver's TimeLimit so a bounded
-// request never outlives its caller.
+// context rides along as Ctx, so the solver stops once it is cancelled
+// or its deadline passes: a bounded request never outlives its caller.
 func (ad *Advisor) solverOptions(ctx context.Context, gapTol float64, warm lagrange.Dual, start []bool) lagrange.Options {
-	timeLimit := ad.Opts.TimeLimit
-	if dl, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(dl); timeLimit == 0 || remaining < timeLimit {
-			timeLimit = remaining
-		}
-	}
 	return lagrange.Options{
 		GapTol:    gapTol,
 		RootIters: ad.Opts.RootIters,
 		NodeIters: ad.Opts.NodeIters,
 		MaxNodes:  ad.Opts.MaxNodes,
-		TimeLimit: timeLimit,
+		TimeLimit: ad.Opts.TimeLimit,
 		Ctx:       ctx,
 		Warm:      warm,
 		Start:     start,
@@ -387,9 +381,8 @@ func (se *Session) Solve() (*Result, error) {
 	return se.SolveCtx(context.Background())
 }
 
-// SolveCtx is Solve bounded by a context: the deadline tightens the
-// solver's TimeLimit, cancellation stops the search between
-// iterations, and a solve that did not run to completion because the
+// SolveCtx is Solve bounded by a context: its deadline or cancellation
+// stops the search between iterations, and a solve that did not run to completion because the
 // context ended returns the context's error without retaining any
 // session state (the next solve stays warm from the last successful
 // one). This is the daemon's request-timeout path.
@@ -456,12 +449,12 @@ func InstanceForTest(ad *Advisor, w *workload.Workload, s []*catalog.Index) *Ins
 
 // CompiledForTest reports the session's compiled state — the statements
 // it holds a γ slab for, the distinct slabs its workload's statements
-// map to (one per shape class) and the choice sets derived from slabs —
-// so tests can hold it to the daemon's bounded-memory contract.
-func CompiledForTest(se *Session) (queries, slabs, choices int) {
+// map to (one per shape class) and the layouts derived from slabs — so
+// tests can hold it to the daemon's bounded-memory contract.
+func CompiledForTest(se *Session) (queries, slabs, layouts int) {
 	distinct := map[*inum.QueryMatrix]bool{}
 	for _, st := range se.w.Queries() {
 		distinct[se.built.mat.Query(st.Query)] = true
 	}
-	return se.built.mat.Len(), len(distinct), len(se.built.choices)
+	return se.built.mat.Len(), len(distinct), len(se.built.layouts)
 }

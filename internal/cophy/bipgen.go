@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -50,17 +51,17 @@ func BuildModel(inst *Instance) (*lagrange.Model, error) {
 
 // compiled is the weight-free part of a built problem, which a session
 // keeps between solves: the dense γ matrix over (statements, candidates)
-// and the choices derived from each of its slabs. It is a pure function
-// of (statements, candidate list, baseline, dominance mask), so it stays
-// valid whatever becomes of the solve it was built for. The zero value
-// is the empty state.
+// and the block layout derived from each of its slabs. It is a pure
+// function of (statements, candidate list, baseline, dominance mask), so
+// it stays valid whatever becomes of the solve it was built for. The
+// zero value is the empty state.
 type compiled struct {
 	mat inum.CostMatrix
-	// choices holds, per slab of mat, the block choices built from it in
-	// buildChoices' contiguous layout. They are immutable and shared by
-	// every model assembled since; the solver reads them in place.
-	choices map[*inum.QueryMatrix][]lagrange.Choice
-	// mask is the dominance mask the choices were built under,
+	// layouts holds, per slab of mat, the block layout built from it by
+	// buildChoices. Every block of the slab's shape class shares it, in
+	// every model assembled since; the solver reads it in place.
+	layouts map[*inum.QueryMatrix]*lagrange.Layout
+	// mask is the dominance mask the layouts were built under,
 	// positional over mat.S, and maskKey what it was computed from.
 	mask    []bool
 	maskKey maskKey
@@ -71,11 +72,11 @@ type compiled struct {
 // CostMatrix, updated for the statements and candidates the state has
 // not seen; the blocks and cons's rows and caps are laid down next, so
 // that the dominance mask (dominatedMask, reused while its inputs stay
-// the same) sees every row; choices are
+// the same) sees every row; layouts are
 // derived, under the mask, for the slabs that update compiled and for
 // the kept slabs listing a candidate whose mask bit flipped —
 // independent by Theorem 1, built by a worker pool into preallocated
-// positions — and every block gets its slab's shared choices. The
+// positions — and every block gets its slab's shared layout. The
 // emitted model is bit-identical to a serial build from nothing.
 // BuildTime in the advisor's breakdown measures this function; its
 // cheapness relative to ILP's configuration enumeration is the heart of
@@ -137,36 +138,37 @@ func (cs *compiled) model(ctx context.Context, inst *Instance, cons Constraints)
 		stop()
 	}
 
-	// Carry over the choices of the slabs that survived the update and
+	// Carry over the layouts of the slabs that survived the update and
 	// list no candidate whose mask bit flipped (the rest go with the old
 	// table), and derive the missing ones.
 	flipped := flips(cs.mask, mask)
-	choices := make(map[*inum.QueryMatrix][]lagrange.Choice, len(distinct))
+	layouts := make(map[*inum.QueryMatrix]*lagrange.Layout, len(distinct))
 	var fresh []*inum.QueryMatrix
 	for _, qm := range distinct {
-		chs, kept := cs.choices[qm]
+		l, kept := cs.layouts[qm]
 		if kept && !listsAny(qm, flipped) {
-			choices[qm] = chs
+			layouts[qm] = l
 		} else {
 			fresh = append(fresh, qm)
 		}
 	}
-	built := make([][]lagrange.Choice, len(fresh))
-	par.For(len(fresh), inst.Workers, func(i int) { built[i] = buildChoices(fresh[i], mask) })
+	built := make([]*lagrange.Layout, len(fresh))
+	errs := make([]error, len(fresh))
+	par.For(len(fresh), inst.Workers, func(i int) { built[i], errs[i] = buildChoices(fresh[i], mask) })
 	for i, qm := range fresh {
-		choices[qm] = built[i]
-	}
-	cs.choices, cs.mask, cs.maskKey = choices, mask, key
-
-	for i, s := range stmts {
-		chs := choices[slabs[i]]
-		if len(chs) == 0 {
-			if len(slabs[i].Internal) == 0 {
-				return nil, fmt.Errorf("cophy: no templates for %s", s.Query.ID)
+		if errs[i] != nil {
+			id := stmts[slices.Index(slabs, qm)].Query.ID
+			if len(qm.Internal) == 0 {
+				return nil, fmt.Errorf("cophy: no templates for %s", id)
 			}
-			return nil, fmt.Errorf("cophy: no feasible choice for %s", s.Query.ID)
+			return nil, fmt.Errorf("cophy: no feasible choice for %s: %w", id, errs[i])
 		}
-		m.Blocks[i].Choices = chs
+		layouts[qm] = built[i]
+	}
+	cs.layouts, cs.mask, cs.maskKey = layouts, mask, key
+
+	for i := range stmts {
+		m.Blocks[i].SetLayout(layouts[slabs[i]])
 	}
 	return m, nil
 }
@@ -201,16 +203,16 @@ func listsAny(qm *inum.QueryMatrix, flipped []bool) bool {
 	return false
 }
 
-// buildChoices emits one query's choices from its dense γ slab, laid out
-// contiguously: one options array, one slots array and one choices array
-// per statement, sized up front so no append moves them. Every Slot and
-// every Choice.Slots is a window with cap == len — the choices are shared
-// by every model assembled since, so an append through one must copy, not
-// write into its neighbour. This is the layout the solver walks in place.
-// A candidate marked in mask gets no option. Each slot is sorted by
-// (γ, index), the order the solver requires; the slab lists only
+// buildChoices emits one query's block layout from its dense γ slab. The
+// choices are contiguous: one options array, one slots array and one
+// choices array per statement, sized up front so no append moves them.
+// Every Slot and every Choice.Slots is a window with cap == len — the
+// layout is shared by every model assembled since, so an append through
+// one must copy, not write into its neighbour. This is the layout the
+// solver walks in place. A candidate marked in mask gets no option.
+// NewLayout sorts each slot by (γ, index); the slab lists only
 // candidates that beat the free access, so I∅ ends last.
-func buildChoices(qm *inum.QueryMatrix, mask []bool) []lagrange.Choice {
+func buildChoices(qm *inum.QueryMatrix, mask []bool) (*lagrange.Layout, error) {
 	opts := make([]lagrange.Option, 0, len(qm.Gamma)+len(qm.SlotFree))
 	slots := make([]lagrange.Slot, 0, len(qm.SlotFree))
 	choices := make([]lagrange.Choice, 0, len(qm.Internal))
@@ -234,13 +236,11 @@ templates:
 				opts, slots = opts[:opt0], slots[:slot0]
 				continue templates
 			}
-			slot := lagrange.Slot(opts[first:len(opts):len(opts)])
-			slot.Sort()
-			slots = append(slots, slot)
+			slots = append(slots, opts[first:len(opts):len(opts)])
 		}
 		choices = append(choices, lagrange.Choice{Fixed: fixed, Slots: slots[slot0:len(slots):len(slots)]})
 	}
-	return choices
+	return lagrange.NewLayout(choices)
 }
 
 // Timings is the per-phase breakdown the paper's Figures 5 and 10

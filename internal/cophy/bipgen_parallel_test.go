@@ -88,7 +88,7 @@ func TestBuildModelDeterministic(t *testing.T) {
 // test oracle of TestBuildModelMatchesReference: one γ probe at a time
 // through Cache.Gamma, one query at a time, no matrix, no workers, and
 // the dominance mask by pairwise comparison over the options emitted.
-// Its slots are sorted by (γ, index) last, as the solver requires.
+// Each block gets its layout last, once the mask has been applied.
 func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))
 	pos := make(map[string]int32, len(inst.S))
@@ -143,9 +143,13 @@ func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 				ch.Slots[si] = slices.DeleteFunc(slot, func(o lagrange.Option) bool {
 					return o.Index != lagrange.NoIndex && mask[o.Index]
 				})
-				ch.Slots[si].Sort()
 			}
 		}
+		l, err := lagrange.NewLayout(m.Blocks[bi].Choices)
+		if err != nil {
+			return nil, err
+		}
+		m.Blocks[bi].SetLayout(l)
 	}
 	return m, nil
 }

@@ -1,13 +1,16 @@
 package cophy
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"repro/internal/bip"
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/inum"
 	"repro/internal/lagrange"
 	"repro/internal/lp"
 	"repro/internal/tpch"
@@ -370,5 +373,119 @@ func TestSoftSweepNormalization(t *testing.T) {
 	}
 	if mid.Cost < last.Cost*(1-1e-9) {
 		t.Fatalf("λ=0.9 cost (%v) cannot beat λ=1 cost (%v)", mid.Cost, last.Cost)
+	}
+}
+
+// TestSameShapeBlocksShareLayout: BIPGen lays out each shape class once.
+// The blocks of one class share one *lagrange.Layout and no two classes
+// share one; a rebuild over kept compiled state, as a warm re-solve
+// runs, keeps every layout; a mask flip gets new layouts for the slabs
+// listing a flipped candidate and keeps the rest, and a candidate drop
+// gets new ones for the slabs that listed it.
+func TestSameShapeBlocksShareLayout(t *testing.T) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
+	w := workload.Hom(workload.HomConfig{Queries: 60, UpdateFraction: 0.8, Seed: 66})
+	ad := NewAdvisor(cat, engine.New(cat, engine.SystemA()), Options{})
+	var s []*catalog.Index
+	for _, ix := range Candidates(cat, w, CGenOptions{Covering: true}) {
+		if ix.Table == "lineitem" && len(s) < 12 {
+			s = append(s, ix)
+		}
+	}
+	inst := ad.instance(w, s)
+	cons := NoConstraints()
+	cs := new(compiled)
+	shared := false
+	build := func(inst *Instance) map[*inum.QueryMatrix]*lagrange.Layout {
+		t.Helper()
+		m, err := cs.model(context.Background(), inst, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bySlab := map[*inum.QueryMatrix]*lagrange.Layout{}
+		slabOf := map[*lagrange.Layout]*inum.QueryMatrix{}
+		for bi, st := range inst.Workload.Queries() {
+			qm, l := cs.mat.Query(st.Query), m.Blocks[bi].Layout()
+			if l == nil {
+				t.Fatalf("block %d has no layout", bi)
+			}
+			if prev, ok := bySlab[qm]; ok {
+				if prev != l {
+					t.Fatalf("block %d: its class already has another layout", bi)
+				}
+				shared = true
+			} else if _, ok := slabOf[l]; ok {
+				t.Fatalf("block %d: two classes share a layout", bi)
+			}
+			bySlab[qm], slabOf[l] = l, qm
+		}
+		return bySlab
+	}
+
+	first := build(inst)
+	if !shared {
+		t.Fatal("no class has two statements; the test is vacuous")
+	}
+	mask := cs.mask
+	for qm, l := range build(inst) {
+		if first[qm] != l {
+			t.Fatal("a rebuild over kept state laid a kept slab out again")
+		}
+	}
+
+	// Zero update weights move FixedCost, and with it the mask, without
+	// touching a slab (as in TestPruneMaskFollowsRevisions).
+	var light workload.Workload
+	for _, st := range inst.Workload.Statements {
+		if st.Update != nil {
+			st = &workload.Statement{Query: st.Query, Update: st.Update}
+		}
+		light.Statements = append(light.Statements, st)
+	}
+	rev := *inst
+	rev.Workload = &light
+	flipped := 0
+	lightLayouts := build(&rev)
+	for qm, l := range lightLayouts {
+		switch old, kept := first[qm]; {
+		case !kept:
+			t.Fatal("zeroing update weights replaced a slab")
+		case listsAny(qm, flips(mask, cs.mask)):
+			if l == old {
+				t.Fatal("a slab listing a flipped candidate kept its layout")
+			}
+			flipped++
+		case l != old:
+			t.Fatal("a slab listing no flipped candidate was laid out again")
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("no slab lists a flipped candidate; the step tests nothing")
+	}
+
+	// Drop the last candidate some slab lists.
+	drop := -1
+	for qm := range lightLayouts {
+		for _, c := range qm.Compat {
+			drop = max(drop, int(c))
+		}
+	}
+	if drop < 0 {
+		t.Fatal("no slab lists a candidate; the step tests nothing")
+	}
+	listed := map[*workload.Query]bool{}
+	for _, st := range light.Queries() {
+		listed[st.Query] = slices.Contains(cs.mat.Query(st.Query).Compat, int32(drop))
+	}
+	rev.S = slices.Delete(slices.Clone(inst.S), drop, drop+1)
+	old := map[*lagrange.Layout]bool{}
+	for _, l := range lightLayouts {
+		old[l] = true
+	}
+	rebuilt := build(&rev)
+	for _, st := range light.Queries() {
+		if listed[st.Query] && old[rebuilt[cs.mat.Query(st.Query)]] {
+			t.Fatalf("%s listed the dropped candidate and kept its layout", st.Query.ID)
+		}
 	}
 }

@@ -32,8 +32,12 @@ func maskedAndFull(t *testing.T, inst *Instance, cons Constraints) (masked, full
 	full.Blocks = make([]lagrange.Block, len(masked.Blocks))
 	nilMask := make([]bool, masked.NumIndexes)
 	for bi, st := range inst.Workload.Queries() {
+		l, err := buildChoices(cs.mat.Query(st.Query), nilMask)
+		if err != nil {
+			t.Fatal(err)
+		}
 		full.Blocks[bi] = masked.Blocks[bi]
-		full.Blocks[bi].Choices = buildChoices(cs.mat.Query(st.Query), nilMask)
+		full.Blocks[bi].SetLayout(l)
 	}
 	return masked, full, cs.mask
 }

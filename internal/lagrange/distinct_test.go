@@ -23,25 +23,22 @@ func TestDistinctModeMatchesBruteForce(t *testing.T) {
 }
 
 func TestDistinctValidation(t *testing.T) {
-	m := NewModel(2)
-	m.Blocks = []Block{{Weight: 1, Choices: []Choice{{
+	if _, err := NewLayout([]Choice{{
 		Fixed: 1,
 		Slots: []Slot{
 			{{Index: 0, Cost: 1}, {Index: NoIndex, Cost: 5}},
 			{{Index: 0, Cost: 2}, {Index: NoIndex, Cost: 5}}, // index 0 again
 		},
-	}}}}
-	if err := m.Validate(); err == nil {
-		t.Fatal("repeated index across slots must fail validation")
+	}}); err == nil {
+		t.Fatal("repeated index across slots must be rejected")
 	}
-	// Same index twice within ONE slot is allowed (alternatives).
-	m2 := NewModel(2)
-	m2.Blocks = []Block{{Weight: 1, Choices: []Choice{{
-		Fixed: 1,
-		Slots: []Slot{{{Index: 0, Cost: 1}, {Index: 0, Cost: 2}, {Index: NoIndex, Cost: 5}}},
-	}}}}
-	if err := m2.Validate(); err != nil {
-		t.Fatalf("within-slot duplicates should validate: %v", err)
+	// Same index twice within ONE slot is allowed (alternatives), and so
+	// is one index in two choices.
+	if _, err := NewLayout([]Choice{
+		{Fixed: 1, Slots: []Slot{{{Index: 0, Cost: 1}, {Index: 0, Cost: 2}, {Index: NoIndex, Cost: 5}}}},
+		{Fixed: 2, Slots: []Slot{{{Index: 0, Cost: 1}, {Index: NoIndex, Cost: 5}}}},
+	}); err != nil {
+		t.Fatalf("within-slot duplicates should be accepted: %v", err)
 	}
 }
 
@@ -54,7 +51,7 @@ func TestDropRedundantCleansTwins(t *testing.T) {
 		Fixed: 1,
 		Slots: []Slot{{{Index: 0, Cost: 10}, {Index: 1, Cost: 10}, {Index: NoIndex, Cost: 100}}},
 	}}}}
-	res := Solve(m, Options{GapTol: 1e-9, RootIters: 200, MaxNodes: 100})
+	res := Solve(laidOut(m), Options{GapTol: 1e-9, RootIters: 200, MaxNodes: 100})
 	count := 0
 	for _, on := range res.Selected {
 		if on {
@@ -83,11 +80,11 @@ func TestWarmStartAcrossAppendedCandidates(t *testing.T) {
 	ch := b0.Choices[0]
 	newSlots := append([]Slot(nil), ch.Slots...)
 	newSlots[0] = append(append(Slot(nil), newSlots[0]...), Option{Index: int32(m.NumIndexes), Cost: 1})
-	newSlots[0].Sort()
 	ch.Slots = newSlots
 	b0.Choices = append([]Choice(nil), b0.Choices...)
 	b0.Choices[0] = ch
 	m2.Blocks[0] = b0
+	laidOut(&m2)
 
 	start := append(append([]bool(nil), first.Selected...), false, false)
 	second := Solve(&m2, Options{GapTol: 0.01, RootIters: 300, MaxNodes: 50, Warm: first.Lambda, Start: start})
@@ -111,6 +108,7 @@ func TestWarmDualProjected(t *testing.T) {
 		{ID: "b1", Weight: 1, Choices: []Choice{{Slots: []Slot{{{Index: 0, Cost: 0}, {Index: NoIndex, Cost: 10}}}}}},
 		{ID: "b2", Weight: 1, Choices: []Choice{{Slots: []Slot{{{Index: NoIndex, Cost: 0}, {Index: 0, Cost: 5}}}}}},
 	}
+	laidOut(m)
 	for _, bad := range []float64{-3, math.NaN(), math.Inf(-1)} {
 		warm := Dual{
 			{ID: "b1", Sites: []DualSite{{Index: 0, Value: 11}}},

@@ -140,6 +140,7 @@ func TestDualRemapCarriesSurvivors(t *testing.T) {
 		}
 		cm.Blocks = append(cm.Blocks, nb)
 	}
+	laidOut(cm)
 	coldC := Solve(cm, Options{GapTol: 0.02, RootIters: 200, MaxNodes: 8})
 	warmC := Solve(cm, Options{GapTol: 0.02, RootIters: 200, MaxNodes: 8, Warm: remapped})
 	if warmC.Iters > coldC.Iters {

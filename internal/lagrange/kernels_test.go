@@ -10,9 +10,8 @@ import (
 
 // tieModel builds a random model whose γ are small integers, so that
 // equal values — between options of one slot, and between an option's
-// γ + λ and another's — are common. Slots are sorted, as Validate
-// requires; an index may repeat within a slot but not across the slots
-// of a choice.
+// γ + λ and another's — are common. An index may repeat within a slot
+// but not across the slots of a choice.
 func tieModel(r *rand.Rand, blocks, indexes int) *Model {
 	m := NewModel(indexes)
 	for bi := 0; bi < blocks; bi++ {
@@ -36,17 +35,13 @@ func tieModel(r *rand.Rand, blocks, indexes int) *Model {
 				if len(slot) == 0 {
 					continue
 				}
-				slot.Sort()
 				ch.Slots = append(ch.Slots, slot)
 			}
 			blk.Choices = append(blk.Choices, ch)
 		}
 		m.Blocks = append(m.Blocks, blk)
 	}
-	if err := m.Validate(); err != nil {
-		panic(err)
-	}
-	return m
+	return laidOut(m)
 }
 
 // fullScanDual is blockDual without the early exit: every option of
@@ -54,14 +49,12 @@ func tieModel(r *rand.Rand, blocks, indexes int) *Model {
 func fullScanDual(s *solver, bi int) (float64, []int32) {
 	b := &s.m.Blocks[bi]
 	best, uses := math.Inf(1), []int32{}
-	site := 0
 	for _, c := range b.Choices {
 		v, ok, groups := c.Fixed, true, []int32{}
 		for _, slot := range c.Slots {
 			slotBest, slotIndex, slotGroup := math.Inf(1), int32(math.MaxInt32), int32(-1)
 			for _, o := range slot {
-				g := s.siteGroup[bi][site]
-				site++
+				g := o.Group
 				cost := o.Cost
 				if o.Index != NoIndex {
 					if s.fixedOut[o.Index] {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lp"
@@ -74,12 +75,24 @@ func randomModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
 						Cost:  math.Floor(r.Float64() * 60),
 					})
 				}
-				slot.Sort()
 				ch.Slots = append(ch.Slots, slot)
 			}
 			blk.Choices = append(blk.Choices, ch)
 		}
 		m.Blocks = append(m.Blocks, blk)
+	}
+	return laidOut(m)
+}
+
+// laidOut gives every block of m the layout of its own choices, as a
+// model builder does, and returns m.
+func laidOut(m *Model) *Model {
+	for bi := range m.Blocks {
+		l, err := NewLayout(m.Blocks[bi].Choices)
+		if err != nil {
+			panic(err)
+		}
+		m.Blocks[bi].SetLayout(l)
 	}
 	return m
 }
@@ -161,7 +174,7 @@ func TestInfeasibleModel(t *testing.T) {
 	// Require both indexes but allow storage for neither.
 	m.Budget = 3
 	m.Extra = []Constraint{{Terms: []Term{{0, 1}, {1, 1}}, Sense: lp.GE, RHS: 2, Name: "need-both"}}
-	res := Solve(m, Options{})
+	res := Solve(laidOut(m), Options{})
 	if !res.Infeasible {
 		t.Fatalf("expected infeasible, got objective %v", res.Objective)
 	}
@@ -272,10 +285,11 @@ func TestEvaluateMatchesManual(t *testing.T) {
 	m.Const = 10
 	m.Blocks = []Block{
 		{Weight: 2, Choices: []Choice{
-			{Fixed: 5, Slots: []Slot{{{0, 1}, {NoIndex, 20}}}},
-			{Fixed: 8, Slots: []Slot{{{1, 2}, {NoIndex, 10}}}},
+			{Fixed: 5, Slots: []Slot{{{Index: 0, Cost: 1}, {Index: NoIndex, Cost: 20}}}},
+			{Fixed: 8, Slots: []Slot{{{Index: 1, Cost: 2}, {Index: NoIndex, Cost: 10}}}},
 		}},
 	}
+	laidOut(m)
 	// Selection {}: choice1 = 5+20=25, choice2 = 8+10=18 → 18. Total 10+2*18=46.
 	obj, ok := m.Evaluate([]bool{false, false})
 	if !ok || math.Abs(obj-46) > 1e-9 {
@@ -288,46 +302,47 @@ func TestEvaluateMatchesManual(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadModels holds Validate to its model-level
+// checks; the per-option ones are NewLayout's
+// (TestNewLayoutRejectsBadChoices).
 func TestValidateRejectsBadModels(t *testing.T) {
-	m := NewModel(1)
-	m.Blocks = []Block{{Weight: 1, Choices: nil}}
-	if err := m.Validate(); err == nil {
-		t.Fatal("empty choices must fail validation")
+	layout := func(choices ...Choice) *Layout {
+		l, err := NewLayout(choices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	m2 := NewModel(1)
-	m2.Blocks = []Block{{Weight: 1, Choices: []Choice{
-		{Fixed: 1, Slots: []Slot{{{Index: 0, Cost: 1}}}}, // no NoIndex fallback
-	}}}
-	if err := m2.Validate(); err == nil {
-		t.Fatal("model without index-free fallback must fail validation")
+	fallback := Choice{Fixed: 1, Slots: []Slot{{{Index: 0, Cost: 1}, {Index: NoIndex, Cost: 2}}}}
+	good := NewModel(1)
+	good.Blocks = []Block{{Weight: 1}}
+	good.Blocks[0].SetLayout(layout(fallback))
+	good.Extra = []Constraint{{Terms: []Term{{Index: 0, Coef: 1}}, Sense: lp.LE, RHS: 1}}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid model: %v", err)
 	}
-	m3 := NewModel(1)
-	m3.Blocks = []Block{{Weight: 1, Choices: []Choice{
-		{Fixed: 1, Slots: []Slot{{{Index: 7, Cost: 1}, {Index: NoIndex, Cost: 2}}}},
-	}}}
-	if err := m3.Validate(); err == nil {
-		t.Fatal("out-of-range index must fail validation")
-	}
-	// The kernels stop a slot's walk early, so its options must be in
-	// ascending (cost, index) order; the sorted form of each slot passes.
-	for _, slot := range []Slot{
-		{{Index: NoIndex, Cost: 2}, {Index: 0, Cost: 1}},
-		{{Index: 1, Cost: 1}, {Index: 0, Cost: 1}, {Index: NoIndex, Cost: 2}},
+	for name, bad := range map[string]func(m *Model){
+		"a block without a layout": func(m *Model) { m.Blocks[0] = Block{Weight: 1, Choices: m.Blocks[0].Choices} },
+		"choices that are not the layout's": func(m *Model) {
+			m.Blocks[0].Choices = []Choice{fallback}
+		},
+		"choices cut from the layout's": func(m *Model) {
+			m.Blocks[0].SetLayout(layout(fallback, Choice{Fixed: 2}))
+			m.Blocks[0].Choices = m.Blocks[0].Choices[:1]
+		},
+		"an index at NumIndexes": func(m *Model) {
+			m.Blocks[0].SetLayout(layout(Choice{Slots: []Slot{{{Index: 1, Cost: 1}, {Index: NoIndex, Cost: 2}}}}))
+		},
+		"a side-row term out of range": func(m *Model) {
+			m.Extra = []Constraint{{Terms: []Term{{Index: 1, Coef: 1}}, Sense: lp.LE, RHS: 1, Name: "row"}}
+		},
 	} {
-		m4 := NewModel(2)
-		m4.Blocks = []Block{{Weight: 1, Choices: []Choice{{Fixed: 1, Slots: []Slot{slot}}}}}
-		if err := m4.Validate(); err == nil {
-			t.Fatalf("slot %v out of (cost, index) order must fail validation", slot)
+		m := *good
+		m.Blocks = slices.Clone(good.Blocks)
+		bad(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s must fail validation", name)
 		}
-		slot.Sort()
-		if err := m4.Validate(); err != nil {
-			t.Fatalf("sorted slot %v: %v", slot, err)
-		}
-	}
-	m5 := NewModel(1)
-	m5.Blocks = []Block{{Weight: 1, Choices: []Choice{{Fixed: 1, Slots: []Slot{{{Index: NoIndex, Cost: math.NaN()}}}}}}}
-	if err := m5.Validate(); err == nil {
-		t.Fatal("a NaN cost must fail validation")
 	}
 }
 

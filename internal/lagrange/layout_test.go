@@ -1,16 +1,19 @@
 package lagrange
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/lp"
 )
 
-// packed copies m with every block laid out the way BIPGen builds it:
-// one options array, one slots array and one choices array per block,
-// each Slot and each Choice.Slots a cap == len window into them.
+// packed copies m with every block's choices laid out the way BIPGen
+// builds them: one options array, one slots array and one choices array
+// per block, each Slot and each Choice.Slots a cap == len window into
+// them. Each block gets a layout of its copy.
 func packed(m *Model) *Model {
 	p := *m
 	p.Blocks = make([]Block, len(m.Blocks))
@@ -34,10 +37,10 @@ func packed(m *Model) *Model {
 			}
 			choices = append(choices, Choice{Fixed: c.Fixed, Slots: slots[s0:len(slots):len(slots)]})
 		}
-		b.Choices = choices
 		p.Blocks[bi] = b
+		p.Blocks[bi].Choices = choices
 	}
-	return &p
+	return laidOut(&p)
 }
 
 // TestSolveLayoutIndependent pins that the solver depends on the
@@ -78,5 +81,106 @@ func TestSolveLayoutIndependent(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("model %d: packed copy solves differently:\n as generated %+v\n packed       %+v", i, want, got)
 		}
+	}
+}
+
+// refGroups numbers a block's multiplier groups by the plain rule:
+// walk the choices and their slots in order, and give the indexes a slot
+// offers that no earlier slot offered the next numbers, ascending.
+func refGroups(choices []Choice) []int32 {
+	seen := map[int32]bool{}
+	var groups []int32
+	for _, c := range choices {
+		for _, s := range c.Slots {
+			var fresh []int32
+			for _, o := range s {
+				if o.Index != NoIndex && !seen[o.Index] {
+					seen[o.Index] = true
+					fresh = append(fresh, o.Index)
+				}
+			}
+			slices.Sort(fresh)
+			groups = append(groups, fresh...)
+		}
+	}
+	return groups
+}
+
+// TestLayoutGroupsMatchReference holds NewLayout's numbering to refGroups
+// on random choices — indexes offered by several slots and choices, I∅,
+// integer γ so costs tie — and checks that every option's Group names
+// its own index, I∅'s none, and that each slot comes back sorted.
+func TestLayoutGroupsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(523))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(12)
+		var choices []Choice
+		for c := 0; c < 1+r.Intn(4); c++ {
+			// Each slot draws from its own residue class, so no index
+			// repeats across the slots of a choice.
+			slots := 1 + r.Intn(3)
+			ch := Choice{Fixed: float64(r.Intn(5))}
+			for sl := 0; sl < slots; sl++ {
+				var slot Slot
+				if c == 0 || r.Intn(2) == 0 {
+					slot = append(slot, Option{Index: NoIndex, Cost: float64(r.Intn(6))})
+				}
+				for o := 0; o < 1+r.Intn(5); o++ {
+					a := int32(sl + slots*r.Intn(n))
+					slot = append(slot, Option{Index: a, Cost: float64(r.Intn(6))})
+				}
+				ch.Slots = append(ch.Slots, slot)
+			}
+			choices = append(choices, ch)
+		}
+		want := refGroups(choices)
+		l, err := NewLayout(choices)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(l.groupIdx, want) {
+			t.Fatalf("trial %d: groups %v, reference %v", trial, l.groupIdx, want)
+		}
+		for _, c := range l.choices {
+			for _, s := range c.Slots {
+				if !slices.IsSortedFunc(s, cmpOption) {
+					t.Fatalf("trial %d: slot %v not in (cost, index) order", trial, s)
+				}
+				for _, o := range s {
+					if o.Index == NoIndex && o.Group != -1 || o.Index != NoIndex && l.groupIdx[o.Group] != o.Index {
+						t.Fatalf("trial %d: option %+v has the wrong group", trial, o)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewLayoutRejectsBadChoices covers NewLayout's per-option checks,
+// and that it sorts a slot given out of (cost, index) order.
+func TestNewLayoutRejectsBadChoices(t *testing.T) {
+	free := Option{Index: NoIndex, Cost: 5}
+	for name, choices := range map[string][]Choice{
+		"no choices":       nil,
+		"an empty slot":    {{Fixed: 1, Slots: []Slot{{}}}},
+		"a NaN cost":       {{Fixed: 1, Slots: []Slot{{{Index: NoIndex, Cost: math.NaN()}}}}},
+		"a negative index": {{Fixed: 1, Slots: []Slot{{{Index: -2, Cost: 1}, free}}}},
+		"an index repeated across slots": {{Fixed: 1, Slots: []Slot{
+			{{Index: 0, Cost: 1}, free},
+			{{Index: 0, Cost: 2}, free},
+		}}},
+		"no index-free fallback": {{Fixed: 1, Slots: []Slot{{{Index: 0, Cost: 1}}}}},
+	} {
+		if _, err := NewLayout(choices); err == nil {
+			t.Errorf("%s must be rejected", name)
+		}
+	}
+	slot := Slot{{Index: 1, Cost: 1}, {Index: NoIndex, Cost: 2}, {Index: 0, Cost: 1}}
+	if _, err := NewLayout([]Choice{{Fixed: 1, Slots: []Slot{slot}}}); err != nil {
+		t.Fatal(err)
+	}
+	want := Slot{{Index: 0, Group: 0, Cost: 1}, {Index: 1, Group: 1, Cost: 1}, {Index: NoIndex, Group: -1, Cost: 2}}
+	if !slices.Equal(slot, want) {
+		t.Fatalf("laid out slot %v, want %v", slot, want)
 	}
 }

@@ -20,6 +20,7 @@ package lagrange
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -38,25 +39,27 @@ const NoIndex = int32(-1)
 type Option struct {
 	// Index is the candidate index, or NoIndex for I∅.
 	Index int32
+	// Group is the option's multiplier group in its block's layout, or
+	// −1 for I∅. NewLayout writes it.
+	Group int32
 	// Cost is the access cost γ.
 	Cost float64
 }
 
 // Slot is the set of feasible options for one access-method hole.
-// Options with infinite γ are simply omitted. The options are in
-// ascending (Cost, Index) order — Sort puts them there and Validate
-// rejects a slot that is not — so both block kernels can stop a slot's
-// walk early: blockPrimal at the first available option, blockDual at
-// the first option whose γ alone exceeds the slot's best value (every
-// multiplier is ≥ 0). NoIndex sorts below every index, so the
-// (value, index) tie-break of both kernels prefers I∅.
+// Options with infinite γ are simply omitted. NewLayout puts the
+// options in ascending (Cost, Index) order, so both block kernels can
+// stop a slot's walk early: blockPrimal at the first available option,
+// blockDual at the first option whose γ alone exceeds the slot's best
+// value (every multiplier is ≥ 0). NoIndex sorts below every index, so
+// the (value, index) tie-break of both kernels prefers I∅.
 type Slot []Option
 
-// Sort puts the slot's options in ascending (Cost, Index) order.
-func (s Slot) Sort() { slices.SortFunc(s, cmpOption) }
+// sort puts the slot's options in ascending (Cost, Index) order.
+func (s Slot) sort() { slices.SortFunc(s, cmpOption) }
 
 // cmpOption orders options by (Cost, Index). Costs are never NaN
-// (Validate rejects them), so plain comparisons order them.
+// (NewLayout rejects them), so plain comparisons order them.
 func cmpOption(x, y Option) int {
 	switch {
 	case x.Cost < y.Cost:
@@ -69,7 +72,7 @@ func cmpOption(x, y Option) int {
 
 // Choice is one template plan: a fixed internal cost β plus its slots.
 // The slots of a template are distinct tables (Theorem 1), so an index
-// may appear in at most one slot of a choice; Validate enforces it.
+// may appear in at most one slot of a choice; NewLayout enforces it.
 // For the ILP baseline a choice is one atomic configuration: Fixed is
 // the full plan cost and each required index contributes a zero-cost
 // single-option slot (using the choice forces paying for the index).
@@ -80,10 +83,111 @@ type Choice struct {
 	Slots []Slot
 }
 
+// Layout is a block's choices once NewLayout has checked, sorted and
+// numbered them. It depends on the choices alone, so blocks with the
+// same choices (statements of one shape class) share one, and so do
+// the models assembled from them.
+type Layout struct {
+	choices []Choice
+	// groupIdx[g] is the index of multiplier group g.
+	groupIdx []int32
+	// maxIndex is the largest index an option uses, or NoIndex.
+	maxIndex int32
+}
+
+// NewLayout checks the choices, sorts each slot by (Cost, Index) and
+// numbers the block's multiplier groups, in place: the layout owns the
+// choices from then on, and nothing may change them.
+//
+// It rejects an empty choice list, an empty slot, a NaN cost, a
+// negative index other than NoIndex, an index repeated across the
+// slots of one choice, and choices of which none is evaluable without
+// indexes — every block must keep one, so the empty configuration
+// stays feasible. An index may repeat within a slot.
+//
+// All use sites of an index within the block share one group, the
+// (statement, index) multiplier of relax(B); slots of a choice are
+// distinct tables, so an index meets a choice at most once, and
+// sharing loses nothing while keeping an index useful in many
+// templates from having its dual price diluted across them. Groups are
+// numbered by the first slot, in (choice, slot) order, that offers the
+// index, and within one slot by ascending index. The λ step sums in
+// group order and the exported dual lists groups in it.
+func NewLayout(choices []Choice) (*Layout, error) {
+	if len(choices) == 0 {
+		return nil, errors.New("lagrange: no choices")
+	}
+	l := &Layout{choices: choices, maxIndex: NoIndex}
+	fallback := false
+	for ci := range choices {
+		free := true
+		for _, s := range choices[ci].Slots {
+			if len(s) == 0 {
+				return nil, fmt.Errorf("lagrange: choice %d has an empty slot", ci)
+			}
+			slotFree := false
+			for _, o := range s {
+				switch {
+				case math.IsNaN(o.Cost):
+					return nil, fmt.Errorf("lagrange: choice %d has a NaN cost", ci)
+				case o.Index == NoIndex:
+					slotFree = true
+				case o.Index < 0:
+					return nil, fmt.Errorf("lagrange: choice %d references index %d", ci, o.Index)
+				}
+				l.maxIndex = max(l.maxIndex, o.Index)
+			}
+			free = free && slotFree
+			s.sort()
+		}
+		fallback = fallback || free
+	}
+	if !fallback {
+		return nil, errors.New("lagrange: no choice is evaluable without indexes")
+	}
+	// slotOf[a] is the serial number (from 1) of the last slot that
+	// offered index a, group[a] a's group; fresh collects the indexes a
+	// slot offers first.
+	slotOf := make([]int32, l.maxIndex+1)
+	group := make([]int32, l.maxIndex+1)
+	var fresh []int32
+	serial := int32(0)
+	for ci := range choices {
+		first := serial + 1
+		for _, s := range choices[ci].Slots {
+			serial++
+			fresh = fresh[:0]
+			for _, o := range s {
+				if o.Index == NoIndex {
+					continue
+				}
+				switch at := slotOf[o.Index]; {
+				case at == 0:
+					fresh = append(fresh, o.Index)
+				case at >= first && at != serial:
+					return nil, fmt.Errorf("lagrange: choice %d repeats index %d across slots", ci, o.Index)
+				}
+				slotOf[o.Index] = serial
+			}
+			slices.Sort(fresh)
+			for _, a := range fresh {
+				group[a] = int32(len(l.groupIdx))
+				l.groupIdx = append(l.groupIdx, a)
+			}
+			for i := range s {
+				if a := s[i].Index; a == NoIndex {
+					s[i].Group = -1
+				} else {
+					s[i].Group = group[a]
+				}
+			}
+		}
+	}
+	return l, nil
+}
+
 // Block is the per-statement component of the objective: the weighted
-// minimum over its choices. Every block must retain at least one
-// choice whose slots all admit the NoIndex option (or have zero
-// slots), so the empty configuration stays feasible.
+// minimum over its choices, which its layout holds.
 type Block struct {
 	// ID labels the block with a stable statement identity. A dual warm
 	// start (Options.Warm) follows a statement across workload deltas by
@@ -93,13 +197,23 @@ type Block struct {
 	ID string
 	// Weight is the statement weight f_q.
 	Weight float64
-	// Choices are the mutually exclusive evaluation strategies.
+	// Choices are the mutually exclusive evaluation strategies, as laid
+	// out by the block's layout: SetLayout sets them, and they are read
+	// only.
 	Choices []Choice
 	// CostCap, when positive, is a per-statement cost constraint
 	// (Appendix E.2: ASSERT cost(q,X*) ≤ V): a selection under which
 	// the block's best choice exceeds the cap is infeasible.
 	CostCap float64
+
+	layout *Layout
 }
+
+// SetLayout gives the block the layout l and l's choices.
+func (b *Block) SetLayout(l *Layout) { b.layout, b.Choices = l, l.choices }
+
+// Layout returns the block's layout, or nil before SetLayout.
+func (b *Block) Layout() *Layout { return b.layout }
 
 // Term is one coefficient of a side constraint over the z variables.
 type Term struct {
@@ -150,62 +264,23 @@ func NewModel(n int) *Model {
 }
 
 // Validate checks structural invariants; it returns an error naming
-// the first violation.
+// the first violation. The per-option checks are NewLayout's, made
+// once where the layout is built: Validate checks that every block
+// carries a layout and the layout's choices, that the layout's indexes
+// are in range, and that the side-row terms are.
 func (m *Model) Validate() error {
 	if len(m.FixedCost) != m.NumIndexes || len(m.Size) != m.NumIndexes {
 		return fmt.Errorf("lagrange: cost/size arrays must have %d entries", m.NumIndexes)
 	}
-	// slotOf[a] is the serial number of the last slot that offered
-	// index a; slots are numbered from 1 across the whole model, so one
-	// array tells "used by an earlier slot of this choice" for every
-	// choice.
-	slotOf := make([]int, m.NumIndexes)
-	serial := 0
 	for bi := range m.Blocks {
 		b := &m.Blocks[bi]
-		if len(b.Choices) == 0 {
-			return fmt.Errorf("lagrange: block %d has no choices", bi)
-		}
-		hasFallback := false
-		for ci := range b.Choices {
-			first := serial + 1
-			ok := true
-			for _, s := range b.Choices[ci].Slots {
-				if len(s) == 0 {
-					return fmt.Errorf("lagrange: block %d choice %d has an empty slot", bi, ci)
-				}
-				serial++
-				slotHasEmpty := false
-				prev := s[0]
-				for _, o := range s {
-					// Not after prev in (cost, index) order, or a NaN cost,
-					// which compares false either way.
-					if !(prev.Cost < o.Cost || prev.Cost == o.Cost && prev.Index <= o.Index) {
-						return fmt.Errorf("lagrange: block %d choice %d has a slot out of (cost, index) order or a NaN cost", bi, ci)
-					}
-					prev = o
-					if o.Index == NoIndex {
-						slotHasEmpty = true
-						continue
-					}
-					if o.Index < 0 || int(o.Index) >= m.NumIndexes {
-						return fmt.Errorf("lagrange: block %d choice %d references index %d out of range", bi, ci, o.Index)
-					}
-					if at := slotOf[o.Index]; at >= first && at != serial {
-						return fmt.Errorf("lagrange: block %d choice %d repeats index %d across slots", bi, ci, o.Index)
-					}
-					slotOf[o.Index] = serial
-				}
-				if !slotHasEmpty {
-					ok = false
-				}
-			}
-			if ok {
-				hasFallback = true
-			}
-		}
-		if !hasFallback {
-			return fmt.Errorf("lagrange: block %d has no choice evaluable without indexes", bi)
+		switch l := b.layout; {
+		case l == nil:
+			return fmt.Errorf("lagrange: block %d has no layout", bi)
+		case len(b.Choices) != len(l.choices) || &b.Choices[0] != &l.choices[0]:
+			return fmt.Errorf("lagrange: block %d's choices are not its layout's", bi)
+		case int(l.maxIndex) >= m.NumIndexes:
+			return fmt.Errorf("lagrange: block %d references index %d out of range", bi, l.maxIndex)
 		}
 	}
 	for _, c := range m.Extra {

@@ -39,17 +39,13 @@ func randomBlockModel(seed int64, blocks, indexes int) *Model {
 					used[a] = true
 					slot = append(slot, Option{Index: a, Cost: rng.Float64() * 5})
 				}
-				slot.Sort()
 				ch.Slots = append(ch.Slots, slot)
 			}
 			blk.Choices = append(blk.Choices, ch)
 		}
 		m.Blocks = append(m.Blocks, blk)
 	}
-	if err := m.Validate(); err != nil {
-		panic(err)
-	}
-	return m
+	return laidOut(m)
 }
 
 // integerBlockModel is randomBlockModel with whole-byte sizes and

@@ -108,19 +108,11 @@ type solver struct {
 	m    *Model
 	opts Options
 
-	// Per block: one multiplier per *group* — all use sites of an index
-	// within the block share one, the (statement, index) multiplier of
-	// relax(B); slots of a choice are distinct tables, so an index meets
-	// a choice at most once and sharing loses nothing while keeping an
-	// index useful in many templates from having its dual price diluted
-	// across them. Groups are numbered in order of first appearance in
-	// the (choice, slot, option) walk. siteGroup maps each site to its
-	// group (−1 for NoIndex options); groupIdx holds the index of each
-	// group. The block structure itself is not copied: blockDual walks
-	// m.Blocks in the same order with a running site counter.
-	lam       [][]float64
-	siteGroup [][]int32
-	groupIdx  [][]int32
+	// Per block: one multiplier per group of the block's layout (see
+	// NewLayout), and the layout's group → index table, shared with the
+	// layout and read only.
+	lam      [][]float64
+	groupIdx [][]int32
 
 	// attract[a] = Σ_sites w_b·λ_site over sites using index a,
 	// maintained incrementally.
@@ -316,46 +308,27 @@ func newSolver(m *Model, opts Options) *solver {
 	return s
 }
 
-// compile derives the solver's own state from the model: it numbers
-// the multiplier groups of every block, maps each use site to its
-// group, and lists the blocks each index occurs in.
-//
-// A block's groups are numbered by the first slot, in (choice, slot)
-// order, that offers the index, and within one slot by ascending index.
-// That is the order of first appearance in a walk over slots whose
-// options are laid out I∅ first, then by ascending index, which keeps
-// the group order — and so the λ step's summation order and the
-// exported dual — independent of the slots' (γ, index) sort. Blocks are
-// numbered over the worker pool, each worker with its own marker
-// array; the incidence lists and counts are derived after.
+// compile derives the solver's own state from the model: zero
+// multipliers for every group of every block's layout, the list of
+// blocks each index occurs in and each index's side-row coefficients.
+// The groups themselves are the layouts', numbered once by NewLayout.
 func (s *solver) compile() {
 	m := s.m
 	s.lam = make([][]float64, len(m.Blocks))
-	s.siteGroup = make([][]int32, len(m.Blocks))
 	s.groupIdx = make([][]int32, len(m.Blocks))
-	workers := s.workers
-	if len(m.Blocks) < minParallelBlocks {
-		workers = 1
-	}
-	marks := make([]groupMarks, workers)
-	par.ForWorker(len(m.Blocks), workers, func(worker, bi int) {
-		mk := &marks[worker]
-		if mk.block == nil {
-			mk.block = make([]int32, m.NumIndexes)
-			mk.group = make([]int32, m.NumIndexes)
-		}
-		s.compileBlock(bi, mk)
-	})
-	// The incidence lists are windows into one array of all groups,
-	// filled block by block so each list comes out ascending.
 	blocksOf := make([]int, m.NumIndexes)
 	total := 0
-	for _, groupIdx := range s.groupIdx {
+	for bi := range m.Blocks {
+		groupIdx := m.Blocks[bi].layout.groupIdx
+		s.groupIdx[bi] = groupIdx
+		s.lam[bi] = make([]float64, len(groupIdx))
 		for _, a := range groupIdx {
 			blocksOf[a]++
 		}
 		total += len(groupIdx)
 	}
+	// The incidence lists are windows into one array of all groups,
+	// filled block by block so each list comes out ascending.
 	s.incidence = make([][]blockGroup, m.NumIndexes)
 	all := make([]blockGroup, total)
 	for a, n := range blocksOf {
@@ -372,55 +345,6 @@ func (s *solver) compile() {
 			s.rowTerms[t.Index] = append(s.rowTerms[t.Index], rowTerm{int32(r), t.Coef})
 		}
 	}
-}
-
-// groupMarks is one compile worker's marker arrays: block[a] is 1 + the
-// last block that numbered index a, and group[a] a's group there.
-type groupMarks struct {
-	block, group []int32
-	fresh        []int32 // the indexes a slot offers first, being numbered
-}
-
-// compileBlock numbers block bi's groups (see compile) and fills its
-// siteGroup, groupIdx and zero multipliers.
-func (s *solver) compileBlock(bi int, mk *groupMarks) {
-	b := &s.m.Blocks[bi]
-	stamp := int32(bi) + 1
-	sites := 0
-	for _, c := range b.Choices {
-		for _, slot := range c.Slots {
-			sites += len(slot)
-		}
-	}
-	siteGroup := make([]int32, 0, sites)
-	var groupIdx []int32
-	for _, c := range b.Choices {
-		for _, slot := range c.Slots {
-			fresh := mk.fresh[:0]
-			for _, o := range slot {
-				if o.Index != NoIndex && mk.block[o.Index] != stamp {
-					mk.block[o.Index] = stamp
-					fresh = append(fresh, o.Index)
-				}
-			}
-			slices.Sort(fresh)
-			for _, a := range fresh {
-				mk.group[a] = int32(len(groupIdx))
-				groupIdx = append(groupIdx, a)
-			}
-			mk.fresh = fresh
-			for _, o := range slot {
-				if o.Index == NoIndex {
-					siteGroup = append(siteGroup, -1)
-				} else {
-					siteGroup = append(siteGroup, mk.group[o.Index])
-				}
-			}
-		}
-	}
-	s.siteGroup[bi] = siteGroup
-	s.groupIdx[bi] = groupIdx
-	s.lam[bi] = make([]float64, len(groupIdx))
 }
 
 // applyWarm copies multipliers from a previous solve: each block adopts
@@ -486,26 +410,21 @@ func (s *solver) applyWarm(w Dual) {
 // multipliers alone.
 func (s *solver) repriceNew(bi int, matched []bool) {
 	b := &s.m.Blocks[bi]
-	groups := s.siteGroup[bi]
 	lam := s.lam[bi]
 	need := make([]float64, len(lam)) // required λ per unmatched group
 
-	site := 0
 	for ci := range b.Choices {
 		for _, slot := range b.Choices[ci].Slots {
 			// Pass 1: the slot's dual minimum over free and matched
 			// options.
 			slotMin := math.Inf(1)
-			start := site
 			for _, o := range slot {
-				g := groups[site]
-				site++
 				cost := o.Cost
-				if g >= 0 {
-					if !matched[g] {
+				if o.Group >= 0 {
+					if !matched[o.Group] {
 						continue
 					}
-					cost += lam[g]
+					cost += lam[o.Group]
 				}
 				if cost < slotMin {
 					slotMin = cost
@@ -515,10 +434,8 @@ func (s *solver) repriceNew(bi int, matched []bool) {
 				continue // slot entirely new; leave its λ at zero
 			}
 			// Pass 2: raise unmatched options to the minimum.
-			site = start
 			for _, o := range slot {
-				g := groups[site]
-				site++
+				g := o.Group
 				if g < 0 || matched[g] {
 					continue
 				}
@@ -608,45 +525,37 @@ type blockScratch struct {
 func (s *solver) blockDual(bi int, sc *blockScratch) float64 {
 	b := &s.m.Blocks[bi]
 	lam := s.lam[bi]
-	groups := s.siteGroup[bi]
 	fixedOut := s.fixedOut
 	best := math.Inf(1)
 	sc.uses = sc.uses[:0]
 	scratch := sc.tmp[:0]
-	site := 0
 	for ci := range b.Choices {
 		c := &b.Choices[ci]
 		v := c.Fixed
 		scratch = scratch[:0]
 		ok := true
 		for _, slot := range c.Slots {
-			slotGroups := groups[site : site+len(slot)]
-			site += len(slot)
-			if !ok {
-				continue // the choice is already unfillable
-			}
 			slotBest := math.Inf(1)
 			slotIndex := int32(math.MinInt32)
 			slotGroup := int32(-1)
-			for i, o := range slot {
+			for _, o := range slot {
 				if o.Cost > slotBest {
 					break
 				}
 				cost := o.Cost
-				g := slotGroups[i]
 				if o.Index != NoIndex {
 					if fixedOut[o.Index] {
 						continue
 					}
-					cost += lam[g]
+					cost += lam[o.Group]
 				}
 				if cost < slotBest || cost == slotBest && o.Index < slotIndex {
-					slotBest, slotIndex, slotGroup = cost, o.Index, g
+					slotBest, slotIndex, slotGroup = cost, o.Index, o.Group
 				}
 			}
 			if math.IsInf(slotBest, 1) {
 				ok = false
-				continue
+				break
 			}
 			v += slotBest
 			if slotGroup >= 0 {

@@ -50,8 +50,8 @@ type Config struct {
 	// (default 1e-3).
 	MinWeight float64
 	// RequestTimeout bounds each recommendation request: the handler
-	// derives a context deadline from it and the session solve inherits
-	// the remaining time as its TimeLimit. Zero means unbounded.
+	// derives a context deadline from it, and the session solve stops
+	// when that context is done. Zero means unbounded.
 	RequestTimeout time.Duration
 	// MaxCandidates caps the candidate set a /recommend request may
 	// solve over: the live workload's candidates, which are all the

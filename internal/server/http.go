@@ -108,8 +108,8 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		// The request context (client disconnects cancel it) bounded by
-		// the configured per-request deadline; the solver inherits the
-		// remaining time as its TimeLimit.
+		// the configured per-request deadline; the solver stops when it
+		// is done.
 		ctx := r.Context()
 		if d.reqTimeout > 0 {
 			var cancel context.CancelFunc
