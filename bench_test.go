@@ -217,7 +217,7 @@ func BenchmarkLagrangeSolve(b *testing.B) {
 // BenchmarkLagrangeSolveHet measures the solver on a heterogeneous
 // workload's BIP (every statement its own template, ~850 candidates),
 // where the gap stays open and each subgradient iteration's serial
-// bookkeeping — the knapsack sort, the λ step, the heuristics — shows
+// bookkeeping — the knapsack, the λ step, the heuristics — shows
 // beside the block duals. The λ step visits only the groups whose
 // multiplier can move (a few percent of them); one that walked every
 // group again would show here first. The options are those of the

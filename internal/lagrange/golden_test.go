@@ -100,7 +100,7 @@ func TestSolveGolden(t *testing.T) {
 		}, golden{4270728.3473995691, 4219604.4684631098, 1440, 32, 0x275bfccaf0a7c8f8}},
 		{"bipgen-het30", func(t *testing.T) lagrange.Result {
 			return lagrange.Solve(bipgenModel(t, workload.Het(workload.HetConfig{Queries: 30, Seed: 5})), bipgen)
-		}, golden{1012778.9775221462, 940483.14755839435, 1401, 32, 0xe2094a44549044d0}},
+		}, golden{1020482.6023078189, 944457.7089186816, 1167, 32, 0x4b3759998f37a87b}},
 	}
 	for _, c := range cases {
 		r := c.solve(t)

@@ -3,7 +3,6 @@ package lagrange
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // heuristics derives candidate selections from the current dual state
@@ -42,6 +41,29 @@ func (s *solver) heuristics(zf []float64) {
 // score is the dual-derived marginal value of index a.
 func (s *solver) score(a int) float64 { return s.attract[a] - s.m.FixedCost[a] }
 
+// keyed is an index with its sort key, computed once before the sort
+// rather than on every comparison.
+type keyed struct {
+	a   int
+	key float64
+}
+
+// ascending and descending order keyed indexes by key. Each is negative
+// exactly when x.key < y.key (descending: >), the strict comparison the
+// heuristics order by, so slices.SortFunc's pdqsort — the algorithm
+// sort.Slice runs — leaves ties, and so every answer, where they were.
+func ascending(x, y keyed) int {
+	switch {
+	case x.key < y.key:
+		return -1
+	case x.key > y.key:
+		return 1
+	}
+	return 0
+}
+
+func descending(x, y keyed) int { return ascending(y, x) }
+
 // greedyByScore builds a selection by adding indexes in descending
 // score order while the budget and side constraints hold. A mandatory
 // (fixed-in) index is added even when it breaks them.
@@ -55,25 +77,29 @@ func (s *solver) score(a int) float64 { return s.attract[a] - s.m.FixedCost[a] }
 // Index.Bytes is an int64 and count rows have coefficient 1.
 func (s *solver) greedyByScore() []bool {
 	m := s.m
-	order := make([]int, 0, m.NumIndexes)
+	order := s.keys[:0]
 	for a := 0; a < m.NumIndexes; a++ {
 		if !s.fixedOut[a] && (s.score(a) > 0 || s.fixedIn[a]) {
-			order = append(order, a)
+			order = append(order, keyed{a, s.score(a) / math.Max(m.Size[a], 1)})
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		ai, aj := order[i], order[j]
+	s.keys = order
+	slices.SortFunc(order, func(x, y keyed) int {
 		// Mandatory indexes first, then by score density.
-		if s.fixedIn[ai] != s.fixedIn[aj] {
-			return s.fixedIn[ai]
+		if s.fixedIn[x.a] != s.fixedIn[y.a] {
+			if s.fixedIn[x.a] {
+				return -1
+			}
+			return 1
 		}
-		return s.score(ai)/math.Max(s.m.Size[ai], 1) > s.score(aj)/math.Max(s.m.Size[aj], 1)
+		return descending(x, y)
 	})
 	sel := make([]bool, m.NumIndexes)
 	var used float64
 	act := make([]float64, len(m.Extra))  // activity of each side constraint under sel
 	next := make([]float64, len(m.Extra)) // the same with a added
-	for _, a := range order {
+	for _, o := range order {
+		a := o.a
 		copy(next, act)
 		for _, t := range s.rowTerms[a] {
 			next[t.row] += t.coef
@@ -121,17 +147,14 @@ func (s *solver) tryCandidate(sel []bool) {
 			}
 		}
 		if used > m.Budget {
-			type cand struct {
-				a       int
-				density float64
-			}
-			var cands []cand
+			cands := s.keys[:0]
 			for a, on := range sel {
 				if on && !s.fixedIn[a] {
-					cands = append(cands, cand{a, s.score(a) / math.Max(m.Size[a], 1)})
+					cands = append(cands, keyed{a, s.score(a) / math.Max(m.Size[a], 1)})
 				}
 			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i].density < cands[j].density })
+			s.keys = cands
+			slices.SortFunc(cands, ascending)
 			for _, c := range cands {
 				if used <= m.Budget {
 					break
@@ -227,18 +250,19 @@ func (s *solver) localSearch() {
 		improved = false
 
 		// Drop pass: least valuable selected first.
-		var selected []int
+		selected := s.keys[:0]
 		for a, on := range st.sel {
 			if on && !s.fixedIn[a] {
-				selected = append(selected, a)
+				selected = append(selected, keyed{a, s.score(a)})
 			}
 		}
-		sort.Slice(selected, func(i, j int) bool { return s.score(selected[i]) < s.score(selected[j]) })
-		for _, a := range selected {
+		s.keys = selected
+		slices.SortFunc(selected, ascending)
+		for _, c := range selected {
 			if evals >= localSearchBudget {
 				return
 			}
-			accepted, evaluated := tryFlip(a)
+			accepted, evaluated := tryFlip(c.a)
 			if evaluated {
 				evals++
 			}
@@ -249,21 +273,22 @@ func (s *solver) localSearch() {
 		}
 
 		// Add pass: most attractive unselected first.
-		var unselected []int
+		unselected := s.keys[:0]
 		for a, on := range st.sel {
 			if !on && !s.fixedOut[a] && s.score(a) > 0 {
-				unselected = append(unselected, a)
+				unselected = append(unselected, keyed{a, s.score(a)})
 			}
 		}
-		sort.Slice(unselected, func(i, j int) bool { return s.score(unselected[i]) > s.score(unselected[j]) })
+		s.keys = unselected
+		slices.SortFunc(unselected, descending)
 		if len(unselected) > 8 {
 			unselected = unselected[:8]
 		}
-		for _, a := range unselected {
+		for _, c := range unselected {
 			if evals >= localSearchBudget {
 				return
 			}
-			accepted, evaluated := tryFlip(a)
+			accepted, evaluated := tryFlip(c.a)
 			if evaluated {
 				evals++
 			}

@@ -1,7 +1,6 @@
 package lagrange
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"runtime"
@@ -148,6 +147,10 @@ type solver struct {
 	rc    []float64
 	items []knapItem
 	z     []float64
+	// keys holds the indexes one heuristic sorts (greedyByScore, the
+	// budget repair, each local-search pass), refilled by each; no two
+	// of those sorts are in use at once.
+	keys []keyed
 	// zProb is the z-polytope LP, built once and retuned in place each
 	// iteration (only the objective and branching fixings move), and
 	// zBasis the basis carried across its re-solves, so each re-solve
@@ -642,9 +645,36 @@ type knapItem struct {
 	density float64
 }
 
+// knapLess is the knapsack's take order: ascending density, equal
+// densities by ascending index.
+func knapLess(x, y knapItem) bool {
+	return x.density < y.density || x.density == y.density && x.a < y.a
+}
+
+// siftDown moves h[i] down until h is a min-heap under knapLess again
+// below i.
+func siftDown(h []knapItem, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && knapLess(h[c+1], h[c]) {
+			c++
+		}
+		if !knapLess(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // fractionalKnapsack solves min Σ rc·z, Σ size·z ≤ Budget, z ∈ [0,1]
 // greedily (plus fixed variables). Negative-cost items are taken in
-// order of density until the budget binds.
+// (density, index) order until the budget binds. The items are
+// heap-ordered in place and popped one at a time, so an iteration pays
+// O(n + k log n) for the k items it takes instead of sorting all n.
 func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 	m := s.m
 	z := s.z
@@ -686,14 +716,14 @@ func (s *solver) fractionalKnapsack(rc []float64) (float64, []float64) {
 		}
 		return val, z
 	}
-	// The same pdqsort as sort.Slice, so equal densities end in the same
-	// order, without sort.Slice's reflective swaps.
-	slices.SortFunc(items, func(x, y knapItem) int { return cmp.Compare(x.density, y.density) })
-	for _, it := range items {
-		if budget <= 0 {
-			break
-		}
-		sz := s.m.Size[it.a]
+	for i := len(items)/2 - 1; i >= 0; i-- {
+		siftDown(items, i)
+	}
+	for n := len(items); n > 0 && budget > 0; n-- {
+		it := items[0]
+		items[0] = items[n-1]
+		siftDown(items[:n-1], 0)
+		sz := m.Size[it.a]
 		if sz <= budget {
 			z[it.a] = 1
 			val += rc[it.a]
