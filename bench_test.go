@@ -1,10 +1,9 @@
-// Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (run via the experiments package at
-// a reduced scale so `go test -bench=.` completes in minutes), plus
-// micro-benchmarks of the substrates and ablation benchmarks for the
-// design choices DESIGN.md calls out. `go run ./cmd/experiments -scale 1`
-// regenerates the full-scale numbers; committing them as checked claims
-// is ROADMAP item 6(b).
+// Package repro's root benchmark harness: micro-benchmarks of the
+// substrates and ablation benchmarks for the design choices DESIGN.md
+// calls out. The paper's tables and figures are not benchmarked here:
+// the experiments package's tests run each of them at a small scale
+// and check its claims, and `go run ./cmd/experiments -scale 1`
+// regenerates the full-scale numbers.
 package repro
 
 import (
@@ -15,41 +14,12 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cophy"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/inum"
 	"repro/internal/lagrange"
 	"repro/internal/lp"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
-
-// benchScale keeps the per-iteration work of the table/figure
-// benchmarks around a few seconds.
-const benchScale = 0.05
-
-func runExp(b *testing.B, name string) {
-	b.Helper()
-	cfg := experiments.Config{Scale: benchScale, Seed: 42, GapTol: 0.05}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(name, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// One benchmark per paper artifact.
-
-func BenchmarkTable1(b *testing.B)   { runExp(b, "table1") }
-func BenchmarkFigure4(b *testing.B)  { runExp(b, "figure4") }
-func BenchmarkFigure5(b *testing.B)  { runExp(b, "figure5") }
-func BenchmarkFigure6a(b *testing.B) { runExp(b, "figure6a") }
-func BenchmarkFigure6b(b *testing.B) { runExp(b, "figure6b") }
-func BenchmarkFigure6c(b *testing.B) { runExp(b, "figure6c") }
-func BenchmarkFigure7(b *testing.B)  { runExp(b, "figure7") }
-func BenchmarkFigure8(b *testing.B)  { runExp(b, "figure8") }
-func BenchmarkFigure9(b *testing.B)  { runExp(b, "figure9") }
-func BenchmarkFigure10(b *testing.B) { runExp(b, "figure10") }
-func BenchmarkSkewZ1(b *testing.B)   { runExp(b, "skewz1") }
 
 // --- Substrate micro-benchmarks ---
 

@@ -6,8 +6,8 @@
 //
 // With -scale 1 the workload sizes match the paper's axes
 // (250/500/1000 statements); smaller scales run proportionally lighter
-// instances with the same structure. Output is one aligned text table
-// per experiment, with the paper's expected values quoted in notes.
+// instances with the same structure. Output is one text table per
+// experiment with its claims checked, then a count of CoPhy+tool runs.
 //
 // Performance is not measured here: the repository's benchmark is
 // `go run ./bench` (see bench/README.md).
@@ -37,20 +37,19 @@ func main() {
 		names = strings.Split(*exp, ",")
 	}
 	start := time.Now()
+	grid := experiments.NewGrid(cfg)
 	failed := 0
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		t := time.Now()
-		rep, err := experiments.Run(name, cfg)
+		rep, err := grid.Run(name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			failed++
 			continue
 		}
 		fmt.Println(rep.String())
-		fmt.Printf("(%s took %.1fs)\n\n", name, time.Since(t).Seconds())
 	}
-	fmt.Printf("total: %.1fs, %d experiment(s) failed\n", time.Since(start).Seconds(), failed)
+	fmt.Printf("total: %.1fs, %d CoPhy+tool run(s), %d experiment(s) failed\n", time.Since(start).Seconds(), grid.Runs(), failed)
 	if failed > 0 {
 		os.Exit(1)
 	}

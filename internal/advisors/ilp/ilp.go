@@ -25,11 +25,12 @@ import (
 	"repro/internal/workload"
 )
 
+// shortlist caps the candidate indexes considered per (query, table)
+// during enumeration.
+const shortlist = 8
+
 // Options tune the ILP advisor.
 type Options struct {
-	// PerTable caps the candidate indexes considered per (query,
-	// table) during enumeration (default 8).
-	PerTable int
 	// PerQuery caps the atomic configurations kept per query after
 	// pruning by cost (default 20) — the pruning of [13] that keeps
 	// the per-configuration BIP tractable.
@@ -49,9 +50,6 @@ type Advisor struct {
 // New builds the advisor sharing an existing INUM cache (pass nil to
 // create a fresh one).
 func New(cat *catalog.Catalog, eng *engine.Engine, cache *inum.Cache, opts Options) *Advisor {
-	if opts.PerTable <= 0 {
-		opts.PerTable = 8
-	}
 	if opts.PerQuery <= 0 {
 		opts.PerQuery = 20
 	}
@@ -236,8 +234,8 @@ func (ad *Advisor) enumerate(q *workload.Query, s []*catalog.Index, qm *inum.Que
 			}
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].benefit > list[j].benefit })
-		if len(list) > ad.Opts.PerTable {
-			list = list[:ad.Opts.PerTable]
+		if len(list) > shortlist {
+			list = list[:shortlist]
 		}
 		perTable[ti] = list
 	}

@@ -3,6 +3,7 @@ package ilp
 import (
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cophy"
 	"repro/internal/engine"
 	"repro/internal/tpch"
@@ -16,19 +17,26 @@ func TestEnumerationGrowsWithCandidates(t *testing.T) {
 	eng := engine.New(cat, engine.SystemA())
 	w := workload.Hom(workload.HomConfig{Queries: 15, Seed: 110})
 	s := cophy.Candidates(cat, w, cophy.CGenOptions{Covering: true})
+	// At most two candidates per table.
+	var few []*catalog.Index
+	perTable := map[string]int{}
+	for _, ix := range s {
+		if perTable[ix.Table] < 2 {
+			perTable[ix.Table]++
+			few = append(few, ix)
+		}
+	}
 
-	small := New(cat, eng, nil, Options{PerTable: 2})
-	rs, err := small.Recommend(w, s, float64(cat.TotalBytes()))
+	rs, err := New(cat, eng, nil, Options{}).Recommend(w, few, float64(cat.TotalBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := New(cat, eng, nil, Options{PerTable: 8})
-	rb, err := big.Recommend(w, s, float64(cat.TotalBytes()))
+	rb, err := New(cat, eng, nil, Options{}).Recommend(w, s, float64(cat.TotalBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rb.Configs <= rs.Configs {
-		t.Fatalf("configs should grow with PerTable: %d vs %d", rs.Configs, rb.Configs)
+		t.Fatalf("configs should grow with the candidates (%d vs %d): %d vs %d", len(few), len(s), rs.Configs, rb.Configs)
 	}
 }
 

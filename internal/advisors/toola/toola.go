@@ -21,17 +21,19 @@ import (
 	"repro/internal/workload"
 )
 
+// perQueryIndexes caps the candidates admitted per query during the
+// seeding phase: commercial advisors prune aggressively (the paper
+// traced Tool-A at 170 candidates).
+const perQueryIndexes = 3
+
+// maxRelaxations caps the relaxation steps.
+const maxRelaxations = 500
+
 // Options tune Tool-A.
 type Options struct {
-	// PerQueryIndexes caps the candidates admitted per query during
-	// the seeding phase (default 3) — commercial advisors prune
-	// aggressively (the paper traced Tool-A at 170 candidates).
-	PerQueryIndexes int
-	// WhatIfBudget caps optimizer calls; 0 means 200000. Exceeding it
+	// WhatIfBudget caps optimizer calls; 0 means 80000. Exceeding it
 	// sets TimedOut and switches to crude eviction.
 	WhatIfBudget int64
-	// MaxRelaxations caps relaxation steps (default 500).
-	MaxRelaxations int
 }
 
 // Advisor is the Tool-A model.
@@ -43,14 +45,8 @@ type Advisor struct {
 
 // New returns a Tool-A advisor.
 func New(cat *catalog.Catalog, eng *engine.Engine, opts Options) *Advisor {
-	if opts.PerQueryIndexes <= 0 {
-		opts.PerQueryIndexes = 3
-	}
 	if opts.WhatIfBudget <= 0 {
 		opts.WhatIfBudget = 80000
-	}
-	if opts.MaxRelaxations <= 0 {
-		opts.MaxRelaxations = 500
 	}
 	return &Advisor{Cat: cat, Eng: eng, Opts: opts}
 }
@@ -92,7 +88,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, budgetBytes float64) (*Result
 		if err != nil {
 			continue
 		}
-		for picks := 0; picks < ad.Opts.PerQueryIndexes && budgetLeft(); picks++ {
+		for picks := 0; picks < perQueryIndexes && budgetLeft(); picks++ {
 			var bestIx *catalog.Index
 			bestCost := best
 			for _, ix := range cands {
@@ -121,7 +117,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, budgetBytes float64) (*Result
 
 	// Phase 2: relaxation until the budget holds.
 	timedOut := false
-	for iter := 0; iter < ad.Opts.MaxRelaxations; iter++ {
+	for iter := 0; iter < maxRelaxations; iter++ {
 		if ad.sizeOf(current) <= budgetBytes {
 			break
 		}

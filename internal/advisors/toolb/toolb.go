@@ -19,14 +19,14 @@ import (
 	"repro/internal/workload"
 )
 
+// sampleSize is the workload-compression sample, in statements.
+const sampleSize = 30
+
+// perQueryIndexes caps the candidates admitted per sampled query.
+const perQueryIndexes = 2
+
 // Options tune Tool-B.
 type Options struct {
-	// SampleSize is the workload-compression sample (default 30
-	// statements).
-	SampleSize int
-	// PerQueryIndexes caps candidates admitted per sampled query
-	// (default 2).
-	PerQueryIndexes int
 	// Seed drives the sampling.
 	Seed int64
 }
@@ -40,12 +40,6 @@ type Advisor struct {
 
 // New returns a Tool-B advisor.
 func New(cat *catalog.Catalog, eng *engine.Engine, opts Options) *Advisor {
-	if opts.SampleSize <= 0 {
-		opts.SampleSize = 30
-	}
-	if opts.PerQueryIndexes <= 0 {
-		opts.PerQueryIndexes = 2
-	}
 	return &Advisor{Cat: cat, Eng: eng, Opts: opts}
 }
 
@@ -72,10 +66,10 @@ func (ad *Advisor) Recommend(w *workload.Workload, budgetBytes float64) (*Result
 	r := rand.New(rand.NewSource(ad.Opts.Seed + 101))
 	stmts := w.Statements
 	sample := stmts
-	if len(stmts) > ad.Opts.SampleSize {
+	if len(stmts) > sampleSize {
 		perm := r.Perm(len(stmts))
-		sample = make([]*workload.Statement, ad.Opts.SampleSize)
-		for i := 0; i < ad.Opts.SampleSize; i++ {
+		sample = make([]*workload.Statement, sampleSize)
+		for i := 0; i < sampleSize; i++ {
 			sample[i] = stmts[perm[i]]
 		}
 	}
@@ -95,7 +89,7 @@ func (ad *Advisor) Recommend(w *workload.Workload, budgetBytes float64) (*Result
 			need := q.ColumnsOf(table)
 			var firstKey []string
 			for _, p := range q.PredsOf(table) {
-				if n >= ad.Opts.PerQueryIndexes*len(q.Tables) {
+				if n >= perQueryIndexes*len(q.Tables) {
 					break
 				}
 				ix := &catalog.Index{Table: table, Key: []string{p.Col.Column}}

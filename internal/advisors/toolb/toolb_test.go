@@ -35,7 +35,7 @@ func TestSmallWorkloadNotSampled(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
 	eng := engine.New(cat, engine.SystemA())
 	w := workload.Hom(workload.HomConfig{Queries: 10, Seed: 131})
-	res, err := New(cat, eng, Options{SampleSize: 30}).Recommend(w, float64(cat.TotalBytes()))
+	res, err := New(cat, eng, Options{}).Recommend(w, float64(cat.TotalBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

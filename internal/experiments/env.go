@@ -1,10 +1,12 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§5 and Appendix C): the workload generators, the
 // four advisors, the parameter sweeps and the report formatting. Each
-// ExpXxx function is self-contained and returns a Report whose rows
-// mirror the rows/series the paper prints; `go run ./cmd/experiments`
-// drives them. Recording paper-versus-measured values as checked claims
-// is ROADMAP item 6(b).
+// ExpXxx function returns a Report whose rows mirror the rows/series
+// the paper prints; `go run ./cmd/experiments` drives them. The
+// experiments share one Grid: a CoPhy-vs-tool or CoPhy-vs-ILP run that
+// several reports read runs once. A comparison report states the
+// paper's quality claims as predicates over its runs and records
+// whether each holds (Report.Claims).
 //
 // Absolute times differ from the paper (different hardware, simulated
 // substrate); the reproduction targets the *shape*: who wins, by
@@ -14,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/catalog"
@@ -68,45 +71,40 @@ type Report struct {
 	Rows [][]string
 	// Notes records paper-expectation reminders and caveats.
 	Notes []string
+	// Claims holds the paper's claims about this report, checked
+	// against the measured runs.
+	Claims []Claim
+}
+
+// Claim is one of the paper's statements and whether the measured runs
+// bear it out.
+type Claim struct {
+	Text  string
+	Holds bool
 }
 
 // String renders the report as an aligned text table.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s ==\n", r.ID, r.Title)
-	widths := make([]int, len(r.Header))
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	rule := make([]string, len(r.Header))
 	for i, h := range r.Header {
-		widths[i] = len(h)
+		rule[i] = strings.Repeat("-", len(h))
 	}
-	for _, row := range r.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
+	for _, cells := range append([][]string{r.Header, rule}, r.Rows...) {
+		fmt.Fprintln(tw, strings.Join(cells, "\t"))
 	}
-	line := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	line(r.Header)
-	for i, wd := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", wd))
-	}
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		line(row)
-	}
+	tw.Flush()
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
+	}
+	for _, c := range r.Claims {
+		verdict := "holds"
+		if !c.Holds {
+			verdict = "FAILS"
+		}
+		fmt.Fprintf(&b, "claim %s: %s\n", verdict, c.Text)
 	}
 	return b.String()
 }
@@ -154,17 +152,41 @@ func (e *env) cophyAdvisor(cfg Config) *cophy.Advisor {
 	})
 }
 
+// recommend runs a fresh CoPhy advisor (cold INUM cache) over the
+// candidates s under the storage budget M = m.
+func (e *env) recommend(cfg Config, w *workload.Workload, s []*catalog.Index, m float64) (*cophy.Result, error) {
+	res, err := e.cophyAdvisor(cfg).Recommend(w, s, cophy.Constraints{BudgetBytes: e.budget(m)})
+	if err != nil {
+		return nil, err
+	}
+	if res.Infeasible {
+		return nil, fmt.Errorf("cophy infeasible: %v", res.Violated)
+	}
+	return res, nil
+}
+
+// paperSizes are the workload sizes of the paper's size sweeps.
+var paperSizes = []int{250, 500, 1000}
+
+// workloadName names a generated workload by kind and paper size.
+func workloadName(het bool, paperSize int) string {
+	if het {
+		return fmt.Sprintf("W_het_%d", paperSize)
+	}
+	return fmt.Sprintf("W_hom_%d", paperSize)
+}
+
 // hom generates the homogeneous workload at a paper size.
 func (cfg Config) hom(paperSize int) *workload.Workload {
 	w := workload.Hom(workload.HomConfig{Queries: cfg.size(paperSize), Seed: cfg.Seed})
-	w.Name = fmt.Sprintf("W_hom_%d", paperSize)
+	w.Name = workloadName(false, paperSize)
 	return w
 }
 
 // het generates the heterogeneous workload at a paper size.
 func (cfg Config) het(paperSize int) *workload.Workload {
 	w := workload.Het(workload.HetConfig{Queries: cfg.size(paperSize), Seed: cfg.Seed})
-	w.Name = fmt.Sprintf("W_het_%d", paperSize)
+	w.Name = workloadName(true, paperSize)
 	return w
 }
 

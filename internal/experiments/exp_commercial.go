@@ -12,42 +12,138 @@ import (
 	"repro/internal/workload"
 )
 
-// runCoPhy runs CoPhy on the environment and returns its recommended
-// indexes, ground-truth perf and total duration.
-func runCoPhy(e *env, cfg Config, w *workload.Workload, m float64) ([]*catalog.Index, float64, time.Duration, error) {
-	ad := e.cophyAdvisor(cfg)
-	s := cophy.Candidates(e.cat, w, cophy.CGenOptions{Covering: true})
-	res, err := ad.Recommend(w, s, cophy.Constraints{BudgetBytes: e.budget(m)})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if res.Infeasible {
-		return nil, 0, 0, fmt.Errorf("cophy infeasible: %v", res.Violated)
-	}
-	p, err := e.perf(w, res.Indexes)
-	return res.Indexes, p, res.Times.Total(), err
+// A cell is one CoPhy-vs-commercial-tool comparison of §5.2 and
+// Appendix C.1: CoPhy and one system's stand-in tool advising on one
+// workload, data skew and storage budget.
+type cell struct {
+	sys  byte    // 'A': Tool-A on System-A; 'B': Tool-B on System-B
+	z    float64 // data skew
+	het  bool    // W_het rather than W_hom
+	size int     // the paper's workload size
+	m    float64 // storage budget as a fraction of the data (M)
 }
 
-// runToolA runs the Tool-A model.
-func runToolA(e *env, w *workload.Workload, m float64) ([]*catalog.Index, float64, time.Duration, bool, error) {
-	ad := toola.New(e.cat, e.eng, toola.Options{})
-	res, err := ad.Recommend(w, e.budget(m))
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	p, err := e.perf(w, res.Indexes)
-	return res.Indexes, p, res.Duration, res.TimedOut, err
+// outcome is what one cell measured.
+type outcome struct {
+	co, tool         float64 // ground-truth perf (§5.1) of each recommendation
+	coTime, toolTime time.Duration
+	timedOut         bool // Tool-A ran out of what-if calls
 }
 
-// runToolB runs the Tool-B model.
-func runToolB(e *env, cfg Config, w *workload.Workload, m float64) ([]*catalog.Index, float64, time.Duration, error) {
-	ad := toolb.New(e.cat, e.eng, toolb.Options{Seed: cfg.Seed})
-	res, err := ad.Recommend(w, e.budget(m))
-	if err != nil {
-		return nil, 0, 0, err
+// run advises with CoPhy and the cell's tool on a fresh environment.
+func (c cell) run(cfg Config) (outcome, error) {
+	var w *workload.Workload
+	if c.het {
+		w = cfg.het(c.size)
+	} else {
+		w = cfg.hom(c.size)
 	}
-	p, err := e.perf(w, res.Indexes)
-	return res.Indexes, p, res.Duration, err
+	prof := engine.SystemA()
+	if c.sys == 'B' {
+		prof = engine.SystemB()
+	}
+	e := newEnv(c.z, prof)
+	var o outcome
+	res, err := e.recommend(cfg, w, cophy.Candidates(e.cat, w, cophy.CGenOptions{Covering: true}), c.m)
+	if err != nil {
+		return o, err
+	}
+	o.coTime = res.Times.Total()
+	if o.co, err = e.perf(w, res.Indexes); err != nil {
+		return o, err
+	}
+	var tool []*catalog.Index
+	if c.sys == 'A' {
+		r, err := toola.New(e.cat, e.eng, toola.Options{}).Recommend(w, e.budget(c.m))
+		if err != nil {
+			return o, err
+		}
+		tool, o.toolTime, o.timedOut = r.Indexes, r.Duration, r.TimedOut
+	} else {
+		r, err := toolb.New(e.cat, e.eng, toolb.Options{Seed: cfg.Seed}).Recommend(w, e.budget(c.m))
+		if err != nil {
+			return o, err
+		}
+		tool, o.toolTime = r.Indexes, r.Duration
+	}
+	o.tool, err = e.perf(w, tool)
+	return o, err
+}
+
+// The column renderings of one outcome.
+func (o outcome) perfs() []string { return []string{pct(o.tool), pct(o.co)} }
+func (o outcome) times() []string { return []string{secs(o.toolTime), secs(o.coTime)} }
+func (o outcome) ratio() []string {
+	switch {
+	case o.timedOut:
+		return []string{"Tool-A timed out."}
+	case o.tool > 0:
+		return []string{ratio(o.co / o.tool)}
+	}
+	return []string{"n/a"}
+}
+
+// pair is the System-A and the System-B cell of one setting.
+func pair(z float64, het bool, size int, m float64) []cell {
+	return []cell{{'A', z, het, size, m}, {'B', z, het, size, m}}
+}
+
+// row is one report row: its label columns and the cells it reads.
+type row struct {
+	label []string
+	cells []cell
+}
+
+// sizeRows is one row per paper workload size, labelled with the
+// scaled statement count.
+func (g *Grid) sizeRows(cells func(size int) []cell) []row {
+	var rows []row
+	for _, size := range paperSizes {
+		rows = append(rows, row{[]string{fmt.Sprint(g.cfg.size(size))}, cells(size)})
+	}
+	return rows
+}
+
+// claim is one of the paper's statements about a report, as a
+// predicate over the outcomes of the report's rows.
+type claim struct {
+	text  string
+	holds func(rows [][]outcome) bool
+}
+
+// ahead holds when CoPhy is at least as good as the tool in the k-th
+// cell of every row.
+func ahead(k int) func([][]outcome) bool {
+	return func(rows [][]outcome) bool {
+		for _, r := range rows {
+			if r[k].co < r[k].tool {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// compare fills rep's rows from the grid, a row's measured columns
+// being cols of each of its cells in turn, and checks the claims.
+func (g *Grid) compare(rep *Report, rows []row, cols func(outcome) []string, claims ...claim) (*Report, error) {
+	outs := make([][]outcome, len(rows))
+	for i, r := range rows {
+		line := append([]string(nil), r.label...)
+		for _, c := range r.cells {
+			o, err := memo(g.cells, c, func() (outcome, error) { return c.run(g.cfg) })
+			if err != nil {
+				return nil, err
+			}
+			outs[i] = append(outs[i], o)
+			line = append(line, cols(o)...)
+		}
+		rep.Rows = append(rep.Rows, line)
+	}
+	for _, c := range claims {
+		rep.Claims = append(rep.Claims, Claim{Text: c.text, Holds: c.holds(outs)})
+	}
+	return rep, nil
 }
 
 // ExpTable1 regenerates Table 1: the quality ratio between CoPhy and
@@ -55,9 +151,14 @@ func runToolB(e *env, cfg Config, w *workload.Workload, m float64) ([]*catalog.I
 // homogeneous/heterogeneous 1000-statement workloads. Paper shape:
 // every ratio ≥ 1; the gap narrows under heavy skew (z = 2) because a
 // few indexes dominate; Tool-A times out on the hardest instance.
-func ExpTable1(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
-	rep := &Report{
+func ExpTable1(g *Grid) (*Report, error) {
+	var rows []row
+	for _, z := range []float64{0, 2} {
+		for _, het := range []bool{false, true} {
+			rows = append(rows, row{[]string{fmt.Sprintf("%.0f", z), workloadName(het, 1000)}, pair(z, het, 1000, 1)})
+		}
+	}
+	return g.compare(&Report{
 		ID:     "Table 1",
 		Title:  "CoPhy vs commercial advisors (quality ratio perf(CoPhy)/perf(tool))",
 		Header: []string{"z", "workload", "perf(X*_A)/perf(Y*_A)", "perf(X*_B)/perf(Y*_B)"},
@@ -65,60 +166,27 @@ func ExpTable1(cfg Config) (*Report, error) {
 			"paper: 2.10/2.29/1.37/(timeout) on System-A; 1.03/1.64/1.02/1.58 on System-B",
 			"expected shape: all ratios ≥ 1; smaller at z=2; Tool-A struggles on W_het",
 		},
-	}
-	for _, z := range []float64{0, 2} {
-		for _, het := range []bool{false, true} {
-			var w *workload.Workload
-			if het {
-				w = cfg.het(1000)
-			} else {
-				w = cfg.hom(1000)
-			}
-
-			envA := newEnv(z, engine.SystemA())
-			_, coA, _, err := runCoPhy(envA, cfg, w, 1)
-			if err != nil {
-				return nil, err
-			}
-			_, taPerf, _, taTimeout, err := runToolA(envA, w, 1)
-			if err != nil {
-				return nil, err
-			}
-			colA := "Tool-A timed out."
-			if !taTimeout && taPerf > 0 {
-				colA = ratio(coA / taPerf)
-			}
-
-			envB := newEnv(z, engine.SystemB())
-			_, coB, _, err := runCoPhy(envB, cfg, w, 1)
-			if err != nil {
-				return nil, err
-			}
-			_, tbPerf, _, err := runToolB(envB, cfg, w, 1)
-			if err != nil {
-				return nil, err
-			}
-			colB := "n/a"
-			if tbPerf > 0 {
-				colB = ratio(coB / tbPerf)
-			}
-
-			rep.Rows = append(rep.Rows, []string{
-				fmt.Sprintf("%.0f", z), w.Name, colA, colB,
-			})
-		}
-	}
-	return rep, nil
+	}, rows, outcome.ratio,
+		// Rows 0 and 1 are z = 0, rows 2 and 3 z = 2, each W_hom then W_het.
+		claim{"CoPhyA ≥ Tool-A on every instance", ahead(0)},
+		claim{"Tool-A times out only at z = 2 on W_het", func(r [][]outcome) bool {
+			return !r[0][0].timedOut && !r[1][0].timedOut && !r[2][0].timedOut && r[3][0].timedOut
+		}},
+		claim{"CoPhyB ≥ Tool-B on every instance", ahead(1)},
+		claim{"CoPhyB/Tool-B is smaller at z = 2 than at z = 0 on each workload", func(r [][]outcome) bool {
+			gain := func(o outcome) float64 { return o.co / o.tool }
+			return gain(r[2][1]) < gain(r[0][1]) && gain(r[3][1]) < gain(r[1][1])
+		}},
+	)
 }
 
 // ExpFigure4 regenerates Figure 4: advisor execution time versus
 // workload size, CoPhy against each commercial tool on its system.
 // Paper shape: Tool-A's time explodes super-linearly (6.2→66→419 min);
 // CoPhy stays flat and is ≥10× faster at 1000 queries; Tool-B is ~2×
-// CoPhy at 500/1000.
-func ExpFigure4(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
-	rep := &Report{
+// CoPhy at 500/1000. It reads the cells of Figure 7.
+func ExpFigure4(g *Grid) (*Report, error) {
+	return g.compare(&Report{
 		ID:     "Figure 4",
 		Title:  "Execution time vs workload size (z=0, W_hom, M=1)",
 		Header: []string{"queries", "Tool-A", "CoPhyA", "Tool-B", "CoPhyB"},
@@ -126,45 +194,15 @@ func ExpFigure4(cfg Config) (*Report, error) {
 			"paper (minutes): Tool-A 6.2/66/419 vs CoPhyA 2/4.8/8.3; Tool-B 3.2/6.1/? vs CoPhyB 1/1.25/2.26",
 			"expected shape: Tool-A ≥10× CoPhyA at the largest size; Tool-B ≈ 2× CoPhyB",
 		},
-	}
-	for _, paperSize := range []int{250, 500, 1000} {
-		w := cfg.hom(paperSize)
-
-		envA := newEnv(0, engine.SystemA())
-		_, _, taTime, _, err := runToolA(envA, w, 1)
-		if err != nil {
-			return nil, err
-		}
-		_, _, coATime, err := runCoPhy(envA, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-
-		envB := newEnv(0, engine.SystemB())
-		_, _, tbTime, err := runToolB(envB, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-		_, _, coBTime, err := runCoPhy(envB, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", cfg.size(paperSize)),
-			secs(taTime), secs(coATime), secs(tbTime), secs(coBTime),
-		})
-	}
-	return rep, nil
+	}, g.sizeRows(func(size int) []cell { return pair(0, false, size, 1) }), outcome.times)
 }
 
 // ExpFigure7 regenerates Figure 7 (Appendix C.1): solution quality (%
 // speedup over X0) versus workload size. Paper shape: CoPhy stable
 // (61% on A, 96.7% on B); Tool-A degrades as the workload grows
 // (35→32→29%); Tool-B stable slightly below CoPhy.
-func ExpFigure7(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
-	rep := &Report{
+func ExpFigure7(g *Grid) (*Report, error) {
+	return g.compare(&Report{
 		ID:     "Figure 7",
 		Title:  "Quality of solution vs workload size (z=0, W_hom, M=1)",
 		Header: []string{"queries", "Tool-A", "CoPhyA", "Tool-B", "CoPhyB"},
@@ -172,45 +210,22 @@ func ExpFigure7(cfg Config) (*Report, error) {
 			"paper: Tool-A 35/32/29% vs CoPhyA 61/61/61%; Tool-B 94.1/93.9/93.8% vs CoPhyB 96.7%",
 			"expected shape: CoPhy flat and highest per system; Tool-A lowest and degrading",
 		},
-	}
-	for _, paperSize := range []int{250, 500, 1000} {
-		w := cfg.hom(paperSize)
-
-		envA := newEnv(0, engine.SystemA())
-		_, taPerf, _, _, err := runToolA(envA, w, 1)
-		if err != nil {
-			return nil, err
-		}
-		_, coA, _, err := runCoPhy(envA, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-
-		envB := newEnv(0, engine.SystemB())
-		_, tbPerf, _, err := runToolB(envB, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-		_, coB, _, err := runCoPhy(envB, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", cfg.size(paperSize)),
-			pct(taPerf), pct(coA), pct(tbPerf), pct(coB),
-		})
-	}
-	return rep, nil
+	}, g.sizeRows(func(size int) []cell { return pair(0, false, size, 1) }), outcome.perfs,
+		claim{"CoPhyA ≥ Tool-A at every size", ahead(0)},
+		claim{"CoPhyB ≥ Tool-B at every size", ahead(1)},
+	)
 }
 
 // ExpFigure8 regenerates Figure 8: the quality ratio versus storage
 // budget M ∈ {0.5, 1, 2}. Paper shape: CoPhyA/ToolA 1.85/1.97/1.09 —
 // the advantage shrinks when storage is plentiful; CoPhyB/ToolB stays
 // ≈ 1.02–1.03.
-func ExpFigure8(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
-	rep := &Report{
+func ExpFigure8(g *Grid) (*Report, error) {
+	var rows []row
+	for _, m := range []float64{0.5, 1, 2} {
+		rows = append(rows, row{[]string{fmt.Sprintf("%.1f", m)}, pair(0, false, 1000, m)})
+	}
+	return g.compare(&Report{
 		ID:     "Figure 8",
 		Title:  "Quality ratio vs space budget (W_hom_1000, z=0)",
 		Header: []string{"budget M", "CoPhyA/Tool-A", "CoPhyB/Tool-B"},
@@ -218,45 +233,17 @@ func ExpFigure8(cfg Config) (*Report, error) {
 			"paper: 1.85/1.97/1.09 on A; 1.02/1.03/1.03 on B",
 			"expected shape: ratios ≥ 1; System-A ratio drops sharply at M=2",
 		},
-	}
-	w := cfg.hom(1000)
-	for _, m := range []float64{0.5, 1, 2} {
-		envA := newEnv(0, engine.SystemA())
-		_, coA, _, err := runCoPhy(envA, cfg, w, m)
-		if err != nil {
-			return nil, err
-		}
-		_, taPerf, _, _, err := runToolA(envA, w, m)
-		if err != nil {
-			return nil, err
-		}
-		envB := newEnv(0, engine.SystemB())
-		_, coB, _, err := runCoPhy(envB, cfg, w, m)
-		if err != nil {
-			return nil, err
-		}
-		_, tbPerf, _, err := runToolB(envB, cfg, w, m)
-		if err != nil {
-			return nil, err
-		}
-		ra, rb := "n/a", "n/a"
-		if taPerf > 0 {
-			ra = ratio(coA / taPerf)
-		}
-		if tbPerf > 0 {
-			rb = ratio(coB / tbPerf)
-		}
-		rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%.1f", m), ra, rb})
-	}
-	return rep, nil
+	}, rows, outcome.ratio,
+		claim{"CoPhyA ≥ Tool-A at every budget", ahead(0)},
+		claim{"CoPhyB ≥ Tool-B at every budget", ahead(1)},
+	)
 }
 
 // ExpFigure9 regenerates Figure 9: quality on the heterogeneous
 // workload on System-B. Paper shape: Tool-B 58.4/42.8/42.7% — hurt by
 // sampling-based compression — versus CoPhy 78.8/69.6/69.6%.
-func ExpFigure9(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
-	rep := &Report{
+func ExpFigure9(g *Grid) (*Report, error) {
+	return g.compare(&Report{
 		ID:     "Figure 9",
 		Title:  "Quality on the diverse workload W_het (System-B, M=1)",
 		Header: []string{"queries", "Tool-B", "CoPhyB"},
@@ -264,30 +251,19 @@ func ExpFigure9(cfg Config) (*Report, error) {
 			"paper: Tool-B 58.4/42.8/42.7% vs CoPhyB 78.8/69.6/69.6%",
 			"expected shape: CoPhy wins by a wide margin; Tool-B drops as diversity grows",
 		},
-	}
-	for _, paperSize := range []int{250, 500, 1000} {
-		w := cfg.het(paperSize)
-		envB := newEnv(0, engine.SystemB())
-		_, tbPerf, _, err := runToolB(envB, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-		_, coB, _, err := runCoPhy(envB, cfg, w, 1)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", cfg.size(paperSize)), pct(tbPerf), pct(coB),
-		})
-	}
-	return rep, nil
+	}, g.sizeRows(func(size int) []cell { return pair(0, true, size, 1)[1:] }), outcome.perfs,
+		claim{"CoPhyB ≥ Tool-B at every size", ahead(0)},
+		claim{"Tool-B drops as the workload grows", func(r [][]outcome) bool {
+			return r[1][0].tool <= r[0][0].tool && r[2][0].tool <= r[1][0].tool
+		}},
+	)
 }
 
 // ExpSkewZ1 regenerates the z = 1 note of Appendix C.1: Tool-A 67% vs
 // CoPhyA 92%; Tool-B 96.9% vs CoPhyB 98.1%.
-func ExpSkewZ1(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
-	rep := &Report{
+func ExpSkewZ1(g *Grid) (*Report, error) {
+	cells := pair(1, false, 1000, 1)
+	return g.compare(&Report{
 		ID:     "Appendix C.1 (z=1)",
 		Title:  "Quality under moderate skew (W_hom_1000, z=1, M=1)",
 		Header: []string{"system", "commercial tool", "CoPhy"},
@@ -295,28 +271,8 @@ func ExpSkewZ1(cfg Config) (*Report, error) {
 			"paper: Tool-A 67% vs CoPhyA 92%; Tool-B 96.9% vs CoPhyB 98.1%",
 			"expected shape: CoPhy ahead on both systems; gap bigger on System-A",
 		},
-	}
-	w := cfg.hom(1000)
-	envA := newEnv(1, engine.SystemA())
-	_, taPerf, _, _, err := runToolA(envA, w, 1)
-	if err != nil {
-		return nil, err
-	}
-	_, coA, _, err := runCoPhy(envA, cfg, w, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, []string{"System-A", pct(taPerf), pct(coA)})
-
-	envB := newEnv(1, engine.SystemB())
-	_, tbPerf, _, err := runToolB(envB, cfg, w, 1)
-	if err != nil {
-		return nil, err
-	}
-	_, coB, _, err := runCoPhy(envB, cfg, w, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, []string{"System-B", pct(tbPerf), pct(coB)})
-	return rep, nil
+	}, []row{{[]string{"System-A"}, cells[:1]}, {[]string{"System-B"}, cells[1:]}}, outcome.perfs,
+		claim{"CoPhyA ≥ Tool-A", func(r [][]outcome) bool { return ahead(0)(r[:1]) }},
+		claim{"CoPhyB ≥ Tool-B", func(r [][]outcome) bool { return ahead(0)(r[1:]) }},
+	)
 }

@@ -14,18 +14,18 @@ import (
 // Paper shape: the bound drops fast in the early iterations, then
 // decays slowly; a 5%-quality solution is available long before the
 // proven optimum.
-func ExpFigure6a(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
+func ExpFigure6a(g *Grid) (*Report, error) {
+	cfg := g.cfg
 	rep := &Report{
 		ID:     "Figure 6(a)",
 		Title:  "Continuous feedback for early termination (gap over time)",
 		Header: []string{"workload", "event time", "estimated distance from optimal"},
 		Notes: []string{
-			"paper: W_hom_1000 reaches ≤5%% after ~4 min of a >10 min run",
+			"paper: W_hom_1000 reaches ≤5% after ~4 min of a >10 min run",
 			"expected shape: steep initial drop, long slow tail",
 		},
 	}
-	for _, paperSize := range []int{250, 500, 1000} {
+	for _, paperSize := range paperSizes {
 		w := cfg.hom(paperSize)
 		e := newEnv(0, engine.SystemA())
 		var events []lagrange.Event
@@ -71,8 +71,8 @@ func sampleEvents(events []lagrange.Event, n int) []lagrange.Event {
 // Paper shape: the initial solve costs ~416 s; every re-tuning costs
 // roughly an order of magnitude less (42–136 s), growing mildly with
 // the delta size.
-func ExpFigure6b(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
+func ExpFigure6b(g *Grid) (*Report, error) {
+	cfg := g.cfg
 	rep := &Report{
 		ID:     "Figure 6(b)",
 		Title:  "Interactive re-tuning time as candidates are added (W_hom_1000)",
@@ -138,8 +138,8 @@ func ExpFigure6b(cfg Config) (*Report, error) {
 // point pays the full solve (~294 s); each subsequent point reuses the
 // computation and costs a fraction (11–16 s) — about 4× cheaper than
 // naive recomputation overall.
-func ExpFigure6c(cfg Config) (*Report, error) {
-	cfg = cfg.defaults()
+func ExpFigure6c(g *Grid) (*Report, error) {
+	cfg := g.cfg
 	rep := &Report{
 		ID:     "Figure 6(c)",
 		Title:  "Pareto-curve generation for a soft storage constraint (W_hom_1000)",

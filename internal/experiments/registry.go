@@ -5,8 +5,38 @@ import (
 	"sort"
 )
 
+// Grid holds the configuration the experiments run at and the runs
+// they share: each distinct cell runs once, however many reports read
+// it. A Grid is not safe for concurrent use.
+type Grid struct {
+	cfg   Config
+	cells map[cell]outcome
+	ilps  map[ilpCell]ilpOutcome
+}
+
+// NewGrid returns an empty grid for cfg.
+func NewGrid(cfg Config) *Grid {
+	return &Grid{cfg: cfg.defaults(), cells: map[cell]outcome{}, ilps: map[ilpCell]ilpOutcome{}}
+}
+
+// Runs returns the number of CoPhy+tool runs the grid has made: one per
+// distinct cell the commercial-tool reports have read.
+func (g *Grid) Runs() int { return len(g.cells) }
+
+// memo returns m[k], filling it with run the first time k is asked for.
+func memo[K comparable, V any](m map[K]V, k K, run func() (V, error)) (V, error) {
+	if v, ok := m[k]; ok {
+		return v, nil
+	}
+	v, err := run()
+	if err == nil {
+		m[k] = v
+	}
+	return v, err
+}
+
 // Runner is one experiment entry point.
-type Runner func(Config) (*Report, error)
+type Runner func(*Grid) (*Report, error)
 
 // registry maps experiment names to runners.
 var registry = map[string]Runner{
@@ -33,11 +63,11 @@ func Names() []string {
 	return out
 }
 
-// Run executes one experiment by name.
-func Run(name string, cfg Config) (*Report, error) {
+// Run executes one experiment by name on the grid.
+func (g *Grid) Run(name string) (*Report, error) {
 	r, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	return r(cfg)
+	return r(g)
 }
