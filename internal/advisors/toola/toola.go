@@ -217,13 +217,20 @@ func (ad *Advisor) relaxOnce(w *workload.Workload, baseline *engine.Config, curr
 		return cfg
 	}
 
+	// beforeOf is each table's affected cost under the current
+	// configuration, which no move changes until one is applied.
+	beforeOf := map[string]float64{}
 	best := move{penalty: math.Inf(1)}
 	for i, ix := range ixs {
 		if !budgetLeft() {
 			return false
 		}
 		table := ix.Table
-		before := affectedCost(cfgOf(nil, nil), table)
+		before, ok := beforeOf[table]
+		if !ok {
+			before = affectedCost(cfgOf(nil, nil), table)
+			beforeOf[table] = before
+		}
 		// Removal.
 		after := affectedCost(cfgOf(map[string]bool{ix.ID(): true}, nil), table)
 		saved := float64(ad.bytesOf(ix))

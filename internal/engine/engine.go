@@ -258,6 +258,23 @@ func orderSatisfiedByKey(table string, key, required []string) bool {
 	return true
 }
 
+// orderReachable reports whether some scan of an index keyed on key
+// could deliver the required order. Its scans deliver key[eqBound:] or
+// key itself, so an order that is a prefix of no key suffix key[k:] is
+// delivered by none of them, whatever the query binds: SlotCost rejects
+// the pair before pricing any scan.
+func orderReachable(table string, key, required []string) bool {
+	if len(required) == 0 {
+		return true
+	}
+	for k := 0; k+len(required) <= len(key); k++ {
+		if orderSatisfiedByKey(table, key[k:], required) {
+			return true
+		}
+	}
+	return false
+}
+
 // Access is what γ reads from one template slot: the query, the
 // table, the slot's requirement (a delivered order for a scan, a probed
 // column and probe count for a lookup) and the quantities every index's
@@ -324,7 +341,9 @@ func (e *Engine) IndexGeometry(ix *catalog.Index) catalog.Geometry {
 // slot's table; ignored for the heap). It returns ok=false when the
 // access method cannot implement the slot — the γ = ∞ case of Lemma 1:
 // an index on another table, a heap or an unusable index for a lookup,
-// a scan that cannot deliver the required order.
+// a scan that cannot deliver the required order. An ordered scan slot
+// whose order no key suffix starts with (orderReachable) is rejected
+// before any scan is priced; the call still counts.
 //
 // The dense CostMatrix compilation runs it once per (shape, template,
 // slot, candidate) with a and g built once each; the single-statement
@@ -351,7 +370,7 @@ func (e *Engine) SlotCost(a *Access, ix *catalog.Index, g catalog.Geometry) (flo
 		}
 		return e.Prof.fullPassCost(a.pages, a.rows), true
 	}
-	if ix.Table != a.t.Name {
+	if ix.Table != a.t.Name || !orderReachable(a.t.Name, ix.Key, a.order) {
 		return 0, false
 	}
 	scans, n, _ := e.indexScans(a, ix, g)

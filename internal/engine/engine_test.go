@@ -462,7 +462,11 @@ func slotTestOrders(q *workload.Query, table string) [][]string {
 // The kernel is called as the matrix compile calls it: each slot
 // prepared once, each candidate's geometry computed once and supplied
 // for every slot. Secondary and clustered indexes go through both slot
-// kinds.
+// kinds. The coverage guard also counts the two sides of SlotCost's
+// order precheck: ordered comparisons that only a key suffix past the
+// equality-bound prefix satisfies, which a precheck of the full key
+// alone would reject, and ordered comparisons no key suffix satisfies,
+// which it rejects before pricing.
 func TestSlotCostMatchesAccessPaths(t *testing.T) {
 	cat, e, _ := testEnv(t)
 	var stmts []*workload.Statement
@@ -470,6 +474,7 @@ func TestSlotCostMatchesAccessPaths(t *testing.T) {
 	stmts = append(stmts, workload.Het(workload.HetConfig{Queries: 30, Seed: 17}).Queries()...)
 	scans, lookups, infeasible := 0, 0, 0
 	clusteredScans, clusteredLookups := 0, 0
+	suffixOnly, unreachable := 0, 0
 	for _, st := range stmts {
 		q := st.Query
 		for _, table := range q.Tables {
@@ -510,6 +515,18 @@ func TestSlotCostMatchesAccessPaths(t *testing.T) {
 					} else if clustered {
 						clusteredScans++
 					}
+					if ix != nil && len(a.order) > 0 {
+						reachable := false
+						for k := range ix.Key {
+							reachable = reachable || satisfiesOrder(qualify(table, ix.Key[k:]), a.order)
+						}
+						switch {
+						case !reachable:
+							unreachable++
+						case ok && !satisfiesOrder(qualify(table, ix.Key), a.order):
+							suffixOnly++
+						}
+					}
 				}
 				for i := range lookupSlots {
 					a := &lookupSlots[i]
@@ -529,8 +546,11 @@ func TestSlotCostMatchesAccessPaths(t *testing.T) {
 			}
 		}
 	}
-	if scans < 1000 || lookups < 100 || infeasible == 0 || infeasible == scans+lookups || clusteredScans == 0 || clusteredLookups == 0 {
-		t.Fatalf("degenerate coverage: %d scan and %d lookup comparisons (%d and %d feasible through clustered indexes), %d infeasible",
-			scans, lookups, clusteredScans, clusteredLookups, infeasible)
+	if scans < 1000 || lookups < 100 || infeasible == 0 || infeasible == scans+lookups || clusteredScans == 0 || clusteredLookups == 0 ||
+		suffixOnly == 0 || unreachable == 0 {
+		t.Fatalf("degenerate coverage: %d scan and %d lookup comparisons (%d and %d feasible through clustered indexes), %d infeasible; "+
+			"%d ordered scans only a key suffix delivers, %d no key suffix delivers",
+			scans, lookups, clusteredScans, clusteredLookups, infeasible, suffixOnly, unreachable)
 	}
+	t.Logf("%d ordered scans only a key suffix delivers, %d no key suffix delivers", suffixOnly, unreachable)
 }

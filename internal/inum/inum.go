@@ -155,11 +155,53 @@ type Cache struct {
 // derivation starts (singleflight): the first goroutine to claim a
 // fingerprint derives the templates while later arrivals block on ready,
 // so a burst of same-shape statements costs exactly one set of optimizer
-// calls. templates is written once, before ready closes, and never
-// mutated after.
+// calls. templates and reps are written once, by publish before ready
+// closes, and never mutated after.
 type shapeEntry struct {
 	ready     chan struct{}
 	templates []*Template
+	// reps is, per slot in the flattened order QueryMatrix numbers them
+	// (template by template, slot by slot), the first slot equal to it in
+	// every Slot field: itself when no earlier slot is.
+	reps []int32
+}
+
+// publish sets the entry's templates and their slot representatives.
+func (en *shapeEntry) publish(templates []*Template) {
+	en.templates, en.reps = templates, slotReps(templates)
+}
+
+// slotReps returns, per slot of templates in the flattened order, the
+// first slot equal to it in every field. γ reads a slot only through
+// those fields and the statement's predicates, which one shape shares,
+// so equal slots price every access method to the same bits: a
+// template set repeats a leaf slot in most of its templates, and only
+// representatives need pricing. Lookups compares by bits.
+func slotReps(templates []*Template) []int32 {
+	var flat []*Slot
+	for _, t := range templates {
+		for si := range t.Slots {
+			flat = append(flat, &t.Slots[si])
+		}
+	}
+	reps := make([]int32, len(flat))
+	for n, s := range flat {
+		reps[n] = int32(n)
+		for r := range n {
+			if reps[r] == int32(r) && sameSlot(flat[r], s) {
+				reps[n] = int32(r)
+				break
+			}
+		}
+	}
+	return reps
+}
+
+// sameSlot reports whether two slots are equal in every field.
+func sameSlot(a, b *Slot) bool {
+	return a.Table == b.Table && a.Mode == b.Mode && a.JoinCol == b.JoinCol &&
+		math.Float64bits(a.Lookups) == math.Float64bits(b.Lookups) &&
+		slices.Equal(a.RequiredOrder, b.RequiredOrder) && slices.Equal(a.NeedCols, b.NeedCols)
 }
 
 // derived reports whether the entry's templates are published.
@@ -265,7 +307,7 @@ func (c *Cache) shapeFor(q *workload.Query) *shapeEntry {
 	// Close ready even if derivation panics, so same-shape waiters are
 	// never stranded on a dead entry.
 	defer close(en.ready)
-	en.templates = c.buildTemplates(q)
+	en.publish(c.buildTemplates(q))
 	return en
 }
 
@@ -629,21 +671,27 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 	if len(qi.Templates) == 0 {
 		return 0, fmt.Errorf("inum: no templates for query %s", q.ID)
 	}
+	// mins holds, per representative slot, its cheapest access once
+	// priced (NaN until then); a repeated slot reads its
+	// representative's.
+	reps := qi.shape.reps
+	mins := make([]float64, len(reps))
+	for n := range mins {
+		mins[n] = math.NaN()
+	}
 	best := math.Inf(1)
+	first := 0
 	for _, t := range qi.Templates {
 		total := t.Internal
 		feasible := true
+		n := first
+		first += len(t.Slots)
 		for si := range t.Slots {
-			s := &t.Slots[si]
-			a := c.access(qi, s)
-			slotBest := math.Inf(1)
-			if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
-				slotBest = g
-			}
-			for _, ix := range cfg.OnTable(s.Table) {
-				if g, ok := c.Eng.SlotCost(&a, ix, c.Eng.IndexGeometry(ix)); ok && g < slotBest {
-					slotBest = g
-				}
+			r := reps[n+si]
+			slotBest := mins[r]
+			if math.IsNaN(slotBest) {
+				slotBest = c.slotMin(qi, &t.Slots[si], cfg)
+				mins[r] = slotBest
 			}
 			if math.IsInf(slotBest, 1) {
 				feasible = false
@@ -659,6 +707,23 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 		return 0, fmt.Errorf("inum: no instantiable template for query %s", q.ID)
 	}
 	return best, nil
+}
+
+// slotMin returns the cheapest access to slot s of one of qi's
+// templates under cfg: the heap or an index of cfg on its table (+Inf
+// when none applies).
+func (c *Cache) slotMin(qi *QueryInfo, s *Slot, cfg *engine.Config) float64 {
+	a := c.access(qi, s)
+	best := math.Inf(1)
+	if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
+		best = g
+	}
+	for _, ix := range cfg.OnTable(s.Table) {
+		if g, ok := c.Eng.SlotCost(&a, ix, c.Eng.IndexGeometry(ix)); ok && g < best {
+			best = g
+		}
+	}
+	return best
 }
 
 // StatementCost mirrors engine.StatementCost but uses the INUM

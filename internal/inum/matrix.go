@@ -248,7 +248,9 @@ type slabBuf struct {
 // prev's entries (none when prev is nil) renumbered through in.perm (nil
 // = kept in place), followed, slot by slot, by γ of the candidate
 // positions in byTable, which must all lie beyond the renumbered ones.
-// Each slot is prepared for the γ kernel once, before its candidates.
+// Only a representative slot (shapeEntry.reps) is priced, its Access
+// prepared once, before its candidates; a repeated slot copies its
+// representative's SlotFree and entry run, which are its own to the bit.
 func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix, byTable map[string][]int32, buf *slabBuf) *QueryMatrix {
 	slots, scan := 0, 0
 	for _, tpl := range qi.Templates {
@@ -268,9 +270,17 @@ func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix
 		SlotOff:  make([]int32, 1, slots+1),
 	}
 	compat, gamma := buf.compat[:0], buf.gamma[:0]
+	reps := qi.shape.reps
 	for ti, tpl := range qi.Templates {
 		qm.Internal[ti] = tpl.Internal
 		for si := range tpl.Slots {
+			if r := reps[len(qm.SlotFree)]; r != int32(len(qm.SlotFree)) {
+				qm.SlotFree = append(qm.SlotFree, qm.SlotFree[r])
+				compat = append(compat, compat[qm.SlotOff[r]:qm.SlotOff[r+1]]...)
+				gamma = append(gamma, gamma[qm.SlotOff[r]:qm.SlotOff[r+1]]...)
+				qm.SlotOff = append(qm.SlotOff, int32(len(compat)))
+				continue
+			}
 			slot := &tpl.Slots[si]
 			positions := byTable[slot.Table]
 			var a engine.Access
