@@ -43,7 +43,7 @@ func (s *solver) newIncState(sel []bool) (*incState, bool) {
 		sel:      slices.Clone(sel),
 		blockVal: make([]float64, len(s.m.Blocks)),
 	}
-	total, ok := s.m.evaluate(st.sel, s.workers, st.blockVal)
+	total, ok := s.m.evaluate(st.sel, s.scratches, st.blockVal)
 	if !ok {
 		return nil, false
 	}
@@ -87,7 +87,7 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 	}
 	for _, e := range s.incidence[a] {
 		bi := int(e.block)
-		v, ok := s.m.blockPrimal(bi, st.sel)
+		v, ok := s.m.blockPrimal(bi, st.sel, &s.scratches[0])
 		if !ok {
 			return 0, false
 		}
@@ -108,7 +108,7 @@ func (s *solver) flipObjective(st *incState, a int) (float64, bool) {
 func (s *solver) commitFlip(st *incState, a int) {
 	st.sel[a] = !st.sel[a]
 	for _, e := range s.incidence[a] {
-		v, _ := s.m.blockPrimal(int(e.block), st.sel)
+		v, _ := s.m.blockPrimal(int(e.block), st.sel, &s.scratches[0])
 		st.blockVal[e.block] = v
 	}
 	st.total = s.totalOf(st)

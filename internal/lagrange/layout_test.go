@@ -1,10 +1,12 @@
 package lagrange
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lp"
@@ -182,5 +184,123 @@ func TestNewLayoutRejectsBadChoices(t *testing.T) {
 	want := Slot{{Index: 0, Group: 0, Cost: 1}, {Index: 1, Group: 1, Cost: 1}, {Index: NoIndex, Group: -1, Cost: 2}}
 	if !slices.Equal(slot, want) {
 		t.Fatalf("laid out slot %v, want %v", slot, want)
+	}
+}
+
+// TestLayoutSharesRepeatedSlots holds NewLayout's distinct slots to
+// the plain rule: two slots share one position exactly when their
+// options as given are equal, option for option and bit for bit in
+// (Index, Cost). Slots differing in one index, in one bit of one cost,
+// or in the sign of a zero cost keep their own. Each choice's refs
+// name its slots in order, and every repeat is a full copy of its
+// position's laid-out options.
+func TestLayoutSharesRepeatedSlots(t *testing.T) {
+	base := Slot{{Index: 2, Cost: 3}, {Index: NoIndex, Cost: 0}, {Index: 0, Cost: 1}}
+	variant := func(edit func(Slot)) Slot {
+		s := slices.Clone(base)
+		edit(s)
+		return s
+	}
+	for name, tc := range map[string]struct {
+		other Slot
+		share bool
+	}{
+		"equal":            {slices.Clone(base), true},
+		"one index":        {variant(func(s Slot) { s[2].Index = 1 }), false},
+		"one cost bit":     {variant(func(s Slot) { s[0].Cost = math.Nextafter(3, 4) }), false},
+		"−0 vs +0":         {variant(func(s Slot) { s[1].Cost = math.Copysign(0, -1) }), false},
+		"one option fewer": {base[:2:2], false},
+	} {
+		choices := []Choice{
+			{Fixed: 1, Slots: []Slot{slices.Clone(base)}},
+			{Fixed: 2, Slots: []Slot{slices.Clone(tc.other)}},
+		}
+		l, err := NewLayout(choices)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if shared := len(l.slots) == 1; shared != tc.share {
+			t.Errorf("%s: %d distinct slots, want shared = %v", name, len(l.slots), tc.share)
+		}
+	}
+
+	// Random blocks: half the slots copy an earlier one, a third of the
+	// copies with one cost bit flipped (the lowest two, or the sign).
+	r := rand.New(rand.NewSource(617))
+	shared := 0
+	for trial := 0; trial < 300; trial++ {
+		var given [][]Slot // given[ci][k], before NewLayout
+		var choices []Choice
+		var pool []Slot
+		for c := 0; c < 1+r.Intn(4); c++ {
+			ch := Choice{Fixed: float64(r.Intn(3))}
+			var row []Slot
+			used := map[int32]bool{} // the indexes the choice's slots offer
+			for sl := 0; sl < 1+r.Intn(3); sl++ {
+				var s, prev Slot
+				if len(pool) > 0 && r.Intn(2) == 0 {
+					prev = pool[r.Intn(len(pool))]
+				}
+				if prev != nil && !slices.ContainsFunc(prev, func(o Option) bool { return used[o.Index] }) {
+					s = slices.Clone(prev)
+					if r.Intn(3) == 0 {
+						k := r.Intn(len(s))
+						bit := []uint{0, 1, 63}[r.Intn(3)]
+						s[k].Cost = math.Float64frombits(math.Float64bits(s[k].Cost) ^ 1<<bit)
+						pool = append(pool, slices.Clone(s))
+					}
+				} else {
+					s = Slot{{Index: NoIndex, Cost: float64(r.Intn(3))}}
+					if a := int32(r.Intn(12)); r.Intn(3) > 0 && !used[a] {
+						s = append(s, Option{Index: a, Cost: float64(r.Intn(3))})
+					}
+					pool = append(pool, slices.Clone(s))
+				}
+				for _, o := range s {
+					if o.Index != NoIndex {
+						used[o.Index] = true
+					}
+				}
+				ch.Slots = append(ch.Slots, s)
+				row = append(row, slices.Clone(s))
+			}
+			choices = append(choices, ch)
+			given = append(given, row)
+		}
+		l, err := NewLayout(choices)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		// Reference: number the slots by first occurrence of their
+		// content as given, spelled out in bits.
+		firsts := map[string]int{}
+		for ci, row := range given {
+			for k, s := range row {
+				var key strings.Builder
+				for _, o := range s {
+					fmt.Fprintf(&key, "%d:%x ", o.Index, math.Float64bits(o.Cost))
+				}
+				d, ok := firsts[key.String()]
+				if !ok {
+					d = len(firsts)
+					firsts[key.String()] = d
+				} else {
+					shared++
+				}
+				if got := l.refs[ci][k]; got != int32(d) {
+					t.Fatalf("trial %d: choice %d slot %d at position %d, reference %d", trial, ci, k, got, d)
+				}
+				laid, rep := choices[ci].Slots[k], l.slots[d]
+				if !slices.Equal(laid, rep) || !slices.IsSortedFunc(laid, cmpOption) {
+					t.Fatalf("trial %d: choice %d slot %d laid out as %v, its position holds %v", trial, ci, k, laid, rep)
+				}
+			}
+		}
+		if len(l.slots) != len(firsts) {
+			t.Fatalf("trial %d: %d distinct slots, reference %d", trial, len(l.slots), len(firsts))
+		}
+	}
+	if shared < 200 {
+		t.Fatalf("coverage: only %d slots repeat an earlier one", shared)
 	}
 }

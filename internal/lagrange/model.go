@@ -89,6 +89,12 @@ type Choice struct {
 // the models assembled from them.
 type Layout struct {
 	choices []Choice
+	// slots are the block's distinct slots, in order of first use: each
+	// is the first (choice, slot) window with its options.
+	slots []Slot
+	// refs[ci] lists choice ci's slots as positions in slots, in the
+	// choice's slot order.
+	refs [][]int32
 	// groupIdx[g] is the index of multiplier group g.
 	groupIdx []int32
 	// maxIndex is the largest index an option uses, or NoIndex.
@@ -98,6 +104,12 @@ type Layout struct {
 // NewLayout checks the choices, sorts each slot by (Cost, Index) and
 // numbers the block's multiplier groups, in place: the layout owns the
 // choices from then on, and nothing may change them.
+//
+// Slots whose options are equal as given, option for option and bit
+// for bit in (Index, Cost), share one position among the layout's
+// distinct slots: a statement's templates repeat the same access hole.
+// Only the first of them is checked and sorted; the others receive a
+// copy of its laid-out options, so every choice stays complete.
 //
 // It rejects an empty choice list, an empty slot, a NaN cost, a
 // negative index other than NoIndex, an index repeated across the
@@ -117,44 +129,68 @@ func NewLayout(choices []Choice) (*Layout, error) {
 	if len(choices) == 0 {
 		return nil, errors.New("lagrange: no choices")
 	}
-	l := &Layout{choices: choices, maxIndex: NoIndex}
+	l := &Layout{choices: choices, refs: make([][]int32, len(choices)), maxIndex: NoIndex}
+	nSlots := 0
+	for ci := range choices {
+		nSlots += len(choices[ci].Slots)
+	}
+	// Find the distinct slots on the options as given, checking each
+	// when it first appears. byHash holds the latest distinct slot of
+	// each hash and chain[d] the one before d with d's hash, or −1.
+	refs := make([]int32, 0, nSlots)
+	byHash := make(map[uint64]int32, nSlots)
+	var chain []int32
+	var free []bool // free[d]: distinct slot d offers I∅
 	fallback := false
 	for ci := range choices {
-		free := true
+		r0 := len(refs)
+		allFree := true
 		for _, s := range choices[ci].Slots {
-			if len(s) == 0 {
-				return nil, fmt.Errorf("lagrange: choice %d has an empty slot", ci)
+			h := slotHash(s)
+			head, ok := byHash[h]
+			if !ok {
+				head = -1
 			}
-			slotFree := false
-			for _, o := range s {
-				switch {
-				case math.IsNaN(o.Cost):
-					return nil, fmt.Errorf("lagrange: choice %d has a NaN cost", ci)
-				case o.Index == NoIndex:
-					slotFree = true
-				case o.Index < 0:
-					return nil, fmt.Errorf("lagrange: choice %d references index %d", ci, o.Index)
+			d := head
+			for d >= 0 && !sameOptions(l.slots[d], s) {
+				d = chain[d]
+			}
+			if d < 0 {
+				slotFree, err := l.check(ci, s)
+				if err != nil {
+					return nil, err
 				}
-				l.maxIndex = max(l.maxIndex, o.Index)
+				d = int32(len(l.slots))
+				byHash[h] = d
+				chain = append(chain, head)
+				free = append(free, slotFree)
+				l.slots = append(l.slots, s)
 			}
-			free = free && slotFree
-			s.sort()
+			refs = append(refs, d)
+			allFree = allFree && free[d]
 		}
-		fallback = fallback || free
+		l.refs[ci] = refs[r0:len(refs):len(refs)]
+		fallback = fallback || allFree
 	}
 	if !fallback {
 		return nil, errors.New("lagrange: no choice is evaluable without indexes")
 	}
+	for _, s := range l.slots {
+		s.sort()
+	}
 	// slotOf[a] is the serial number (from 1) of the last slot that
 	// offered index a, group[a] a's group; fresh collects the indexes a
-	// slot offers first.
+	// slot offers first. A distinct slot is numbered where it first
+	// appears; a later use offers only indexes it offered, but is still
+	// checked against the other slots of its choice.
 	slotOf := make([]int32, l.maxIndex+1)
 	group := make([]int32, l.maxIndex+1)
 	var fresh []int32
-	serial := int32(0)
+	serial, numbered := int32(0), int32(0)
 	for ci := range choices {
 		first := serial + 1
-		for _, s := range choices[ci].Slots {
+		for _, d := range l.refs[ci] {
+			s := l.slots[d]
 			serial++
 			fresh = fresh[:0]
 			for _, o := range s {
@@ -169,6 +205,10 @@ func NewLayout(choices []Choice) (*Layout, error) {
 				}
 				slotOf[o.Index] = serial
 			}
+			if d != numbered {
+				continue
+			}
+			numbered++
 			slices.Sort(fresh)
 			for _, a := range fresh {
 				group[a] = int32(len(l.groupIdx))
@@ -183,7 +223,82 @@ func NewLayout(choices []Choice) (*Layout, error) {
 			}
 		}
 	}
+	for ci := range choices {
+		for k, s := range choices[ci].Slots {
+			if rep := l.slots[l.refs[ci][k]]; &s[0] != &rep[0] {
+				copy(s, rep)
+			}
+		}
+	}
 	return l, nil
+}
+
+// bestChoice returns the least choice cost given val[d], the value of
+// distinct slot d (+Inf when nothing can fill it), and the choice that
+// attains it, or −1 when no choice can be filled. A choice's cost is
+// its Fixed plus its slots' values, added in slot order, which are
+// the additions a walk over the choice's own slots makes; the first
+// of equal costs wins.
+func (l *Layout) bestChoice(val []float64) (float64, int) {
+	best, win := math.Inf(1), -1
+	for ci, refs := range l.refs {
+		v, ok := l.choices[ci].Fixed, true
+		for _, d := range refs {
+			if math.IsInf(val[d], 1) {
+				ok = false
+				break
+			}
+			v += val[d]
+		}
+		if ok && v < best {
+			best, win = v, ci
+		}
+	}
+	return best, win
+}
+
+// check checks slot s of choice ci as NewLayout requires and raises
+// maxIndex to its indexes. It reports whether s offers I∅.
+func (l *Layout) check(ci int, s Slot) (bool, error) {
+	if len(s) == 0 {
+		return false, fmt.Errorf("lagrange: choice %d has an empty slot", ci)
+	}
+	free := false
+	for _, o := range s {
+		switch {
+		case math.IsNaN(o.Cost):
+			return false, fmt.Errorf("lagrange: choice %d has a NaN cost", ci)
+		case o.Index == NoIndex:
+			free = true
+		case o.Index < 0:
+			return false, fmt.Errorf("lagrange: choice %d references index %d", ci, o.Index)
+		}
+		l.maxIndex = max(l.maxIndex, o.Index)
+	}
+	return free, nil
+}
+
+// slotHash hashes a slot's (Index, Cost bits) sequence. Each word is
+// mixed in by a multiply, which carries a bit's change upwards, and an
+// xor-shift, which carries it down; sameOptions settles collisions.
+func slotHash(s Slot) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) ^ uint64(len(s))
+	for _, o := range s {
+		h = (h ^ uint64(uint32(o.Index))) * prime
+		h ^= h >> 32
+		h = (h ^ math.Float64bits(o.Cost)) * prime
+		h ^= h >> 32
+	}
+	return h
+}
+
+// sameOptions reports whether two slots hold the same options in the
+// same order, bit for bit in (Index, Cost): −0 and +0 differ.
+func sameOptions(x, y Slot) bool {
+	return slices.EqualFunc(x, y, func(a, b Option) bool {
+		return a.Index == b.Index && math.Float64bits(a.Cost) == math.Float64bits(b.Cost)
+	})
 }
 
 // Block is the per-statement component of the objective: the weighted
@@ -477,24 +592,25 @@ func (c *Constraint) violatedAt(act float64) bool {
 // prices every candidate incumbent with the same pass, and its one-flip
 // trials with the same blockPrimal.
 func (m *Model) Evaluate(selected []bool) (float64, bool) {
-	return m.evaluate(selected, 1, make([]float64, len(m.Blocks)))
+	return m.evaluate(selected, make([]blockScratch, 1), make([]float64, len(m.Blocks)))
 }
 
-// evaluate is Evaluate with the block values computed over up to
-// workers goroutines (serially below minParallelBlocks blocks, as in
+// evaluate is Evaluate with the block values computed over one
+// goroutine per scratch (serially below minParallelBlocks blocks, as in
 // evalBlocks) and left in blockVal. The reduction is serial and in a
 // fixed order — Const, fixed costs in index order, weighted block
 // values in block order — so every worker count gives the same bits.
-func (m *Model) evaluate(selected []bool, workers int, blockVal []float64) (float64, bool) {
+func (m *Model) evaluate(selected []bool, scratches []blockScratch, blockVal []float64) (float64, bool) {
+	workers := len(scratches)
 	if len(m.Blocks) < minParallelBlocks {
 		workers = 1
 	}
 	var bad atomic.Bool
-	par.For(len(m.Blocks), workers, func(bi int) {
+	par.ForWorker(len(m.Blocks), workers, func(worker, bi int) {
 		if bad.Load() {
 			return
 		}
-		v, ok := m.blockPrimal(bi, selected)
+		v, ok := m.blockPrimal(bi, selected, &scratches[worker])
 		if cap := m.Blocks[bi].CostCap; !ok || cap > 0 && v > cap*(1+1e-9) {
 			bad.Store(true) // unevaluable, or a per-statement cost cap violated
 			return
@@ -517,34 +633,23 @@ func (m *Model) evaluate(selected []bool, workers int, blockVal []float64) (floa
 }
 
 // blockPrimal returns the minimum choice cost of block bi when only
-// the selected indexes are available. A slot is sorted, so its first
+// the selected indexes are available. It prices each distinct slot of
+// the block's layout once, into sc: a slot is sorted, so its first
 // available option is its cheapest.
-func (m *Model) blockPrimal(bi int, selected []bool) (float64, bool) {
-	b := &m.Blocks[bi]
-	best := math.Inf(1)
-	for ci := range b.Choices {
-		c := &b.Choices[ci]
-		v := c.Fixed
-		ok := true
-		for _, s := range c.Slots {
-			slotBest := math.Inf(1)
-			for _, o := range s {
-				if o.Index == NoIndex || selected[o.Index] {
-					slotBest = o.Cost
-					break
-				}
-			}
-			if math.IsInf(slotBest, 1) {
-				ok = false
+func (m *Model) blockPrimal(bi int, selected []bool, sc *blockScratch) (float64, bool) {
+	l := m.Blocks[bi].layout
+	val, _ := sc.slotBuffers(len(l.slots))
+	for d, s := range l.slots {
+		val[d] = math.Inf(1)
+		for _, o := range s {
+			if o.Index == NoIndex || selected[o.Index] {
+				val[d] = o.Cost
 				break
 			}
-			v += slotBest
-		}
-		if ok && v < best {
-			best = v
 		}
 	}
-	if math.IsInf(best, 1) {
+	best, win := l.bestChoice(val)
+	if win < 0 {
 		return 0, false
 	}
 	return best, true

@@ -69,12 +69,13 @@ func withCostCaps(m *Model, seed int64) *Model {
 	for a := range all {
 		all[a] = true
 	}
+	var sc blockScratch
 	for bi := range m.Blocks {
 		if bi%3 != 0 {
 			continue
 		}
-		lo, _ := m.blockPrimal(bi, all)
-		hi, _ := m.blockPrimal(bi, none)
+		lo, _ := m.blockPrimal(bi, all, &sc)
+		hi, _ := m.blockPrimal(bi, none, &sc)
 		m.Blocks[bi].CostCap = lo + (0.6+0.4*rng.Float64())*(hi-lo)
 	}
 	return m

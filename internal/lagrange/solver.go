@@ -410,41 +410,39 @@ func (s *solver) applyWarm(w Dual) {
 
 // repriceNew assigns multipliers to unmatched groups of block bi so
 // that no slot's dual minimum drops below its value under the matched
-// multipliers alone.
+// multipliers alone. The requirement is a maximum over slots, so each
+// distinct slot of the block's layout is visited once.
 func (s *solver) repriceNew(bi int, matched []bool) {
 	b := &s.m.Blocks[bi]
 	lam := s.lam[bi]
 	need := make([]float64, len(lam)) // required λ per unmatched group
 
-	for ci := range b.Choices {
-		for _, slot := range b.Choices[ci].Slots {
-			// Pass 1: the slot's dual minimum over free and matched
-			// options.
-			slotMin := math.Inf(1)
-			for _, o := range slot {
-				cost := o.Cost
-				if o.Group >= 0 {
-					if !matched[o.Group] {
-						continue
-					}
-					cost += lam[o.Group]
-				}
-				if cost < slotMin {
-					slotMin = cost
-				}
-			}
-			if math.IsInf(slotMin, 1) {
-				continue // slot entirely new; leave its λ at zero
-			}
-			// Pass 2: raise unmatched options to the minimum.
-			for _, o := range slot {
-				g := o.Group
-				if g < 0 || matched[g] {
+	for _, slot := range b.layout.slots {
+		// Pass 1: the slot's dual minimum over free and matched options.
+		slotMin := math.Inf(1)
+		for _, o := range slot {
+			cost := o.Cost
+			if o.Group >= 0 {
+				if !matched[o.Group] {
 					continue
 				}
-				if d := slotMin - o.Cost; d > need[g] {
-					need[g] = d
-				}
+				cost += lam[o.Group]
+			}
+			if cost < slotMin {
+				slotMin = cost
+			}
+		}
+		if math.IsInf(slotMin, 1) {
+			continue // slot entirely new; leave its λ at zero
+		}
+		// Pass 2: raise unmatched options to the minimum.
+		for _, o := range slot {
+			g := o.Group
+			if g < 0 || matched[g] {
+				continue
+			}
+			if d := slotMin - o.Cost; d > need[g] {
+				need[g] = d
 			}
 		}
 	}
@@ -505,11 +503,23 @@ func (s *solver) emit() {
 	})
 }
 
-// blockScratch holds one worker's reusable buffers for block-dual
+// blockScratch holds one worker's reusable buffers for block
 // evaluation.
 type blockScratch struct {
 	uses []int32 // winning choice's group positions
-	tmp  []int32 // current choice's group positions
+	// val and group hold, per distinct slot of the block being
+	// evaluated, its best value and the winning option's group.
+	val   []float64
+	group []int32
+}
+
+// slotBuffers returns sc's val and group buffers sized for n distinct
+// slots, growing them if needed.
+func (sc *blockScratch) slotBuffers(n int) ([]float64, []int32) {
+	if cap(sc.val) < n {
+		sc.val, sc.group = make([]float64, n), make([]int32, n)
+	}
+	return sc.val[:n], sc.group[:n]
 }
 
 // blockDual evaluates block bi under the current multipliers, leaving
@@ -520,57 +530,49 @@ type blockScratch struct {
 // fixings, the model), so distinct blocks may be evaluated
 // concurrently.
 //
-// A slot's options are sorted by (γ, index) and every λ is ≥ 0, so an
-// option's value γ + λ is at least its γ: the walk stops at the first
-// option whose γ exceeds the slot's best value, as neither it nor any
-// later option can win. Equal values go to the lower index (I∅ first),
-// which keeps the answer independent of where the walk stops.
+// Each distinct slot of the block's layout is priced once. A slot's
+// options are sorted by (γ, index) and every λ is ≥ 0, so an option's
+// value γ + λ is at least its γ: the walk stops at the first option
+// whose γ exceeds the slot's best value, as neither it nor any later
+// option can win. Equal values go to the lower index (I∅ first), which
+// keeps the answer independent of where the walk stops. bestChoice
+// then sums each choice over its slots in order, so the sums and the
+// winner's groups are those of a walk over its own slots.
 func (s *solver) blockDual(bi int, sc *blockScratch) float64 {
-	b := &s.m.Blocks[bi]
+	l := s.m.Blocks[bi].layout
 	lam := s.lam[bi]
 	fixedOut := s.fixedOut
-	best := math.Inf(1)
-	sc.uses = sc.uses[:0]
-	scratch := sc.tmp[:0]
-	for ci := range b.Choices {
-		c := &b.Choices[ci]
-		v := c.Fixed
-		scratch = scratch[:0]
-		ok := true
-		for _, slot := range c.Slots {
-			slotBest := math.Inf(1)
-			slotIndex := int32(math.MinInt32)
-			slotGroup := int32(-1)
-			for _, o := range slot {
-				if o.Cost > slotBest {
-					break
-				}
-				cost := o.Cost
-				if o.Index != NoIndex {
-					if fixedOut[o.Index] {
-						continue
-					}
-					cost += lam[o.Group]
-				}
-				if cost < slotBest || cost == slotBest && o.Index < slotIndex {
-					slotBest, slotIndex, slotGroup = cost, o.Index, o.Group
-				}
-			}
-			if math.IsInf(slotBest, 1) {
-				ok = false
+	val, group := sc.slotBuffers(len(l.slots))
+	for d, slot := range l.slots {
+		slotBest := math.Inf(1)
+		slotIndex := int32(math.MinInt32)
+		slotGroup := int32(-1)
+		for _, o := range slot {
+			if o.Cost > slotBest {
 				break
 			}
-			v += slotBest
-			if slotGroup >= 0 {
-				scratch = append(scratch, slotGroup)
+			cost := o.Cost
+			if o.Index != NoIndex {
+				if fixedOut[o.Index] {
+					continue
+				}
+				cost += lam[o.Group]
+			}
+			if cost < slotBest || cost == slotBest && o.Index < slotIndex {
+				slotBest, slotIndex, slotGroup = cost, o.Index, o.Group
 			}
 		}
-		if ok && v < best {
-			best = v
-			sc.uses = append(sc.uses[:0], scratch...)
+		val[d], group[d] = slotBest, slotGroup
+	}
+	best, win := l.bestChoice(val)
+	sc.uses = sc.uses[:0]
+	if win >= 0 {
+		for _, d := range l.refs[win] {
+			if group[d] >= 0 {
+				sc.uses = append(sc.uses, group[d])
+			}
 		}
 	}
-	sc.tmp = scratch
 	return best
 }
 
