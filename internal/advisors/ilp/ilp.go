@@ -154,10 +154,14 @@ func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, budgetByt
 			}
 		}
 		choices := make([]lagrange.Choice, len(configs))
+		slotOf := map[int32]lagrange.Slot{} // one per index, per block: NewLayout writes its Group
 		for ci, c := range configs {
 			choices[ci].Fixed = c.cost
 			for _, a := range c.indexes {
-				choices[ci].Slots = append(choices[ci].Slots, lagrange.Slot{{Index: a, Cost: 0}})
+				if slotOf[a] == nil {
+					slotOf[a] = lagrange.Slot{{Index: a}}
+				}
+				choices[ci].Slots = append(choices[ci].Slots, slotOf[a])
 			}
 		}
 		l, err := lagrange.NewLayout(choices)

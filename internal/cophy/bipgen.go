@@ -203,40 +203,60 @@ func listsAny(qm *inum.QueryMatrix, flipped []bool) bool {
 	return false
 }
 
-// buildChoices emits one query's block layout from its dense γ slab. The
-// choices are contiguous: one options array, one slots array and one
-// choices array per statement, sized up front so no append moves them.
-// Every Slot and every Choice.Slots is a window with cap == len — the
-// layout is shared by every model assembled since, so an append through
-// one must copy, not write into its neighbour. This is the layout the
-// solver walks in place. A candidate marked in mask gets no option.
-// NewLayout sorts each slot by (γ, index); the slab lists only
+// buildChoices emits one query's block layout from its dense γ slab:
+// one options array, one slots array and one choices array per
+// statement, sized up front so no append moves them. A class of equal
+// slots (qm.Reps) is laid out once and its repeats get that very
+// window; an infeasible template rolls its partial windows back, so a
+// later repeat of a class it laid out is laid out afresh. Every Slot and
+// every Choice.Slots is a window with cap == len: the layout is shared
+// by every model assembled since, so an append through one must copy,
+// not write into its neighbour. A candidate marked in mask gets no
+// option. NewLayout sorts each slot by (γ, index); the slab lists only
 // candidates that beat the free access, so I∅ ends last.
 func buildChoices(qm *inum.QueryMatrix, mask []bool) (*lagrange.Layout, error) {
-	opts := make([]lagrange.Option, 0, len(qm.Gamma)+len(qm.SlotFree))
+	nOpts := 0
+	for si := range qm.SlotFree {
+		if qm.Reps[si] == int32(si) {
+			nOpts += 1 + int(qm.SlotOff[si+1]-qm.SlotOff[si])
+		}
+	}
+	opts := make([]lagrange.Option, 0, nOpts)
 	slots := make([]lagrange.Slot, 0, len(qm.SlotFree))
 	choices := make([]lagrange.Choice, 0, len(qm.Internal))
+	// win[r] is the window of class r, or nil; laid lists the classes the
+	// current template laid out.
+	win := make([]lagrange.Slot, len(qm.SlotFree))
+	var laid []int32
 templates:
 	for ti, fixed := range qm.Internal {
 		opt0, slot0 := len(opts), len(slots)
+		laid = laid[:0]
 		for si := qm.TmplOff[ti]; si < qm.TmplOff[ti+1]; si++ {
-			first := len(opts)
-			if free := qm.SlotFree[si]; !math.IsInf(free, 1) {
-				opts = append(opts, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
-			}
-			// The slab holds only the candidates that beat the free access.
-			for k := qm.SlotOff[si]; k < qm.SlotOff[si+1]; k++ {
-				if !mask[qm.Compat[k]] {
-					opts = append(opts, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
+			r := qm.Reps[si]
+			if win[r] == nil {
+				first := len(opts)
+				if free := qm.SlotFree[si]; !math.IsInf(free, 1) {
+					opts = append(opts, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
 				}
+				// The slab holds only the candidates that beat the free access.
+				for k := qm.SlotOff[si]; k < qm.SlotOff[si+1]; k++ {
+					if !mask[qm.Compat[k]] {
+						opts = append(opts, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
+					}
+				}
+				if len(opts) == first {
+					// An unfillable slot: the template is infeasible and
+					// rolls its partial windows back.
+					opts, slots = opts[:opt0], slots[:slot0]
+					for _, c := range laid {
+						win[c] = nil
+					}
+					continue templates
+				}
+				win[r], laid = opts[first:len(opts):len(opts)], append(laid, r)
 			}
-			if len(opts) == first {
-				// An unfillable slot: the template is infeasible and
-				// rolls its partial windows back.
-				opts, slots = opts[:opt0], slots[:slot0]
-				continue templates
-			}
-			slots = append(slots, opts[first:len(opts):len(opts)])
+			slots = append(slots, win[r])
 		}
 		choices = append(choices, lagrange.Choice{Fixed: fixed, Slots: slots[slot0:len(slots):len(slots)]})
 	}

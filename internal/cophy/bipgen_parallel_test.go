@@ -31,9 +31,12 @@ func parallelInstance(t *testing.T, workers int) *Instance {
 }
 
 // TestBuildModelMatchesReference pins the dense parallel BuildModel to
-// the serial reference implementation below: the emitted
-// models must be deeply equal — same blocks, same option order, same
-// coefficients to the last bit, the same dominated candidates left out.
+// the serial reference implementation below: the emitted models must be
+// equal by value — same blocks (ID, weight, cap and choices), same
+// option order, same coefficients to the last bit, the same dominated
+// candidates left out — and solve to the same bits. The reference gives
+// every slot its own allocation, so their layouts' distinct slots
+// differ: only values are compared.
 func TestBuildModelMatchesReference(t *testing.T) {
 	inst := parallelInstance(t, 4)
 	got, err := BuildModel(inst)
@@ -60,9 +63,19 @@ func TestBuildModelMatchesReference(t *testing.T) {
 		t.Fatalf("block counts differ: %d vs %d", len(got.Blocks), len(want.Blocks))
 	}
 	for bi := range got.Blocks {
-		if !reflect.DeepEqual(got.Blocks[bi], want.Blocks[bi]) {
+		g, w := &got.Blocks[bi], &want.Blocks[bi]
+		if g.ID != w.ID || g.Weight != w.Weight || g.CostCap != w.CostCap || !reflect.DeepEqual(g.Choices, w.Choices) {
 			t.Fatalf("block %d differs between dense and reference build", bi)
 		}
+	}
+	var total float64
+	for _, sz := range got.Size {
+		total += sz
+	}
+	got.Budget, want.Budget = total/4, total/4
+	opts := lagrange.Options{GapTol: 1e-4, RootIters: 200, MaxNodes: 4}
+	if a, b := lagrange.Solve(got, opts), lagrange.Solve(want, opts); !reflect.DeepEqual(a, b) {
+		t.Fatalf("dense and reference models solve differently:\n dense     %+v\n reference %+v", a, b)
 	}
 }
 

@@ -82,7 +82,9 @@ func follows[T any](prev, next []T) bool {
 // options sit in one array and its slots in another, in walk order, and
 // every window into them has cap == len, so an append through one slot
 // or choice of the shared, cached choices can never write into its
-// neighbour.
+// neighbour. A slot is either laid out right after the previously laid
+// slot of its block, or is the very window of an earlier slot of the
+// block (a repeated template slot).
 func TestBuildChoicesLayout(t *testing.T) {
 	_, _, hom := buildSmallModel(t, 12, 100)
 	het, err := BuildModel(parallelInstance(t, 4))
@@ -90,10 +92,11 @@ func TestBuildChoicesLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, m := range map[string]*lagrange.Model{"hom": hom, "het": het} {
-		slots := 0
+		slots, aliases := 0, 0
 		for bi := range m.Blocks {
 			var prevSlots []lagrange.Slot
 			var prevOpts lagrange.Slot
+			laid := map[*lagrange.Option]int{} // first option → length
 			for ci, ch := range m.Blocks[bi].Choices {
 				if cap(ch.Slots) != len(ch.Slots) {
 					t.Fatalf("%s block %d choice %d: Slots has cap %d > len %d", name, bi, ci, cap(ch.Slots), len(ch.Slots))
@@ -106,19 +109,74 @@ func TestBuildChoicesLayout(t *testing.T) {
 				}
 				prevSlots = ch.Slots
 				for si, slot := range ch.Slots {
+					slots++
 					if cap(slot) != len(slot) {
 						t.Fatalf("%s block %d choice %d slot %d: cap %d > len %d", name, bi, ci, si, cap(slot), len(slot))
 					}
+					if n, ok := laid[&slot[0]]; ok {
+						if n != len(slot) {
+							t.Fatalf("%s block %d choice %d slot %d: overlaps an earlier window", name, bi, ci, si)
+						}
+						aliases++
+						continue
+					}
 					if prevOpts != nil && !follows(prevOpts, slot) {
-						t.Fatalf("%s block %d choice %d slot %d: options are not adjacent to the previous slot's", name, bi, ci, si)
+						t.Fatalf("%s block %d choice %d slot %d: options are not adjacent to the previously laid slot's", name, bi, ci, si)
 					}
 					prevOpts = slot
-					slots++
+					laid[&slot[0]] = len(slot)
 				}
 			}
 		}
-		if slots < 2*len(m.Blocks) {
-			t.Fatalf("%s: only %d slots over %d blocks, the layout is barely exercised", name, slots, len(m.Blocks))
+		if slots < 2*len(m.Blocks) || aliases == 0 {
+			t.Fatalf("%s: %d slots (%d repeats) over %d blocks, the layout is barely exercised", name, slots, aliases, len(m.Blocks))
+		}
+	}
+}
+
+// TestBuildChoicesRollsBackRepeats pins how repeated slots meet
+// infeasible templates, on a hand-made slab. Slot class A is filled by
+// candidate 0, B by candidate 2, and X only by candidate 1, which the
+// mask drops. Template 0 (A, X) lays A out and rolls back. Template 1
+// (B, A) lays B out where A's window was, and then A afresh, since A's
+// window went with template 0. Templates 2 (A) and 4 (A) share that
+// window; template 3 (A, X) rolls back without taking it.
+func TestBuildChoicesRollsBackRepeats(t *testing.T) {
+	inf := math.Inf(1)
+	qm := &inum.QueryMatrix{
+		Internal: []float64{1, 2, 3, 4, 5},
+		TmplOff:  []int32{0, 2, 4, 5, 7, 8},
+		SlotFree: []float64{10, inf, 20, 10, 10, 10, inf, 10},
+		SlotOff:  []int32{0, 1, 2, 3, 4, 5, 6, 7, 8},
+		Compat:   []int32{0, 1, 2, 0, 0, 0, 1, 0},
+		Gamma:    []float64{5, 5, 7, 5, 5, 5, 5, 5},
+		Reps:     []int32{0, 1, 2, 0, 0, 0, 1, 0},
+	}
+	l, err := buildChoices(qm, []bool{false, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b lagrange.Block
+	b.SetLayout(l)
+	var fixed []float64
+	for _, ch := range b.Choices {
+		fixed = append(fixed, ch.Fixed)
+	}
+	if !slices.Equal(fixed, []float64{2, 3, 5}) {
+		t.Fatalf("choices of templates with β %v, want 2, 3 and 5", fixed)
+	}
+	wantB := lagrange.Slot{{Index: 2, Group: 0, Cost: 7}, {Index: lagrange.NoIndex, Group: -1, Cost: 20}}
+	wantA := lagrange.Slot{{Index: 0, Group: 1, Cost: 5}, {Index: lagrange.NoIndex, Group: -1, Cost: 10}}
+	if got := b.Choices[0].Slots[0]; !slices.Equal(got, wantB) {
+		t.Fatalf("slot B laid out as %v, want %v", got, wantB)
+	}
+	a := b.Choices[0].Slots[1]
+	if !slices.Equal(a, wantA) {
+		t.Fatalf("slot A laid out as %v, want %v", a, wantA)
+	}
+	for _, ch := range b.Choices[1:] {
+		if s := ch.Slots[0]; &s[0] != &a[0] || len(s) != len(a) {
+			t.Fatalf("template with β %v does not share slot A's window", ch.Fixed)
 		}
 	}
 }

@@ -66,6 +66,10 @@ type QueryMatrix struct {
 	Compat []int32
 	// Gamma holds the access costs aligned with Compat.
 	Gamma []float64
+	// Reps is, per slot, its representative: the first slot equal to it
+	// in every field (shapeEntry.reps, shared: read only). A repeat's
+	// SlotFree and entries are its representative's to the bit.
+	Reps []int32
 }
 
 // CompileMatrix builds the dense cost matrix for the workload's
@@ -248,8 +252,8 @@ type slabBuf struct {
 // prev's entries (none when prev is nil) renumbered through in.perm (nil
 // = kept in place), followed, slot by slot, by γ of the candidate
 // positions in byTable, which must all lie beyond the renumbered ones.
-// Only a representative slot (shapeEntry.reps) is priced, its Access
-// prepared once, before its candidates; a repeated slot copies its
+// Only a representative slot (Reps) is priced, its Access prepared
+// once, before its candidates; a repeated slot copies its
 // representative's SlotFree and entry run, which are its own to the bit.
 func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix, byTable map[string][]int32, buf *slabBuf) *QueryMatrix {
 	slots, scan := 0, 0
@@ -268,13 +272,13 @@ func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix
 		TmplOff:  make([]int32, 1, len(qi.Templates)+1),
 		SlotFree: make([]float64, 0, slots),
 		SlotOff:  make([]int32, 1, slots+1),
+		Reps:     qi.shape.reps,
 	}
 	compat, gamma := buf.compat[:0], buf.gamma[:0]
-	reps := qi.shape.reps
 	for ti, tpl := range qi.Templates {
 		qm.Internal[ti] = tpl.Internal
 		for si := range tpl.Slots {
-			if r := reps[len(qm.SlotFree)]; r != int32(len(qm.SlotFree)) {
+			if r := qm.Reps[len(qm.SlotFree)]; r != int32(len(qm.SlotFree)) {
 				qm.SlotFree = append(qm.SlotFree, qm.SlotFree[r])
 				compat = append(compat, compat[qm.SlotOff[r]:qm.SlotOff[r+1]]...)
 				gamma = append(gamma, gamma[qm.SlotOff[r]:qm.SlotOff[r+1]]...)

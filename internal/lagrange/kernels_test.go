@@ -11,15 +11,15 @@ import (
 // tieModel builds a random model whose γ are small integers, so that
 // equal values — between options of one slot, and between an option's
 // γ + λ and another's — are common. An index may repeat within a slot
-// but not across the slots of a choice. Blocks repeat slots the way a
-// statement's templates do: a slot may be a copy of one an earlier
-// choice of the block drew, and an I∅-only slot may occur twice within
-// one choice.
+// but not across the slots of a choice. Blocks repeat slots the way
+// BIPGen passes a statement's repeated template slots: a slot may be the
+// very window an earlier choice of the block drew, and an I∅-only slot
+// may occur twice, as one window, within one choice.
 func tieModel(r *rand.Rand, blocks, indexes int) *Model {
 	m := NewModel(indexes)
 	for bi := 0; bi < blocks; bi++ {
 		blk := Block{ID: fmt.Sprintf("t%02d", bi), Weight: 1}
-		var drawn []Slot // the block's slots so far, as given
+		var drawn []Slot // the block's windows so far
 		for c := 0; c < 1+r.Intn(3); c++ {
 			ch := Choice{Fixed: float64(r.Intn(4))}
 			used := map[int32]bool{}
@@ -32,13 +32,13 @@ func tieModel(r *rand.Rand, blocks, indexes int) *Model {
 						for _, o := range prev {
 							used[o.Index] = true
 						}
-						ch.Slots = append(ch.Slots, slices.Clone(prev))
+						ch.Slots = append(ch.Slots, prev)
 						continue
 					}
 				}
 				if r.Intn(8) == 0 {
 					free := Slot{{Index: NoIndex, Cost: float64(r.Intn(7))}}
-					ch.Slots = append(ch.Slots, free, slices.Clone(free))
+					ch.Slots = append(ch.Slots, free, free)
 					drawn = append(drawn, free)
 					continue
 				}
@@ -58,7 +58,7 @@ func tieModel(r *rand.Rand, blocks, indexes int) *Model {
 					continue
 				}
 				ch.Slots = append(ch.Slots, slot)
-				drawn = append(drawn, slices.Clone(slot))
+				drawn = append(drawn, slot)
 			}
 			blk.Choices = append(blk.Choices, ch)
 		}

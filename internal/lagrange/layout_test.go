@@ -1,12 +1,10 @@
 package lagrange
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/lp"
@@ -15,8 +13,10 @@ import (
 // packed copies m with every block's choices laid out the way BIPGen
 // builds them: one options array, one slots array and one choices array
 // per block, each Slot and each Choice.Slots a cap == len window into
-// them. Each block gets a layout of its copy.
-func packed(m *Model) *Model {
+// them. Under share, the slots of a block whose options are equal in
+// (Index, Cost bits) are one window, as BIPGen passes a repeated slot;
+// otherwise each slot gets its own. Each block gets a layout of its copy.
+func packed(m *Model, share bool) *Model {
 	p := *m
 	p.Blocks = make([]Block, len(m.Blocks))
 	for bi, b := range m.Blocks {
@@ -30,12 +30,17 @@ func packed(m *Model) *Model {
 		opts := make([]Option, 0, nOpts)
 		slots := make([]Slot, 0, nSlots)
 		choices := make([]Choice, 0, len(b.Choices))
+		var laid []Slot
 		for _, c := range b.Choices {
 			s0 := len(slots)
 			for _, s := range c.Slots {
-				o0 := len(opts)
-				opts = append(opts, s...)
-				slots = append(slots, opts[o0:len(opts):len(opts)])
+				k := slices.IndexFunc(laid, func(w Slot) bool { return share && sameBits(w, s) })
+				if k < 0 {
+					o0 := len(opts)
+					opts = append(opts, s...)
+					laid, k = append(laid, opts[o0:len(opts):len(opts)]), len(laid)
+				}
+				slots = append(slots, laid[k])
 			}
 			choices = append(choices, Choice{Fixed: c.Fixed, Slots: slots[s0:len(slots):len(slots)]})
 		}
@@ -45,10 +50,36 @@ func packed(m *Model) *Model {
 	return laidOut(&p)
 }
 
+// sameBits reports whether two slots hold the same options in the same
+// order, bit for bit in (Index, Cost).
+func sameBits(x, y Slot) bool {
+	return slices.EqualFunc(x, y, func(a, b Option) bool {
+		return a.Index == b.Index && math.Float64bits(a.Cost) == math.Float64bits(b.Cost)
+	})
+}
+
+// owned copies m with every slot in an allocation of its own.
+func owned(m *Model) *Model {
+	p := *m
+	p.Blocks = slices.Clone(m.Blocks)
+	for bi, b := range p.Blocks {
+		choices := slices.Clone(b.Choices)
+		for ci := range choices {
+			choices[ci].Slots = slices.Clone(choices[ci].Slots)
+			for k, s := range choices[ci].Slots {
+				choices[ci].Slots[k] = slices.Clone(s)
+			}
+		}
+		p.Blocks[bi].Choices = choices
+	}
+	return laidOut(&p)
+}
+
 // TestSolveLayoutIndependent pins that the solver depends on the
 // model's values and their order, never on its backing arrays: a model
-// whose every slot is its own allocation and its packed copy solve to
-// the same selection, bounds, effort and duals.
+// whose every slot is its own allocation, its packed copy, and its
+// packed copy with every equal slot of a block passed as one window
+// solve to the same selection, bounds, effort and duals.
 func TestSolveLayoutIndependent(t *testing.T) {
 	sideConstraint := Constraint{
 		Terms: []Term{{Index: 0, Coef: 1}, {Index: 1, Coef: 1}, {Index: 2, Coef: 1}},
@@ -77,12 +108,31 @@ func TestSolveLayoutIndependent(t *testing.T) {
 		c.Extra = []Constraint{sideConstraint}
 		models = append(models, &c)
 	}
+	// Tie models repeat slots within their blocks, so the shared form
+	// differs from the others.
+	for trial := 0; trial < 8; trial++ {
+		m := tieModel(r, 10+r.Intn(10), 6+r.Intn(6))
+		for a := range m.Size {
+			m.Size[a], m.FixedCost[a] = float64(1+r.Intn(5)), float64(r.Intn(3))
+		}
+		m.Budget = float64(m.NumIndexes)
+		models = append(models, m)
+	}
+	shared := 0
 	for i, m := range models {
 		opts := Options{GapTol: 1e-6, RootIters: 120, MaxNodes: 8, Workers: 1 + i%2}
-		want, got := Solve(m, opts), Solve(packed(m), opts)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("model %d: packed copy solves differently:\n as generated %+v\n packed       %+v", i, want, got)
+		own, sh := owned(m), packed(m, true)
+		want := Solve(own, opts)
+		for name, p := range map[string]*Model{"packed": packed(m, false), "packed and shared": sh} {
+			if got := Solve(p, opts); !reflect.DeepEqual(want, got) {
+				t.Fatalf("model %d: %s copy solves differently:\n own slots %+v\n %s %+v", i, name, want, name, got)
+			}
 		}
+		across, _ := repeats(sh)
+		shared += across
+	}
+	if shared < 100 {
+		t.Fatalf("coverage: only %d slots share a window with an earlier one", shared)
 	}
 }
 
@@ -162,6 +212,7 @@ func TestLayoutGroupsMatchReference(t *testing.T) {
 // and that it sorts a slot given out of (cost, index) order.
 func TestNewLayoutRejectsBadChoices(t *testing.T) {
 	free := Option{Index: NoIndex, Cost: 5}
+	window := Slot{free, {Index: 0, Cost: 1}}
 	for name, choices := range map[string][]Choice{
 		"no choices":       nil,
 		"an empty slot":    {{Fixed: 1, Slots: []Slot{{}}}},
@@ -172,6 +223,10 @@ func TestNewLayoutRejectsBadChoices(t *testing.T) {
 			{{Index: 0, Cost: 2}, free},
 		}}},
 		"no index-free fallback": {{Fixed: 1, Slots: []Slot{{{Index: 0, Cost: 1}}}}},
+		"a window starting where another does, shorter": {
+			{Fixed: 1, Slots: []Slot{window}},
+			{Fixed: 2, Slots: []Slot{window[:1:1]}},
+		},
 	} {
 		if _, err := NewLayout(choices); err == nil {
 			t.Errorf("%s must be rejected", name)
@@ -188,34 +243,25 @@ func TestNewLayoutRejectsBadChoices(t *testing.T) {
 }
 
 // TestLayoutSharesRepeatedSlots holds NewLayout's distinct slots to
-// the plain rule: two slots share one position exactly when their
-// options as given are equal, option for option and bit for bit in
-// (Index, Cost). Slots differing in one index, in one bit of one cost,
-// or in the sign of a zero cost keep their own. Each choice's refs
-// name its slots in order, and every repeat is a full copy of its
-// position's laid-out options.
+// the identity rule: a slot passed again as the same window shares its
+// position, and a slot with equal options in a window of its own does
+// not. Each choice's refs name its slots in order, and every slot comes
+// back sorted.
 func TestLayoutSharesRepeatedSlots(t *testing.T) {
-	base := Slot{{Index: 2, Cost: 3}, {Index: NoIndex, Cost: 0}, {Index: 0, Cost: 1}}
-	variant := func(edit func(Slot)) Slot {
-		s := slices.Clone(base)
-		edit(s)
-		return s
-	}
+	base := func() Slot { return Slot{{Index: 2, Cost: 3}, {Index: NoIndex, Cost: 0}, {Index: 0, Cost: 1}} }
 	for name, tc := range map[string]struct {
-		other Slot
+		clone bool
 		share bool
 	}{
-		"equal":            {slices.Clone(base), true},
-		"one index":        {variant(func(s Slot) { s[2].Index = 1 }), false},
-		"one cost bit":     {variant(func(s Slot) { s[0].Cost = math.Nextafter(3, 4) }), false},
-		"−0 vs +0":         {variant(func(s Slot) { s[1].Cost = math.Copysign(0, -1) }), false},
-		"one option fewer": {base[:2:2], false},
+		"same window": {false, true},
+		"equal clone": {true, false},
 	} {
-		choices := []Choice{
-			{Fixed: 1, Slots: []Slot{slices.Clone(base)}},
-			{Fixed: 2, Slots: []Slot{slices.Clone(tc.other)}},
+		first := base()
+		other := first
+		if tc.clone {
+			other = base()
 		}
-		l, err := NewLayout(choices)
+		l, err := NewLayout([]Choice{{Fixed: 1, Slots: []Slot{first}}, {Fixed: 2, Slots: []Slot{other}}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,17 +270,15 @@ func TestLayoutSharesRepeatedSlots(t *testing.T) {
 		}
 	}
 
-	// Random blocks: half the slots copy an earlier one, a third of the
-	// copies with one cost bit flipped (the lowest two, or the sign).
+	// Random blocks: half the slots reuse an earlier window of the
+	// block, a third of those as an equal clone in a window of its own.
 	r := rand.New(rand.NewSource(617))
-	shared := 0
+	shared, clones := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		var given [][]Slot // given[ci][k], before NewLayout
 		var choices []Choice
 		var pool []Slot
 		for c := 0; c < 1+r.Intn(4); c++ {
 			ch := Choice{Fixed: float64(r.Intn(3))}
-			var row []Slot
 			used := map[int32]bool{} // the indexes the choice's slots offer
 			for sl := 0; sl < 1+r.Intn(3); sl++ {
 				var s, prev Slot
@@ -242,19 +286,18 @@ func TestLayoutSharesRepeatedSlots(t *testing.T) {
 					prev = pool[r.Intn(len(pool))]
 				}
 				if prev != nil && !slices.ContainsFunc(prev, func(o Option) bool { return used[o.Index] }) {
-					s = slices.Clone(prev)
+					s = prev
 					if r.Intn(3) == 0 {
-						k := r.Intn(len(s))
-						bit := []uint{0, 1, 63}[r.Intn(3)]
-						s[k].Cost = math.Float64frombits(math.Float64bits(s[k].Cost) ^ 1<<bit)
-						pool = append(pool, slices.Clone(s))
+						s = slices.Clone(prev)
+						pool = append(pool, s)
+						clones++
 					}
 				} else {
 					s = Slot{{Index: NoIndex, Cost: float64(r.Intn(3))}}
 					if a := int32(r.Intn(12)); r.Intn(3) > 0 && !used[a] {
 						s = append(s, Option{Index: a, Cost: float64(r.Intn(3))})
 					}
-					pool = append(pool, slices.Clone(s))
+					pool = append(pool, s)
 				}
 				for _, o := range s {
 					if o.Index != NoIndex {
@@ -262,37 +305,30 @@ func TestLayoutSharesRepeatedSlots(t *testing.T) {
 					}
 				}
 				ch.Slots = append(ch.Slots, s)
-				row = append(row, slices.Clone(s))
 			}
 			choices = append(choices, ch)
-			given = append(given, row)
 		}
 		l, err := NewLayout(choices)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		// Reference: number the slots by first occurrence of their
-		// content as given, spelled out in bits.
-		firsts := map[string]int{}
-		for ci, row := range given {
-			for k, s := range row {
-				var key strings.Builder
-				for _, o := range s {
-					fmt.Fprintf(&key, "%d:%x ", o.Index, math.Float64bits(o.Cost))
-				}
-				d, ok := firsts[key.String()]
+		// Reference: number the slots by the first occurrence of their
+		// window.
+		firsts := map[*Option]int{}
+		for ci, ch := range choices {
+			for k, s := range ch.Slots {
+				d, ok := firsts[&s[0]]
 				if !ok {
 					d = len(firsts)
-					firsts[key.String()] = d
+					firsts[&s[0]] = d
 				} else {
 					shared++
 				}
 				if got := l.refs[ci][k]; got != int32(d) {
 					t.Fatalf("trial %d: choice %d slot %d at position %d, reference %d", trial, ci, k, got, d)
 				}
-				laid, rep := choices[ci].Slots[k], l.slots[d]
-				if !slices.Equal(laid, rep) || !slices.IsSortedFunc(laid, cmpOption) {
-					t.Fatalf("trial %d: choice %d slot %d laid out as %v, its position holds %v", trial, ci, k, laid, rep)
+				if rep := l.slots[d]; &rep[0] != &s[0] || len(rep) != len(s) || !slices.IsSortedFunc(s, cmpOption) {
+					t.Fatalf("trial %d: choice %d slot %d laid out as %v, its position holds %v", trial, ci, k, s, rep)
 				}
 			}
 		}
@@ -300,7 +336,7 @@ func TestLayoutSharesRepeatedSlots(t *testing.T) {
 			t.Fatalf("trial %d: %d distinct slots, reference %d", trial, len(l.slots), len(firsts))
 		}
 	}
-	if shared < 200 {
-		t.Fatalf("coverage: only %d slots repeat an earlier one", shared)
+	if shared < 150 || clones < 50 {
+		t.Fatalf("coverage: %d slots reuse an earlier window, %d are equal clones", shared, clones)
 	}
 }

@@ -89,8 +89,8 @@ type Choice struct {
 // the models assembled from them.
 type Layout struct {
 	choices []Choice
-	// slots are the block's distinct slots, in order of first use: each
-	// is the first (choice, slot) window with its options.
+	// slots are the block's distinct slots (distinct windows), in order
+	// of first use.
 	slots []Slot
 	// refs[ci] lists choice ci's slots as positions in slots, in the
 	// choice's slot order.
@@ -105,11 +105,11 @@ type Layout struct {
 // numbers the block's multiplier groups, in place: the layout owns the
 // choices from then on, and nothing may change them.
 //
-// Slots whose options are equal as given, option for option and bit
-// for bit in (Index, Cost), share one position among the layout's
-// distinct slots: a statement's templates repeat the same access hole.
-// Only the first of them is checked and sorted; the others receive a
-// copy of its laid-out options, so every choice stays complete.
+// A slot passed more than once as the same window (same first option,
+// same length) is one distinct slot, checked and sorted once: BIPGen
+// passes a repeated template slot as its representative's window. A
+// window starting where another starts with another length is an
+// error; windows must not overlap otherwise.
 //
 // It rejects an empty choice list, an empty slot, a NaN cost, a
 // negative index other than NoIndex, an index repeated across the
@@ -134,37 +134,31 @@ func NewLayout(choices []Choice) (*Layout, error) {
 	for ci := range choices {
 		nSlots += len(choices[ci].Slots)
 	}
-	// Find the distinct slots on the options as given, checking each
-	// when it first appears. byHash holds the latest distinct slot of
-	// each hash and chain[d] the one before d with d's hash, or −1.
+	// Find the distinct windows, checking each when it first appears.
 	refs := make([]int32, 0, nSlots)
-	byHash := make(map[uint64]int32, nSlots)
-	var chain []int32
+	byStart := make(map[*Option]int32, nSlots)
 	var free []bool // free[d]: distinct slot d offers I∅
 	fallback := false
 	for ci := range choices {
 		r0 := len(refs)
 		allFree := true
 		for _, s := range choices[ci].Slots {
-			h := slotHash(s)
-			head, ok := byHash[h]
-			if !ok {
-				head = -1
+			if len(s) == 0 {
+				return nil, fmt.Errorf("lagrange: choice %d has an empty slot", ci)
 			}
-			d := head
-			for d >= 0 && !sameOptions(l.slots[d], s) {
-				d = chain[d]
-			}
-			if d < 0 {
+			d, ok := byStart[&s[0]]
+			switch {
+			case !ok:
 				slotFree, err := l.check(ci, s)
 				if err != nil {
 					return nil, err
 				}
 				d = int32(len(l.slots))
-				byHash[h] = d
-				chain = append(chain, head)
+				byStart[&s[0]] = d
 				free = append(free, slotFree)
 				l.slots = append(l.slots, s)
+			case len(l.slots[d]) != len(s):
+				return nil, fmt.Errorf("lagrange: choice %d has a slot overlapping another", ci)
 			}
 			refs = append(refs, d)
 			allFree = allFree && free[d]
@@ -223,13 +217,6 @@ func NewLayout(choices []Choice) (*Layout, error) {
 			}
 		}
 	}
-	for ci := range choices {
-		for k, s := range choices[ci].Slots {
-			if rep := l.slots[l.refs[ci][k]]; &s[0] != &rep[0] {
-				copy(s, rep)
-			}
-		}
-	}
 	return l, nil
 }
 
@@ -260,9 +247,6 @@ func (l *Layout) bestChoice(val []float64) (float64, int) {
 // check checks slot s of choice ci as NewLayout requires and raises
 // maxIndex to its indexes. It reports whether s offers I∅.
 func (l *Layout) check(ci int, s Slot) (bool, error) {
-	if len(s) == 0 {
-		return false, fmt.Errorf("lagrange: choice %d has an empty slot", ci)
-	}
 	free := false
 	for _, o := range s {
 		switch {
@@ -278,29 +262,6 @@ func (l *Layout) check(ci int, s Slot) (bool, error) {
 	return free, nil
 }
 
-// slotHash hashes a slot's (Index, Cost bits) sequence. Each word is
-// mixed in by a multiply, which carries a bit's change upwards, and an
-// xor-shift, which carries it down; sameOptions settles collisions.
-func slotHash(s Slot) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037) ^ uint64(len(s))
-	for _, o := range s {
-		h = (h ^ uint64(uint32(o.Index))) * prime
-		h ^= h >> 32
-		h = (h ^ math.Float64bits(o.Cost)) * prime
-		h ^= h >> 32
-	}
-	return h
-}
-
-// sameOptions reports whether two slots hold the same options in the
-// same order, bit for bit in (Index, Cost): −0 and +0 differ.
-func sameOptions(x, y Slot) bool {
-	return slices.EqualFunc(x, y, func(a, b Option) bool {
-		return a.Index == b.Index && math.Float64bits(a.Cost) == math.Float64bits(b.Cost)
-	})
-}
-
 // Block is the per-statement component of the objective: the weighted
 // minimum over its choices, which its layout holds.
 type Block struct {
@@ -314,7 +275,7 @@ type Block struct {
 	Weight float64
 	// Choices are the mutually exclusive evaluation strategies, as laid
 	// out by the block's layout: SetLayout sets them, and they are read
-	// only.
+	// only. A repeated slot is the very window of its first use.
 	Choices []Choice
 	// CostCap, when positive, is a per-statement cost constraint
 	// (Appendix E.2: ASSERT cost(q,X*) ≤ V): a selection under which
