@@ -122,6 +122,7 @@ func BenchmarkINUMPrepare(b *testing.B) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
 	eng := engine.New(cat, engine.SystemA())
 	w := workload.Hom(workload.HomConfig{Queries: 30, Seed: 1})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache := inum.New(eng)

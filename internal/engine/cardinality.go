@@ -116,11 +116,15 @@ func (e *Engine) joinSel(j workload.Join) float64 {
 }
 
 // joinRows returns the estimated cardinality of joining two
-// intermediate results given the join conditions connecting them.
-func joinRows(leftRows, rightRows float64, sels []float64) float64 {
+// intermediate results: the left covers the tables of mask, and conds
+// are the right table's join conditions, of which those into mask
+// connect the two.
+func joinRows(leftRows, rightRows float64, conds []joinCond, mask int) float64 {
 	rows := leftRows * rightRows
-	for _, s := range sels {
-		rows *= s
+	for ci := range conds {
+		if conds[ci].obit&mask != 0 {
+			rows *= conds[ci].sel
+		}
 	}
 	if rows < 1 {
 		rows = 1

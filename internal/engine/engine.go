@@ -81,13 +81,34 @@ func (e *Engine) WhatIfCost(q *workload.Query, cfg *Config) (float64, error) {
 // orders, and the plan may exploit only those forced leaf orders, never
 // incidental ones, so INUM can lift it into a template whose slot
 // requirements are exactly the orders its internal operators consume.
-// Access paths, join conditions, lookup leaves and sort wrappers do not
-// depend on the forced map, so the calls share them. A TemplateCtx is
-// not safe for concurrent use; derive each query on one goroutine.
+// Access paths, join conditions and lookup leaves do not depend on the
+// forced map, and a join subset's plans depend only on its own tables'
+// requirements, so the calls share them: each piece of join-DP work is
+// done once per context. A TemplateCtx is not safe for concurrent use;
+// derive each query on one goroutine.
 type TemplateCtx struct {
 	e    *Engine
 	memo *joinMemo
 	err  error
+}
+
+// TemplateLeaf is one access-method leaf of a template-mode plan: the
+// fields of the PlanNode the plan tree would hold there that INUM turns
+// into a slot.
+type TemplateLeaf struct {
+	// Op is the access method; OpIndexLookup marks a repeated lookup.
+	Op    Op
+	Table string
+	// Index is the access index (nil for a heap scan).
+	Index *catalog.Index
+	// Order is the delivered order (scans only).
+	Order []string
+	// LookupCol and Lookups are the probed column and the probe count
+	// (lookups only).
+	LookupCol string
+	Lookups   float64
+	// SelfCost is the leaf's total access cost.
+	SelfCost float64
 }
 
 // NewTemplateCtx prepares a template-mode context for q under cfg.
@@ -105,27 +126,49 @@ func (e *Engine) NewTemplateCtx(q *workload.Query, cfg *Config) *TemplateCtx {
 // what-if optimizer call. A table present in forced with a non-empty
 // order must be accessed in that order; a table present with an empty
 // order must be accessed without repeated lookups; absent tables are
-// unconstrained. It returns an error when no plan satisfies the
-// requirements.
-func (tc *TemplateCtx) TemplatePlan(forced map[string][]string) (*Plan, error) {
+// unconstrained. It appends the chosen plan's leaves to dst, in the
+// left-to-right order of its tree, and returns them with the plan's
+// cost; it builds no plan tree. It returns an error when no plan
+// satisfies the requirements.
+func (tc *TemplateCtx) TemplatePlan(forced map[string][]string, dst []TemplateLeaf) ([]TemplateLeaf, float64, error) {
 	tc.e.whatIfCalls.Add(1)
 	if tc.err != nil {
-		return nil, tc.err
+		return dst, 0, tc.err
 	}
-	if tc.memo == nil {
-		return nil, fmt.Errorf("engine: TemplateCtx used after Close")
+	m := tc.memo
+	if m == nil {
+		return dst, 0, fmt.Errorf("engine: TemplateCtx used after Close")
 	}
-	return tc.e.optimizeMemo(tc.memo, forced)
+	full := tc.e.optimizeJoin(m, forced)
+	if full == nil {
+		return dst, 0, errNoPlan(m.q)
+	}
+	bi, best := tc.e.bestFinish(m, full)
+	return m.appendLeaves(dst, 1<<len(m.tables)-1, bi), best.cost, nil
 }
 
 // Close recycles the context's derivation scratch. Call it once no
-// further TemplatePlan calls will be made; plans already returned
-// remain valid.
+// further TemplatePlan calls will be made.
 func (tc *TemplateCtx) Close() {
 	if tc.memo != nil {
 		tc.e.putMemo(tc.memo)
 		tc.memo = nil
 	}
+}
+
+// TemplateTree runs one template-mode optimization of q under cfg in a
+// memo of its own, shares nothing with any other call, and returns the
+// plan tree; it counts as one what-if call. It is the reference
+// TemplateCtx's shared work and leaf walk are checked against (inum's
+// TestDerivationMatchesReference).
+func (e *Engine) TemplateTree(q *workload.Query, cfg *Config, forced map[string][]string) (*Plan, error) {
+	e.whatIfCalls.Add(1)
+	if err := checkOptimizable(q); err != nil {
+		return nil, err
+	}
+	m := newJoinMemo(e, len(q.Tables))
+	m.reset(q, cfg, true)
+	return e.optimizeMemo(m, forced)
 }
 
 func checkOptimizable(q *workload.Query) error {
@@ -138,14 +181,27 @@ func checkOptimizable(q *workload.Query) error {
 	return nil
 }
 
+// errNoPlan reports that no plan satisfies a pass's forced orders.
+func errNoPlan(q *workload.Query) error {
+	return fmt.Errorf("engine: no plan for query %s under forced orders", q.ID)
+}
+
 // optimizeMemo is one optimization over the memo's cached inputs: join
-// ordering, then finalization. Every full-mask entry is ranked by its
-// finish decision, and only the winner's operator nodes are built.
+// ordering, then finalization. Only the winner's operator nodes are
+// built.
 func (e *Engine) optimizeMemo(m *joinMemo, forced map[string][]string) (*Plan, error) {
 	full := e.optimizeJoin(m, forced)
 	if full == nil {
-		return nil, fmt.Errorf("engine: no plan for query %s under forced orders", m.q.ID)
+		return nil, errNoPlan(m.q)
 	}
+	bi, best := e.bestFinish(m, full)
+	root := e.finalize(m, m.materialize((1<<len(m.tables))-1, bi), best)
+	return &Plan{Root: root, Cost: root.Cost}, nil
+}
+
+// bestFinish ranks every full-mask entry by its finish decision and
+// returns the first cheapest entry's index with its decision.
+func (e *Engine) bestFinish(m *joinMemo, full *dpEntries) (int, finish) {
 	bi := -1
 	var best finish
 	for i := range full.ents {
@@ -154,8 +210,7 @@ func (e *Engine) optimizeMemo(m *joinMemo, forced map[string][]string) (*Plan, e
 			bi, best = i, f
 		}
 	}
-	root := e.finalize(m, m.materialize((1<<len(m.tables))-1, bi), best)
-	return &Plan{Root: root, Cost: root.Cost}, nil
+	return bi, best
 }
 
 // finish is finalization's decision over one join result: the

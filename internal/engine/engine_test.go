@@ -253,15 +253,15 @@ func TestTemplatePlanHonorsForcedOrder(t *testing.T) {
 	tc := e.NewTemplateCtx(q, base.Union(NewConfig(ix)))
 	defer tc.Close()
 	forced := map[string][]string{"lineitem": {"lineitem.l_shipdate"}}
-	p, err := tc.TemplatePlan(forced)
+	leaves, _, err := tc.TemplatePlan(forced, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leaf := p.Root.Leaves(nil)[0]; leaf.Index != ix || !satisfiesOrder(leaf.Order, forced["lineitem"]) {
+	if leaf := leaves[0]; leaf.Index != ix || !satisfiesOrder(leaf.Order, forced["lineitem"]) {
 		t.Fatalf("forced order violated: leaf %s order %v", leaf.Op, leaf.Order)
 	}
 	// Forcing an unobtainable order must fail.
-	if _, err := tc.TemplatePlan(map[string][]string{"lineitem": {"lineitem.l_discount"}}); err == nil {
+	if _, _, err := tc.TemplatePlan(map[string][]string{"lineitem": {"lineitem.l_discount"}}, nil); err == nil {
 		t.Fatal("expected error for unobtainable forced order")
 	}
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/workload"
@@ -65,13 +67,17 @@ func (e *Engine) hashCost(buildRows, buildWidth, probeRows, probeWidth float64) 
 	return cpu + io
 }
 
-// joinCond is one join predicate connecting a new table to the current
-// DP subset.
+// joinCond is one join predicate connecting a table to another table
+// of the query. The conditions of a table are built once per
+// derivation, in q.Joins order; a DP expansion of subset mask with the
+// table reads those whose other table lies in mask (obit&mask != 0).
 type joinCond struct {
-	outerCol  string // qualified column on the subset side
-	innerCol  string // unqualified column on the new table
-	innerColQ string // innerCol qualified with the new table's name
+	outerCol  string // qualified column on the other table
+	innerCol  string // unqualified column on this table
+	innerColQ string // innerCol qualified with this table's name
 	sel       float64
+	// obit is the other table's bit in the DP's table masks.
+	obit int
 	// leaf is the repeated-lookup access path probing innerCol (nil
 	// when the table has no usable index); resolved once when the
 	// condition list is built rather than on every DP expansion.
@@ -122,10 +128,11 @@ type dpEntry struct {
 	// leaf: the access path (dpLeaf), the inner access path
 	// (dpHash/dpMerge), or the per-probe lookup leaf (dpNL).
 	leaf *PlanNode
-	// outerMask/outerIdx locate the outer side's entry. Entries of a
-	// subset are final before any superset reads them (the DP visits
-	// masks in increasing order and writes only strictly larger
-	// masks), so the reference stays valid through materialization.
+	// outerMask/outerIdx locate the outer side's entry in the version
+	// of outerMask that any pass selecting this entry's version selects
+	// (joinMemo.dp). Entries of a version are final before any superset
+	// reads them (the DP visits masks in increasing order and writes
+	// only strictly larger masks), and no later pass rewrites them.
 	outerMask int32
 	outerIdx  int32
 	// innerSortCol, for dpMerge: the qualified column the inner path
@@ -144,11 +151,15 @@ type dpEntry struct {
 	osortOK bool
 }
 
-// dpEntries holds the Pareto plan entries of one DP subset, keyed by
-// delivered-order key. Entry counts are capped at maxEntriesPerMask,
-// so a linear scan over parallel slices beats a map: no hashing, no
-// iterator state, and no allocations on the optimizer's hottest path.
+// dpEntries holds the Pareto plan entries of one version of a DP
+// subset, keyed by delivered-order key. Entry counts are capped at
+// maxEntriesPerMask, so a linear scan over parallel slices beats a map:
+// no hashing, no iterator state, and no allocations on the optimizer's
+// hottest path.
 type dpEntries struct {
+	// key is the version's requirement-key vector: joinMemo.passKeys'
+	// vector restricted to the subset's tables (see joinMemo.spread).
+	key  uint64
 	kids []int32
 	ents []dpEntry
 }
@@ -176,15 +187,29 @@ func (d *dpEntries) slot(i int, kid int32) *dpEntry {
 	return &d.ents[len(d.ents)-1]
 }
 
+// reqBits is the width of one table's requirement-key index in a
+// version key: MaxTables of them fill a uint64.
+const reqBits = 64 / workload.MaxTables
+
+// maxReqs is the number of distinct requirement keys one table can
+// carry in a derivation before its versions are dropped (passKeys).
+const maxReqs = 1 << reqBits
+
 // joinMemo is the per-query derivation state shared across every
 // optimizeJoin call made for one query under one configuration. The
-// template-extraction walk optimizes the same query dozens of times
-// with only the forced-order map varying, yet the expensive inputs —
-// access paths, join conditions per (subset, table), lookup leaves,
-// per-table path trims — do not depend on the forced map at all (or
-// depend only on the forced order of a single table). Memoizing them
-// here turns the mixed-radix walk from ~50 independent optimizations
-// into ~50 cheap DP passes over shared, immutable leaves.
+// template-extraction walk optimizes the same query many times (about
+// 16 on hom-1000) with only the forced-order map varying, yet access
+// paths, join conditions and lookup leaves do not depend on the forced
+// map at all, and the path set of a table depends only on its own
+// requirement key.
+//
+// The DP table keeps every version of every subset for the whole
+// derivation. dp[mask] is a pure function of the requirement keys of
+// the tables in mask (a table's key decides its path set and whether
+// it may be probed by a nested loop), so each version is stored under
+// that key vector, and a pass computes only the subsets whose vector no
+// earlier pass has met; every other subset reuses its stored version
+// verbatim, provenance included.
 //
 // A joinMemo is single-goroutine state: concurrent derivations must
 // use separate memos.
@@ -193,8 +218,8 @@ type joinMemo struct {
 	q      *workload.Query
 	cfg    *Config
 	tables []string
-	// template marks a TemplateCtx memo (see pathsFor). A memo keeps
-	// one mode from getMemo to putMemo; only template mode forces orders.
+	// template marks a TemplateCtx memo (see trim). A memo keeps one
+	// mode from getMemo to putMemo; only template mode forces orders.
 	template bool
 	idx      map[string]int
 	// needCols[i] = q.ColumnsOf(tables[i]).
@@ -204,18 +229,19 @@ type joinMemo struct {
 	// filteredRows[i] = |tables[i]| × local selectivity.
 	filteredRows []float64
 
-	// conds/condSels memoize connTable per (mask, table), densely
-	// indexed by mask*n + t; connDone marks filled entries. Join
-	// conditions are forced-map independent, so the tables persist
-	// across every optimizeJoin pass of a derivation.
-	conds    [][]joinCond
-	condSels [][]float64
-	connDone []bool
+	// conds[t] lists every join condition of table t, in q.Joins order,
+	// with its lookup leaf resolved.
+	conds [][]joinCond
 	// lookups memoizes Engine.lookupLeaf per (table, join column).
 	lookups map[lookupKey]*PlanNode
-	// trimmed memoizes the template-mode path set per (table, forced
-	// order).
-	trimmed map[pathKey][]*PlanNode
+
+	// reqs[t] lists the distinct non-empty order requirements met on
+	// table t in this derivation, after a nil at index 0 that stands
+	// for "unconstrained" (absent and forced-empty tables admit the
+	// same paths and nested-loop probing). A requirement's index is the
+	// table's key; paths[t][k] is the path set key k admits.
+	reqs  [][][]string
+	paths [][][]*PlanNode
 
 	// kidOf interns order-key strings as dense small IDs; "" is always
 	// ID 0. The distinct delivered orders of one derivation number at
@@ -228,21 +254,19 @@ type joinMemo struct {
 	ordPfx  []uint8
 	ordPfxW int
 
-	// dp is the DP table scratch, reused across calls.
-	dp []dpEntries
+	// vers[mask] holds every version of subset mask computed in this
+	// derivation; dp[mask] is the one the current pass's keys select,
+	// and fresh[mask] marks it as first computed in this pass.
+	// spread[mask] has the reqBits-wide field of every table in mask set.
+	vers   [][]dpEntries
+	dp     []*dpEntries
+	fresh  []bool
+	spread []uint64
 	// passPaths/passNL are per-pass scratch: the path set and
 	// NL-permission of each table under the current forced map,
 	// resolved once per optimizeJoin call instead of once per subset.
 	passPaths [][]*PlanNode
 	passNL    []bool
-	// lastKey[t] is the per-table requirement key of the previous
-	// pass (orderKey of a non-empty forced order, "" otherwise —
-	// absent and forced-empty tables admit the same paths and NL
-	// gating). A table whose key is unchanged contributes exactly the
-	// same leaves, so every DP subset avoiding changed tables can be
-	// reused verbatim; passInit guards the first pass.
-	lastKey  []string
-	passInit bool
 
 	// sc is a direct-mapped cache of sortSelfCost keyed by the exact
 	// (rows, width) bit patterns. Successive DP passes of one
@@ -259,11 +283,6 @@ type joinMemo struct {
 	groupOrder []string
 	orderBy    []string
 	finalPrep  bool
-}
-
-type pathKey struct {
-	t     int
-	order string
 }
 
 // scSlot is one direct-mapped sort-cost cache line.
@@ -311,80 +330,115 @@ type lookupKey struct {
 	col string
 }
 
-func newJoinMemo(e *Engine, q *workload.Query, cfg *Config, template bool) *joinMemo {
-	n := len(q.Tables)
+// newJoinMemo allocates the scratch of an n-table memo; reset fills it
+// for a query.
+func newJoinMemo(e *Engine, n int) *joinMemo {
 	m := &joinMemo{
-		e:        e,
-		q:        q,
-		cfg:      cfg,
-		tables:   q.Tables,
-		template: template,
-		idx:      make(map[string]int, n),
+		e:            e,
+		idx:          make(map[string]int, n),
+		needCols:     make([][]string, n),
+		base:         make([][]*PlanNode, n),
+		filteredRows: make([]float64, n),
+		conds:        make([][]joinCond, n),
+		reqs:         make([][][]string, n),
+		paths:        make([][][]*PlanNode, n),
+		vers:         make([][]dpEntries, 1<<n),
+		dp:           make([]*dpEntries, 1<<n),
+		fresh:        make([]bool, 1<<n),
+		spread:       make([]uint64, 1<<n),
+		passPaths:    make([][]*PlanNode, n),
+		passNL:       make([]bool, n),
 	}
-	m.needCols = make([][]string, n)
-	m.base = make([][]*PlanNode, n)
-	m.filteredRows = make([]float64, n)
-	for i, t := range q.Tables {
-		m.idx[t] = i
-		m.needCols[i] = q.ColumnsOf(t)
-		m.base[i] = e.scanPaths(q, t, cfg, m.needCols[i])
-		m.filteredRows[i] = e.tableRows(t) * e.localSel(q, t)
+	for mask := 1; mask < 1<<n; mask++ {
+		low := mask & -mask
+		t := bits.TrailingZeros(uint(low))
+		m.spread[mask] = m.spread[mask^low] | (maxReqs-1)<<(reqBits*t)
 	}
-	m.dp = make([]dpEntries, 1<<n)
-	m.conds = make([][]joinCond, n<<n)
-	m.condSels = make([][]float64, n<<n)
-	m.connDone = make([]bool, n<<n)
-	m.passPaths = make([][]*PlanNode, n)
-	m.passNL = make([]bool, n)
-	m.lastKey = make([]string, n)
 	return m
 }
 
 // getMemo returns a joinMemo for q, recycling pooled scratch of the
 // same table count when available. A recycled memo behaves exactly like
-// a fresh one: passInit is false, so the first optimizeJoin pass marks
-// every subset dirty and rebuilds the DP from the new query's paths;
-// the per-query memo maps are cleared; the group-cardinality cache is
-// zeroed (it depends on the query's GROUP BY). Only the sort-cost cache
-// survives, which is sound and bit-stable because sortSelfCost depends
-// on nothing but the engine profile and its exact float inputs.
+// a fresh one: reset drops every DP version, requirement key and
+// per-query memo map, and zeroes the group-cardinality cache (it
+// depends on the query's GROUP BY). Only the sort-cost cache survives,
+// which is sound and bit-stable because sortSelfCost depends on nothing
+// but the engine profile and its exact float inputs.
 func (e *Engine) getMemo(q *workload.Query, cfg *Config, template bool) *joinMemo {
 	n := len(q.Tables)
-	v := e.memoPools[n].Get()
-	if v == nil {
-		return newJoinMemo(e, q, cfg, template)
+	m, _ := e.memoPools[n].Get().(*joinMemo)
+	if m == nil {
+		m = newJoinMemo(e, n)
 	}
-	m := v.(*joinMemo)
+	m.reset(q, cfg, template)
+	return m
+}
+
+// reset prepares m, of q's table count, for a derivation of q under cfg.
+func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
+	e := m.e
 	m.q, m.cfg, m.tables, m.template = q, cfg, q.Tables, template
 	clear(m.idx)
+	clear(m.lookups)
+	clear(m.kidOf)
+	m.ordPfx, m.ordPfxW = m.ordPfx[:0], 0
+	m.finalPrep = false
+	m.groupOrder, m.orderBy = nil, nil
+	m.gr = [64]grSlot{}
 	for i, t := range q.Tables {
 		m.idx[t] = i
 		m.needCols[i] = q.ColumnsOf(t)
 		m.base[i] = e.scanPaths(q, t, cfg, m.needCols[i])
 		m.filteredRows[i] = e.tableRows(t) * e.localSel(q, t)
 	}
-	for i := range m.connDone {
-		m.connDone[i] = false
-	}
-	clear(m.lookups)
-	clear(m.trimmed)
-	clear(m.kidOf)
-	m.ordPfx, m.ordPfxW = m.ordPfx[:0], 0
-	// Drop the previous derivation's plan references so pooled scratch
-	// never pins another query's nodes; keep entry capacity.
-	for i := range m.dp {
-		d := &m.dp[i]
-		for j := range d.ents {
-			d.ents[j].leaf = nil
-			d.ents[j].order = nil
+	for t, name := range q.Tables {
+		clear(m.conds[t])
+		conds := m.conds[t][:0]
+		for _, j := range q.Joins {
+			var tCol, oTab, oCol string
+			switch {
+			case j.Left.Table == name:
+				tCol, oTab, oCol = j.Left.Column, j.Right.Table, j.Right.Column
+			case j.Right.Table == name:
+				tCol, oTab, oCol = j.Right.Column, j.Left.Table, j.Left.Column
+			default:
+				continue
+			}
+			oi, ok := m.idx[oTab]
+			if !ok {
+				continue
+			}
+			outerCol := oTab + "." + oCol
+			conds = append(conds, joinCond{
+				outerCol: outerCol, innerCol: tCol, innerColQ: name + "." + tCol,
+				sel: e.joinSel(j), obit: 1 << oi,
+				leaf:      m.lookupLeaf(t, tCol),
+				ocolOrder: []string{outerCol},
+				okeyID:    m.keyID(outerCol),
+			})
 		}
-		d.ents, d.kids = d.ents[:0], d.kids[:0]
+		m.conds[t] = conds
 	}
-	m.passInit = false
-	m.finalPrep = false
-	m.groupOrder, m.orderBy = nil, nil
-	m.gr = [64]grSlot{}
-	return m
+	m.resetVersions()
+}
+
+// resetVersions drops every DP version and requirement key, keeping
+// their capacity; stored entries are zeroed so pooled scratch never
+// pins another derivation's nodes.
+func (m *joinMemo) resetVersions() {
+	for mask, vs := range m.vers {
+		for i := range vs {
+			clear(vs[i].ents)
+			vs[i].kids, vs[i].ents = vs[i].kids[:0], vs[i].ents[:0]
+		}
+		m.vers[mask] = vs[:0]
+	}
+	for t := range m.tables {
+		clear(m.reqs[t])
+		clear(m.paths[t])
+		m.reqs[t] = append(m.reqs[t][:0], nil)
+		m.paths[t] = append(m.paths[t][:0], m.trim(t, nil))
+	}
 }
 
 // putMemo returns a memo to the engine's pool once no derivation will
@@ -410,23 +464,6 @@ func (m *joinMemo) keyID(key string) int32 {
 	return id
 }
 
-// conn memoizes connTable per (mask, table), resolving each
-// condition's lookup leaf as the list is built.
-func (m *joinMemo) conn(mask, t int) ([]joinCond, []float64) {
-	key := mask*len(m.tables) + t
-	if !m.connDone[key] {
-		conds, sels := m.e.connTable(m.q, m.tables, mask, t, m.idx)
-		for i := range conds {
-			conds[i].leaf = m.lookupLeaf(t, conds[i].innerCol)
-			conds[i].ocolOrder = []string{conds[i].outerCol}
-			conds[i].okeyID = m.keyID(conds[i].outerCol)
-		}
-		m.conds[key], m.condSels[key] = conds, sels
-		m.connDone[key] = true
-	}
-	return m.conds[key], m.condSels[key]
-}
-
 // lookupLeaf memoizes Engine.lookupLeaf per (table, join column).
 func (m *joinMemo) lookupLeaf(t int, col string) *PlanNode {
 	k := lookupKey{t, col}
@@ -441,25 +478,40 @@ func (m *joinMemo) lookupLeaf(t int, col string) *PlanNode {
 	return leaf
 }
 
-// pathsFor returns the access-path set of table t under the forced
-// map. Plain mode is never forced and uses every path; template mode
-// memoizes its trim by the table's effective order requirement (absent
-// and present-but-empty requirements admit the same paths, so they
-// share the "" key).
-func (m *joinMemo) pathsFor(t int, forced map[string][]string) []*PlanNode {
+// passKeys resolves each table's requirement key under the forced map,
+// sets the pass's path sets and NL permissions, and returns the key
+// vector: table t's key in bits [reqBits·t, reqBits·(t+1)). A table
+// meeting its maxReqs-th distinct requirement drops every version first,
+// so the derivation goes on as from a fresh memo.
+func (m *joinMemo) passKeys(forced map[string][]string) uint64 {
+	var vec uint64
+	for t, name := range m.tables {
+		req := forced[name]
+		k := 0
+		if len(req) > 0 {
+			k = slices.IndexFunc(m.reqs[t][1:], func(r []string) bool { return slices.Equal(r, req) }) + 1
+			if k == 0 {
+				if len(m.reqs[t]) == maxReqs {
+					m.resetVersions()
+					return m.passKeys(forced)
+				}
+				k = len(m.reqs[t])
+				m.reqs[t] = append(m.reqs[t], req)
+				m.paths[t] = append(m.paths[t], m.trim(t, req))
+			}
+		}
+		vec |= uint64(k) << (reqBits * t)
+		m.passPaths[t] = m.paths[t][k]
+		m.passNL[t] = k == 0
+	}
+	return vec
+}
+
+// trim returns the access-path set of table t under order requirement
+// req. Plain mode is never forced and uses every path.
+func (m *joinMemo) trim(t int, req []string) []*PlanNode {
 	if !m.template {
 		return m.base[t]
-	}
-	req := forced[m.tables[t]]
-	k := pathKey{t, ""}
-	if len(req) > 0 {
-		k.order = orderKey(req)
-	}
-	if ps, ok := m.trimmed[k]; ok {
-		return ps
-	}
-	if m.trimmed == nil {
-		m.trimmed = make(map[pathKey][]*PlanNode)
 	}
 	// In template mode the internal plan may rely only on leaf orders
 	// that were explicitly forced: every access path that delivers the
@@ -493,8 +545,29 @@ func (m *joinMemo) pathsFor(t int, forced map[string][]string) []*PlanNode {
 		seen[ok] = true
 		trimmed = append(trimmed, &cp)
 	}
-	m.trimmed[k] = trimmed
 	return trimmed
+}
+
+// useVersion points dp[mask] at the stored version under key, adding an
+// empty one when no earlier pass computed it, and reports whether it
+// was added.
+func (m *joinMemo) useVersion(mask int, key uint64) bool {
+	vs := m.vers[mask]
+	for i := range vs {
+		if vs[i].key == key {
+			m.dp[mask] = &vs[i]
+			return false
+		}
+	}
+	if len(vs) < cap(vs) {
+		vs = vs[:len(vs)+1]
+	} else {
+		vs = append(vs, dpEntries{})
+	}
+	d := &vs[len(vs)-1]
+	d.key = key
+	m.vers[mask], m.dp[mask] = vs, d
+	return true
 }
 
 // finalOrders lazily prepares the qualified group-by and order-by
@@ -565,6 +638,26 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 	}
 }
 
+// appendLeaves appends the access-method leaves of entry (mask, idx)
+// to dst in the order PlanNode.Leaves visits the tree materialize
+// builds — the outer side's leaves, then the inner's — reading them
+// from the DP's provenance without building a node.
+func (m *joinMemo) appendLeaves(dst []TemplateLeaf, mask, idx int) []TemplateLeaf {
+	en := &m.dp[mask].ents[idx]
+	if en.kind != dpLeaf {
+		dst = m.appendLeaves(dst, int(en.outerMask), int(en.outerIdx))
+	}
+	if en.kind == dpNL {
+		return append(dst, TemplateLeaf{
+			Op: OpIndexLookup, Table: m.tables[en.tIdx], Index: en.leaf.Index,
+			LookupCol: en.lookupCol, Lookups: m.dp[en.outerMask].ents[en.outerIdx].rows,
+			SelfCost: en.innerCost,
+		})
+	}
+	l := en.leaf
+	return append(dst, TemplateLeaf{Op: l.Op, Table: l.Table, Index: l.Index, Order: l.Order, SelfCost: l.SelfCost})
+}
+
 // optimizeJoin runs the System-R DP over the query's tables and
 // returns the entry set for the full table mask, sorted by cost
 // (nil when no plan exists). forced constrains per-table delivered
@@ -575,42 +668,25 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 // by the next optimizeJoin call on the same memo.
 func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntries {
 	n := len(m.tables)
+	full := 1<<n - 1
 
-	// Incremental invalidation: dp[mask] is a pure function of the
-	// requirement keys of the tables in mask, so only subsets touching
-	// a table whose key changed since the previous pass need
-	// recomputation. The template-extraction walk varies one table's
-	// forced order per call, which leaves roughly half of all subsets
-	// — including all their entries and the provenance into them —
-	// byte-identical and reusable. A clean subset references only
-	// subsets of itself, which are therefore also clean, so reused
-	// provenance stays valid.
-	dirty := 0
-	if !m.passInit {
-		m.passInit = true
-		dirty = 1<<n - 1
-	}
-	for t := 0; t < n; t++ {
-		req, constrained := forced[m.tables[t]]
-		key := ""
-		if constrained && len(req) > 0 {
-			key = orderKey(req)
-		}
-		if key != m.lastKey[t] {
-			m.lastKey[t] = key
-			dirty |= 1 << t
-		}
-		m.passPaths[t] = m.pathsFor(t, forced)
-		m.passNL[t] = !constrained || len(req) == 0
+	// Select each subset's version under this pass's keys. The walk of
+	// a template derivation varies a few tables' forced orders, so most
+	// subsets meet a key vector an earlier pass already computed, and
+	// only the others are built below. A stored version references only
+	// subsets of itself, whose key vectors are restrictions of its own,
+	// so the versions this pass selects for them are the ones its
+	// provenance was built against.
+	vec := m.passKeys(forced)
+	for mask := 1; mask <= full; mask++ {
+		m.fresh[mask] = m.useVersion(mask, vec&m.spread[mask])
 	}
 
 	for i := range m.tables {
-		if dirty&(1<<i) == 0 {
+		if !m.fresh[1<<i] {
 			continue
 		}
-		d := &m.dp[1<<i]
-		d.kids = d.kids[:0]
-		d.ents = d.ents[:0]
+		d := m.dp[1<<i]
 		for _, pth := range m.passPaths[i] {
 			kid := m.keyID(pth.key())
 			if j := d.find(kid); j < 0 || pth.Cost < d.ents[j].cost {
@@ -622,60 +698,49 @@ func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntrie
 			}
 		}
 	}
-	for mask := 3; mask < 1<<n; mask++ {
-		if mask&dirty != 0 && mask&(mask-1) != 0 {
-			m.dp[mask].kids = m.dp[mask].kids[:0]
-			m.dp[mask].ents = m.dp[mask].ents[:0]
-		}
-	}
 
-	for mask := 1; mask < 1<<n; mask++ {
-		if len(m.dp[mask].ents) == 0 {
+	for mask := 1; mask < full; mask++ {
+		d := m.dp[mask]
+		if len(d.ents) == 0 {
 			continue
 		}
-		if mask&dirty != 0 {
-			// Clean subsets were pruned when they were built.
-			m.prune(&m.dp[mask])
+		if m.fresh[mask] {
+			// Stored versions were pruned when they were built.
+			m.prune(d)
 		}
 		// expandJoin only writes strictly larger masks, so iterating
 		// the entry slice in place is safe — and entry references into
 		// dp[mask] stay valid for materialization afterwards.
 		for t := 0; t < n; t++ {
-			if mask&(1<<t) != 0 {
-				continue
-			}
-			if (mask|1<<t)&dirty == 0 {
-				// The target subset avoids every changed table; its
-				// previous-pass entries are already exactly these
+			if mask&(1<<t) != 0 || !m.fresh[mask|1<<t] {
+				// A stored target version is already exactly these
 				// candidates' outcome.
 				continue
 			}
-			conds, sels := m.conn(mask, t)
-			tPaths := m.passPaths[t]
-			for oi := range m.dp[mask].ents {
-				e.expandJoin(m, mask, t, oi, tPaths, conds, sels, m.passNL[t])
+			for oi := range d.ents {
+				e.expandJoin(m, mask, t, oi)
 			}
 		}
 	}
 
-	full := &m.dp[(1<<n)-1]
-	if len(full.ents) == 0 {
+	d := m.dp[full]
+	if len(d.ents) == 0 {
 		return nil
 	}
-	if (1<<n-1)&dirty != 0 {
-		m.prune(full)
+	if m.fresh[full] {
+		m.prune(d)
 		// Insertion-sort entries by cost in place (entry counts are
 		// tiny and reflect-based sorting allocates); the parallel kids
-		// slice is stale from here on, which is fine — the DP pass is
-		// over.
-		ents := full.ents
+		// slice is stale from here on, which is fine — no pass writes
+		// the full mask's stored version again.
+		ents := d.ents
 		for i := 1; i < len(ents); i++ {
 			for j := i; j > 0 && ents[j].cost < ents[j-1].cost; j-- {
 				ents[j], ents[j-1] = ents[j-1], ents[j]
 			}
 		}
 	}
-	return full
+	return d
 }
 
 // expandJoin emits the candidate joins of outer entry oi (covering
@@ -685,17 +750,23 @@ func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntrie
 // is selected first and a single entry recorded. The sequential
 // node-building insert order this replaces used strict-< improvement,
 // so keeping the first minimum reproduces its outcome exactly.
-func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int, tPaths []*PlanNode,
-	conds []joinCond, sels []float64, nlAllowed bool) {
-
+func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 	p := e.Prof
 	outer := &m.dp[mask].ents[oi]
-	newMask := mask | 1<<t
-	d := &m.dp[newMask]
+	d := m.dp[mask|1<<t]
+	tPaths, conds := m.passPaths[t], m.conds[t]
 
-	// Cross products are permitted only when no join condition exists
-	// (disconnected queries); they cost their cardinality.
-	cross := len(conds) == 0
+	// A (subset, table) pair that no join condition connects joins as a
+	// cross product, costing its cardinality. That holds inside
+	// connected queries too, for every subset the table has no
+	// predicate into, not only in disconnected ones.
+	cross := true
+	for ci := range conds {
+		if conds[ci].obit&mask != 0 {
+			cross = false
+			break
+		}
+	}
 
 	// Join output cardinality depends only on the inner path, not the
 	// join method or condition; compute it once per inner.
@@ -707,7 +778,7 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int, tPaths []*PlanNode,
 		rowsFor = make([]float64, len(tPaths))
 	}
 	for ii, inner := range tPaths {
-		rowsFor[ii] = joinRows(outer.rows, inner.Rows, sels)
+		rowsFor[ii] = joinRows(outer.rows, inner.Rows, conds, mask)
 	}
 
 	// Hash join (or cross product via nested materialization); the
@@ -754,6 +825,9 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int, tPaths []*PlanNode,
 	// whose order key is the column itself — no key assembly needed.
 	for ci := range conds {
 		c := &conds[ci]
+		if c.obit&mask == 0 {
+			continue
+		}
 		oCost, oRows := outer.cost, outer.rows
 		okey := c.okeyID
 		presorted := satisfiesCol(outer.order, c.outerCol)
@@ -809,14 +883,14 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int, tPaths []*PlanNode,
 
 	// Index nested-loop join: inner is a repeated lookup, which cannot
 	// honor a forced order requirement on the inner table.
-	if nlAllowed {
+	if m.passNL[t] {
 		for ci := range conds {
 			c := &conds[ci]
 			leaf := c.leaf
-			if leaf == nil {
+			if leaf == nil || c.obit&mask == 0 {
 				continue
 			}
-			rows := joinRows(outer.rows, m.filteredRows[t], sels)
+			rows := joinRows(outer.rows, m.filteredRows[t], conds, mask)
 			innerCost := outer.rows * leaf.SelfCost * p.NLFudge
 			self := rows * p.CPUTupleCost
 			cost := outer.cost + innerCost + self
@@ -928,31 +1002,4 @@ func (m *joinMemo) prune(d *dpEntries) {
 	}
 	d.kids = kids
 	d.ents = ents
-}
-
-// connTable gathers the join conditions connecting table t to the
-// subset mask, along with their selectivities.
-func (e *Engine) connTable(q *workload.Query, tables []string, mask, t int, idx map[string]int) ([]joinCond, []float64) {
-	var conds []joinCond
-	var sels []float64
-	name := tables[t]
-	for _, j := range q.Joins {
-		var tCol, oTab, oCol string
-		switch {
-		case j.Left.Table == name:
-			tCol, oTab, oCol = j.Left.Column, j.Right.Table, j.Right.Column
-		case j.Right.Table == name:
-			tCol, oTab, oCol = j.Right.Column, j.Left.Table, j.Left.Column
-		default:
-			continue
-		}
-		oi, ok := idx[oTab]
-		if !ok || mask&(1<<oi) == 0 {
-			continue
-		}
-		sel := e.joinSel(j)
-		conds = append(conds, joinCond{outerCol: oTab + "." + oCol, innerCol: tCol, innerColQ: name + "." + tCol, sel: sel})
-		sels = append(sels, sel)
-	}
-	return conds, sels
 }

@@ -1,0 +1,147 @@
+package inum
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/tpch"
+	"repro/internal/workload"
+)
+
+// referenceTemplates derives q's templates with no work shared between
+// the optimizer calls: the same walk (eachPass), but every call in a
+// memo of its own through engine.TemplateTree, each plan's leaves read
+// off its tree by PlanNode.Leaves, every novel template copied as it is
+// met, and the copies pruned.
+func referenceTemplates(e *engine.Engine, q *workload.Query, maxK int) []*Template {
+	needCols := make(map[string][]string, len(q.Tables))
+	for _, t := range q.Tables {
+		needCols[t] = q.ColumnsOf(t)
+	}
+	var ts []*Template
+	eachPass(q, needCols, func(cfg *engine.Config, forced map[string][]string) {
+		p, err := e.TemplateTree(q, cfg, forced)
+		if err != nil {
+			return
+		}
+		leaves := p.Root.Leaves(nil)
+		var leafCost float64
+		for _, l := range leaves {
+			leafCost += l.SelfCost
+		}
+		tp := &Template{Internal: p.Root.Cost - leafCost}
+		for _, leaf := range leaves {
+			s := Slot{Table: leaf.Table, NeedCols: needCols[leaf.Table]}
+			if leaf.Op == engine.OpIndexLookup {
+				s.Mode, s.JoinCol, s.Lookups = SlotLookup, leaf.LookupCol, leaf.Lookups
+			} else if req := forced[leaf.Table]; len(req) > 0 {
+				s.RequiredOrder = req
+			}
+			tp.Slots = append(tp.Slots, s)
+		}
+		tp.sig = string(tp.appendSig(nil))
+		for _, prior := range ts {
+			if prior.sig == tp.sig {
+				return
+			}
+		}
+		ts = append(ts, tp)
+	})
+	return prune(ts, maxK)
+}
+
+// TestDerivationMatchesReference holds the production derivation —
+// one template context per configuration whose passes share every DP
+// subset version their requirement keys allow, leaves read from DP
+// provenance, candidates held in pooled scratch until prune — to
+// referenceTemplates, which shares nothing and reads plan trees: for
+// every shape of Hom and Het fixtures on both cost profiles, the same
+// templates in the same order (β bits, every slot field, signature)
+// and the same what-if call count.
+func TestDerivationMatchesReference(t *testing.T) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
+	var templates, lookups, ordered, shapes int
+	for _, prof := range []engine.Profile{engine.SystemA(), engine.SystemB()} {
+		e := engine.New(cat, prof)
+		c := New(e)
+		for _, w := range []*workload.Workload{
+			workload.Hom(workload.HomConfig{Queries: 300, Seed: 71}),
+			workload.Het(workload.HetConfig{Queries: 120, Seed: 72}),
+		} {
+			seen := map[string]bool{}
+			for _, st := range w.Queries() {
+				q := st.Query
+				if fp := e.ShapeFingerprint(q); seen[fp] {
+					continue
+				} else {
+					seen[fp] = true
+				}
+				shapes++
+				before := e.WhatIfCalls()
+				got := c.buildTemplates(q)
+				gotCalls := e.WhatIfCalls() - before
+				want := referenceTemplates(e, q, c.maxTemplates)
+				if wantCalls := e.WhatIfCalls() - before - gotCalls; gotCalls != wantCalls {
+					t.Fatalf("%s %s: %d what-if calls, reference %d", prof.Name, q.ID, gotCalls, wantCalls)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s %s: %d templates, reference %d", prof.Name, q.ID, len(got), len(want))
+				}
+				for i, g := range got {
+					r := want[i]
+					if math.Float64bits(g.Internal) != math.Float64bits(r.Internal) || g.sig != r.sig || len(g.Slots) != len(r.Slots) {
+						t.Fatalf("%s %s template %d: β %v sig %q, reference β %v sig %q", prof.Name, q.ID, i, g.Internal, g.sig, r.Internal, r.sig)
+					}
+					for si := range g.Slots {
+						a, b := &g.Slots[si], &r.Slots[si]
+						if !sameSlot(a, b) {
+							t.Fatalf("%s %s template %d slot %d: %+v, reference %+v", prof.Name, q.ID, i, si, *a, *b)
+						}
+						if a.Mode == SlotLookup {
+							lookups++
+						} else if len(a.RequiredOrder) > 0 {
+							ordered++
+						}
+					}
+					templates++
+				}
+			}
+		}
+	}
+	if lookups == 0 || ordered == 0 || templates < 5*shapes {
+		t.Fatalf("coverage too thin: %d shapes, %d templates, %d lookup slots, %d ordered scan slots", shapes, templates, lookups, ordered)
+	}
+	t.Logf("%d shapes, %d templates (%d lookup slots, %d ordered scan slots)", shapes, templates, lookups, ordered)
+}
+
+// TestDerivationScratchHoldsNoCandidates: a derivation's pooled scratch
+// keeps no reference into the templates it published, so a later
+// derivation reusing it cannot change them.
+func TestDerivationScratchHoldsNoCandidates(t *testing.T) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
+	e := engine.New(cat, engine.SystemA())
+	c := New(e)
+	w := workload.Hom(workload.HomConfig{Queries: 40, Seed: 73})
+	qs := w.Queries()
+	first := c.buildTemplates(qs[0].Query)
+	snapshot := make([]Template, len(first))
+	for i, tp := range first {
+		snapshot[i] = Template{Internal: tp.Internal, Slots: slices.Clone(tp.Slots), sig: tp.sig}
+	}
+	for _, st := range qs[1:] {
+		c.buildTemplates(st.Query)
+	}
+	for i, tp := range first {
+		s := &snapshot[i]
+		if math.Float64bits(tp.Internal) != math.Float64bits(s.Internal) || tp.sig != s.sig || len(tp.Slots) != len(s.Slots) {
+			t.Fatalf("template %d changed after later derivations", i)
+		}
+		for si := range tp.Slots {
+			if !sameSlot(&tp.Slots[si], &s.Slots[si]) {
+				t.Fatalf("template %d slot %d changed after later derivations", i, si)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@
 package inum
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -66,7 +67,7 @@ type Template struct {
 	// Slots lists the access-method holes, one per referenced table.
 	Slots []Slot
 
-	// sig is the signature appendSig computes; addTemplate sets it on
+	// sig is the signature appendSig computes; buildTemplates sets it on
 	// every published template.
 	sig string
 }
@@ -372,13 +373,60 @@ func interestingOrders(q *workload.Query, table string) [][]string {
 // The result depends only on the query's shape fingerprint, so it is
 // cached per shape and shared across same-shape statements.
 func (c *Cache) buildTemplates(q *workload.Query) []*Template {
-	qi := &QueryInfo{Query: q}
+	d := derivations.Get().(*derivation)
+	defer d.release()
 
 	needCols := make(map[string][]string, len(q.Tables))
 	for _, t := range q.Tables {
 		needCols[t] = q.ColumnsOf(t)
 	}
+	// The walk's calls run under two configurations, one context each:
+	// every call under a configuration shares that context's work.
+	var (
+		calls int64
+		tc    *engine.TemplateCtx
+		tcCfg *engine.Config
+	)
+	eachPass(q, needCols, func(cfg *engine.Config, forced map[string][]string) {
+		if cfg != tcCfg {
+			if tc != nil {
+				tc.Close()
+			}
+			tc, tcCfg = c.Eng.NewTemplateCtx(q, cfg), cfg
+		}
+		calls++
+		leaves, cost, err := tc.TemplatePlan(forced, d.leaves[:0])
+		d.leaves = leaves
+		if err == nil {
+			d.add(cost, forced, needCols)
+		}
+	})
+	if tc != nil {
+		tc.Close()
+	}
 
+	kept := prune(append(d.ptrs[:0], d.cands[:d.n]...), c.maxTemplates)
+	d.ptrs = kept[:0]
+	out := make([]*Template, len(kept))
+	for i, t := range kept {
+		d.sig = t.appendSig(d.sig[:0])
+		out[i] = &Template{Internal: t.Internal, Slots: slices.Clone(t.Slots), sig: string(d.sig)}
+	}
+
+	c.mu.Lock()
+	c.prepCalls += calls
+	c.mu.Unlock()
+	return out
+}
+
+// eachPass calls pass once per optimizer call of q's derivation, in
+// order: the fallback (unordered scans only, under the empty
+// configuration, so the empty atomic configuration instantiates it and
+// cost(q, X) < ∞ for every X), then, under a synthetic configuration,
+// one unconstrained call and one per interesting-order combination.
+// The forced map is reused between calls; a template retains only its
+// order slices, never the map itself.
+func eachPass(q *workload.Query, needCols map[string][]string, pass func(cfg *engine.Config, forced map[string][]string)) {
 	// Synthetic configuration for template extraction: for every
 	// interesting order a covering hypothetical index, so the
 	// optimizer can exhibit order-exploiting plan shapes. This mirrors
@@ -404,53 +452,18 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 		}
 	}
 
-	// Extraction scratch: most combos yield a template whose signature
-	// was already seen, so plans are extracted into one reusable holder
-	// and only novel templates are cloned into the cache. plan makes one
-	// optimizer call and counts it whether or not it yields a plan.
-	var (
-		calls     int64
-		scratch   Template
-		leavesBuf []*engine.PlanNode
-		sigBuf    []byte
-	)
-	plan := func(tc *engine.TemplateCtx, forced map[string][]string) {
-		calls++
-		p, err := tc.TemplatePlan(forced)
-		if err != nil {
-			return
-		}
-		leavesBuf = extractInto(&scratch, leavesBuf[:0], p, forced, needCols)
-		sigBuf = qi.addTemplate(&scratch, sigBuf[:0])
-	}
-
-	// Fallback template: unordered scans only; instantiable by the
-	// empty atomic configuration, guaranteeing cost(q, X) < ∞ for
-	// every X.
-	fallback := make(map[string][]string, len(q.Tables))
+	forced := make(map[string][]string, len(q.Tables))
 	for _, t := range q.Tables {
-		fallback[t] = []string{}
+		forced[t] = []string{}
 	}
-	fb := c.Eng.NewTemplateCtx(q, engine.NewConfig())
-	plan(fb, fallback)
-	fb.Close()
+	pass(engine.NewConfig(), forced)
+	pass(synth, nil)
 
-	// All remaining calls optimize the same query under the same
-	// synthetic configuration with only the forced map varying, so they
-	// share one context: an unconstrained call, then the order
-	// combinations.
-	tctx := c.Eng.NewTemplateCtx(q, synth)
-	defer tctx.Close()
-	plan(tctx, nil)
-
-	// Mixed-radix walk over order combinations. The forced map is
-	// reused across iterations; extract retains only the forced order
-	// slices, never the map itself.
+	// Mixed-radix walk over order combinations.
 	combos := 1
 	for _, opts := range perTable {
 		combos *= len(opts)
 	}
-	forced := make(map[string][]string, len(q.Tables))
 	for ci := 1; ci < combos && ci <= maxCombos; ci++ {
 		clear(forced)
 		rest := ci
@@ -464,15 +477,8 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 		if len(forced) == 0 {
 			continue
 		}
-		plan(tctx, forced)
+		pass(synth, forced)
 	}
-
-	qi.prune(c.maxTemplates)
-
-	c.mu.Lock()
-	c.prepCalls += calls
-	c.mu.Unlock()
-	return qi.Templates
 }
 
 // remainder returns cols minus the key columns.
@@ -493,21 +499,42 @@ func remainder(cols, key []string) []string {
 	return out
 }
 
-// extractInto converts a forced physical plan into a template held in
-// t, reusing t's slot capacity and the caller's leaves scratch: β is
-// the internal cost; each leaf becomes a slot whose order requirement
-// is the forced order of its table (not the incidental order of the
-// index the optimizer happened to pick). It returns the leaves scratch
-// for reuse.
-func extractInto(t *Template, leaves []*engine.PlanNode, p *engine.Plan, forced map[string][]string, needCols map[string][]string) []*engine.PlanNode {
-	leaves = p.Root.Leaves(leaves)
-	var leafCost float64
-	for _, l := range leaves {
-		leafCost += l.SelfCost
+// derivation is one derivation's reusable scratch: its candidate
+// templates, every one with a distinct signature, live in cands[:n]
+// until prune picks the few buildTemplates publishes, and only those
+// are copied. Pooled, so a workload's derivations reuse the candidates'
+// slot slices and the buffers.
+type derivation struct {
+	cands []*Template
+	sigs  [][]byte // sigs[i] is cands[i]'s signature
+	n     int
+	ptrs  []*Template
+	// leaves and sig are the leaf and signature buffers.
+	leaves []engine.TemplateLeaf
+	sig    []byte
+}
+
+var derivations = sync.Pool{New: func() any { return new(derivation) }}
+
+// add lifts the leaves of one forced plan of total cost cost into the
+// next candidate: β is the internal cost; each leaf becomes a slot
+// whose order requirement is the forced order of its table (not the
+// incidental order of the index the optimizer happened to pick). The
+// candidate is kept unless an earlier one has its signature.
+func (d *derivation) add(cost float64, forced, needCols map[string][]string) {
+	if d.n == len(d.cands) {
+		d.cands = append(d.cands, new(Template))
+		d.sigs = append(d.sigs, nil)
 	}
-	t.Internal = p.Root.Cost - leafCost
+	t := d.cands[d.n]
+	var leafCost float64
+	for i := range d.leaves {
+		leafCost += d.leaves[i].SelfCost
+	}
+	t.Internal = cost - leafCost
 	t.Slots = t.Slots[:0]
-	for _, leaf := range leaves {
+	for i := range d.leaves {
+		leaf := &d.leaves[i]
 		s := Slot{Table: leaf.Table, NeedCols: needCols[leaf.Table]}
 		if leaf.Op == engine.OpIndexLookup {
 			s.Mode = SlotLookup
@@ -521,37 +548,37 @@ func extractInto(t *Template, leaves []*engine.PlanNode, p *engine.Plan, forced 
 		}
 		t.Slots = append(t.Slots, s)
 	}
-	return leaves
-}
-
-// addTemplate inserts a copy of the (possibly scratch) template unless
-// an identical signature exists. buf is signature scratch, returned for
-// reuse; the duplicate check compares bytes so rejected templates cost
-// no allocation at all.
-func (qi *QueryInfo) addTemplate(t *Template, buf []byte) []byte {
-	buf = t.appendSig(buf)
-	for _, prior := range qi.Templates {
-		if prior.sig == string(buf) {
-			return buf
+	sig := t.appendSig(d.sigs[d.n][:0])
+	d.sigs[d.n] = sig
+	for _, prior := range d.sigs[:d.n] {
+		if bytes.Equal(prior, sig) {
+			return
 		}
 	}
-	qi.Templates = append(qi.Templates, &Template{
-		Internal: t.Internal,
-		Slots:    append([]Slot(nil), t.Slots...),
-		sig:      string(buf),
-	})
-	return buf
+	d.n++
+}
+
+// release clears the references the scratch holds into the derivation
+// and returns it to the pool.
+func (d *derivation) release() {
+	for _, t := range d.cands {
+		clear(t.Slots[:cap(t.Slots)])
+	}
+	clear(d.leaves)
+	clear(d.ptrs[:cap(d.ptrs)])
+	d.n = 0
+	derivations.Put(d)
 }
 
 // prune drops dominated templates and caps the count at maxK, keeping
 // the template set sorted by β. A template T1 is dominated by T2 when
 // T2's internal cost is no higher and every T1 slot is at least as
 // constrained as the matching T2 slot (same mode and join column,
-// required order extends T2's).
-func (qi *QueryInfo) prune(maxK int) {
-	sort.Slice(qi.Templates, func(i, j int) bool { return qi.Templates[i].Internal < qi.Templates[j].Internal })
-	var kept []*Template
-	for _, t := range qi.Templates {
+// required order extends T2's). It reorders and filters ts in place.
+func prune(ts []*Template, maxK int) []*Template {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Internal < ts[j].Internal })
+	kept := ts[:0]
+	for _, t := range ts {
 		dominated := false
 		for _, winner := range kept {
 			if dominates(winner, t) {
@@ -587,7 +614,7 @@ func (qi *QueryInfo) prune(maxK int) {
 			}
 		}
 	}
-	qi.Templates = kept
+	return kept
 }
 
 // isFallback reports whether every slot is an unconstrained scan.
