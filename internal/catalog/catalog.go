@@ -404,7 +404,19 @@ func (ix *Index) Height(t *Table) int { return ix.Geometry(t).Height }
 func (ix *Index) Bytes(t *Table) int64 { return ix.Geometry(t).Bytes() }
 
 // SortIndexes orders a slice of indexes by ID, yielding a deterministic
-// presentation order for recommendations and tests.
+// presentation order for recommendations and tests. Each ID is built
+// once, not once per comparison.
 func SortIndexes(ixs []*Index) {
-	sort.Slice(ixs, func(i, j int) bool { return ixs[i].ID() < ixs[j].ID() })
+	type keyed struct {
+		id string
+		ix *Index
+	}
+	ks := make([]keyed, len(ixs))
+	for i, ix := range ixs {
+		ks[i] = keyed{ix.ID(), ix}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].id < ks[j].id })
+	for i := range ks {
+		ixs[i] = ks[i].ix
+	}
 }

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +145,33 @@ func TestSortIndexesDeterministic(t *testing.T) {
 	SortIndexes(ixs)
 	if ixs[0] != a || ixs[1] != b {
 		t.Fatalf("sorted order wrong: %v", ixs)
+	}
+}
+
+// TestSortIndexesMatchesPerComparisonIDs: sorting by IDs built once
+// gives the very order, pointer for pointer, of a sort that builds both
+// IDs in every comparison, duplicates (equal IDs, distinct pointers)
+// included.
+func TestSortIndexesMatchesPerComparisonIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	cols := []string{"a", "b", "c", "d"}
+	for round := 0; round < 50; round++ {
+		ixs := make([]*Index, rng.Intn(300))
+		for i := range ixs {
+			ix := &Index{Table: cols[rng.Intn(2)], Key: []string{cols[rng.Intn(4)]}, Clustered: rng.Intn(4) == 0}
+			if rng.Intn(2) == 0 {
+				ix.Include = []string{cols[rng.Intn(4)]}
+			}
+			ixs[i] = ix
+		}
+		want := append([]*Index(nil), ixs...)
+		sort.Slice(want, func(i, j int) bool { return want[i].ID() < want[j].ID() })
+		SortIndexes(ixs)
+		for i := range ixs {
+			if ixs[i] != want[i] {
+				t.Fatalf("round %d: position %d holds %s, the per-comparison sort %s", round, i, ixs[i].ID(), want[i].ID())
+			}
+		}
 	}
 }
 

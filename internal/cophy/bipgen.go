@@ -134,7 +134,7 @@ func (cs *compiled) model(ctx context.Context, inst *Instance, cons Constraints)
 	mask, key := cs.mask, newMaskKey(m, distinct)
 	if mask == nil || !key.equal(&cs.maskKey) {
 		stop := obs.TraceFrom(ctx).StartSpan("cophy.prune")
-		mask = dominatedMask(&key)
+		mask = dominatedMask(&key, inst.Workers)
 		stop()
 	}
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/inum"
 	"repro/internal/lagrange"
 	"repro/internal/lp"
+	"repro/internal/par"
 )
 
 // dominatedMask marks the candidates of a model that another candidate
@@ -26,7 +27,9 @@ import (
 // candidates has the optimum of the full one. i is marked iff some
 // j ⪰ i while not i ⪰ j: twins (each dominating the other) are all
 // kept, so the mask depends on the candidate set, not on its order.
-func dominatedMask(key *maskKey) []bool {
+// The per-candidate tests fan out across workers (0 = GOMAXPROCS); each
+// writes only its own mask[i].
+func dominatedMask(key *maskKey, workers int) []bool {
 	n, rows := len(key.size), key.rows
 	mask := make([]bool, n)
 
@@ -97,14 +100,17 @@ func dominatedMask(key *maskKey) []bool {
 		return key.size[j] <= key.size[i] && key.fixedCost[j] <= key.fixedCost[i] && rows.allow(j, i)
 	}
 
-	for i := range int32(n) {
+	// dominated reports whether some candidate strictly dominates i.
+	dominated := func(i int32) bool {
 		if listed(i) == 0 {
 			// Listed in no slot: every candidate covers it, and one listed
 			// anywhere covers it strictly.
-			for j := int32(0); int(j) < n && !mask[i]; j++ {
-				mask[i] = j != i && geq(j, i) && (listed(j) > 0 || !geq(i, j))
+			for j := range int32(n) {
+				if j != i && geq(j, i) && (listed(j) > 0 || !geq(i, j)) {
+					return true
+				}
 			}
-			continue
+			return false
 		}
 		// Every dominator is listed in each slot of i: scan i's sparsest.
 		best := ent[off[i]]
@@ -119,11 +125,12 @@ func dominatedMask(key *maskKey) []bool {
 				continue
 			}
 			if ok, strict := covers(j, i); ok && (strict || !geq(i, j)) {
-				mask[i] = true
-				break
+				return true
 			}
 		}
+		return false
 	}
+	par.For(n, workers, func(i int) { mask[i] = dominated(int32(i)) })
 	return mask
 }
 

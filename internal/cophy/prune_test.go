@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -201,7 +203,7 @@ func TestDominatedMaskRule(t *testing.T) {
 	} {
 		m.Extra = c.extra
 		key := newMaskKey(m, []*inum.QueryMatrix{qm})
-		if got := dominatedMask(&key); !reflect.DeepEqual(got, c.want) {
+		if got := dominatedMask(&key, 1); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: mask %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -218,7 +220,7 @@ func TestDominatedMaskRule(t *testing.T) {
 	}
 	m.Extra = nil
 	key := newMaskKey(m, []*inum.QueryMatrix{qm, dead})
-	if got := dominatedMask(&key); !got[2] {
+	if got := dominatedMask(&key, 1); !got[2] {
 		t.Errorf("a dead template's slot kept candidate 2: mask %v", got)
 	}
 }
@@ -392,6 +394,35 @@ func TestPruneMaskPermutationInvariant(t *testing.T) {
 			}
 			if n == 0 {
 				t.Fatalf("%s: nothing masked; the test is vacuous", w.Name)
+			}
+		}
+	}
+}
+
+// TestDominatedMaskWorkerCounts: the per-candidate tests fan out over
+// the worker pool, each writing only its own mask entry, so every
+// worker count, more workers than cores included, gives the serial
+// mask.
+func TestDominatedMaskWorkerCounts(t *testing.T) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
+	for _, w := range []*workload.Workload{
+		workload.Hom(workload.HomConfig{Queries: 30, UpdateFraction: 0.2, Seed: 66}),
+		workload.Het(workload.HetConfig{Queries: 30, UpdateFraction: 0.2, Seed: 67}),
+	} {
+		ad := NewAdvisor(cat, engine.New(cat, engine.SystemA()), Options{})
+		cons := FractionOfData(cat, 0.5)
+		cons.Items = []Item{Count{Name: "wide", Filter: MinKeyCols(2), Sense: lp.LE, V: 4}}
+		cs := new(compiled)
+		if _, err := cs.model(context.Background(), ad.instance(w, Candidates(cat, w, CGenOptions{Covering: true})), cons); err != nil {
+			t.Fatal(err)
+		}
+		want := dominatedMask(&cs.maskKey, 1)
+		if !slices.Contains(want, true) {
+			t.Fatalf("%s: nothing masked; the test is vacuous", w.Name)
+		}
+		for _, workers := range []int{0, 2, 2*runtime.GOMAXPROCS(0) + 3} {
+			if got := dominatedMask(&cs.maskKey, workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %d workers mask %v, one worker %v", w.Name, workers, got, want)
 			}
 		}
 	}

@@ -40,14 +40,27 @@ func New(cat *catalog.Catalog, prof Profile) *Engine {
 // (the expensive resource INUM was designed to conserve).
 func (e *Engine) WhatIfCalls() int64 { return e.whatIfCalls.Load() }
 
+// AddWhatIfCalls adds n to the what-if counter. Template-mode calls
+// (TemplatePlan) do not count themselves; their caller adds its
+// derivation's calls here at once, so concurrent derivations do not
+// take turns on the shared counter once per call.
+func (e *Engine) AddWhatIfCalls(n int64) { e.whatIfCalls.Add(n) }
+
 // ResetWhatIfCalls zeroes the counter.
 func (e *Engine) ResetWhatIfCalls() { e.whatIfCalls.Store(0) }
 
 // SlotCostCalls returns the number of γ kernel evaluations (SlotCost
-// calls) performed so far — the unit of work the dense CostMatrix
+// calls) reported so far — the unit of work the dense CostMatrix
 // compilation spends, reported alongside WhatIfCalls in advisor traffic
 // breakdowns.
 func (e *Engine) SlotCostCalls() int64 { return e.slotCalls.Load() }
+
+// AddSlotCostCalls adds n SlotCost calls to the γ kernel counter.
+// SlotCost does not count itself: its callers count their own calls
+// and add them here once per slab or per cost evaluation, so the
+// workers of a parallel compile do not write one shared cache line per
+// γ evaluation.
+func (e *Engine) AddSlotCostCalls(n int64) { e.slotCalls.Add(n) }
 
 // ResetSlotCostCalls zeroes the γ kernel counter.
 func (e *Engine) ResetSlotCostCalls() { e.slotCalls.Store(0) }
@@ -122,16 +135,15 @@ func (e *Engine) NewTemplateCtx(q *workload.Query, cfg *Config) *TemplateCtx {
 	return tc
 }
 
-// TemplatePlan runs one template-mode optimization and counts as one
-// what-if optimizer call. A table present in forced with a non-empty
-// order must be accessed in that order; a table present with an empty
-// order must be accessed without repeated lookups; absent tables are
-// unconstrained. It appends the chosen plan's leaves to dst, in the
+// TemplatePlan runs one template-mode optimization: one what-if
+// optimizer call, which the caller counts (AddWhatIfCalls). A table
+// present in forced with a non-empty order must be accessed in that
+// order; a table present with an empty order must be accessed without
+// repeated lookups; absent tables are unconstrained. It appends the chosen plan's leaves to dst, in the
 // left-to-right order of its tree, and returns them with the plan's
 // cost; it builds no plan tree. It returns an error when no plan
 // satisfies the requirements.
 func (tc *TemplateCtx) TemplatePlan(forced map[string][]string, dst []TemplateLeaf) ([]TemplateLeaf, float64, error) {
-	tc.e.whatIfCalls.Add(1)
 	if tc.err != nil {
 		return dst, 0, tc.err
 	}
@@ -398,7 +410,8 @@ func (e *Engine) IndexGeometry(ix *catalog.Index) catalog.Geometry {
 // an index on another table, a heap or an unusable index for a lookup,
 // a scan that cannot deliver the required order. An ordered scan slot
 // whose order no key suffix starts with (orderReachable) is rejected
-// before any scan is priced; the call still counts.
+// before any scan is priced; the call still counts. The caller counts
+// its calls and reports them through AddSlotCostCalls.
 //
 // The dense CostMatrix compilation runs it once per (shape, template,
 // slot, candidate) with a and g built once each; the single-statement
@@ -408,7 +421,6 @@ func (e *Engine) IndexGeometry(ix *catalog.Index) catalog.Geometry {
 // fullPassCost, probeCost), which TestSlotCostMatchesAccessPaths holds
 // it to bit for bit.
 func (e *Engine) SlotCost(a *Access, ix *catalog.Index, g catalog.Geometry) (float64, bool) {
-	e.slotCalls.Add(1)
 	if a.t == nil {
 		return 0, false
 	}

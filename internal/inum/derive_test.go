@@ -2,6 +2,7 @@ package inum
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -141,6 +142,50 @@ func TestDerivationScratchHoldsNoCandidates(t *testing.T) {
 		for si := range tp.Slots {
 			if !sameSlot(&tp.Slots[si], &s.Slots[si]) {
 				t.Fatalf("template %d slot %d changed after later derivations", i, si)
+			}
+		}
+	}
+}
+
+// TestDerivationKeepsDistinctSignatures: add keeps a candidate exactly
+// when no earlier one has its whole signature, though it formats β only
+// for candidates whose slot part matched an earlier one. The walk mixes
+// equal slot parts with β that differ above, below and at the
+// signature's three decimals.
+func TestDerivationKeepsDistinctSignatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	leaves := [][]engine.TemplateLeaf{
+		{{Op: engine.OpSeqScan, Table: "orders", SelfCost: 1}},
+		{{Op: engine.OpSeqScan, Table: "orders", SelfCost: 1}, {Op: engine.OpIndexLookup, Table: "lineitem", LookupCol: "l_orderkey", Lookups: 40, SelfCost: 2}},
+		{{Op: engine.OpSeqScan, Table: "orders", SelfCost: 1}, {Op: engine.OpSeqScan, Table: "lineitem", SelfCost: 2}},
+	}
+	forced := map[string][]string{"orders": {"orders.o_orderkey"}}
+	betas := []float64{10, 10.0001, 10.0004, 10.0006, 11, 12.5}
+	for round := 0; round < 50; round++ {
+		d := new(derivation)
+		var want []string
+		for range 30 {
+			d.leaves = leaves[rng.Intn(len(leaves))]
+			var f map[string][]string
+			if rng.Intn(2) == 0 {
+				f = forced
+			}
+			var leafCost float64
+			for _, l := range d.leaves {
+				leafCost += l.SelfCost
+			}
+			d.add(betas[rng.Intn(len(betas))]+leafCost, f, nil)
+			sig := string(d.cands[len(want)].appendSig(nil))
+			if !slices.Contains(want, sig) {
+				want = append(want, sig)
+			}
+			if d.n != len(want) {
+				t.Fatalf("round %d: %d candidates kept, %d distinct signatures", round, d.n, len(want))
+			}
+		}
+		for i, c := range d.cands[:d.n] {
+			if got := string(c.appendSig(nil)); got != want[i] {
+				t.Fatalf("round %d: candidate %d has signature %q, want %q", round, i, got, want[i])
 			}
 		}
 	}

@@ -72,9 +72,23 @@ type Template struct {
 	sig string
 }
 
-// appendSig appends the bytes that canonically identify the template's
-// slot structure to buf.
+// appendSig appends the bytes that canonically identify the template to
+// buf: its slot structure (appendSlotSig), '|' and β (appendBeta).
 func (t *Template) appendSig(buf []byte) []byte {
+	buf = append(t.appendSlotSig(buf), '|')
+	return appendBeta(buf, t.Internal)
+}
+
+// appendBeta appends β as the signature formats it, to three decimals.
+// The text holds no '|', so two signatures are equal exactly when their
+// slot parts and their β texts are.
+func appendBeta(buf []byte, beta float64) []byte {
+	return strconv.AppendFloat(buf, beta, 'f', 3, 64)
+}
+
+// appendSlotSig appends the bytes that canonically identify the
+// template's slot structure to buf.
+func (t *Template) appendSlotSig(buf []byte) []byte {
 	// Slots hold one table each, so ordering by table canonicalizes the
 	// signature; the slot count is tiny, so selection-order directly.
 	var idx [16]int
@@ -107,8 +121,6 @@ func (t *Template) appendSig(buf []byte) []byte {
 		buf = append(buf, '/')
 		buf = strconv.AppendFloat(buf, s.Lookups, 'f', 0, 64)
 	}
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, t.Internal, 'f', 3, 64)
 	return buf
 }
 
@@ -404,6 +416,7 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 	if tc != nil {
 		tc.Close()
 	}
+	c.Eng.AddWhatIfCalls(calls)
 
 	kept := prune(append(d.ptrs[:0], d.cands[:d.n]...), c.maxTemplates)
 	d.ptrs = kept[:0]
@@ -506,9 +519,12 @@ func remainder(cols, key []string) []string {
 // slot slices and the buffers.
 type derivation struct {
 	cands []*Template
-	sigs  [][]byte // sigs[i] is cands[i]'s signature
-	n     int
-	ptrs  []*Template
+	// sigs[i] is the slot part of cands[i]'s signature, betas[i] its β
+	// text, formatted only once another candidate's slot part matched
+	// (empty until then).
+	sigs, betas [][]byte
+	n           int
+	ptrs        []*Template
 	// leaves and sig are the leaf and signature buffers.
 	leaves []engine.TemplateLeaf
 	sig    []byte
@@ -520,11 +536,13 @@ var derivations = sync.Pool{New: func() any { return new(derivation) }}
 // next candidate: β is the internal cost; each leaf becomes a slot
 // whose order requirement is the forced order of its table (not the
 // incidental order of the index the optimizer happened to pick). The
-// candidate is kept unless an earlier one has its signature.
+// candidate is kept unless an earlier one has its signature: its slot
+// part, and then, for a matching slot part only, its β text.
 func (d *derivation) add(cost float64, forced, needCols map[string][]string) {
 	if d.n == len(d.cands) {
 		d.cands = append(d.cands, new(Template))
 		d.sigs = append(d.sigs, nil)
+		d.betas = append(d.betas, nil)
 	}
 	t := d.cands[d.n]
 	var leafCost float64
@@ -548,10 +566,19 @@ func (d *derivation) add(cost float64, forced, needCols map[string][]string) {
 		}
 		t.Slots = append(t.Slots, s)
 	}
-	sig := t.appendSig(d.sigs[d.n][:0])
-	d.sigs[d.n] = sig
-	for _, prior := range d.sigs[:d.n] {
-		if bytes.Equal(prior, sig) {
+	sig := t.appendSlotSig(d.sigs[d.n][:0])
+	d.sigs[d.n], d.betas[d.n] = sig, d.betas[d.n][:0]
+	for k, prior := range d.sigs[:d.n] {
+		if !bytes.Equal(prior, sig) {
+			continue
+		}
+		if len(d.betas[d.n]) == 0 {
+			d.betas[d.n] = appendBeta(d.betas[d.n], t.Internal)
+		}
+		if len(d.betas[k]) == 0 {
+			d.betas[k] = appendBeta(d.betas[k], d.cands[k].Internal)
+		}
+		if bytes.Equal(d.betas[k], d.betas[d.n]) {
 			return
 		}
 	}
@@ -685,6 +712,7 @@ func (c *Cache) access(qi *QueryInfo, s *Slot) engine.Access {
 // (engine.SlotCost) that matrix compilation and Cost run too.
 func (c *Cache) Gamma(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bool) {
 	a := c.access(qi, &qi.Templates[ti].Slots[si])
+	c.Eng.AddSlotCostCalls(1)
 	return c.Eng.SlotCost(&a, ix, c.Eng.IndexGeometry(ix))
 }
 
@@ -708,6 +736,7 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 	}
 	best := math.Inf(1)
 	first := 0
+	var calls int64
 	for _, t := range qi.Templates {
 		total := t.Internal
 		feasible := true
@@ -717,8 +746,9 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 			r := reps[n+si]
 			slotBest := mins[r]
 			if math.IsNaN(slotBest) {
-				slotBest = c.slotMin(qi, &t.Slots[si], cfg)
-				mins[r] = slotBest
+				var runs int64
+				slotBest, runs = c.slotMin(qi, &t.Slots[si], cfg)
+				mins[r], calls = slotBest, calls+runs
 			}
 			if math.IsInf(slotBest, 1) {
 				feasible = false
@@ -730,6 +760,7 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 			best = total
 		}
 	}
+	c.Eng.AddSlotCostCalls(calls)
 	if math.IsInf(best, 1) {
 		return 0, fmt.Errorf("inum: no instantiable template for query %s", q.ID)
 	}
@@ -738,19 +769,20 @@ func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 
 // slotMin returns the cheapest access to slot s of one of qi's
 // templates under cfg: the heap or an index of cfg on its table (+Inf
-// when none applies).
-func (c *Cache) slotMin(qi *QueryInfo, s *Slot, cfg *engine.Config) float64 {
+// when none applies), and the γ kernel runs that took.
+func (c *Cache) slotMin(qi *QueryInfo, s *Slot, cfg *engine.Config) (float64, int64) {
 	a := c.access(qi, s)
 	best := math.Inf(1)
 	if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
 		best = g
 	}
-	for _, ix := range cfg.OnTable(s.Table) {
+	onTable := cfg.OnTable(s.Table)
+	for _, ix := range onTable {
 		if g, ok := c.Eng.SlotCost(&a, ix, c.Eng.IndexGeometry(ix)); ok && g < best {
 			best = g
 		}
 	}
-	return best
+	return best, 1 + int64(len(onTable))
 }
 
 // StatementCost mirrors engine.StatementCost but uses the INUM

@@ -242,10 +242,12 @@ type compileInputs struct {
 // slabBuf is a worker's scratch for the entry lists of the slab it is
 // compiling: their length is known only once every γ is evaluated, and a
 // slab outlives the compile (sessions keep it), so it is filled here and
-// copied out at its exact size.
+// copied out at its exact size. The trailing pad keeps two workers'
+// buffer headers, which each compile rewrites, off a shared cache line.
 type slabBuf struct {
 	compat []int32
 	gamma  []float64
+	_      [64]byte
 }
 
 // compileQuery flattens one shape class's γ values into a QueryMatrix:
@@ -255,6 +257,8 @@ type slabBuf struct {
 // Only a representative slot (Reps) is priced, its Access prepared
 // once, before its candidates; a repeated slot copies its
 // representative's SlotFree and entry run, which are its own to the bit.
+// The slab's γ calls are counted locally and reported to the engine
+// once.
 func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix, byTable map[string][]int32, buf *slabBuf) *QueryMatrix {
 	slots, scan := 0, 0
 	for _, tpl := range qi.Templates {
@@ -275,6 +279,7 @@ func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix
 		Reps:     qi.shape.reps,
 	}
 	compat, gamma := buf.compat[:0], buf.gamma[:0]
+	var calls int64
 	for ti, tpl := range qi.Templates {
 		qm.Internal[ti] = tpl.Internal
 		for si := range tpl.Slots {
@@ -308,13 +313,16 @@ func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix
 				if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
 					free = g
 				}
-				for _, bx := range in.baseline.OnTable(slot.Table) {
+				onTable := in.baseline.OnTable(slot.Table)
+				calls += 1 + int64(len(onTable))
+				for _, bx := range onTable {
 					if g, ok := c.Eng.SlotCost(&a, bx, in.baseGeo[bx]); ok && g < free {
 						free = g
 					}
 				}
 			}
 			qm.SlotFree = append(qm.SlotFree, free)
+			calls += int64(len(positions))
 			for _, pos := range positions {
 				// A candidate no cheaper than the free access never wins
 				// the slot's minimum; it is not stored.
@@ -329,6 +337,7 @@ func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix
 	}
 	qm.Compat, qm.Gamma = slices.Clone(compat), slices.Clone(gamma)
 	buf.compat, buf.gamma = compat, gamma
+	c.Eng.AddSlotCostCalls(calls)
 	return qm
 }
 

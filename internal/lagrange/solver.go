@@ -504,13 +504,16 @@ func (s *solver) emit() {
 }
 
 // blockScratch holds one worker's reusable buffers for block
-// evaluation.
+// evaluation. Workers' scratches sit side by side in one slice and
+// every blockDual rewrites its uses header, so the trailing pad keeps
+// two workers' headers off a shared cache line.
 type blockScratch struct {
 	uses []int32 // winning choice's group positions
 	// val and group hold, per distinct slot of the block being
 	// evaluated, its best value and the winning option's group.
 	val   []float64
 	group []int32
+	_     [64]byte
 }
 
 // slotBuffers returns sc's val and group buffers sized for n distinct
