@@ -205,58 +205,47 @@ func listsAny(qm *inum.QueryMatrix, flipped []bool) bool {
 
 // buildChoices emits one query's block layout from its dense γ slab:
 // one options array, one slots array and one choices array per
-// statement, sized up front so no append moves them. A class of equal
-// slots (qm.Reps) is laid out once and its repeats get that very
-// window; an infeasible template rolls its partial windows back, so a
-// later repeat of a class it laid out is laid out afresh. Every Slot and
-// every Choice.Slots is a window with cap == len: the layout is shared
-// by every model assembled since, so an append through one must copy,
-// not write into its neighbour. A candidate marked in mask gets no
+// statement, sized up front so no append moves them. A slot with no
+// option under mask is dead, and a template using one is infeasible and
+// emits no choice. Each live distinct slot of the slab is laid out once,
+// on its first use, and every later use gets that very window. Every
+// Slot and every Choice.Slots is a window with cap == len: the layout is
+// shared by every model assembled since, so an append through one must
+// copy, not write into its neighbour. A candidate marked in mask gets no
 // option. NewLayout sorts each slot by (γ, index); the slab lists only
 // candidates that beat the free access, so I∅ ends last.
 func buildChoices(qm *inum.QueryMatrix, mask []bool) (*lagrange.Layout, error) {
-	nOpts := 0
-	for si := range qm.SlotFree {
-		if qm.Reps[si] == int32(si) {
-			nOpts += 1 + int(qm.SlotOff[si+1]-qm.SlotOff[si])
-		}
+	offered := func(c int32) bool { return !mask[c] }
+	dead := make([]bool, len(qm.SlotFree))
+	for d := range qm.SlotFree {
+		dead[d] = math.IsInf(qm.SlotFree[d], 1) && !slices.ContainsFunc(qm.Compat[qm.SlotOff[d]:qm.SlotOff[d+1]], offered)
 	}
-	opts := make([]lagrange.Option, 0, nOpts)
-	slots := make([]lagrange.Slot, 0, len(qm.SlotFree))
+	opts := make([]lagrange.Option, 0, len(qm.SlotFree)+len(qm.Compat))
+	slots := make([]lagrange.Slot, 0, len(qm.Refs))
 	choices := make([]lagrange.Choice, 0, len(qm.Internal))
-	// win[r] is the window of class r, or nil; laid lists the classes the
-	// current template laid out.
+	// win[d] is the window of distinct slot d once laid out.
 	win := make([]lagrange.Slot, len(qm.SlotFree))
-	var laid []int32
-templates:
 	for ti, fixed := range qm.Internal {
-		opt0, slot0 := len(opts), len(slots)
-		laid = laid[:0]
-		for si := qm.TmplOff[ti]; si < qm.TmplOff[ti+1]; si++ {
-			r := qm.Reps[si]
-			if win[r] == nil {
+		refs := qm.Refs[qm.TmplOff[ti]:qm.TmplOff[ti+1]]
+		if slices.ContainsFunc(refs, func(d int32) bool { return dead[d] }) {
+			continue
+		}
+		slot0 := len(slots)
+		for _, d := range refs {
+			if win[d] == nil {
 				first := len(opts)
-				if free := qm.SlotFree[si]; !math.IsInf(free, 1) {
+				if free := qm.SlotFree[d]; !math.IsInf(free, 1) {
 					opts = append(opts, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
 				}
 				// The slab holds only the candidates that beat the free access.
-				for k := qm.SlotOff[si]; k < qm.SlotOff[si+1]; k++ {
+				for k := qm.SlotOff[d]; k < qm.SlotOff[d+1]; k++ {
 					if !mask[qm.Compat[k]] {
 						opts = append(opts, lagrange.Option{Index: qm.Compat[k], Cost: qm.Gamma[k]})
 					}
 				}
-				if len(opts) == first {
-					// An unfillable slot: the template is infeasible and
-					// rolls its partial windows back.
-					opts, slots = opts[:opt0], slots[:slot0]
-					for _, c := range laid {
-						win[c] = nil
-					}
-					continue templates
-				}
-				win[r], laid = opts[first:len(opts):len(opts)], append(laid, r)
+				win[d] = opts[first:len(opts):len(opts)]
 			}
-			slots = append(slots, win[r])
+			slots = append(slots, win[d])
 		}
 		choices = append(choices, lagrange.Choice{Fixed: fixed, Slots: slots[slot0:len(slots):len(slots)]})
 	}

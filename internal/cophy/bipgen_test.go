@@ -134,23 +134,23 @@ func TestBuildChoicesLayout(t *testing.T) {
 	}
 }
 
-// TestBuildChoicesRollsBackRepeats pins how repeated slots meet
-// infeasible templates, on a hand-made slab. Slot class A is filled by
+// TestBuildChoicesSkipsDeadTemplates pins how repeated slots meet
+// infeasible templates, on a hand-made slab. Distinct slot A is filled by
 // candidate 0, B by candidate 2, and X only by candidate 1, which the
-// mask drops. Template 0 (A, X) lays A out and rolls back. Template 1
-// (B, A) lays B out where A's window was, and then A afresh, since A's
-// window went with template 0. Templates 2 (A) and 4 (A) share that
-// window; template 3 (A, X) rolls back without taking it.
-func TestBuildChoicesRollsBackRepeats(t *testing.T) {
+// mask drops: X is dead. Templates 0 (A, X) and 3 (A, X) use X and emit
+// nothing. Template 1 (B, A) lays out B first and then A, so A's window
+// is laid out on its first use in an emitted template, after B's.
+// Templates 2 (A) and 4 (A) share that window.
+func TestBuildChoicesSkipsDeadTemplates(t *testing.T) {
 	inf := math.Inf(1)
 	qm := &inum.QueryMatrix{
 		Internal: []float64{1, 2, 3, 4, 5},
 		TmplOff:  []int32{0, 2, 4, 5, 7, 8},
-		SlotFree: []float64{10, inf, 20, 10, 10, 10, inf, 10},
-		SlotOff:  []int32{0, 1, 2, 3, 4, 5, 6, 7, 8},
-		Compat:   []int32{0, 1, 2, 0, 0, 0, 1, 0},
-		Gamma:    []float64{5, 5, 7, 5, 5, 5, 5, 5},
-		Reps:     []int32{0, 1, 2, 0, 0, 0, 1, 0},
+		Refs:     []int32{0, 1, 2, 0, 0, 0, 1, 0},
+		SlotFree: []float64{10, inf, 20},
+		SlotOff:  []int32{0, 1, 2, 3},
+		Compat:   []int32{0, 1, 2},
+		Gamma:    []float64{5, 5, 7},
 	}
 	l, err := buildChoices(qm, []bool{false, true, false})
 	if err != nil {

@@ -33,21 +33,23 @@ func dominatedMask(key *maskKey, workers int) []bool {
 	n, rows := len(key.size), key.rows
 	mask := make([]bool, n)
 
-	// Transpose the slabs' live slots — those of the templates
-	// buildChoices emits, with at least one candidate listed — into
-	// candidate i's entries ent[off[i]:off[i+1]]: its (slot, γ) pairs in
-	// ascending global slot order, slot g being refs[g]. sig is a 64-bit
-	// summary of a candidate's slot set, so sig[i] &^ sig[j] != 0 proves
-	// some slot of i does not list j.
+	// Transpose the slabs' live slots — the distinct slots of the
+	// templates buildChoices emits, each once, with at least one
+	// candidate listed — into candidate i's entries ent[off[i]:off[i+1]]:
+	// its (slot, γ) pairs in ascending global slot order, slot g being
+	// refs[g]. sig is a 64-bit summary of a candidate's slot set, so
+	// sig[i] &^ sig[j] != 0 proves some slot of i does not list j.
 	var refs []slotRef
 	for _, qm := range key.slabs {
+		walked := make([]bool, len(qm.SlotFree))
 		for ti := range len(qm.Internal) {
-			lo, hi := qm.TmplOff[ti], qm.TmplOff[ti+1]
-			if !fillable(qm, lo, hi) {
+			tmpl := qm.Refs[qm.TmplOff[ti]:qm.TmplOff[ti+1]]
+			if !fillable(qm, tmpl) {
 				continue
 			}
-			for si := lo; si < hi; si++ {
-				if w := qm.SlotOff[si+1] - qm.SlotOff[si]; w > 0 {
+			for _, si := range tmpl {
+				if w := qm.SlotOff[si+1] - qm.SlotOff[si]; w > 0 && !walked[si] {
+					walked[si] = true
 					refs = append(refs, slotRef{qm, si, w})
 				}
 			}
@@ -134,11 +136,11 @@ func dominatedMask(key *maskKey, workers int) []bool {
 	return mask
 }
 
-// fillable reports whether every slot lo..hi-1 of the slab has an
-// option, the free access or a candidate: buildChoices emits the
+// fillable reports whether every distinct slot of the slab in tmpl has
+// an option, the free access or a candidate: buildChoices emits the
 // template of those slots only then.
-func fillable(qm *inum.QueryMatrix, lo, hi int32) bool {
-	for si := lo; si < hi; si++ {
+func fillable(qm *inum.QueryMatrix, tmpl []int32) bool {
+	for _, si := range tmpl {
 		if math.IsInf(qm.SlotFree[si], 1) && qm.SlotOff[si] == qm.SlotOff[si+1] {
 			return false
 		}
@@ -165,7 +167,7 @@ func (k *maskKey) equal(o *maskKey) bool {
 		slices.Equal(k.rows.sense, o.rows.sense) && slices.Equal(k.rows.coef, o.rows.coef)
 }
 
-// slotRef names slot si of a slab, which lists width candidates.
+// slotRef names distinct slot si of a slab, listing width candidates.
 type slotRef struct {
 	qm    *inum.QueryMatrix
 	si    int32

@@ -167,6 +167,7 @@ func TestDominatedMaskRule(t *testing.T) {
 	qm := &inum.QueryMatrix{
 		Internal: []float64{10},
 		TmplOff:  []int32{0, 2},
+		Refs:     []int32{0, 1},
 		SlotFree: []float64{100, 100},
 		SlotOff:  []int32{0, 5, 9},
 		Compat:   []int32{0, 1, 2, 3, 4, 0, 1, 3, 4},
@@ -213,6 +214,7 @@ func TestDominatedMaskRule(t *testing.T) {
 	dead := &inum.QueryMatrix{
 		Internal: []float64{1},
 		TmplOff:  []int32{0, 2},
+		Refs:     []int32{0, 1},
 		SlotFree: []float64{100, math.Inf(1)},
 		SlotOff:  []int32{0, 1, 1},
 		Compat:   []int32{2},

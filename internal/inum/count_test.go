@@ -13,19 +13,19 @@ import (
 )
 
 // gammaCost is Cache.Cost walked through Cache.Gamma, which counts its
-// one γ kernel run per call: templates in order, a repeated slot
-// reading its representative's minimum, a template abandoned at its
-// first unfillable slot.
+// one γ kernel run per call: templates in order, a slot reading the
+// minimum of its distinct slot once that is priced, a template abandoned
+// at its first unfillable slot.
 func gammaCost(c *Cache, qi *QueryInfo, cfg *engine.Config) float64 {
+	en := qi.shape
 	mins := map[int32]float64{}
 	best := math.Inf(1)
-	first := 0
 	for ti, t := range qi.Templates {
 		total := t.Internal
 		feasible := true
 		for si := range t.Slots {
-			r := qi.shape.reps[first+si]
-			m, ok := mins[r]
+			d := en.refs[int(en.tmplOff[ti])+si]
+			m, ok := mins[d]
 			if !ok {
 				m = math.Inf(1)
 				if g, ok := c.Gamma(qi, ti, si, nil); ok {
@@ -36,7 +36,7 @@ func gammaCost(c *Cache, qi *QueryInfo, cfg *engine.Config) float64 {
 						m = g
 					}
 				}
-				mins[r] = m
+				mins[d] = m
 			}
 			if math.IsInf(m, 1) {
 				feasible = false
@@ -44,7 +44,6 @@ func gammaCost(c *Cache, qi *QueryInfo, cfg *engine.Config) float64 {
 			}
 			total += m
 		}
-		first += len(t.Slots)
 		if feasible && total < best {
 			best = total
 		}
@@ -55,7 +54,7 @@ func gammaCost(c *Cache, qi *QueryInfo, cfg *engine.Config) float64 {
 // TestParallelCompileCountsExactly: the γ kernel does not count itself,
 // so every caller must report what it ran. A compile reports the same
 // SlotCostCalls with one worker as with more workers than cores, and
-// that count is one run per representative slot for the free access,
+// that count is one run per distinct slot of a shape for the free access,
 // each baseline index and each candidate on its table. One Cache.Cost
 // adds exactly the runs of the same walk made through Gamma, and the
 // Cost calls of a parallel fan-out add up exactly.
@@ -81,15 +80,8 @@ func TestParallelCompileCountsExactly(t *testing.T) {
 				continue
 			}
 			classes[qi.shape] = true
-			n := 0
-			for _, tpl := range qi.Templates {
-				for si := range tpl.Slots {
-					if qi.shape.reps[n] == int32(n) {
-						table := tpl.Slots[si].Table
-						want += 1 + int64(len(base.OnTable(table))) + byTable[table]
-					}
-					n++
-				}
+			for _, slot := range qi.shape.slots {
+				want += 1 + int64(len(base.OnTable(slot.Table))) + byTable[slot.Table]
 			}
 		}
 		for _, workers := range []int{1, 2*runtime.GOMAXPROCS(0) + 3} {

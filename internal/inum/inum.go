@@ -66,22 +66,11 @@ type Template struct {
 	Internal float64
 	// Slots lists the access-method holes, one per referenced table.
 	Slots []Slot
-
-	// sig is the signature appendSig computes; buildTemplates sets it on
-	// every published template.
-	sig string
 }
 
-// appendSig appends the bytes that canonically identify the template to
-// buf: its slot structure (appendSlotSig), '|' and β (appendBeta).
-func (t *Template) appendSig(buf []byte) []byte {
-	buf = append(t.appendSlotSig(buf), '|')
-	return appendBeta(buf, t.Internal)
-}
-
-// appendBeta appends β as the signature formats it, to three decimals.
-// The text holds no '|', so two signatures are equal exactly when their
-// slot parts and their β texts are.
+// appendBeta appends β as a template's signature formats it, to three
+// decimals. A signature is its slot part (appendSlotSig) and its β text:
+// a derivation keeps one candidate per signature.
 func appendBeta(buf []byte, beta float64) []byte {
 	return strconv.AppendFloat(buf, beta, 'f', 3, 64)
 }
@@ -168,46 +157,40 @@ type Cache struct {
 // derivation starts (singleflight): the first goroutine to claim a
 // fingerprint derives the templates while later arrivals block on ready,
 // so a burst of same-shape statements costs exactly one set of optimizer
-// calls. templates and reps are written once, by publish before ready
+// calls. Everything but ready is written once, by publish before ready
 // closes, and never mutated after.
 type shapeEntry struct {
 	ready     chan struct{}
 	templates []*Template
-	// reps is, per slot in the flattened order QueryMatrix numbers them
-	// (template by template, slot by slot), the first slot equal to it in
-	// every Slot field: itself when no earlier slot is.
-	reps []int32
+	// slots are the distinct slots of templates (no two equal in every
+	// Slot field), in order of first use; refs lists, template by
+	// template, the distinct number of each of its slots, template k's
+	// being refs[tmplOff[k]:tmplOff[k+1]]. γ reads a slot only through
+	// its fields and the statement's predicates, which one shape shares,
+	// so equal slots price every access method to the same bits: a
+	// template set repeats a leaf slot in most of its templates, and only
+	// its distinct slots need pricing and storing.
+	slots         []*Slot
+	refs, tmplOff []int32
 }
 
-// publish sets the entry's templates and their slot representatives.
+// publish sets the entry's templates and numbers their distinct slots.
+// Lookups compares by bits.
 func (en *shapeEntry) publish(templates []*Template) {
-	en.templates, en.reps = templates, slotReps(templates)
-}
-
-// slotReps returns, per slot of templates in the flattened order, the
-// first slot equal to it in every field. γ reads a slot only through
-// those fields and the statement's predicates, which one shape shares,
-// so equal slots price every access method to the same bits: a
-// template set repeats a leaf slot in most of its templates, and only
-// representatives need pricing. Lookups compares by bits.
-func slotReps(templates []*Template) []int32 {
-	var flat []*Slot
+	en.templates = templates
+	en.tmplOff = make([]int32, 1, len(templates)+1)
 	for _, t := range templates {
 		for si := range t.Slots {
-			flat = append(flat, &t.Slots[si])
-		}
-	}
-	reps := make([]int32, len(flat))
-	for n, s := range flat {
-		reps[n] = int32(n)
-		for r := range n {
-			if reps[r] == int32(r) && sameSlot(flat[r], s) {
-				reps[n] = int32(r)
-				break
+			s := &t.Slots[si]
+			d := slices.IndexFunc(en.slots, func(o *Slot) bool { return sameSlot(o, s) })
+			if d < 0 {
+				d = len(en.slots)
+				en.slots = append(en.slots, s)
 			}
+			en.refs = append(en.refs, int32(d))
 		}
+		en.tmplOff = append(en.tmplOff, int32(len(en.refs)))
 	}
-	return reps
 }
 
 // sameSlot reports whether two slots are equal in every field.
@@ -422,8 +405,7 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 	d.ptrs = kept[:0]
 	out := make([]*Template, len(kept))
 	for i, t := range kept {
-		d.sig = t.appendSig(d.sig[:0])
-		out[i] = &Template{Internal: t.Internal, Slots: slices.Clone(t.Slots), sig: string(d.sig)}
+		out[i] = &Template{Internal: t.Internal, Slots: slices.Clone(t.Slots)}
 	}
 
 	c.mu.Lock()
@@ -525,9 +507,8 @@ type derivation struct {
 	sigs, betas [][]byte
 	n           int
 	ptrs        []*Template
-	// leaves and sig are the leaf and signature buffers.
+	// leaves is the leaf buffer.
 	leaves []engine.TemplateLeaf
-	sig    []byte
 }
 
 var derivations = sync.Pool{New: func() any { return new(derivation) }}
@@ -721,34 +702,30 @@ func (c *Cache) Gamma(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bo
 // cost. It never calls the what-if optimizer. This is the
 // single-statement evaluator (what-if requests, query-cost
 // constraints) and the reference QueryMatrix.Cost is tested against.
+// It prices each distinct slot of the shape once, on its first use.
 func (c *Cache) Cost(q *workload.Query, cfg *engine.Config) (float64, error) {
 	qi := c.PrepareQuery(q)
 	if len(qi.Templates) == 0 {
 		return 0, fmt.Errorf("inum: no templates for query %s", q.ID)
 	}
-	// mins holds, per representative slot, its cheapest access once
-	// priced (NaN until then); a repeated slot reads its
-	// representative's.
-	reps := qi.shape.reps
-	mins := make([]float64, len(reps))
-	for n := range mins {
-		mins[n] = math.NaN()
+	// mins holds, per distinct slot of the shape, its cheapest access
+	// once priced (NaN until then).
+	en := qi.shape
+	mins := make([]float64, len(en.slots))
+	for d := range mins {
+		mins[d] = math.NaN()
 	}
 	best := math.Inf(1)
-	first := 0
 	var calls int64
-	for _, t := range qi.Templates {
+	for ti, t := range qi.Templates {
 		total := t.Internal
 		feasible := true
-		n := first
-		first += len(t.Slots)
-		for si := range t.Slots {
-			r := reps[n+si]
-			slotBest := mins[r]
+		for _, d := range en.refs[en.tmplOff[ti]:en.tmplOff[ti+1]] {
+			slotBest := mins[d]
 			if math.IsNaN(slotBest) {
 				var runs int64
-				slotBest, runs = c.slotMin(qi, &t.Slots[si], cfg)
-				mins[r], calls = slotBest, calls+runs
+				slotBest, runs = c.slotMin(qi, en.slots[d], cfg)
+				mins[d], calls = slotBest, calls+runs
 			}
 			if math.IsInf(slotBest, 1) {
 				feasible = false

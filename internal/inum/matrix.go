@@ -14,7 +14,9 @@ import (
 // CostMatrix is the compiled, dense form of the INUM cost model for
 // one (workload, candidate set, baseline) triple: every γ_{qkia} is
 // evaluated once (Cache.Gamma) and flattened into contiguous float64
-// slabs with int32 slot→candidate compatibility lists, so evaluating
+// slabs with int32 slot→candidate compatibility lists, one list per
+// distinct slot of a shape (equal slots of several templates price the
+// same, so they are stored once and referenced), so evaluating
 // cost(q, X) for any X ⊆ S is a branch-light walk over dense memory
 // with zero allocation and no cost-model arithmetic. BIPGen and the ILP
 // baseline's configuration enumeration both consume it; Cache.Cost,
@@ -43,33 +45,33 @@ type CostMatrix struct {
 }
 
 // QueryMatrix is the dense γ block of one shape class, shared by every
-// query of the class. Slots are numbered globally across templates;
-// TmplOff[k]..TmplOff[k+1] are the slots of template k, and
-// SlotOff[s]..SlotOff[s+1] the compatible candidates of slot s. It is
-// immutable once compiled.
+// query of the class. It stores each distinct slot of the shape once:
+// Refs[TmplOff[k]..TmplOff[k+1]] are the slots of template k, as
+// distinct slot numbers, and SlotOff[d]..SlotOff[d+1] the compatible
+// candidates of distinct slot d. It is immutable once compiled.
 type QueryMatrix struct {
 	// QI is the class member the slab was first compiled from, with its
 	// templates: any member prices the same.
 	QI *QueryInfo
 	// Internal is β per template.
 	Internal []float64
-	// TmplOff offsets templates into the slot arrays (len = #templates+1).
-	TmplOff []int32
-	// SlotFree is, per slot, the cheapest always-available access cost:
-	// min over I∅ and the baseline indexes (+Inf when none applies).
+	// TmplOff offsets templates into Refs (len = #templates+1), and Refs
+	// numbers each template's slots by distinct slot. Both are the shape
+	// entry's (shapeEntry.tmplOff, shapeEntry.refs), shared: read only.
+	TmplOff, Refs []int32
+	// SlotFree is, per distinct slot, the cheapest always-available
+	// access cost: min over I∅ and the baseline indexes (+Inf when none
+	// applies).
 	SlotFree []float64
-	// SlotOff offsets slots into Compat/Gamma (len = #slots+1).
+	// SlotOff offsets distinct slots into Compat/Gamma (len =
+	// #distinct slots+1).
 	SlotOff []int32
-	// Compat lists, per slot and in ascending order, the candidate
-	// positions whose γ is below SlotFree — the only ones that can set
-	// the slot's cost.
+	// Compat lists, per distinct slot and in ascending order, the
+	// candidate positions whose γ is below SlotFree — the only ones that
+	// can set the slot's cost.
 	Compat []int32
 	// Gamma holds the access costs aligned with Compat.
 	Gamma []float64
-	// Reps is, per slot, its representative: the first slot equal to it
-	// in every field (shapeEntry.reps, shared: read only). A repeat's
-	// SlotFree and entries are its representative's to the bit.
-	Reps []int32
 }
 
 // CompileMatrix builds the dense cost matrix for the workload's
@@ -251,21 +253,17 @@ type slabBuf struct {
 }
 
 // compileQuery flattens one shape class's γ values into a QueryMatrix:
-// prev's entries (none when prev is nil) renumbered through in.perm (nil
-// = kept in place), followed, slot by slot, by γ of the candidate
-// positions in byTable, which must all lie beyond the renumbered ones.
-// Only a representative slot (Reps) is priced, its Access prepared
-// once, before its candidates; a repeated slot copies its
-// representative's SlotFree and entry run, which are its own to the bit.
-// The slab's γ calls are counted locally and reported to the engine
-// once.
+// per distinct slot of the shape, prev's entries (none when prev is nil)
+// renumbered through in.perm (nil = kept in place), followed by γ of
+// the candidate positions in byTable, which must all lie beyond the
+// renumbered ones. A slot's Access is prepared once, before its
+// candidates. The slab's γ calls are counted locally and reported to the
+// engine once.
 func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix, byTable map[string][]int32, buf *slabBuf) *QueryMatrix {
-	slots, scan := 0, 0
-	for _, tpl := range qi.Templates {
-		slots += len(tpl.Slots)
-		for si := range tpl.Slots {
-			scan += len(byTable[tpl.Slots[si].Table])
-		}
+	en := qi.shape
+	scan := 0
+	for _, slot := range en.slots {
+		scan += len(byTable[slot.Table])
 	}
 	if prev != nil && in.perm == nil && scan == 0 {
 		return prev
@@ -273,67 +271,58 @@ func (c *Cache) compileQuery(in *compileInputs, qi *QueryInfo, prev *QueryMatrix
 	qm := &QueryMatrix{
 		QI:       qi,
 		Internal: make([]float64, len(qi.Templates)),
-		TmplOff:  make([]int32, 1, len(qi.Templates)+1),
-		SlotFree: make([]float64, 0, slots),
-		SlotOff:  make([]int32, 1, slots+1),
-		Reps:     qi.shape.reps,
+		TmplOff:  en.tmplOff,
+		Refs:     en.refs,
+		SlotFree: make([]float64, len(en.slots)),
+		SlotOff:  make([]int32, 1, len(en.slots)+1),
+	}
+	for ti, tpl := range qi.Templates {
+		qm.Internal[ti] = tpl.Internal
 	}
 	compat, gamma := buf.compat[:0], buf.gamma[:0]
 	var calls int64
-	for ti, tpl := range qi.Templates {
-		qm.Internal[ti] = tpl.Internal
-		for si := range tpl.Slots {
-			if r := qm.Reps[len(qm.SlotFree)]; r != int32(len(qm.SlotFree)) {
-				qm.SlotFree = append(qm.SlotFree, qm.SlotFree[r])
-				compat = append(compat, compat[qm.SlotOff[r]:qm.SlotOff[r+1]]...)
-				gamma = append(gamma, gamma[qm.SlotOff[r]:qm.SlotOff[r+1]]...)
-				qm.SlotOff = append(qm.SlotOff, int32(len(compat)))
-				continue
-			}
-			slot := &tpl.Slots[si]
-			positions := byTable[slot.Table]
-			var a engine.Access
-			if prev == nil || len(positions) > 0 {
-				a = c.access(qi, slot)
-			}
-			free := math.Inf(1)
-			if n := len(qm.SlotFree); prev != nil {
-				free = prev.SlotFree[n]
-				for k := prev.SlotOff[n]; k < prev.SlotOff[n+1]; k++ {
-					pos := prev.Compat[k]
-					if in.perm != nil {
-						if pos = in.perm[pos]; pos < 0 {
-							continue
-						}
+	for d, slot := range en.slots {
+		positions := byTable[slot.Table]
+		var a engine.Access
+		if prev == nil || len(positions) > 0 {
+			a = c.access(qi, slot)
+		}
+		free := math.Inf(1)
+		if prev != nil {
+			free = prev.SlotFree[d]
+			for k := prev.SlotOff[d]; k < prev.SlotOff[d+1]; k++ {
+				pos := prev.Compat[k]
+				if in.perm != nil {
+					if pos = in.perm[pos]; pos < 0 {
+						continue
 					}
-					compat = append(compat, pos)
-					gamma = append(gamma, prev.Gamma[k])
 				}
-			} else {
-				if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
+				compat = append(compat, pos)
+				gamma = append(gamma, prev.Gamma[k])
+			}
+		} else {
+			if g, ok := c.Eng.SlotCost(&a, nil, catalog.Geometry{}); ok {
+				free = g
+			}
+			onTable := in.baseline.OnTable(slot.Table)
+			calls += 1 + int64(len(onTable))
+			for _, bx := range onTable {
+				if g, ok := c.Eng.SlotCost(&a, bx, in.baseGeo[bx]); ok && g < free {
 					free = g
 				}
-				onTable := in.baseline.OnTable(slot.Table)
-				calls += 1 + int64(len(onTable))
-				for _, bx := range onTable {
-					if g, ok := c.Eng.SlotCost(&a, bx, in.baseGeo[bx]); ok && g < free {
-						free = g
-					}
-				}
 			}
-			qm.SlotFree = append(qm.SlotFree, free)
-			calls += int64(len(positions))
-			for _, pos := range positions {
-				// A candidate no cheaper than the free access never wins
-				// the slot's minimum; it is not stored.
-				if g, ok := c.Eng.SlotCost(&a, in.s[pos], in.geo[pos]); ok && g < free {
-					compat = append(compat, pos)
-					gamma = append(gamma, g)
-				}
-			}
-			qm.SlotOff = append(qm.SlotOff, int32(len(compat)))
 		}
-		qm.TmplOff = append(qm.TmplOff, int32(len(qm.SlotFree)))
+		qm.SlotFree[d] = free
+		calls += int64(len(positions))
+		for _, pos := range positions {
+			// A candidate no cheaper than the free access never wins
+			// the slot's minimum; it is not stored.
+			if g, ok := c.Eng.SlotCost(&a, in.s[pos], in.geo[pos]); ok && g < free {
+				compat = append(compat, pos)
+				gamma = append(gamma, g)
+			}
+		}
+		qm.SlotOff = append(qm.SlotOff, int32(len(compat)))
 	}
 	qm.Compat, qm.Gamma = slices.Clone(compat), slices.Clone(gamma)
 	buf.compat, buf.gamma = compat, gamma
@@ -370,7 +359,7 @@ func (qm *QueryMatrix) CostDelta(selected []bool, extra int32) (float64, bool) {
 	for ti := 0; ti < len(qm.Internal); ti++ {
 		total := qm.Internal[ti]
 		feasible := true
-		for si := qm.TmplOff[ti]; si < qm.TmplOff[ti+1]; si++ {
+		for _, si := range qm.Refs[qm.TmplOff[ti]:qm.TmplOff[ti+1]] {
 			slotBest := qm.SlotFree[si]
 			lo, hi := qm.SlotOff[si], qm.SlotOff[si+1]
 			for k := lo; k < hi; k++ {

@@ -263,6 +263,8 @@ func sameSlab(a, b *QueryMatrix) string {
 		return "Internal"
 	case !slices.Equal(a.TmplOff, b.TmplOff):
 		return "TmplOff"
+	case !slices.Equal(a.Refs, b.Refs):
+		return "Refs"
 	case !sameBits(a.SlotFree, b.SlotFree):
 		return "SlotFree"
 	case !slices.Equal(a.SlotOff, b.SlotOff):

@@ -1,6 +1,7 @@
 package inum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -79,14 +80,9 @@ func repeatCoverage(c *Cache, w *workload.Workload) map[string]int {
 			continue
 		}
 		seen[qi.shape] = true
-		var flat []*Slot
-		for _, tpl := range qi.Templates {
-			for si := range tpl.Slots {
-				flat = append(flat, &tpl.Slots[si])
-			}
-		}
-		for n, r := range qi.shape.reps {
-			if r != int32(n) {
+		flat := flatSlots(qi)
+		for n := range flat {
+			if distinctBefore(flat, n) >= 0 {
 				got["repeat"]++
 			}
 			for m := range n {
@@ -99,10 +95,79 @@ func repeatCoverage(c *Cache, w *workload.Workload) map[string]int {
 	return got
 }
 
+// flatSlots returns the slots of qi's templates, template by template.
+func flatSlots(qi *QueryInfo) []*Slot {
+	var flat []*Slot
+	for _, tpl := range qi.Templates {
+		for si := range tpl.Slots {
+			flat = append(flat, &tpl.Slots[si])
+		}
+	}
+	return flat
+}
+
+// distinctBefore returns the first m < n whose slot equals flat[n] in
+// every field, or -1 when none does.
+func distinctBefore(flat []*Slot, n int) int {
+	for m := range n {
+		if len(slotDiffs(flat[m], flat[n])) == 0 {
+			return m
+		}
+	}
+	return -1
+}
+
+// checkDistinctSlots holds a slab to its format: through Refs, every
+// use of one distinct slot is the same Slot in every field and no two
+// distinct slots are equal, and SlotFree has one entry per distinct slot
+// of the shape's templates. It names the first breach, or returns "".
+func checkDistinctSlots(qm *QueryMatrix) string {
+	flat := flatSlots(qm.QI)
+	if len(qm.Refs) != len(flat) || int(qm.TmplOff[len(qm.TmplOff)-1]) != len(flat) {
+		return fmt.Sprintf("%d refs for %d template slots", len(qm.Refs), len(flat))
+	}
+	distinct := 0
+	first := map[int32]int{}
+	for n, d := range qm.Refs {
+		m := distinctBefore(flat, n)
+		if m < 0 {
+			distinct++
+		}
+		switch f, seen := first[d]; {
+		case !seen && m >= 0:
+			return fmt.Sprintf("slot %d has its own distinct slot %d but equals slot %d", n, d, m)
+		case !seen:
+			first[d] = n
+		case len(slotDiffs(flat[f], flat[n])) > 0:
+			return fmt.Sprintf("slots %d and %d share distinct slot %d but differ in %v", f, n, d, slotDiffs(flat[f], flat[n]))
+		}
+	}
+	if len(qm.SlotFree) != distinct || len(qm.SlotOff) != distinct+1 {
+		return fmt.Sprintf("%d SlotFree entries and %d SlotOff entries for %d distinct slots", len(qm.SlotFree), len(qm.SlotOff), distinct)
+	}
+	return ""
+}
+
+// expandSlab returns qm with every template slot's run copied out of its
+// distinct slot: the layout of a slab that stores one run per template
+// slot, which referenceSlab builds.
+func expandSlab(qm *QueryMatrix) *QueryMatrix {
+	ex := &QueryMatrix{Internal: qm.Internal, TmplOff: qm.TmplOff, SlotOff: []int32{0}}
+	for _, d := range qm.Refs {
+		lo, hi := qm.SlotOff[d], qm.SlotOff[d+1]
+		ex.SlotFree = append(ex.SlotFree, qm.SlotFree[d])
+		ex.Compat = append(ex.Compat, qm.Compat[lo:hi]...)
+		ex.Gamma = append(ex.Gamma, qm.Gamma[lo:hi]...)
+		ex.SlotOff = append(ex.SlotOff, int32(len(ex.Compat)))
+	}
+	return ex
+}
+
 // checkRepeatedSlots compiles w's slabs over pool[:len(pool)/2], brings
 // them through revisions of the candidate list, and after each holds
-// every slab to referenceSlab bit for bit, and Cache.Cost to the slab's
-// Cost under a random configuration.
+// every slab to its format (checkDistinctSlots), its runs expanded
+// through Refs to referenceSlab bit for bit, and Cache.Cost to the
+// slab's Cost under a random configuration.
 func checkRepeatedSlots(t *testing.T, c *Cache, w *workload.Workload, pool []*catalog.Index, base *engine.Config, rng *rand.Rand) {
 	t.Helper()
 	s := append([]*catalog.Index(nil), pool[:len(pool)/2]...)
@@ -121,7 +186,10 @@ func checkRepeatedSlots(t *testing.T, c *Cache, w *workload.Workload, pool []*ca
 		}
 		for _, q := range distinctQueries(w) {
 			qm := cm.Query(q)
-			if err := sameSlab(qm, referenceSlab(c, c.PrepareQuery(q), s, base)); err != "" {
+			if err := checkDistinctSlots(qm); err != "" {
+				t.Fatalf("step %d, %s: slab format: %s", step, q.ID, err)
+			}
+			if err := sameSlab(expandSlab(qm), referenceSlab(c, c.PrepareQuery(q), s, base)); err != "" {
 				t.Fatalf("step %d, %s: slab differs from pricing every slot alone in %s", step, q.ID, err)
 			}
 			dense, dok := qm.Cost(sel)
@@ -169,18 +237,19 @@ func seedVariants(eng *engine.Engine, w *workload.Workload) *Cache {
 	return c
 }
 
-// TestRepeatedSlotsShareOneRun is the exactness differential for slot
-// representatives: a compile prices each distinct slot of a shape once
-// and hands a repeated slot its representative's SlotFree and entry run,
-// and Cache.Cost reuses a repeated slot's minimum. On a homogeneous and
-// a heterogeneous fixture, derived and then with seeded template
-// variants (seedVariants), through a compile and twelve revisions of the
-// candidate list, every slab equals a reference that prices each
-// (template, slot, candidate) independently with Cache.Gamma, and
-// Cache.Cost equals the slab's Cost to the bit. Every fixture repeats
-// slots and holds slot pairs that differ only in RequiredOrder and only
-// in Lookups (the derived heterogeneous one and both seeded ones), and
-// the seeded ones pairs that differ only in NeedCols.
+// TestRepeatedSlotsShareOneRun is the exactness differential for
+// distinct slots: a compile prices and stores each distinct slot of a
+// shape once and every template refers to it, and Cache.Cost reuses a
+// repeated slot's minimum. On a homogeneous and a heterogeneous fixture,
+// derived and then with seeded template variants (seedVariants), through
+// a compile and twelve revisions of the candidate list, every slab holds
+// one run per distinct slot, its runs expanded through Refs equal a
+// reference that prices each (template, slot, candidate) independently
+// with Cache.Gamma, and Cache.Cost equals the slab's Cost to the bit.
+// Every fixture repeats slots and holds slot pairs that differ only in
+// RequiredOrder and only in Lookups (the derived heterogeneous one and
+// both seeded ones), and the seeded ones pairs that differ only in
+// NeedCols.
 func TestRepeatedSlotsShareOneRun(t *testing.T) {
 	eng, _, base := testSetup(t)
 	rng := rand.New(rand.NewSource(20261019))

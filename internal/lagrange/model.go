@@ -107,7 +107,7 @@ type Layout struct {
 //
 // A slot passed more than once as the same window (same first option,
 // same length) is one distinct slot, checked and sorted once: BIPGen
-// passes a repeated template slot as its representative's window. A
+// passes every use of a slab's distinct slot as that slot's window. A
 // window starting where another starts with another length is an
 // error; windows must not overlap otherwise.
 //
