@@ -2,6 +2,7 @@ package cophy
 
 import (
 	"context"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"slices"
@@ -410,6 +411,65 @@ func TestQueryCostConstraint(t *testing.T) {
 		if got > base*0.9*1.01 {
 			t.Fatalf("%s: cost %v exceeds 90%% of baseline %v", st.Query.ID, got, base)
 		}
+	}
+}
+
+// TestConstrainedSolveGolden pins, to the last bit, the solve of the
+// constrained example (examples/constraints): Hom-80 seed 4 on TPC-H
+// SF1 with two clustered lineitem candidates added, under a lineitem
+// cap, a wide-index cap, one clustered index per table and a per-query
+// cost assertion. Side constraints change which incumbent sources win,
+// so the unconstrained goldens (lagrange's TestSolveGolden) do not
+// cover them. A failure prints the new literal; paste it only when the
+// answer change is intended.
+func TestConstrainedSolveGolden(t *testing.T) {
+	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
+	w := workload.Hom(workload.HomConfig{Queries: 80, Seed: 4})
+	s := Candidates(cat, w, CGenOptions{Covering: true})
+	s = append(s,
+		&catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}, Clustered: true},
+		&catalog.Index{Table: "lineitem", Key: []string{"l_partkey"}, Clustered: true},
+	)
+	catalog.SortIndexes(s)
+	var capped []string
+	for _, st := range w.Queries() {
+		if st.Query.Template == "q6-forecast-revenue" && len(capped) < 4 {
+			capped = append(capped, st.Query.ID)
+		}
+	}
+	cons := FractionOfData(cat, 1)
+	cons.Items = []Item{
+		Count{Name: "lineitem-cap", Filter: OnTable("lineitem"), Sense: lp.LE, V: 3},
+		Count{Name: "wide-cap", Filter: MinKeyCols(2), Sense: lp.LE, V: 4},
+		ClusteredPerTable{},
+		QueryCost{Factor: 0.9, IDs: capped},
+	}
+	ad := NewAdvisor(cat, engine.New(cat, engine.SystemA()), Options{GapTol: 0.05})
+	res, err := ad.Recommend(w, s, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Infeasible || len(capped) != 4 {
+		t.Fatalf("instance changed: infeasible %v, %d capped queries", res.Infeasible, len(capped))
+	}
+	type golden struct {
+		EstCost, Lower float64
+		Iters, Nodes   int
+		Selected       uint64
+	}
+	h := fnv.New64a()
+	for _, on := range res.Selected {
+		if on {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	got := golden{res.EstCost, res.Lower, res.Iters, res.Nodes, h.Sum64()}
+	want := golden{6681973.9379800018, 5689297.3864314659, 3002, 48, 0x3406373f33e15f64}
+	if got != want {
+		t.Errorf("constrained solve changed\n got  golden{%.17g, %.17g, %d, %d, %#x}\n want golden{%.17g, %.17g, %d, %d, %#x}",
+			got.EstCost, got.Lower, got.Iters, got.Nodes, got.Selected, want.EstCost, want.Lower, want.Iters, want.Nodes, want.Selected)
 	}
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/workload"
 )
@@ -29,8 +27,6 @@ func satisfiesOrder(delivered, required []string) bool {
 	}
 	return true
 }
-
-func orderKey(order []string) string { return strings.Join(order, ",") }
 
 // colsWidth sums the byte widths of the named columns of a table.
 func (e *Engine) colsWidth(table string, cols []string) float64 {

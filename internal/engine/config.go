@@ -35,17 +35,19 @@ func (c *Config) Add(ix *catalog.Index) {
 }
 
 // Union returns a new configuration containing this one plus other.
-// Either receiver or argument may be nil.
+// Either receiver or argument may be nil. Each table lists the
+// receiver's indexes first, then other's new ones, each in its input's
+// order, so the optimizer's ties break alike on every call.
 func (c *Config) Union(other *Config) *Config {
 	out := NewConfig()
-	if c != nil {
-		for _, ix := range c.ids {
-			out.Add(ix)
+	for _, in := range []*Config{c, other} {
+		if in == nil {
+			continue
 		}
-	}
-	if other != nil {
-		for _, ix := range other.ids {
-			out.Add(ix)
+		for _, ixs := range in.byTable {
+			for _, ix := range ixs {
+				out.Add(ix)
+			}
 		}
 	}
 	return out

@@ -218,7 +218,7 @@ func (e *Engine) bestFinish(m *joinMemo, full *dpEntries) (int, finish) {
 	var best finish
 	for i := range full.ents {
 		en := &full.ents[i]
-		if f := e.planFinish(m, en.cost, en.rows, en.width, en.order); bi < 0 || f.cost < best.cost {
+		if f := e.planFinish(m, en.cost, en.rows, en.width, m.orders[en.okeyID]); bi < 0 || f.cost < best.cost {
 			bi, best = i, f
 		}
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -553,4 +555,65 @@ func TestSlotCostMatchesAccessPaths(t *testing.T) {
 			scans, lookups, clusteredScans, clusteredLookups, infeasible, suffixOnly, unreachable)
 	}
 	t.Logf("%d ordered scans only a key suffix delivers, %d no key suffix delivers", suffixOnly, unreachable)
+}
+
+// TestDPEntryIsPlainData pins the join DP's entries to plain data: no
+// field of dpEntry, at any depth, is a pointer, string, slice, map,
+// interface, function or channel. Entries name their path, order and
+// join condition by number, so storing one is a plain copy and pooled
+// DP tables pin nothing.
+func TestDPEntryIsPlainData(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("dpEntry", reflect.TypeOf(dpEntry{}))
+}
+
+// TestUnionKeepsIndexOrder: a union lists each table's indexes in the
+// receiver's order, then the argument's new ones in the argument's
+// order, on every call. The optimizer breaks cost ties by that order,
+// so a union built twice must plan alike.
+func TestUnionKeepsIndexOrder(t *testing.T) {
+	cat, _, _ := testEnv(t)
+	var mine, theirs []*catalog.Index
+	for i, c := range cat.Table("lineitem").Cols {
+		ix := &catalog.Index{Table: "lineitem", Key: []string{c.Name}}
+		if i%3 != 2 {
+			mine = append(mine, ix)
+		}
+		if i%3 != 0 {
+			theirs = append(theirs, ix)
+		}
+	}
+	mine = append(mine, &catalog.Index{Table: "orders", Key: []string{"o_orderdate"}})
+	theirs = append(theirs, &catalog.Index{Table: "orders", Key: []string{"o_custkey"}})
+	a, b := NewConfig(mine...), NewConfig(theirs...)
+	for _, table := range []string{"lineitem", "orders"} {
+		want := slices.Clone(a.OnTable(table))
+		for _, ix := range b.OnTable(table) {
+			if !a.Has(ix) {
+				want = append(want, ix)
+			}
+		}
+		for run := 0; run < 20; run++ {
+			if got := a.Union(b).OnTable(table); !slices.Equal(got, want) {
+				t.Fatalf("run %d: union lists %s as %v, want %v", run, table, got, want)
+			}
+		}
+	}
+	if got := a.Union(nil).OnTable("lineitem"); !slices.Equal(got, a.OnTable("lineitem")) {
+		t.Fatalf("union with nil lists %v, want %v", got, a.OnTable("lineitem"))
+	}
 }

@@ -84,13 +84,13 @@ func TestPlanFinishMatchesFinalize(t *testing.T) {
 					}
 					for i := range full.ents {
 						en := &full.ents[i]
-						f := e.planFinish(m, en.cost, en.rows, en.width, en.order)
+						f := e.planFinish(m, en.cost, en.rows, en.width, m.orders[en.okeyID])
 						got := e.finalize(m, m.materialize(1<<len(m.tables)-1, i), f).Cost
 						if math.Float64bits(f.cost) != math.Float64bits(got) {
 							t.Fatalf("%s %s (template mode %v) entry %d: planFinish %v, finalize %v", e.Prof.Name, q.ID, templateMode, i, f.cost, got)
 						}
 						entries++
-						if len(en.order) > 0 {
+						if len(m.orders[en.okeyID]) > 0 {
 							orderedEntries++
 						}
 					}

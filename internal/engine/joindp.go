@@ -38,14 +38,13 @@ func (e *Engine) sortNode(child *PlanNode, order []string) *PlanNode {
 	return n
 }
 
-// pathSortCost memoizes sortSelfCost per access-path node; path nodes
-// are shared across every forced-order combination of a derivation, so
-// the log2-heavy sort pricing runs once per path instead of once per
+// pathSortCost memoizes sortSelfCost per path node; path nodes are
+// shared across every forced-order combination of a derivation, so the
+// log2-heavy sort pricing runs once per path instead of once per
 // (combination, outer entry, condition).
-func (e *Engine) pathSortCost(n *PlanNode) float64 {
-	if !n.sortCostOK {
-		n.sortCost = e.sortSelfCost(n.Rows, n.Width)
-		n.sortCostOK = true
+func (m *joinMemo) pathSortCost(n *pathNode) float64 {
+	if math.IsNaN(n.sortCost) {
+		n.sortCost = m.e.sortSelfCost(n.Rows, n.Width)
 	}
 	return n.sortCost
 }
@@ -78,15 +77,13 @@ type joinCond struct {
 	sel       float64
 	// obit is the other table's bit in the DP's table masks.
 	obit int
-	// leaf is the repeated-lookup access path probing innerCol (nil
-	// when the table has no usable index); resolved once when the
-	// condition list is built rather than on every DP expansion.
-	leaf *PlanNode
-	// ocolOrder is the shared one-element order slice [outerCol] that
-	// freshly sorted merge outers deliver; allocated once per
-	// condition instead of once per improved DP entry.
-	ocolOrder []string
-	// okeyID is the interned key ID of ocolOrder.
+	// leaf is the position in joinMemo.nodes of the repeated-lookup
+	// access path probing innerCol (-1 when the table has no usable
+	// index); resolved once when the condition list is built rather
+	// than on every DP expansion.
+	leaf int32
+	// okeyID is the interned ID of the order [outerCol] that a freshly
+	// sorted merge outer delivers.
 	okeyID int32
 }
 
@@ -109,25 +106,28 @@ const (
 // provenance needed to materialize the plan tree afterwards. The DP
 // itself allocates no PlanNodes — candidate joins are priced and
 // compared arithmetically, and only the entries on the finally chosen
-// plan's spine are rebuilt as nodes by materialize.
+// plan's spine are rebuilt as nodes by materialize. An entry is plain
+// data: it names its path, order and join condition by number, and
+// holds no pointer, string or slice (TestDPEntryIsPlainData), so
+// storing one is a plain copy and pooled DP tables pin nothing.
 type dpEntry struct {
 	cost  float64
 	rows  float64
 	width float64
 	self  float64 // SelfCost of the top operator
-	order []string
-	// okeyID is the interned ID of the delivered order's key (see
-	// joinMemo.keyID); DP entry lookups compare these small ints
-	// instead of hashing or comparing strings.
+	// okeyID names the delivered order, joinMemo.orders[okeyID]; DP
+	// entry lookups compare these small ints instead of strings.
 	okeyID int32
 
 	kind uint8
 	// presorted, for dpMerge: the outer side already delivered the
-	// join column order (no outer sort).
-	presorted bool
-	// leaf: the access path (dpLeaf), the inner access path
-	// (dpHash/dpMerge), or the per-probe lookup leaf (dpNL).
-	leaf *PlanNode
+	// join column order (no outer sort). innerSorted: the inner path
+	// is sorted by the condition's inner column.
+	presorted, innerSorted bool
+	// leaf is a position in joinMemo.nodes: the access path (dpLeaf),
+	// the inner access path (dpHash/dpMerge), or the per-probe lookup
+	// leaf (dpNL).
+	leaf int32
 	// outerMask/outerIdx locate the outer side's entry in the version
 	// of outerMask that any pass selecting this entry's version selects
 	// (joinMemo.dp). Entries of a version are final before any superset
@@ -135,14 +135,12 @@ type dpEntry struct {
 	// only strictly larger masks), and no later pass rewrites them.
 	outerMask int32
 	outerIdx  int32
-	// innerSortCol, for dpMerge: the qualified column the inner path
-	// must be sorted by ("" when its delivered order already serves).
-	innerSortCol string
-	// tIdx, for dpNL: the probed table; lookupCol its join column;
-	// innerCost the total repeated-lookup cost.
-	tIdx      int32
-	lookupCol string
-	innerCost float64
+	// tIdx and cond, for dpMerge and dpNL: the joined table and the
+	// join condition conds[tIdx][cond], whose inner column a merge
+	// sorts by and a nested loop probes. innerCost, for dpNL: the total
+	// repeated-lookup cost.
+	tIdx, cond int32
+	innerCost  float64
 
 	// osort memoizes sortSelfCost(rows, width) for this entry as a
 	// merge-join outer, shared across every (table, condition) the
@@ -152,39 +150,34 @@ type dpEntry struct {
 }
 
 // dpEntries holds the Pareto plan entries of one version of a DP
-// subset, keyed by delivered-order key. Entry counts are capped at
-// maxEntriesPerMask, so a linear scan over parallel slices beats a map:
-// no hashing, no iterator state, and no allocations on the optimizer's
-// hottest path.
+// subset, one per delivered order. Entry counts are capped at
+// maxEntriesPerMask, so a linear scan beats a map: no hashing, no
+// iterator state, and no allocations on the optimizer's hottest path.
 type dpEntries struct {
 	// key is the version's requirement-key vector: joinMemo.passKeys'
 	// vector restricted to the subset's tables (see joinMemo.spread).
 	key  uint64
-	kids []int32
 	ents []dpEntry
 }
 
-// find returns the position of the interned order key, or -1.
-func (d *dpEntries) find(kid int32) int {
-	for i, k := range d.kids {
-		if k == kid {
+// find returns the position of the entry delivering order oid, or -1.
+func (d *dpEntries) find(oid int32) int {
+	for i := range d.ents {
+		if d.ents[i].okeyID == oid {
 			return i
 		}
 	}
 	return -1
 }
 
-// slot returns the entry to overwrite for kid: the existing entry at
-// position i when i >= 0 (the caller found a costlier entry under the
-// same key), a newly appended one otherwise. Callers assign the whole
-// entry through the pointer, avoiding an intermediate struct copy.
-func (d *dpEntries) slot(i int, kid int32) *dpEntry {
+// put stores en at position i when i >= 0 (the caller found a costlier
+// entry under the same order), and appends it otherwise.
+func (d *dpEntries) put(i int, en dpEntry) {
 	if i >= 0 {
-		return &d.ents[i]
+		d.ents[i] = en
+		return
 	}
-	d.kids = append(d.kids, kid)
-	d.ents = append(d.ents, dpEntry{})
-	return &d.ents[len(d.ents)-1]
+	d.ents = append(d.ents, en)
 }
 
 // reqBits is the width of one table's requirement-key index in a
@@ -224,8 +217,12 @@ type joinMemo struct {
 	idx      map[string]int
 	// needCols[i] = q.ColumnsOf(tables[i]).
 	needCols [][]string
+	// nodes numbers every access path and lookup leaf the DP may use,
+	// in the order they are created; base, paths, passPaths, lookups,
+	// joinCond.leaf and dpEntry.leaf hold positions in it.
+	nodes []pathNode
 	// base[i] holds the unconstrained scanPaths of tables[i].
-	base [][]*PlanNode
+	base [][]int32
 	// filteredRows[i] = |tables[i]| × local selectivity.
 	filteredRows []float64
 
@@ -233,7 +230,7 @@ type joinMemo struct {
 	// with its lookup leaf resolved.
 	conds [][]joinCond
 	// lookups memoizes Engine.lookupLeaf per (table, join column).
-	lookups map[lookupKey]*PlanNode
+	lookups map[lookupKey]int32
 
 	// reqs[t] lists the distinct non-empty order requirements met on
 	// table t in this derivation, after a nil at index 0 that stands
@@ -241,16 +238,16 @@ type joinMemo struct {
 	// same paths and nested-loop probing). A requirement's index is the
 	// table's key; paths[t][k] is the path set key k admits.
 	reqs  [][][]string
-	paths [][][]*PlanNode
+	paths [][][]int32
 
-	// kidOf interns order-key strings as dense small IDs; "" is always
-	// ID 0. The distinct delivered orders of one derivation number at
-	// most a handful, so DP entry lookups reduce to int comparisons.
-	kidOf map[string]int32
+	// orders interns the orders of one derivation by slice equality;
+	// orders[0] is the empty order. A DP entry names its order by ID,
+	// so entry lookups reduce to int comparisons.
+	orders [][]string
 	// ordPfx caches the order-satisfaction predicate per (delivered,
-	// required) interned-key pair for prune's dominance test: 0
-	// unknown, 1 satisfies, 2 does not. Indexed a*ordPfxW+b, grown as
-	// keys are interned, reset per query alongside kidOf.
+	// required) order-ID pair for prune's dominance test: 0 unknown,
+	// 1 satisfies, 2 does not. Indexed a*ordPfxW+b, grown as orders are
+	// interned, reset per query alongside orders.
 	ordPfx  []uint8
 	ordPfxW int
 
@@ -265,7 +262,7 @@ type joinMemo struct {
 	// passPaths/passNL are per-pass scratch: the path set and
 	// NL-permission of each table under the current forced map,
 	// resolved once per optimizeJoin call instead of once per subset.
-	passPaths [][]*PlanNode
+	passPaths [][]int32
 	passNL    []bool
 
 	// sc is a direct-mapped cache of sortSelfCost keyed by the exact
@@ -283,6 +280,15 @@ type joinMemo struct {
 	groupOrder []string
 	orderBy    []string
 	finalPrep  bool
+}
+
+// pathNode is one numbered node of joinMemo.nodes: an access path or
+// lookup leaf, the ID of its delivered order, and its sort cost as a
+// merge inner (NaN until first priced; see pathSortCost).
+type pathNode struct {
+	*PlanNode
+	ord      int32
+	sortCost float64
 }
 
 // scSlot is one direct-mapped sort-cost cache line.
@@ -337,16 +343,16 @@ func newJoinMemo(e *Engine, n int) *joinMemo {
 		e:            e,
 		idx:          make(map[string]int, n),
 		needCols:     make([][]string, n),
-		base:         make([][]*PlanNode, n),
+		base:         make([][]int32, n),
 		filteredRows: make([]float64, n),
 		conds:        make([][]joinCond, n),
 		reqs:         make([][][]string, n),
-		paths:        make([][][]*PlanNode, n),
+		paths:        make([][][]int32, n),
 		vers:         make([][]dpEntries, 1<<n),
 		dp:           make([]*dpEntries, 1<<n),
 		fresh:        make([]bool, 1<<n),
 		spread:       make([]uint64, 1<<n),
-		passPaths:    make([][]*PlanNode, n),
+		passPaths:    make([][]int32, n),
 		passNL:       make([]bool, n),
 	}
 	for mask := 1; mask < 1<<n; mask++ {
@@ -380,7 +386,9 @@ func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
 	m.q, m.cfg, m.tables, m.template = q, cfg, q.Tables, template
 	clear(m.idx)
 	clear(m.lookups)
-	clear(m.kidOf)
+	clear(m.nodes)
+	clear(m.orders)
+	m.nodes, m.orders = m.nodes[:0], append(m.orders[:0], nil)
 	m.ordPfx, m.ordPfxW = m.ordPfx[:0], 0
 	m.finalPrep = false
 	m.groupOrder, m.orderBy = nil, nil
@@ -388,7 +396,10 @@ func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
 	for i, t := range q.Tables {
 		m.idx[t] = i
 		m.needCols[i] = q.ColumnsOf(t)
-		m.base[i] = e.scanPaths(q, t, cfg, m.needCols[i])
+		m.base[i] = m.base[i][:0]
+		for _, n := range e.scanPaths(q, t, cfg, m.needCols[i]) {
+			m.base[i] = append(m.base[i], m.addNode(n))
+		}
 		m.filteredRows[i] = e.tableRows(t) * e.localSel(q, t)
 	}
 	for t, name := range q.Tables {
@@ -412,9 +423,8 @@ func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
 			conds = append(conds, joinCond{
 				outerCol: outerCol, innerCol: tCol, innerColQ: name + "." + tCol,
 				sel: e.joinSel(j), obit: 1 << oi,
-				leaf:      m.lookupLeaf(t, tCol),
-				ocolOrder: []string{outerCol},
-				okeyID:    m.keyID(outerCol),
+				leaf:   m.lookupLeaf(t, tCol),
+				okeyID: m.orderID([]string{outerCol}),
 			})
 		}
 		m.conds[t] = conds
@@ -423,19 +433,16 @@ func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
 }
 
 // resetVersions drops every DP version and requirement key, keeping
-// their capacity; stored entries are zeroed so pooled scratch never
-// pins another derivation's nodes.
+// their capacity.
 func (m *joinMemo) resetVersions() {
 	for mask, vs := range m.vers {
 		for i := range vs {
-			clear(vs[i].ents)
-			vs[i].kids, vs[i].ents = vs[i].kids[:0], vs[i].ents[:0]
+			vs[i].ents = vs[i].ents[:0]
 		}
 		m.vers[mask] = vs[:0]
 	}
 	for t := range m.tables {
 		clear(m.reqs[t])
-		clear(m.paths[t])
 		m.reqs[t] = append(m.reqs[t][:0], nil)
 		m.paths[t] = append(m.paths[t][:0], m.trim(t, nil))
 	}
@@ -448,34 +455,42 @@ func (e *Engine) putMemo(m *joinMemo) {
 	e.memoPools[len(m.tables)].Put(m)
 }
 
-// keyID interns an order-key string.
-func (m *joinMemo) keyID(key string) int32 {
-	if key == "" {
+// orderID interns an order by slice equality; the empty order is ID 0.
+func (m *joinMemo) orderID(o []string) int32 {
+	if len(o) == 0 {
 		return 0
 	}
-	if id, ok := m.kidOf[key]; ok {
-		return id
+	for id := 1; id < len(m.orders); id++ {
+		if slices.Equal(m.orders[id], o) {
+			return int32(id)
+		}
 	}
-	if m.kidOf == nil {
-		m.kidOf = make(map[string]int32, 8)
-	}
-	id := int32(len(m.kidOf) + 1)
-	m.kidOf[key] = id
-	return id
+	m.orders = append(m.orders, o)
+	return int32(len(m.orders) - 1)
 }
 
-// lookupLeaf memoizes Engine.lookupLeaf per (table, join column).
-func (m *joinMemo) lookupLeaf(t int, col string) *PlanNode {
+// addNode numbers n as the derivation's next path node.
+func (m *joinMemo) addNode(n *PlanNode) int32 {
+	m.nodes = append(m.nodes, pathNode{PlanNode: n, ord: m.orderID(n.Order), sortCost: math.NaN()})
+	return int32(len(m.nodes) - 1)
+}
+
+// lookupLeaf memoizes Engine.lookupLeaf per (table, join column) as a
+// node position, -1 when no index serves the lookup.
+func (m *joinMemo) lookupLeaf(t int, col string) int32 {
 	k := lookupKey{t, col}
-	if leaf, ok := m.lookups[k]; ok {
-		return leaf
+	if pos, ok := m.lookups[k]; ok {
+		return pos
 	}
 	if m.lookups == nil {
-		m.lookups = make(map[lookupKey]*PlanNode)
+		m.lookups = make(map[lookupKey]int32)
 	}
-	leaf := m.e.lookupLeaf(m.q, m.tables[t], m.cfg, col, m.needCols[t])
-	m.lookups[k] = leaf
-	return leaf
+	pos := int32(-1)
+	if leaf := m.e.lookupLeaf(m.q, m.tables[t], m.cfg, col, m.needCols[t]); leaf != nil {
+		pos = m.addNode(leaf)
+	}
+	m.lookups[k] = pos
+	return pos
 }
 
 // passKeys resolves each table's requirement key under the forced map,
@@ -509,7 +524,7 @@ func (m *joinMemo) passKeys(forced map[string][]string) uint64 {
 
 // trim returns the access-path set of table t under order requirement
 // req. Plain mode is never forced and uses every path.
-func (m *joinMemo) trim(t int, req []string) []*PlanNode {
+func (m *joinMemo) trim(t int, req []string) []int32 {
 	if !m.template {
 		return m.base[t]
 	}
@@ -518,34 +533,24 @@ func (m *joinMemo) trim(t int, req []string) []*PlanNode {
 	// forced order advertises exactly that order (nothing for unforced
 	// tables). This guarantees that a template's slot requirements
 	// capture every ordering assumption baked into its internal cost β.
-	trimmed := make([]*PlanNode, 0, len(m.base[t]))
-	seen := map[string]bool{}
-	for _, p := range m.base[t] {
-		if !satisfiesOrder(p.Order, req) {
-			continue
+	// With every order erased to req the paths differ only in cost, so
+	// the set is the first cheapest of them.
+	best := int32(-1)
+	for _, pos := range m.base[t] {
+		p := m.nodes[pos]
+		if satisfiesOrder(p.Order, req) && (best < 0 || p.SelfCost < m.nodes[best].SelfCost) {
+			best = pos
 		}
-		cp := *p
-		cp.okey = ""
-		if len(req) > 0 {
-			cp.Order = req
-		} else {
-			cp.Order = nil
-		}
-		// With orders erased, identical (order, cost-class) paths
-		// collapse; keep the cheapest per order.
-		ok := orderKey(cp.Order)
-		if seen[ok] {
-			for j, prior := range trimmed {
-				if orderKey(prior.Order) == ok && cp.SelfCost < prior.SelfCost {
-					trimmed[j] = &cp
-				}
-			}
-			continue
-		}
-		seen[ok] = true
-		trimmed = append(trimmed, &cp)
 	}
-	return trimmed
+	if best < 0 {
+		return nil
+	}
+	cp := *m.nodes[best].PlanNode
+	cp.Order = nil
+	if len(req) > 0 {
+		cp.Order = req
+	}
+	return []int32{m.addNode(&cp)}
 }
 
 // useVersion points dp[mask] at the stored version under key, adding an
@@ -598,22 +603,22 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 	en := &m.dp[mask].ents[idx]
 	switch en.kind {
 	case dpLeaf:
-		return en.leaf
+		return m.nodes[en.leaf].PlanNode
 	case dpHash:
 		o := m.materialize(int(en.outerMask), int(en.outerIdx))
 		return &PlanNode{
-			Op: OpHashJoin, Children: []*PlanNode{o, en.leaf},
+			Op: OpHashJoin, Children: []*PlanNode{o, m.nodes[en.leaf].PlanNode},
 			Rows: en.rows, Width: en.width,
 			SelfCost: en.self, Cost: en.cost,
 		}
 	case dpMerge:
 		o := m.materialize(int(en.outerMask), int(en.outerIdx))
 		if !en.presorted {
-			o = m.e.sortNode(o, en.order)
+			o = m.e.sortNode(o, m.orders[en.okeyID])
 		}
-		in := en.leaf
-		if en.innerSortCol != "" {
-			in = m.e.sortNode(in, []string{en.innerSortCol})
+		in := m.nodes[en.leaf].PlanNode
+		if en.innerSorted {
+			in = m.e.sortNode(in, []string{m.conds[en.tIdx][en.cond].innerColQ})
 		}
 		return &PlanNode{
 			Op: OpMergeJoin, Children: []*PlanNode{o, in},
@@ -622,12 +627,12 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 		}
 	default: // dpNL
 		o := m.materialize(int(en.outerMask), int(en.outerIdx))
-		leaf := en.leaf
+		leaf := m.nodes[en.leaf]
 		inner := &PlanNode{
 			Op: OpIndexLookup, Table: m.tables[en.tIdx], Index: leaf.Index,
 			Rows: leaf.Rows, Width: leaf.Width,
 			Lookups:   o.Rows,
-			LookupCol: en.lookupCol,
+			LookupCol: m.conds[en.tIdx][en.cond].innerCol,
 			SelfCost:  en.innerCost, Cost: en.innerCost,
 		}
 		return &PlanNode{
@@ -649,12 +654,12 @@ func (m *joinMemo) appendLeaves(dst []TemplateLeaf, mask, idx int) []TemplateLea
 	}
 	if en.kind == dpNL {
 		return append(dst, TemplateLeaf{
-			Op: OpIndexLookup, Table: m.tables[en.tIdx], Index: en.leaf.Index,
-			LookupCol: en.lookupCol, Lookups: m.dp[en.outerMask].ents[en.outerIdx].rows,
+			Op: OpIndexLookup, Table: m.tables[en.tIdx], Index: m.nodes[en.leaf].Index,
+			LookupCol: m.conds[en.tIdx][en.cond].innerCol, Lookups: m.dp[en.outerMask].ents[en.outerIdx].rows,
 			SelfCost: en.innerCost,
 		})
 	}
-	l := en.leaf
+	l := m.nodes[en.leaf]
 	return append(dst, TemplateLeaf{Op: l.Op, Table: l.Table, Index: l.Index, Order: l.Order, SelfCost: l.SelfCost})
 }
 
@@ -687,14 +692,14 @@ func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntrie
 			continue
 		}
 		d := m.dp[1<<i]
-		for _, pth := range m.passPaths[i] {
-			kid := m.keyID(pth.key())
-			if j := d.find(kid); j < 0 || pth.Cost < d.ents[j].cost {
-				*d.slot(j, kid) = dpEntry{
+		for _, pos := range m.passPaths[i] {
+			pth := &m.nodes[pos]
+			if j := d.find(pth.ord); j < 0 || pth.Cost < d.ents[j].cost {
+				d.put(j, dpEntry{
 					cost: pth.Cost, rows: pth.Rows, width: pth.Width,
-					self: pth.SelfCost, order: pth.Order, okeyID: kid,
-					kind: dpLeaf, leaf: pth,
-				}
+					self: pth.SelfCost, okeyID: pth.ord,
+					kind: dpLeaf, leaf: pos,
+				})
 			}
 		}
 	}
@@ -730,9 +735,8 @@ func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntrie
 	if m.fresh[full] {
 		m.prune(d)
 		// Insertion-sort entries by cost in place (entry counts are
-		// tiny and reflect-based sorting allocates); the parallel kids
-		// slice is stale from here on, which is fine — no pass writes
-		// the full mask's stored version again.
+		// tiny and reflect-based sorting allocates); no pass writes the
+		// full mask's stored version again.
 		ents := d.ents
 		for i := 1; i < len(ents); i++ {
 			for j := i; j > 0 && ents[j].cost < ents[j-1].cost; j-- {
@@ -777,16 +781,17 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 	} else {
 		rowsFor = make([]float64, len(tPaths))
 	}
-	for ii, inner := range tPaths {
-		rowsFor[ii] = joinRows(outer.rows, inner.Rows, conds, mask)
+	for ii, pos := range tPaths {
+		rowsFor[ii] = joinRows(outer.rows, m.nodes[pos].Rows, conds, mask)
 	}
 
 	// Hash join (or cross product via nested materialization); the
-	// result is unordered, so every inner competes for the "" entry.
-	var hInner *PlanNode
+	// result is unordered, so every inner competes for the empty order.
+	hIn := int32(-1)
 	hCost := math.Inf(1)
 	var hRows, hSelf float64
-	for ii, inner := range tPaths {
+	for ii, pos := range tPaths {
+		inner := m.nodes[pos].PlanNode
 		rows := rowsFor[ii]
 		var extra float64
 		if cross {
@@ -799,30 +804,23 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 		self := extra + rows*p.CPUTupleCost
 		cost := outer.cost + inner.Cost + self
 		if cost < hCost {
-			hInner, hCost, hRows, hSelf = inner, cost, rows, self
+			hIn, hCost, hRows, hSelf = pos, cost, rows, self
 		}
 	}
-	if hInner != nil {
+	if hIn >= 0 {
 		if i := d.find(0); i < 0 || hCost < d.ents[i].cost {
-			// Field stores instead of a struct-literal assignment: the
-			// literal costs a ~150-byte duffcopy plus a bulk write
-			// barrier per store on the DP's hottest line.
-			sl := d.slot(i, 0)
-			sl.cost, sl.rows, sl.width, sl.self = hCost, hRows, outer.width+hInner.Width, hSelf
-			sl.order, sl.okeyID = nil, 0
-			sl.kind, sl.presorted = dpHash, false
-			sl.leaf = hInner
-			sl.outerMask, sl.outerIdx = int32(mask), int32(oi)
-			sl.innerSortCol = ""
-			sl.tIdx, sl.lookupCol, sl.innerCost = 0, "", 0
-			sl.osort, sl.osortOK = 0, false
+			d.put(i, dpEntry{
+				cost: hCost, rows: hRows, width: outer.width + m.nodes[hIn].Width, self: hSelf,
+				kind: dpHash, leaf: hIn, outerMask: int32(mask), outerIdx: int32(oi),
+			})
 		}
 	}
 
 	// Merge join per condition: outer and inner sorts are priced
 	// arithmetically (inner sort costs memoized per path) and never
 	// built here. A freshly sorted outer delivers exactly [outerCol],
-	// whose order key is the column itself — no key assembly needed.
+	// whose order ID the condition carries.
+	outerOrder := m.orders[outer.okeyID]
 	for ci := range conds {
 		c := &conds[ci]
 		if c.obit&mask == 0 {
@@ -830,7 +828,7 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 		}
 		oCost, oRows := outer.cost, outer.rows
 		okey := c.okeyID
-		presorted := satisfiesCol(outer.order, c.outerCol)
+		presorted := satisfiesCol(outerOrder, c.outerCol)
 		if presorted {
 			okey = outer.okeyID
 		} else {
@@ -840,43 +838,32 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 			}
 			oCost += outer.osort
 		}
-		var mIn *PlanNode
+		mIn := int32(-1)
 		mCost := math.Inf(1)
 		var mRows, mSelf float64
 		mSorted := false
-		for ii, inner := range tPaths {
+		for ii, pos := range tPaths {
+			inner := &m.nodes[pos]
 			inCost := inner.Cost
 			needSort := !satisfiesCol(inner.Order, c.innerColQ)
 			if needSort {
-				inCost += e.pathSortCost(inner)
+				inCost += m.pathSortCost(inner)
 			}
 			rows := rowsFor[ii]
 			self := (oRows + inner.Rows) * p.CPUOperatorCost
 			cost := oCost + inCost + self
 			if cost < mCost {
-				mIn, mCost, mRows, mSelf, mSorted = inner, cost, rows, self, needSort
+				mIn, mCost, mRows, mSelf, mSorted = pos, cost, rows, self, needSort
 			}
 		}
-		if mIn != nil {
+		if mIn >= 0 {
 			if i := d.find(okey); i < 0 || mCost < d.ents[i].cost {
-				sl := d.slot(i, okey)
-				sl.cost, sl.rows, sl.width, sl.self = mCost, mRows, outer.width+mIn.Width, mSelf
-				sl.okeyID = okey
-				sl.kind, sl.presorted = dpMerge, presorted
-				sl.leaf = mIn
-				sl.outerMask, sl.outerIdx = int32(mask), int32(oi)
-				if mSorted {
-					sl.innerSortCol = c.innerColQ
-				} else {
-					sl.innerSortCol = ""
-				}
-				if presorted {
-					sl.order = outer.order
-				} else {
-					sl.order = c.ocolOrder
-				}
-				sl.tIdx, sl.lookupCol, sl.innerCost = 0, "", 0
-				sl.osort, sl.osortOK = 0, false
+				d.put(i, dpEntry{
+					cost: mCost, rows: mRows, width: outer.width + m.nodes[mIn].Width, self: mSelf,
+					okeyID: okey, kind: dpMerge, presorted: presorted, innerSorted: mSorted,
+					leaf: mIn, outerMask: int32(mask), outerIdx: int32(oi),
+					tIdx: int32(t), cond: int32(ci),
+				})
 			}
 		}
 	}
@@ -886,35 +873,29 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 	if m.passNL[t] {
 		for ci := range conds {
 			c := &conds[ci]
-			leaf := c.leaf
-			if leaf == nil || c.obit&mask == 0 {
+			if c.leaf < 0 || c.obit&mask == 0 {
 				continue
 			}
+			leaf := m.nodes[c.leaf].PlanNode
 			rows := joinRows(outer.rows, m.filteredRows[t], conds, mask)
 			innerCost := outer.rows * leaf.SelfCost * p.NLFudge
 			self := rows * p.CPUTupleCost
 			cost := outer.cost + innerCost + self
 			if i := d.find(outer.okeyID); i < 0 || cost < d.ents[i].cost {
-				sl := d.slot(i, outer.okeyID)
-				sl.cost, sl.rows, sl.width, sl.self = cost, rows, outer.width+leaf.Width, self
-				sl.order, sl.okeyID = outer.order, outer.okeyID
-				sl.kind, sl.presorted = dpNL, false
-				sl.leaf = leaf
-				sl.outerMask, sl.outerIdx = int32(mask), int32(oi)
-				sl.innerSortCol = ""
-				sl.tIdx, sl.lookupCol, sl.innerCost = int32(t), c.innerCol, innerCost
-				sl.osort, sl.osortOK = 0, false
+				d.put(i, dpEntry{
+					cost: cost, rows: rows, width: outer.width + leaf.Width, self: self,
+					okeyID: outer.okeyID, kind: dpNL,
+					leaf: c.leaf, outerMask: int32(mask), outerIdx: int32(oi),
+					tIdx: int32(t), cond: int32(ci), innerCost: innerCost,
+				})
 			}
 		}
 	}
 }
 
 // ordSatisfies reports whether del's delivered order satisfies req's
-// order requirement, memoized per interned order-key pair. Every DP
-// write site pairs an entry's order slice with the interned ID of its
-// exact key, so the predicate is a pure function of the two IDs and
-// one byte answers what satisfiesOrder would recompute over strings on
-// every prune pass.
+// order requirement, memoized per order-ID pair: one byte answers what
+// satisfiesOrder would recompute over strings on every prune pass.
 func (m *joinMemo) ordSatisfies(del, req *dpEntry) bool {
 	a, b := int(del.okeyID), int(req.okeyID)
 	if b == 0 || a == b {
@@ -932,9 +913,9 @@ func (m *joinMemo) ordSatisfies(del, req *dpEntry) bool {
 			return false
 		}
 	} else {
-		// Grow to cover every interned key; cached answers are
-		// discarded and recomputed on demand (keys number a handful).
-		w = len(m.kidOf) + 1
+		// Grow to cover every interned order; cached answers are
+		// discarded and recomputed on demand (orders number a handful).
+		w = len(m.orders)
 		if need := w * w; cap(m.ordPfx) >= need {
 			m.ordPfx = m.ordPfx[:need]
 			clear(m.ordPfx)
@@ -943,7 +924,7 @@ func (m *joinMemo) ordSatisfies(del, req *dpEntry) bool {
 		}
 		m.ordPfxW = w
 	}
-	if satisfiesOrder(del.order, req.order) {
+	if satisfiesOrder(m.orders[a], m.orders[b]) {
 		m.ordPfx[a*m.ordPfxW+b] = 1
 		return true
 	}
@@ -966,7 +947,7 @@ func (m *joinMemo) prune(d *dpEntries) {
 			}
 			// Mutual domination is impossible: it would force equal
 			// costs and mutually-prefix (hence equal) orders, and
-			// entries have distinct order keys.
+			// entries have distinct orders.
 			other := &d.ents[j]
 			if other.cost <= nd.cost && m.ordSatisfies(other, nd) {
 				dominated = true
@@ -974,17 +955,10 @@ func (m *joinMemo) prune(d *dpEntries) {
 			}
 		}
 		if !dominated {
-			// Self-copies are the common case (nothing dominated yet);
-			// skipping them avoids a ~150-byte struct copy plus its
-			// write barriers on the optimizer's hottest cleanup.
-			if kept != i {
-				d.kids[kept] = d.kids[i]
-				d.ents[kept] = d.ents[i]
-			}
+			d.ents[kept] = d.ents[i]
 			kept++
 		}
 	}
-	d.kids = d.kids[:kept]
 	d.ents = d.ents[:kept]
 	if kept <= maxEntriesPerMask {
 		return
@@ -994,12 +968,9 @@ func (m *joinMemo) prune(d *dpEntries) {
 		perm[i] = i
 	}
 	sort.Slice(perm, func(a, b int) bool { return d.ents[perm[a]].cost < d.ents[perm[b]].cost })
-	kids := make([]int32, maxEntriesPerMask)
 	ents := make([]dpEntry, maxEntriesPerMask)
-	for i := 0; i < maxEntriesPerMask; i++ {
-		kids[i] = d.kids[perm[i]]
+	for i := range ents {
 		ents[i] = d.ents[perm[i]]
 	}
-	d.kids = kids
 	d.ents = ents
 }

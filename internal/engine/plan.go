@@ -113,24 +113,6 @@ type PlanNode struct {
 	// Width is the average output row width in bytes, used for sort
 	// and hash memory estimates.
 	Width float64
-
-	// okey memoizes orderKey(Order); cleared whenever Order changes.
-	okey string
-	// sortCost memoizes sortSelfCost(Rows, Width) for access-path nodes
-	// shared across a derivation (see Engine.pathSortCost).
-	sortCost   float64
-	sortCostOK bool
-}
-
-// key returns the node's memoized DP order key.
-func (n *PlanNode) key() string {
-	if len(n.Order) == 0 {
-		return ""
-	}
-	if n.okey == "" {
-		n.okey = orderKey(n.Order)
-	}
-	return n.okey
 }
 
 // Leaves appends the leaf nodes of the subtree in left-to-right order.
