@@ -305,20 +305,6 @@ func (ix *Index) Covers(cols []string) bool {
 	return true
 }
 
-// HasKeyPrefix reports whether cols is a prefix of the index key. An
-// index provides an interesting order on any prefix of its key.
-func (ix *Index) HasKeyPrefix(cols []string) bool {
-	if len(cols) > len(ix.Key) {
-		return false
-	}
-	for i, c := range cols {
-		if ix.Key[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // KeyWidth returns the total byte width of the key columns given the
 // owning table's column metadata.
 func (ix *Index) KeyWidth(t *Table) int {

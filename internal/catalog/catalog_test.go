@@ -103,25 +103,6 @@ func TestIndexCovers(t *testing.T) {
 	}
 }
 
-func TestIndexHasKeyPrefix(t *testing.T) {
-	ix := &Index{Table: "t", Key: []string{"a", "b", "c"}}
-	for _, tc := range []struct {
-		cols []string
-		want bool
-	}{
-		{nil, true},
-		{[]string{"a"}, true},
-		{[]string{"a", "b"}, true},
-		{[]string{"b"}, false},
-		{[]string{"a", "c"}, false},
-		{[]string{"a", "b", "c", "d"}, false},
-	} {
-		if got := ix.HasKeyPrefix(tc.cols); got != tc.want {
-			t.Errorf("HasKeyPrefix(%v) = %v, want %v", tc.cols, got, tc.want)
-		}
-	}
-}
-
 func TestIndexSizes(t *testing.T) {
 	tb := testTable()
 	narrow := &Index{Table: "t", Key: []string{"b"}}

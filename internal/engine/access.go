@@ -1,27 +1,26 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/catalog"
 	"repro/internal/workload"
 )
 
-// qualify renders "table.col" order elements.
-func qualify(table string, cols []string) []string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = table + "." + c
-	}
-	return out
-}
-
 // satisfiesOrder reports whether a delivered sort order satisfies a
 // required one, i.e. required is a prefix of delivered.
-func satisfiesOrder(delivered, required []string) bool {
-	if len(required) > len(delivered) {
+func satisfiesOrder(delivered, required []catalog.ColumnRef) bool {
+	return len(required) <= len(delivered) && slices.Equal(delivered[:len(required)], required)
+}
+
+// keyDelivers reports whether required is a prefix of the order that
+// key columns of table deliver, comparing each column's table and name.
+func keyDelivers(table string, key []string, required []catalog.ColumnRef) bool {
+	if len(required) > len(key) {
 		return false
 	}
 	for i, r := range required {
-		if delivered[i] != r {
+		if r.Table != table || r.Column != key[i] {
 			return false
 		}
 	}
@@ -56,7 +55,7 @@ func (p *Profile) fetchPerRow() float64 {
 }
 
 // indexScan is one single-pass way to read a table through an index:
-// its cost and the key columns (unqualified) whose order it delivers.
+// its cost and the key columns whose order it delivers.
 type indexScan struct {
 	cost  float64
 	order []string
@@ -142,9 +141,13 @@ func (e *Engine) scanPaths(q *workload.Query, table string, cfg *Config, needCol
 			op = OpIndexOnlyScan
 		}
 		for _, s := range scans[:n] {
+			order := make([]catalog.ColumnRef, len(s.order))
+			for i, c := range s.order {
+				order[i] = catalog.ColumnRef{Table: table, Column: c}
+			}
 			paths = append(paths, &PlanNode{
 				Op: op, Table: table, Index: ix, Rows: outRows, Width: width,
-				Order: qualify(table, s.order), SelfCost: s.cost, Cost: s.cost,
+				Order: order, SelfCost: s.cost, Cost: s.cost,
 			})
 		}
 	}

@@ -115,7 +115,7 @@ type TemplateLeaf struct {
 	// Index is the access index (nil for a heap scan).
 	Index *catalog.Index
 	// Order is the delivered order (scans only).
-	Order []string
+	Order []catalog.ColumnRef
 	// LookupCol and Lookups are the probed column and the probe count
 	// (lookups only).
 	LookupCol string
@@ -143,7 +143,7 @@ func (e *Engine) NewTemplateCtx(q *workload.Query, cfg *Config) *TemplateCtx {
 // left-to-right order of its tree, and returns them with the plan's
 // cost; it builds no plan tree. It returns an error when no plan
 // satisfies the requirements.
-func (tc *TemplateCtx) TemplatePlan(forced map[string][]string, dst []TemplateLeaf) ([]TemplateLeaf, float64, error) {
+func (tc *TemplateCtx) TemplatePlan(forced map[string][]catalog.ColumnRef, dst []TemplateLeaf) ([]TemplateLeaf, float64, error) {
 	if tc.err != nil {
 		return dst, 0, tc.err
 	}
@@ -173,7 +173,7 @@ func (tc *TemplateCtx) Close() {
 // plan tree; it counts as one what-if call. It is the reference
 // TemplateCtx's shared work and leaf walk are checked against (inum's
 // TestDerivationMatchesReference).
-func (e *Engine) TemplateTree(q *workload.Query, cfg *Config, forced map[string][]string) (*Plan, error) {
+func (e *Engine) TemplateTree(q *workload.Query, cfg *Config, forced map[string][]catalog.ColumnRef) (*Plan, error) {
 	e.whatIfCalls.Add(1)
 	if err := checkOptimizable(q); err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ func errNoPlan(q *workload.Query) error {
 // optimizeMemo is one optimization over the memo's cached inputs: join
 // ordering, then finalization. Only the winner's operator nodes are
 // built.
-func (e *Engine) optimizeMemo(m *joinMemo, forced map[string][]string) (*Plan, error) {
+func (e *Engine) optimizeMemo(m *joinMemo, forced map[string][]catalog.ColumnRef) (*Plan, error) {
 	full := e.optimizeJoin(m, forced)
 	if full == nil {
 		return nil, errNoPlan(m.q)
@@ -234,7 +234,7 @@ type finish struct {
 	// self cost, aggOrder its delivered order.
 	agg              Op
 	aggRows, aggSelf float64
-	aggOrder         []string
+	aggOrder         []catalog.ColumnRef
 	// groupSort: a Sort on the GROUP BY columns feeds the stream
 	// aggregate. orderSort: a final ORDER BY sort follows.
 	groupSort, orderSort bool
@@ -247,15 +247,14 @@ type finish struct {
 // cheaper of hash aggregation and sort+stream unless the input already
 // arrives grouped. finalize builds exactly what it decided, and
 // TestPlanFinishMatchesFinalize holds the two costs bit-equal.
-func (e *Engine) planFinish(m *joinMemo, cost, rows, width float64, order []string) finish {
+func (e *Engine) planFinish(m *joinMemo, cost, rows, width float64, order []catalog.ColumnRef) finish {
 	p := e.Prof
 	q := m.q
-	groupOrder, orderBy := m.finalOrders()
 	var f finish
 
 	if len(q.GroupBy) > 0 {
 		f.agg, f.aggRows, f.aggSelf = OpStreamAgg, m.groupRowsFor(rows), rows*p.CPUOperatorCost
-		if !satisfiesOrder(order, groupOrder) {
+		if !satisfiesOrder(order, q.GroupBy) {
 			hashSelf := rows*p.CPUOperatorCost*2*p.HashFudge + f.aggRows*p.CPUOperatorCost
 			if pages := f.aggRows * width / PageSizeF; pages > float64(p.MemoryPages) {
 				hashSelf += pages * 2 * p.SeqPageCost
@@ -266,7 +265,7 @@ func (e *Engine) planFinish(m *joinMemo, cost, rows, width float64, order []stri
 			} else {
 				f.groupSort = true
 				cost = sorted
-				order = groupOrder
+				order = q.GroupBy
 			}
 		}
 		cost += f.aggSelf
@@ -279,7 +278,7 @@ func (e *Engine) planFinish(m *joinMemo, cost, rows, width float64, order []stri
 	}
 	f.aggOrder = order
 
-	if len(q.OrderBy) > 0 && !satisfiesOrder(order, orderBy) {
+	if len(q.OrderBy) > 0 && !satisfiesOrder(order, q.OrderBy) {
 		f.orderSort = true
 		cost += m.sortCostFor(rows, width)
 	}
@@ -289,9 +288,8 @@ func (e *Engine) planFinish(m *joinMemo, cost, rows, width float64, order []stri
 
 // finalize builds the operators f decided on top of a join result.
 func (e *Engine) finalize(m *joinMemo, root *PlanNode, f finish) *PlanNode {
-	groupOrder, orderBy := m.finalOrders()
 	if f.groupSort {
-		root = e.sortNode(root, groupOrder)
+		root = e.sortNode(root, m.q.GroupBy)
 	}
 	if f.agg != 0 {
 		agg := &PlanNode{
@@ -303,43 +301,9 @@ func (e *Engine) finalize(m *joinMemo, root *PlanNode, f finish) *PlanNode {
 		root = agg
 	}
 	if f.orderSort {
-		root = e.sortNode(root, orderBy)
+		root = e.sortNode(root, m.q.OrderBy)
 	}
 	return root
-}
-
-// orderSatisfiedByKey reports whether required (qualified "table.col"
-// elements) is a prefix of the order delivered by key columns of
-// table, without materializing the qualified order — the allocation-
-// free core of the γ kernel below.
-func orderSatisfiedByKey(table string, key, required []string) bool {
-	if len(required) > len(key) {
-		return false
-	}
-	for i, r := range required {
-		k := key[i]
-		if len(r) != len(table)+1+len(k) || r[:len(table)] != table || r[len(table)] != '.' || r[len(table)+1:] != k {
-			return false
-		}
-	}
-	return true
-}
-
-// orderReachable reports whether some scan of an index keyed on key
-// could deliver the required order. Its scans deliver key[eqBound:] or
-// key itself, so an order that is a prefix of no key suffix key[k:] is
-// delivered by none of them, whatever the query binds: SlotCost rejects
-// the pair before pricing any scan.
-func orderReachable(table string, key, required []string) bool {
-	if len(required) == 0 {
-		return true
-	}
-	for k := 0; k+len(required) <= len(key); k++ {
-		if orderSatisfiedByKey(table, key[k:], required) {
-			return true
-		}
-	}
-	return false
 }
 
 // Access is what γ reads from one template slot: the query, the
@@ -359,8 +323,8 @@ type Access struct {
 	pages    float64
 	lsel     float64
 
-	// order is a scan slot's required (qualified) order.
-	order []string
+	// order is a scan slot's required order.
+	order []catalog.ColumnRef
 
 	// lookup marks a repeated-lookup slot: lookups probes on joinCol,
 	// each yielding rowsPerLookup rows from entries index entries.
@@ -372,7 +336,7 @@ type Access struct {
 
 // ScanAccess prepares a single-pass slot: reading table while
 // delivering requiredOrder, touching needCols.
-func (e *Engine) ScanAccess(q *workload.Query, table string, requiredOrder, needCols []string) Access {
+func (e *Engine) ScanAccess(q *workload.Query, table string, requiredOrder []catalog.ColumnRef, needCols []string) Access {
 	a := Access{q: q, t: e.Cat.Table(table), needCols: needCols, order: requiredOrder}
 	if a.t != nil {
 		a.rows, a.pages = float64(a.t.Rows), float64(a.t.Pages())
@@ -408,10 +372,11 @@ func (e *Engine) IndexGeometry(ix *catalog.Index) catalog.Geometry {
 // slot's table; ignored for the heap). It returns ok=false when the
 // access method cannot implement the slot — the γ = ∞ case of Lemma 1:
 // an index on another table, a heap or an unusable index for a lookup,
-// a scan that cannot deliver the required order. An ordered scan slot
-// whose order no key suffix starts with (orderReachable) is rejected
-// before any scan is priced; the call still counts. The caller counts
-// its calls and reports them through AddSlotCostCalls.
+// a scan that cannot deliver the required order. Every scan of an index
+// delivers a suffix of its key, so an ordered scan slot whose order no
+// key suffix starts with is rejected before any scan is priced; the
+// call still counts. The caller counts its calls and reports them
+// through AddSlotCostCalls.
 //
 // The dense CostMatrix compilation runs it once per (shape, template,
 // slot, candidate) with a and g built once each; the single-statement
@@ -437,13 +402,20 @@ func (e *Engine) SlotCost(a *Access, ix *catalog.Index, g catalog.Geometry) (flo
 		}
 		return e.Prof.fullPassCost(a.pages, a.rows), true
 	}
-	if ix.Table != a.t.Name || !orderReachable(a.t.Name, ix.Key, a.order) {
+	if ix.Table != a.t.Name {
+		return 0, false
+	}
+	reachable := len(a.order) == 0
+	for k := 0; !reachable && k+len(a.order) <= len(ix.Key); k++ {
+		reachable = keyDelivers(ix.Table, ix.Key[k:], a.order)
+	}
+	if !reachable {
 		return 0, false
 	}
 	scans, n, _ := e.indexScans(a, ix, g)
 	best := math.Inf(1)
 	for _, s := range scans[:n] {
-		if s.cost < best && orderSatisfiedByKey(a.t.Name, s.order, a.order) {
+		if s.cost < best && keyDelivers(ix.Table, s.order, a.order) {
 			best = s.cost
 		}
 	}

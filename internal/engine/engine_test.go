@@ -254,7 +254,7 @@ func TestTemplatePlanHonorsForcedOrder(t *testing.T) {
 	ix := &catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}
 	tc := e.NewTemplateCtx(q, base.Union(NewConfig(ix)))
 	defer tc.Close()
-	forced := map[string][]string{"lineitem": {"lineitem.l_shipdate"}}
+	forced := map[string][]catalog.ColumnRef{"lineitem": {ref("lineitem", "l_shipdate")}}
 	leaves, _, err := tc.TemplatePlan(forced, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestTemplatePlanHonorsForcedOrder(t *testing.T) {
 		t.Fatalf("forced order violated: leaf %s order %v", leaf.Op, leaf.Order)
 	}
 	// Forcing an unobtainable order must fail.
-	if _, _, err := tc.TemplatePlan(map[string][]string{"lineitem": {"lineitem.l_discount"}}, nil); err == nil {
+	if _, _, err := tc.TemplatePlan(map[string][]catalog.ColumnRef{"lineitem": {ref("lineitem", "l_discount")}}, nil); err == nil {
 		t.Fatal("expected error for unobtainable forced order")
 	}
 }
@@ -293,7 +293,7 @@ func TestSlotScanCost(t *testing.T) {
 		t.Fatalf("selective index slot %v should beat heap %v", ic, heap)
 	}
 	// An index that cannot deliver the required order is infeasible.
-	ordered := e.ScanAccess(q, "lineitem", []string{"lineitem.l_shipdate"}, need)
+	ordered := e.ScanAccess(q, "lineitem", []catalog.ColumnRef{ref("lineitem", "l_shipdate")}, need)
 	other := &catalog.Index{Table: "lineitem", Key: []string{"l_discount"}}
 	if _, ok := slotCost(e, ordered, other); ok {
 		t.Fatal("order-incompatible index must be rejected (γ = ∞)")
@@ -434,21 +434,18 @@ func slotTestCandidates(cat *catalog.Catalog, q *workload.Query, table string) [
 // slotTestOrders returns the orders a template slot on table could
 // require: none, each single column the query touches there (join
 // columns among them), and the table's group-by and order-by prefixes.
-func slotTestOrders(q *workload.Query, table string) [][]string {
-	orders := [][]string{nil}
+func slotTestOrders(q *workload.Query, table string) [][]catalog.ColumnRef {
+	orders := [][]catalog.ColumnRef{nil}
 	for _, c := range q.ColumnsOf(table) {
-		orders = append(orders, []string{table + "." + c})
+		orders = append(orders, []catalog.ColumnRef{ref(table, c)})
 	}
 	for _, refs := range [][]catalog.ColumnRef{q.GroupBy, q.OrderBy} {
-		var prefix []string
-		for _, r := range refs {
-			if r.Table != table {
-				break
-			}
-			prefix = append(prefix, r.String())
+		n := 0
+		for n < len(refs) && refs[n].Table == table {
+			n++
 		}
-		if len(prefix) > 1 {
-			orders = append(orders, prefix)
+		if n > 1 {
+			orders = append(orders, refs[:n])
 		}
 	}
 	return orders
@@ -520,12 +517,12 @@ func TestSlotCostMatchesAccessPaths(t *testing.T) {
 					if ix != nil && len(a.order) > 0 {
 						reachable := false
 						for k := range ix.Key {
-							reachable = reachable || satisfiesOrder(qualify(table, ix.Key[k:]), a.order)
+							reachable = reachable || keyDelivers(table, ix.Key[k:], a.order)
 						}
 						switch {
 						case !reachable:
 							unreachable++
-						case ok && !satisfiesOrder(qualify(table, ix.Key), a.order):
+						case ok && !keyDelivers(table, ix.Key, a.order):
 							suffixOnly++
 						}
 					}

@@ -109,22 +109,22 @@ func TestPlanFinishMatchesFinalize(t *testing.T) {
 // q in the manner of INUM's walk: per table the options "unforced",
 // each join column and the grouping and ordering columns on it, and
 // the mixed-radix combinations of those, 48 at most.
-func derivationPasses(q *workload.Query) []map[string][]string {
-	opts := make([][][]string, len(q.Tables))
+func derivationPasses(q *workload.Query) []map[string][]catalog.ColumnRef {
+	opts := make([][][]catalog.ColumnRef, len(q.Tables))
 	for i, t := range q.Tables {
-		opts[i] = [][]string{nil}
+		opts[i] = [][]catalog.ColumnRef{nil}
 		for _, jc := range q.JoinColsOf(t) {
-			opts[i] = append(opts[i], []string{t + "." + jc})
+			opts[i] = append(opts[i], []catalog.ColumnRef{{Table: t, Column: jc}})
 		}
 		for _, refs := range [][]catalog.ColumnRef{q.GroupBy, q.OrderBy} {
 			if len(refs) > 0 && refs[0].Table == t {
-				opts[i] = append(opts[i], []string{refs[0].String()})
+				opts[i] = append(opts[i], refs[:1])
 			}
 		}
 	}
-	passes := []map[string][]string{nil}
+	passes := []map[string][]catalog.ColumnRef{nil}
 	for ci := 1; ci <= 48; ci++ {
-		forced := map[string][]string{}
+		forced := map[string][]catalog.ColumnRef{}
 		rest := ci
 		for i, o := range opts {
 			if c := rest % len(o); c > 0 {
@@ -267,11 +267,11 @@ func TestRequirementOverflowMatchesFreshMemo(t *testing.T) {
 	}
 	cols := cat.Table("lineitem").Cols
 	cfg := NewConfig(base.Indexes()...)
-	var orders [][]string
+	var orders [][]catalog.ColumnRef
 	for i := 0; len(orders) < maxReqs+8; i++ {
 		a, b := cols[i%len(cols)].Name, cols[(i/len(cols)+i+1)%len(cols)].Name
 		cfg.Add(&catalog.Index{Table: "lineitem", Key: []string{a, b}})
-		orders = append(orders, []string{"lineitem." + a, "lineitem." + b})
+		orders = append(orders, []catalog.ColumnRef{{Table: "lineitem", Column: a}, {Table: "lineitem", Column: b}})
 	}
 	tc := e.NewTemplateCtx(q, cfg)
 	defer tc.Close()
@@ -279,7 +279,7 @@ func TestRequirementOverflowMatchesFreshMemo(t *testing.T) {
 	resets, planned, prev := 0, 0, 0
 	for round := 0; round < 2; round++ {
 		for _, o := range orders {
-			forced := map[string][]string{"lineitem": o}
+			forced := map[string][]catalog.ColumnRef{"lineitem": o}
 			leaves, cost, err := tc.TemplatePlan(forced, nil)
 			if n := len(tc.memo.reqs[li]); n < prev {
 				resets++

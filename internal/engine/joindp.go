@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/catalog"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func (e *Engine) sortSelfCost(rows, width float64) float64 {
 }
 
 // sortNode wraps child in a Sort delivering the required order.
-func (e *Engine) sortNode(child *PlanNode, order []string) *PlanNode {
+func (e *Engine) sortNode(child *PlanNode, order []catalog.ColumnRef) *PlanNode {
 	n := &PlanNode{
 		Op: OpSort, Children: []*PlanNode{child},
 		Rows: child.Rows, Width: child.Width, Order: order,
@@ -71,26 +72,19 @@ func (e *Engine) hashCost(buildRows, buildWidth, probeRows, probeWidth float64) 
 // derivation, in q.Joins order; a DP expansion of subset mask with the
 // table reads those whose other table lies in mask (obit&mask != 0).
 type joinCond struct {
-	outerCol  string // qualified column on the other table
-	innerCol  string // unqualified column on this table
-	innerColQ string // innerCol qualified with this table's name
-	sel       float64
+	outer catalog.ColumnRef // the column on the other table
+	inner catalog.ColumnRef // the column on this table
+	sel   float64
 	// obit is the other table's bit in the DP's table masks.
 	obit int
 	// leaf is the position in joinMemo.nodes of the repeated-lookup
-	// access path probing innerCol (-1 when the table has no usable
+	// access path probing inner (-1 when the table has no usable
 	// index); resolved once when the condition list is built rather
 	// than on every DP expansion.
 	leaf int32
-	// okeyID is the interned ID of the order [outerCol] that a freshly
+	// okeyID is the interned ID of the order [outer] that a freshly
 	// sorted merge outer delivers.
 	okeyID int32
-}
-
-// satisfiesCol reports whether a delivered order begins with col —
-// the single-column case of satisfiesOrder, without a slice.
-func satisfiesCol(delivered []string, col string) bool {
-	return len(delivered) > 0 && delivered[0] == col
 }
 
 // Entry kinds: how a dpEntry's plan is rooted.
@@ -237,13 +231,13 @@ type joinMemo struct {
 	// for "unconstrained" (absent and forced-empty tables admit the
 	// same paths and nested-loop probing). A requirement's index is the
 	// table's key; paths[t][k] is the path set key k admits.
-	reqs  [][][]string
+	reqs  [][][]catalog.ColumnRef
 	paths [][][]int32
 
 	// orders interns the orders of one derivation by slice equality;
 	// orders[0] is the empty order. A DP entry names its order by ID,
 	// so entry lookups reduce to int comparisons.
-	orders [][]string
+	orders [][]catalog.ColumnRef
 	// ordPfx caches the order-satisfaction predicate per (delivered,
 	// required) order-ID pair for prune's dominance test: 0 unknown,
 	// 1 satisfies, 2 does not. Indexed a*ordPfxW+b, grown as orders are
@@ -274,12 +268,6 @@ type joinMemo struct {
 	// gr caches groupRows by the exact input-rows bits (the query's
 	// GroupBy list is fixed), for the same cross-pass reason.
 	gr [64]grSlot
-
-	// groupOrder/orderBy memoize the qualified column-name slices
-	// planFinish and finalize need.
-	groupOrder []string
-	orderBy    []string
-	finalPrep  bool
 }
 
 // pathNode is one numbered node of joinMemo.nodes: an access path or
@@ -346,7 +334,7 @@ func newJoinMemo(e *Engine, n int) *joinMemo {
 		base:         make([][]int32, n),
 		filteredRows: make([]float64, n),
 		conds:        make([][]joinCond, n),
-		reqs:         make([][][]string, n),
+		reqs:         make([][][]catalog.ColumnRef, n),
 		paths:        make([][][]int32, n),
 		vers:         make([][]dpEntries, 1<<n),
 		dp:           make([]*dpEntries, 1<<n),
@@ -390,8 +378,6 @@ func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
 	clear(m.orders)
 	m.nodes, m.orders = m.nodes[:0], append(m.orders[:0], nil)
 	m.ordPfx, m.ordPfxW = m.ordPfx[:0], 0
-	m.finalPrep = false
-	m.groupOrder, m.orderBy = nil, nil
 	m.gr = [64]grSlot{}
 	for i, t := range q.Tables {
 		m.idx[t] = i
@@ -406,25 +392,22 @@ func (m *joinMemo) reset(q *workload.Query, cfg *Config, template bool) {
 		clear(m.conds[t])
 		conds := m.conds[t][:0]
 		for _, j := range q.Joins {
-			var tCol, oTab, oCol string
-			switch {
-			case j.Left.Table == name:
-				tCol, oTab, oCol = j.Left.Column, j.Right.Table, j.Right.Column
-			case j.Right.Table == name:
-				tCol, oTab, oCol = j.Right.Column, j.Left.Table, j.Left.Column
-			default:
+			inner, outer := j.Left, j.Right
+			if inner.Table != name {
+				inner, outer = outer, inner
+			}
+			if inner.Table != name {
 				continue
 			}
-			oi, ok := m.idx[oTab]
+			oi, ok := m.idx[outer.Table]
 			if !ok {
 				continue
 			}
-			outerCol := oTab + "." + oCol
 			conds = append(conds, joinCond{
-				outerCol: outerCol, innerCol: tCol, innerColQ: name + "." + tCol,
+				outer: outer, inner: inner,
 				sel: e.joinSel(j), obit: 1 << oi,
-				leaf:   m.lookupLeaf(t, tCol),
-				okeyID: m.orderID([]string{outerCol}),
+				leaf:   m.lookupLeaf(t, inner.Column),
+				okeyID: m.orderID([]catalog.ColumnRef{outer}),
 			})
 		}
 		m.conds[t] = conds
@@ -456,7 +439,7 @@ func (e *Engine) putMemo(m *joinMemo) {
 }
 
 // orderID interns an order by slice equality; the empty order is ID 0.
-func (m *joinMemo) orderID(o []string) int32 {
+func (m *joinMemo) orderID(o []catalog.ColumnRef) int32 {
 	if len(o) == 0 {
 		return 0
 	}
@@ -498,13 +481,13 @@ func (m *joinMemo) lookupLeaf(t int, col string) int32 {
 // vector: table t's key in bits [reqBits·t, reqBits·(t+1)). A table
 // meeting its maxReqs-th distinct requirement drops every version first,
 // so the derivation goes on as from a fresh memo.
-func (m *joinMemo) passKeys(forced map[string][]string) uint64 {
+func (m *joinMemo) passKeys(forced map[string][]catalog.ColumnRef) uint64 {
 	var vec uint64
 	for t, name := range m.tables {
 		req := forced[name]
 		k := 0
 		if len(req) > 0 {
-			k = slices.IndexFunc(m.reqs[t][1:], func(r []string) bool { return slices.Equal(r, req) }) + 1
+			k = slices.IndexFunc(m.reqs[t][1:], func(r []catalog.ColumnRef) bool { return slices.Equal(r, req) }) + 1
 			if k == 0 {
 				if len(m.reqs[t]) == maxReqs {
 					m.resetVersions()
@@ -524,7 +507,7 @@ func (m *joinMemo) passKeys(forced map[string][]string) uint64 {
 
 // trim returns the access-path set of table t under order requirement
 // req. Plain mode is never forced and uses every path.
-func (m *joinMemo) trim(t int, req []string) []int32 {
+func (m *joinMemo) trim(t int, req []catalog.ColumnRef) []int32 {
 	if !m.template {
 		return m.base[t]
 	}
@@ -575,27 +558,6 @@ func (m *joinMemo) useVersion(mask int, key uint64) bool {
 	return true
 }
 
-// finalOrders lazily prepares the qualified group-by and order-by
-// column slices used by planFinish and finalize.
-func (m *joinMemo) finalOrders() ([]string, []string) {
-	if !m.finalPrep {
-		m.finalPrep = true
-		if len(m.q.GroupBy) > 0 {
-			m.groupOrder = make([]string, len(m.q.GroupBy))
-			for i, g := range m.q.GroupBy {
-				m.groupOrder[i] = g.String()
-			}
-		}
-		if len(m.q.OrderBy) > 0 {
-			m.orderBy = make([]string, len(m.q.OrderBy))
-			for i, o := range m.q.OrderBy {
-				m.orderBy[i] = o.String()
-			}
-		}
-	}
-	return m.groupOrder, m.orderBy
-}
-
 // materialize rebuilds the plan tree of entry (mask, idx) from its
 // provenance, mirroring exactly the nodes the pre-scalar DP used to
 // build eagerly: identical operators, children, costs and orders.
@@ -618,7 +580,7 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 		}
 		in := m.nodes[en.leaf].PlanNode
 		if en.innerSorted {
-			in = m.e.sortNode(in, []string{m.conds[en.tIdx][en.cond].innerColQ})
+			in = m.e.sortNode(in, []catalog.ColumnRef{m.conds[en.tIdx][en.cond].inner})
 		}
 		return &PlanNode{
 			Op: OpMergeJoin, Children: []*PlanNode{o, in},
@@ -632,7 +594,7 @@ func (m *joinMemo) materialize(mask, idx int) *PlanNode {
 			Op: OpIndexLookup, Table: m.tables[en.tIdx], Index: leaf.Index,
 			Rows: leaf.Rows, Width: leaf.Width,
 			Lookups:   o.Rows,
-			LookupCol: m.conds[en.tIdx][en.cond].innerCol,
+			LookupCol: m.conds[en.tIdx][en.cond].inner.Column,
 			SelfCost:  en.innerCost, Cost: en.innerCost,
 		}
 		return &PlanNode{
@@ -655,7 +617,7 @@ func (m *joinMemo) appendLeaves(dst []TemplateLeaf, mask, idx int) []TemplateLea
 	if en.kind == dpNL {
 		return append(dst, TemplateLeaf{
 			Op: OpIndexLookup, Table: m.tables[en.tIdx], Index: m.nodes[en.leaf].Index,
-			LookupCol: m.conds[en.tIdx][en.cond].innerCol, Lookups: m.dp[en.outerMask].ents[en.outerIdx].rows,
+			LookupCol: m.conds[en.tIdx][en.cond].inner.Column, Lookups: m.dp[en.outerMask].ents[en.outerIdx].rows,
 			SelfCost: en.innerCost,
 		})
 	}
@@ -671,7 +633,7 @@ func (m *joinMemo) appendLeaves(dst []TemplateLeaf, mask, idx int) []TemplateLea
 //
 // The returned entries alias the memo's DP scratch and are invalidated
 // by the next optimizeJoin call on the same memo.
-func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]string) *dpEntries {
+func (e *Engine) optimizeJoin(m *joinMemo, forced map[string][]catalog.ColumnRef) *dpEntries {
 	n := len(m.tables)
 	full := 1<<n - 1
 
@@ -818,7 +780,7 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 
 	// Merge join per condition: outer and inner sorts are priced
 	// arithmetically (inner sort costs memoized per path) and never
-	// built here. A freshly sorted outer delivers exactly [outerCol],
+	// built here. A freshly sorted outer delivers exactly [outer],
 	// whose order ID the condition carries.
 	outerOrder := m.orders[outer.okeyID]
 	for ci := range conds {
@@ -828,7 +790,7 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 		}
 		oCost, oRows := outer.cost, outer.rows
 		okey := c.okeyID
-		presorted := satisfiesCol(outerOrder, c.outerCol)
+		presorted := len(outerOrder) > 0 && outerOrder[0] == c.outer
 		if presorted {
 			okey = outer.okeyID
 		} else {
@@ -845,7 +807,7 @@ func (e *Engine) expandJoin(m *joinMemo, mask, t, oi int) {
 		for ii, pos := range tPaths {
 			inner := &m.nodes[pos]
 			inCost := inner.Cost
-			needSort := !satisfiesCol(inner.Order, c.innerColQ)
+			needSort := len(inner.Order) == 0 || inner.Order[0] != c.inner
 			if needSort {
 				inCost += m.pathSortCost(inner)
 			}

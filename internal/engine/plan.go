@@ -101,14 +101,13 @@ type PlanNode struct {
 	// is the *total* access cost of the slot, matching the γ
 	// convention of Lemma 1.
 	SelfCost float64
-	// Order is the delivered sort order (column names qualified
-	// "table.col"), empty if unordered.
-	Order []string
+	// Order is the delivered sort order, empty if unordered.
+	Order []catalog.ColumnRef
 	// Lookups, for OpIndexLookup, is the number of probes the outer
 	// side drives.
 	Lookups float64
-	// LookupCol, for OpIndexLookup, is the (unqualified) join column
-	// probed on this table.
+	// LookupCol, for OpIndexLookup, is the join column probed on this
+	// table.
 	LookupCol string
 	// Width is the average output row width in bytes, used for sort
 	// and hash memory estimates.

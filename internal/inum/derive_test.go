@@ -1,20 +1,42 @@
 package inum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
 
-// templateSig is the template's signature, which a derivation keeps
-// one candidate per: its slot part, '|' and its β text.
+// templateSig is a template's signature as text, the reference for
+// the duplicate test of a derivation (derivation.add), which keeps one
+// candidate per signature: the slots ordered by table, each as its
+// table, mode, required order, join column and Lookups to zero
+// decimals, then '|' and β to three decimals.
 func templateSig(t *Template) string {
-	return string(appendBeta(append(t.appendSlotSig(nil), '|'), t.Internal))
+	slots := slices.Clone(t.Slots)
+	slices.SortStableFunc(slots, func(a, b Slot) int { return strings.Compare(a.Table, b.Table) })
+	var b strings.Builder
+	for k, s := range slots {
+		if k > 0 {
+			b.WriteByte(';')
+		}
+		order := make([]string, len(s.RequiredOrder))
+		for j, c := range s.RequiredOrder {
+			order[j] = c.String()
+		}
+		fmt.Fprintf(&b, "%s/%d/%s/%s/%s", s.Table, s.Mode, strings.Join(order, "+"), s.JoinCol, strconv.FormatFloat(s.Lookups, 'f', 0, 64))
+	}
+	b.WriteByte('|')
+	b.WriteString(strconv.FormatFloat(t.Internal, 'f', 3, 64))
+	return b.String()
 }
 
 // referenceTemplates derives q's templates with no work shared between
@@ -29,7 +51,7 @@ func referenceTemplates(e *engine.Engine, q *workload.Query, maxK int) []*Templa
 	}
 	var ts []*Template
 	var sigs []string
-	eachPass(q, needCols, func(cfg *engine.Config, forced map[string][]string) {
+	eachPass(q, needCols, func(cfg *engine.Config, forced map[string][]catalog.ColumnRef) {
 		p, err := e.TemplateTree(q, cfg, forced)
 		if err != nil {
 			return
@@ -151,36 +173,51 @@ func TestDerivationScratchHoldsNoCandidates(t *testing.T) {
 }
 
 // TestDerivationKeepsDistinctSignatures: add keeps a candidate exactly
-// when no earlier one has its whole signature, though it formats β only
-// for candidates whose slot part matched an earlier one. The walk mixes
-// equal slot parts with β that differ above, below and at the
-// signature's three decimals.
+// when no earlier one has its whole text signature (templateSig),
+// though it compares slots as fields and formats β only for candidates
+// whose slots matched an earlier one's. The walk mixes slots listed in
+// either table order, scans under one- and two-column orders, lookups
+// whose probe counts differ above, below and at a rounding tie, and β
+// that differ above, below and at the signature's three decimals, and
+// around the 0.002 beyond which add skips the slot comparison.
 func TestDerivationKeepsDistinctSignatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	leaves := [][]engine.TemplateLeaf{
-		{{Op: engine.OpSeqScan, Table: "orders", SelfCost: 1}},
-		{{Op: engine.OpSeqScan, Table: "orders", SelfCost: 1}, {Op: engine.OpIndexLookup, Table: "lineitem", LookupCol: "l_orderkey", Lookups: 40, SelfCost: 2}},
-		{{Op: engine.OpSeqScan, Table: "orders", SelfCost: 1}, {Op: engine.OpSeqScan, Table: "lineitem", SelfCost: 2}},
+	forced := []map[string][]catalog.ColumnRef{
+		nil,
+		{"orders": {{Table: "orders", Column: "o_orderkey"}}},
+		{"orders": {{Table: "orders", Column: "o_orderkey"}, {Table: "orders", Column: "o_orderdate"}}},
+		{"orders": {{Table: "orders", Column: "o_orderkey"}}, "lineitem": {{Table: "lineitem", Column: "l_orderkey"}}},
 	}
-	forced := map[string][]string{"orders": {"orders.o_orderkey"}}
-	betas := []float64{10, 10.0001, 10.0004, 10.0006, 11, 12.5}
+	lookups := []float64{40, 40.4999, 40.5, 39.5, 41.5, 0.4, 0.5, 1.5}
+	betas := []float64{10, 10.0001, 10.0004, 10.0006, 10.0015, 10.002, 10.0025, 11, 12.5}
+	leaf := func(table, col string) engine.TemplateLeaf {
+		if rng.Intn(2) == 0 {
+			return engine.TemplateLeaf{Op: engine.OpSeqScan, Table: table, SelfCost: 1}
+		}
+		return engine.TemplateLeaf{Op: engine.OpIndexLookup, Table: table, LookupCol: col, Lookups: lookups[rng.Intn(len(lookups))], SelfCost: 2}
+	}
+	var lookupMatches int
 	for round := 0; round < 50; round++ {
 		d := new(derivation)
 		var want []string
-		for range 30 {
-			d.leaves = leaves[rng.Intn(len(leaves))]
-			var f map[string][]string
-			if rng.Intn(2) == 0 {
-				f = forced
+		for range 40 {
+			d.leaves = []engine.TemplateLeaf{leaf("orders", "o_orderkey")}
+			if rng.Intn(3) > 0 {
+				d.leaves = append(d.leaves, leaf("lineitem", "l_orderkey"))
+				if rng.Intn(2) == 0 {
+					d.leaves[0], d.leaves[1] = d.leaves[1], d.leaves[0]
+				}
 			}
 			var leafCost float64
 			for _, l := range d.leaves {
 				leafCost += l.SelfCost
 			}
-			d.add(betas[rng.Intn(len(betas))]+leafCost, f, nil)
+			d.add(betas[rng.Intn(len(betas))]+leafCost, forced[rng.Intn(len(forced))], nil)
 			sig := templateSig(d.cands[len(want)])
 			if !slices.Contains(want, sig) {
 				want = append(want, sig)
+			} else if strings.Contains(sig, "/1/") {
+				lookupMatches++
 			}
 			if d.n != len(want) {
 				t.Fatalf("round %d: %d candidates kept, %d distinct signatures", round, d.n, len(want))
@@ -189,6 +226,24 @@ func TestDerivationKeepsDistinctSignatures(t *testing.T) {
 		for i, c := range d.cands[:d.n] {
 			if got := templateSig(c); got != want[i] {
 				t.Fatalf("round %d: candidate %d has signature %q, want %q", round, i, got, want[i])
+			}
+		}
+	}
+	if lookupMatches == 0 {
+		t.Fatal("no duplicate candidate had a lookup slot")
+	}
+}
+
+// TestSameRoundedMatchesText: sameRounded holds two probe counts equal
+// exactly when strconv prints them alike to zero decimals.
+func TestSameRoundedMatchesText(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), -0.4, 0.4, 0.5, 1.5, 2.5, -2.5, 3, 39.5, 40, 40.4999, 40.5, 41.5,
+		math.Nextafter(0.5, 1), math.Nextafter(2.5, 0), 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := strconv.FormatFloat(a, 'f', 0, 64) == strconv.FormatFloat(b, 'f', 0, 64)
+			if got := sameRounded(a, b); got != want {
+				t.Errorf("sameRounded(%v, %v) = %v, text says %v", a, b, got, want)
 			}
 		}
 	}

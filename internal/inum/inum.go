@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -45,9 +44,9 @@ type Slot struct {
 	Table string
 	// Mode is the access style.
 	Mode SlotMode
-	// RequiredOrder is the qualified sort order the slot must deliver
-	// (scan slots only; empty means any access works).
-	RequiredOrder []string
+	// RequiredOrder is the sort order the slot must deliver, columns of
+	// Table (scan slots only; empty means any access works).
+	RequiredOrder []catalog.ColumnRef
 	// JoinCol is the probed column (lookup slots only).
 	JoinCol string
 	// Lookups is the probe multiplicity (lookup slots only).
@@ -68,49 +67,16 @@ type Template struct {
 	Slots []Slot
 }
 
-// appendBeta appends β as a template's signature formats it, to three
-// decimals. A signature is its slot part (appendSlotSig) and its β text:
-// a derivation keeps one candidate per signature.
-func appendBeta(buf []byte, beta float64) []byte {
-	return strconv.AppendFloat(buf, beta, 'f', 3, 64)
-}
-
-// appendSlotSig appends the bytes that canonically identify the
-// template's slot structure to buf.
-func (t *Template) appendSlotSig(buf []byte) []byte {
-	// Slots hold one table each, so ordering by table canonicalizes the
-	// signature; the slot count is tiny, so selection-order directly.
-	var idx [16]int
-	order := idx[:0]
+// slotOn returns the template's slot on table, or nil. A template holds
+// one slot per table, and slot counts are tiny (one per referenced
+// table), so a linear scan beats building a lookup map per comparison.
+func (t *Template) slotOn(table string) *Slot {
 	for i := range t.Slots {
-		order = append(order, i)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && t.Slots[order[j]].Table < t.Slots[order[j-1]].Table; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
+		if t.Slots[i].Table == table {
+			return &t.Slots[i]
 		}
 	}
-	for k, i := range order {
-		if k > 0 {
-			buf = append(buf, ';')
-		}
-		s := &t.Slots[i]
-		buf = append(buf, s.Table...)
-		buf = append(buf, '/')
-		buf = strconv.AppendInt(buf, int64(s.Mode), 10)
-		buf = append(buf, '/')
-		for j, c := range s.RequiredOrder {
-			if j > 0 {
-				buf = append(buf, '+')
-			}
-			buf = append(buf, c...)
-		}
-		buf = append(buf, '/')
-		buf = append(buf, s.JoinCol...)
-		buf = append(buf, '/')
-		buf = strconv.AppendFloat(buf, s.Lookups, 'f', 0, 64)
-	}
-	return buf
+	return nil
 }
 
 // QueryInfo is one query with its template plans TPlans(q). The
@@ -327,39 +293,24 @@ func (c *Cache) insert(fp string, en *shapeEntry) {
 
 // interestingOrders returns the per-table candidate orders of a query:
 // single join columns, the group-by prefix and the order-by prefix
-// restricted to the table.
-func interestingOrders(q *workload.Query, table string) [][]string {
-	var out [][]string
-	seen := map[string]bool{}
-	add := func(order []string) {
-		if len(order) == 0 {
-			return
-		}
-		k := strings.Join(order, ",")
-		if !seen[k] {
-			seen[k] = true
+// restricted to the table, each once.
+func interestingOrders(q *workload.Query, table string) [][]catalog.ColumnRef {
+	var out [][]catalog.ColumnRef
+	add := func(order []catalog.ColumnRef) {
+		if len(order) > 0 && !slices.ContainsFunc(out, func(o []catalog.ColumnRef) bool { return slices.Equal(o, order) }) {
 			out = append(out, order)
 		}
 	}
 	for _, jc := range q.JoinColsOf(table) {
-		add([]string{table + "." + jc})
+		add([]catalog.ColumnRef{{Table: table, Column: jc}})
 	}
-	var group []string
-	for _, g := range q.GroupBy {
-		if g.Table != table {
-			break
+	for _, refs := range [][]catalog.ColumnRef{q.GroupBy, q.OrderBy} {
+		n := 0
+		for n < len(refs) && refs[n].Table == table {
+			n++
 		}
-		group = append(group, g.String())
+		add(refs[:n:n])
 	}
-	add(group)
-	var ord []string
-	for _, o := range q.OrderBy {
-		if o.Table != table {
-			break
-		}
-		ord = append(ord, o.String())
-	}
-	add(ord)
 	return out
 }
 
@@ -382,7 +333,7 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 		tc    *engine.TemplateCtx
 		tcCfg *engine.Config
 	)
-	eachPass(q, needCols, func(cfg *engine.Config, forced map[string][]string) {
+	eachPass(q, needCols, func(cfg *engine.Config, forced map[string][]catalog.ColumnRef) {
 		if cfg != tcCfg {
 			if tc != nil {
 				tc.Close()
@@ -421,23 +372,23 @@ func (c *Cache) buildTemplates(q *workload.Query) []*Template {
 // one unconstrained call and one per interesting-order combination.
 // The forced map is reused between calls; a template retains only its
 // order slices, never the map itself.
-func eachPass(q *workload.Query, needCols map[string][]string, pass func(cfg *engine.Config, forced map[string][]string)) {
+func eachPass(q *workload.Query, needCols map[string][]string, pass func(cfg *engine.Config, forced map[string][]catalog.ColumnRef)) {
 	// Synthetic configuration for template extraction: for every
 	// interesting order a covering hypothetical index, so the
 	// optimizer can exhibit order-exploiting plan shapes. This mirrors
 	// INUM's "carefully selected what-if calls".
-	perTable := make([][][]string, len(q.Tables))
+	perTable := make([][][]catalog.ColumnRef, len(q.Tables))
 	synth := engine.NewConfig()
 	for i, t := range q.Tables {
 		orders := interestingOrders(q, t)
 		if len(orders) > 3 {
 			orders = orders[:3]
 		}
-		perTable[i] = append([][]string{nil}, orders...)
+		perTable[i] = append([][]catalog.ColumnRef{nil}, orders...)
 		for _, o := range orders {
 			key := make([]string, len(o))
-			for j, qc := range o {
-				key[j] = strings.TrimPrefix(qc, t+".")
+			for j, c := range o {
+				key[j] = c.Column
 			}
 			synth.Add(&catalog.Index{Table: t, Key: key, Include: remainder(needCols[t], key)})
 		}
@@ -447,9 +398,9 @@ func eachPass(q *workload.Query, needCols map[string][]string, pass func(cfg *en
 		}
 	}
 
-	forced := make(map[string][]string, len(q.Tables))
+	forced := make(map[string][]catalog.ColumnRef, len(q.Tables))
 	for _, t := range q.Tables {
-		forced[t] = []string{}
+		forced[t] = []catalog.ColumnRef{}
 	}
 	pass(engine.NewConfig(), forced)
 	pass(synth, nil)
@@ -495,18 +446,17 @@ func remainder(cols, key []string) []string {
 }
 
 // derivation is one derivation's reusable scratch: its candidate
-// templates, every one with a distinct signature, live in cands[:n]
+// templates, no two of them duplicates (see add), live in cands[:n]
 // until prune picks the few buildTemplates publishes, and only those
 // are copied. Pooled, so a workload's derivations reuse the candidates'
 // slot slices and the buffers.
 type derivation struct {
 	cands []*Template
-	// sigs[i] is the slot part of cands[i]'s signature, betas[i] its β
-	// text, formatted only once another candidate's slot part matched
-	// (empty until then).
-	sigs, betas [][]byte
-	n           int
-	ptrs        []*Template
+	// betas[i] is cands[i]'s β to three decimals, formatted only once
+	// another candidate's slots matched its own (empty until then).
+	betas [][]byte
+	n     int
+	ptrs  []*Template
 	// leaves is the leaf buffer.
 	leaves []engine.TemplateLeaf
 }
@@ -517,12 +467,12 @@ var derivations = sync.Pool{New: func() any { return new(derivation) }}
 // next candidate: β is the internal cost; each leaf becomes a slot
 // whose order requirement is the forced order of its table (not the
 // incidental order of the index the optimizer happened to pick). The
-// candidate is kept unless an earlier one has its signature: its slot
-// part, and then, for a matching slot part only, its β text.
-func (d *derivation) add(cost float64, forced, needCols map[string][]string) {
+// candidate is dropped as a duplicate when an earlier one has the same
+// slots (sameSlots) and, checked only then, the same β to three
+// decimals.
+func (d *derivation) add(cost float64, forced map[string][]catalog.ColumnRef, needCols map[string][]string) {
 	if d.n == len(d.cands) {
 		d.cands = append(d.cands, new(Template))
-		d.sigs = append(d.sigs, nil)
 		d.betas = append(d.betas, nil)
 	}
 	t := d.cands[d.n]
@@ -541,29 +491,64 @@ func (d *derivation) add(cost float64, forced, needCols map[string][]string) {
 			s.Lookups = leaf.Lookups
 		} else {
 			s.Mode = SlotScan
-			if req, ok := forced[leaf.Table]; ok && len(req) > 0 {
+			if req := forced[leaf.Table]; len(req) > 0 {
 				s.RequiredOrder = req
 			}
 		}
 		t.Slots = append(t.Slots, s)
 	}
-	sig := t.appendSlotSig(d.sigs[d.n][:0])
-	d.sigs[d.n], d.betas[d.n] = sig, d.betas[d.n][:0]
-	for k, prior := range d.sigs[:d.n] {
-		if !bytes.Equal(prior, sig) {
+	d.betas[d.n] = d.betas[d.n][:0]
+	for k, prior := range d.cands[:d.n] {
+		// Equal β texts lie within 0.001 of each other, so a computed
+		// difference above 0.002 rules a pair out without formatting.
+		if math.Abs(prior.Internal-t.Internal) > 0.002 || !sameSlots(prior, t) {
 			continue
 		}
 		if len(d.betas[d.n]) == 0 {
-			d.betas[d.n] = appendBeta(d.betas[d.n], t.Internal)
+			d.betas[d.n] = strconv.AppendFloat(d.betas[d.n], t.Internal, 'f', 3, 64)
 		}
 		if len(d.betas[k]) == 0 {
-			d.betas[k] = appendBeta(d.betas[k], d.cands[k].Internal)
+			d.betas[k] = strconv.AppendFloat(d.betas[k], prior.Internal, 'f', 3, 64)
 		}
 		if bytes.Equal(d.betas[k], d.betas[d.n]) {
 			return
 		}
 	}
 	d.n++
+}
+
+// sameSlots reports whether two candidates of one derivation have the
+// same slots, matched by table: equal mode, required order and join
+// column, and Lookups that round to the same integer, ties to even.
+// NeedCols follow from the table within a derivation.
+func sameSlots(a, b *Template) bool {
+	if len(a.Slots) != len(b.Slots) {
+		return false
+	}
+	for i := range a.Slots {
+		sa, sb := &a.Slots[i], &b.Slots[i]
+		if sb.Table != sa.Table {
+			if sb = b.slotOn(sa.Table); sb == nil {
+				return false
+			}
+		}
+		if sa.Mode != sb.Mode || !slices.Equal(sa.RequiredOrder, sb.RequiredOrder) ||
+			sa.JoinCol != sb.JoinCol || !sameRounded(sa.Lookups, sb.Lookups) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRounded reports whether a and b print the same to zero decimals
+// (strconv's 'f', 0): the same integer, ties rounded to even, with the
+// same sign, or both NaN.
+func sameRounded(a, b float64) bool {
+	if math.Float64bits(a) == math.Float64bits(b) {
+		return true
+	}
+	ra, rb := math.RoundToEven(a), math.RoundToEven(b)
+	return ra == rb && math.Signbit(ra) == math.Signbit(rb) || ra != ra && rb != rb
 }
 
 // release clears the references the scratch holds into the derivation
@@ -645,15 +630,7 @@ func dominates(a, b *Template) bool {
 	}
 	for i := range a.Slots {
 		sa := &a.Slots[i]
-		// Slot counts are tiny (one per referenced table), so a linear
-		// scan beats building a lookup map per comparison.
-		var sb *Slot
-		for j := range b.Slots {
-			if b.Slots[j].Table == sa.Table {
-				sb = &b.Slots[j]
-				break
-			}
-		}
+		sb := b.slotOn(sa.Table)
 		if sb == nil || sa.Mode != sb.Mode {
 			return false
 		}
@@ -664,13 +641,8 @@ func dominates(a, b *Template) bool {
 			}
 		case SlotScan:
 			// a's requirement must be a prefix of b's (weaker or equal).
-			if len(sa.RequiredOrder) > len(sb.RequiredOrder) {
+			if len(sa.RequiredOrder) > len(sb.RequiredOrder) || !slices.Equal(sa.RequiredOrder, sb.RequiredOrder[:len(sa.RequiredOrder)]) {
 				return false
-			}
-			for j, c := range sa.RequiredOrder {
-				if sb.RequiredOrder[j] != c {
-					return false
-				}
 			}
 		}
 	}

@@ -197,12 +197,3 @@ func Build(cfg Config) *catalog.Catalog {
 func BaselineIndexes(c *catalog.Catalog) []*catalog.Index {
 	return c.PrimaryKeyIndexes()
 }
-
-// TableNames returns the TPC-H table names in schema order.
-func TableNames() []string {
-	names := make([]string, len(specs))
-	for i, ts := range specs {
-		names[i] = ts.name
-	}
-	return names
-}

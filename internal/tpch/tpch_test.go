@@ -92,13 +92,6 @@ func TestTotalBytesReasonable(t *testing.T) {
 	}
 }
 
-func TestTableNames(t *testing.T) {
-	names := TableNames()
-	if len(names) != 8 || names[len(names)-1] != "lineitem" {
-		t.Fatalf("TableNames = %v", names)
-	}
-}
-
 func TestIndexSizeVsTable(t *testing.T) {
 	c := Build(Config{ScaleFactor: 0.1})
 	li := c.Table("lineitem")
